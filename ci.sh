@@ -51,7 +51,8 @@
 #  17. a CLI serve smoke: start `minskew serve` on an ephemeral port, run
 #      a catalog-client round trip against it — including the MAINTAIN
 #      maintenance surface, trace-id echo, the EXPLAIN/FLIGHT/METRICS
-#      observability verbs, a raw malformed-TID fuzz probe, the offline
+#      observability verbs, a raw malformed-TID fuzz probe, a raw
+#      three-request pipelined burst answered in order, the offline
 #      `minskew explain` surface, and a bounded `minskew top` scrape —
 #      shut it down over the wire, and require a clean exit plus an
 #      emitted metrics dump,
@@ -217,6 +218,17 @@ case "$TID_REPLY" in
 esac
 if [[ "$PING_REPLY" != "OK pong" ]]; then
     echo "ERROR: connection wedged after malformed TID: \"$PING_REPLY\"" >&2
+    exit 1
+fi
+# Pipelining: three requests in one write get three replies, in order.
+exec 3<>"/dev/tcp/${SERVE_ADDR%:*}/${SERVE_ADDR##*:}"
+printf 'PING\nESTIMATE roads 60 25 65 30\nPING\n' >&3
+IFS= read -r -t 10 PIPE_1 <&3 || true
+IFS= read -r -t 10 PIPE_2 <&3 || true
+IFS= read -r -t 10 PIPE_3 <&3 || true
+exec 3>&- 3<&-
+if [[ "$PIPE_1" != "OK pong" || "$PIPE_2" != "OK "* || "$PIPE_3" != "OK pong" ]]; then
+    echo "ERROR: pipelined burst got \"$PIPE_1\" / \"$PIPE_2\" / \"$PIPE_3\"" >&2
     exit 1
 fi
 # The live dashboard: a bounded scrape against the running server.

@@ -69,7 +69,7 @@ pub use publish::{
     CacheDisposition, EstimatePath, EstimateScratch, EstimateTrace, SnapshotCell, TableSnapshot,
 };
 pub use reader::{BatchQueryError, SpatialReader};
-pub use server::{serve, ServeOptions, ServerHandle};
+pub use server::{serve, ServeOptions, ServerHandle, SERVE_WRITE_TIMEOUT};
 pub use table::{
     AnalyzeOptions, MaintenanceAction, MaintenanceMode, MaintenanceReport, RowId, SpatialTable,
     StatsDiagnostics, StatsFallback, StatsTechnique, TableOptions,

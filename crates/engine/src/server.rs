@@ -61,23 +61,44 @@
 //!
 //! # Concurrency
 //!
-//! Thread per connection. `ESTIMATE`/`BATCH` go through per-connection
-//! [`SpatialReader`]s — the lock-free snapshot path — so estimate traffic
-//! on one table proceeds concurrently across connections even while a
-//! writer runs `ANALYZE`. Mutating verbs lock only their target table.
+//! Thread per connection. The accept loop blocks in `accept`; a shutdown
+//! request wakes it with a loopback connection to the server's own port,
+//! and every accept reaps the connection threads that have finished.
+//! `ESTIMATE`/`BATCH` go through per-connection [`SpatialReader`]s — the
+//! lock-free snapshot path — so estimate traffic on one table proceeds
+//! concurrently across connections even while a writer runs `ANALYZE`.
+//! Mutating verbs lock only their target table.
+//!
+//! A connection serves every complete request line one read delivered,
+//! appends each reply to one output buffer, and sends the buffer with a
+//! single `write` before it reads again. Pipelined requests therefore cost
+//! one write per wake-up, not one per reply (`serve.writes` counts them);
+//! only replies past 64 KiB are sent early, which bounds the buffer. A
+//! peer that has not taken a write within [`SERVE_WRITE_TIMEOUT`] is
+//! dropped, so a client that never reads can hold neither its thread nor
+//! [`ServerHandle::join`]. Idle connections notice a shutdown within their
+//! 25 ms read timeout.
 //!
 //! Per-connection and per-verb counters, request latency, and per-shard
 //! routing counters flow into the server's [`Registry`]
-//! ([`ServerHandle::metrics`]).
+//! ([`ServerHandle::metrics`]). The per-request ones are resolved once per
+//! server, so an `ESTIMATE` takes no registry lock, and once its
+//! connection's buffers have grown it allocates nothing (a flight record,
+//! when one is taken, copies its trace id).
 
+use std::borrow::Cow;
+use std::fmt::Write as _;
 use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::str::SplitAsciiWhitespace;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use minskew_geom::Rect;
-use minskew_obs::{FlightRecorder, FlightTrigger, QueryRecord, Registry, Stopwatch};
+use minskew_obs::{
+    Counter, FlightRecorder, FlightTrigger, Histogram, QueryRecord, Registry, Stopwatch,
+};
 
 use crate::catalog::{CatalogEntry, CatalogError, SpatialCatalog};
 use crate::persist::SnapshotIoError;
@@ -88,6 +109,22 @@ use crate::table::{MaintenanceMode, RowId, StatsTechnique, TableOptions};
 /// Hard cap on one request line (transport protection; a longer line
 /// closes the connection after a typed error).
 const MAX_LINE: usize = 1 << 20;
+
+/// A connection's read buffer starts at this size, and its read and reply
+/// buffers shrink back to it after a long line or a large reply. Replies
+/// that fill this much are sent before the rest of the burst is served.
+const BUF_KEEP: usize = 64 << 10;
+
+/// How long an idle connection blocks in `read` before it checks whether
+/// the server is shutting down.
+const READ_POLL: Duration = Duration::from_millis(25);
+
+/// How long the peer may take to accept one write of replies (at most
+/// 64 KiB plus one reply) before the server drops the connection. Without
+/// it a peer that pipelines requests and never reads its replies would
+/// block its connection thread, and with it [`ServerHandle::join`],
+/// forever.
+pub const SERVE_WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Configuration for [`serve`].
 #[derive(Debug, Clone)]
@@ -112,13 +149,106 @@ impl Default for ServeOptions {
     }
 }
 
+/// The protocol's verbs.
+#[derive(Debug, Clone, Copy)]
+enum Verb {
+    Estimate,
+    Batch,
+    Ping,
+    Tables,
+    Create,
+    Drop,
+    Insert,
+    Delete,
+    Analyze,
+    Explain,
+    Flight,
+    Metrics,
+    Stats,
+    Maintain,
+    Snapshot,
+    Shutdown,
+}
+
+/// Every verb with its wire name (matched case-insensitively) and the
+/// counter its requests bump, hottest first. Any other verb counts under
+/// [`UNKNOWN_VERB`], so junk verbs cannot grow the registry.
+const VERBS: [(Verb, &str, &str); 16] = [
+    (Verb::Estimate, "ESTIMATE", "serve.verb.estimate"),
+    (Verb::Batch, "BATCH", "serve.verb.batch"),
+    (Verb::Ping, "PING", "serve.verb.ping"),
+    (Verb::Tables, "TABLES", "serve.verb.tables"),
+    (Verb::Create, "CREATE", "serve.verb.create"),
+    (Verb::Drop, "DROP", "serve.verb.drop"),
+    (Verb::Insert, "INSERT", "serve.verb.insert"),
+    (Verb::Delete, "DELETE", "serve.verb.delete"),
+    (Verb::Analyze, "ANALYZE", "serve.verb.analyze"),
+    (Verb::Explain, "EXPLAIN", "serve.verb.explain"),
+    (Verb::Flight, "FLIGHT", "serve.verb.flight"),
+    (Verb::Metrics, "METRICS", "serve.verb.metrics"),
+    (Verb::Stats, "STATS", "serve.verb.stats"),
+    (Verb::Maintain, "MAINTAIN", "serve.verb.maintain"),
+    (Verb::Snapshot, "SNAPSHOT", "serve.verb.snapshot"),
+    (Verb::Shutdown, "SHUTDOWN", "serve.verb.shutdown"),
+];
+
+/// The counter for requests whose verb is not in [`VERBS`].
+const UNKNOWN_VERB: &str = "serve.verb.unknown";
+
+/// A registry metric looked up by name on its first use and held from then
+/// on: later records take no lock and allocate nothing, and the metric
+/// still first appears in `METRICS` when something records into it.
+#[derive(Debug)]
+struct Lazy<T> {
+    name: &'static str,
+    cell: OnceLock<Arc<T>>,
+}
+
+impl<T> Lazy<T> {
+    fn new(name: &'static str) -> Lazy<T> {
+        Lazy {
+            name,
+            cell: OnceLock::new(),
+        }
+    }
+}
+
+/// The metrics every request touches, resolved once per server.
+#[derive(Debug)]
+struct HotMetrics {
+    requests: Lazy<Counter>,
+    errors: Lazy<Counter>,
+    estimates: Lazy<Counter>,
+    writes: Lazy<Counter>,
+    request_ns: Lazy<Histogram>,
+    /// One counter per entry of [`VERBS`], then [`UNKNOWN_VERB`]'s.
+    verbs: [Lazy<Counter>; VERBS.len() + 1],
+}
+
+impl HotMetrics {
+    fn new() -> HotMetrics {
+        HotMetrics {
+            requests: Lazy::new("serve.requests"),
+            errors: Lazy::new("serve.errors"),
+            estimates: Lazy::new("serve.estimates"),
+            writes: Lazy::new("serve.writes"),
+            request_ns: Lazy::new("serve.request_ns"),
+            verbs: std::array::from_fn(|i| Lazy::new(VERBS.get(i).map_or(UNKNOWN_VERB, |v| v.2))),
+        }
+    }
+}
+
 /// Shared server context.
 #[derive(Debug)]
 struct ServerCtx {
     catalog: Arc<SpatialCatalog>,
     options: ServeOptions,
     registry: Registry,
+    hot: HotMetrics,
     shutdown: AtomicBool,
+    /// Where a shutdown request connects to wake the accept loop: the
+    /// bound address, with an unspecified IP replaced by loopback.
+    wake_addr: SocketAddr,
     active: AtomicU64,
     /// Wire-level flight recorder: slow or 1-in-N-sampled `ESTIMATE`
     /// requests, with the client's trace id stamped in. Sized by the
@@ -130,9 +260,64 @@ struct ServerCtx {
 }
 
 impl ServerCtx {
+    fn new(catalog: Arc<SpatialCatalog>, options: ServeOptions, addr: SocketAddr) -> ServerCtx {
+        let flight_capacity = if options.table_options.metrics {
+            options.table_options.flight_capacity
+        } else {
+            0
+        };
+        let mut wake_addr = addr;
+        if addr.ip().is_unspecified() {
+            wake_addr.set_ip(match addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        ServerCtx {
+            catalog,
+            options,
+            registry: Registry::new(),
+            hot: HotMetrics::new(),
+            shutdown: AtomicBool::new(false),
+            wake_addr,
+            active: AtomicU64::new(0),
+            flight: FlightRecorder::new(flight_capacity),
+            wire_estimates: AtomicU64::new(0),
+        }
+    }
+
+    /// Bumps a rarely used counter by name (one registry lookup).
     fn bump(&self, name: &str) {
         if minskew_obs::enabled() {
             self.registry.counter(name).inc();
+        }
+    }
+
+    fn add(&self, counter: &Lazy<Counter>, n: u64) {
+        if minskew_obs::enabled() {
+            let name = counter.name;
+            counter
+                .cell
+                .get_or_init(|| self.registry.counter(name))
+                .add(n);
+        }
+    }
+
+    fn record(&self, histogram: &Lazy<Histogram>, value: u64) {
+        if minskew_obs::enabled() {
+            let name = histogram.name;
+            histogram
+                .cell
+                .get_or_init(|| self.registry.histogram(name))
+                .record(value);
+        }
+    }
+
+    /// Flags the server to stop, and wakes the accept loop (blocked in
+    /// `accept`) with a connection to its own port.
+    fn request_shutdown(&self) {
+        if !self.shutdown.swap(true, Ordering::SeqCst) {
+            let _ = TcpStream::connect_timeout(&self.wake_addr, Duration::from_secs(1));
         }
     }
 
@@ -191,7 +376,7 @@ impl ServerHandle {
     /// Signals the accept loop to stop. Existing connections drain (each
     /// notices the flag within its read-poll interval).
     pub fn request_shutdown(&self) {
-        self.ctx.shutdown.store(true, Ordering::SeqCst);
+        self.ctx.request_shutdown();
     }
 
     /// `true` once shutdown has been requested (by this handle or by a
@@ -227,22 +412,8 @@ impl ServerHandle {
 pub fn serve(catalog: Arc<SpatialCatalog>, options: ServeOptions) -> std::io::Result<ServerHandle> {
     let addrs: Vec<SocketAddr> = options.addr.to_socket_addrs()?.collect();
     let listener = TcpListener::bind(&addrs[..])?;
-    listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
-    let flight_capacity = if options.table_options.metrics {
-        options.table_options.flight_capacity
-    } else {
-        0
-    };
-    let ctx = Arc::new(ServerCtx {
-        catalog,
-        options,
-        registry: Registry::new(),
-        shutdown: AtomicBool::new(false),
-        active: AtomicU64::new(0),
-        flight: FlightRecorder::new(flight_capacity),
-        wire_estimates: AtomicU64::new(0),
-    });
+    let ctx = Arc::new(ServerCtx::new(catalog, options, addr));
     let accept_ctx = Arc::clone(&ctx);
     let accept = std::thread::spawn(move || accept_loop(listener, accept_ctx));
     Ok(ServerHandle {
@@ -254,8 +425,15 @@ pub fn serve(catalog: Arc<SpatialCatalog>, options: ServeOptions) -> std::io::Re
 
 fn accept_loop(listener: TcpListener, ctx: Arc<ServerCtx>) {
     let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    while !ctx.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        // Set before the shutdown wake-up connects, so the wake-up (or a
+        // client racing it) is never served.
+        if ctx.shutdown.load(Ordering::SeqCst) {
+            break;
+        }
+        conns.retain(|c| !c.is_finished());
+        match accepted {
             Ok((stream, _)) => {
                 ctx.bump("serve.connections");
                 let conn_ctx = Arc::clone(&ctx);
@@ -263,11 +441,7 @@ fn accept_loop(listener: TcpListener, ctx: Arc<ServerCtx>) {
                     handle_connection(stream, conn_ctx)
                 }));
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                // Reap finished connection threads opportunistically.
-                conns.retain(|c| !c.is_finished());
-                std::thread::sleep(Duration::from_millis(2));
-            }
+            // Out of descriptors and the like: back off rather than spin.
             Err(_) => std::thread::sleep(Duration::from_millis(2)),
         }
     }
@@ -278,9 +452,12 @@ fn accept_loop(listener: TcpListener, ctx: Arc<ServerCtx>) {
 }
 
 /// Per-connection state: cached lock-free readers (one per table touched)
-/// and their resolved per-shard routing counters.
+/// with their resolved per-shard routing counters, and `BATCH`'s query
+/// buffer, reused from request to request.
+#[derive(Default)]
 struct ConnState {
     readers: std::collections::HashMap<String, TableReader>,
+    queries: Vec<Rect>,
 }
 
 struct TableReader {
@@ -292,7 +469,8 @@ struct TableReader {
 fn handle_connection(stream: TcpStream, ctx: Arc<ServerCtx>) {
     let _ = stream.set_nodelay(true);
     // Poll the shutdown flag between reads so drains are prompt.
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(25)));
+    let _ = stream.set_read_timeout(Some(READ_POLL));
+    let _ = stream.set_write_timeout(Some(SERVE_WRITE_TIMEOUT));
     ctx.active.fetch_add(1, Ordering::SeqCst);
     if minskew_obs::enabled() {
         ctx.registry
@@ -309,50 +487,106 @@ fn handle_connection(stream: TcpStream, ctx: Arc<ServerCtx>) {
 }
 
 fn serve_requests(mut stream: TcpStream, ctx: &Arc<ServerCtx>) {
-    let mut conn = ConnState {
-        readers: std::collections::HashMap::new(),
-    };
-    let mut buf: Vec<u8> = Vec::with_capacity(512);
-    let mut chunk = [0u8; 4096];
+    let mut conn = ConnState::default();
+    let mut out = String::new();
+    // `buf[start..end]` holds what was read but not yet served.
+    let mut buf = vec![0u8; BUF_KEEP];
+    let (mut start, mut end) = (0, 0);
     loop {
-        // Serve every complete line already buffered.
-        while let Some(pos) = buf.iter().position(|&b| b == b'\n') {
-            let line_bytes: Vec<u8> = buf.drain(..=pos).collect();
-            let line = String::from_utf8_lossy(&line_bytes);
-            let reply = handle_request(ctx, &mut conn, line.trim_end_matches(['\n', '\r']));
-            let quit = matches!(reply, Reply::Quit(_));
-            let text = match reply {
-                Reply::Line(s) | Reply::Quit(s) => s,
-            };
-            if stream.write_all(text.as_bytes()).is_err()
-                || stream.write_all(b"\n").is_err()
-                || stream.flush().is_err()
-            {
-                return;
-            }
+        // Serve every complete line already buffered, replies into `out`.
+        let mut quit = false;
+        while let Some(len) = buf[start..end].iter().position(|&b| b == b'\n') {
+            let line = request_text(&buf[start..start + len]);
+            start += len + 1;
+            quit = handle_request(ctx, &mut conn, &line, &mut out);
             if quit {
+                break;
+            }
+            if out.len() >= BUF_KEEP && !send(ctx, &mut stream, &mut out) {
                 return;
             }
         }
-        if buf.len() > MAX_LINE {
-            // Transport protection: an unbounded line would buffer forever.
-            let _ = stream.write_all(b"ERR 2 usage: request line exceeds 1 MiB\n");
+        buf.copy_within(start..end, 0);
+        end -= start;
+        start = 0;
+        // Transport protection: an unbounded line would buffer forever.
+        let overlong = !quit && end > MAX_LINE;
+        if overlong {
+            out.push_str("ERR 2 usage: request line exceeds 1 MiB\n");
+        }
+        // One write for everything this wake-up produced.
+        if !send(ctx, &mut stream, &mut out)
+            || quit
+            || overlong
+            || ctx.shutdown.load(Ordering::SeqCst)
+        {
             return;
         }
-        if ctx.shutdown.load(Ordering::SeqCst) {
-            return;
+        if end == buf.len() {
+            // A line longer than the buffer: grow, up to one byte past the
+            // longest line allowed, which trips the check above.
+            buf.resize((2 * buf.len()).min(MAX_LINE + 1), 0);
+        } else if buf.len() > BUF_KEEP && end < BUF_KEEP {
+            buf.truncate(BUF_KEEP);
+            buf.shrink_to_fit();
         }
-        match stream.read(&mut chunk) {
+        match stream.read(&mut buf[end..]) {
             Ok(0) => return, // peer closed
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {}
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Ok(n) => end += n,
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+                ) => {}
             Err(_) => return,
         }
     }
 }
 
+/// One request line without its line ending (the `\n` and any `\r`s
+/// before it): borrowed when it is valid UTF-8, with each invalid sequence
+/// replaced by U+FFFD otherwise.
+fn request_text(line: &[u8]) -> Cow<'_, str> {
+    let mut len = line.len();
+    while len > 0 && line[len - 1] == b'\r' {
+        len -= 1;
+    }
+    match std::str::from_utf8(&line[..len]) {
+        Ok(text) => Cow::Borrowed(text),
+        Err(_) => String::from_utf8_lossy(&line[..len]),
+    }
+}
+
+/// Writes out the buffered replies with one `write`, counted in
+/// `serve.writes`, and empties the buffer (returning a large one's excess
+/// capacity). `false` when the peer has gone, or has not taken the whole
+/// buffer within [`SERVE_WRITE_TIMEOUT`]: a blocking socket's `write`
+/// returns short only when its timeout expires.
+fn send(ctx: &ServerCtx, stream: &mut TcpStream, out: &mut String) -> bool {
+    if out.is_empty() {
+        return true;
+    }
+    loop {
+        match stream.write(out.as_bytes()) {
+            Ok(n) => {
+                ctx.add(&ctx.hot.writes, 1);
+                if n < out.len() {
+                    return false;
+                }
+                break;
+            }
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(_) => return false,
+        }
+    }
+    out.clear();
+    out.shrink_to(BUF_KEEP);
+    true
+}
+
 enum Reply {
+    /// An `OK` line the handler already appended to the output buffer.
+    Written,
     Line(String),
     /// Write the line, then stop the whole server (the `SHUTDOWN` verb).
     Quit(String),
@@ -409,60 +643,111 @@ fn split_tid(line: &str) -> Result<(&str, &str), Reply> {
     Ok((token, remainder))
 }
 
-/// Dispatches one request line. Total: every input maps to exactly one
-/// reply, and nothing here can panic on malformed input.
-fn handle_request(ctx: &Arc<ServerCtx>, conn: &mut ConnState, line: &str) -> Reply {
+/// Serves one request line, appending its reply and a newline to `out`.
+/// Returns `true` after `SHUTDOWN`, whose reply is the connection's last.
+/// Total: every input maps to exactly one reply, and nothing here can
+/// panic on malformed input.
+fn handle_request(
+    ctx: &Arc<ServerCtx>,
+    conn: &mut ConnState,
+    line: &str,
+    out: &mut String,
+) -> bool {
     let mut clock = Stopwatch::start();
-    ctx.bump("serve.requests");
-    let (tid, rest) = match split_tid(line) {
-        Ok(pair) => pair,
-        Err(reply) => {
-            if minskew_obs::enabled() {
-                ctx.registry
-                    .histogram("serve.request_ns")
-                    .record(clock.lap());
-                ctx.bump("serve.errors");
+    ctx.add(&ctx.hot.requests, 1);
+    let reply = match split_tid(line) {
+        Ok((tid, rest)) => {
+            if !tid.is_empty() {
+                out.push_str("TID=");
+                out.push_str(tid);
+                out.push(' ');
             }
-            return reply;
+            dispatch(ctx, conn, rest, tid, out)
         }
+        Err(reply) => reply,
     };
-    let reply = dispatch(ctx, conn, rest, tid);
-    if minskew_obs::enabled() {
-        ctx.registry
-            .histogram("serve.request_ns")
-            .record(clock.lap());
-        // Counted before the echo is applied, so a `TID=`-prefixed error
-        // still registers as an error.
-        if matches!(&reply, Reply::Line(s) if s.starts_with("ERR")) {
-            ctx.bump("serve.errors");
+    ctx.record(&ctx.hot.request_ns, clock.lap());
+    let quit = matches!(reply, Reply::Quit(_));
+    if let Reply::Line(text) | Reply::Quit(text) = reply {
+        if text.starts_with("ERR") {
+            ctx.add(&ctx.hot.errors, 1);
+        }
+        out.push_str(&text);
+    }
+    out.push('\n');
+    quit
+}
+
+/// Most arguments a request splits into without allocating.
+const INLINE_ARGS: usize = 8;
+
+/// A request's argument tokens: inline up to [`INLINE_ARGS`], so the
+/// common requests split their line without allocating; longer ones spill
+/// to the heap.
+enum Args<'a> {
+    Inline(usize, [&'a str; INLINE_ARGS]),
+    Spilled(Vec<&'a str>),
+}
+
+impl<'a> Args<'a> {
+    fn split(mut tokens: SplitAsciiWhitespace<'a>) -> Args<'a> {
+        let mut inline = [""; INLINE_ARGS];
+        for (n, slot) in inline.iter_mut().enumerate() {
+            match tokens.next() {
+                Some(token) => *slot = token,
+                None => return Args::Inline(n, inline),
+            }
+        }
+        match tokens.next() {
+            None => Args::Inline(INLINE_ARGS, inline),
+            Some(next) => {
+                let mut spilled = inline.to_vec();
+                spilled.push(next);
+                spilled.extend(tokens);
+                Args::Spilled(spilled)
+            }
         }
     }
-    if tid.is_empty() {
-        reply
-    } else {
-        match reply {
-            Reply::Line(s) => Reply::Line(format!("TID={tid} {s}")),
-            Reply::Quit(s) => Reply::Quit(format!("TID={tid} {s}")),
+
+    fn as_slice(&self) -> &[&'a str] {
+        match self {
+            Args::Inline(n, inline) => &inline[..*n],
+            Args::Spilled(spilled) => spilled,
         }
     }
 }
 
-fn dispatch(ctx: &Arc<ServerCtx>, conn: &mut ConnState, line: &str, tid: &str) -> Reply {
+fn dispatch(
+    ctx: &Arc<ServerCtx>,
+    conn: &mut ConnState,
+    line: &str,
+    tid: &str,
+    out: &mut String,
+) -> Reply {
     let mut tokens = line.split_ascii_whitespace();
-    let Some(verb) = tokens.next() else {
+    let Some(token) = tokens.next() else {
         return err(2, "usage: empty request");
     };
-    let args: Vec<&str> = tokens.collect();
-    let verb_upper = verb.to_ascii_uppercase();
-    if minskew_obs::enabled() {
-        ctx.bump(&format!(
-            "serve.verb.{}",
-            minskew_obs::name_component(&verb_upper)
-        ));
-    }
-    match verb_upper.as_str() {
-        "PING" => ok("pong"),
-        "TABLES" => {
+    let index = VERBS
+        .iter()
+        .position(|(_, name, _)| name.eq_ignore_ascii_case(token))
+        .unwrap_or(VERBS.len());
+    ctx.add(&ctx.hot.verbs[index], 1);
+    let Some(&(verb, ..)) = VERBS.get(index) else {
+        return err(
+            2,
+            format_args!("usage: unknown verb {:?}", token.to_ascii_uppercase()),
+        );
+    };
+    let args = match verb {
+        // The one verb with unbounded arguments parses them in place.
+        Verb::Batch => Args::Inline(0, [""; INLINE_ARGS]),
+        _ => Args::split(tokens.clone()),
+    };
+    let args = args.as_slice();
+    match verb {
+        Verb::Ping => ok("pong"),
+        Verb::Tables => {
             let names = ctx.catalog.list();
             let mut payload = names.len().to_string();
             for name in names {
@@ -471,30 +756,29 @@ fn dispatch(ctx: &Arc<ServerCtx>, conn: &mut ConnState, line: &str, tid: &str) -
             }
             ok(payload)
         }
-        "CREATE" => cmd_create(ctx, &args),
-        "DROP" => match args[..] {
+        Verb::Create => cmd_create(ctx, args),
+        Verb::Drop => match args {
             [name] => match ctx.catalog.drop_table(name) {
                 Ok(()) => ok(format_args!("dropped {name}")),
                 Err(e) => catalog_err(e),
             },
             _ => err(2, "usage: DROP <table>"),
         },
-        "INSERT" => cmd_insert(ctx, &args),
-        "DELETE" => cmd_delete(ctx, &args),
-        "ANALYZE" => cmd_analyze(ctx, &args),
-        "ESTIMATE" => cmd_estimate(ctx, conn, &args, tid),
-        "BATCH" => cmd_batch(ctx, conn, &args),
-        "EXPLAIN" => cmd_explain(ctx, conn, &args),
-        "FLIGHT" => cmd_flight(ctx, &args),
-        "METRICS" => cmd_metrics(ctx, &args),
-        "STATS" => cmd_stats(ctx, &args),
-        "MAINTAIN" => cmd_maintain(ctx, &args),
-        "SNAPSHOT" => cmd_snapshot(ctx, &args),
-        "SHUTDOWN" => {
-            ctx.shutdown.store(true, Ordering::SeqCst);
+        Verb::Insert => cmd_insert(ctx, args),
+        Verb::Delete => cmd_delete(ctx, args),
+        Verb::Analyze => cmd_analyze(ctx, args),
+        Verb::Estimate => cmd_estimate(ctx, conn, args, tid, out),
+        Verb::Batch => cmd_batch(ctx, conn, tokens, out),
+        Verb::Explain => cmd_explain(ctx, conn, args),
+        Verb::Flight => cmd_flight(ctx, args),
+        Verb::Metrics => cmd_metrics(ctx, args),
+        Verb::Stats => cmd_stats(ctx, args),
+        Verb::Maintain => cmd_maintain(ctx, args),
+        Verb::Snapshot => cmd_snapshot(ctx, args),
+        Verb::Shutdown => {
+            ctx.request_shutdown();
             Reply::Quit(String::from("OK bye"))
         }
-        other => err(2, format_args!("usage: unknown verb {other:?}")),
     }
 }
 
@@ -621,12 +905,12 @@ fn cmd_analyze(ctx: &Arc<ServerCtx>, args: &[&str]) -> Reply {
 /// Per-connection reader for `name`, minted lock-free on first use.
 fn conn_reader<'a>(
     ctx: &Arc<ServerCtx>,
-    conn: &'a mut ConnState,
+    readers: &'a mut std::collections::HashMap<String, TableReader>,
     name: &str,
 ) -> Result<&'a mut TableReader, Reply> {
-    if !conn.readers.contains_key(name) {
+    if !readers.contains_key(name) {
         let entry = lookup(ctx, name)?;
-        conn.readers.insert(
+        readers.insert(
             name.to_string(),
             TableReader {
                 reader: entry.reader(),
@@ -634,10 +918,7 @@ fn conn_reader<'a>(
             },
         );
     }
-    Ok(conn
-        .readers
-        .get_mut(name)
-        .expect("reader inserted just above"))
+    Ok(readers.get_mut(name).expect("reader inserted just above"))
 }
 
 /// Counts routed shards into `serve.table.<t>.shard.<s>.routed`.
@@ -688,7 +969,13 @@ fn note_batch_routing(ctx: &Arc<ServerCtx>, name: &str, tr: &mut TableReader) {
     }
 }
 
-fn cmd_estimate(ctx: &Arc<ServerCtx>, conn: &mut ConnState, args: &[&str], tid: &str) -> Reply {
+fn cmd_estimate(
+    ctx: &Arc<ServerCtx>,
+    conn: &mut ConnState,
+    args: &[&str],
+    tid: &str,
+    out: &mut String,
+) -> Reply {
     let [name, coords @ ..] = args else {
         return err(2, "usage: ESTIMATE <table> <x1> <y1> <x2> <y2>");
     };
@@ -696,7 +983,7 @@ fn cmd_estimate(ctx: &Arc<ServerCtx>, conn: &mut ConnState, args: &[&str], tid: 
         Ok(r) => r,
         Err(reply) => return reply,
     };
-    let tr = match conn_reader(ctx, conn, name) {
+    let tr = match conn_reader(ctx, &mut conn.readers, name) {
         Ok(tr) => tr,
         Err(reply) => return reply,
     };
@@ -706,16 +993,22 @@ fn cmd_estimate(ctx: &Arc<ServerCtx>, conn: &mut ConnState, args: &[&str], tid: 
             // The reply value is already fixed: recording can only observe.
             let latency_ns = clock.lap();
             note_routing(ctx, name, tr);
-            ctx.bump("serve.estimates");
+            ctx.add(&ctx.hot.estimates, 1);
             ctx.note_wire_flight(tid, &rect, value, latency_ns, tr.reader.generation());
-            ok(value)
+            let _ = write!(out, "OK {value}");
+            Reply::Written
         }
         Err(e) => err(2, format_args!("usage: {e}")),
     }
 }
 
-fn cmd_batch(ctx: &Arc<ServerCtx>, conn: &mut ConnState, args: &[&str]) -> Reply {
-    let [name, count, coords @ ..] = args else {
+fn cmd_batch(
+    ctx: &Arc<ServerCtx>,
+    conn: &mut ConnState,
+    mut args: SplitAsciiWhitespace<'_>,
+    out: &mut String,
+) -> Reply {
+    let (Some(name), Some(count)) = (args.next(), args.next()) else {
         return err(2, "usage: BATCH <table> <n> <x1> <y1> <x2> <y2> ...");
     };
     let Ok(n) = count.parse::<usize>() else {
@@ -730,47 +1023,41 @@ fn cmd_batch(ctx: &Arc<ServerCtx>, conn: &mut ConnState, args: &[&str]) -> Reply
             ),
         );
     }
-    if coords.len() != 4 * n {
+    let given = args.clone().count();
+    if given != 4 * n {
         return err(
             2,
-            format_args!(
-                "usage: expected {} coordinates, got {}",
-                4 * n,
-                coords.len()
-            ),
+            format_args!("usage: expected {} coordinates, got {given}", 4 * n),
         );
     }
-    let mut queries = Vec::with_capacity(n);
-    for quad in coords.chunks_exact(4) {
-        match parse_rect(quad, 2) {
-            Ok(rect) => queries.push(rect),
+    conn.queries.clear();
+    for _ in 0..n {
+        let quad: [&str; 4] = std::array::from_fn(|_| args.next().unwrap_or_default());
+        match parse_rect(&quad, 2) {
+            Ok(rect) => conn.queries.push(rect),
             Err(reply) => return reply,
         }
     }
-    let tr = match conn_reader(ctx, conn, name) {
+    let tr = match conn_reader(ctx, &mut conn.readers, name) {
         Ok(tr) => tr,
         Err(reply) => return reply,
     };
     // One Morton-ordered pass over one snapshot; replies come back in
     // request order and are bit-identical to a per-query loop.
-    let values = match tr.reader.try_estimate_batch(&queries) {
+    let values = match tr.reader.try_estimate_batch(&conn.queries) {
         Ok(values) => values,
         Err(e) => return err(2, format_args!("usage: {e}")),
     };
     note_batch_routing(ctx, name, tr);
-    let mut payload = String::with_capacity(values.len() * 8);
+    out.push_str("OK ");
     for (i, value) in values.iter().enumerate() {
         if i > 0 {
-            payload.push(' ');
+            out.push(' ');
         }
-        payload.push_str(&value.to_string());
+        let _ = write!(out, "{value}");
     }
-    if minskew_obs::enabled() {
-        ctx.registry
-            .counter("serve.estimates")
-            .add(queries.len() as u64);
-    }
-    ok(payload)
+    ctx.add(&ctx.hot.estimates, values.len() as u64);
+    Reply::Written
 }
 
 /// A number for hand-written JSON: shortest-round-trip for finite values,
@@ -785,7 +1072,6 @@ fn json_num(v: f64) -> String {
 
 /// A JSON string literal (quotes, backslash, control characters escaped).
 fn json_str(s: &str) -> String {
-    use std::fmt::Write as _;
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for ch in s.chars() {
@@ -808,7 +1094,6 @@ const EXPLAIN_MAX_TERMS: usize = 32;
 
 /// One-line JSON for an estimate trace (the `EXPLAIN` payload).
 fn trace_json(trace: &EstimateTrace) -> String {
-    use std::fmt::Write as _;
     let mut out = String::with_capacity(256);
     let _ = write!(
         out,
@@ -879,7 +1164,7 @@ fn cmd_explain(ctx: &Arc<ServerCtx>, conn: &mut ConnState, args: &[&str]) -> Rep
         Ok(r) => r,
         Err(reply) => return reply,
     };
-    let tr = match conn_reader(ctx, conn, name) {
+    let tr = match conn_reader(ctx, &mut conn.readers, name) {
         Ok(tr) => tr,
         Err(reply) => return reply,
     };
@@ -1061,26 +1346,21 @@ mod tests {
     /// A test context with the wire flight recorder sized by `options`
     /// exactly as [`serve`] sizes it.
     fn test_ctx(options: ServeOptions) -> Arc<ServerCtx> {
-        let flight_capacity = if options.table_options.metrics {
-            options.table_options.flight_capacity
-        } else {
-            0
-        };
-        Arc::new(ServerCtx {
-            catalog: Arc::new(SpatialCatalog::new()),
+        // Nothing listens here: a wire SHUTDOWN's wake-up connect fails.
+        let addr = SocketAddr::from((Ipv4Addr::LOCALHOST, 1));
+        Arc::new(ServerCtx::new(
+            Arc::new(SpatialCatalog::new()),
             options,
-            registry: Registry::new(),
-            shutdown: AtomicBool::new(false),
-            active: AtomicU64::new(0),
-            flight: FlightRecorder::new(flight_capacity),
-            wire_estimates: AtomicU64::new(0),
-        })
+            addr,
+        ))
     }
 
     fn line(ctx: &Arc<ServerCtx>, conn: &mut ConnState, req: &str) -> String {
-        match handle_request(ctx, conn, req) {
-            Reply::Line(s) | Reply::Quit(s) => s,
-        }
+        let mut out = String::new();
+        handle_request(ctx, conn, req, &mut out);
+        out.strip_suffix('\n')
+            .expect("newline-terminated")
+            .to_string()
     }
 
     #[test]
@@ -1101,9 +1381,7 @@ mod tests {
     #[test]
     fn dispatch_maps_errors_to_the_exit_code_taxonomy() {
         let ctx = test_ctx(ServeOptions::default());
-        let mut conn = ConnState {
-            readers: std::collections::HashMap::new(),
-        };
+        let mut conn = ConnState::default();
         assert_eq!(line(&ctx, &mut conn, "PING"), "OK pong");
         assert_eq!(line(&ctx, &mut conn, "TABLES"), "OK 0");
         assert!(line(&ctx, &mut conn, "").starts_with("ERR 2 "));
@@ -1124,9 +1402,7 @@ mod tests {
     #[test]
     fn maintain_verb_runs_and_switches_modes() {
         let ctx = test_ctx(ServeOptions::default());
-        let mut conn = ConnState {
-            readers: std::collections::HashMap::new(),
-        };
+        let mut conn = ConnState::default();
         assert!(line(&ctx, &mut conn, "MAINTAIN").starts_with("ERR 2 "));
         assert!(line(&ctx, &mut conn, "MAINTAIN ghost").starts_with("ERR 2 "));
         assert_eq!(line(&ctx, &mut conn, "CREATE t"), "OK created t");
@@ -1155,9 +1431,7 @@ mod tests {
     #[test]
     fn trace_ids_echo_on_ok_and_err_but_malformed_never_echo() {
         let ctx = test_ctx(ServeOptions::default());
-        let mut conn = ConnState {
-            readers: std::collections::HashMap::new(),
-        };
+        let mut conn = ConnState::default();
         assert_eq!(line(&ctx, &mut conn, "TID=req-7 PING"), "TID=req-7 OK pong");
         assert_eq!(line(&ctx, &mut conn, "PING"), "OK pong", "no echo unasked");
         // Errors echo too, so the client can still join the reply.
@@ -1181,9 +1455,7 @@ mod tests {
     #[test]
     fn explain_matches_estimate_bitwise_and_carries_detail() {
         let ctx = test_ctx(ServeOptions::default());
-        let mut conn = ConnState {
-            readers: std::collections::HashMap::new(),
-        };
+        let mut conn = ConnState::default();
         assert_eq!(line(&ctx, &mut conn, "CREATE t"), "OK created t");
         for i in 0..200 {
             let x = f64::from(i % 20) * 5.0;
@@ -1214,9 +1486,7 @@ mod tests {
         let mut options = ServeOptions::default();
         options.table_options.flight_sample = 1; // record every estimate
         let ctx = test_ctx(options);
-        let mut conn = ConnState {
-            readers: std::collections::HashMap::new(),
-        };
+        let mut conn = ConnState::default();
         assert_eq!(line(&ctx, &mut conn, "CREATE t"), "OK created t");
         assert_eq!(line(&ctx, &mut conn, "INSERT t 0 0 1 1"), "OK 0");
         assert!(line(&ctx, &mut conn, "TID=q1 ESTIMATE t 0 0 2 2").starts_with("TID=q1 OK "));
@@ -1251,9 +1521,7 @@ mod tests {
     #[test]
     fn metrics_verb_scrapes_registries_live() {
         let ctx = test_ctx(ServeOptions::default());
-        let mut conn = ConnState {
-            readers: std::collections::HashMap::new(),
-        };
+        let mut conn = ConnState::default();
         assert_eq!(line(&ctx, &mut conn, "PING"), "OK pong");
         let reply = line(&ctx, &mut conn, "METRICS");
         let (head, body) = reply.split_once('\n').expect("framed");
@@ -1284,9 +1552,7 @@ mod tests {
     #[test]
     fn bare_stats_reports_request_latency_quantiles() {
         let ctx = test_ctx(ServeOptions::default());
-        let mut conn = ConnState {
-            readers: std::collections::HashMap::new(),
-        };
+        let mut conn = ConnState::default();
         assert_eq!(line(&ctx, &mut conn, "PING"), "OK pong");
         let stats = line(&ctx, &mut conn, "STATS");
         assert!(stats.starts_with("OK {\"tables\":0,"), "{stats:?}");

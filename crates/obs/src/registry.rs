@@ -45,42 +45,42 @@ impl Registry {
         self.metrics.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
+    /// The metric registered under `name`, registering `create()` first if
+    /// the name is new. A hit borrows `name`; only an insert allocates it.
+    fn resolve(&self, name: &str, create: impl FnOnce() -> Metric) -> Metric {
+        let mut map = self.lock();
+        if let Some(metric) = map.get(name) {
+            return metric.clone();
+        }
+        let metric = create();
+        map.insert(name.to_owned(), metric.clone());
+        metric
+    }
+
     /// The counter registered under `name`, created at zero if absent. If
     /// `name` is already a gauge or histogram, returns a detached counter.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut map = self.lock();
-        let metric = map
-            .entry(name.to_owned())
-            .or_insert_with(|| Metric::Counter(Arc::new(Counter::new())));
-        match metric {
-            Metric::Counter(c) => Arc::clone(c),
-            _ => Arc::new(Counter::new()),
+        match self.resolve(name, || Metric::Counter(Arc::default())) {
+            Metric::Counter(c) => c,
+            _ => Arc::default(),
         }
     }
 
     /// The gauge registered under `name`, created at `0.0` if absent. If
     /// `name` is already another kind, returns a detached gauge.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut map = self.lock();
-        let metric = map
-            .entry(name.to_owned())
-            .or_insert_with(|| Metric::Gauge(Arc::new(Gauge::new())));
-        match metric {
-            Metric::Gauge(g) => Arc::clone(g),
-            _ => Arc::new(Gauge::new()),
+        match self.resolve(name, || Metric::Gauge(Arc::default())) {
+            Metric::Gauge(g) => g,
+            _ => Arc::default(),
         }
     }
 
     /// The histogram registered under `name`, created empty if absent. If
     /// `name` is already another kind, returns a detached histogram.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut map = self.lock();
-        let metric = map
-            .entry(name.to_owned())
-            .or_insert_with(|| Metric::Histogram(Arc::new(Histogram::new())));
-        match metric {
-            Metric::Histogram(h) => Arc::clone(h),
-            _ => Arc::new(Histogram::new()),
+        match self.resolve(name, || Metric::Histogram(Arc::default())) {
+            Metric::Histogram(h) => h,
+            _ => Arc::default(),
         }
     }
 
@@ -216,6 +216,21 @@ mod tests {
         }
         assert!(r.snapshot().gauges.is_empty());
         assert!(r.snapshot().histograms.is_empty());
+    }
+
+    #[test]
+    fn repeated_lookups_share_one_instance_per_kind() {
+        let r = Registry::new();
+        assert!(Arc::ptr_eq(&r.gauge("g"), &r.gauge("g")));
+        assert!(Arc::ptr_eq(&r.histogram("h"), &r.histogram("h")));
+        // A mismatched lookup is detached: fresh every time, never shared
+        // with the registered metric, and it registers nothing new.
+        let detached = r.counter("h");
+        assert!(!Arc::ptr_eq(&detached, &r.counter("h")));
+        let snap = r.snapshot();
+        assert!(snap.counters.is_empty());
+        assert_eq!(snap.gauges.len(), 1);
+        assert_eq!(snap.histograms.len(), 1);
     }
 
     #[test]

@@ -78,7 +78,7 @@ pub mod prelude {
         MaintenanceMode, MaintenanceReport, ServeOptions, ServerHandle, SnapshotCell,
         SnapshotIoError, SnapshotLoadReport, SpatialCatalog, SpatialReader, SpatialTable,
         StatsDiagnostics, StatsFallback, StatsTechnique, TableOptions, TableSnapshot,
-        MAX_TABLE_NAME,
+        MAX_TABLE_NAME, SERVE_WRITE_TIMEOUT,
     };
     pub use minskew_geom::{Point, Rect};
     pub use minskew_workload::{

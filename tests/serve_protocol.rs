@@ -3,7 +3,9 @@
 //! exit-code taxonomy (2 usage, 3 I/O, 4 malformed data, 5 corrupt stats,
 //! 6 build failure), and a malformed-input fuzz pass proving that junk
 //! always yields a typed `ERR` reply — the server never panics, never
-//! wedges a connection, and keeps serving afterwards.
+//! wedges a connection, and keeps serving afterwards. Pipelined bursts
+//! (many requests in one write) get the same bytes, in the same order, as
+//! the same requests sent one at a time.
 //!
 //! The fixture data is chosen so estimates are trivially exact (`OK 4`),
 //! making the estimate replies themselves part of the golden transcript.
@@ -253,6 +255,30 @@ fn malformed_input_fuzz_yields_typed_errors_and_never_wedges() {
     // A second connection is unaffected by the first one's abuse.
     let mut c2 = Client::connect(handle.addr());
     assert_eq!(c2.send("TABLES"), "OK 1 t");
+
+    // Junk verbs share one counter: a client inventing verbs cannot grow
+    // the registry, or every later scrape, without bound. (The first
+    // scrape registers the scrape counter itself, so the second is the
+    // baseline.)
+    c.send_framed("METRICS");
+    let (_, before) = c.send_framed("METRICS");
+    let junk: String = (0..1000).map(|i| format!("JUNK{i}\n")).collect();
+    c.reader
+        .get_mut()
+        .write_all(junk.as_bytes())
+        .expect("write junk");
+    for i in 0..1000 {
+        let mut reply = String::new();
+        c.reader.read_line(&mut reply).expect("read junk reply");
+        assert_eq!(reply, format!("ERR 2 usage: unknown verb \"JUNK{i}\"\n"));
+    }
+    let (_, after) = c.send_framed("METRICS");
+    assert!(
+        after.len() <= before.len() + 1,
+        "1000 junk verbs grew METRICS from {} to {} lines",
+        before.len(),
+        after.len()
+    );
     handle.shutdown();
 }
 
@@ -525,5 +551,136 @@ fn estimates_over_the_wire_are_bit_identical_to_the_library() {
         );
     }
     drop(table);
+    handle.shutdown();
+}
+
+/// Sends `lines` as one write and reads `replies` reply lines back.
+fn burst(c: &mut Client, lines: &[&str], replies: usize) -> Vec<String> {
+    let bytes: String = lines.iter().map(|l| format!("{l}\n")).collect();
+    c.reader
+        .get_mut()
+        .write_all(bytes.as_bytes())
+        .expect("write burst");
+    (0..replies)
+        .map(|_| {
+            let mut reply = String::new();
+            c.reader.read_line(&mut reply).expect("read burst reply");
+            reply
+        })
+        .collect()
+}
+
+/// A server holding table `t` with four identical rects, analyzed, so
+/// estimates are exact (`OK 4`).
+fn start_server_with_table() -> ServerHandle {
+    let handle = start_server();
+    let mut c = Client::connect(handle.addr());
+    assert_eq!(c.send("CREATE t"), "OK created t");
+    for id in 0..4 {
+        assert_eq!(c.send("INSERT t 0 0 10 10"), format!("OK {id}"));
+    }
+    assert!(c.send("ANALYZE t").starts_with("OK analyzed t"));
+    handle
+}
+
+#[test]
+fn pipelined_requests_get_the_replies_of_one_at_a_time() {
+    let handle = start_server_with_table();
+    let lines = [
+        "PING",
+        "ESTIMATE t 0 0 10 10",
+        "BATCH t 2 0 0 10 10 20 20 30 30",
+        "FROB",
+        "TID=q7 ESTIMATE t 0 0 5 5",
+        "EXPLAIN t 0 0 10 10",
+        "TID=bad!token PING",
+    ];
+    // Fresh connections, so both start with empty reader caches and
+    // EXPLAIN reports the same cache disposition.
+    let mut single = Client::connect(handle.addr());
+    let expected: Vec<String> = lines
+        .iter()
+        .map(|line| format!("{}\n", single.send(line)))
+        .collect();
+    assert_eq!(expected[1], "OK 4\n");
+    assert_eq!(expected[4], "TID=q7 OK 4\n");
+    let mut piped = Client::connect(handle.addr());
+    assert_eq!(burst(&mut piped, &lines, lines.len()), expected);
+    handle.shutdown();
+}
+
+#[test]
+fn pipelined_shutdown_answers_everything_before_it_then_closes() {
+    let handle = start_server_with_table();
+    let mut c = Client::connect(handle.addr());
+    let replies = burst(
+        &mut c,
+        &["PING", "ESTIMATE t 0 0 10 10", "SHUTDOWN", "PING"],
+        3,
+    );
+    assert_eq!(replies, ["OK pong\n", "OK 4\n", "OK bye\n"]);
+    let mut rest = String::new();
+    assert_eq!(
+        c.reader.read_line(&mut rest).expect("read after bye"),
+        0,
+        "no reply after SHUTDOWN's, then EOF: {rest:?}"
+    );
+    handle.join();
+}
+
+#[test]
+fn pipelined_replies_precede_the_overlong_line_error() {
+    let handle = start_server();
+    let mut c = Client::connect(handle.addr());
+    // Exactly one byte more than the 1 MiB limit and no newline: the
+    // server reads every byte before it answers and closes, so the close
+    // is clean and no reply is lost to a reset.
+    let mut bytes = b"PING\nTID=x PING\n".to_vec();
+    bytes.resize(bytes.len() + (1 << 20) + 1, b'x');
+    c.reader.get_mut().write_all(&bytes).expect("write");
+    let mut replies = Vec::new();
+    loop {
+        let mut reply = String::new();
+        if c.reader.read_line(&mut reply).expect("read reply") == 0 {
+            break;
+        }
+        replies.push(reply);
+    }
+    assert_eq!(
+        replies,
+        [
+            "OK pong\n",
+            "TID=x OK pong\n",
+            "ERR 2 usage: request line exceeds 1 MiB\n"
+        ]
+    );
+    handle.shutdown();
+}
+
+#[test]
+fn a_pipelined_burst_is_answered_in_fewer_writes_than_requests() {
+    let handle = start_server_with_table();
+    let writes = |handle: &ServerHandle| {
+        let snap = handle.metrics();
+        snap.counters
+            .iter()
+            .find(|(name, _)| name == "serve.writes")
+            .map_or(0, |(_, n)| *n)
+    };
+    let mut c = Client::connect(handle.addr());
+    assert_eq!(c.send("PING"), "OK pong");
+    let before = writes(&handle);
+    let lines = ["ESTIMATE t 0 0 10 10"; 32];
+    let replies = burst(&mut c, &lines, lines.len());
+    assert!(replies.iter().all(|r| r == "OK 4\n"), "{replies:?}");
+    let after = writes(&handle);
+    if minskew_obs::enabled() {
+        assert!(before > 0, "serve.writes counts single replies too");
+        assert!(
+            after - before < 32,
+            "32 pipelined requests took {} writes",
+            after - before
+        );
+    }
     handle.shutdown();
 }

@@ -10,6 +10,10 @@
 //! coherent snapshot. The suite runs ≥1000 install cycles under 4
 //! concurrent readers (CI pins `RUST_TEST_THREADS=1` so the stress owns
 //! its thread budget).
+//!
+//! A fault drill covers the network edge: a client that pipelines
+//! requests and never reads its replies must neither disturb another
+//! client's bit-exact estimates nor hang the server's shutdown.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
@@ -231,4 +235,92 @@ fn readers_and_tables_agree_while_writer_holds_the_lock() {
         );
     }
     drop(guard);
+}
+
+#[test]
+fn a_client_that_never_reads_stalls_neither_other_clients_nor_shutdown() {
+    // Fault drill: one client pipelines requests and never reads a reply,
+    // until every socket buffer between it and the server is full and the
+    // server's write to it blocks. Another client must still get
+    // bit-exact estimates, and `SHUTDOWN` must finish within the server's
+    // write timeout (plus slack) instead of waiting on the stalled write
+    // forever.
+    use std::io::{BufRead, BufReader, ErrorKind, Write};
+    use std::net::TcpStream;
+    use std::time::{Duration, Instant};
+
+    let data = charminar_with(1_500, 67);
+    let catalog = Arc::new(SpatialCatalog::new());
+    let entry = catalog
+        .create("roads", TableOptions::default())
+        .expect("create");
+    {
+        let mut table = entry.table();
+        for r in data.rects() {
+            table.insert(*r);
+        }
+        table.analyze();
+    }
+    let handle = serve(catalog, ServeOptions::default()).expect("bind");
+
+    // `METRICS` replies are kilobytes per 8-byte request, so the buffers
+    // fill after a few hundred kilobytes of requests.
+    let mut hog = TcpStream::connect(handle.addr()).expect("connect hog");
+    hog.set_write_timeout(Some(Duration::from_millis(200)))
+        .expect("hog timeout");
+    let burst = "METRICS\n".repeat(256);
+    let filling = Instant::now();
+    loop {
+        match hog.write_all(burst.as_bytes()) {
+            Ok(()) => {}
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => break,
+            Err(e) => panic!("hog write failed before its buffers filled: {e}"),
+        }
+        assert!(
+            filling.elapsed() < Duration::from_secs(60),
+            "the hog's socket buffers never filled"
+        );
+    }
+
+    let mut client = BufReader::new(TcpStream::connect(handle.addr()).expect("connect"));
+    let mut ask = |line: &str| -> String {
+        client
+            .get_mut()
+            .write_all(format!("{line}\n").as_bytes())
+            .expect("write request");
+        let mut reply = String::new();
+        client.read_line(&mut reply).expect("read reply");
+        reply.trim_end().to_string()
+    };
+    let mbr = data.stats().mbr;
+    let (w, h) = (mbr.width(), mbr.height());
+    for i in 0..16 {
+        let f = f64::from(i) / 16.0;
+        let q = Rect::new(
+            mbr.lo.x + f * w * 0.7,
+            mbr.lo.y + f * h * 0.7,
+            mbr.lo.x + f * w * 0.7 + 0.2 * w,
+            mbr.lo.y + f * h * 0.7 + 0.2 * h,
+        );
+        let want = entry.table().estimate(&q);
+        let reply = ask(&format!(
+            "ESTIMATE roads {} {} {} {}",
+            q.lo.x, q.lo.y, q.hi.x, q.hi.y
+        ));
+        let got: f64 = reply
+            .strip_prefix("OK ")
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| panic!("query {i}: bad reply {reply:?}"));
+        assert_eq!(got.to_bits(), want.to_bits(), "query {i}: {reply:?}");
+    }
+
+    let stopping = Instant::now();
+    assert_eq!(ask("SHUTDOWN"), "OK bye");
+    handle.join();
+    let took = stopping.elapsed();
+    assert!(
+        took < SERVE_WRITE_TIMEOUT + Duration::from_secs(2),
+        "shutdown waited {took:?} on a client that never reads"
+    );
+    drop(hog);
 }

@@ -11,7 +11,7 @@
 #   5. the serial/parallel differential suite, exhaustive matrix on, pinned
 #      to one test thread so scheduler interleaving can't mask ordering
 #      bugs inside the work queues,
-#   6. the indexed-vs-linear serving differential suite, exhaustive matrix
+#   6. the kernel-vs-linear serving differential suite, exhaustive matrix
 #      on, single test thread (same rationale as the parallel suite),
 #   7. a focused clippy pass over the serving-path crates that additionally
 #      denies needless_collect / redundant_clone — the serving path is
@@ -24,31 +24,27 @@
 #  10. the snapshot recovery differential suite, exhaustive fault-kind ×
 #      technique matrix on, single test thread (filesystem quarantine
 #      paths must not interleave),
-#  11. the sharded-vs-unsharded differential suite, exhaustive shard-count
-#      × technique × extension-rule matrix on, single test thread,
-#  12. the lock-free serving stress suite (readers racing ≥1000 statistics
+#  11. the lock-free serving stress suite (readers racing ≥1000 statistics
 #      installs, every observed estimate bitwise old-or-new) and the wire
 #      protocol golden suite, both pinned to one test thread so the stress
 #      owns its thread budget,
-#  13. the kernel differential suite pinning the SoA clip-and-accumulate
+#  12. the kernel differential suite pinning the SoA clip-and-accumulate
 #      plane bit-identical to the AoS reference fold: exhaustive matrix
-#      on via --features kernel, then re-run under --features simd (and
-#      simd + fast-math for the relative-error contract of the separate
-#      fast entry point), single test thread so runtime dispatch is
-#      exercised deterministically,
-#  14. feature-cross clippy passes over minskew-core with `simd` and
-#      `simd,fast-math` enabled — the SIMD module is the only code in
-#      the workspace allowed to use `unsafe`, and it must stay clean at
-#      -D warnings in every feature combination,
-#  15. the online-refine differential suite (clamping/partition/codec/
+#      on via --features kernel, then re-run under --features simd,
+#      single test thread so runtime dispatch is exercised
+#      deterministically,
+#  13. a feature-cross clippy pass over minskew-core with `simd` enabled —
+#      the SIMD module is the only code in the workspace allowed to use
+#      `unsafe`, and it must stay clean at -D warnings,
+#  14. the online-refine differential suite (clamping/partition/codec/
 #      Off-inertness invariants, exhaustive dataset × budget × feedback
 #      matrix on via --features refine, single test thread),
-#  16. the query-tracing differential suite (EXPLAIN bitwise equal to the
-#      indexed serving path, term sums reproducing estimates exactly,
+#  15. the query-tracing differential suite (EXPLAIN bitwise equal to the
+#      kernel serving path, term sums reproducing estimates exactly,
 #      flight recorder / trace ids bit-invisible; exhaustive matrix on via
 #      --features trace, single test thread) — then re-run with minskew-obs
 #      compiled to no-ops alongside the other observability suites,
-#  17. a CLI serve smoke: start `minskew serve` on an ephemeral port, run
+#  16. a CLI serve smoke: start `minskew serve` on an ephemeral port, run
 #      a catalog-client round trip against it — including the MAINTAIN
 #      maintenance surface, trace-id echo, the EXPLAIN/FLIGHT/METRICS
 #      observability verbs, a raw malformed-TID fuzz probe, a raw
@@ -56,9 +52,9 @@
 #      `minskew explain` surface, and a bounded `minskew top` scrape —
 #      shut it down over the wire, and require a clean exit plus an
 #      emitted metrics dump,
-#  18. a CLI maintain smoke: the offline `minskew maintain` churn demo
+#  17. a CLI maintain smoke: the offline `minskew maintain` churn demo
 #      must run in every maintenance mode and reject unknown ones,
-#  19. smoke runs of the parallel-speedup, serving-throughput (with
+#  18. smoke runs of the parallel-speedup, serving-throughput (with
 #      `simd` on, asserting the qps_kernel column is present in the
 #      emitted artefact), obs-overhead (asserting the flight-recorder
 #      overhead column is present in the emitted artefact),
@@ -94,9 +90,6 @@ RUST_TEST_THREADS=1 cargo test -q --test obs_differential --features obs
 echo "==> snapshot recovery differential suite (exhaustive, single test thread)"
 RUST_TEST_THREADS=1 cargo test -q --test snapshot_recovery --features snapshot
 
-echo "==> sharded differential suite (exhaustive, single test thread)"
-RUST_TEST_THREADS=1 cargo test -q --test sharded_differential --features sharded
-
 echo "==> lock-free serving stress suite (single test thread)"
 RUST_TEST_THREADS=1 cargo test -q --test serve_stress
 
@@ -108,9 +101,6 @@ RUST_TEST_THREADS=1 cargo test -q --test kernel_differential --features kernel
 
 echo "==> kernel differential suite under --features simd"
 RUST_TEST_THREADS=1 cargo test -q --test kernel_differential --features kernel,simd
-
-echo "==> kernel differential suite under --features simd,fast-math"
-RUST_TEST_THREADS=1 cargo test -q --test kernel_differential --features kernel,simd,fast-math
 
 echo "==> online-refine differential suite (exhaustive, single test thread)"
 RUST_TEST_THREADS=1 cargo test -q --test refine_differential --features refine
@@ -131,7 +121,6 @@ cargo clippy -p minskew-core -p minskew-engine --all-targets -- \
 
 echo "==> clippy (minskew-core, simd feature cross)"
 cargo clippy -p minskew-core --all-targets --features simd -- -D warnings
-cargo clippy -p minskew-core --all-targets --features simd,fast-math -- -D warnings
 
 echo "==> CLI serve smoke (ephemeral port, wire shutdown, metrics dump)"
 cargo build -q -p minskew-cli
@@ -139,7 +128,7 @@ SERVE_TMP="$(mktemp -d)"
 trap 'rm -rf "$SERVE_TMP"' EXIT
 ./target/debug/minskew generate --kind charminar --n 2000 --out "$SERVE_TMP/data.csv" >/dev/null
 ./target/debug/minskew serve --addr 127.0.0.1:0 --port-file "$SERVE_TMP/port" \
-    --input "$SERVE_TMP/data.csv" --table roads --buckets 50 --shards 4 \
+    --input "$SERVE_TMP/data.csv" --table roads --buckets 50 \
     > "$SERVE_TMP/serve.log" 2>&1 &
 SERVE_PID=$!
 for _ in $(seq 100); do [[ -s "$SERVE_TMP/port" ]] && break; sleep 0.1; done

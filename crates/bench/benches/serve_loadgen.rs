@@ -1,7 +1,6 @@
 //! Load generator for the TCP serving front-end: end-to-end requests/sec
 //! through a real socket, for single-query (`ESTIMATE`) and batched
-//! (`BATCH`) traffic, at shard counts 1 and 4 and client concurrency 1
-//! and 4 — with the bit-identity contract re-checked inline: every reply
+//! (`BATCH`) traffic, at client concurrency 1 and 4 — with the bit-identity contract re-checked inline: every reply
 //! is parsed and compared against the engine's own estimate, so a
 //! throughput number that changes an answer fails the run instead of
 //! reporting a win.
@@ -10,8 +9,7 @@
 //! root. `host_cpus` is recorded honestly — on a 1-CPU container the
 //! concurrency rows measure protocol/scheduling overhead, not parallel
 //! speedup; the interesting comparison there is ESTIMATE vs BATCH (syscall
-//! amortisation) and the flat cost of sharding (the router must be free
-//! when it cannot help).
+//! amortisation).
 //!
 //! `MINSKEW_QUICK=1` shrinks the workload for a smoke run.
 
@@ -44,7 +42,6 @@ impl Mode {
 
 struct Row {
     mode: &'static str,
-    shards: usize,
     clients: usize,
     queries: usize,
     qps: f64,
@@ -128,20 +125,13 @@ fn drive_client(
 fn run_config(
     data: &minskew_data::Dataset,
     pool: &[Rect],
-    shards: usize,
     clients: usize,
     rounds: usize,
     mode: Mode,
 ) -> Row {
     let catalog = Arc::new(SpatialCatalog::new());
     let entry = catalog
-        .create(
-            "roads",
-            TableOptions {
-                shards,
-                ..TableOptions::default()
-            },
-        )
+        .create("roads", TableOptions::default())
         .expect("create table");
     {
         let mut table = entry.table();
@@ -169,7 +159,6 @@ fn run_config(
     let queries = clients * rounds * pool.len();
     Row {
         mode: mode.label(),
-        shards,
         clients,
         queries,
         qps: queries as f64 / secs,
@@ -190,25 +179,23 @@ fn main() {
 
     let mut rows = Vec::new();
     for mode in [Mode::Estimate, Mode::Batch] {
-        for shards in [1usize, 4] {
-            for clients in [1usize, 4] {
-                let row = run_config(&data, &pool, shards, clients, rounds, mode);
-                eprintln!(
-                    "[serve] {} shards={} clients={}: {:.0} q/s ({} queries)",
-                    row.mode, row.shards, row.clients, row.qps, row.queries
-                );
-                rows.push(row);
-            }
+        for clients in [1usize, 4] {
+            let row = run_config(&data, &pool, clients, rounds, mode);
+            eprintln!(
+                "[serve] {} clients={}: {:.0} q/s ({} queries)",
+                row.mode, row.clients, row.qps, row.queries
+            );
+            rows.push(row);
         }
     }
 
     println!("\n## TCP serving throughput (end-to-end queries/sec)\n");
-    println!("| mode | shards | clients | queries | qps |");
-    println!("|------|--------|---------|---------|-----|");
+    println!("| mode | clients | queries | qps |");
+    println!("|------|---------|---------|-----|");
     for r in &rows {
         println!(
-            "| {} | {} | {} | {} | {:.0} |",
-            r.mode, r.shards, r.clients, r.queries, r.qps
+            "| {} | {} | {} | {:.0} |",
+            r.mode, r.clients, r.queries, r.qps
         );
     }
 
@@ -227,10 +214,9 @@ fn main() {
     json.push_str("  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"mode\": \"{}\", \"shards\": {}, \"clients\": {}, \
-             \"queries\": {}, \"qps\": {:.1}}}{}\n",
+            "    {{\"mode\": \"{}\", \"clients\": {}, \"queries\": {}, \
+             \"qps\": {:.1}}}{}\n",
             r.mode,
-            r.shards,
             r.clients,
             r.queries,
             r.qps,

@@ -1,29 +1,28 @@
 //! Serving-path throughput: queries/sec for the scalar AoS reference fold
-//! vs the AoS indexed path vs the production SoA kernel path vs the kernel
-//! path behind the engine's query cache, at bucket budgets
-//! β ∈ {50, 200, 1000} on Charminar and the NJ-Road stand-in — with the
-//! bit-identity contract re-checked before timing (a speedup that changes
-//! the answer is a bug, not a win).
+//! vs the production block-pruned SoA kernel path vs the kernel path behind
+//! the engine's query cache, at bucket budgets β ∈ {50, 200, 1000} on
+//! Charminar and the NJ-Road stand-in — with the bit-identity contract
+//! re-checked before timing (a speedup that changes the answer is a bug,
+//! not a win).
 //!
-//! `qps_linear`/`qps_indexed` time the retained reference implementations
-//! (`estimate_count_reference` / `estimate_count_indexed_reference`) — the
-//! pre-kernel serving paths — so `kernel_speedup` measures exactly what the
-//! SoA clip-and-accumulate plane buys over the AoS indexed fold it
-//! replaced. `simd_level` records which kernel variant actually ran on the
+//! `qps_linear` times the linear oracle (`estimate_count_reference`), so
+//! `kernel_speedup` measures exactly what the pruned SoA clip-and-accumulate
+//! plane buys over the fold every differential suite pins it to.
+//! `simd_level` records which kernel variant actually ran on the
 //! measurement host (scalar-autovec, sse2, or avx2).
 //!
 //! Writes machine-readable results to `BENCH_estimate.json` at the
 //! workspace root so CI can assert the file exists and reviewers can diff
-//! numbers across machines. `host_cpus` is recorded honestly; the indexed
+//! numbers across machines. `host_cpus` is recorded honestly; the kernel's
 //! win is algorithmic (fewer buckets touched per query), so it shows up on
-//! a 1-CPU container too. The cached row models repeated query traffic:
+//! a 1-CPU host too. The cached row models repeated query traffic:
 //! the same pool of distinct rectangles served over and over, which is the
 //! workload the LRU exists for.
 //!
 //! `MINSKEW_QUICK=1` shrinks the inputs for a smoke run.
 
 use minskew_bench::{charminar_scaled, nj_road, time_it, Scale, DEFAULT_REGIONS};
-use minskew_core::{simd_level, IndexScratch, MinSkewBuilder, SpatialEstimator};
+use minskew_core::{simd_level, KernelScratch, MinSkewBuilder, SpatialEstimator};
 use minskew_data::Dataset;
 use minskew_engine::{AnalyzeOptions, SpatialTable, StatsTechnique, TableOptions};
 use minskew_geom::Rect;
@@ -48,7 +47,6 @@ struct Row {
     dataset: &'static str,
     buckets: usize,
     qps_linear: f64,
-    qps_indexed: f64,
     qps_kernel: f64,
     qps_cached: f64,
 }
@@ -70,9 +68,8 @@ fn bench_dataset(name: &'static str, data: &Dataset, scale: Scale, rows: &mut Ve
     for buckets in BUCKETS {
         let hist = MinSkewBuilder::new(buckets)
             .regions(DEFAULT_REGIONS)
-            .build(data)
-            .with_index();
-        let mut scratch = IndexScratch::new();
+            .build(data);
+        let mut scratch = KernelScratch::new();
         // Differential check first: the timed loops must agree to the bit.
         for q in &pool {
             let reference = hist.estimate_count_reference(q);
@@ -86,12 +83,6 @@ fn bench_dataset(name: &'static str, data: &Dataset, scale: Scale, rows: &mut Ve
                 hist.estimate_count_indexed(q, &mut scratch).to_bits(),
                 "kernel indexed estimate diverged: {name} buckets={buckets} q={q}"
             );
-            assert_eq!(
-                reference.to_bits(),
-                hist.estimate_count_indexed_reference(q, &mut scratch)
-                    .to_bits(),
-                "AoS indexed estimate diverged: {name} buckets={buckets} q={q}"
-            );
         }
 
         let calls = (pool.len() * rounds) as f64;
@@ -100,15 +91,6 @@ fn bench_dataset(name: &'static str, data: &Dataset, scale: Scale, rows: &mut Ve
             for _ in 0..rounds {
                 for q in &pool {
                     acc += hist.estimate_count_reference(q);
-                }
-            }
-            black_box(acc)
-        });
-        let secs_indexed = best_of(|| {
-            let mut acc = 0.0;
-            for _ in 0..rounds {
-                for q in &pool {
-                    acc += hist.estimate_count_indexed_reference(q, &mut scratch);
                 }
             }
             black_box(acc)
@@ -151,18 +133,15 @@ fn bench_dataset(name: &'static str, data: &Dataset, scale: Scale, rows: &mut Ve
             dataset: name,
             buckets,
             qps_linear: calls / secs_linear,
-            qps_indexed: calls / secs_indexed,
             qps_kernel: calls / secs_kernel,
             qps_cached: calls / secs_cached,
         };
         eprintln!(
-            "[serving] {name} beta={buckets}: linear {:.0} q/s, indexed {:.0} q/s \
-             ({:.2}x), kernel {:.0} q/s ({:.2}x vs indexed), indexed+cache {:.0} q/s ({:.2}x)",
+            "[serving] {name} beta={buckets}: linear {:.0} q/s, kernel {:.0} q/s \
+             ({:.2}x), kernel+cache {:.0} q/s ({:.2}x)",
             row.qps_linear,
-            row.qps_indexed,
-            row.qps_indexed / row.qps_linear,
             row.qps_kernel,
-            row.qps_kernel / row.qps_indexed,
+            row.qps_kernel / row.qps_linear,
             row.qps_cached,
             row.qps_cached / row.qps_linear,
         );
@@ -185,18 +164,17 @@ fn main() {
     bench_dataset("nj_road_like", &road, scale, &mut rows);
 
     println!("\n## Serving throughput (queries/sec, best of {REPS})\n");
-    println!("| dataset | beta | linear | indexed | kernel | indexed+cache | kernel speedup |");
-    println!("|---------|------|--------|---------|--------|---------------|----------------|");
+    println!("| dataset | beta | linear | kernel | kernel+cache | kernel speedup |");
+    println!("|---------|------|--------|--------|--------------|----------------|");
     for r in &rows {
         println!(
-            "| {} | {} | {:.0} | {:.0} | {:.0} | {:.0} | {:.2}x |",
+            "| {} | {} | {:.0} | {:.0} | {:.0} | {:.2}x |",
             r.dataset,
             r.buckets,
             r.qps_linear,
-            r.qps_indexed,
             r.qps_kernel,
             r.qps_cached,
-            r.qps_kernel / r.qps_indexed,
+            r.qps_kernel / r.qps_linear,
         );
     }
 
@@ -210,27 +188,24 @@ fn main() {
     ));
     json.push_str(&format!("  \"quick\": {},\n", scale.data_divisor != 1));
     json.push_str(
-        "  \"note\": \"single-query serving on one thread; qps_linear and \
-         qps_indexed time the retained AoS reference paths, qps_kernel the \
-         production SoA clip-and-accumulate plane (bit-identical; variant in \
-         simd_level); cached row is repeated traffic over a fixed query \
-         pool\",\n",
+        "  \"note\": \"single-query serving on one thread; qps_linear times the \
+         AoS reference fold, qps_kernel the production block-pruned SoA \
+         clip-and-accumulate plane (bit-identical; variant in simd_level); \
+         kernel_speedup is qps_kernel / qps_linear; cached row is repeated \
+         traffic over a fixed query pool\",\n",
     );
     json.push_str("  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
         json.push_str(&format!(
             "    {{\"dataset\": \"{}\", \"buckets\": {}, \"qps_linear\": {:.1}, \
-             \"qps_indexed\": {:.1}, \"qps_kernel\": {:.1}, \
-             \"qps_indexed_cache\": {:.1}, \"indexed_speedup\": {:.4}, \
+             \"qps_kernel\": {:.1}, \"qps_indexed_cache\": {:.1}, \
              \"kernel_speedup\": {:.4}}}{}\n",
             r.dataset,
             r.buckets,
             r.qps_linear,
-            r.qps_indexed,
             r.qps_kernel,
             r.qps_cached,
-            r.qps_indexed / r.qps_linear,
-            r.qps_kernel / r.qps_indexed,
+            r.qps_kernel / r.qps_linear,
             if i + 1 < rows.len() { "," } else { "" }
         ));
     }

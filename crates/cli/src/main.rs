@@ -29,7 +29,7 @@
 //! minskew snapshot verify --snapshot stats.snap
 //! minskew snapshot load --snapshot stats.snap [--input data.csv]
 //! minskew serve    [--addr A] [--port-file F] [--input data.csv]
-//!                  [--table NAME] [--buckets B] [--shards S] [--technique T]
+//!                  [--table NAME] [--buckets B] [--technique T]
 //! minskew catalog  <action> --addr HOST:PORT [action flags]
 //! minskew top      --addr HOST:PORT [--name TABLE] [--interval SECS]
 //!                  [--iterations N]
@@ -69,7 +69,7 @@ use std::process::ExitCode;
 
 use minskew_core::{
     build_uniform, simd_level, try_build_equi_area, try_build_equi_count,
-    try_build_rtree_partitioning_default, BuildError, FractalEstimator, IndexScratch,
+    try_build_rtree_partitioning_default, BuildError, FractalEstimator, KernelScratch,
     MinSkewBuildTrace, MinSkewBuilder, SamplingEstimator, SpatialEstimator, SpatialHistogram,
 };
 use minskew_core::{FormatVersion, SnapshotInfo};
@@ -241,13 +241,13 @@ minskew — spatial selectivity estimation (Min-Skew, SIGMOD 1999)
                    (strict load by default: corruption is exit 5; with --input, runs the
                     engine's graceful recovery — quarantine + rebuild from the data)
   minskew serve    [--addr HOST:PORT] [--port-file F] [--input data.csv] [--table NAME] \\
-                   [--buckets B] [--shards S] [--technique T] [--max-batch N]
+                   [--buckets B] [--technique T] [--max-batch N]
                    (hosts a table catalog over the line protocol; --input preloads and
                     ANALYZEs one table; blocks until a client sends SHUTDOWN, then dumps
                     the server's metrics registry)
   minskew catalog  <action> --addr HOST:PORT [flags]
                    actions: ping | list | shutdown | stats [--name T]
-                            create --name T [--buckets B] [--shards S] [--technique T]
+                            create --name T [--buckets B] [--technique T]
                             drop --name T | analyze --name T
                             insert --name T --rect x1,y1,x2,y2 | delete --name T --id N
                             estimate --name T --query x1,y1,x2,y2
@@ -478,8 +478,8 @@ fn estimate(opts: &Flags) -> Result<(), CliError> {
         })?
     };
     let query = parse_query(req(opts, "query")?)?;
-    // Serve through the bucket index — bit-identical to the linear scan.
-    let mut scratch = IndexScratch::new();
+    // Serve through the pruned kernel — bit-identical to the linear scan.
+    let mut scratch = KernelScratch::new();
     let est = {
         let _span = trace.span("estimate");
         hist.estimate_count_indexed(&query, &mut scratch)
@@ -530,7 +530,7 @@ fn explain_cmd(opts: &Flags) -> Result<(), CliError> {
         )
     })?;
     let query = parse_query(req(opts, "query")?)?;
-    let mut scratch = IndexScratch::new();
+    let mut scratch = KernelScratch::new();
     let trace = hist.estimate_count_explained(&query, &mut scratch);
     let headline = hist.estimate_count_indexed(&query, &mut scratch);
     let estimate = trace.estimate();
@@ -633,13 +633,12 @@ fn stats_cmd(opts: &Flags) -> Result<(), CliError> {
             data.len()
         );
         if let Some(stats) = table.current_snapshot().stats() {
-            let fp = stats.histogram().serving_footprint();
+            let fp = stats.serving_footprint();
             println!(
-                "serving footprint: summary={} ext_table={} index={} plane={} \
+                "serving footprint: summary={} ext_table={} plane={} \
                  total={} bytes (kernel: {})",
                 fp.summary,
                 fp.ext_table,
-                fp.index,
                 fp.plane,
                 fp.total(),
                 simd_level()

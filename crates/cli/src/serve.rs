@@ -34,7 +34,6 @@ fn parse_technique(value: &str) -> Result<StatsTechnique, CliError> {
 fn table_options(opts: &Flags) -> Result<TableOptions, CliError> {
     let mut options = TableOptions::default();
     options.analyze.buckets = num(opts, "buckets", options.analyze.buckets)?;
-    options.shards = num(opts, "shards", 1usize)?;
     if let Some(t) = opts.get("technique") {
         options.analyze.technique = parse_technique(t)?;
     }
@@ -42,7 +41,7 @@ fn table_options(opts: &Flags) -> Result<TableOptions, CliError> {
 }
 
 /// `minskew serve [--addr A] [--port-file F] [--input data.csv]
-/// [--table NAME] [--buckets B] [--shards S] [--technique T]`.
+/// [--table NAME] [--buckets B] [--technique T]`.
 ///
 /// Blocks until a client sends `SHUTDOWN`, then dumps the server's metrics
 /// registry to stdout.
@@ -63,10 +62,9 @@ pub(crate) fn serve_cmd(opts: &Flags) -> Result<(), CliError> {
         }
         table.analyze();
         println!(
-            "table {name:?}: {} rects, {} buckets, {} shard(s)",
+            "table {name:?}: {} rects, {} buckets",
             data.len(),
             table.stats_diagnostics().achieved_buckets,
-            table.current_snapshot().num_shards(),
         );
     }
     let handle = serve(
@@ -212,7 +210,7 @@ pub(crate) fn catalog_cmd(action: &str, opts: &Flags) -> Result<(), CliError> {
         "shutdown" => String::from("SHUTDOWN"),
         "create" => {
             let mut request = format!("CREATE {}", req(opts, "name")?);
-            for key in ["buckets", "shards", "technique"] {
+            for key in ["buckets", "technique"] {
                 if let Some(value) = opts.get(key) {
                     request.push_str(&format!(" {key}={value}"));
                 }

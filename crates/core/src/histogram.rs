@@ -4,9 +4,8 @@ use std::sync::OnceLock;
 
 use minskew_geom::Rect;
 
-use crate::index::CandidateSet;
-use crate::kernel::{BucketPlane, KernelExplain, QueryPrep};
-use crate::{Bucket, BucketIndex, ExtensionRule, IndexScratch, SpatialEstimator};
+use crate::kernel::{BucketPlane, KernelExplain, KernelScratch, QueryPrep};
+use crate::{Bucket, ExtensionRule, SpatialEstimator};
 
 /// The structured result of
 /// [`SpatialHistogram::estimate_count_explained`]: the kernel's breakdown
@@ -66,13 +65,11 @@ pub struct SpatialHistogram {
     /// Per-bucket `(ex, ey)` extension amounts under `rule`
     /// (`rule.amounts(avg_width, avg_height)` per bucket), computed once per
     /// histogram so the per-query scan does not re-derive them. Invalidated
-    /// (with [`SpatialHistogram::total`] and [`SpatialHistogram::index`])
+    /// (with [`SpatialHistogram::total`] and [`SpatialHistogram::plane`])
     /// whenever the buckets or the rule change; excluded from equality.
     ext: OnceLock<Vec<(f64, f64)>>,
     /// Cached [`SpatialHistogram::total_count`].
     total: OnceLock<f64>,
-    /// Lazily built serving-path directory; see [`BucketIndex`].
-    index: OnceLock<BucketIndex>,
     /// Lazily built SoA mirror of the buckets for the vectorised
     /// clip-and-accumulate kernel; see [`BucketPlane`]. Invalidated with
     /// the other caches whenever the buckets or the rule change.
@@ -107,30 +104,27 @@ impl SpatialHistogram {
             base_len: input_len,
             ext: OnceLock::new(),
             total: OnceLock::new(),
-            index: OnceLock::new(),
             plane: OnceLock::new(),
         };
-        // Seed the cheap O(B) caches eagerly (the index stays lazy — only
-        // serving paths pay for it, via `bucket_index`).
+        // Seed the cheap O(B) caches eagerly (the plane stays lazy — only
+        // serving paths pay for it, via `bucket_plane`).
         hist.ext_amounts();
         hist.total_count();
         hist
     }
 
     /// Mutable bucket access for maintenance. Invalidates every derived
-    /// cache: the extension constants, the cached total, and the serving
-    /// index are all functions of the bucket array.
+    /// cache: the extension constants, the cached total, and the kernel
+    /// plane are all functions of the bucket array.
     pub(crate) fn buckets_mut(&mut self) -> &mut [Bucket] {
         self.ext.take();
         self.total.take();
-        self.index.take();
         self.plane.take();
         &mut self.buckets
     }
 
     /// Per-bucket extension amounts under the active rule, computed once.
-    /// Crate-visible so the shard router folds with the exact same amounts.
-    pub(crate) fn ext_amounts(&self) -> &[(f64, f64)] {
+    fn ext_amounts(&self) -> &[(f64, f64)] {
         self.ext.get_or_init(|| {
             self.buckets
                 .iter()
@@ -175,12 +169,11 @@ impl SpatialHistogram {
 
     /// Returns the histogram with a different extension rule (for
     /// ablation experiments). Rule-dependent caches (extension constants,
-    /// serving index) are invalidated and rebuilt on next use.
+    /// kernel plane) are invalidated and rebuilt on next use.
     pub fn with_extension_rule(mut self, rule: ExtensionRule) -> SpatialHistogram {
         if rule != self.rule {
             self.rule = rule;
             self.ext.take();
-            self.index.take();
             self.plane.take();
         }
         self
@@ -195,25 +188,8 @@ impl SpatialHistogram {
             .get_or_init(|| self.buckets.iter().map(|b| b.count).sum())
     }
 
-    /// The serving-path directory over this histogram's buckets, built
-    /// lazily on first use and cached until the buckets or the extension
-    /// rule change. See [`BucketIndex`] for the bit-identical pruning
-    /// contract.
-    pub fn bucket_index(&self) -> &BucketIndex {
-        self.index
-            .get_or_init(|| BucketIndex::build(&self.buckets, self.rule))
-    }
-
-    /// Forces the serving index to be built now (useful before sharing the
-    /// histogram across query threads, so no thread pays the build cost).
-    pub fn with_index(self) -> SpatialHistogram {
-        self.bucket_index();
-        self
-    }
-
     /// The SoA kernel plane over this histogram's buckets, built lazily on
-    /// first use and cached until the buckets or the extension rule change
-    /// (the same `OnceLock` discipline as [`SpatialHistogram::bucket_index`]).
+    /// first use and cached until the buckets or the extension rule change.
     pub fn bucket_plane(&self) -> &BucketPlane {
         self.plane
             .get_or_init(|| BucketPlane::build(&self.buckets, self.rule))
@@ -234,59 +210,17 @@ impl SpatialHistogram {
             .sum()
     }
 
-    /// The PR 3 indexed path exactly as shipped: candidate gathering plus
-    /// the AoS subset fold. Bit-identical to
-    /// [`SpatialHistogram::estimate_count_indexed`]; kept as the
-    /// like-for-like baseline the bench's `kernel_speedup` is measured
-    /// against.
-    pub fn estimate_count_indexed_reference(
-        &self,
-        query: &Rect,
-        scratch: &mut IndexScratch,
-    ) -> f64 {
-        let index = self.bucket_index();
-        let partial: f64 = match index.candidates(query, scratch) {
-            CandidateSet::Scan => return self.estimate_count_reference(query),
-            CandidateSet::Pruned => -0.0,
-            CandidateSet::Subset(ids) => {
-                let ext = self.ext_amounts();
-                ids.iter()
-                    .map(|&i| {
-                        let (ex, ey) = ext[i as usize];
-                        self.buckets[i as usize].estimate_with_extension(query, ex, ey)
-                    })
-                    .sum()
-            }
-        };
-        if self.buckets.is_empty() {
-            partial
-        } else {
-            partial + 0.0
-        }
-    }
-
-    /// Reassociated kernel estimate (see [`BucketPlane::accumulate_fast`]):
-    /// same terms as [`SpatialEstimator::estimate_count`], fold order
-    /// relaxed, relative error pinned `<= 1e-12`. Opt-in via the
-    /// `fast-math` feature; no default serving path calls this.
-    #[cfg(feature = "fast-math")]
-    pub fn estimate_count_fast(&self, query: &Rect) -> f64 {
-        self.bucket_plane().accumulate_fast(&QueryPrep::new(query))
-    }
-
     /// [`SpatialEstimator::estimate_count`] through the serving fast path:
     /// bit-identical to the linear scan, sub-linear in the bucket count for
     /// selective queries, and allocation-free once `scratch` is warm.
     ///
-    /// Since the kernel plane gained its Morton mirror this no longer
-    /// walks the CSR directory: the kernel's block-pruned scan
+    /// The kernel's block-pruned scan
     /// ([`crate::BucketPlane::accumulate_pruned`]) discards whole runs of
     /// spatially-clustered buckets with one coarse rectangle test each and
-    /// replays the few surviving terms in reference fold order. The CSR
-    /// path survives unchanged as
-    /// [`SpatialHistogram::estimate_count_indexed_reference`], the baseline
-    /// every differential suite and the bench compare against.
-    pub fn estimate_count_indexed(&self, query: &Rect, scratch: &mut IndexScratch) -> f64 {
+    /// replays the few surviving terms in reference fold order; every
+    /// differential suite pins it to
+    /// [`SpatialHistogram::estimate_count_reference`].
+    pub fn estimate_count_indexed(&self, query: &Rect, scratch: &mut KernelScratch) -> f64 {
         self.bucket_plane()
             .accumulate_pruned(&QueryPrep::new(query), &mut scratch.terms)
     }
@@ -302,7 +236,7 @@ impl SpatialHistogram {
     pub fn estimate_count_explained(
         &self,
         query: &Rect,
-        scratch: &mut IndexScratch,
+        scratch: &mut KernelScratch,
     ) -> EstimateExplain {
         let kernel = self
             .bucket_plane()
@@ -317,20 +251,18 @@ impl SpatialHistogram {
     }
 
     /// Byte-level breakdown of everything this histogram keeps resident
-    /// for serving, *as currently materialised*: lazily built structures
-    /// (index, plane) count only once something has forced them.
+    /// for serving, *as currently materialised*: the lazily built kernel
+    /// plane counts only once something has forced it.
     pub fn serving_footprint(&self) -> ServingFootprint {
         let summary = self.buckets.len() * Bucket::SIZE_BYTES;
         let ext_table = self
             .ext
             .get()
             .map_or(0, |t| t.len() * std::mem::size_of::<(f64, f64)>());
-        let index = self.index.get().map_or(0, |i| i.size_bytes());
         let plane = self.plane.get().map_or(0, |p| p.size_bytes());
         ServingFootprint {
             summary,
             ext_table,
-            index,
             plane,
         }
     }
@@ -345,8 +277,6 @@ pub struct ServingFootprint {
     pub summary: usize,
     /// Cached per-bucket extension amounts.
     pub ext_table: usize,
-    /// The CSR grid directory ([`BucketIndex`]), when materialised.
-    pub index: usize,
     /// The SoA kernel plane ([`BucketPlane`]), when materialised.
     pub plane: usize,
 }
@@ -354,7 +284,7 @@ pub struct ServingFootprint {
 impl ServingFootprint {
     /// Total resident bytes.
     pub fn total(&self) -> usize {
-        self.summary + self.ext_table + self.index + self.plane
+        self.summary + self.ext_table + self.plane
     }
 }
 
@@ -425,29 +355,22 @@ mod tests {
         // Paper accounting: eight words per bucket, nothing else.
         assert_eq!(h.summary_bytes(), 2 * 64);
         // Serving footprint: `from_parts` seeds the extension table; the
-        // index and the kernel plane are lazy and not yet resident.
+        // kernel plane is lazy and not yet resident.
         let fp = h.serving_footprint();
         assert_eq!(fp.summary, 2 * 64);
         assert_eq!(fp.ext_table, 2 * 16);
-        assert_eq!((fp.index, fp.plane), (0, 0));
+        assert_eq!(fp.plane, 0);
         assert_eq!(h.size_bytes(), fp.total());
         // Serving materialises the plane (fine columns, the Morton mirror
         // padded to a whole quad, the id map, block summaries padded to a
-        // coarse vector of four, and one block window of quad summaries);
-        // the CSR index stays lazy until the reference path forces it.
-        // The footprint must see both.
-        let mut scratch = IndexScratch::new();
+        // coarse vector of four, and one block window of quad summaries).
+        let mut scratch = KernelScratch::new();
         let _ = h.estimate_count_indexed(&Rect::new(0.0, 0.0, 1.0, 1.0), &mut scratch);
         let fp = h.serving_footprint();
         assert_eq!(
             fp.plane,
             2 * 9 * 8 + 4 * 7 * 8 + 4 * 4 + 4 * 6 * 8 + 4 * 6 * 8
         );
-        assert_eq!(fp.index, 0, "production serving no longer needs the CSR");
-        assert_eq!(h.size_bytes(), fp.total());
-        let _ = h.estimate_count_indexed_reference(&Rect::new(0.0, 0.0, 1.0, 1.0), &mut scratch);
-        let fp = h.serving_footprint();
-        assert!(fp.index > 0, "index must be counted once built");
         assert_eq!(h.size_bytes(), fp.total());
         assert!(h.size_bytes() > h.summary_bytes());
         assert_eq!(h.total_count(), 100.0);
@@ -481,7 +404,7 @@ mod tests {
         let h = SpatialHistogram::from_parts("e", vec![], 0, ExtensionRule::Minkowski);
         assert_eq!(h.estimate_count(&Rect::new(0.0, 0.0, 1.0, 1.0)), 0.0);
         assert_eq!(h.estimate_selectivity(&Rect::new(0.0, 0.0, 1.0, 1.0)), 0.0);
-        let mut scratch = IndexScratch::new();
+        let mut scratch = KernelScratch::new();
         assert_eq!(
             h.estimate_count_indexed(&Rect::new(0.0, 0.0, 1.0, 1.0), &mut scratch),
             0.0
@@ -490,8 +413,8 @@ mod tests {
 
     #[test]
     fn indexed_estimate_matches_linear_bits() {
-        let h = two_bucket_hist().with_index();
-        let mut scratch = IndexScratch::new();
+        let h = two_bucket_hist();
+        let mut scratch = KernelScratch::new();
         for q in [
             Rect::new(0.0, 0.0, 15.0, 10.0),
             Rect::new(-100.0, -100.0, -50.0, -50.0),
@@ -508,17 +431,16 @@ mod tests {
 
     #[test]
     fn kernel_paths_match_reference_paths_bits() {
-        // The production paths (SoA kernel) against the retained AoS
-        // reference paths, across rules; the dedicated kernel differential
-        // suite widens this to full datasets and techniques.
+        // The production paths (SoA kernel) against the AoS reference
+        // fold, across rules; the dedicated kernel differential suite
+        // widens this to full datasets and techniques.
         for rule in [
             ExtensionRule::Minkowski,
             ExtensionRule::PaperLiteral,
             ExtensionRule::None,
         ] {
-            let h = two_bucket_hist().with_extension_rule(rule).with_index();
-            let mut scratch = IndexScratch::new();
-            let mut scratch_ref = IndexScratch::new();
+            let h = two_bucket_hist().with_extension_rule(rule);
+            let mut scratch = KernelScratch::new();
             for q in [
                 Rect::new(0.0, 0.0, 15.0, 10.0),
                 Rect::new(-100.0, -100.0, -50.0, -50.0),
@@ -533,8 +455,7 @@ mod tests {
                 );
                 assert_eq!(
                     h.estimate_count_indexed(&q, &mut scratch).to_bits(),
-                    h.estimate_count_indexed_reference(&q, &mut scratch_ref)
-                        .to_bits(),
+                    h.estimate_count_reference(&q).to_bits(),
                     "rule={rule:?} q={q}"
                 );
             }
@@ -545,17 +466,17 @@ mod tests {
     fn caches_invalidate_on_bucket_mutation_and_rule_swap() {
         let mut h = two_bucket_hist();
         assert_eq!(h.total_count(), 100.0);
-        let _ = h.bucket_index(); // force-build the lazy index
+        let _ = h.bucket_plane(); // force-build the lazy plane
         h.buckets_mut()[0].count = 0.0;
         assert_eq!(h.total_count(), 40.0, "total cache must invalidate");
-        let mut scratch = IndexScratch::new();
+        let mut scratch = KernelScratch::new();
         let q = Rect::new(0.0, 0.0, 15.0, 10.0);
         assert_eq!(
             h.estimate_count(&q).to_bits(),
             h.estimate_count_indexed(&q, &mut scratch).to_bits(),
-            "index cache must invalidate with the buckets"
+            "plane cache must invalidate with the buckets"
         );
-        // Rule swap invalidates the extension table + index but not total.
+        // Rule swap invalidates the extension table + plane but not total.
         let h2 = h.with_extension_rule(ExtensionRule::PaperLiteral);
         assert_eq!(h2.total_count(), 40.0);
         assert_eq!(

@@ -5,10 +5,8 @@
 //!
 //! The reference estimator folds [`Bucket::estimate_with_extension`] over an
 //! AoS `Vec<Bucket>`: every bucket costs two early-exit branches, a `Rect`
-//! construction, and scattered loads across a 56-byte struct. Once the
-//! [`crate::BucketIndex`] has pruned what it can, that per-bucket cost *is*
-//! the serving floor (BENCH_estimate.json: ~1x indexed speedup at 50
-//! buckets). [`BucketPlane`] stores the same nine per-bucket words
+//! construction, and scattered loads across a 56-byte struct.
+//! [`BucketPlane`] stores the same nine per-bucket words
 //! (`x1/y1/x2/y2/count/avg_w/avg_h/ex/ey`) as separate contiguous `f64`
 //! slices so the clip-and-accumulate loop streams cache lines instead of
 //! striding structs, and rewrites the loop in a branchless
@@ -20,7 +18,7 @@
 //! AoS fold (`buckets.iter().map(estimate_with_extension).sum::<f64>()`,
 //! which folds from Rust's `f64` additive identity `-0.0`). That is what
 //! lets the kernel serve underneath every existing differential contract
-//! (serving, sharded, parallel, wire-protocol goldens) without moving a
+//! (serving, parallel, trace, wire-protocol goldens) without moving a
 //! single bit. The derivation:
 //!
 //! 1. **The clip arithmetic is the same arithmetic.** For bucket `i` the
@@ -63,7 +61,7 @@
 //! `c != 0.0` filter so the NaN propagates into the sum exactly as the
 //! reference propagates it.
 //!
-//! # Explicit SIMD and `fast-math`
+//! # Explicit SIMD
 //!
 //! With the `simd` cargo feature on x86_64, the filter of step 3 runs four
 //! (AVX2, runtime-detected) or two (SSE2 baseline) buckets per iteration
@@ -74,13 +72,6 @@
 //! pins it. Per-lane min/max/compare semantics only feed the boolean
 //! filter, where `-0.0 == +0.0` and the NaN behaviours above agree between
 //! the scalar and vector forms.
-//!
-//! Reassociated accumulation (which genuinely reorders the fold and
-//! therefore may move low bits) is **never** on the default path: it lives
-//! behind the `fast-math` feature as the separate
-//! [`BucketPlane::accumulate_fast`] entry point, with a pinned relative
-//! error bound of `1e-12` against the bit-reference
-//! (`tests/kernel_differential.rs`).
 
 use minskew_geom::Rect;
 
@@ -126,11 +117,11 @@ const QUAD: usize = 4;
 /// Structure-of-arrays mirror of a histogram's buckets plus the per-bucket
 /// extension amounts under one [`ExtensionRule`].
 ///
-/// Built by [`crate::SpatialHistogram`] alongside the [`crate::BucketIndex`]
-/// and invalidated by the same `OnceLock` discipline (any bucket mutation or
-/// rule change drops it). All fine columns have identical length and are in
-/// bucket-id order, so [`BucketPlane::accumulate`] streams them in exactly
-/// the reference fold order.
+/// Built lazily by [`crate::SpatialHistogram`] and invalidated with its
+/// other derived caches (any bucket mutation or rule change drops it). All
+/// fine columns have identical length and are in bucket-id order, so
+/// [`BucketPlane::accumulate`] streams them in exactly the reference fold
+/// order.
 ///
 /// The plane additionally keeps a **Morton mirror** for the pruned serving
 /// path ([`BucketPlane::accumulate_pruned`]): the fold columns permuted
@@ -139,11 +130,9 @@ const QUAD: usize = 4;
 /// mirror positions — the union of the members' MBRs and the maxima of
 /// their extension amounts. Z-order makes a block's members spatial
 /// neighbours, so a selective query prunes almost every block with one
-/// rectangle test. The same computed-containment argument that makes
-/// [`crate::BucketIndex`] sound (IEEE-754 add/sub/max are monotone, so the
-/// query extended by the block maxima contains every member's extended
-/// query) proves a failed block test means every member's term is exactly
-/// `+0.0`.
+/// rectangle test. IEEE-754 add/sub/max are monotone, so the query
+/// extended by the block maxima contains every member's extended query: a
+/// failed block test proves every member's term is exactly `+0.0`.
 #[derive(Debug, Clone, Default)]
 pub struct BucketPlane {
     x1: Vec<f64>,
@@ -310,6 +299,25 @@ impl TermBuf {
     fn set(&mut self, id: usize, t: f64) {
         self.vals[id] = t;
         self.mask[id >> 6] |= 1u64 << (id & 63);
+    }
+}
+
+/// Reusable per-caller scratch for the serving estimate
+/// ([`crate::SpatialHistogram::estimate_count_indexed`]).
+///
+/// Holding the term buffer outside the histogram makes estimates
+/// allocation-free once the scratch is warm, and lets many threads share
+/// one immutable histogram with a scratch per worker.
+#[derive(Debug, Clone, Default)]
+pub struct KernelScratch {
+    pub(crate) terms: TermBuf,
+}
+
+impl KernelScratch {
+    /// Creates an empty scratch. Buffers grow on first use and are then
+    /// reused for every subsequent estimate.
+    pub fn new() -> KernelScratch {
+        KernelScratch::default()
     }
 }
 
@@ -683,20 +691,6 @@ impl BucketPlane {
         Self::finish(acc, saw_pos_zero)
     }
 
-    /// Strict-fold-equivalent estimate over the candidate subset `ids`
-    /// (ascending bucket ids from [`crate::BucketIndex`]): bit-identical to
-    /// `ids.iter().map(|&i| buckets[i].estimate_with_extension(..)).sum()`.
-    ///
-    /// Candidate lists are short, so this stays scalar even under `simd`.
-    pub fn accumulate_ids(&self, p: &QueryPrep, ids: &[u32]) -> f64 {
-        let mut acc = -0.0f64;
-        let mut saw_pos_zero = false;
-        for &i in ids {
-            self.fold_one(i as usize, p, &mut acc, &mut saw_pos_zero);
-        }
-        Self::finish(acc, saw_pos_zero)
-    }
-
     /// `true` when the coarse block test proves every member of block `b`
     /// of the Morton mirror misses the query: the query extended by the
     /// block's extension maxima does not intersect the block's union MBR.
@@ -944,30 +938,6 @@ impl BucketPlane {
             saw_pos_zero,
             prune,
         }
-    }
-
-    /// Reassociated estimate over all buckets: same terms as
-    /// [`BucketPlane::accumulate`] but folded into two interleaved
-    /// accumulators to halve the addition dependency chain. **Not**
-    /// bit-identical to the reference — relative error is bounded by the
-    /// reassociation of at most `len()` non-negative terms and pinned at
-    /// `<= 1e-12` by the kernel differential suite. Opt-in only; no serving
-    /// path calls this.
-    #[cfg(feature = "fast-math")]
-    pub fn accumulate_fast(&self, p: &QueryPrep) -> f64 {
-        let mut acc = [0.0f64; 2];
-        let mut lane = 0usize;
-        let mut saw_pos_zero = false;
-        for i in 0..self.len() {
-            let before = acc[lane & 1];
-            self.fold_one(i, p, &mut acc[lane & 1], &mut saw_pos_zero);
-            // Rotate accumulators only on a real addition so dead buckets
-            // do not serialise the rotation.
-            if acc[lane & 1].to_bits() != before.to_bits() {
-                lane += 1;
-            }
-        }
-        acc[0] + acc[1]
     }
 }
 
@@ -1684,36 +1654,11 @@ mod tests {
     }
 
     #[test]
-    fn subset_fold_matches_reference_subset() {
-        let buckets = grid(6);
-        let rule = ExtensionRule::Minkowski;
-        let plane = BucketPlane::build(&buckets, rule);
-        let ids: Vec<u32> = vec![0, 3, 7, 8, 20, 35];
-        for q in queries() {
-            let p = QueryPrep::new(&q);
-            let want: f64 = ids
-                .iter()
-                .map(|&i| {
-                    let b = &buckets[i as usize];
-                    let (ex, ey) = rule.amounts(b.avg_width, b.avg_height);
-                    b.estimate_with_extension(&q, ex, ey)
-                })
-                .sum();
-            assert_eq!(
-                plane.accumulate_ids(&p, &ids).to_bits(),
-                want.to_bits(),
-                "q={q}"
-            );
-        }
-    }
-
-    #[test]
     fn empty_plane_returns_fold_identity() {
         let plane = BucketPlane::build(&[], ExtensionRule::Minkowski);
         let p = QueryPrep::new(&Rect::new(0.0, 0.0, 1.0, 1.0));
         // The reference fold over zero terms is Rust's `-0.0` identity.
         assert_eq!(plane.accumulate(&p).to_bits(), (-0.0f64).to_bits());
-        assert_eq!(plane.accumulate_ids(&p, &[]).to_bits(), (-0.0f64).to_bits());
         let mut terms = TermBuf::new();
         assert_eq!(
             plane.accumulate_pruned(&p, &mut terms).to_bits(),
@@ -1742,25 +1687,6 @@ mod tests {
             assert!(plane.bx1[b] <= m.lo.x && m.hi.x <= plane.bx2[b]);
             assert!(plane.by1[b] <= m.lo.y && m.hi.y <= plane.by2[b]);
             assert!(plane.bex[b] >= plane.mex[j] && plane.bey[b] >= plane.mey[j]);
-        }
-    }
-
-    #[cfg(feature = "fast-math")]
-    #[test]
-    fn fast_math_within_relative_error_bound() {
-        for side in [4usize, 10, 20] {
-            let buckets = grid(side);
-            let plane = BucketPlane::build(&buckets, ExtensionRule::Minkowski);
-            for q in queries() {
-                let p = QueryPrep::new(&q);
-                let exact = plane.accumulate(&p);
-                let fast = plane.accumulate_fast(&p);
-                let err = (fast - exact).abs();
-                assert!(
-                    err <= 1e-12 * exact.abs().max(1.0),
-                    "side={side} q={q} exact={exact} fast={fast}"
-                );
-            }
         }
     }
 

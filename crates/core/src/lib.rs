@@ -59,7 +59,6 @@ pub mod error;
 mod fractal;
 mod gridhist;
 mod histogram;
-mod index;
 mod kernel;
 mod maintenance;
 mod minskew;
@@ -68,7 +67,6 @@ mod optimal;
 mod refine;
 mod rtree_part;
 mod sampling;
-mod shard;
 pub mod snapshot;
 mod uniform;
 
@@ -80,9 +78,9 @@ pub use error::{BuildError, EstimateError};
 pub use fractal::FractalEstimator;
 pub use gridhist::{build_grid, try_build_grid};
 pub use histogram::{EstimateExplain, ServingFootprint, SpatialHistogram};
-pub use index::{BucketIndex, CandidateSet, IndexScratch};
 pub use kernel::{
-    simd_level, BucketPlane, ExplainTerm, KernelExplain, PruneStats, QueryPrep, TermBuf,
+    simd_level, BucketPlane, ExplainTerm, KernelExplain, KernelScratch, PruneStats, QueryPrep,
+    TermBuf,
 };
 pub use minskew::{MinSkewBuildTrace, MinSkewBuilder, MinSkewDetail, SplitEvent, SplitStrategy};
 pub use morton::{morton_key, morton_schedule};
@@ -93,7 +91,6 @@ pub use rtree_part::{
     try_build_rtree_partitioning_default, RTreeBuildMethod, RTreePartitioningOptions,
 };
 pub use sampling::SamplingEstimator;
-pub use shard::{ShardInfo, ShardScratch, ShardedHistogram, MAX_SHARDS};
 pub use snapshot::{
     verify_snapshot, FormatVersion, SnapshotError, SnapshotInfo, MAX_SNAPSHOT_BUCKETS,
 };

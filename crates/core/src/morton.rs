@@ -1,11 +1,11 @@
 //! Morton (Z-order) scheduling for batched queries.
 //!
 //! A batch of queries in arrival order jumps all over the data space:
-//! consecutive queries touch unrelated [`crate::BucketIndex`] cells and
-//! unrelated stretches of the [`crate::BucketPlane`] columns, so every
-//! query pays cold-cache prices. Sorting the batch by the Morton code of
-//! each query's centre makes consecutive queries spatial neighbours —
-//! they hit the same directory cells and the same SoA cache lines — while
+//! consecutive queries touch unrelated stretches of the
+//! [`crate::BucketPlane`] columns, so every query pays cold-cache prices.
+//! Sorting the batch by the Morton code of each query's centre makes
+//! consecutive queries spatial neighbours — they survive the same pruning
+//! blocks and hit the same SoA cache lines — while
 //! leaving each *individual* estimate untouched. Batch callers apply the
 //! permutation, estimate in Morton order, and scatter results back, so the
 //! output order (and every output bit) is exactly what arrival-order

@@ -378,14 +378,21 @@ mod tests {
     use crate::{read_rects_csv_from, write_rects_csv, Dataset};
     use std::io::BufReader;
 
+    /// Tests in one process run in parallel, so every call writes its own
+    /// file: a shared path would let one test delete or overwrite the CSV
+    /// another is still reading.
     fn sample_csv() -> Vec<u8> {
+        static CALLS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
         let ds = Dataset::new(
             (0..50)
                 .map(|i| Rect::new(i as f64, 0.0, i as f64 + 1.0, 2.0))
                 .collect(),
         );
-        let path =
-            std::env::temp_dir().join(format!("minskew-fault-sample-{}.csv", std::process::id()));
+        let call = CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let path = std::env::temp_dir().join(format!(
+            "minskew-fault-sample-{}-{call}.csv",
+            std::process::id()
+        ));
         write_rects_csv(&ds, &path).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         std::fs::remove_file(path).ok();

@@ -27,7 +27,7 @@
 //!
 //! [`TableSnapshot`] is everything the serving path needs: the live row
 //! count (for clamping), the fallback MBR (for never-analyzed tables), the
-//! sharded statistics, and two monotonic counters — `generation` (bumped by
+//! statistics, and two monotonic counters — `generation` (bumped by
 //! every publication; readers key their query caches on it, which makes
 //! cache flush atomic with publication *by construction*) and `stats_era`
 //! (bumped only by statistics installs; the accuracy reservoir is keyed on
@@ -36,34 +36,12 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
-use minskew_core::{IndexScratch, ShardScratch, ShardedHistogram};
+use minskew_core::{KernelScratch, SpatialHistogram};
 use minskew_geom::Rect;
 
-/// Reusable serving scratch: the bucket-index scratch plus the shard
-/// router's scratch, so every estimate entry point is allocation-free once
-/// warm regardless of which path the statistics take.
-#[derive(Debug, Clone, Default)]
-pub struct EstimateScratch {
-    pub(crate) index: IndexScratch,
-    pub(crate) shard: ShardScratch,
-    /// `true` when the most recent estimate went through the shard router
-    /// (so [`EstimateScratch::shard`]'s routing table is meaningful).
-    pub(crate) used_router: bool,
-}
-
-impl EstimateScratch {
-    /// Creates an empty scratch; buffers grow on first use.
-    pub fn new() -> EstimateScratch {
-        EstimateScratch::default()
-    }
-
-    /// The shard-routing decisions of the most recent estimate, when it
-    /// went through the partition router (`None` for unsharded statistics,
-    /// the no-stats fallback, or before any estimate).
-    pub fn routed_shards(&self) -> Option<&[bool]> {
-        self.used_router.then(|| self.shard.routed())
-    }
-}
+/// Reusable serving scratch: the kernel's term buffer, so every estimate
+/// entry point is allocation-free once warm.
+pub type EstimateScratch = KernelScratch;
 
 /// An immutable, fully-built view of a table's serving state, published
 /// atomically via [`SnapshotCell`]. See the module docs.
@@ -75,7 +53,7 @@ pub struct TableSnapshot {
     /// Index MBR at publication time (`None` when the table was empty);
     /// used only by the never-analyzed fallback estimate.
     mbr: Option<Rect>,
-    stats: Option<Arc<ShardedHistogram>>,
+    stats: Option<Arc<SpatialHistogram>>,
 }
 
 impl TableSnapshot {
@@ -84,7 +62,7 @@ impl TableSnapshot {
         stats_era: u64,
         live: usize,
         mbr: Option<Rect>,
-        stats: Option<Arc<ShardedHistogram>>,
+        stats: Option<Arc<SpatialHistogram>>,
     ) -> TableSnapshot {
         TableSnapshot {
             generation,
@@ -110,15 +88,9 @@ impl TableSnapshot {
         self.live
     }
 
-    /// The published sharded statistics, if `ANALYZE` has run.
-    pub fn stats(&self) -> Option<&ShardedHistogram> {
+    /// The published statistics, if `ANALYZE` has run.
+    pub fn stats(&self) -> Option<&SpatialHistogram> {
         self.stats.as_deref()
-    }
-
-    /// Shard count of the published statistics (1 when unsharded or when
-    /// no statistics are installed).
-    pub fn num_shards(&self) -> usize {
-        self.stats.as_ref().map_or(1, |s| s.num_shards())
     }
 
     /// The raw (unclamped) estimate against this snapshot. All serving
@@ -126,18 +98,8 @@ impl TableSnapshot {
     /// network front-end — funnel here, so they agree bit for bit.
     pub(crate) fn estimate_raw(&self, query: &Rect, scratch: &mut EstimateScratch) -> f64 {
         match &self.stats {
-            Some(stats) if stats.num_shards() > 1 => {
-                scratch.used_router = true;
-                stats.estimate_count_sharded(query, &mut scratch.shard)
-            }
-            Some(stats) => {
-                scratch.used_router = false;
-                stats
-                    .histogram()
-                    .estimate_count_indexed(query, &mut scratch.index)
-            }
+            Some(stats) => stats.estimate_count_indexed(query, scratch),
             None => {
-                scratch.used_router = false;
                 // Planner fallback: treat the whole table as one bucket
                 // covering the index MBR (a DBMS guesses without stats too).
                 let (live, Some(mbr)) = (self.live, self.mbr) else {
@@ -174,9 +136,8 @@ impl TableSnapshot {
     /// ([`TableSnapshot::estimate_raw`] plus the identical clamp), so it is
     /// bit-identical to what `ESTIMATE` would have returned by
     /// construction. The per-bucket breakdown then comes from the kernel's
-    /// explained scan over the unsharded histogram view — pinned
-    /// bit-identical to both the unsharded and the routed path by the
-    /// kernel and sharded differential suites.
+    /// explained scan — the same scan with recording on the side, pinned
+    /// bit-identical to the serving path by the trace differential suite.
     pub fn explain(&self, query: &Rect, scratch: &mut EstimateScratch) -> EstimateTrace {
         let raw = self.estimate_raw(query, scratch);
         let estimate = if raw.is_finite() {
@@ -185,16 +146,13 @@ impl TableSnapshot {
             0.0
         };
         let path = match &self.stats {
-            Some(stats) if stats.num_shards() > 1 => EstimatePath::Sharded {
-                shards: stats.num_shards(),
-            },
             Some(_) => EstimatePath::Indexed,
             None => EstimatePath::Fallback,
         };
-        let detail = self.stats.as_ref().map(|s| {
-            s.histogram()
-                .estimate_count_explained(query, &mut scratch.index)
-        });
+        let detail = self
+            .stats
+            .as_ref()
+            .map(|s| s.estimate_count_explained(query, scratch));
         EstimateTrace {
             estimate,
             raw,
@@ -210,16 +168,10 @@ impl TableSnapshot {
 }
 
 /// Which serving path computed an estimate (see
-/// [`TableSnapshot::estimate_raw`]'s three-way dispatch).
+/// [`TableSnapshot::estimate_raw`]'s two-way dispatch).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EstimatePath {
-    /// Partition-routed sharded statistics (bit-identical to the unsharded
-    /// fold; see the `shard` module).
-    Sharded {
-        /// Shard count of the published statistics.
-        shards: usize,
-    },
-    /// The unsharded block-pruned kernel path.
+    /// The block-pruned kernel path.
     Indexed,
     /// The never-analyzed MBR-fraction fallback.
     Fallback,
@@ -229,7 +181,6 @@ impl EstimatePath {
     /// Stable wire label.
     pub fn label(self) -> &'static str {
         match self {
-            EstimatePath::Sharded { .. } => "sharded",
             EstimatePath::Indexed => "indexed",
             EstimatePath::Fallback => "fallback",
         }

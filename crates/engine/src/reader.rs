@@ -34,9 +34,6 @@ pub struct SpatialReader {
     cache: QueryCache,
     /// Generation the cache's entries were filled under.
     generation: u64,
-    /// Per-shard routed-query totals of the most recent batch; see
-    /// [`SpatialReader::batch_shard_routing`].
-    batch_routed: Vec<u64>,
 }
 
 /// Error from [`SpatialReader::try_estimate_batch`]: the first offending
@@ -70,7 +67,6 @@ impl SpatialReader {
             scratch: EstimateScratch::new(),
             cache: QueryCache::new(cache_capacity),
             generation: 0,
-            batch_routed: Vec::new(),
         }
     }
 
@@ -95,7 +91,6 @@ impl SpatialReader {
             self.cache.invalidate();
             self.generation = snapshot.generation();
         }
-        self.scratch.used_router = false;
         let key = cache_key(query);
         if let Some(cached) = self.cache.get(&key) {
             return Ok(cached);
@@ -122,7 +117,6 @@ impl SpatialReader {
             self.cache.invalidate();
             self.generation = snapshot.generation();
         }
-        self.scratch.used_router = false;
         let cached = self.cache.get(&cache_key(query)).is_some();
         let mut trace = snapshot.explain(query, &mut self.scratch);
         trace.cache = if self.cache.capacity() == 0 {
@@ -155,15 +149,12 @@ impl SpatialReader {
     /// publication cannot split the batch across generations — and is
     /// evaluated in Morton order of the query centres
     /// ([`minskew_core::morton_schedule`]) so consecutive estimates touch
-    /// neighbouring index cells and SoA cache lines. Results are returned
+    /// neighbouring pruning blocks and SoA cache lines. Results are returned
     /// in request order, and every value is bit-identical to what a
     /// request-order [`SpatialReader::try_estimate`] loop against the same
     /// snapshot would produce: each estimate is independent, and the
     /// reader's query cache stores exact previously returned values keyed
     /// by query bits, so probe order cannot change any answer.
-    ///
-    /// Per-shard routing totals for the batch are available afterwards via
-    /// [`SpatialReader::batch_shard_routing`].
     pub fn try_estimate_batch(&mut self, queries: &[Rect]) -> Result<Vec<f64>, BatchQueryError> {
         if let Some(index) = queries.iter().position(|q| !q.is_finite()) {
             return Err(BatchQueryError {
@@ -176,12 +167,10 @@ impl SpatialReader {
             self.cache.invalidate();
             self.generation = snapshot.generation();
         }
-        self.batch_routed.clear();
         let order = minskew_core::morton_schedule(queries);
         let mut out = vec![0.0f64; queries.len()];
         for &i in &order {
             let query = &queries[i as usize];
-            self.scratch.used_router = false;
             let key = cache_key(query);
             let value = if let Some(cached) = self.cache.get(&key) {
                 cached
@@ -190,24 +179,9 @@ impl SpatialReader {
                 self.cache.insert(key, value);
                 value
             };
-            if let Some(shards) = self.scratch.routed_shards() {
-                if self.batch_routed.len() < shards.len() {
-                    self.batch_routed.resize(shards.len(), 0);
-                }
-                for (slot, &hit) in self.batch_routed.iter_mut().zip(shards) {
-                    *slot += u64::from(hit);
-                }
-            }
             out[i as usize] = value;
         }
         Ok(out)
-    }
-
-    /// Per-shard routed-query totals of the most recent
-    /// [`SpatialReader::try_estimate_batch`] (empty for unsharded
-    /// statistics, cache-served batches, or before any batch).
-    pub fn batch_shard_routing(&self) -> &[u64] {
-        &self.batch_routed
     }
 
     /// The latest published snapshot (what the next estimate will serve
@@ -220,13 +194,6 @@ impl SpatialReader {
     /// (`0` before any estimate).
     pub fn generation(&self) -> u64 {
         self.generation
-    }
-
-    /// Shard-routing decisions of the most recent estimate, when it was
-    /// computed through the partition router (`None` after a cache hit,
-    /// for unsharded statistics, or for the no-stats fallback).
-    pub fn routed_shards(&self) -> Option<&[bool]> {
-        self.scratch.routed_shards()
     }
 
     /// `(hits, misses)` of this reader's private query cache.

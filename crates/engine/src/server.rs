@@ -12,11 +12,11 @@
 //! |---|---|
 //! | `PING` | `OK pong` |
 //! | `TABLES` | `OK <n> <name>...` |
-//! | `CREATE <t> [buckets=N] [shards=S] [technique=T]` | `OK created <t>` |
+//! | `CREATE <t> [buckets=N] [technique=T]` | `OK created <t>` |
 //! | `DROP <t>` | `OK dropped <t>` |
 //! | `INSERT <t> <x1> <y1> <x2> <y2>` | `OK <rowid>` |
 //! | `DELETE <t> <rowid>` | `OK deleted <rowid>` |
-//! | `ANALYZE <t>` | `OK analyzed <t> buckets=<B> fallback=<F> shards=<S>` |
+//! | `ANALYZE <t>` | `OK analyzed <t> buckets=<B> fallback=<F>` |
 //! | `ESTIMATE <t> <x1> <y1> <x2> <y2>` | `OK <estimate>` |
 //! | `BATCH <t> <n> <x1> <y1> <x2> <y2> ...` | `OK <e1> <e2> ...` |
 //! | `STATS [<t>]` | `OK {...}` (single-line JSON) |
@@ -79,8 +79,8 @@
 //! [`ServerHandle::join`]. Idle connections notice a shutdown within their
 //! 25 ms read timeout.
 //!
-//! Per-connection and per-verb counters, request latency, and per-shard
-//! routing counters flow into the server's [`Registry`]
+//! Per-connection and per-verb counters and request latency flow into the
+//! server's [`Registry`]
 //! ([`ServerHandle::metrics`]). The per-request ones are resolved once per
 //! server, so an `ESTIMATE` takes no registry lock, and once its
 //! connection's buffers have grown it allocates nothing (a flight record,
@@ -102,7 +102,7 @@ use minskew_obs::{
 
 use crate::catalog::{CatalogEntry, CatalogError, SpatialCatalog};
 use crate::persist::SnapshotIoError;
-use crate::publish::{EstimatePath, EstimateTrace};
+use crate::publish::EstimateTrace;
 use crate::reader::SpatialReader;
 use crate::table::{MaintenanceMode, RowId, StatsTechnique, TableOptions};
 
@@ -132,8 +132,8 @@ pub struct ServeOptions {
     /// Bind address; port `0` picks an ephemeral port (see
     /// [`ServerHandle::addr`]).
     pub addr: String,
-    /// Options for tables created via the `CREATE` verb (bucket budget,
-    /// shard count, and technique are overridable per request).
+    /// Options for tables created via the `CREATE` verb (bucket budget and
+    /// technique are overridable per request).
     pub table_options: TableOptions,
     /// Maximum query count accepted by one `BATCH` request.
     pub max_batch: usize,
@@ -452,18 +452,11 @@ fn accept_loop(listener: TcpListener, ctx: Arc<ServerCtx>) {
 }
 
 /// Per-connection state: cached lock-free readers (one per table touched)
-/// with their resolved per-shard routing counters, and `BATCH`'s query
-/// buffer, reused from request to request.
+/// and `BATCH`'s query buffer, reused from request to request.
 #[derive(Default)]
 struct ConnState {
-    readers: std::collections::HashMap<String, TableReader>,
+    readers: std::collections::HashMap<String, SpatialReader>,
     queries: Vec<Rect>,
-}
-
-struct TableReader {
-    reader: SpatialReader,
-    /// `serve.table.<t>.shard.<s>.routed`, resolved lazily per shard.
-    shard_counters: Vec<Arc<minskew_obs::Counter>>,
 }
 
 fn handle_connection(stream: TcpStream, ctx: Arc<ServerCtx>) {
@@ -784,10 +777,7 @@ fn dispatch(
 
 fn cmd_create(ctx: &Arc<ServerCtx>, args: &[&str]) -> Reply {
     let [name, opts @ ..] = args else {
-        return err(
-            2,
-            "usage: CREATE <table> [buckets=N] [shards=S] [technique=T]",
-        );
+        return err(2, "usage: CREATE <table> [buckets=N] [technique=T]");
     };
     let mut options = ctx.options.table_options;
     for opt in opts {
@@ -801,10 +791,6 @@ fn cmd_create(ctx: &Arc<ServerCtx>, args: &[&str]) -> Reply {
             "buckets" => match value.parse::<usize>() {
                 Ok(v) => options.analyze.buckets = v,
                 Err(_) => return err(2, format_args!("usage: bad buckets {value:?}")),
-            },
-            "shards" => match value.parse::<usize>() {
-                Ok(v) => options.shards = v,
-                Err(_) => return err(2, format_args!("usage: bad shards {value:?}")),
             },
             "technique" => {
                 options.analyze.technique = match value {
@@ -892,9 +878,8 @@ fn cmd_analyze(ctx: &Arc<ServerCtx>, args: &[&str]) -> Reply {
             let mut table = entry.table();
             table.analyze();
             let diag = table.stats_diagnostics();
-            let shards = table.current_snapshot().num_shards();
             ok(format_args!(
-                "analyzed {name} buckets={} fallback={} shards={shards}",
+                "analyzed {name} buckets={} fallback={}",
                 diag.achieved_buckets, diag.fallback
             ))
         }
@@ -905,68 +890,14 @@ fn cmd_analyze(ctx: &Arc<ServerCtx>, args: &[&str]) -> Reply {
 /// Per-connection reader for `name`, minted lock-free on first use.
 fn conn_reader<'a>(
     ctx: &Arc<ServerCtx>,
-    readers: &'a mut std::collections::HashMap<String, TableReader>,
+    readers: &'a mut std::collections::HashMap<String, SpatialReader>,
     name: &str,
-) -> Result<&'a mut TableReader, Reply> {
+) -> Result<&'a mut SpatialReader, Reply> {
     if !readers.contains_key(name) {
         let entry = lookup(ctx, name)?;
-        readers.insert(
-            name.to_string(),
-            TableReader {
-                reader: entry.reader(),
-                shard_counters: Vec::new(),
-            },
-        );
+        readers.insert(name.to_string(), entry.reader());
     }
     Ok(readers.get_mut(name).expect("reader inserted just above"))
-}
-
-/// Counts routed shards into `serve.table.<t>.shard.<s>.routed`.
-fn note_routing(ctx: &Arc<ServerCtx>, name: &str, tr: &mut TableReader) {
-    if !minskew_obs::enabled() {
-        return;
-    }
-    let Some(routed) = tr.reader.routed_shards() else {
-        return;
-    };
-    if tr.shard_counters.len() < routed.len() {
-        let table = minskew_obs::name_component(name);
-        for s in tr.shard_counters.len()..routed.len() {
-            tr.shard_counters.push(
-                ctx.registry
-                    .counter(&format!("serve.table.{table}.shard.{s}.routed")),
-            );
-        }
-    }
-    for (s, &hit) in routed.iter().enumerate() {
-        if hit {
-            tr.shard_counters[s].inc();
-        }
-    }
-}
-
-/// Adds the per-shard routed totals of the most recent batch into
-/// `serve.table.<t>.shard.<s>.routed`.
-fn note_batch_routing(ctx: &Arc<ServerCtx>, name: &str, tr: &mut TableReader) {
-    if !minskew_obs::enabled() {
-        return;
-    }
-    let routed = tr.reader.batch_shard_routing();
-    if routed.is_empty() {
-        return;
-    }
-    if tr.shard_counters.len() < routed.len() {
-        let table = minskew_obs::name_component(name);
-        for s in tr.shard_counters.len()..routed.len() {
-            tr.shard_counters.push(
-                ctx.registry
-                    .counter(&format!("serve.table.{table}.shard.{s}.routed")),
-            );
-        }
-    }
-    for (s, &hits) in routed.iter().enumerate() {
-        tr.shard_counters[s].add(hits);
-    }
 }
 
 fn cmd_estimate(
@@ -983,18 +914,17 @@ fn cmd_estimate(
         Ok(r) => r,
         Err(reply) => return reply,
     };
-    let tr = match conn_reader(ctx, &mut conn.readers, name) {
-        Ok(tr) => tr,
+    let reader = match conn_reader(ctx, &mut conn.readers, name) {
+        Ok(reader) => reader,
         Err(reply) => return reply,
     };
     let mut clock = Stopwatch::start();
-    match tr.reader.try_estimate(&rect) {
+    match reader.try_estimate(&rect) {
         Ok(value) => {
             // The reply value is already fixed: recording can only observe.
             let latency_ns = clock.lap();
-            note_routing(ctx, name, tr);
             ctx.add(&ctx.hot.estimates, 1);
-            ctx.note_wire_flight(tid, &rect, value, latency_ns, tr.reader.generation());
+            ctx.note_wire_flight(tid, &rect, value, latency_ns, reader.generation());
             let _ = write!(out, "OK {value}");
             Reply::Written
         }
@@ -1038,17 +968,16 @@ fn cmd_batch(
             Err(reply) => return reply,
         }
     }
-    let tr = match conn_reader(ctx, &mut conn.readers, name) {
-        Ok(tr) => tr,
+    let reader = match conn_reader(ctx, &mut conn.readers, name) {
+        Ok(reader) => reader,
         Err(reply) => return reply,
     };
     // One Morton-ordered pass over one snapshot; replies come back in
     // request order and are bit-identical to a per-query loop.
-    let values = match tr.reader.try_estimate_batch(&conn.queries) {
+    let values = match reader.try_estimate_batch(&conn.queries) {
         Ok(values) => values,
         Err(e) => return err(2, format_args!("usage: {e}")),
     };
-    note_batch_routing(ctx, name, tr);
     out.push_str("OK ");
     for (i, value) in values.iter().enumerate() {
         if i > 0 {
@@ -1103,9 +1032,6 @@ fn trace_json(trace: &EstimateTrace) -> String {
         trace.clamped,
         json_str(trace.path.label()),
     );
-    if let EstimatePath::Sharded { shards } = trace.path {
-        let _ = write!(out, ",\"shards\":{shards}");
-    }
     let _ = write!(
         out,
         ",\"generation\":{},\"stats_era\":{},\"live\":{},\"cache\":{}",
@@ -1164,11 +1090,11 @@ fn cmd_explain(ctx: &Arc<ServerCtx>, conn: &mut ConnState, args: &[&str]) -> Rep
         Ok(r) => r,
         Err(reply) => return reply,
     };
-    let tr = match conn_reader(ctx, &mut conn.readers, name) {
-        Ok(tr) => tr,
+    let reader = match conn_reader(ctx, &mut conn.readers, name) {
+        Ok(reader) => reader,
         Err(reply) => return reply,
     };
-    match tr.reader.try_explain(&rect) {
+    match reader.try_explain(&rect) {
         Ok(trace) => {
             ctx.bump("serve.explains");
             ok(trace_json(&trace))
@@ -1264,7 +1190,7 @@ fn cmd_stats(ctx: &Arc<ServerCtx>, args: &[&str]) -> Reply {
                 let table = entry.table();
                 let snapshot = table.current_snapshot();
                 let diag = table.stats_diagnostics();
-                let buckets = snapshot.stats().map_or(0, |s| s.histogram().num_buckets());
+                let buckets = snapshot.stats().map_or(0, |s| s.num_buckets());
                 // Filter non-finite staleness: `{s:.6}` would otherwise
                 // print a bare `NaN`/`inf` token into the JSON reply.
                 let staleness = table
@@ -1272,11 +1198,10 @@ fn cmd_stats(ctx: &Arc<ServerCtx>, args: &[&str]) -> Reply {
                     .filter(|s| s.is_finite())
                     .map_or_else(|| String::from("null"), |s| format!("{s:.6}"));
                 ok(format_args!(
-                    "{{\"table\":\"{name}\",\"rows\":{},\"buckets\":{buckets},\"shards\":{},\
+                    "{{\"table\":\"{name}\",\"rows\":{},\"buckets\":{buckets},\
                      \"generation\":{},\"fallback\":\"{}\",\"maintenance\":\"{}\",\
                      \"staleness\":{staleness}}}",
                     table.len(),
-                    snapshot.num_shards(),
                     snapshot.generation(),
                     diag.fallback,
                     table.maintenance_mode(),

@@ -5,7 +5,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use minskew_core::{
     build_uniform, try_build_equi_area, try_build_equi_count, try_build_uniform, BuildError,
     EstimateError, MinSkewBuilder, RefineObservation, RefineOptions, RefineReport,
-    ShardedHistogram, SpatialEstimator, SpatialHistogram, MAX_SHARDS,
+    SpatialEstimator, SpatialHistogram,
 };
 use minskew_data::Dataset;
 use minskew_geom::Rect;
@@ -222,11 +222,6 @@ pub struct TableOptions {
     /// which [`SpatialTable::audit_accuracy`] reports drift and recommends
     /// re-`ANALYZE`. Defaults to 0.5.
     pub accuracy_drift_threshold: f64,
-    /// Number of spatial shards the published statistics are partitioned
-    /// into (see [`minskew_core::ShardedHistogram`]). `1` (the default)
-    /// serves unsharded. Sharding is a concurrency/locality knob only:
-    /// every estimate is **bit-identical** at every shard count.
-    pub shards: usize,
     /// How [`SpatialTable::maintain`] repairs drifted statistics. Defaults
     /// to [`MaintenanceMode::DriftReAnalyze`] (the pre-refine behaviour);
     /// [`MaintenanceMode::OnlineRefine`] repairs in place from query
@@ -273,7 +268,6 @@ impl Default for TableOptions {
             metrics_sampling: 256,
             accuracy_reservoir: 256,
             accuracy_drift_threshold: 0.5,
-            shards: 1,
             maintenance: MaintenanceMode::default(),
             flight_capacity: 256,
             flight_slow_ns: 1_000_000,
@@ -540,7 +534,6 @@ impl std::fmt::Debug for SpatialTable {
             .field("has_stats", &self.stats.is_some())
             .field("generation", &self.generation)
             .field("stats_era", &self.stats_era)
-            .field("shards", &self.options.shards)
             .finish_non_exhaustive()
     }
 }
@@ -567,12 +560,6 @@ impl SpatialTable {
             .map_err(|e| BuildError::InvalidConfig(e.to_string()))?;
         if options.analyze.buckets == 0 {
             return Err(BuildError::ZeroBucketBudget);
-        }
-        if options.shards == 0 || options.shards > MAX_SHARDS {
-            return Err(BuildError::InvalidConfig(format!(
-                "shards must be in 1..={MAX_SHARDS}, got {}",
-                options.shards
-            )));
         }
         let registry = Registry::new();
         let metrics = TableMetrics::new(&registry);
@@ -610,10 +597,7 @@ impl SpatialTable {
     /// Called by every path that changes what an estimate could return.
     fn publish(&mut self) {
         self.generation += 1;
-        let stats = self
-            .stats
-            .as_ref()
-            .map(|h| Arc::new(ShardedHistogram::build(h.clone(), self.options.shards)));
+        let stats = self.stats.as_ref().map(|h| Arc::new(h.clone()));
         let mbr = (self.live > 0).then(|| self.index.mbr());
         let snapshot = Arc::new(TableSnapshot::new(
             self.generation,
@@ -987,9 +971,9 @@ impl SpatialTable {
     /// Estimated result size for `query`, rejecting non-finite queries
     /// instead of guessing. The `Ok` value is finite and within `[0, N]`.
     ///
-    /// Serving path: the estimate goes through the histogram's
-    /// [`minskew_core::BucketIndex`] (sub-linear in the bucket count,
-    /// bit-identical to the linear scan) and, when
+    /// Serving path: the estimate goes through the histogram's block-pruned
+    /// kernel ([`SpatialHistogram::estimate_count_indexed`], sub-linear in
+    /// the bucket count, bit-identical to the linear scan) and, when
     /// [`TableOptions::query_cache`] is on, through the per-table LRU —
     /// also bit-identical, because every mutation flushes it.
     pub fn try_estimate(&self, query: &Rect) -> Result<f64, EstimateError> {
@@ -1142,7 +1126,6 @@ impl SpatialTable {
             serving.seen_generation = self.generation;
         }
         let cached = self.options.query_cache && serving.cache.get(&cache_key(query)).is_some();
-        serving.scratch.used_router = false;
         let mut trace = self.current.explain(query, &mut serving.scratch);
         trace.cache = if !self.options.query_cache {
             CacheDisposition::Bypassed
@@ -1182,9 +1165,7 @@ impl SpatialTable {
 
     /// The raw (unclamped) estimate, computed against the current published
     /// [`TableSnapshot`] — the same object lock-free readers load — so the
-    /// locked and lock-free serving paths agree by construction. Routes
-    /// through the shard router when [`TableOptions::shards`] > 1, the
-    /// bucket index otherwise; both are bit-identical to the linear scan.
+    /// locked and lock-free serving paths agree by construction.
     fn estimate_raw(&self, query: &Rect, scratch: &mut EstimateScratch) -> f64 {
         self.current.estimate_raw(query, scratch)
     }
@@ -1211,7 +1192,7 @@ impl SpatialTable {
     /// the planner's bulk entry point (multi-query optimization, workload
     /// what-if analysis, auto-tuning sweeps).
     ///
-    /// Each worker reuses one [`IndexScratch`] across every query it
+    /// Each worker reuses one [`EstimateScratch`] across every query it
     /// serves, so the loop is allocation-free once the scratch warms up.
     /// The batch path bypasses the query cache — with per-worker scratch
     /// there is no shared state to lock — so cached single-query answers are
@@ -1222,8 +1203,8 @@ impl SpatialTable {
     ///
     /// Internally the pool is evaluated in **Morton order** of the query
     /// centres ([`minskew_core::morton_schedule`]): consecutive queries are
-    /// spatial neighbours, so they touch the same index cells and the same
-    /// stretches of the SoA kernel plane instead of bouncing across it.
+    /// spatial neighbours, so they survive the same pruning blocks and touch
+    /// the same stretches of the SoA kernel plane instead of bouncing across it.
     /// Each estimate is computed independently, so the schedule cannot move
     /// a bit; results are scattered back to input order before returning.
     pub fn estimate_batch(&self, queries: &[Rect]) -> Vec<f64> {

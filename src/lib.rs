@@ -61,13 +61,12 @@ pub mod prelude {
         build_equi_area, build_equi_count, build_grid, build_optimal_bsp, build_rtree_partitioning,
         build_rtree_partitioning_default, build_uniform, morton_key, morton_schedule, simd_level,
         try_build_equi_area, try_build_equi_count, try_build_grid, try_build_optimal_bsp,
-        try_build_rtree_partitioning, try_build_uniform, verify_snapshot, Bucket, BucketIndex,
-        BucketPlane, BuildError, EstimateError, EstimateExplain, ExplainTerm, ExtensionRule,
-        FormatVersion, FractalEstimator, IndexScratch, KernelExplain, MinSkewBuildTrace,
-        MinSkewBuilder, PruneStats, QueryPrep, RTreeBuildMethod, RefineObservation, RefineOptions,
-        RefineReport, SamplingEstimator, ServingFootprint, ShardInfo, ShardScratch,
-        ShardedHistogram, SnapshotError, SnapshotInfo, SpatialEstimator, SpatialHistogram,
-        SplitEvent, SplitStrategy, MAX_SHARDS,
+        try_build_rtree_partitioning, try_build_uniform, verify_snapshot, Bucket, BucketPlane,
+        BuildError, EstimateError, EstimateExplain, ExplainTerm, ExtensionRule, FormatVersion,
+        FractalEstimator, KernelExplain, KernelScratch, MinSkewBuildTrace, MinSkewBuilder,
+        PruneStats, QueryPrep, RTreeBuildMethod, RefineObservation, RefineOptions, RefineReport,
+        SamplingEstimator, ServingFootprint, SnapshotError, SnapshotInfo, SpatialEstimator,
+        SpatialHistogram, SplitEvent, SplitStrategy,
     };
     pub use minskew_data::{
         write_atomic, CsvRectSource, Dataset, DensityGrid, FaultInjector, FaultKind, RectSource,

@@ -10,8 +10,7 @@
 //!
 //! The base matrix below always runs (tier 1). The `kernel` feature turns
 //! on the exhaustive cross product on larger inputs; the `proptest` feature
-//! adds randomized differential properties; the `fast-math` feature adds
-//! the reassociated-sum accuracy bound. CI also runs the suite under
+//! adds randomized differential properties. CI also runs the suite under
 //! `RUST_TEST_THREADS=1` so test-scheduler interference cannot mask bugs.
 
 use minskew::prelude::*;
@@ -109,13 +108,13 @@ fn adversarial_queries(hist: &SpatialHistogram, mbr: Rect) -> Vec<Rect> {
     out
 }
 
-/// Asserts the four estimate paths agree bit for bit on every query:
-/// kernel linear, AoS reference, kernel indexed, AoS indexed.
+/// Asserts the three estimate paths agree bit for bit on every query:
+/// AoS reference, kernel linear, kernel indexed.
 fn assert_kernel_differential(
     context: &str,
     hist: &SpatialHistogram,
     queries: &[Rect],
-    scratch: &mut IndexScratch,
+    scratch: &mut KernelScratch,
 ) {
     for q in queries {
         let reference = hist.estimate_count_reference(q);
@@ -128,14 +127,6 @@ fn assert_kernel_differential(
             hist.name(),
         );
         let indexed = hist.estimate_count_indexed(q, scratch);
-        let indexed_reference = hist.estimate_count_indexed_reference(q, scratch);
-        assert_eq!(
-            indexed_reference.to_bits(),
-            indexed.to_bits(),
-            "indexed kernel diverged from the AoS indexed fold: {context} \
-             technique={} q={q} (reference={indexed_reference}, kernel={indexed})",
-            hist.name(),
-        );
         assert_eq!(
             reference.to_bits(),
             indexed.to_bits(),
@@ -148,7 +139,7 @@ fn assert_kernel_differential(
 
 #[test]
 fn kernel_matches_reference_for_every_technique_and_rule() {
-    let mut scratch = IndexScratch::new();
+    let mut scratch = KernelScratch::new();
     for (name, data) in datasets(1) {
         let mbr = data.stats().mbr;
         for hist in techniques(&data, 32) {
@@ -169,7 +160,7 @@ fn kernel_matches_reference_through_churn_and_rebuild() {
     // agree as well.
     let data = charminar_with(2_500, 67);
     let mbr = data.stats().mbr;
-    let mut scratch = IndexScratch::new();
+    let mut scratch = KernelScratch::new();
     for mut hist in techniques(&data, 28) {
         let queries = adversarial_queries(&hist, mbr);
         assert_kernel_differential("pre-churn", &hist, &queries, &mut scratch);
@@ -261,7 +252,7 @@ fn morton_schedule_is_a_permutation_on_adversarial_batches() {
 #[cfg(feature = "kernel")]
 #[test]
 fn exhaustive_kernel_matrix() {
-    let mut scratch = IndexScratch::new();
+    let mut scratch = KernelScratch::new();
     for (name, data) in datasets(3) {
         let mbr = data.stats().mbr;
         for buckets in [8usize, 50, 200] {
@@ -271,32 +262,6 @@ fn exhaustive_kernel_matrix() {
                     let queries = adversarial_queries(&hist, mbr);
                     let context = format!("dataset={name} buckets={buckets} rule={rule:?}");
                     assert_kernel_differential(&context, &hist, &queries, &mut scratch);
-                }
-            }
-        }
-    }
-}
-
-/// The reassociated-sum kernel is a separate opt-in API; it may reorder
-/// additions but must stay within 1e-12 relative error of the exact fold.
-#[cfg(feature = "fast-math")]
-#[test]
-fn fast_math_stays_within_relative_error_bound() {
-    for (name, data) in datasets(1) {
-        let mbr = data.stats().mbr;
-        for hist in techniques(&data, 40) {
-            for rule in RULES {
-                let hist = hist.clone().with_extension_rule(rule);
-                for q in adversarial_queries(&hist, mbr) {
-                    let exact = hist.estimate_count(&q);
-                    let fast = hist.estimate_count_fast(&q);
-                    let tol = 1e-12 * exact.abs().max(1.0);
-                    assert!(
-                        (fast - exact).abs() <= tol,
-                        "dataset={name} technique={} rule={rule:?} q={q} \
-                         exact={exact} fast={fast}",
-                        hist.name(),
-                    );
                 }
             }
         }
@@ -360,7 +325,7 @@ mod prop {
             rule_pick in 0usize..3,
         ) {
             let rule = RULES[rule_pick];
-            let mut scratch = IndexScratch::new();
+            let mut scratch = KernelScratch::new();
             for hist in [
                 MinSkewBuilder::new(buckets).regions(256).build(&data),
                 build_equi_count(&data, buckets),

@@ -280,7 +280,6 @@ fn maintenance_off_serves_bit_identical_to_never_maintaining() {
             .current_snapshot()
             .stats()
             .expect("analyzed table has stats")
-            .histogram()
             .to_bytes();
         (served, stats)
     };

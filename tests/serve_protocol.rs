@@ -77,7 +77,7 @@ fn golden_transcript_for_every_verb() {
     // Structural verbs, pinned byte for byte.
     assert_eq!(c.send("PING"), "OK pong");
     assert_eq!(c.send("TABLES"), "OK 0");
-    assert_eq!(c.send("CREATE t buckets=4 shards=2"), "OK created t");
+    assert_eq!(c.send("CREATE t buckets=4"), "OK created t");
     assert_eq!(
         c.send("CREATE t"),
         "ERR 2 usage: table \"t\" already exists"
@@ -91,10 +91,7 @@ fn golden_transcript_for_every_verb() {
     }
     assert_eq!(c.send("ESTIMATE t 0 0 10 10"), "OK 4", "no-stats fallback");
     assert_eq!(c.send("ESTIMATE t 20 20 30 30"), "OK 0");
-    assert_eq!(
-        c.send("ANALYZE t"),
-        "OK analyzed t buckets=1 fallback=none shards=2"
-    );
+    assert_eq!(c.send("ANALYZE t"), "OK analyzed t buckets=1 fallback=none");
     assert_eq!(c.send("ESTIMATE t 0 0 10 10"), "OK 4", "histogram estimate");
     assert_eq!(c.send("BATCH t 2 0 0 10 10 20 20 30 30"), "OK 4 0");
     // No-arg STATS carries the request-latency quantiles; the counts and
@@ -109,8 +106,8 @@ fn golden_transcript_for_every_verb() {
     }
     assert_eq!(
         c.send("STATS t"),
-        "OK {\"table\":\"t\",\"rows\":4,\"buckets\":1,\"shards\":2,\
-         \"generation\":5,\"fallback\":\"none\",\"maintenance\":\"reanalyze\",\
+        "OK {\"table\":\"t\",\"rows\":4,\"buckets\":1,\"generation\":5,\
+         \"fallback\":\"none\",\"maintenance\":\"reanalyze\",\
          \"staleness\":0.000000}"
     );
     assert_eq!(
@@ -153,9 +150,19 @@ fn error_replies_cover_the_exit_code_taxonomy() {
     assert_eq!(c.send("CREATE t"), "OK created t");
     assert_eq!(c.send("INSERT t 0 0 10 10"), "OK 0");
 
-    // 2 — usage: unknown verbs/tables, malformed queries, empty requests,
-    // and SAVE with no statistics installed.
+    // 2 — usage: unknown verbs/tables/options (`shards=` included: tables
+    // are never sharded), malformed queries, empty requests, and SAVE with
+    // no statistics installed.
     assert_eq!(c.send("FROB"), "ERR 2 usage: unknown verb \"FROB\"");
+    assert_eq!(
+        c.send("CREATE u shards=2"),
+        "ERR 2 usage: unknown option \"shards\""
+    );
+    assert_eq!(
+        c.send("TABLES"),
+        "OK 1 t",
+        "a rejected CREATE creates nothing"
+    );
     assert_eq!(c.send(""), "ERR 2 usage: empty request");
     assert_eq!(
         c.send("ESTIMATE ghost 0 0 1 1"),
@@ -305,10 +312,7 @@ fn trace_ids_and_observability_verbs_round_trip() {
     for id in 0..4 {
         assert_eq!(c.send("INSERT t 0 0 10 10"), format!("OK {id}"));
     }
-    assert_eq!(
-        c.send("ANALYZE t"),
-        "OK analyzed t buckets=1 fallback=none shards=1"
-    );
+    assert_eq!(c.send("ANALYZE t"), "OK analyzed t buckets=1 fallback=none");
 
     // Valid trace ids echo on success and on typed errors alike, and the
     // un-tagged replies stay byte-identical to the golden transcript.
@@ -406,7 +410,7 @@ fn trace_ids_and_observability_verbs_round_trip() {
 fn shutdown_verb_stops_the_server_cleanly() {
     let handle = start_server();
     let mut c = Client::connect(handle.addr());
-    assert_eq!(c.send("CREATE t shards=3"), "OK created t");
+    assert_eq!(c.send("CREATE t"), "OK created t");
     assert_eq!(c.send("INSERT t 0 0 5 5"), "OK 0");
     assert_eq!(c.send("SHUTDOWN"), "OK bye");
     assert!(handle.shutdown_requested());
@@ -440,13 +444,7 @@ fn batch_replies_preserve_request_order_and_library_bits() {
     let data = minskew_datagen::charminar_with(1_500, 79);
     let catalog = Arc::new(SpatialCatalog::new());
     let entry = catalog
-        .create(
-            "roads",
-            TableOptions {
-                shards: 4,
-                ..TableOptions::default()
-            },
-        )
+        .create("roads", TableOptions::default())
         .expect("create");
     {
         let mut table = entry.table();
@@ -506,13 +504,7 @@ fn estimates_over_the_wire_are_bit_identical_to_the_library() {
     let data = minskew_datagen::charminar_with(1_500, 61);
     let catalog = Arc::new(SpatialCatalog::new());
     let entry = catalog
-        .create(
-            "roads",
-            TableOptions {
-                shards: 4,
-                ..TableOptions::default()
-            },
-        )
+        .create("roads", TableOptions::default())
         .expect("create");
     {
         let mut table = entry.table();

@@ -24,7 +24,7 @@ use minskew_datagen::charminar_with;
 const INSTALL_CYCLES: usize = 1_200;
 const READER_THREADS: usize = 4;
 
-/// Builds the shared table (4 shards, cache on) plus two distinct valid
+/// Builds the shared table (cache on) plus two distinct valid
 /// statistics payloads and the exact per-query bits each one serves.
 struct Fixture {
     table: SpatialTable,
@@ -37,10 +37,7 @@ struct Fixture {
 
 fn fixture() -> Fixture {
     let data = charminar_with(2_000, 53);
-    let mut table = SpatialTable::new(TableOptions {
-        shards: 4,
-        ..TableOptions::default()
-    });
+    let mut table = SpatialTable::new(TableOptions::default());
     for r in data.rects() {
         table.insert(*r);
     }

@@ -10,7 +10,9 @@
 //!    rule, and every adversarial query shape — and the engine-level trace
 //!    (`SpatialTable::try_explain` / `SpatialReader::try_explain`) must
 //!    report exactly the bits the corresponding estimate entry point
-//!    returns, through the cache, sharding, and clamping layers.
+//!    returns, through the cache and clamping layers. The indexed path
+//!    itself is pinned to the linear oracle (`estimate_count_reference`)
+//!    on every query along the way.
 //!
 //! 2. **The flight recorder and trace ids never touch an estimate.** A
 //!    table serving with the recorder fully armed (sample every query,
@@ -105,18 +107,26 @@ fn adversarial_queries(hist: &SpatialHistogram, mbr: Rect) -> Vec<Rect> {
     out
 }
 
-/// Asserts the explained scan agrees with the indexed serving path bit for
-/// bit, and that the trace is internally consistent: the ordered term sum
+/// Asserts the indexed serving path agrees with the linear oracle and the
+/// explained scan agrees with both bit for bit, and that the trace is internally consistent: the ordered term sum
 /// reproduces the headline, terms are unique and sorted by bucket id, and
 /// the pruning counters account for every bucket.
 fn assert_trace_differential(
     context: &str,
     hist: &SpatialHistogram,
     queries: &[Rect],
-    scratch: &mut IndexScratch,
+    scratch: &mut KernelScratch,
 ) {
     for q in queries {
         let indexed = hist.estimate_count_indexed(q, scratch);
+        let reference = hist.estimate_count_reference(q);
+        assert_eq!(
+            reference.to_bits(),
+            indexed.to_bits(),
+            "indexed path diverged from the linear oracle: {context} \
+             technique={} q={q} (reference={reference}, indexed={indexed})",
+            hist.name(),
+        );
         let trace = hist.estimate_count_explained(q, scratch);
         assert_eq!(
             indexed.to_bits(),
@@ -173,7 +183,7 @@ fn assert_trace_differential(
 
 #[test]
 fn explained_estimate_is_bitwise_identical_to_indexed() {
-    let mut scratch = IndexScratch::new();
+    let mut scratch = KernelScratch::new();
     for (name, data) in datasets(1) {
         let mbr = data.stats().mbr;
         for hist in techniques(&data, 24) {
@@ -190,7 +200,7 @@ fn explained_estimate_is_bitwise_identical_to_indexed() {
 #[cfg(feature = "trace")]
 #[test]
 fn explained_matrix_exhaustive() {
-    let mut scratch = IndexScratch::new();
+    let mut scratch = KernelScratch::new();
     for (name, data) in datasets(3) {
         let mbr = data.stats().mbr;
         for buckets in [8, 48, 96] {
@@ -240,59 +250,49 @@ fn filled_table(data: &Dataset, options: TableOptions) -> SpatialTable {
 fn engine_explain_reports_exactly_the_served_bits() {
     let data = charminar_with(2_000, 83);
     let mbr = data.stats().mbr;
-    for shards in [1usize, 4] {
-        let table = filled_table(
-            &data,
-            TableOptions {
-                shards,
-                ..TableOptions::default()
-            },
+    let table = filled_table(&data, TableOptions::default());
+    let mut reader = table.reader();
+    for q in engine_queries(mbr) {
+        let trace = table.try_explain(&q).expect("finite query");
+        let served = table.estimate(&q);
+        assert_eq!(
+            served.to_bits(),
+            trace.estimate.to_bits(),
+            "table trace diverged: q={q}"
         );
-        let mut reader = table.reader();
-        for q in engine_queries(mbr) {
-            let trace = table.try_explain(&q).expect("finite query");
-            let served = table.estimate(&q);
-            assert_eq!(
-                served.to_bits(),
-                trace.estimate.to_bits(),
-                "table trace diverged: shards={shards} q={q}"
-            );
-            let expected_path = if shards > 1 { "sharded" } else { "indexed" };
-            assert_eq!(trace.path.label(), expected_path, "shards={shards}");
-            if trace.clamped {
-                assert_ne!(trace.raw.to_bits(), trace.estimate.to_bits());
-            } else {
-                assert_eq!(trace.raw.to_bits(), trace.estimate.to_bits());
-            }
-            // Reader side: EXPLAIN first (must not warm the cache), then
-            // the estimate, then EXPLAIN again (now a would-be hit).
-            let rtrace = reader.try_explain(&q).expect("finite query");
-            assert_eq!(
-                served.to_bits(),
-                rtrace.estimate.to_bits(),
-                "reader trace diverged: shards={shards} q={q}"
-            );
-            assert_ne!(
-                rtrace.cache,
-                CacheDisposition::Hit,
-                "EXPLAIN must not insert into the reader cache"
-            );
-            let rserved = reader.try_estimate(&q).expect("finite query");
-            assert_eq!(served.to_bits(), rserved.to_bits());
-            let rtrace = reader.try_explain(&q).expect("finite query");
-            assert_eq!(rtrace.cache, CacheDisposition::Hit, "q={q}");
-            assert_eq!(
-                served.to_bits(),
-                rtrace.estimate.to_bits(),
-                "a would-be cache hit must trace the same bits"
-            );
-            // Unsharded tables expose the kernel detail; the fallback-only
-            // path (no stats) is the one case without it.
-            assert!(rtrace.detail.is_some(), "analyzed tables carry detail");
+        assert_eq!(trace.path.label(), "indexed");
+        if trace.clamped {
+            assert_ne!(trace.raw.to_bits(), trace.estimate.to_bits());
+        } else {
+            assert_eq!(trace.raw.to_bits(), trace.estimate.to_bits());
         }
+        // Reader side: EXPLAIN first (must not warm the cache), then the
+        // estimate, then EXPLAIN again (now a would-be hit).
+        let rtrace = reader.try_explain(&q).expect("finite query");
+        assert_eq!(
+            served.to_bits(),
+            rtrace.estimate.to_bits(),
+            "reader trace diverged: q={q}"
+        );
+        assert_ne!(
+            rtrace.cache,
+            CacheDisposition::Hit,
+            "EXPLAIN must not insert into the reader cache"
+        );
+        let rserved = reader.try_estimate(&q).expect("finite query");
+        assert_eq!(served.to_bits(), rserved.to_bits());
+        let rtrace = reader.try_explain(&q).expect("finite query");
+        assert_eq!(rtrace.cache, CacheDisposition::Hit, "q={q}");
+        assert_eq!(
+            served.to_bits(),
+            rtrace.estimate.to_bits(),
+            "a would-be cache hit must trace the same bits"
+        );
+        // Analyzed tables expose the kernel detail; the fallback-only path
+        // (no stats) is the one case without it.
+        assert!(rtrace.detail.is_some(), "analyzed tables carry detail");
     }
     // Non-finite queries are rejected exactly like the estimate path.
-    let table = filled_table(&data, TableOptions::default());
     let bad = Rect {
         lo: Point::new(f64::NAN, 0.0),
         hi: Point::new(1.0, 1.0),
@@ -431,34 +431,30 @@ fn armed_recorder_captures_slow_sampled_and_wrong_queries() {
 #[cfg(feature = "trace")]
 #[test]
 fn recorder_matrix_exhaustive_bit_invisibility() {
-    // Every technique × shard count × recorder config serves one bit
-    // pattern per query stream.
+    // Every technique × recorder config serves one bit pattern per query
+    // stream.
     for technique in [
         StatsTechnique::MinSkew,
         StatsTechnique::EquiArea,
         StatsTechnique::EquiCount,
         StatsTechnique::Uniform,
     ] {
-        for shards in [1usize, 4] {
-            let data = charminar_with(2_400, 101);
-            let queries = engine_queries(data.stats().mbr);
-            let mut baseline: Option<Vec<u64>> = None;
-            for (name, mut options) in recorder_configs() {
-                options.analyze.technique = technique;
-                options.shards = shards;
-                let table = filled_table(&data, options);
-                let served: Vec<u64> = queries
-                    .iter()
-                    .map(|q| table.estimate(q).to_bits())
-                    .collect();
-                match &baseline {
-                    None => baseline = Some(served),
-                    Some(expected) => assert_eq!(
-                        expected, &served,
-                        "recorder config {name:?} changed bits: \
-                         technique={technique:?} shards={shards}"
-                    ),
-                }
+        let data = charminar_with(2_400, 101);
+        let queries = engine_queries(data.stats().mbr);
+        let mut baseline: Option<Vec<u64>> = None;
+        for (name, mut options) in recorder_configs() {
+            options.analyze.technique = technique;
+            let table = filled_table(&data, options);
+            let served: Vec<u64> = queries
+                .iter()
+                .map(|q| table.estimate(q).to_bits())
+                .collect();
+            match &baseline {
+                None => baseline = Some(served),
+                Some(expected) => assert_eq!(
+                    expected, &served,
+                    "recorder config {name:?} changed bits: technique={technique:?}"
+                ),
             }
         }
     }

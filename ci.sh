@@ -8,43 +8,46 @@
 #      code via #![cfg_attr(not(test), deny(clippy::unwrap_used))],
 #   3. the root-package test suite (tier 1),
 #   4. the full workspace suite with every feature (incl. proptest suites),
-#   5. the serial/parallel differential suite, exhaustive matrix on, pinned
+#   5. the benchmark package's own tests, in release mode: it is a package
+#      of its own outside the workspace, so no --workspace gate compiles it
+#      against a changed crate API,
+#   6. the serial/parallel differential suite, exhaustive matrix on, pinned
 #      to one test thread so scheduler interleaving can't mask ordering
 #      bugs inside the work queues,
-#   6. the kernel-vs-linear serving differential suite, exhaustive matrix
+#   7. the kernel-vs-linear serving differential suite, exhaustive matrix
 #      on, single test thread (same rationale as the parallel suite),
-#   7. a focused clippy pass over the serving-path crates that additionally
+#   8. a focused clippy pass over the serving-path crates that additionally
 #      denies needless_collect / redundant_clone — the serving path is
 #      allocation-free by design and those lints catch regressions,
-#   8. the observability differential suite, exhaustive matrix on, single
+#   9. the observability differential suite, exhaustive matrix on, single
 #      test thread — then re-run with minskew-obs compiled to no-ops to
 #      prove the compiled-out configuration serves the same bytes,
-#   9. a focused clippy pass over minskew-obs denying `unwrap()` even in
+#  10. a focused clippy pass over minskew-obs denying `unwrap()` even in
 #      the presence of poisoned-lock recovery paths,
-#  10. the snapshot recovery differential suite, exhaustive fault-kind ×
+#  11. the snapshot recovery differential suite, exhaustive fault-kind ×
 #      technique matrix on, single test thread (filesystem quarantine
 #      paths must not interleave),
-#  11. the lock-free serving stress suite (readers racing ≥1000 statistics
+#  12. the lock-free serving stress suite (readers racing ≥1000 statistics
 #      installs, every observed estimate bitwise old-or-new) and the wire
 #      protocol golden suite, both pinned to one test thread so the stress
 #      owns its thread budget,
-#  12. the kernel differential suite pinning the SoA clip-and-accumulate
+#  13. the kernel differential suite pinning the SoA clip-and-accumulate
 #      plane bit-identical to the AoS reference fold: exhaustive matrix
 #      on via --features kernel, then re-run under --features simd,
 #      single test thread so runtime dispatch is exercised
 #      deterministically,
-#  13. a feature-cross clippy pass over minskew-core with `simd` enabled —
+#  14. a feature-cross clippy pass over minskew-core with `simd` enabled —
 #      the SIMD module is the only code in the workspace allowed to use
 #      `unsafe`, and it must stay clean at -D warnings,
-#  14. the online-refine differential suite (clamping/partition/codec/
+#  15. the online-refine differential suite (clamping/partition/codec/
 #      Off-inertness invariants, exhaustive dataset × budget × feedback
 #      matrix on via --features refine, single test thread),
-#  15. the query-tracing differential suite (EXPLAIN bitwise equal to the
+#  16. the query-tracing differential suite (EXPLAIN bitwise equal to the
 #      kernel serving path, term sums reproducing estimates exactly,
 #      flight recorder / trace ids bit-invisible; exhaustive matrix on via
 #      --features trace, single test thread) — then re-run with minskew-obs
 #      compiled to no-ops alongside the other observability suites,
-#  16. a CLI serve smoke: start `minskew serve` on an ephemeral port, run
+#  17. a CLI serve smoke: start `minskew serve` on an ephemeral port, run
 #      a catalog-client round trip against it — including the MAINTAIN
 #      maintenance surface, trace-id echo, the EXPLAIN/FLIGHT/METRICS
 #      observability verbs, a raw malformed-TID fuzz probe, a raw
@@ -52,9 +55,9 @@
 #      `minskew explain` surface, and a bounded `minskew top` scrape —
 #      shut it down over the wire, and require a clean exit plus an
 #      emitted metrics dump,
-#  17. a CLI maintain smoke: the offline `minskew maintain` churn demo
+#  18. a CLI maintain smoke: the offline `minskew maintain` churn demo
 #      must run in every maintenance mode and reject unknown ones,
-#  18. smoke runs of the parallel-speedup, serving-throughput (with
+#  19. smoke runs of the parallel-speedup, serving-throughput (with
 #      `simd` on, asserting the qps_kernel column is present in the
 #      emitted artefact), obs-overhead (asserting the flight-recorder
 #      overhead column is present in the emitted artefact),
@@ -77,6 +80,9 @@ cargo test -q
 
 echo "==> cargo test --workspace --all-features"
 cargo test -q --workspace --all-features
+
+echo "==> benchmark package tests (outside the workspace)"
+cargo test -q --release --manifest-path minskew-benchmark/Cargo.toml
 
 echo "==> parallel differential suite (exhaustive, single test thread)"
 RUST_TEST_THREADS=1 cargo test -q --test parallel_differential --features parallel

@@ -1,6 +1,6 @@
 //! The shared bucket-set estimator used by every partitioning technique.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use minskew_geom::Rect;
 
@@ -64,16 +64,18 @@ pub struct SpatialHistogram {
     base_len: usize,
     /// Per-bucket `(ex, ey)` extension amounts under `rule`
     /// (`rule.amounts(avg_width, avg_height)` per bucket), computed once per
-    /// histogram so the per-query scan does not re-derive them. Invalidated
-    /// (with [`SpatialHistogram::total`] and [`SpatialHistogram::plane`])
-    /// whenever the buckets or the rule change; excluded from equality.
+    /// histogram so the reference scan does not re-derive them. Dropped
+    /// (with [`SpatialHistogram::total`]) whenever a bucket or the rule
+    /// changes; excluded from equality.
     ext: OnceLock<Vec<(f64, f64)>>,
     /// Cached [`SpatialHistogram::total_count`].
     total: OnceLock<f64>,
     /// Lazily built SoA mirror of the buckets for the vectorised
-    /// clip-and-accumulate kernel; see [`BucketPlane`]. Invalidated with
-    /// the other caches whenever the buckets or the rule change.
-    plane: OnceLock<BucketPlane>,
+    /// clip-and-accumulate kernel; see [`BucketPlane`]. Shared by clones
+    /// (a published snapshot and the table's working copy hold the same
+    /// plane), patched copy-on-write by [`SpatialHistogram::update_bucket`],
+    /// and dropped when the rule changes.
+    plane: OnceLock<Arc<BucketPlane>>,
 }
 
 impl PartialEq for SpatialHistogram {
@@ -113,14 +115,23 @@ impl SpatialHistogram {
         hist
     }
 
-    /// Mutable bucket access for maintenance. Invalidates every derived
-    /// cache: the extension constants, the cached total, and the kernel
-    /// plane are all functions of the bucket array.
-    pub(crate) fn buckets_mut(&mut self) -> &mut [Bucket] {
+    /// Applies `f` to bucket `id` — a count or average-extent update that
+    /// keeps the bucket's MBR — and returns what `f` returns. The
+    /// extension table and the total are dropped and recomputed on next
+    /// use; a materialised kernel plane is patched in place
+    /// ([`BucketPlane::patch`]), after a copy if a clone (a published
+    /// snapshot) still shares it, so no clone ever sees the change.
+    pub(crate) fn update_bucket<R>(&mut self, id: usize, f: impl FnOnce(&mut Bucket) -> R) -> R {
+        let bucket = &mut self.buckets[id];
+        let mbr = bucket.mbr;
+        let out = f(bucket);
+        debug_assert_eq!(bucket.mbr, mbr, "update_bucket must keep the MBR");
         self.ext.take();
         self.total.take();
-        self.plane.take();
-        &mut self.buckets
+        if let Some(plane) = self.plane.get_mut() {
+            Arc::make_mut(plane).patch(id, bucket, self.rule);
+        }
+        out
     }
 
     /// Per-bucket extension amounts under the active rule, computed once.
@@ -189,10 +200,11 @@ impl SpatialHistogram {
     }
 
     /// The SoA kernel plane over this histogram's buckets, built lazily on
-    /// first use and cached until the buckets or the extension rule change.
+    /// first use, kept current by bucket updates, and rebuilt only after
+    /// the extension rule changes.
     pub fn bucket_plane(&self) -> &BucketPlane {
         self.plane
-            .get_or_init(|| BucketPlane::build(&self.buckets, self.rule))
+            .get_or_init(|| Arc::new(BucketPlane::build(&self.buckets, self.rule)))
     }
 
     /// The reference linear scan: the AoS fold over
@@ -369,7 +381,7 @@ mod tests {
         let fp = h.serving_footprint();
         assert_eq!(
             fp.plane,
-            2 * 9 * 8 + 4 * 7 * 8 + 4 * 4 + 4 * 6 * 8 + 4 * 6 * 8
+            2 * 7 * 8 + 4 * 7 * 8 + 4 * 4 + 4 * 6 * 8 + 4 * 6 * 8
         );
         assert_eq!(h.size_bytes(), fp.total());
         assert!(h.size_bytes() > h.summary_bytes());
@@ -467,14 +479,26 @@ mod tests {
         let mut h = two_bucket_hist();
         assert_eq!(h.total_count(), 100.0);
         let _ = h.bucket_plane(); // force-build the lazy plane
-        h.buckets_mut()[0].count = 0.0;
+        let shared = h.clone();
+        h.update_bucket(0, |b| {
+            b.count = 0.0;
+            b.avg_width = 2.0;
+        });
         assert_eq!(h.total_count(), 40.0, "total cache must invalidate");
         let mut scratch = KernelScratch::new();
         let q = Rect::new(0.0, 0.0, 15.0, 10.0);
         assert_eq!(
-            h.estimate_count(&q).to_bits(),
             h.estimate_count_indexed(&q, &mut scratch).to_bits(),
-            "plane cache must invalidate with the buckets"
+            h.estimate_count_reference(&q).to_bits(),
+            "the plane must be patched with the bucket"
+        );
+        // The clone shared the plane before the update and keeps the old
+        // one: the patch copied it first.
+        assert_eq!(shared.buckets()[0].count, 60.0);
+        assert_eq!(
+            shared.estimate_count_indexed(&q, &mut scratch).to_bits(),
+            shared.estimate_count_reference(&q).to_bits(),
+            "a clone must not see the patch"
         );
         // Rule swap invalidates the extension table + plane but not total.
         let h2 = h.with_extension_rule(ExtensionRule::PaperLiteral);

@@ -6,10 +6,10 @@
 //! The reference estimator folds [`Bucket::estimate_with_extension`] over an
 //! AoS `Vec<Bucket>`: every bucket costs two early-exit branches, a `Rect`
 //! construction, and scattered loads across a 56-byte struct.
-//! [`BucketPlane`] stores the same nine per-bucket words
-//! (`x1/y1/x2/y2/count/avg_w/avg_h/ex/ey`) as separate contiguous `f64`
-//! slices so the clip-and-accumulate loop streams cache lines instead of
-//! striding structs, and rewrites the loop in a branchless
+//! [`BucketPlane`] stores the seven per-bucket words the fold reads
+//! (`x1/y1/x2/y2/count` and the extension amounts `ex/ey`) as separate
+//! contiguous `f64` slices so the clip-and-accumulate loop streams cache
+//! lines instead of striding structs, and rewrites the loop in a branchless
 //! min/max/clamp-to-zero form that LLVM can autovectorize.
 //!
 //! # The bit-identity contract
@@ -73,6 +73,8 @@
 //! filter, where `-0.0 == +0.0` and the NaN behaviours above agree between
 //! the scalar and vector forms.
 
+use std::ops::Range;
+
 use minskew_geom::Rect;
 
 use crate::{Bucket, ExtensionRule};
@@ -117,11 +119,11 @@ const QUAD: usize = 4;
 /// Structure-of-arrays mirror of a histogram's buckets plus the per-bucket
 /// extension amounts under one [`ExtensionRule`].
 ///
-/// Built lazily by [`crate::SpatialHistogram`] and invalidated with its
-/// other derived caches (any bucket mutation or rule change drops it). All
-/// fine columns have identical length and are in bucket-id order, so
-/// [`BucketPlane::accumulate`] streams them in exactly the reference fold
-/// order.
+/// Built lazily by [`crate::SpatialHistogram`], patched in place by a
+/// one-bucket update ([`BucketPlane::patch`]), and dropped when the
+/// extension rule changes. All fine columns have identical length and are
+/// in bucket-id order, so [`BucketPlane::accumulate`] streams them in
+/// exactly the reference fold order.
 ///
 /// The plane additionally keeps a **Morton mirror** for the pruned serving
 /// path ([`BucketPlane::accumulate_pruned`]): the fold columns permuted
@@ -140,11 +142,10 @@ pub struct BucketPlane {
     x2: Vec<f64>,
     y2: Vec<f64>,
     count: Vec<f64>,
-    avg_w: Vec<f64>,
-    avg_h: Vec<f64>,
-    /// Per-bucket extension amounts, `rule.amounts(avg_w, avg_h)` — the
-    /// same values [`crate::SpatialHistogram`] caches in its extension
-    /// table, so using them is bit-identical to re-deriving them.
+    /// Per-bucket extension amounts, `rule.amounts(avg_width,
+    /// avg_height)` — the same values [`crate::SpatialHistogram`] caches in
+    /// its extension table, so using them is bit-identical to re-deriving
+    /// them.
     ex: Vec<f64>,
     ey: Vec<f64>,
     /// Morton mirror: bucket id at each mirror position (a permutation of
@@ -417,8 +418,6 @@ impl BucketPlane {
             x2: Vec::with_capacity(n),
             y2: Vec::with_capacity(n),
             count: Vec::with_capacity(n),
-            avg_w: Vec::with_capacity(n),
-            avg_h: Vec::with_capacity(n),
             ex: Vec::with_capacity(n),
             ey: Vec::with_capacity(n),
             morder: Vec::new(),
@@ -448,8 +447,6 @@ impl BucketPlane {
             plane.x2.push(b.mbr.hi.x);
             plane.y2.push(b.mbr.hi.y);
             plane.count.push(b.count);
-            plane.avg_w.push(b.avg_width);
-            plane.avg_h.push(b.avg_height);
             let (ex, ey) = rule.amounts(b.avg_width, b.avg_height);
             plane.ex.push(ex);
             plane.ey.push(ey);
@@ -494,21 +491,7 @@ impl BucketPlane {
         // a NaN coordinate can never satisfy an intersection test and a
         // NaN extension collapses to a zero half-extent.
         for b in 0..nb {
-            let range = b * BLOCK..((b + 1) * BLOCK).min(n);
-            let mut x1 = f64::INFINITY;
-            let mut y1 = f64::INFINITY;
-            let mut x2 = f64::NEG_INFINITY;
-            let mut y2 = f64::NEG_INFINITY;
-            let mut ex = f64::NEG_INFINITY;
-            let mut ey = f64::NEG_INFINITY;
-            for j in range {
-                x1 = x1.min(plane.mx1[j]);
-                y1 = y1.min(plane.my1[j]);
-                x2 = x2.max(plane.mx2[j]);
-                y2 = y2.max(plane.my2[j]);
-                ex = ex.max(plane.mex[j]);
-                ey = ey.max(plane.mey[j]);
-            }
+            let [x1, y1, x2, y2, ex, ey] = plane.summarize(b * BLOCK..((b + 1) * BLOCK).min(n));
             plane.bx1.push(x1);
             plane.by1.push(y1);
             plane.bx2.push(x2);
@@ -532,21 +515,7 @@ impl BucketPlane {
         // its members exactly as a block's contains its quads.
         let nq = n.div_ceil(QUAD);
         for q in 0..nq {
-            let range = q * QUAD..((q + 1) * QUAD).min(n);
-            let mut x1 = f64::INFINITY;
-            let mut y1 = f64::INFINITY;
-            let mut x2 = f64::NEG_INFINITY;
-            let mut y2 = f64::NEG_INFINITY;
-            let mut ex = f64::NEG_INFINITY;
-            let mut ey = f64::NEG_INFINITY;
-            for j in range {
-                x1 = x1.min(plane.mx1[j]);
-                y1 = y1.min(plane.my1[j]);
-                x2 = x2.max(plane.mx2[j]);
-                y2 = y2.max(plane.my2[j]);
-                ex = ex.max(plane.mex[j]);
-                ey = ey.max(plane.mey[j]);
-            }
+            let [x1, y1, x2, y2, ex, ey] = plane.summarize(q * QUAD..((q + 1) * QUAD).min(n));
             plane.qx1.push(x1);
             plane.qy1.push(y1);
             plane.qx2.push(x2);
@@ -565,6 +534,65 @@ impl BucketPlane {
             plane.qey.push(0.0);
         }
         plane
+    }
+
+    /// The union MBR and extension maxima of mirror positions `range`,
+    /// `[x1, y1, x2, y2, ex, ey]`: the one fold behind every block and quad
+    /// summary, at build time and after a patch.
+    fn summarize(&self, range: Range<usize>) -> [f64; 6] {
+        let mut s = [
+            f64::INFINITY,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NEG_INFINITY,
+            f64::NEG_INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        for j in range {
+            s[0] = s[0].min(self.mx1[j]);
+            s[1] = s[1].min(self.my1[j]);
+            s[2] = s[2].max(self.mx2[j]);
+            s[3] = s[3].max(self.my2[j]);
+            s[4] = s[4].max(self.mex[j]);
+            s[5] = s[5].max(self.mey[j]);
+        }
+        s
+    }
+
+    /// Rewrites bucket `id` after an update that kept its MBR: its count
+    /// and extension amounts, in id order and in the Morton mirror, then
+    /// the extension maxima of the one block and one quad holding it. The
+    /// result equals [`BucketPlane::build`] of the updated buckets, column
+    /// for column and bit for bit: the geometry, and with it the Z-order,
+    /// is untouched, and the summaries are refolded by the same
+    /// [`BucketPlane::summarize`].
+    ///
+    /// Finding the mirror slot scans `morder`, O(buckets); the caller's
+    /// update already searched the buckets for the one to change, so the
+    /// plane keeps no inverse permutation for it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not a bucket of the plane.
+    pub(crate) fn patch(&mut self, id: usize, bucket: &Bucket, rule: ExtensionRule) {
+        let n = self.len();
+        let (ex, ey) = rule.amounts(bucket.avg_width, bucket.avg_height);
+        self.count[id] = bucket.count;
+        self.ex[id] = ex;
+        self.ey[id] = ey;
+        let j = self.morder[..n]
+            .iter()
+            .position(|&m| m as usize == id)
+            .expect("the Morton mirror is a permutation of the bucket ids");
+        self.mcount[j] = bucket.count;
+        self.mex[j] = ex;
+        self.mey[j] = ey;
+        let b = j / BLOCK;
+        let s = self.summarize(b * BLOCK..((b + 1) * BLOCK).min(n));
+        (self.bex[b], self.bey[b]) = (s[4], s[5]);
+        let q = j / QUAD;
+        let s = self.summarize(q * QUAD..((q + 1) * QUAD).min(n));
+        (self.qex[q], self.qey[q]) = (s[4], s[5]);
     }
 
     /// Number of buckets in the plane.
@@ -589,8 +617,6 @@ impl BucketPlane {
                 + self.x2.capacity()
                 + self.y2.capacity()
                 + self.count.capacity()
-                + self.avg_w.capacity()
-                + self.avg_h.capacity()
                 + self.ex.capacity()
                 + self.ey.capacity()
                 + self.mx1.capacity()
@@ -1690,15 +1716,87 @@ mod tests {
         }
     }
 
+    /// Every column of the plane, in declaration order.
+    fn columns(p: &BucketPlane) -> [&[f64]; 26] {
+        [
+            &p.x1, &p.y1, &p.x2, &p.y2, &p.count, &p.ex, &p.ey, &p.mx1, &p.my1, &p.mx2, &p.my2,
+            &p.mcount, &p.mex, &p.mey, &p.bx1, &p.by1, &p.bx2, &p.by2, &p.bex, &p.bey, &p.qx1,
+            &p.qy1, &p.qx2, &p.qy2, &p.qex, &p.qey,
+        ]
+    }
+
+    fn assert_planes_bit_equal(got: &BucketPlane, want: &BucketPlane, ctx: &str) {
+        assert_eq!(got.morder, want.morder, "{ctx}: morder");
+        for (c, (g, w)) in columns(got).iter().zip(columns(want)).enumerate() {
+            let g: Vec<u64> = g.iter().map(|v| v.to_bits()).collect();
+            let w: Vec<u64> = w.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(g, w, "{ctx}: column {c}");
+        }
+    }
+
+    #[test]
+    fn patched_plane_equals_rebuilt_plane_bits() {
+        // 49 buckets: a ragged last block and quad. Random one-bucket
+        // inserts and deletes, with the running-average and saturating
+        // arithmetic of `note_insert`/`note_delete`; some buckets start
+        // fractional so deletes drain them to exactly 0.0. A stale block
+        // or quad maximum only weakens pruning, so estimate-only suites
+        // cannot see it; comparing the columns can.
+        for rule in [
+            ExtensionRule::Minkowski,
+            ExtensionRule::PaperLiteral,
+            ExtensionRule::None,
+        ] {
+            let mut buckets = grid(7);
+            buckets[48].count = 0.5;
+            buckets[3].count = 1.25;
+            let mut plane = BucketPlane::build(&buckets, rule);
+            let mut drained = false;
+            let mut state = 0x9e37_79b9_7f4a_7c15u64;
+            let mut next = move || {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                state >> 33
+            };
+            for step in 0..2_000 {
+                let id = match step % 5 {
+                    0 => 48,
+                    1 => 3,
+                    _ => next() as usize % buckets.len(),
+                };
+                let b = &mut buckets[id];
+                if next() % 3 == 0 {
+                    let (w, h) = ((next() % 50) as f64 / 7.0, (next() % 50) as f64 / 3.0);
+                    let n = b.count;
+                    b.avg_width = (b.avg_width * n + w) / (n + 1.0);
+                    b.avg_height = (b.avg_height * n + h) / (n + 1.0);
+                    b.count = n + 1.0;
+                } else {
+                    let before = b.count;
+                    b.count -= b.count.clamp(0.0, 1.0);
+                    drained |= before > 0.0 && before < 1.0 && b.count.to_bits() == 0;
+                }
+                plane.patch(id, &buckets[id], rule);
+                let ctx = format!("rule={rule:?} step={step}");
+                assert_planes_bit_equal(&plane, &BucketPlane::build(&buckets, rule), &ctx);
+            }
+            assert!(
+                drained,
+                "rule={rule:?}: no fractional bucket drained to 0.0"
+            );
+        }
+    }
+
     #[test]
     fn size_bytes_counts_all_columns() {
-        // 16 buckets: 9 fine + 7 mirror f64 columns, one u32 id column,
+        // 16 buckets: 7 fine + 7 mirror f64 columns, one u32 id column,
         // one block summary padded to a coarse vector of four, and four
         // quad summaries (6 f64 each).
         let plane = BucketPlane::build(&grid(4), ExtensionRule::Minkowski);
         assert_eq!(
             plane.size_bytes(),
-            16 * 9 * 8 + 16 * 7 * 8 + 16 * 4 + 4 * 6 * 8 + 4 * 6 * 8
+            16 * 7 * 8 + 16 * 7 * 8 + 16 * 4 + 4 * 6 * 8 + 4 * 6 * 8
         );
     }
 }

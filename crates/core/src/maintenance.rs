@@ -6,7 +6,8 @@
 //!
 //! * [`SpatialHistogram::note_insert`] / [`SpatialHistogram::note_delete`]
 //!   fold a single data change into the bucket counts (running averages for
-//!   the width/height statistics included).
+//!   the width/height statistics included). Only one bucket changes and its
+//!   MBR never does, so the kernel plane is patched, not rebuilt.
 //! * A **staleness** measure tracks how much of the mutation stream the
 //!   bucket grid could not absorb faithfully — inserts outside every bucket,
 //!   deletes that no bucket could account for, and raw churn volume —
@@ -41,25 +42,19 @@ impl SpatialHistogram {
     /// histogram's original data extent) only increase staleness — exactly
     /// the situation that requires a rebuild.
     pub fn note_insert(&mut self, rect: &Rect) -> bool {
-        let center = rect.center();
         self.input_len_mut(1);
-        let absorbed = {
-            let Some(bucket) = self
-                .buckets_mut()
-                .iter_mut()
-                .find(|b| b.mbr.contains_point(center))
-            else {
-                self.churn_mut(1.0);
-                return false;
-            };
+        let Some(id) = self.bucket_containing(rect) else {
+            self.churn_mut(1.0);
+            return false;
+        };
+        self.update_bucket(id, |bucket| {
             let n = bucket.count;
             bucket.avg_width = (bucket.avg_width * n + rect.width()) / (n + 1.0);
             bucket.avg_height = (bucket.avg_height * n + rect.height()) / (n + 1.0);
             bucket.count = n + 1.0;
-            true
-        };
+        });
         self.churn_mut(0.5);
-        absorbed
+        true
     }
 
     /// Records the deletion of `rect` from the underlying relation.
@@ -72,26 +67,30 @@ impl SpatialHistogram {
     /// bias is part of what staleness accounts for. Returns `true` only
     /// when a bucket fully accounted for the delete.
     pub fn note_delete(&mut self, rect: &Rect) -> bool {
-        let center = rect.center();
         self.input_len_mut(-1);
-        let absorbed = {
-            let Some(bucket) = self
-                .buckets_mut()
-                .iter_mut()
-                .find(|b| b.mbr.contains_point(center))
-            else {
-                self.churn_mut(1.0);
-                return false;
-            };
+        let Some(id) = self.bucket_containing(rect) else {
+            self.churn_mut(1.0);
+            return false;
+        };
+        let absorbed = self.update_bucket(id, |bucket| {
             let dec = bucket.count.clamp(0.0, 1.0);
             bucket.count -= dec;
             dec
-        };
+        });
         // The absorbed fraction carries half weight, the shortfall full
         // weight — a fully absorbable delete costs 0.5, an empty-bucket
         // delete the same 1.0 an uncovered delete costs.
         self.churn_mut(0.5 * absorbed + (1.0 - absorbed));
         absorbed >= 1.0
+    }
+
+    /// The first bucket whose MBR contains `rect`'s centre: the bucket a
+    /// one-row change is credited to.
+    fn bucket_containing(&self, rect: &Rect) -> Option<usize> {
+        let center = rect.center();
+        self.buckets()
+            .iter()
+            .position(|b| b.mbr.contains_point(center))
     }
 
     /// Fraction of the (weighted) mutation stream since construction that

@@ -58,6 +58,7 @@ mod persist;
 mod planner;
 mod publish;
 mod reader;
+mod rows;
 mod server;
 mod table;
 

@@ -20,6 +20,7 @@ use crate::publish::{
     CacheDisposition, EstimateScratch, EstimateTrace, SnapshotCell, TableSnapshot,
 };
 use crate::reader::SpatialReader;
+use crate::rows::RowStore;
 use crate::{CostModel, Explain, Plan};
 
 /// Stable identifier of a row in a [`SpatialTable`].
@@ -497,7 +498,7 @@ pub struct SpatialTable {
     // (Debug is implemented manually below: the index and serving state
     // are large and uninformative to dump.)
     pub(crate) options: TableOptions,
-    rows: Vec<Option<Rect>>, // slot per RowId; None = deleted
+    rows: RowStore,
     live: usize,
     index: RStarTree<u64>,
     stats: Option<SpatialHistogram>,
@@ -530,7 +531,7 @@ impl std::fmt::Debug for SpatialTable {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SpatialTable")
             .field("live", &self.live)
-            .field("rows", &self.rows.len())
+            .field("next_row_id", &self.rows.next_id())
             .field("has_stats", &self.stats.is_some())
             .field("generation", &self.generation)
             .field("stats_era", &self.stats_era)
@@ -573,7 +574,7 @@ impl SpatialTable {
             0
         }));
         Ok(SpatialTable {
-            rows: Vec::new(),
+            rows: RowStore::default(),
             live: 0,
             index: RStarTree::new(config),
             stats: None,
@@ -597,7 +598,14 @@ impl SpatialTable {
     /// Called by every path that changes what an estimate could return.
     fn publish(&mut self) {
         self.generation += 1;
-        let stats = self.stats.as_ref().map(|h| Arc::new(h.clone()));
+        let stats = self.stats.as_ref().map(|h| {
+            // Build the kernel plane on the table's own histogram before
+            // cloning it: every snapshot then shares it, and the next
+            // write patches it (copy-on-write) instead of each snapshot
+            // rebuilding it on its first read.
+            h.bucket_plane();
+            Arc::new(h.clone())
+        });
         let mbr = (self.live > 0).then(|| self.index.mbr());
         let snapshot = Arc::new(TableSnapshot::new(
             self.generation,
@@ -679,8 +687,7 @@ impl SpatialTable {
     /// The index is maintained eagerly (as a DBMS would); the statistics
     /// are patched incrementally and their staleness grows.
     pub fn insert(&mut self, rect: Rect) -> RowId {
-        let id = self.rows.len() as u64;
-        self.rows.push(Some(rect));
+        let id = self.rows.insert(rect);
         self.live += 1;
         self.index.insert(rect, id);
         if let Some(stats) = &mut self.stats {
@@ -695,10 +702,7 @@ impl SpatialTable {
     /// Deletes a row; returns `false` if the id was unknown or already
     /// deleted.
     pub fn delete(&mut self, id: RowId) -> bool {
-        let Some(slot) = self.rows.get_mut(id.0 as usize) else {
-            return false;
-        };
-        let Some(rect) = slot.take() else {
+        let Some(rect) = self.rows.remove(id.0) else {
             return false;
         };
         self.live -= 1;
@@ -715,7 +719,7 @@ impl SpatialTable {
 
     /// Fetches a row's rectangle.
     pub fn get(&self, id: RowId) -> Option<Rect> {
-        self.rows.get(id.0 as usize).copied().flatten()
+        self.rows.get(id.0)
     }
 
     /// Builds the configured statistics over `data` via the strict `try_*`
@@ -743,7 +747,7 @@ impl SpatialTable {
 
     /// Snapshots the live rows as an in-memory dataset.
     fn snapshot(&self) -> Dataset {
-        Dataset::new(self.rows.iter().flatten().copied().collect())
+        Dataset::new(self.rows.iter().map(|(_, rect)| rect).collect())
     }
 
     /// Installs `hist` and records how it was obtained. New statistics mean
@@ -1629,11 +1633,8 @@ impl SpatialTable {
             Plan::SeqScan => self
                 .rows
                 .iter()
-                .enumerate()
-                .filter_map(|(i, slot)| {
-                    slot.filter(|r| r.intersects(query))
-                        .map(|_| RowId(i as u64))
-                })
+                .filter(|(_, r)| r.intersects(query))
+                .map(|(id, _)| RowId(id))
                 .collect(),
             Plan::IndexScan => {
                 let mut out = Vec::new();
@@ -1680,6 +1681,104 @@ mod tests {
         assert_eq!(e2.plan, Plan::SeqScan);
         assert_eq!(via_index, via_scan);
         assert!(!via_index.is_empty());
+    }
+
+    #[test]
+    fn fifo_churn_reclaims_rows_and_plans_agree() {
+        // Alternately delete the oldest row and insert a new one, through
+        // more than four row chunks' worth of ids: the table keeps a
+        // bounded number of chunks, and a sequential scan over the chunked
+        // rows returns exactly what the index returns.
+        let mut t = grid_table(40); // 1600 rows
+        t.analyze();
+        let mut oldest = 0u64;
+        for i in 0..6_000u64 {
+            if i % 2 == 0 {
+                assert!(t.delete(RowId(oldest)));
+                oldest += 1;
+            } else {
+                let (x, y) = ((i * 7 % 400) as f64, (i * 13 % 400) as f64);
+                t.insert(Rect::new(x, y, x + 3.0, y + 3.0));
+            }
+        }
+        assert_eq!(t.len(), 1600);
+        assert_eq!(t.get(RowId(0)), None);
+        assert!(
+            t.rows.allocated_chunks() <= 3,
+            "{}",
+            t.rows.allocated_chunks()
+        );
+        for q in [
+            Rect::new(33.0, 33.0, 180.0, 90.0),
+            Rect::new(-10.0, -10.0, 1_000.0, 1_000.0),
+            Rect::new(200.0, 0.0, 201.0, 400.0),
+        ] {
+            t.options.cost_model.index_tuple_cost = 0.0;
+            t.options.cost_model.index_setup_cost = 0.0;
+            let (via_index, e1) = t.execute_explain(&q);
+            assert!(e1.plan.is_index_scan());
+            t.options.cost_model.index_tuple_cost = f64::INFINITY;
+            let (via_scan, e2) = t.execute_explain(&q);
+            assert_eq!(e2.plan, Plan::SeqScan);
+            assert_eq!(via_index, via_scan, "q={q}");
+            assert!(!via_index.is_empty());
+        }
+    }
+
+    #[test]
+    fn held_snapshot_is_isolated_from_later_writes() {
+        // Writes patch the kernel plane the published snapshots share;
+        // the patch must copy it first, so a snapshot held across writes
+        // keeps serving exactly what it served when it was taken.
+        let mut t = SpatialTable::new(TableOptions::default());
+        for r in charminar_with(3_000, 5).rects() {
+            t.insert(*r);
+        }
+        t.analyze();
+        let held = t.current_snapshot();
+        let queries: Vec<Rect> = (0..40)
+            .map(|i| {
+                let (x, y) = ((i % 8) as f64 * 1_200.0, (i / 8) as f64 * 1_900.0);
+                Rect::new(x, y, x + 1_500.0, y + 1_500.0)
+            })
+            .collect();
+        let mut scratch = EstimateScratch::new();
+        let before: Vec<u64> = queries
+            .iter()
+            .map(|q| held.estimate_raw(q, &mut scratch).to_bits())
+            .collect();
+        let mut ids = Vec::new();
+        for i in 0..100u64 {
+            if i % 3 == 2 {
+                assert!(t.delete(ids.remove(0)));
+            } else {
+                let (x, y) = ((i * 97 % 9_000) as f64, (i * 61 % 9_000) as f64);
+                ids.push(t.insert(Rect::new(x, y, x + 100.0, y + 100.0)));
+            }
+        }
+        let now = t.current_snapshot();
+        let (held_stats, now_stats) = (
+            held.stats().expect("analyzed"),
+            now.stats().expect("analyzed"),
+        );
+        let mut moved = false;
+        for (q, want) in queries.iter().zip(&before) {
+            let got = held.estimate_raw(q, &mut scratch);
+            assert_eq!(got.to_bits(), *want, "held snapshot moved: q={q}");
+            assert_eq!(
+                got.to_bits(),
+                held_stats.estimate_count_reference(q).to_bits(),
+                "held snapshot left its own buckets: q={q}"
+            );
+            let fresh = now.estimate_raw(q, &mut scratch);
+            assert_eq!(
+                fresh.to_bits(),
+                now_stats.estimate_count_reference(q).to_bits(),
+                "patched plane left the buckets: q={q}"
+            );
+            moved |= fresh.to_bits() != got.to_bits();
+        }
+        assert!(moved, "100 writes must move some estimate");
     }
 
     #[test]
@@ -2008,7 +2107,7 @@ mod tests {
             "post-insert estimates must agree (no stale cache entry)"
         );
         cached.delete(id);
-        plain.delete(RowId(plain.rows.len() as u64 - 1));
+        plain.delete(RowId(plain.rows.next_id() - 1));
         assert_eq!(
             cached.estimate(&q).to_bits(),
             plain.estimate(&q).to_bits(),

@@ -155,9 +155,9 @@ fn kernel_matches_reference_for_every_technique_and_rule() {
 
 #[test]
 fn kernel_matches_reference_through_churn_and_rebuild() {
-    // note_insert / note_delete mutate buckets in place and must drop the
-    // stale plane; a fresh build afterwards (the re-ANALYZE path) must
-    // agree as well.
+    // note_insert / note_delete mutate one bucket in place and patch the
+    // plane the pre-churn pass built; the patched plane must agree, and so
+    // must a fresh build afterwards (the re-ANALYZE path).
     let data = charminar_with(2_500, 67);
     let mbr = data.stats().mbr;
     let mut scratch = KernelScratch::new();

@@ -2,7 +2,8 @@
 //! (`estimate_count_indexed`) and the engine's query cache must be
 //! **bit-identical** to the linear reference scan, for every technique,
 //! every extension rule, and every query shape — including after
-//! maintenance churn invalidates the caches.
+//! maintenance churn patches the kernel plane and invalidates the query
+//! cache.
 //!
 //! The scalar AoS fold (`estimate_count_reference`, a left-to-right sum of
 //! `Bucket::estimate` over all buckets) is the reference semantics; the
@@ -160,8 +161,9 @@ fn indexed_estimates_match_linear_for_every_technique_and_rule() {
 
 #[test]
 fn indexed_estimates_survive_maintenance_churn() {
-    // note_insert / note_delete mutate buckets in place; the kernel plane
-    // must be invalidated and rebuilt, staying bit-identical throughout.
+    // note_insert / note_delete mutate one bucket in place and patch the
+    // kernel plane the pre-churn pass built; the patched plane must stay
+    // bit-identical to the reference throughout.
     let data = charminar_with(3_000, 23);
     let queries = queries_for(&data);
     let mut scratch = KernelScratch::new();

@@ -48,7 +48,9 @@
 #      --features trace, single test thread) — then re-run with minskew-obs
 #      compiled to no-ops alongside the other observability suites,
 #  17. a CLI serve smoke: start `minskew serve` on an ephemeral port, run
-#      a catalog-client round trip against it — including the MAINTAIN
+#      a catalog-client round trip against it — including a STATS check
+#      that the --input load put every row in with one publication (plus
+#      one for its ANALYZE) before any write, the MAINTAIN
 #      maintenance surface, trace-id echo, the EXPLAIN/FLIGHT/METRICS
 #      observability verbs, a raw malformed-TID fuzz probe, a raw
 #      three-request pipelined burst answered in order, the offline
@@ -145,6 +147,13 @@ if [[ ! -s "$SERVE_TMP/port" ]]; then
 fi
 SERVE_ADDR="$(tr -d '\n' < "$SERVE_TMP/port")"
 ./target/debug/minskew catalog ping --addr "$SERVE_ADDR" >/dev/null
+# The --input load, before any mutating call: every row in, and exactly two
+# publications, one for the bulk load and one for its ANALYZE.
+LOAD_STATS=$(./target/debug/minskew catalog stats --addr "$SERVE_ADDR" --name roads)
+if [[ "$LOAD_STATS" != *'"rows":2000,'* || "$LOAD_STATS" != *'"generation":2,'* ]]; then
+    echo "ERROR: --input load should give rows 2000 at generation 2: $LOAD_STATS" >&2
+    exit 1
+fi
 ./target/debug/minskew catalog estimate --addr "$SERVE_ADDR" --name roads \
     --query 60,25,65,30 >/dev/null
 # The maintenance surface: switch the table to online refine, run a

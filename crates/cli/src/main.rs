@@ -605,11 +605,9 @@ fn stats_cmd(opts: &Flags) -> Result<(), CliError> {
         metrics_sampling: 4,
         ..TableOptions::default()
     })?;
-    for r in data.rects() {
-        table.insert(*r);
-    }
-    table.analyze();
     let workload = QueryWorkload::generate(&data, qsize, queries, seed);
+    table.insert_many(data.into_rects());
+    table.analyze();
     for q in workload.queries() {
         let _ = table.estimate(q);
     }
@@ -630,7 +628,7 @@ fn stats_cmd(opts: &Flags) -> Result<(), CliError> {
         println!(
             "served {} queries twice (+ once batched) over {} rects, {buckets} buckets",
             workload.len(),
-            data.len()
+            table.len()
         );
         if let Some(stats) = table.current_snapshot().stats() {
             let fp = stats.serving_footprint();
@@ -679,8 +677,10 @@ fn maintain_cmd(opts: &Flags) -> Result<(), CliError> {
         accuracy_drift_threshold: 0.15,
         ..TableOptions::default()
     })?;
-    let mut resident: std::collections::VecDeque<RowId> =
-        data.rects().iter().map(|r| table.insert(*r)).collect();
+    let loaded = table.insert_many(data.rects().iter().copied());
+    let mut resident: std::collections::VecDeque<RowId> = (loaded.start.raw()..loaded.end.raw())
+        .map(RowId::from_raw)
+        .collect();
     table.analyze();
     let bbox = data
         .rects()
@@ -892,9 +892,7 @@ fn snapshot_load(opts: &Flags) -> Result<(), CliError> {
         },
         ..TableOptions::default()
     })?;
-    for r in data.rects() {
-        table.insert(*r);
-    }
+    table.insert_many(data.into_rects());
     let report = table.load_snapshot(std::path::Path::new(path));
     if report.installed {
         let info = report

@@ -57,13 +57,11 @@ pub(crate) fn serve_cmd(opts: &Flags) -> Result<(), CliError> {
             .create(name, options)
             .map_err(|e| CliError::usage(e.to_string()))?;
         let mut table = entry.table();
-        for r in data.rects() {
-            table.insert(*r);
-        }
+        table.insert_many(data.into_rects());
         table.analyze();
         println!(
             "table {name:?}: {} rects, {} buckets",
-            data.len(),
+            table.len(),
             table.stats_diagnostics().achieved_buckets,
         );
     }

@@ -83,7 +83,7 @@ pub use kernel::{
     TermBuf,
 };
 pub use minskew::{MinSkewBuildTrace, MinSkewBuilder, MinSkewDetail, SplitEvent, SplitStrategy};
-pub use morton::{morton_key, morton_schedule};
+pub use morton::{morton_key, morton_schedule, morton_schedule_into};
 pub use optimal::{build_optimal_bsp, optimal_bsp_skew, try_build_optimal_bsp, OptimalBsp};
 pub use refine::{RefineObservation, RefineOptions, RefineReport};
 pub use rtree_part::{

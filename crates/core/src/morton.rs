@@ -49,10 +49,21 @@ pub fn morton_key(ix: u32, iy: u32) -> u64 {
 /// [`Rect`]s built through the checked constructors, but batch callers may
 /// be fed anything — sort after all finite ones, in arrival order.
 pub fn morton_schedule(queries: &[Rect]) -> Vec<u32> {
+    let mut order = Vec::new();
+    morton_schedule_into(queries, &mut order, &mut Vec::new());
+    order
+}
+
+/// [`morton_schedule`] into caller-owned buffers: `order` receives the
+/// permutation and `keys` is scratch. Neither allocates once its capacity
+/// covers the batch, so a caller that keeps both schedules every batch
+/// without allocating.
+pub fn morton_schedule_into(queries: &[Rect], order: &mut Vec<u32>, keys: &mut Vec<u64>) {
     debug_assert!(u32::try_from(queries.len()).is_ok());
-    let mut order: Vec<u32> = (0..queries.len() as u32).collect();
+    order.clear();
+    order.extend(0..queries.len() as u32);
     if queries.len() < 2 {
-        return order;
+        return;
     }
     let mut min_x = f64::INFINITY;
     let mut min_y = f64::INFINITY;
@@ -79,22 +90,21 @@ pub fn morton_schedule(queries: &[Rect]) -> Vec<u32> {
     } else {
         0.0
     };
-    let keys: Vec<u64> = queries
-        .iter()
-        .map(|q| {
-            let c = q.center();
-            if !(c.x.is_finite() && c.y.is_finite()) {
-                return u64::MAX;
-            }
-            // Float→int casts saturate, so rounding past the top maps to
-            // the last cell rather than wrapping.
-            let ix = ((c.x - min_x) * scale_x) as u32;
-            let iy = ((c.y - min_y) * scale_y) as u32;
-            morton_key(ix, iy)
-        })
-        .collect();
-    order.sort_by_key(|&i| keys[i as usize]);
-    order
+    keys.clear();
+    keys.extend(queries.iter().map(|q| {
+        let c = q.center();
+        if !(c.x.is_finite() && c.y.is_finite()) {
+            return u64::MAX;
+        }
+        // Float→int casts saturate, so rounding past the top maps to
+        // the last cell rather than wrapping.
+        let ix = ((c.x - min_x) * scale_x) as u32;
+        let iy = ((c.y - min_y) * scale_y) as u32;
+        morton_key(ix, iy)
+    }));
+    // Ties broken by arrival index: the order a stable sort by key gives,
+    // from an unstable sort, which needs no buffer.
+    order.sort_unstable_by_key(|&i| (keys[i as usize], i));
 }
 
 #[cfg(test)]
@@ -149,6 +159,30 @@ mod tests {
             .map(|&x| Rect::from_point(Point::new(x, 7.0)))
             .collect();
         assert_eq!(morton_schedule(&line), vec![3, 1, 0, 2]);
+    }
+
+    #[test]
+    fn schedule_into_reused_buffers_equals_a_stable_sort_by_key() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        let (mut order, mut keys) = (Vec::new(), Vec::new());
+        for len in [0usize, 1, 2, 64, 300, 64, 5] {
+            // Centres on a coarse grid, so many keys tie.
+            let queries: Vec<Rect> = (0..len)
+                .map(|_| {
+                    let x = f64::from(rng.gen_range(0..6u8));
+                    let y = f64::from(rng.gen_range(0..6u8));
+                    Rect::new(x, y, x + 1.0, y + 1.0)
+                })
+                .collect();
+            morton_schedule_into(&queries, &mut order, &mut keys);
+            let mut stable: Vec<u32> = (0..len as u32).collect();
+            if len >= 2 {
+                stable.sort_by_key(|&i| keys[i as usize]);
+            }
+            assert_eq!(order, stable, "len {len}");
+            assert_eq!(order, morton_schedule(&queries), "len {len}");
+        }
     }
 
     #[test]

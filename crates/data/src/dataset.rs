@@ -105,6 +105,11 @@ impl Dataset {
         &self.rects
     }
 
+    /// Consumes the dataset, handing back its rectangles without a copy.
+    pub fn into_rects(self) -> Vec<Rect> {
+        self.rects
+    }
+
     /// Precomputed summary statistics.
     #[inline]
     pub fn stats(&self) -> &DatasetStats {

@@ -51,38 +51,52 @@ pub fn read_rects_csv(path: impl AsRef<Path>) -> Result<Dataset, CsvError> {
 ///
 /// This is the seam the fault-injection suite drives: the parser is total
 /// over arbitrary byte streams — every malformed line, injected I/O error,
-/// or mid-stream truncation maps to a [`CsvError`], never a panic.
-pub fn read_rects_csv_from(reader: impl BufRead) -> Result<Dataset, CsvError> {
+/// or mid-stream truncation maps to a [`CsvError`], never a panic. Lines
+/// are read into one reused buffer, so parsing allocates only the output.
+pub fn read_rects_csv_from(mut reader: impl BufRead) -> Result<Dataset, CsvError> {
     let mut rects = Vec::new();
-    for (i, line) in reader.lines().enumerate() {
-        let line_no = i + 1;
-        let line = line?;
+    let mut line = String::new();
+    let mut line_no = 0;
+    loop {
+        line.clear();
+        if reader.read_line(&mut line)? == 0 {
+            break;
+        }
+        line_no += 1;
         let trimmed = line.trim();
         if trimmed.is_empty() || trimmed.starts_with('#') {
             continue;
         }
-        let fields: Vec<&str> = trimmed.split(',').map(str::trim).collect();
-        if fields.len() != 4 {
-            return Err(CsvError::Parse(
-                line_no,
-                format!("expected 4 comma-separated values, got {}", fields.len()),
-            ));
-        }
-        let mut vals = [0.0f64; 4];
-        for (slot, field) in vals.iter_mut().zip(&fields) {
-            *slot = field
-                .parse()
-                .map_err(|e| CsvError::Parse(line_no, format!("bad number {field:?}: {e}")))?;
-            if !slot.is_finite() {
-                return Err(CsvError::Parse(
-                    line_no,
-                    format!("non-finite value {field:?}"),
-                ));
-            }
-        }
-        rects.push(Rect::new(vals[0], vals[1], vals[2], vals[3]));
+        rects.push(parse_line(trimmed, line_no)?);
     }
     Ok(Dataset::new(rects))
+}
+
+/// Parses one trimmed, non-comment data line (`line_no` is 1-based) into
+/// a rectangle with normalised corners.
+pub(crate) fn parse_line(line: &str, line_no: usize) -> Result<Rect, CsvError> {
+    // Counting the separators as bytes is several times cheaper than
+    // running a second `split` over the line.
+    let count = line.bytes().filter(|&b| b == b',').count() + 1;
+    if count != 4 {
+        return Err(CsvError::Parse(
+            line_no,
+            format!("expected 4 comma-separated values, got {count}"),
+        ));
+    }
+    let mut vals = [0.0f64; 4];
+    for (slot, field) in vals.iter_mut().zip(line.split(',').map(str::trim)) {
+        *slot = field
+            .parse()
+            .map_err(|e| CsvError::Parse(line_no, format!("bad number {field:?}: {e}")))?;
+        if !slot.is_finite() {
+            return Err(CsvError::Parse(
+                line_no,
+                format!("non-finite value {field:?}"),
+            ));
+        }
+    }
+    Ok(Rect::new(vals[0], vals[1], vals[2], vals[3]))
 }
 
 /// Writes a dataset as a `x1,y1,x2,y2` CSV file (with a header comment).
@@ -150,6 +164,46 @@ mod tests {
             }
             std::fs::remove_file(path).ok();
         }
+    }
+
+    #[test]
+    fn error_messages_and_line_numbers_are_pinned() {
+        let from = |text: &str| read_rects_csv_from(text.as_bytes()).map(|d| d.len());
+        for (text, want) in [
+            (
+                "1,2,3\n",
+                "line 1: expected 4 comma-separated values, got 3",
+            ),
+            // The field count is checked before any number is parsed.
+            (
+                "x,2,3\n",
+                "line 1: expected 4 comma-separated values, got 3",
+            ),
+            (
+                "1,2,3,4,\n",
+                "line 1: expected 4 comma-separated values, got 5",
+            ),
+            (
+                "# c\n1,2,3,4\n1, x ,3,4\n",
+                "line 3: bad number \"x\": invalid float literal",
+            ),
+            ("1,2,3,NaN\n", "line 1: non-finite value \"NaN\""),
+            (
+                "\r\n 1 , 2 ,3,4 \r\n1,2,3,-inf",
+                "line 3: non-finite value \"-inf\"",
+            ),
+        ] {
+            match from(text) {
+                Err(e @ CsvError::Parse(..)) => assert_eq!(e.to_string(), want, "{text:?}"),
+                other => panic!("{text:?}: expected a parse error, got {other:?}"),
+            }
+        }
+        assert_eq!(from("\r\n 1 , 2 ,3,4 \r\n#\n\n5,6,7,8").ok(), Some(2));
+        let invalid_utf8: &[u8] = b"1,2,3,4\n\xff,2,3,4\n";
+        assert!(matches!(
+            read_rects_csv_from(invalid_utf8),
+            Err(CsvError::Io(e)) if e.kind() == std::io::ErrorKind::InvalidData
+        ));
     }
 
     #[test]

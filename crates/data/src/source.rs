@@ -13,7 +13,7 @@ use std::path::{Path, PathBuf};
 
 use minskew_geom::{mbr_of, Rect};
 
-use crate::io::CsvError;
+use crate::io::{parse_line, CsvError};
 use crate::{Dataset, DatasetStats};
 
 /// A rectangle collection that supports repeated sequential sweeps.
@@ -152,29 +152,6 @@ fn scan_file(path: &Path) -> Result<impl Iterator<Item = Result<Rect, CsvError>>
                 Some(parse_line(trimmed, i + 1))
             }
         }))
-}
-
-fn parse_line(line: &str, line_no: usize) -> Result<Rect, CsvError> {
-    let fields: Vec<&str> = line.split(',').map(str::trim).collect();
-    if fields.len() != 4 {
-        return Err(CsvError::Parse(
-            line_no,
-            format!("expected 4 comma-separated values, got {}", fields.len()),
-        ));
-    }
-    let mut vals = [0.0f64; 4];
-    for (slot, field) in vals.iter_mut().zip(&fields) {
-        *slot = field
-            .parse()
-            .map_err(|e| CsvError::Parse(line_no, format!("bad number {field:?}: {e}")))?;
-        if !slot.is_finite() {
-            return Err(CsvError::Parse(
-                line_no,
-                format!("non-finite value {field:?}"),
-            ));
-        }
-    }
-    Ok(Rect::new(vals[0], vals[1], vals[2], vals[3]))
 }
 
 /// Computes the MBR of a source by sweeping it (for callers holding only

@@ -3,6 +3,7 @@
 //! table's lock-free publication cell.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use minskew_core::BuildError;
@@ -96,6 +97,8 @@ impl CatalogEntry {
 #[derive(Debug, Default)]
 pub struct SpatialCatalog {
     tables: Mutex<BTreeMap<String, Arc<CatalogEntry>>>,
+    /// Bumped after every create and drop; see [`SpatialCatalog::epoch`].
+    epoch: AtomicU64,
 }
 
 fn valid_name(name: &str) -> bool {
@@ -141,6 +144,7 @@ impl SpatialCatalog {
             return Err(CatalogError::DuplicateTable(name.to_string()));
         }
         tables.insert(name.to_string(), entry.clone());
+        self.epoch.fetch_add(1, Ordering::SeqCst);
         Ok(entry)
     }
 
@@ -148,10 +152,20 @@ impl SpatialCatalog {
     /// holders (open connections, readers) keep working against the
     /// detached table; new lookups no longer find it.
     pub fn drop_table(&self, name: &str) -> Result<(), CatalogError> {
-        match self.lock().remove(name) {
-            Some(_) => Ok(()),
-            None => Err(CatalogError::UnknownTable(name.to_string())),
+        let mut tables = self.lock();
+        if tables.remove(name).is_none() {
+            return Err(CatalogError::UnknownTable(name.to_string()));
         }
+        self.epoch.fetch_add(1, Ordering::SeqCst);
+        Ok(())
+    }
+
+    /// A counter bumped after every create and drop, under the catalog
+    /// lock. A holder of entries it looked up by name keeps them while the
+    /// epoch stays the same and looks them up again once it moves: one
+    /// atomic load per check, never the catalog lock.
+    pub(crate) fn epoch(&self) -> u64 {
+        self.epoch.load(Ordering::SeqCst)
     }
 
     /// Looks up a table by name.

@@ -34,6 +34,9 @@ pub struct SpatialReader {
     cache: QueryCache,
     /// Generation the cache's entries were filled under.
     generation: u64,
+    /// A batch's Morton order and its scratch keys, kept between batches.
+    order: Vec<u32>,
+    keys: Vec<u64>,
 }
 
 /// Error from [`SpatialReader::try_estimate_batch`]: the first offending
@@ -67,6 +70,8 @@ impl SpatialReader {
             scratch: EstimateScratch::new(),
             cache: QueryCache::new(cache_capacity),
             generation: 0,
+            order: Vec::new(),
+            keys: Vec::new(),
         }
     }
 
@@ -156,6 +161,22 @@ impl SpatialReader {
     /// reader's query cache stores exact previously returned values keyed
     /// by query bits, so probe order cannot change any answer.
     pub fn try_estimate_batch(&mut self, queries: &[Rect]) -> Result<Vec<f64>, BatchQueryError> {
+        let mut out = Vec::new();
+        self.try_estimate_batch_into(queries, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`SpatialReader::try_estimate_batch`] into a caller's buffer: `out`
+    /// is overwritten with the batch's estimates in request order (and
+    /// left empty on error). The Morton order lives in buffers the reader
+    /// keeps, so once `out` and those buffers have grown to the batch
+    /// size, a batch allocates nothing.
+    pub fn try_estimate_batch_into(
+        &mut self,
+        queries: &[Rect],
+        out: &mut Vec<f64>,
+    ) -> Result<(), BatchQueryError> {
+        out.clear();
         if let Some(index) = queries.iter().position(|q| !q.is_finite()) {
             return Err(BatchQueryError {
                 index,
@@ -167,9 +188,9 @@ impl SpatialReader {
             self.cache.invalidate();
             self.generation = snapshot.generation();
         }
-        let order = minskew_core::morton_schedule(queries);
-        let mut out = vec![0.0f64; queries.len()];
-        for &i in &order {
+        minskew_core::morton_schedule_into(queries, &mut self.order, &mut self.keys);
+        out.resize(queries.len(), 0.0);
+        for &i in &self.order {
             let query = &queries[i as usize];
             let key = cache_key(query);
             let value = if let Some(cached) = self.cache.get(&key) {
@@ -181,7 +202,7 @@ impl SpatialReader {
             };
             out[i as usize] = value;
         }
-        Ok(out)
+        Ok(())
     }
 
     /// The latest published snapshot (what the next estimate will serve

@@ -452,11 +452,41 @@ fn accept_loop(listener: TcpListener, ctx: Arc<ServerCtx>) {
 }
 
 /// Per-connection state: cached lock-free readers (one per table touched)
-/// and `BATCH`'s query buffer, reused from request to request.
+/// and `BATCH`'s query and result buffers, reused from request to request.
 #[derive(Default)]
 struct ConnState {
-    readers: std::collections::HashMap<String, SpatialReader>,
+    readers: ConnReaders,
     queries: Vec<Rect>,
+    values: Vec<f64>,
+}
+
+/// A connection's lock-free readers by table name, valid for one catalog
+/// epoch: once a table is created or dropped anywhere, they are minted
+/// again on next use, so a dropped table stops answering and a re-created
+/// one is served from its own snapshots.
+#[derive(Default)]
+struct ConnReaders {
+    epoch: u64,
+    by_name: std::collections::HashMap<String, SpatialReader>,
+}
+
+impl ConnReaders {
+    /// The reader for `name`, minted lock-free on first use in this epoch.
+    fn get(&mut self, ctx: &Arc<ServerCtx>, name: &str) -> Result<&mut SpatialReader, Reply> {
+        let epoch = ctx.catalog.epoch();
+        if epoch != self.epoch {
+            self.by_name.clear();
+            self.epoch = epoch;
+        }
+        if !self.by_name.contains_key(name) {
+            let entry = lookup(ctx, name)?;
+            self.by_name.insert(name.to_string(), entry.reader());
+        }
+        Ok(self
+            .by_name
+            .get_mut(name)
+            .expect("reader inserted just above"))
+    }
 }
 
 fn handle_connection(stream: TcpStream, ctx: Arc<ServerCtx>) {
@@ -887,19 +917,6 @@ fn cmd_analyze(ctx: &Arc<ServerCtx>, args: &[&str]) -> Reply {
     }
 }
 
-/// Per-connection reader for `name`, minted lock-free on first use.
-fn conn_reader<'a>(
-    ctx: &Arc<ServerCtx>,
-    readers: &'a mut std::collections::HashMap<String, SpatialReader>,
-    name: &str,
-) -> Result<&'a mut SpatialReader, Reply> {
-    if !readers.contains_key(name) {
-        let entry = lookup(ctx, name)?;
-        readers.insert(name.to_string(), entry.reader());
-    }
-    Ok(readers.get_mut(name).expect("reader inserted just above"))
-}
-
 fn cmd_estimate(
     ctx: &Arc<ServerCtx>,
     conn: &mut ConnState,
@@ -914,7 +931,7 @@ fn cmd_estimate(
         Ok(r) => r,
         Err(reply) => return reply,
     };
-    let reader = match conn_reader(ctx, &mut conn.readers, name) {
+    let reader = match conn.readers.get(ctx, name) {
         Ok(reader) => reader,
         Err(reply) => return reply,
     };
@@ -968,24 +985,23 @@ fn cmd_batch(
             Err(reply) => return reply,
         }
     }
-    let reader = match conn_reader(ctx, &mut conn.readers, name) {
+    let reader = match conn.readers.get(ctx, name) {
         Ok(reader) => reader,
         Err(reply) => return reply,
     };
     // One Morton-ordered pass over one snapshot; replies come back in
     // request order and are bit-identical to a per-query loop.
-    let values = match reader.try_estimate_batch(&conn.queries) {
-        Ok(values) => values,
-        Err(e) => return err(2, format_args!("usage: {e}")),
-    };
+    if let Err(e) = reader.try_estimate_batch_into(&conn.queries, &mut conn.values) {
+        return err(2, format_args!("usage: {e}"));
+    }
     out.push_str("OK ");
-    for (i, value) in values.iter().enumerate() {
+    for (i, value) in conn.values.iter().enumerate() {
         if i > 0 {
             out.push(' ');
         }
         let _ = write!(out, "{value}");
     }
-    ctx.add(&ctx.hot.estimates, values.len() as u64);
+    ctx.add(&ctx.hot.estimates, conn.values.len() as u64);
     Reply::Written
 }
 
@@ -1090,7 +1106,7 @@ fn cmd_explain(ctx: &Arc<ServerCtx>, conn: &mut ConnState, args: &[&str]) -> Rep
         Ok(r) => r,
         Err(reply) => return reply,
     };
-    let reader = match conn_reader(ctx, &mut conn.readers, name) {
+    let reader = match conn.readers.get(ctx, name) {
         Ok(reader) => reader,
         Err(reply) => return reply,
     };
@@ -1322,6 +1338,47 @@ mod tests {
         );
         assert_eq!(line(&ctx, &mut conn, "SHUTDOWN"), "OK bye");
         assert!(ctx.shutdown.load(Ordering::SeqCst));
+    }
+
+    #[test]
+    fn a_connection_stops_serving_a_dropped_table_and_follows_its_recreation() {
+        let ctx = test_ctx(ServeOptions::default());
+        let mut old = ConnState::default();
+        assert_eq!(line(&ctx, &mut old, "CREATE t"), "OK created t");
+        for i in 0..50 {
+            let x = f64::from(i % 10) * 10.0;
+            let y = f64::from(i / 10) * 10.0;
+            let req = format!("INSERT t {x} {y} {} {}", x + 5.0, y + 5.0);
+            assert!(line(&ctx, &mut old, &req).starts_with("OK "));
+        }
+        assert!(line(&ctx, &mut old, "ANALYZE t").starts_with("OK analyzed t"));
+        // Caches a reader for `t` on this connection.
+        assert_eq!(line(&ctx, &mut old, "ESTIMATE t 0 0 100 100"), "OK 50");
+        assert_eq!(line(&ctx, &mut old, "DROP t"), "OK dropped t");
+        assert_eq!(
+            line(&ctx, &mut old, "ESTIMATE t 0 0 100 100"),
+            "ERR 2 usage: unknown table \"t\""
+        );
+        assert_eq!(
+            line(&ctx, &mut old, "BATCH t 1 0 0 100 100"),
+            "ERR 2 usage: unknown table \"t\""
+        );
+        // Re-created from another connection: the old one must serve the
+        // new table exactly as a fresh connection does.
+        let mut other = ConnState::default();
+        assert_eq!(line(&ctx, &mut other, "CREATE t"), "OK created t");
+        assert_eq!(line(&ctx, &mut other, "INSERT t 0 0 1 1"), "OK 0");
+        assert!(line(&ctx, &mut other, "ANALYZE t").starts_with("OK analyzed t"));
+        let mut fresh = ConnState::default();
+        for req in [
+            "ESTIMATE t 0 0 100 100",
+            "BATCH t 2 0 0 100 100 0 0 0.5 0.5",
+            "EXPLAIN t 0 0 100 100",
+        ] {
+            let want = line(&ctx, &mut fresh, req);
+            assert_eq!(line(&ctx, &mut old, req), want, "{req}");
+        }
+        assert_eq!(line(&ctx, &mut old, "ESTIMATE t 0 0 100 100"), "OK 1");
     }
 
     #[test]

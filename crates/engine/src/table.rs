@@ -1,5 +1,6 @@
 //! The spatial table: storage, index, statistics, and the execution loop.
 
+use std::ops::Range;
 use std::sync::{Arc, Mutex, PoisonError};
 
 use minskew_core::{
@@ -12,7 +13,7 @@ use minskew_geom::Rect;
 use minskew_obs::{
     FlightRecorder, FlightTrigger, Gauge, Histogram, QueryRecord, Registry, Stopwatch,
 };
-use minskew_rtree::{RStarTree, RTreeConfig};
+use minskew_rtree::{Item, RStarTree, RTreeConfig, ValidationError};
 
 use crate::cache::{cache_key, QueryCache};
 use crate::monitor::{AccuracyReport, Reservoir};
@@ -507,7 +508,8 @@ pub struct SpatialTable {
     /// Per-table metrics registry (see [`SpatialTable::metrics`]).
     pub(crate) registry: Registry,
     metrics: TableMetrics,
-    /// Monotonic publication counter; bumped by every mutation.
+    /// Monotonic publication counter; bumped by every mutation (a bulk
+    /// insert is one).
     generation: u64,
     /// Monotonic statistics-install counter; bumped by installs only.
     stats_era: u64,
@@ -650,7 +652,8 @@ impl SpatialTable {
         self.current.clone()
     }
 
-    /// Current publication generation (bumped by every mutation).
+    /// Current publication generation (bumped once by every mutation; an
+    /// [`SpatialTable::insert_many`] batch is one mutation).
     pub fn generation(&self) -> u64 {
         self.generation
     }
@@ -685,18 +688,50 @@ impl SpatialTable {
     /// Inserts a rectangle; returns its row id.
     ///
     /// The index is maintained eagerly (as a DBMS would); the statistics
-    /// are patched incrementally and their staleness grows.
+    /// are patched incrementally and their staleness grows. This is the
+    /// one-row case of [`SpatialTable::insert_many`].
     pub fn insert(&mut self, rect: Rect) -> RowId {
-        let id = self.rows.insert(rect);
-        self.live += 1;
-        self.index.insert(rect, id);
-        if let Some(stats) = &mut self.stats {
-            stats.note_insert(&rect);
+        self.insert_many([rect]).start
+    }
+
+    /// Inserts `rects` as rows, in order; returns their ids, which are
+    /// consecutive.
+    ///
+    /// Equivalent to one [`SpatialTable::insert`] per rectangle in every
+    /// row id, statistics bit, estimate and exact count, with two
+    /// differences. The batch is published once, so
+    /// [`SpatialTable::generation`] advances by 1, not by the row count
+    /// (by 0 for an empty batch). And when the index holds no rows (a
+    /// first load, or a table emptied by deletes) it is packed with
+    /// Sort-Tile-Recursive bulk loading instead of one R\*-tree insertion
+    /// per row; otherwise each row is inserted through R\*.
+    pub fn insert_many(&mut self, rects: impl IntoIterator<Item = Rect>) -> Range<RowId> {
+        let start = self.rows.next_id();
+        let pack = self.index.is_empty();
+        let mut items = Vec::new();
+        for rect in rects {
+            let id = self.rows.insert(rect);
+            if pack {
+                items.push(Item::new(rect, id));
+            } else {
+                self.index.insert(rect, id);
+            }
+            if let Some(stats) = &mut self.stats {
+                stats.note_insert(&rect);
+            }
         }
-        self.data_era += 1;
-        self.invalidate_cache();
-        self.publish();
-        RowId(id)
+        let end = self.rows.next_id();
+        if end > start {
+            if pack {
+                self.index = RStarTree::bulk_load(*self.index.config(), items);
+            }
+            let n = end - start;
+            self.live += usize::try_from(n).expect("row count fits in memory");
+            self.data_era += n;
+            self.invalidate_cache();
+            self.publish();
+        }
+        RowId(start)..RowId(end)
     }
 
     /// Deletes a row; returns `false` if the id was unknown or already
@@ -720,6 +755,20 @@ impl SpatialTable {
     /// Fetches a row's rectangle.
     pub fn get(&self, id: RowId) -> Option<Rect> {
         self.rows.get(id.0)
+    }
+
+    /// Checks the index: every R\*-tree invariant holds and it holds
+    /// exactly one entry per live row.
+    pub fn validate_index(&self) -> Result<(), ValidationError> {
+        self.index.validate()?;
+        if self.index.len() != self.live {
+            return Err(ValidationError(format!(
+                "index holds {} entries for {} live rows",
+                self.index.len(),
+                self.live
+            )));
+        }
+        Ok(())
     }
 
     /// Builds the configured statistics over `data` via the strict `try_*`

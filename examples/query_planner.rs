@@ -9,9 +9,7 @@ use minskew::prelude::*;
 fn main() {
     // Load a skewed spatial table (a GIS layer of building footprints).
     let mut table = SpatialTable::new(TableOptions::default());
-    for r in minskew::datagen::charminar_with(40_000, 9).rects() {
-        table.insert(*r);
-    }
+    table.insert_many(minskew::datagen::charminar_with(40_000, 9).into_rects());
     table.analyze();
     println!("table: {} rows, analyzed\n", table.len());
 

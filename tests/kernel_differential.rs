@@ -206,7 +206,11 @@ fn batch_serving_stays_bit_identical_through_churn_and_reanalyze() {
     let mut queries = adversarial_queries(&hist, data.stats().mbr);
     // Deliberately scramble so request order is far from Morton order.
     queries.reverse();
-    let check = |table: &mut SpatialTable, phase: &str| {
+    // A lock-free reader's allocation-free batch path, one result buffer
+    // reused across every phase.
+    let mut reader = table.reader();
+    let mut out = Vec::new();
+    let mut check = |table: &mut SpatialTable, phase: &str| {
         let serial: Vec<u64> = queries
             .iter()
             .map(|q| table.estimate(q).to_bits())
@@ -217,6 +221,11 @@ fn batch_serving_stays_bit_identical_through_churn_and_reanalyze() {
             .map(|v| v.to_bits())
             .collect();
         assert_eq!(batch, serial, "phase={phase}");
+        reader
+            .try_estimate_batch_into(&queries, &mut out)
+            .expect("finite batch");
+        let into: Vec<u64> = out.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(into, serial, "phase={phase} (reader, into)");
     };
     check(&mut table, "initial");
     for i in 0..60 {

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Continuous-integration gate for the minskew workspace.
 #
-# Mirrors what reviewers run by hand:
+# Mirrors what reviewers run by hand, in this order:
 #   1. formatting is canonical,
 #   2. clippy is clean at -D warnings across every target — the library
 #      crates (core/engine/data) additionally deny `unwrap()` in non-test
@@ -16,37 +16,35 @@
 #      bugs inside the work queues,
 #   7. the kernel-vs-linear serving differential suite, exhaustive matrix
 #      on, single test thread (same rationale as the parallel suite),
-#   8. a focused clippy pass over the serving-path crates that additionally
-#      denies needless_collect / redundant_clone — the serving path is
-#      allocation-free by design and those lints catch regressions,
-#   9. the observability differential suite, exhaustive matrix on, single
-#      test thread — then re-run with minskew-obs compiled to no-ops to
-#      prove the compiled-out configuration serves the same bytes,
-#  10. a focused clippy pass over minskew-obs denying `unwrap()` even in
-#      the presence of poisoned-lock recovery paths,
-#  11. the snapshot recovery differential suite, exhaustive fault-kind ×
+#   8. the observability differential suite (metrics on vs off serve the
+#      same bytes), exhaustive matrix on, single test thread,
+#   9. the snapshot recovery differential suite, exhaustive fault-kind ×
 #      technique matrix on, single test thread (filesystem quarantine
 #      paths must not interleave),
-#  12. the lock-free serving stress suite (readers racing ≥1000 statistics
+#  10. the lock-free serving stress suite (readers racing ≥1000 statistics
 #      installs, every observed estimate bitwise old-or-new) and the wire
 #      protocol golden suite, both pinned to one test thread so the stress
 #      owns its thread budget,
-#  13. the kernel differential suite pinning the SoA clip-and-accumulate
+#  11. the kernel differential suite pinning the SoA clip-and-accumulate
 #      plane bit-identical to the AoS reference fold: exhaustive matrix
 #      on via --features kernel, then re-run under --features simd,
 #      single test thread so runtime dispatch is exercised
 #      deterministically,
-#  14. a feature-cross clippy pass over minskew-core with `simd` enabled —
-#      the SIMD module is the only code in the workspace allowed to use
-#      `unsafe`, and it must stay clean at -D warnings,
-#  15. the online-refine differential suite (clamping/partition/codec/
+#  12. the online-refine differential suite (clamping/partition/codec/
 #      Off-inertness invariants, exhaustive dataset × budget × feedback
 #      matrix on via --features refine, single test thread),
-#  16. the query-tracing differential suite (EXPLAIN bitwise equal to the
+#  13. the query-tracing differential suite (EXPLAIN bitwise equal to the
 #      kernel serving path, term sums reproducing estimates exactly,
 #      flight recorder / trace ids bit-invisible; exhaustive matrix on via
-#      --features trace, single test thread) — then re-run with minskew-obs
-#      compiled to no-ops alongside the other observability suites,
+#      --features trace, single test thread),
+#  14. a focused clippy pass over minskew-obs denying `unwrap()` even in
+#      the presence of poisoned-lock recovery paths,
+#  15. a focused clippy pass over the serving-path crates that additionally
+#      denies needless_collect / redundant_clone — the serving path is
+#      allocation-free by design and those lints catch regressions,
+#  16. a feature-cross clippy pass over minskew-core with `simd` enabled —
+#      the SIMD module is the only code in the workspace allowed to use
+#      `unsafe`, and it must stay clean at -D warnings,
 #  17. a CLI serve smoke: start `minskew serve` on an ephemeral port, run
 #      a catalog-client round trip against it — including a STATS check
 #      that the --input load put every row in with one publication (plus
@@ -59,7 +57,10 @@
 #      emitted metrics dump,
 #  18. a CLI maintain smoke: the offline `minskew maintain` churn demo
 #      must run in every maintenance mode and reject unknown ones,
-#  19. smoke runs of the parallel-speedup, serving-throughput (with
+#  19. a check that the committed BENCH_obs.json is a full-scale run
+#      (`"quick": false`) with its flight-recorder overhead column, since
+#      README and DESIGN quote it,
+#  20. smoke runs of the parallel-speedup, serving-throughput (with
 #      `simd` on, asserting the qps_kernel column is present in the
 #      emitted artefact), obs-overhead (asserting the flight-recorder
 #      overhead column is present in the emitted artefact),
@@ -115,10 +116,6 @@ RUST_TEST_THREADS=1 cargo test -q --test refine_differential --features refine
 
 echo "==> query-tracing differential suite (exhaustive, single test thread)"
 RUST_TEST_THREADS=1 cargo test -q --test trace_differential --features trace
-
-echo "==> observability suites with minskew-obs compiled to no-ops"
-cargo test -q --test obs_differential --test golden_metrics --test trace_differential \
-    --features minskew-obs/noop
 
 echo "==> clippy (minskew-obs, unwrap denied everywhere)"
 cargo clippy -p minskew-obs --all-targets -- -D warnings -D clippy::unwrap_used
@@ -266,6 +263,13 @@ EXPLAIN_CLI_OUT=$(./target/debug/minskew explain --stats "$SERVE_TMP/stats.bin" 
     --query 60,25,65,30 --terms 3)
 if [[ "$EXPLAIN_CLI_OUT" != *'bit-identical'* ]]; then
     echo "ERROR: minskew explain did not certify bit-identity" >&2
+    exit 1
+fi
+
+echo "==> committed BENCH_obs.json is full scale, with the recorder column"
+if ! grep -q '"quick": false' BENCH_obs.json || ! grep -q '"recorder_overhead_pct"' BENCH_obs.json; then
+    echo "ERROR: the committed BENCH_obs.json must be a full-scale run (\"quick\": false)" \
+        "with a recorder_overhead_pct column" >&2
     exit 1
 fi
 

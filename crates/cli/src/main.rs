@@ -263,9 +263,9 @@ minskew — spatial selectivity estimation (Min-Skew, SIGMOD 1999)
                     query recorder — bare for the wire recorder, --name T for a
                     table's; metrics scrapes a registry live)
   minskew top      --addr HOST:PORT [--name TABLE] [--interval SECS] [--iterations N]
-                   (live dashboard over STATS/METRICS: queries/sec, request-latency
-                    quantiles, connections, per-interval cache-hit rate and staleness
-                    for --name; --iterations 0 polls until interrupted)
+                   (live dashboard over STATS: requests/sec, request-latency
+                    quantiles, connections, and staleness for --name;
+                    --iterations 0 polls until interrupted)
 
 exit codes: 0 ok, 2 usage, 3 I/O, 4 malformed dataset, 5 corrupt stats, 6 build failure
 ";
@@ -499,18 +499,14 @@ fn estimate(opts: &Flags) -> Result<(), CliError> {
         println!("exact:    |Q| = {}", data.count_intersecting(&query));
     }
     if flag_set(opts, "trace") {
-        if minskew_obs::enabled() {
-            println!("trace:");
-            for e in trace.events() {
-                println!(
-                    "  {:<14} start {:>10.3} us  dur {:>10.3} us",
-                    e.name,
-                    e.start_ns as f64 / 1e3,
-                    e.dur_ns as f64 / 1e3
-                );
-            }
-        } else {
-            println!("trace: unavailable (minskew-obs compiled with the `noop` feature)");
+        println!("trace:");
+        for e in trace.events() {
+            println!(
+                "  {:<14} start {:>10.3} us  dur {:>10.3} us",
+                e.name,
+                e.start_ns as f64 / 1e3,
+                e.dur_ns as f64 / 1e3
+            );
         }
     }
     Ok(())

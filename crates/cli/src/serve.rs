@@ -354,13 +354,11 @@ struct TopSample {
     p95_ns: f64,
     p99_ns: f64,
     connections: f64,
-    cache_hits: f64,
-    cache_misses: f64,
     staleness: Option<f64>,
 }
 
 /// Polls one `top` sample: the bare `STATS` document always, plus the
-/// table's `METRICS` registry and `STATS` row when `--name` was given.
+/// table's `STATS` row when `--name` was given.
 fn top_sample(addr: &str, table: Option<&str>) -> Result<TopSample, CliError> {
     let stats = round_trip(addr, "STATS", false)?;
     let mut sample = TopSample {
@@ -369,14 +367,9 @@ fn top_sample(addr: &str, table: Option<&str>) -> Result<TopSample, CliError> {
         p95_ns: json_field(&stats, "p95").unwrap_or(0.0),
         p99_ns: json_field(&stats, "p99").unwrap_or(0.0),
         connections: json_field(&stats, "active_connections").unwrap_or(0.0),
-        cache_hits: 0.0,
-        cache_misses: 0.0,
         staleness: None,
     };
     if let Some(name) = table {
-        let metrics = round_trip(addr, &format!("METRICS {name} json"), true)?;
-        sample.cache_hits = json_field(&metrics, "engine.cache.hits").unwrap_or(0.0);
-        sample.cache_misses = json_field(&metrics, "engine.cache.misses").unwrap_or(0.0);
         let tstats = round_trip(addr, &format!("STATS {name}"), false)?;
         if tstats.starts_with("OK") {
             sample.staleness = json_field(&tstats, "staleness");
@@ -386,12 +379,12 @@ fn top_sample(addr: &str, table: Option<&str>) -> Result<TopSample, CliError> {
 }
 
 /// `minskew top --addr HOST:PORT [--name TABLE] [--interval SECS]
-/// [--iterations N]` — a live metrics dashboard over the `STATS` and
-/// `METRICS` verbs.
+/// [--iterations N]` — a live dashboard over the `STATS` verb.
 ///
-/// Each tick polls the server and renders one aligned row: queries/second
-/// and cache-hit rate are per-interval deltas; the latency quantiles are
-/// the server's cumulative `serve.request_ns` upper bounds. `--iterations
+/// Each tick polls the server and renders one aligned row: requests/second
+/// is a per-interval delta; the latency quantiles are the server's
+/// cumulative `serve.request_ns` upper bounds; `conns` is the open
+/// connection count, and `staleness` the `--name` table's. `--iterations
 /// 0` (the default is 0 = forever) polls until interrupted.
 pub(crate) fn top_cmd(opts: &Flags) -> Result<(), CliError> {
     let addr = req(opts, "addr")?;
@@ -404,8 +397,8 @@ pub(crate) fn top_cmd(opts: &Flags) -> Result<(), CliError> {
     }
     let iterations = num(opts, "iterations", 0usize)?;
     println!(
-        "{:>10}  {:>9}  {:>9}  {:>9}  {:>6}  {:>7}  {:>9}",
-        "req/s", "p50_us", "p95_us", "p99_us", "conns", "cache%", "staleness"
+        "{:>10}  {:>9}  {:>9}  {:>9}  {:>6}  {:>9}",
+        "req/s", "p50_us", "p95_us", "p99_us", "conns", "staleness"
     );
     let mut prev = top_sample(addr, table)?;
     let mut tick = 0usize;
@@ -413,24 +406,16 @@ pub(crate) fn top_cmd(opts: &Flags) -> Result<(), CliError> {
         std::thread::sleep(Duration::from_secs_f64(interval));
         let cur = top_sample(addr, table)?;
         let qps = (cur.requests - prev.requests).max(0.0) / interval;
-        let hits = (cur.cache_hits - prev.cache_hits).max(0.0);
-        let misses = (cur.cache_misses - prev.cache_misses).max(0.0);
-        let cache = if hits + misses > 0.0 {
-            format!("{:.1}", 100.0 * hits / (hits + misses))
-        } else {
-            String::from("-")
-        };
         let staleness = cur
             .staleness
             .map_or_else(|| String::from("-"), |s| format!("{s:.3}"));
         println!(
-            "{:>10.1}  {:>9.1}  {:>9.1}  {:>9.1}  {:>6}  {:>7}  {:>9}",
+            "{:>10.1}  {:>9.1}  {:>9.1}  {:>9.1}  {:>6}  {:>9}",
             qps,
             cur.p50_ns / 1e3,
             cur.p95_ns / 1e3,
             cur.p99_ns / 1e3,
             cur.connections as u64,
-            cache,
             staleness
         );
         prev = cur;

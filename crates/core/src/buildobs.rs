@@ -7,8 +7,7 @@ use crate::{SpatialEstimator, SpatialHistogram};
 /// `core.build.<technique>.bytes` (summary-size gauge).
 ///
 /// Recording is write-only and touches nothing the build result depends on,
-/// so instrumented and uninstrumented builds are byte-identical; under
-/// `minskew-obs`'s `noop` feature the whole call compiles to nothing.
+/// so instrumented and uninstrumented builds are byte-identical.
 pub(crate) fn record_build(hist: &SpatialHistogram, build_ns: u64) {
     let technique = minskew_obs::name_component(hist.name());
     let registry = minskew_obs::Registry::global();

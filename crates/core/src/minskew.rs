@@ -487,8 +487,7 @@ pub struct MinSkewBuildTrace {
     pub final_skew: f64,
     /// Side length of the final grid actually used.
     pub grid_side: usize,
-    /// Wall-clock construction time in nanoseconds (0 when `minskew-obs`
-    /// is compiled with its `noop` feature).
+    /// Wall-clock construction time in nanoseconds.
     pub build_ns: u64,
 }
 

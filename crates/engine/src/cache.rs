@@ -137,6 +137,18 @@ impl QueryCache {
         self.tail = NONE;
     }
 
+    /// Changes the capacity in place (`0` disables caching). The entries
+    /// are dropped, without counting an invalidation; the hit, miss and
+    /// invalidation counters carry on.
+    pub(crate) fn resize(&mut self, capacity: usize) {
+        *self = QueryCache {
+            hits: self.hits,
+            misses: self.misses,
+            invalidations: self.invalidations,
+            ..QueryCache::new(capacity)
+        };
+    }
+
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.map.len()
@@ -263,6 +275,26 @@ mod tests {
         // Still usable after a flush.
         c.insert(key(5), 5.0);
         assert_eq!(c.get(&key(5)), Some(5.0));
+    }
+
+    #[test]
+    fn resize_keeps_counters_and_drops_entries() {
+        let mut c = QueryCache::new(4);
+        c.insert(key(1), 1.0);
+        assert_eq!(c.get(&key(1)), Some(1.0));
+        assert_eq!(c.get(&key(2)), None);
+        c.invalidate();
+        c.insert(key(1), 1.0);
+        c.resize(1);
+        assert_eq!((c.hits(), c.misses(), c.invalidations()), (1, 1, 1));
+        assert_eq!((c.capacity(), c.len()), (1, 0));
+        c.insert(key(1), 1.0);
+        c.insert(key(2), 2.0);
+        assert_eq!(c.len(), 1, "the new capacity bounds the cache");
+        c.resize(0);
+        c.insert(key(3), 3.0);
+        assert_eq!(c.get(&key(3)), None);
+        assert_eq!((c.hits(), c.misses()), (1, 2));
     }
 
     #[test]

@@ -163,7 +163,7 @@ impl SpatialTable {
                     installed: true,
                     info: Some(info),
                     quarantined: None,
-                    diagnostics: self.stats_diagnostics(),
+                    diagnostics: self.diagnostics.clone(),
                 }
             }
             Err(err) => {
@@ -189,7 +189,7 @@ impl SpatialTable {
                     installed: false,
                     info: None,
                     quarantined,
-                    diagnostics: self.stats_diagnostics(),
+                    diagnostics: self.diagnostics.clone(),
                 }
             }
         }
@@ -225,7 +225,7 @@ impl SpatialTable {
     /// Records one snapshot operation: an `engine.snapshot.<op>` counter
     /// plus its latency histogram.
     fn note_snapshot(&self, op: &str, ns: u64) {
-        if !self.options.metrics || !minskew_obs::enabled() {
+        if !self.options.metrics {
             return;
         }
         self.registry
@@ -238,7 +238,7 @@ impl SpatialTable {
 
     /// Bumps a snapshot counter, respecting the metrics switch.
     fn bump_snapshot_counter(&self, name: &str) {
-        if self.options.metrics && minskew_obs::enabled() {
+        if self.options.metrics {
             self.registry.counter(name).inc();
         }
     }
@@ -383,9 +383,6 @@ mod tests {
 
     #[test]
     fn snapshot_metrics_count_operations() {
-        if !minskew_obs::enabled() {
-            return;
-        }
         let dir = tmp_dir("metrics");
         let path = dir.join("stats.snap");
         let mut t = analyzed_table(1_000, 26);

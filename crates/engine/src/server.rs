@@ -288,29 +288,23 @@ impl ServerCtx {
 
     /// Bumps a rarely used counter by name (one registry lookup).
     fn bump(&self, name: &str) {
-        if minskew_obs::enabled() {
-            self.registry.counter(name).inc();
-        }
+        self.registry.counter(name).inc();
     }
 
     fn add(&self, counter: &Lazy<Counter>, n: u64) {
-        if minskew_obs::enabled() {
-            let name = counter.name;
-            counter
-                .cell
-                .get_or_init(|| self.registry.counter(name))
-                .add(n);
-        }
+        let name = counter.name;
+        counter
+            .cell
+            .get_or_init(|| self.registry.counter(name))
+            .add(n);
     }
 
     fn record(&self, histogram: &Lazy<Histogram>, value: u64) {
-        if minskew_obs::enabled() {
-            let name = histogram.name;
-            histogram
-                .cell
-                .get_or_init(|| self.registry.histogram(name))
-                .record(value);
-        }
+        let name = histogram.name;
+        histogram
+            .cell
+            .get_or_init(|| self.registry.histogram(name))
+            .record(value);
     }
 
     /// Flags the server to stop, and wakes the accept loop (blocked in
@@ -495,18 +489,14 @@ fn handle_connection(stream: TcpStream, ctx: Arc<ServerCtx>) {
     let _ = stream.set_read_timeout(Some(READ_POLL));
     let _ = stream.set_write_timeout(Some(SERVE_WRITE_TIMEOUT));
     ctx.active.fetch_add(1, Ordering::SeqCst);
-    if minskew_obs::enabled() {
-        ctx.registry
-            .gauge("serve.active_connections")
-            .set(ctx.active.load(Ordering::SeqCst) as f64);
-    }
+    ctx.registry
+        .gauge("serve.active_connections")
+        .set(ctx.active.load(Ordering::SeqCst) as f64);
     serve_requests(stream, &ctx);
     let now = ctx.active.fetch_sub(1, Ordering::SeqCst) - 1;
-    if minskew_obs::enabled() {
-        ctx.registry
-            .gauge("serve.active_connections")
-            .set(now as f64);
-    }
+    ctx.registry
+        .gauge("serve.active_connections")
+        .set(now as f64);
 }
 
 fn serve_requests(mut stream: TcpStream, ctx: &Arc<ServerCtx>) {
@@ -1473,12 +1463,6 @@ mod tests {
         assert_eq!(line(&ctx, &mut conn, "INSERT t 0 0 1 1"), "OK 0");
         assert!(line(&ctx, &mut conn, "TID=q1 ESTIMATE t 0 0 2 2").starts_with("TID=q1 OK "));
         assert!(line(&ctx, &mut conn, "ESTIMATE t 0 0 3 3").starts_with("OK "));
-        if !minskew_obs::enabled() {
-            // Under `minskew-obs/noop` the ring has capacity 0: the verb
-            // still answers, with an empty frame.
-            assert_eq!(line(&ctx, &mut conn, "FLIGHT"), "OK 0");
-            return;
-        }
         let reply = line(&ctx, &mut conn, "FLIGHT");
         let mut lines = reply.lines();
         assert_eq!(lines.next(), Some("OK 2"), "{reply:?}");
@@ -1516,12 +1500,8 @@ mod tests {
         assert!(body.contains("\"schema\": \"minskew-obs/v1\""), "{body:?}");
         let text = line(&ctx, &mut conn, "METRICS text");
         assert!(text.starts_with("OK "), "{text:?}");
-        if minskew_obs::enabled() {
-            // Under `minskew-obs/noop` the registries stay empty; the verb
-            // still frames a valid (schema-only) document.
-            assert!(body.contains("serve.verb.ping"), "{body:?}");
-            assert!(text.contains("serve.requests"), "{text:?}");
-        }
+        assert!(body.contains("serve.verb.ping"), "{body:?}");
+        assert!(text.contains("serve.requests"), "{text:?}");
         assert_eq!(line(&ctx, &mut conn, "CREATE t"), "OK created t");
         assert!(
             line(&ctx, &mut conn, "METRICS t").starts_with("OK "),

@@ -11,7 +11,8 @@ use minskew_core::{
 use minskew_data::Dataset;
 use minskew_geom::Rect;
 use minskew_obs::{
-    FlightRecorder, FlightTrigger, Gauge, Histogram, QueryRecord, Registry, Stopwatch,
+    FlightRecorder, FlightTrigger, Gauge, Histogram, QueryRecord, Registry, RegistrySnapshot,
+    Stopwatch,
 };
 use minskew_rtree::{Item, RStarTree, RTreeConfig, ValidationError};
 
@@ -194,8 +195,8 @@ pub struct TableOptions {
     /// LRU instead of re-scanning the histogram. The cache is invalidated
     /// by every mutation (`insert`, `delete`, any statistics install), so a
     /// cached value is always bit-identical to a fresh computation. Batch
-    /// estimation bypasses the cache (recorded in
-    /// [`StatsDiagnostics::batch_cache_bypass`]). Defaults to `true`.
+    /// estimation bypasses the cache (counted as `engine.batch.cache_bypass`
+    /// in [`SpatialTable::metrics`]). Defaults to `true`.
     pub query_cache: bool,
     /// Capacity of the query-result cache in entries (applied at table
     /// construction or via [`SpatialTable::set_query_cache`]). Defaults to
@@ -204,11 +205,12 @@ pub struct TableOptions {
     /// Enables in-process metrics and the online accuracy monitor.
     ///
     /// Instrumentation is **bit-invisible**: every estimate and every
-    /// encoded statistics summary is byte-identical whether this is `true`,
-    /// `false`, or the `minskew-obs` crate is compiled with its `noop`
-    /// feature. The serving-path cost with metrics on is a few plain
-    /// integer operations per call plus sampled stage timing (see
-    /// [`TableOptions::metrics_sampling`]). Defaults to `true`.
+    /// encoded statistics summary is byte-identical whether this is `true`
+    /// or `false`. Off, the serving path never takes the sampled, timed
+    /// path, the accuracy reservoir and flight recorder have capacity 0, and
+    /// no registry metric is recorded; the plain serving counters in
+    /// [`SpatialTable::metrics`] still count. On, it adds sampled stage
+    /// timing (see [`TableOptions::metrics_sampling`]). Defaults to `true`.
     pub metrics: bool,
     /// Sample one in this many single-query estimates for stage timing
     /// (cache probe → index scan → clamp) and per-technique latency
@@ -320,11 +322,13 @@ impl std::fmt::Display for StatsFallback {
     }
 }
 
-/// Diagnostics for the most recent statistics build or load.
+/// Diagnostics for the most recent statistics build or load: where it
+/// landed on the degradation ladder. Serving counters (cache hits, batch
+/// queries) are not here; read them from [`SpatialTable::metrics`].
 ///
 /// Marked `#[non_exhaustive]`: construct it with
 /// [`SpatialTable::stats_diagnostics`] (or `Default` + struct update),
-/// never field-by-field, so new counters can land without breaking callers.
+/// never field-by-field, so new fields can land without breaking callers.
 #[derive(Debug, Clone, Default)]
 #[non_exhaustive]
 pub struct StatsDiagnostics {
@@ -341,26 +345,6 @@ pub struct StatsDiagnostics {
     pub attempts: usize,
     /// The error that forced degradation, if any.
     pub last_error: Option<String>,
-    /// Query-cache hits since the table was created (or the cache was
-    /// reconfigured). Counted by [`SpatialTable::estimate`] /
-    /// [`SpatialTable::try_estimate`]. Batch traffic never shows up here —
-    /// it is tallied separately in [`StatsDiagnostics::batch_queries`] /
-    /// [`StatsDiagnostics::batch_cache_bypass`], which is why
-    /// `hits + misses` need not equal the total queries served.
-    pub cache_hits: u64,
-    /// Query-cache misses (lookups that had to compute).
-    pub cache_misses: u64,
-    /// Times the cache was flushed because a mutation made its entries
-    /// potentially stale (only non-empty flushes are counted).
-    pub cache_invalidations: u64,
-    /// Queries served through [`SpatialTable::estimate_batch`] /
-    /// [`SpatialTable::try_estimate_batch`] (which never consult the
-    /// cache).
-    pub batch_queries: u64,
-    /// Of [`StatsDiagnostics::batch_queries`], how many bypassed an
-    /// *enabled* query cache — cacheable work the batch path skipped
-    /// because its workers use lock-free per-worker scratch instead.
-    pub batch_cache_bypass: u64,
 }
 
 impl std::fmt::Display for StatsDiagnostics {
@@ -374,15 +358,6 @@ impl std::fmt::Display for StatsDiagnostics {
             self.attempts,
             if self.degraded { ", degraded" } else { "" },
         )?;
-        write!(
-            f,
-            "; cache {} hits / {} misses / {} flushes; batch {} queries ({} cache-bypassed)",
-            self.cache_hits,
-            self.cache_misses,
-            self.cache_invalidations,
-            self.batch_queries,
-            self.batch_cache_bypass,
-        )?;
         if let Some(err) = &self.last_error {
             write!(f, "; last error: {err}")?;
         }
@@ -391,11 +366,12 @@ impl std::fmt::Display for StatsDiagnostics {
 }
 
 /// Per-table serving state: the query-result cache, the reusable index
-/// scratch for single-query estimates, and the per-call bookkeeping that is
-/// cheap precisely because the serving lock is already held — plain `u64`
-/// arithmetic, no atomics, no clock reads. Behind a [`Mutex`] so `&self`
-/// estimation stays `Sync` (batch workers use their own scratch and never
-/// touch this lock).
+/// scratch for single-query estimates, and the serving counters. The
+/// counters are the only store of these counts: plain `u64` fields bumped
+/// under the serving lock the call already holds (no atomics, no clock
+/// reads), merged into [`SpatialTable::metrics`] when it is read. Behind a
+/// [`Mutex`] so `&self` estimation stays `Sync` (batch workers use their
+/// own scratch; a batch takes this lock once, to count itself).
 #[derive(Debug)]
 struct ServingState {
     cache: QueryCache,
@@ -426,9 +402,6 @@ struct ServingState {
     batch_bypass: u64,
     /// Accuracy-monitor reservoir of computed (non-cache-hit) queries.
     reservoir: Reservoir,
-    /// High-water marks already published into the registry; publication is
-    /// delta-based so it can run on every read without double counting.
-    published: PublishedCounters,
 }
 
 impl ServingState {
@@ -452,22 +425,25 @@ impl ServingState {
             } else {
                 0
             }),
-            published: PublishedCounters::default(),
         }
     }
-}
 
-/// Registry-published high-water marks for the serving counters.
-#[derive(Debug, Default)]
-struct PublishedCounters {
-    calls: u64,
-    sampled: u64,
-    batch_calls: u64,
-    batch_queries: u64,
-    batch_bypass: u64,
-    cache_hits: u64,
-    cache_misses: u64,
-    cache_invalidations: u64,
+    /// The serving counters under their metric names.
+    fn counters(&self) -> Vec<(String, u64)> {
+        [
+            ("engine.batch.cache_bypass", self.batch_bypass),
+            ("engine.batch.calls", self.batch_calls),
+            ("engine.batch.queries", self.batch_queries),
+            ("engine.cache.hits", self.cache.hits()),
+            ("engine.cache.invalidations", self.cache.invalidations()),
+            ("engine.cache.misses", self.cache.misses()),
+            ("engine.query.calls", self.calls),
+            ("engine.query.sampled", self.sampled),
+        ]
+        .into_iter()
+        .map(|(name, value)| (name.to_owned(), value))
+        .collect()
+    }
 }
 
 /// The hot-path latency histograms, resolved once at table construction so
@@ -618,7 +594,7 @@ impl SpatialTable {
         ));
         self.current = snapshot.clone();
         self.cell.store(snapshot);
-        if self.options.metrics && minskew_obs::enabled() {
+        if self.options.metrics {
             self.metrics.generation.set(self.generation as f64);
         }
     }
@@ -805,7 +781,7 @@ impl SpatialTable {
     pub(crate) fn install_stats(&mut self, hist: SpatialHistogram, mut diag: StatsDiagnostics) {
         diag.requested_buckets = self.options.analyze.buckets;
         diag.achieved_buckets = hist.buckets().len();
-        if self.options.metrics && minskew_obs::enabled() {
+        if self.options.metrics {
             // Degradation-ladder outcome counters: one per fallback rung, so
             // a fleet of tables exposes how often ANALYZE lands where.
             self.registry
@@ -842,7 +818,7 @@ impl SpatialTable {
     /// Records one completed `ANALYZE` in the registry: a run counter plus a
     /// per-technique build-time histogram.
     fn note_analyze(&self, technique: &str, build_ns: u64) {
-        if !self.options.metrics || !minskew_obs::enabled() {
+        if !self.options.metrics {
             return;
         }
         self.registry.counter("engine.analyze.runs").inc();
@@ -945,7 +921,7 @@ impl SpatialTable {
             }
             Err(e) => {
                 let corrupt = e.to_string();
-                if self.options.metrics && minskew_obs::enabled() {
+                if self.options.metrics {
                     self.registry.counter("engine.stats.corrupt_summary").inc();
                 }
                 self.analyze();
@@ -959,22 +935,12 @@ impl SpatialTable {
                 self.diagnostics.last_error = Some(format!("corrupt summary: {corrupt}"));
             }
         }
-        self.stats_diagnostics()
+        self.diagnostics.clone()
     }
 
-    /// Diagnostics for the most recent statistics build or load, with the
-    /// query-cache counters merged in. Returned by value: the counters live
-    /// with the cache behind the serving lock, so a borrow cannot carry
-    /// them.
-    pub fn stats_diagnostics(&self) -> StatsDiagnostics {
-        let serving = self.serving.lock().unwrap_or_else(PoisonError::into_inner);
-        let mut diag = self.diagnostics.clone();
-        diag.cache_hits = serving.cache.hits();
-        diag.cache_misses = serving.cache.misses();
-        diag.cache_invalidations = serving.cache.invalidations();
-        diag.batch_queries = serving.batch_queries;
-        diag.batch_cache_bypass = serving.batch_bypass;
-        diag
+    /// Diagnostics for the most recent statistics build or load.
+    pub fn stats_diagnostics(&self) -> &StatsDiagnostics {
+        &self.diagnostics
     }
 
     /// Sets the worker-thread count used by ANALYZE and batch estimation
@@ -994,21 +960,16 @@ impl SpatialTable {
         self.options.analyze = analyze;
     }
 
-    /// Reconfigures the query-result cache: on/off and capacity. The cache
-    /// (and its hit/miss counters) is reset.
+    /// Reconfigures the query-result cache: on/off and capacity. The cached
+    /// entries are dropped; the hit/miss/invalidation counters carry on.
     pub fn set_query_cache(&mut self, enabled: bool, capacity: usize) {
         self.options.query_cache = enabled;
         self.options.query_cache_capacity = capacity;
-        let serving = self
-            .serving
+        self.serving
             .get_mut()
-            .unwrap_or_else(PoisonError::into_inner);
-        serving.cache = QueryCache::new(if enabled { capacity } else { 0 });
-        // The fresh cache restarts its counters from zero; reset their
-        // published high-water marks so later deltas stay non-negative.
-        serving.published.cache_hits = 0;
-        serving.published.cache_misses = 0;
-        serving.published.cache_invalidations = 0;
+            .unwrap_or_else(PoisonError::into_inner)
+            .cache
+            .resize(if enabled { capacity } else { 0 });
     }
 
     /// Estimated result size for `query`, falling back to the global
@@ -1051,25 +1012,13 @@ impl SpatialTable {
             serving.seen_era = self.data_era;
         }
         serving.calls += 1;
-        if !self.options.metrics || !minskew_obs::enabled() {
-            // Metrics off: the original serving path, untouched. The counter
-            // bump above is a plain u64 add under the already-held lock.
-            if !self.options.query_cache {
-                return Ok(self.estimate_finite(query, &mut serving.scratch));
-            }
-            let key = cache_key(query);
-            if let Some(cached) = serving.cache.get(&key) {
-                return Ok(cached);
-            }
-            let value = self.estimate_finite(query, &mut serving.scratch);
-            serving.cache.insert(key, value);
-            return Ok(value);
-        }
-        // Metrics on: 1-in-`metrics_sampling` calls take the timed path;
-        // the rest run the exact same estimator functions with counter-only
-        // bookkeeping (crucially: no clock reads off the sampled path).
+        // With metrics on, 1-in-`metrics_sampling` calls take the timed
+        // path; the rest run the exact same estimator functions with
+        // counter-only bookkeeping (crucially: no clock reads off the
+        // sampled path). With metrics off no call is sampled, and the
+        // reservoir has capacity 0, so `observe` is a no-op.
         let mask = u64::from(self.options.metrics_sampling.max(1)).next_power_of_two() - 1;
-        if (serving.calls - 1) & mask == 0 {
+        if self.options.metrics && (serving.calls - 1) & mask == 0 {
             serving.sampled += 1;
             return Ok(self.estimate_timed(query, serving));
         }
@@ -1250,9 +1199,9 @@ impl SpatialTable {
     /// The batch path bypasses the query cache — with per-worker scratch
     /// there is no shared state to lock — so cached single-query answers are
     /// neither consulted nor refreshed here. That silent bypass is itself
-    /// observable: every batch bumps [`StatsDiagnostics::batch_queries`],
-    /// and when the cache is enabled the bypassed queries are counted in
-    /// [`StatsDiagnostics::batch_cache_bypass`].
+    /// observable: every batch bumps `engine.batch.queries`, and when the
+    /// cache is enabled the bypassed queries are counted in
+    /// `engine.batch.cache_bypass` (see [`SpatialTable::metrics`]).
     ///
     /// Internally the pool is evaluated in **Morton order** of the query
     /// centres ([`minskew_core::morton_schedule`]): consecutive queries are
@@ -1323,75 +1272,29 @@ impl SpatialTable {
         }
     }
 
-    /// Publishes the serving counters into the per-table registry as deltas
-    /// over the previously published high-water marks. Runs only on metric
-    /// reads, never on the serving path.
-    fn publish_serving_metrics(&self, serving: &mut ServingState) {
-        if !self.options.metrics || !minskew_obs::enabled() {
-            return;
-        }
-        let calls = serving.calls;
-        let sampled = serving.sampled;
-        let batch_calls = serving.batch_calls;
-        let batch_queries = serving.batch_queries;
-        let batch_bypass = serving.batch_bypass;
-        let cache_hits = serving.cache.hits();
-        let cache_misses = serving.cache.misses();
-        let cache_invalidations = serving.cache.invalidations();
-        let published = &mut serving.published;
-        // `saturating_sub`: reconfiguring the cache resets its counters, so
-        // a current value may briefly sit below its published shadow.
-        let bump = |name: &str, current: u64, shadow: &mut u64| {
-            self.registry
-                .counter(name)
-                .add(current.saturating_sub(*shadow));
-            *shadow = current;
-        };
-        bump("engine.query.calls", calls, &mut published.calls);
-        bump("engine.query.sampled", sampled, &mut published.sampled);
-        bump(
-            "engine.batch.calls",
-            batch_calls,
-            &mut published.batch_calls,
-        );
-        bump(
-            "engine.batch.queries",
-            batch_queries,
-            &mut published.batch_queries,
-        );
-        bump(
-            "engine.batch.cache_bypass",
-            batch_bypass,
-            &mut published.batch_bypass,
-        );
-        bump("engine.cache.hits", cache_hits, &mut published.cache_hits);
-        bump(
-            "engine.cache.misses",
-            cache_misses,
-            &mut published.cache_misses,
-        );
-        bump(
-            "engine.cache.invalidations",
-            cache_invalidations,
-            &mut published.cache_invalidations,
-        );
-    }
-
-    /// A snapshot of this table's metrics registry (`engine.*` counters,
-    /// gauges, and latency histograms). Serving counters are published into
-    /// the registry lazily, on this read — the hot path only does plain
-    /// arithmetic under its own lock.
+    /// A snapshot of this table's metrics: the registry's `engine.*`
+    /// counters, gauges, and latency histograms, with the serving counters
+    /// (`engine.query.*`, `engine.cache.*`, `engine.batch.*`) merged in.
+    /// Those counters live only in the serving state, where the hot path
+    /// bumps them as plain integers under the lock it already holds; the
+    /// registry keeps no copy, so every read reports them exactly once.
     ///
     /// Build-time metrics (`core.build.*`) and parallel-runtime metrics
     /// (`par.*`) live in the process-wide [`minskew_obs::Registry::global`]
     /// registry, not here: they aggregate work that is not owned by any one
     /// table.
-    pub fn metrics(&self) -> minskew_obs::RegistrySnapshot {
-        {
-            let mut serving = self.serving.lock().unwrap_or_else(PoisonError::into_inner);
-            self.publish_serving_metrics(&mut serving);
-        }
-        self.registry.snapshot()
+    pub fn metrics(&self) -> RegistrySnapshot {
+        let counters = self
+            .serving
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .counters();
+        let mut snapshot = self.registry.snapshot();
+        snapshot.merge(RegistrySnapshot {
+            counters,
+            ..RegistrySnapshot::default()
+        });
+        snapshot
     }
 
     /// This table's metrics as a self-describing JSON document
@@ -1488,7 +1391,7 @@ impl SpatialTable {
             drifted,
             recommend_reanalyze: drifted || self.stats_stale(),
         };
-        if self.options.metrics && minskew_obs::enabled() {
+        if self.options.metrics {
             self.registry
                 .gauge("engine.accuracy.avg_rel_error")
                 .set(avg_relative_error);
@@ -1552,7 +1455,7 @@ impl SpatialTable {
         let needs_repair = audit
             .as_ref()
             .map_or_else(|| self.stats_stale(), |report| report.recommend_reanalyze);
-        if self.options.metrics && minskew_obs::enabled() {
+        if self.options.metrics {
             self.registry.counter("engine.maintenance.runs").inc();
         }
         let action = if !needs_repair || self.options.maintenance == MaintenanceMode::Off {
@@ -1569,7 +1472,7 @@ impl SpatialTable {
             self.analyze();
             MaintenanceAction::Reanalyzed
         };
-        if self.options.metrics && minskew_obs::enabled() {
+        if self.options.metrics {
             let name = match action {
                 MaintenanceAction::None => "none",
                 MaintenanceAction::Reanalyzed => "reanalyze",
@@ -1614,7 +1517,7 @@ impl SpatialTable {
             .refine(&observations, &RefineOptions::default());
         let refine_ns = clock.lap();
         self.install_refined(hist);
-        if self.options.metrics && minskew_obs::enabled() {
+        if self.options.metrics {
             self.registry
                 .histogram("engine.maintenance.refine_ns")
                 .record(refine_ns);
@@ -1629,7 +1532,7 @@ impl SpatialTable {
     /// `ANALYZE`, incrementally repaired) and the accuracy reservoir keeps
     /// its replayed feedback.
     fn install_refined(&mut self, hist: SpatialHistogram) {
-        if self.options.metrics && minskew_obs::enabled() {
+        if self.options.metrics {
             self.registry
                 .gauge("engine.stats.buckets")
                 .set(hist.buckets().len() as f64);
@@ -1703,6 +1606,15 @@ impl SpatialTable {
 mod tests {
     use super::*;
     use minskew_datagen::charminar_with;
+
+    /// The counter `name` in the table's metrics snapshot (0 if absent).
+    fn counter(t: &SpatialTable, name: &str) -> u64 {
+        t.metrics()
+            .counters
+            .into_iter()
+            .find(|(n, _)| n == name)
+            .map_or(0, |(_, v)| v)
+    }
 
     fn grid_table(side: usize) -> SpatialTable {
         let mut t = SpatialTable::new(TableOptions::default());
@@ -2142,9 +2054,9 @@ mod tests {
                 );
             }
         }
-        let d = cached.stats_diagnostics();
-        assert!(d.cache_hits > 0, "repeated queries must hit: {d:?}");
-        assert!(d.cache_misses >= 20);
+        let hits = counter(&cached, "engine.cache.hits");
+        assert!(hits > 0, "repeated queries must hit");
+        assert!(counter(&cached, "engine.cache.misses") >= 20);
         // Mutations flush the cache; estimates immediately reflect them.
         let q = queries[0];
         let before = cached.estimate(&q);
@@ -2163,7 +2075,7 @@ mod tests {
             "post-delete estimates must agree"
         );
         assert_eq!(cached.estimate(&q).to_bits(), before.to_bits());
-        assert!(cached.stats_diagnostics().cache_invalidations >= 2);
+        assert!(counter(&cached, "engine.cache.invalidations") >= 2);
     }
 
     #[test]
@@ -2174,11 +2086,35 @@ mod tests {
         let reference = t.estimate(&q);
         t.set_query_cache(false, 0);
         assert_eq!(t.estimate(&q).to_bits(), reference.to_bits());
-        assert_eq!(t.stats_diagnostics().cache_hits, 0);
+        assert_eq!(counter(&t, "engine.cache.hits"), 0);
         t.set_query_cache(true, 4);
         let _ = t.estimate(&q);
         assert_eq!(t.estimate(&q).to_bits(), reference.to_bits());
-        assert_eq!(t.stats_diagnostics().cache_hits, 1);
+        assert_eq!(counter(&t, "engine.cache.hits"), 1);
+    }
+
+    #[test]
+    fn cache_counters_survive_reconfiguration_and_repeated_reads() {
+        let mut t = grid_table(20);
+        t.analyze();
+        let q = Rect::new(0.0, 0.0, 50.0, 50.0);
+        // One miss, then two hits before the reconfiguration...
+        for _ in 0..3 {
+            let _ = t.estimate(&q);
+        }
+        assert_eq!(counter(&t, "engine.cache.hits"), 2);
+        t.set_query_cache(true, 8);
+        // ...and, the entries dropped, one miss and three hits after it.
+        for _ in 0..4 {
+            let _ = t.estimate(&q);
+        }
+        // Hits from both sides of the reconfiguration sum exactly, and
+        // reading the metrics again never counts anything twice.
+        for _ in 0..3 {
+            assert_eq!(counter(&t, "engine.cache.hits"), 5);
+            assert_eq!(counter(&t, "engine.cache.misses"), 2);
+            assert_eq!(counter(&t, "engine.query.calls"), 7);
+        }
     }
 
     #[test]
@@ -2245,23 +2181,19 @@ mod tests {
             .collect();
         t.estimate_batch(&queries);
         let _ = t.try_estimate_batch(&queries[..4]).expect("finite");
-        let diag = t.stats_diagnostics();
-        assert_eq!(diag.batch_queries, 14);
+        assert_eq!(counter(&t, "engine.batch.calls"), 2);
+        assert_eq!(counter(&t, "engine.batch.queries"), 14);
         // The default table has the cache on, so every batch query bypassed
         // it.
-        assert_eq!(diag.batch_cache_bypass, 14);
-        let text = diag.to_string();
-        assert!(
-            text.contains("batch 14 queries (14 cache-bypassed)"),
-            "{text}"
-        );
+        assert_eq!(counter(&t, "engine.batch.cache_bypass"), 14);
+        let text = t.stats_diagnostics().to_string();
+        assert_eq!(text, "stats 51/100 buckets (fallback: none, attempts: 1)");
 
         // With the cache off, batches are counted but nothing is "bypassed".
         t.set_query_cache(false, 0);
         t.estimate_batch(&queries);
-        let diag = t.stats_diagnostics();
-        assert_eq!(diag.batch_queries, 24);
-        assert_eq!(diag.batch_cache_bypass, 14);
+        assert_eq!(counter(&t, "engine.batch.queries"), 24);
+        assert_eq!(counter(&t, "engine.batch.cache_bypass"), 14);
     }
 
     #[test]
@@ -2308,41 +2240,16 @@ mod tests {
             let _ = t.estimate(&Rect::new(0.0, 0.0, 5.0 + i as f64, 5.0));
         }
         t.estimate_batch(&[Rect::new(0.0, 0.0, 9.0, 9.0); 3]);
-        let snap = t.metrics();
-        let counter = |name: &str| {
-            snap.counters
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|&(_, v)| v)
-        };
-        if minskew_obs::enabled() {
-            assert_eq!(counter("engine.query.calls"), Some(20));
-            assert_eq!(counter("engine.batch.queries"), Some(3));
-            assert_eq!(counter("engine.batch.cache_bypass"), Some(3));
-            // Publication is delta-based: a second read must not double
-            // count.
-            let again = t.metrics();
-            assert_eq!(
-                again
-                    .counters
-                    .iter()
-                    .find(|(n, _)| n == "engine.query.calls"),
-                Some(&("engine.query.calls".to_owned(), 20))
-            );
-            assert!(t.metrics_json().contains("\"engine.query.calls\": 20"));
-        } else {
-            // Compiled to no-ops: nothing is ever published.
-            assert_eq!(counter("engine.query.calls").unwrap_or(0), 0);
-        }
+        assert_eq!(counter(&t, "engine.query.calls"), 20);
+        assert_eq!(counter(&t, "engine.batch.queries"), 3);
+        assert_eq!(counter(&t, "engine.batch.cache_bypass"), 3);
+        // A second read must not double count.
+        assert_eq!(counter(&t, "engine.query.calls"), 20);
+        assert!(t.metrics_json().contains("\"engine.query.calls\": 20"));
     }
 
     #[test]
     fn accuracy_audit_matches_offline_error() {
-        if !minskew_obs::enabled() {
-            // The serving path never samples the reservoir when the obs
-            // crate is compiled to no-ops; there is nothing to audit.
-            return;
-        }
         let mut t = SpatialTable::new(TableOptions {
             accuracy_reservoir: 1024, // larger than the workload: no eviction
             ..TableOptions::default()
@@ -2383,9 +2290,6 @@ mod tests {
 
     #[test]
     fn accuracy_drift_detected_after_churn_and_healed_by_analyze() {
-        if !minskew_obs::enabled() {
-            return;
-        }
         let mut t = SpatialTable::new(TableOptions {
             accuracy_reservoir: 512,
             auto_analyze_threshold: None, // drift must not self-heal here
@@ -2422,9 +2326,6 @@ mod tests {
 
     #[test]
     fn reservoir_exacts_survive_refine_but_not_data_churn() {
-        if !minskew_obs::enabled() {
-            return;
-        }
         let mut t = SpatialTable::new(TableOptions {
             accuracy_reservoir: 512,
             auto_analyze_threshold: None,
@@ -2473,9 +2374,6 @@ mod tests {
 
     #[test]
     fn maintain_modes_repair_or_observe() {
-        if !minskew_obs::enabled() {
-            return;
-        }
         let drifted_table = |mode: MaintenanceMode| {
             let mut t = SpatialTable::new(TableOptions {
                 accuracy_reservoir: 512,
@@ -2578,11 +2476,14 @@ mod tests {
             let _ = t.estimate(&Rect::new(0.0, 0.0, 5.0 + i as f64, 5.0));
         }
         assert!(t.audit_accuracy().is_none());
-        // Diagnostics counters still work (they are plain bookkeeping, not
-        // registry metrics)...
-        assert_eq!(t.stats_diagnostics().cache_misses, 40);
-        // ...but nothing was published to the registry.
+        // The serving counters still count (they are plain bookkeeping)...
+        assert_eq!(counter(&t, "engine.cache.misses"), 40);
+        assert_eq!(counter(&t, "engine.query.sampled"), 0);
+        // ...but nothing was timed into a histogram.
         let snap = t.metrics();
-        assert!(snap.counters.iter().all(|&(_, v)| v == 0), "{snap:?}");
+        assert!(
+            snap.histograms.iter().all(|(_, h)| h.count == 0),
+            "{snap:?}"
+        );
     }
 }

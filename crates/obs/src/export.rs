@@ -154,7 +154,6 @@ mod tests {
         assert_eq!(r.to_text(), "(no metrics recorded)\n");
     }
 
-    #[cfg(not(feature = "noop"))]
     #[test]
     fn populated_registry_round_trips_values() {
         let r = Registry::new();

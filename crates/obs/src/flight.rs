@@ -26,15 +26,13 @@
 //!
 //! Recording happens strictly *after* an estimate is computed and only
 //! touches this ring's atomics; it can never perturb an estimate, the
-//! query cache, or the statistics. Under `--features noop` the entire ring
-//! compiles away (capacity 0, every call a no-op), which the trace
-//! differential suite uses to pin that estimates and encoded stats are
-//! byte-identical with the recorder on, off, and sampling every query.
+//! query cache, or the statistics. The trace differential suite pins that
+//! estimates and encoded stats are byte-identical with the recorder on
+//! (capacity > 0), off (capacity 0), and sampling every query.
 //!
 //! Drained output is pinned JSONL, one record per line, schema
 //! `minskew-obs/flight-v1`.
 
-#[cfg(not(feature = "noop"))]
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::export::{json_escape, json_f64};
@@ -60,7 +58,6 @@ impl FlightTrigger {
         }
     }
 
-    #[cfg(not(feature = "noop"))]
     fn from_code(code: u64) -> FlightTrigger {
         match code {
             0 => FlightTrigger::Slow,
@@ -130,10 +127,8 @@ impl QueryRecord {
 
 /// Payload words per slot: flags, 4 query coords, estimate, exact,
 /// latency, generation, 2 trace-id words.
-#[cfg(not(feature = "noop"))]
 const WORDS: usize = 11;
 
-#[cfg(not(feature = "noop"))]
 struct Slot {
     /// `0` = never written; odd = write in progress; `2·seq + 2` = record
     /// `seq` committed.
@@ -141,7 +136,6 @@ struct Slot {
     words: [AtomicU64; WORDS],
 }
 
-#[cfg(not(feature = "noop"))]
 impl Slot {
     fn new() -> Slot {
         Slot {
@@ -151,7 +145,6 @@ impl Slot {
     }
 }
 
-#[cfg(not(feature = "noop"))]
 fn encode(record: &QueryRecord) -> [u64; WORDS] {
     let mut tid = [0u8; TID_BYTES];
     let take = record.tid.len().min(TID_BYTES);
@@ -176,7 +169,6 @@ fn encode(record: &QueryRecord) -> [u64; WORDS] {
     ]
 }
 
-#[cfg(not(feature = "noop"))]
 fn decode(words: &[u64; WORDS]) -> QueryRecord {
     let mut tid = [0u8; TID_BYTES];
     tid[..8].copy_from_slice(&words[9].to_le_bytes());
@@ -201,9 +193,7 @@ fn decode(words: &[u64; WORDS]) -> QueryRecord {
 /// The fixed-capacity lock-free ring of [`QueryRecord`]s. Shared by `Arc`;
 /// every method takes `&self`. Capacity `0` disables recording entirely.
 pub struct FlightRecorder {
-    #[cfg(not(feature = "noop"))]
     head: AtomicU64,
-    #[cfg(not(feature = "noop"))]
     slots: Vec<Slot>,
 }
 
@@ -218,101 +208,70 @@ impl std::fmt::Debug for FlightRecorder {
 
 impl FlightRecorder {
     /// A recorder holding the most recent `capacity` records (`0`
-    /// disables it; under `noop` capacity is always 0).
+    /// disables it).
     #[must_use]
     pub fn new(capacity: usize) -> FlightRecorder {
-        #[cfg(feature = "noop")]
-        let _ = capacity;
         FlightRecorder {
-            #[cfg(not(feature = "noop"))]
             head: AtomicU64::new(0),
-            #[cfg(not(feature = "noop"))]
             slots: (0..capacity).map(|_| Slot::new()).collect(),
         }
     }
 
-    /// Slot count (0 when disabled or under `noop`).
+    /// Slot count (0 when disabled).
     pub fn capacity(&self) -> usize {
-        #[cfg(not(feature = "noop"))]
-        {
-            self.slots.len()
-        }
-        #[cfg(feature = "noop")]
-        {
-            0
-        }
+        self.slots.len()
     }
 
     /// Records ever captured (including those since overwritten).
     pub fn total(&self) -> u64 {
-        #[cfg(not(feature = "noop"))]
-        {
-            self.head.load(Ordering::Relaxed)
-        }
-        #[cfg(feature = "noop")]
-        {
-            0
-        }
+        self.head.load(Ordering::Relaxed)
     }
 
     /// Captures one record. Lock-free, allocation-free, wait-free for
     /// writers; a no-op when capacity is 0.
     pub fn record(&self, record: &QueryRecord) {
-        #[cfg(not(feature = "noop"))]
-        {
-            if self.slots.is_empty() {
-                return;
-            }
-            let seq = self.head.fetch_add(1, Ordering::Relaxed);
-            let slot = &self.slots[(seq % self.slots.len() as u64) as usize];
-            let words = encode(record);
-            slot.stamp
-                .store(seq.wrapping_mul(2).wrapping_add(1), Ordering::Release);
-            for (dst, &src) in slot.words.iter().zip(words.iter()) {
-                dst.store(src, Ordering::Relaxed);
-            }
-            slot.stamp
-                .store(seq.wrapping_mul(2).wrapping_add(2), Ordering::Release);
+        if self.slots.is_empty() {
+            return;
         }
-        #[cfg(feature = "noop")]
-        let _ = record;
+        let seq = self.head.fetch_add(1, Ordering::Relaxed);
+        let slot = &self.slots[(seq % self.slots.len() as u64) as usize];
+        let words = encode(record);
+        slot.stamp
+            .store(seq.wrapping_mul(2).wrapping_add(1), Ordering::Release);
+        for (dst, &src) in slot.words.iter().zip(words.iter()) {
+            dst.store(src, Ordering::Relaxed);
+        }
+        slot.stamp
+            .store(seq.wrapping_mul(2).wrapping_add(2), Ordering::Release);
     }
 
     /// The most recent `max` committed records, oldest first, each with
     /// its sequence number. Best-effort: slots overwritten mid-read are
     /// skipped, never returned torn.
     pub fn recent(&self, max: usize) -> Vec<(u64, QueryRecord)> {
-        #[cfg(not(feature = "noop"))]
-        {
-            let head = self.head.load(Ordering::Acquire);
-            let cap = self.slots.len() as u64;
-            if cap == 0 || head == 0 || max == 0 {
-                return Vec::new();
-            }
-            let span = head.min(cap).min(max as u64);
-            let mut out = Vec::with_capacity(span as usize);
-            for seq in (head - span)..head {
-                let slot = &self.slots[(seq % cap) as usize];
-                let s1 = slot.stamp.load(Ordering::Acquire);
-                if s1 != seq.wrapping_mul(2).wrapping_add(2) {
-                    continue; // empty, in progress, or already overwritten
-                }
-                let mut words = [0u64; WORDS];
-                for (dst, src) in words.iter_mut().zip(slot.words.iter()) {
-                    *dst = src.load(Ordering::Relaxed);
-                }
-                if slot.stamp.load(Ordering::Acquire) != s1 {
-                    continue; // overwritten while reading: drop, never tear
-                }
-                out.push((seq, decode(&words)));
-            }
-            out
+        let head = self.head.load(Ordering::Acquire);
+        let cap = self.slots.len() as u64;
+        if cap == 0 || head == 0 || max == 0 {
+            return Vec::new();
         }
-        #[cfg(feature = "noop")]
-        {
-            let _ = max;
-            Vec::new()
+        let span = head.min(cap).min(max as u64);
+        let mut out = Vec::with_capacity(span as usize);
+        for seq in (head - span)..head {
+            let slot = &self.slots[(seq % cap) as usize];
+            let s1 = slot.stamp.load(Ordering::Acquire);
+            if s1 != seq.wrapping_mul(2).wrapping_add(2) {
+                continue; // empty, in progress, or already overwritten
+            }
+            let mut words = [0u64; WORDS];
+            for (dst, src) in words.iter_mut().zip(slot.words.iter()) {
+                *dst = src.load(Ordering::Relaxed);
+            }
+            if slot.stamp.load(Ordering::Acquire) != s1 {
+                continue; // overwritten while reading: drop, never tear
+            }
+            out.push((seq, decode(&words)));
         }
+        out
     }
 
     /// Drains the most recent `max` records as pinned
@@ -346,7 +305,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(feature = "noop"))]
     fn round_trips_records_in_order() {
         let ring = FlightRecorder::new(4);
         for i in 0..3 {
@@ -362,7 +320,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(feature = "noop"))]
     fn wraps_keeping_newest() {
         let ring = FlightRecorder::new(4);
         for i in 0..10 {
@@ -378,7 +335,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(feature = "noop"))]
     fn zero_capacity_records_nothing() {
         let ring = FlightRecorder::new(0);
         ring.record(&rec(1));
@@ -388,7 +344,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(feature = "noop"))]
     fn long_tids_truncate_and_survive() {
         let ring = FlightRecorder::new(2);
         let mut r = rec(0);
@@ -399,7 +354,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(feature = "noop"))]
     fn jsonl_lines_are_pinned() {
         let ring = FlightRecorder::new(2);
         ring.record(&QueryRecord {
@@ -438,7 +392,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(feature = "noop"))]
     fn concurrent_writers_never_tear() {
         use std::sync::Arc;
         let ring = Arc::new(FlightRecorder::new(8));
@@ -462,16 +415,5 @@ mod tests {
             }
         });
         assert_eq!(ring.total(), 2_000);
-    }
-
-    #[test]
-    #[cfg(feature = "noop")]
-    fn noop_disables_everything() {
-        let ring = FlightRecorder::new(64);
-        ring.record(&rec(1));
-        assert_eq!(ring.capacity(), 0);
-        assert_eq!(ring.total(), 0);
-        assert!(ring.recent(10).is_empty());
-        assert_eq!(ring.to_jsonl(10), "");
     }
 }

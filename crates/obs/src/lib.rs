@@ -3,11 +3,9 @@
 //! Everything here is built from `std` alone — no external crates — and is
 //! designed around one hard contract: **instrumentation must be invisible to
 //! the computation it observes**. Metrics are write-only from the hot path's
-//! perspective (relaxed atomics, no locks on record), timers read only the
-//! monotonic clock, and the whole crate compiles to no-ops under the `noop`
-//! feature (same API, zero state, no clock reads) so the differential test
-//! suites can prove estimates and encoded statistics are byte-identical with
-//! observability present, active, or compiled out.
+//! perspective (relaxed atomics, no locks on record) and timers read only
+//! the monotonic clock, so the differential test suites can prove estimates
+//! and encoded statistics are byte-identical with observability on or off.
 //!
 //! The pieces:
 //!
@@ -40,9 +38,7 @@
 //! served.inc();
 //! latency.record(1_500);
 //! let json = registry.to_json();
-//! if minskew_obs::enabled() {
-//!     assert!(json.contains("\"engine.query.calls\": 1"));
-//! }
+//! assert!(json.contains("\"engine.query.calls\": 1"));
 //! ```
 
 #![warn(missing_docs)]
@@ -59,14 +55,6 @@ pub use flight::{FlightRecorder, FlightTrigger, QueryRecord, TID_BYTES};
 pub use metrics::{bucket_bounds, Counter, Gauge, Histogram, HistogramSnapshot, HISTOGRAM_BUCKETS};
 pub use registry::{Registry, RegistrySnapshot};
 pub use span::{Span, Stopwatch, Timer, Trace, TraceEvent};
-
-/// `true` when the crate records real metrics; `false` when the `noop`
-/// feature compiled every operation away. Callers use this to skip
-/// assertions about metric contents, never to guard recording itself (the
-/// no-ops are free).
-pub const fn enabled() -> bool {
-    !cfg!(feature = "noop")
-}
 
 /// Normalises a display name (a technique name like `"Min-Skew"`) into one
 /// dot-separated metric-name component: lowercase, with `-`, spaces, and

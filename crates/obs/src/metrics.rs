@@ -7,7 +7,6 @@
 //! `count` and `sum` may disagree by in-flight samples); exporters document
 //! this.
 
-#[cfg(not(feature = "noop"))]
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of log₂ buckets in a [`Histogram`]: bucket `i` counts samples in
@@ -16,7 +15,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub const HISTOGRAM_BUCKETS: usize = 64;
 
 /// Index of the log₂ bucket for `value`: `floor(log2(max(value, 1)))`.
-#[cfg(not(feature = "noop"))]
 fn bucket_of(value: u64) -> usize {
     63 - (value | 1).leading_zeros() as usize
 }
@@ -37,7 +35,6 @@ pub fn bucket_bounds(i: usize) -> (u64, u64) {
 /// order-independent by construction.
 #[derive(Debug, Default)]
 pub struct Counter {
-    #[cfg(not(feature = "noop"))]
     value: AtomicU64,
 }
 
@@ -56,18 +53,12 @@ impl Counter {
     /// Adds `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        #[cfg(not(feature = "noop"))]
         self.value.fetch_add(n, Ordering::Relaxed);
-        #[cfg(feature = "noop")]
-        let _ = n;
     }
 
     /// Current value.
     pub fn get(&self) -> u64 {
-        #[cfg(not(feature = "noop"))]
-        return self.value.load(Ordering::Relaxed);
-        #[cfg(feature = "noop")]
-        0
+        self.value.load(Ordering::Relaxed)
     }
 }
 
@@ -77,7 +68,6 @@ impl Counter {
 /// always observe some previously written value (never a torn one).
 #[derive(Debug, Default)]
 pub struct Gauge {
-    #[cfg(not(feature = "noop"))]
     bits: AtomicU64,
 }
 
@@ -90,18 +80,12 @@ impl Gauge {
     /// Stores a new value.
     #[inline]
     pub fn set(&self, value: f64) {
-        #[cfg(not(feature = "noop"))]
         self.bits.store(value.to_bits(), Ordering::Relaxed);
-        #[cfg(feature = "noop")]
-        let _ = value;
     }
 
     /// The most recently stored value.
     pub fn get(&self) -> f64 {
-        #[cfg(not(feature = "noop"))]
-        return f64::from_bits(self.bits.load(Ordering::Relaxed));
-        #[cfg(feature = "noop")]
-        0.0
+        f64::from_bits(self.bits.load(Ordering::Relaxed))
     }
 }
 
@@ -115,11 +99,8 @@ impl Gauge {
 /// allocation, and no clamping (the bucket range covers all of `u64`).
 #[derive(Debug)]
 pub struct Histogram {
-    #[cfg(not(feature = "noop"))]
     buckets: [AtomicU64; HISTOGRAM_BUCKETS],
-    #[cfg(not(feature = "noop"))]
     count: AtomicU64,
-    #[cfg(not(feature = "noop"))]
     sum: AtomicU64,
 }
 
@@ -133,11 +114,8 @@ impl Histogram {
     /// Creates an empty histogram.
     pub fn new() -> Histogram {
         Histogram {
-            #[cfg(not(feature = "noop"))]
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            #[cfg(not(feature = "noop"))]
             count: AtomicU64::new(0),
-            #[cfg(not(feature = "noop"))]
             sum: AtomicU64::new(0),
         }
     }
@@ -145,57 +123,37 @@ impl Histogram {
     /// Records one sample.
     #[inline]
     pub fn record(&self, value: u64) {
-        #[cfg(not(feature = "noop"))]
-        {
-            self.buckets[bucket_of(value)].fetch_add(1, Ordering::Relaxed);
-            self.count.fetch_add(1, Ordering::Relaxed);
-            self.sum.fetch_add(value, Ordering::Relaxed);
-        }
-        #[cfg(feature = "noop")]
-        let _ = value;
+        self.buckets[bucket_of(value)].fetch_add(1, Ordering::Relaxed);
+        self.count.fetch_add(1, Ordering::Relaxed);
+        self.sum.fetch_add(value, Ordering::Relaxed);
     }
 
     /// Total number of recorded samples.
     pub fn count(&self) -> u64 {
-        #[cfg(not(feature = "noop"))]
-        return self.count.load(Ordering::Relaxed);
-        #[cfg(feature = "noop")]
-        0
+        self.count.load(Ordering::Relaxed)
     }
 
     /// Sum of all recorded samples (wrapping on overflow).
     pub fn sum(&self) -> u64 {
-        #[cfg(not(feature = "noop"))]
-        return self.sum.load(Ordering::Relaxed);
-        #[cfg(feature = "noop")]
-        0
+        self.sum.load(Ordering::Relaxed)
     }
 
     /// A point-in-time copy of the distribution. Per-field consistent; the
     /// fields may disagree by samples recorded mid-snapshot.
     pub fn snapshot(&self) -> HistogramSnapshot {
-        #[cfg(not(feature = "noop"))]
-        {
-            let buckets: Vec<(usize, u64)> = self
-                .buckets
-                .iter()
-                .enumerate()
-                .filter_map(|(i, b)| {
-                    let n = b.load(Ordering::Relaxed);
-                    (n > 0).then_some((i, n))
-                })
-                .collect();
-            HistogramSnapshot {
-                count: self.count(),
-                sum: self.sum(),
-                buckets,
-            }
-        }
-        #[cfg(feature = "noop")]
+        let buckets: Vec<(usize, u64)> = self
+            .buckets
+            .iter()
+            .enumerate()
+            .filter_map(|(i, b)| {
+                let n = b.load(Ordering::Relaxed);
+                (n > 0).then_some((i, n))
+            })
+            .collect();
         HistogramSnapshot {
-            count: 0,
-            sum: 0,
-            buckets: Vec::new(),
+            count: self.count(),
+            sum: self.sum(),
+            buckets,
         }
     }
 }
@@ -294,11 +252,7 @@ mod tests {
         let c = Counter::new();
         c.inc();
         c.add(41);
-        if crate::enabled() {
-            assert_eq!(c.get(), 42);
-        } else {
-            assert_eq!(c.get(), 0);
-        }
+        assert_eq!(c.get(), 42);
     }
 
     #[test]
@@ -306,11 +260,7 @@ mod tests {
         let g = Gauge::new();
         g.set(1.5);
         g.set(-2.25);
-        if crate::enabled() {
-            assert_eq!(g.get(), -2.25);
-        } else {
-            assert_eq!(g.get(), 0.0);
-        }
+        assert_eq!(g.get(), -2.25);
     }
 
     #[test]
@@ -321,7 +271,6 @@ mod tests {
         assert_eq!(bucket_bounds(63), (1 << 63, u64::MAX));
     }
 
-    #[cfg(not(feature = "noop"))]
     #[test]
     fn histogram_buckets_by_log2() {
         let h = Histogram::new();
@@ -340,7 +289,6 @@ mod tests {
 
     #[test]
     fn quantile_of_empty_snapshot_is_zero() {
-        // Directly on the snapshot so this holds under `noop` too.
         let empty = HistogramSnapshot {
             count: 0,
             sum: 0,
@@ -385,7 +333,6 @@ mod tests {
         assert_eq!(top.quantile_upper_bound(1.0), u64::MAX);
     }
 
-    #[cfg(not(feature = "noop"))]
     #[test]
     fn concurrent_counts_merge_exactly() {
         let c = Counter::new();
@@ -403,15 +350,5 @@ mod tests {
         assert_eq!(c.get(), 4_000);
         assert_eq!(h.count(), 4_000);
         assert_eq!(h.sum(), 4 * (999 * 1000 / 2));
-    }
-
-    #[cfg(feature = "noop")]
-    #[test]
-    fn noop_histogram_stays_empty() {
-        let h = Histogram::new();
-        h.record(123);
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.snapshot().buckets, Vec::new());
-        assert_eq!(h.snapshot().quantile_upper_bound(0.5), 0);
     }
 }

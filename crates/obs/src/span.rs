@@ -2,13 +2,10 @@
 //! trace spans.
 
 use crate::Histogram;
-#[cfg(not(feature = "noop"))]
 use std::sync::{Mutex, PoisonError};
-#[cfg(not(feature = "noop"))]
 use std::time::Instant;
 
 /// Saturating nanoseconds since an earlier instant (u64 covers ~584 years).
-#[cfg(not(feature = "noop"))]
 fn nanos_since(earlier: Instant) -> u64 {
     u64::try_from(earlier.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
@@ -17,13 +14,10 @@ fn nanos_since(earlier: Instant) -> u64 {
 /// the previous lap (or since [`Stopwatch::start`]) and restarts the lap.
 ///
 /// This is the building block for staged hot-path timing (probe → scan →
-/// clamp): one `Stopwatch`, one clock read per stage boundary. Under the
-/// `noop` feature the clock is never read and every lap is `0`.
+/// clamp): one `Stopwatch`, one clock read per stage boundary.
 #[derive(Debug, Clone, Copy)]
 pub struct Stopwatch {
-    #[cfg(not(feature = "noop"))]
     origin: Instant,
-    #[cfg(not(feature = "noop"))]
     last: Instant,
 }
 
@@ -31,12 +25,9 @@ impl Stopwatch {
     /// Starts (or restarts) a stopwatch now.
     #[inline]
     pub fn start() -> Stopwatch {
-        #[cfg(not(feature = "noop"))]
         let now = Instant::now();
         Stopwatch {
-            #[cfg(not(feature = "noop"))]
             origin: now,
-            #[cfg(not(feature = "noop"))]
             last: now,
         }
     }
@@ -44,24 +35,16 @@ impl Stopwatch {
     /// Nanoseconds since the previous lap; the lap restarts.
     #[inline]
     pub fn lap(&mut self) -> u64 {
-        #[cfg(not(feature = "noop"))]
-        {
-            let now = Instant::now();
-            let ns = u64::try_from(now.duration_since(self.last).as_nanos()).unwrap_or(u64::MAX);
-            self.last = now;
-            ns
-        }
-        #[cfg(feature = "noop")]
-        0
+        let now = Instant::now();
+        let ns = u64::try_from(now.duration_since(self.last).as_nanos()).unwrap_or(u64::MAX);
+        self.last = now;
+        ns
     }
 
     /// Nanoseconds since [`Stopwatch::start`] (independent of laps).
     #[inline]
     pub fn total(&self) -> u64 {
-        #[cfg(not(feature = "noop"))]
-        return nanos_since(self.origin);
-        #[cfg(feature = "noop")]
-        0
+        nanos_since(self.origin)
     }
 }
 
@@ -69,7 +52,6 @@ impl Stopwatch {
 #[derive(Debug)]
 pub struct Timer<'a> {
     histogram: &'a Histogram,
-    #[cfg(not(feature = "noop"))]
     start: Instant,
 }
 
@@ -80,7 +62,6 @@ impl<'a> Timer<'a> {
     pub fn start(histogram: &'a Histogram) -> Timer<'a> {
         Timer {
             histogram,
-            #[cfg(not(feature = "noop"))]
             start: Instant::now(),
         }
     }
@@ -88,10 +69,7 @@ impl<'a> Timer<'a> {
 
 impl Drop for Timer<'_> {
     fn drop(&mut self) {
-        #[cfg(not(feature = "noop"))]
         self.histogram.record(nanos_since(self.start));
-        #[cfg(feature = "noop")]
-        let _ = self.histogram;
     }
 }
 
@@ -110,13 +88,10 @@ pub struct TraceEvent {
 ///
 /// A `Trace` is cheap to create and intended to be short-lived — one per
 /// CLI invocation or per diagnosed request — so events are plain `String`s
-/// behind a mutex, not a lock-free ring. Under the `noop` feature spans
-/// record nothing and [`Trace::events`] is always empty.
+/// behind a mutex, not a lock-free ring.
 #[derive(Debug, Default)]
 pub struct Trace {
-    #[cfg(not(feature = "noop"))]
     epoch: Option<Instant>,
-    #[cfg(not(feature = "noop"))]
     events: Mutex<Vec<TraceEvent>>,
 }
 
@@ -124,9 +99,7 @@ impl Trace {
     /// Creates an empty trace; span offsets are measured from this moment.
     pub fn new() -> Trace {
         Trace {
-            #[cfg(not(feature = "noop"))]
             epoch: Some(Instant::now()),
-            #[cfg(not(feature = "noop"))]
             events: Mutex::new(Vec::new()),
         }
     }
@@ -135,64 +108,44 @@ impl Trace {
     #[inline]
     pub fn span(&self, name: impl Into<String>) -> Span<'_> {
         Span {
-            #[cfg(not(feature = "noop"))]
             trace: self,
-            #[cfg(not(feature = "noop"))]
             name: name.into(),
-            #[cfg(not(feature = "noop"))]
             start: Instant::now(),
-            #[cfg(feature = "noop")]
-            _phantom: {
-                let _ = name.into();
-                std::marker::PhantomData
-            },
         }
     }
 
     /// All completed spans, in completion order.
     pub fn events(&self) -> Vec<TraceEvent> {
-        #[cfg(not(feature = "noop"))]
-        return self
-            .events
+        self.events
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .clone();
-        #[cfg(feature = "noop")]
-        Vec::new()
+            .clone()
     }
 }
 
 /// An open trace span; completes (and records itself) on drop.
 #[derive(Debug)]
 pub struct Span<'a> {
-    #[cfg(not(feature = "noop"))]
     trace: &'a Trace,
-    #[cfg(not(feature = "noop"))]
     name: String,
-    #[cfg(not(feature = "noop"))]
     start: Instant,
-    #[cfg(feature = "noop")]
-    _phantom: std::marker::PhantomData<&'a Trace>,
 }
 
 impl Drop for Span<'_> {
     fn drop(&mut self) {
-        #[cfg(not(feature = "noop"))]
-        {
-            let start_ns = self.trace.epoch.map_or(0, |epoch| {
-                u64::try_from(self.start.duration_since(epoch).as_nanos()).unwrap_or(u64::MAX)
-            });
-            let event = TraceEvent {
-                name: std::mem::take(&mut self.name),
-                start_ns,
-                dur_ns: nanos_since(self.start),
-            };
-            self.trace
-                .events
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .push(event);
-        }
+        let start_ns = self.trace.epoch.map_or(0, |epoch| {
+            u64::try_from(self.start.duration_since(epoch).as_nanos()).unwrap_or(u64::MAX)
+        });
+        let event = TraceEvent {
+            name: std::mem::take(&mut self.name),
+            start_ns,
+            dur_ns: nanos_since(self.start),
+        };
+        self.trace
+            .events
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(event);
     }
 }
 
@@ -205,15 +158,10 @@ mod tests {
         let mut sw = Stopwatch::start();
         let a = sw.lap();
         let b = sw.lap();
-        if crate::enabled() {
-            // Laps are non-negative by construction; both reads succeeded,
-            // and the total covers at least both laps.
-            assert!(a < u64::MAX && b < u64::MAX);
-            assert!(sw.total() >= a + b);
-        } else {
-            assert_eq!((a, b), (0, 0));
-            assert_eq!(sw.total(), 0);
-        }
+        // Laps are non-negative by construction; both reads succeeded,
+        // and the total covers at least both laps.
+        assert!(a < u64::MAX && b < u64::MAX);
+        assert!(sw.total() >= a + b);
     }
 
     #[test]
@@ -222,11 +170,7 @@ mod tests {
         {
             let _t = Timer::start(&h);
         }
-        if crate::enabled() {
-            assert_eq!(h.count(), 1);
-        } else {
-            assert_eq!(h.count(), 0);
-        }
+        assert_eq!(h.count(), 1);
     }
 
     #[test]
@@ -238,13 +182,9 @@ mod tests {
             // `inner` drops first, so it completes first.
         }
         let events = trace.events();
-        if crate::enabled() {
-            assert_eq!(events.len(), 2);
-            assert_eq!(events[0].name, "inner");
-            assert_eq!(events[1].name, "outer");
-            assert!(events[1].start_ns <= events[0].start_ns);
-        } else {
-            assert!(events.is_empty());
-        }
+        assert_eq!(events.len(), 2);
+        assert_eq!(events[0].name, "inner");
+        assert_eq!(events[1].name, "outer");
+        assert!(events[1].start_ns <= events[0].start_ns);
     }
 }

@@ -161,12 +161,10 @@ where
         return items.iter().map(|item| f(&mut state, item)).collect();
     }
     let workers = threads.min(n_chunks);
-    if minskew_obs::enabled() {
-        let registry = minskew_obs::Registry::global();
-        registry.counter("par.queued.calls").inc();
-        registry.counter("par.queued.chunks").add(n_chunks as u64);
-        registry.counter("par.queued.workers").add(workers as u64);
-    }
+    let registry = minskew_obs::Registry::global();
+    registry.counter("par.queued.calls").inc();
+    registry.counter("par.queued.chunks").add(n_chunks as u64);
+    registry.counter("par.queued.workers").add(workers as u64);
     let cursor = AtomicUsize::new(0);
     let mut slots: Vec<Option<Vec<R>>> = (0..n_chunks).map(|_| None).collect();
     std::thread::scope(|scope| {
@@ -205,15 +203,13 @@ where
                                 .collect(),
                         ));
                     }
-                    if minskew_obs::enabled() {
-                        let registry = minskew_obs::Registry::global();
-                        registry
-                            .histogram("par.worker.busy_ns")
-                            .record(clock.total());
-                        registry
-                            .counter("par.queue.contended_claims")
-                            .add(contended);
-                    }
+                    let registry = minskew_obs::Registry::global();
+                    registry
+                        .histogram("par.worker.busy_ns")
+                        .record(clock.total());
+                    registry
+                        .counter("par.queue.contended_claims")
+                        .add(contended);
                     done
                 })
             })
@@ -399,16 +395,12 @@ mod tests {
         let out = map_chunks_queued_with(4, 64, &items, || (), |(), x| x * 2);
         assert_eq!(out, items.iter().map(|x| x * 2).collect::<Vec<_>>());
         let after = registry.snapshot();
-        if minskew_obs::enabled() {
-            // The global registry is shared across concurrently running
-            // tests, so assert deltas as lower bounds.
-            assert!(read(&after, "par.queued.calls") > read(&before, "par.queued.calls"));
-            assert!(read(&after, "par.queued.chunks") >= read(&before, "par.queued.chunks") + 10);
-            assert!(read(&after, "par.queued.workers") >= read(&before, "par.queued.workers") + 4);
-            assert!(registry.histogram("par.worker.busy_ns").count() >= busy_before + 4);
-        } else {
-            assert!(after.counters.is_empty() || after.counters.iter().all(|&(_, v)| v == 0));
-        }
+        // The global registry is shared across concurrently running
+        // tests, so assert deltas as lower bounds.
+        assert!(read(&after, "par.queued.calls") > read(&before, "par.queued.calls"));
+        assert!(read(&after, "par.queued.chunks") >= read(&before, "par.queued.chunks") + 10);
+        assert!(read(&after, "par.queued.workers") >= read(&before, "par.queued.workers") + 4);
+        assert!(registry.histogram("par.worker.busy_ns").count() >= busy_before + 4);
     }
 
     #[test]

@@ -54,11 +54,6 @@ const GOLDEN_JSON: &str = r#"{
 
 #[test]
 fn metrics_json_schema_is_pinned() {
-    if !minskew_obs::enabled() {
-        // Under the `noop` feature every recorded value is dropped; the
-        // schema skeleton still holds but the pinned values do not.
-        return;
-    }
     let got = handcrafted().to_json();
     assert_eq!(
         got, GOLDEN_JSON,
@@ -83,9 +78,6 @@ fn histogram_bucket_bounds_partition_u64() {
 
 #[test]
 fn overflowing_sum_stays_a_valid_json_number() {
-    if !minskew_obs::enabled() {
-        return;
-    }
     let r = Registry::new();
     let h = r.histogram("wrap");
     h.record(u64::MAX);
@@ -103,9 +95,6 @@ fn every_non_finite_gauge_value_exports_as_null() {
     // must all land as `null` (JSON has no Inf/NaN tokens) in the scraped
     // document — the same family of values the wire `STATS` reply filters
     // out of its staleness field before formatting.
-    if !minskew_obs::enabled() {
-        return;
-    }
     let r = Registry::new();
     r.gauge("gauge.a").set(f64::NAN);
     r.gauge("gauge.b").set(f64::INFINITY);
@@ -119,9 +108,6 @@ fn every_non_finite_gauge_value_exports_as_null() {
 
 #[test]
 fn snapshot_merge_coalesces_same_named_metrics() {
-    if !minskew_obs::enabled() {
-        return;
-    }
     let a = Registry::new();
     a.counter("req").add(u64::MAX - 1); // forces the wrap below
     a.counter("only.a").add(3);
@@ -178,9 +164,6 @@ mod prop {
             threads in 1usize..8,
             chunk in 1usize..16,
         ) {
-            if !minskew_obs::enabled() {
-                return Ok(());
-            }
             let serial: u64 = increments.iter().sum();
             // Fan the same increments across parallel workers; every
             // interleaving must merge to the serial total.
@@ -212,9 +195,6 @@ mod prop {
             ),
             rotation in 0usize..6,
         ) {
-            if !minskew_obs::enabled() {
-                return Ok(());
-            }
             let shards = shard_counters.len().min(shard_samples.len());
             let snaps: Vec<RegistrySnapshot> = (0..shards)
                 .map(|i| {
@@ -267,9 +247,6 @@ mod prop {
             a in 0u64..1_000,
             b in 0u64..1_000,
         ) {
-            if !minskew_obs::enabled() {
-                return Ok(());
-            }
             let near_max = u64::MAX - a;
             let r1 = Registry::new();
             r1.counter("wrap").add(near_max);

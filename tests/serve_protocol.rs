@@ -341,28 +341,24 @@ fn trace_ids_and_observability_verbs_round_trip() {
     // FLIGHT: framed `OK <k>` + k pinned JSONL lines, carrying the trace
     // id stamped on the sampled ESTIMATE above.
     let (header, body) = c.send_framed("FLIGHT");
-    if minskew_obs::enabled() {
+    assert!(
+        !body.is_empty(),
+        "sample-every recorder drained nothing: {header}"
+    );
+    assert_eq!(header, format!("OK {}", body.len()));
+    for line in &body {
         assert!(
-            !body.is_empty(),
-            "sample-every recorder drained nothing: {header}"
+            line.starts_with("{\"schema\":\"minskew-obs/flight-v1\","),
+            "{line}"
         );
-        assert_eq!(header, format!("OK {}", body.len()));
-        for line in &body {
-            assert!(
-                line.starts_with("{\"schema\":\"minskew-obs/flight-v1\","),
-                "{line}"
-            );
-        }
-        assert!(
-            body.iter().any(|l| l.contains("\"tid\":\"q2\"")),
-            "trace id q2 missing from flight records: {body:?}"
-        );
-        // A bounded drain returns at most that many records.
-        let (_, bounded) = c.send_framed("FLIGHT 1");
-        assert_eq!(bounded.len(), 1);
-    } else {
-        assert_eq!(header, "OK 0", "noop build records nothing");
     }
+    assert!(
+        body.iter().any(|l| l.contains("\"tid\":\"q2\"")),
+        "trace id q2 missing from flight records: {body:?}"
+    );
+    // A bounded drain returns at most that many records.
+    let (_, bounded) = c.send_framed("FLIGHT 1");
+    assert_eq!(bounded.len(), 1);
     // The per-table recorder drains through the same verb.
     let (table_header, _) = c.send_framed("FLIGHT t");
     assert!(table_header.starts_with("OK "), "{table_header}");
@@ -377,24 +373,18 @@ fn trace_ids_and_observability_verbs_round_trip() {
     assert_eq!(body.first().map(String::as_str), Some("{"));
     let doc = body.join("\n");
     assert!(doc.contains("\"schema\": \"minskew-obs/v1\""), "{doc}");
-    if minskew_obs::enabled() {
-        assert!(doc.contains("serve.verb.ping"), "{doc}");
-        assert!(doc.contains("serve.flight.recorded"), "{doc}");
-    }
+    assert!(doc.contains("serve.verb.ping"), "{doc}");
+    assert!(doc.contains("serve.flight.recorded"), "{doc}");
     let (_, text_body) = c.send_framed("METRICS text");
-    if minskew_obs::enabled() {
-        assert!(
-            text_body.iter().any(|l| l.starts_with("serve.requests")),
-            "{text_body:?}"
-        );
-    }
+    assert!(
+        text_body.iter().any(|l| l.starts_with("serve.requests")),
+        "{text_body:?}"
+    );
     let (_, table_body) = c.send_framed("METRICS t json");
-    if minskew_obs::enabled() {
-        assert!(
-            table_body.iter().any(|l| l.contains("engine.")),
-            "table scrape must expose engine metrics: {table_body:?}"
-        );
-    }
+    assert!(
+        table_body.iter().any(|l| l.contains("engine.")),
+        "table scrape must expose engine metrics: {table_body:?}"
+    );
     assert!(c.send("METRICS t yaml").starts_with("ERR 2 "), "bad format");
     assert!(
         c.send("METRICS ghost").starts_with("ERR 2 "),
@@ -415,14 +405,11 @@ fn shutdown_verb_stops_the_server_cleanly() {
     assert_eq!(c.send("SHUTDOWN"), "OK bye");
     assert!(handle.shutdown_requested());
     // join() drains the accept loop and every connection thread, then
-    // returns the final metrics: the request counters must have seen us
-    // (unless minskew-obs is compiled to no-ops, where nothing records).
+    // returns the final metrics: the request counters must have seen us.
     let metrics = handle.join();
     let text = metrics.to_text();
-    if minskew_obs::enabled() {
-        assert!(text.contains("serve.requests"), "{text}");
-        assert!(text.contains("serve.verb.shutdown"), "{text}");
-    }
+    assert!(text.contains("serve.requests"), "{text}");
+    assert!(text.contains("serve.verb.shutdown"), "{text}");
     // New connections are refused or go unanswered after shutdown.
     assert!(
         TcpStream::connect_timeout(
@@ -666,13 +653,11 @@ fn a_pipelined_burst_is_answered_in_fewer_writes_than_requests() {
     let replies = burst(&mut c, &lines, lines.len());
     assert!(replies.iter().all(|r| r == "OK 4\n"), "{replies:?}");
     let after = writes(&handle);
-    if minskew_obs::enabled() {
-        assert!(before > 0, "serve.writes counts single replies too");
-        assert!(
-            after - before < 32,
-            "32 pipelined requests took {} writes",
-            after - before
-        );
-    }
+    assert!(before > 0, "serve.writes counts single replies too");
+    assert!(
+        after - before < 32,
+        "32 pipelined requests took {} writes",
+        after - before
+    );
     handle.shutdown();
 }

@@ -209,8 +209,8 @@ fn table_cached_estimates_equal_uncached_and_survive_invalidation() {
             );
         }
     }
-    let d = cached.stats_diagnostics();
-    assert!(d.cache_hits > 0 && d.cache_misses > 0, "{d:?}");
+    assert!(counter(&cached, "engine.cache.hits") > 0);
+    assert!(counter(&cached, "engine.cache.misses") > 0);
     // Mutations invalidate: estimates agree immediately after each change.
     let extra = Rect::new(100.0, 100.0, 400.0, 400.0);
     let id_c = cached.insert(extra);
@@ -242,7 +242,17 @@ fn table_cached_estimates_equal_uncached_and_survive_invalidation() {
             "post-analyze q={q}"
         );
     }
-    assert!(cached.stats_diagnostics().cache_invalidations >= 3);
+    assert!(counter(&cached, "engine.cache.invalidations") >= 3);
+}
+
+/// The counter `name` in the table's metrics snapshot (0 if absent).
+fn counter(table: &SpatialTable, name: &str) -> u64 {
+    table
+        .metrics()
+        .counters
+        .into_iter()
+        .find(|(n, _)| n == name)
+        .map_or(0, |(_, v)| v)
 }
 
 #[test]

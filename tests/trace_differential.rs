@@ -22,8 +22,7 @@
 //!
 //! The base matrix below always runs (tier 1). The `trace` feature turns
 //! on the exhaustive cross product on larger inputs. CI also re-runs the
-//! suite with `minskew-obs`'s `noop` feature (recorder compiled out) and
-//! under `RUST_TEST_THREADS=1`.
+//! suite under `RUST_TEST_THREADS=1`.
 
 use minskew::prelude::*;
 use minskew_datagen::{charminar_with, uniform_rects, SyntheticSpec};
@@ -374,13 +373,6 @@ fn flight_recorder_is_bit_invisible_to_estimates() {
 
 #[test]
 fn armed_recorder_captures_slow_sampled_and_wrong_queries() {
-    if !minskew::obs::enabled() {
-        // `noop` build: the recorder is compiled out; bit-invisibility is
-        // covered above and capacity is structurally zero.
-        let table = filled_table(&charminar_with(400, 97), recorder_configs().remove(0).1);
-        assert_eq!(table.flight_recorder().capacity(), 0);
-        return;
-    }
     let data = charminar_with(1_800, 97);
     let mbr = data.stats().mbr;
     let (_, options) = recorder_configs().remove(0);

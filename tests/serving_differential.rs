@@ -115,8 +115,9 @@ fn queries_for(data: &Dataset) -> Vec<Rect> {
 /// Asserts reference == linear == indexed, bit for bit, for one histogram
 /// across the full query mix; the scratch is deliberately reused across
 /// queries. The scalar AoS fold (`estimate_count_reference`) is the
-/// semantic anchor: the SoA kernel behind
-/// `estimate_count`/`estimate_count_indexed` must be invisible.
+/// semantic anchor: the SoA kernel behind `estimate_count` (its
+/// thread-local scratch) and `estimate_count_indexed` (the caller's) must
+/// be invisible.
 fn assert_serving_differential(
     context: &str,
     hist: &SpatialHistogram,

@@ -54,10 +54,15 @@
 #      emitted metrics dump,
 #  17. a CLI maintain smoke: the offline `minskew maintain` churn demo
 #      must run in every maintenance mode and reject unknown ones,
-#  18. a check that the committed BENCH_obs.json is a full-scale run
+#  18. a CLI stats smoke: `minskew stats --json` over the generated
+#      2000-row charminar input must carry the counter and histogram names
+#      README quotes (engine.query.calls, engine.cache.hits,
+#      engine.batch.queries, engine.estimate.min_skew.ns) and none of the
+#      deleted ones (engine.batch.cache_bypass, engine.query.clamp_ns),
+#  19. a check that the committed BENCH_obs.json is a full-scale run
 #      (`"quick": false`) with its flight-recorder overhead column, since
 #      README and DESIGN quote it,
-#  19. smoke runs of the parallel-speedup, serving-throughput (asserting
+#  20. smoke runs of the parallel-speedup, serving-throughput (asserting
 #      the qps_kernel and qps_kernel_scalar columns are present in the
 #      emitted artefact), obs-overhead (asserting the flight-recorder
 #      overhead column is present in the emitted artefact),
@@ -255,6 +260,22 @@ if [[ "$EXPLAIN_CLI_OUT" != *'bit-identical'* ]]; then
     echo "ERROR: minskew explain did not certify bit-identity" >&2
     exit 1
 fi
+
+echo "==> CLI stats smoke (minskew stats --json metric names)"
+STATS_JSON=$(./target/debug/minskew stats --input "$SERVE_TMP/data.csv" --json)
+for NAME in engine.query.calls engine.cache.hits engine.batch.queries \
+    engine.estimate.min_skew.ns; do
+    if [[ "$STATS_JSON" != *"\"$NAME\""* ]]; then
+        echo "ERROR: minskew stats --json is missing $NAME" >&2
+        exit 1
+    fi
+done
+for NAME in engine.batch.cache_bypass engine.query.clamp_ns; do
+    if [[ "$STATS_JSON" == *"\"$NAME\""* ]]; then
+        echo "ERROR: minskew stats --json still reports the deleted $NAME" >&2
+        exit 1
+    fi
+done
 
 echo "==> committed BENCH_obs.json is full scale, with the recorder column"
 if ! grep -q '"quick": false' BENCH_obs.json || ! grep -q '"recorder_overhead_pct"' BENCH_obs.json; then

@@ -10,8 +10,9 @@
 //! The contract under test is the observability layer's ≤5% serving
 //! overhead budget: with metrics on, every call pays a few plain integer
 //! bumps under the already-held serving lock, one in
-//! `metrics_sampling` calls pays the stage-timing clock reads, and
-//! uncached computes pay one splitmix64 step for the accuracy reservoir.
+//! `metrics_sampling` calls pays two clock reads (and, when it computed,
+//! one per-technique latency record), and uncached computes pay one
+//! splitmix64 step for the accuracy reservoir.
 //! The serving counters are bumped with metrics off too; nothing on the
 //! hot path touches the registry (the counters are merged into the
 //! metrics snapshot when it is read).

@@ -1,10 +1,11 @@
 //! A bounded LRU cache for query estimates, keyed on the query's raw f64
 //! bits.
 //!
-//! Caching an estimate is sound only because every mutation path through
-//! [`crate::SpatialTable`] (`insert`, `delete`, any statistics install —
-//! `analyze`, `try_analyze`, `load_stats`, auto-`ANALYZE`) clears the cache
-//! before the next read: a cached value is therefore always the value the
+//! Caching an estimate is sound only because every mutation of a
+//! [`crate::SpatialTable`] publishes a new snapshot generation, and the
+//! one cache owner ([`crate::SpatialReader`], which the table also serves
+//! through) flushes on the first read that observes a new generation,
+//! before any probe: a cached value is therefore always the value the
 //! estimator would recompute, bit for bit. Keys are the four raw `f64` bit
 //! patterns of the query rectangle, so two queries share an entry only when
 //! they are the *same bits* — no epsilon matching, no rounding.
@@ -88,6 +89,12 @@ impl QueryCache {
                 None
             }
         }
+    }
+
+    /// Whether `key` is resident, without counting a hit or a miss and
+    /// without touching its recency (what EXPLAIN asks).
+    pub(crate) fn contains(&self, key: &[u64; 4]) -> bool {
+        self.map.contains_key(key)
     }
 
     /// Inserts (or refreshes) an estimate, evicting the least recently used
@@ -236,6 +243,21 @@ mod tests {
         assert_eq!(c.get(&key(1)), Some(1.0));
         assert_eq!(c.get(&key(3)), Some(3.0));
         assert_eq!(c.get(&key(4)), Some(4.0));
+    }
+
+    #[test]
+    fn contains_neither_counts_nor_reorders() {
+        let mut c = QueryCache::new(3);
+        c.insert(key(1), 1.0);
+        c.insert(key(2), 2.0);
+        c.insert(key(3), 3.0);
+        // 1 is the LRU victim; asking about it must not save it.
+        assert!(c.contains(&key(1)));
+        assert!(!c.contains(&key(9)));
+        assert_eq!((c.hits(), c.misses()), (0, 0));
+        c.insert(key(4), 4.0);
+        assert!(!c.contains(&key(1)), "contains must not refresh recency");
+        assert!(c.contains(&key(2)) && c.contains(&key(3)) && c.contains(&key(4)));
     }
 
     #[test]

@@ -132,11 +132,7 @@ impl SpatialCatalog {
         let entry = Arc::new(CatalogEntry {
             name: name.to_string(),
             cell: table.snapshot_cell(),
-            cache_capacity: if options.query_cache {
-                options.query_cache_capacity
-            } else {
-                0
-            },
+            cache_capacity: options.cache_capacity(),
             table: Mutex::new(table),
         });
         let mut tables = self.lock();

@@ -93,9 +93,9 @@ impl TableSnapshot {
         self.stats.as_deref()
     }
 
-    /// The raw (unclamped) estimate against this snapshot. All serving
-    /// entry points — the table's locked path, every lock-free reader, the
-    /// network front-end — funnel here, so they agree bit for bit.
+    /// The raw (unclamped) estimate against this snapshot. Every serving
+    /// entry point — the table, every lock-free reader, the network
+    /// front-end — funnels here, so they agree bit for bit.
     pub(crate) fn estimate_raw(&self, query: &Rect, scratch: &mut EstimateScratch) -> f64 {
         match &self.stats {
             Some(stats) => stats.estimate_count_indexed(query, scratch),
@@ -120,15 +120,21 @@ impl TableSnapshot {
         }
     }
 
-    /// The clamped estimate for a query already validated finite: raw
-    /// estimate, then clamp to `[0, N]` against this snapshot's row count.
-    pub fn estimate(&self, query: &Rect, scratch: &mut EstimateScratch) -> f64 {
-        let raw = self.estimate_raw(query, scratch);
+    /// Clamp to `[0, N]` against this snapshot's row count: degraded or
+    /// stale statistics may over- or under-shoot, but the bound always
+    /// holds, and a non-finite raw value serves as `0.0`.
+    fn clamp(&self, raw: f64) -> f64 {
         if raw.is_finite() {
             raw.clamp(0.0, self.live as f64)
         } else {
             0.0
         }
+    }
+
+    /// The clamped estimate for a query already validated finite: raw
+    /// estimate, then clamp to `[0, N]` against this snapshot's row count.
+    pub fn estimate(&self, query: &Rect, scratch: &mut EstimateScratch) -> f64 {
+        self.clamp(self.estimate_raw(query, scratch))
     }
 
     /// [`TableSnapshot::estimate`] with the evidence attached. The headline
@@ -140,11 +146,7 @@ impl TableSnapshot {
     /// bit-identical to the serving path by the trace differential suite.
     pub fn explain(&self, query: &Rect, scratch: &mut EstimateScratch) -> EstimateTrace {
         let raw = self.estimate_raw(query, scratch);
-        let estimate = if raw.is_finite() {
-            raw.clamp(0.0, self.live as f64)
-        } else {
-            0.0
-        };
+        let estimate = self.clamp(raw);
         let path = match &self.stats {
             Some(_) => EstimatePath::Indexed,
             None => EstimatePath::Fallback,

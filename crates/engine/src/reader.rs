@@ -19,7 +19,9 @@ use crate::publish::{
 /// publication protocol in [`crate::publish`]) and computes against that
 /// immutable view. Every value it returns is therefore **exactly** the
 /// value [`crate::SpatialTable::estimate`] would return against the same
-/// publication — old snapshot or new, never a mixture.
+/// publication — old snapshot or new, never a mixture. The table serves
+/// through a reader of its own, so both run one estimate, batch and
+/// EXPLAIN body.
 ///
 /// Readers carry their own scratch buffers and their own query-result
 /// cache. The cache is keyed on the snapshot generation: when a load
@@ -31,7 +33,7 @@ use crate::publish::{
 pub struct SpatialReader {
     cell: Arc<SnapshotCell<TableSnapshot>>,
     scratch: EstimateScratch,
-    cache: QueryCache,
+    pub(crate) cache: QueryCache,
     /// Generation the cache's entries were filled under.
     generation: u64,
     /// A batch's Morton order and its scratch keys, kept between batches.
@@ -88,21 +90,27 @@ impl SpatialReader {
             return Err(EstimateError::NonFiniteQuery);
         }
         let snapshot = self.cell.load();
+        Ok(self.estimate_on(&snapshot, query).0)
+    }
+
+    /// The one estimate body, shared by every reader and by
+    /// [`crate::SpatialTable`], against the caller's `snapshot`. Returns
+    /// the served value and whether it was computed (`false`: a cache
+    /// hit). `query` must be finite.
+    pub(crate) fn estimate_on(&mut self, snapshot: &TableSnapshot, query: &Rect) -> (f64, bool) {
+        self.sync(snapshot);
+        serve(&mut self.cache, &mut self.scratch, snapshot, query)
+    }
+
+    /// Flushes the cache when `snapshot` is a new publication: every cached
+    /// value is potentially stale. Flushing here — on the load that first
+    /// observes the new generation, before any probe — is what makes the
+    /// flush atomic with publication.
+    fn sync(&mut self, snapshot: &TableSnapshot) {
         if snapshot.generation() != self.generation {
-            // New publication: every cached value is potentially stale.
-            // Flushing here — on the load that first observes the new
-            // generation, before any probe — is what makes the flush
-            // atomic with publication.
             self.cache.invalidate();
             self.generation = snapshot.generation();
         }
-        let key = cache_key(query);
-        if let Some(cached) = self.cache.get(&key) {
-            return Ok(cached);
-        }
-        let value = snapshot.estimate(query, &mut self.scratch);
-        self.cache.insert(key, value);
-        Ok(value)
     }
 
     /// [`SpatialReader::try_estimate`] with the evidence attached: the
@@ -111,40 +119,40 @@ impl SpatialReader {
     /// recomputes through the identical serving path; the cache's
     /// coherence contract pins a would-be hit to the same bits). The
     /// reported cache disposition is what `try_estimate` *would* have
-    /// done; EXPLAIN itself never inserts, so tracing a query does not
-    /// evict serving entries.
+    /// done; EXPLAIN neither inserts nor counts a hit or miss nor touches
+    /// recency, so tracing a query perturbs nothing.
     pub fn try_explain(&mut self, query: &Rect) -> Result<EstimateTrace, EstimateError> {
         if !query.is_finite() {
             return Err(EstimateError::NonFiniteQuery);
         }
         let snapshot = self.cell.load();
-        if snapshot.generation() != self.generation {
-            self.cache.invalidate();
-            self.generation = snapshot.generation();
-        }
-        let cached = self.cache.get(&cache_key(query)).is_some();
-        let mut trace = snapshot.explain(query, &mut self.scratch);
-        trace.cache = if self.cache.capacity() == 0 {
+        Ok(self.explain_on(&snapshot, query))
+    }
+
+    /// The one EXPLAIN body, against the caller's `snapshot`. `query` must
+    /// be finite.
+    pub(crate) fn explain_on(&mut self, snapshot: &TableSnapshot, query: &Rect) -> EstimateTrace {
+        self.sync(snapshot);
+        let cache = if self.cache.capacity() == 0 {
             CacheDisposition::Bypassed
-        } else if cached {
+        } else if self.cache.contains(&cache_key(query)) {
             CacheDisposition::Hit
         } else {
             CacheDisposition::Miss
         };
-        Ok(trace)
+        EstimateTrace {
+            cache,
+            ..snapshot.explain(query, &mut self.scratch)
+        }
     }
 
     /// Estimated result sizes for a batch of queries (`0.0` for any
     /// non-finite query, like [`SpatialReader::estimate`]).
     pub fn estimate_batch(&mut self, queries: &[Rect]) -> Vec<f64> {
-        match self.try_estimate_batch(queries) {
-            Ok(values) => values,
-            Err(_) => {
-                // Mirror the lenient single-query path: estimate what is
-                // finite, answer `0.0` for what is not.
-                queries.iter().map(|q| self.estimate(q)).collect()
-            }
-        }
+        let snapshot = self.cell.load();
+        let mut out = Vec::new();
+        self.estimate_batch_on(&snapshot, queries, &mut out);
+        out
     }
 
     /// Estimated result sizes for a batch of queries, rejecting the batch
@@ -184,25 +192,30 @@ impl SpatialReader {
             });
         }
         let snapshot = self.cell.load();
-        if snapshot.generation() != self.generation {
-            self.cache.invalidate();
-            self.generation = snapshot.generation();
-        }
+        self.estimate_batch_on(&snapshot, queries, out);
+        Ok(())
+    }
+
+    /// The one batch body, against the caller's `snapshot`: `out` is
+    /// overwritten with the estimates in request order, each served by the
+    /// [`SpatialReader::estimate_on`] cache body in Morton order, and
+    /// `0.0` for a non-finite query.
+    pub(crate) fn estimate_batch_on(
+        &mut self,
+        snapshot: &TableSnapshot,
+        queries: &[Rect],
+        out: &mut Vec<f64>,
+    ) {
+        self.sync(snapshot);
         minskew_core::morton_schedule_into(queries, &mut self.order, &mut self.keys);
+        out.clear();
         out.resize(queries.len(), 0.0);
         for &i in &self.order {
             let query = &queries[i as usize];
-            let key = cache_key(query);
-            let value = if let Some(cached) = self.cache.get(&key) {
-                cached
-            } else {
-                let value = snapshot.estimate(query, &mut self.scratch);
-                self.cache.insert(key, value);
-                value
-            };
-            out[i as usize] = value;
+            if query.is_finite() {
+                out[i as usize] = serve(&mut self.cache, &mut self.scratch, snapshot, query).0;
+            }
         }
-        Ok(())
     }
 
     /// The latest published snapshot (what the next estimate will serve
@@ -221,6 +234,27 @@ impl SpatialReader {
     pub fn cache_stats(&self) -> (u64, u64) {
         (self.cache.hits(), self.cache.misses())
     }
+}
+
+/// Answers `query` from `cache` or computes it against `snapshot` and fills
+/// the cache; `true` when computed. A disabled cache (capacity 0) is
+/// neither hashed nor probed.
+fn serve(
+    cache: &mut QueryCache,
+    scratch: &mut EstimateScratch,
+    snapshot: &TableSnapshot,
+    query: &Rect,
+) -> (f64, bool) {
+    if cache.capacity() == 0 {
+        return (snapshot.estimate(query, scratch), true);
+    }
+    let key = cache_key(query);
+    if let Some(cached) = cache.get(&key) {
+        return (cached, false);
+    }
+    let value = snapshot.estimate(query, scratch);
+    cache.insert(key, value);
+    (value, true)
 }
 
 impl Clone for SpatialReader {

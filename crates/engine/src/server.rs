@@ -332,11 +332,9 @@ impl ServerCtx {
         }
         let opts = &self.options.table_options;
         let n = self.wire_estimates.fetch_add(1, Ordering::Relaxed);
-        let trigger = if opts.flight_slow_ns > 0 && latency_ns >= opts.flight_slow_ns {
-            FlightTrigger::Slow
-        } else if opts.flight_sample > 0 && n.is_multiple_of(u64::from(opts.flight_sample)) {
-            FlightTrigger::Sampled
-        } else {
+        let Some(trigger) =
+            FlightTrigger::for_served(latency_ns, opts.flight_slow_ns, n, opts.flight_sample)
+        else {
             return;
         };
         self.flight.record(&QueryRecord {

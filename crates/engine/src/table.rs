@@ -11,16 +11,12 @@ use minskew_core::{
 use minskew_data::Dataset;
 use minskew_geom::Rect;
 use minskew_obs::{
-    FlightRecorder, FlightTrigger, Gauge, Histogram, QueryRecord, Registry, RegistrySnapshot,
-    Stopwatch,
+    FlightRecorder, FlightTrigger, Gauge, QueryRecord, Registry, RegistrySnapshot, Stopwatch,
 };
 use minskew_rtree::{Item, RStarTree, RTreeConfig, ValidationError};
 
-use crate::cache::{cache_key, QueryCache};
 use crate::monitor::{AccuracyReport, Reservoir};
-use crate::publish::{
-    CacheDisposition, EstimateScratch, EstimateTrace, SnapshotCell, TableSnapshot,
-};
+use crate::publish::{EstimateScratch, EstimateTrace, SnapshotCell, TableSnapshot};
 use crate::reader::SpatialReader;
 use crate::rows::RowStore;
 use crate::{CostModel, Explain, Plan};
@@ -184,19 +180,20 @@ pub struct TableOptions {
     pub auto_analyze_threshold: Option<f64>,
     /// R\*-tree node capacity.
     pub index_fanout: usize,
-    /// Worker threads for parallel paths (`ANALYZE`-time Min-Skew
-    /// construction, [`SpatialTable::estimate_batch`]). `1` (the default)
-    /// keeps every path on the serial reference implementation; `0` means
-    /// one worker per available core. Results are bit-identical at every
-    /// setting.
+    /// Worker threads for `ANALYZE`-time Min-Skew construction, the one
+    /// parallel path a table has. `1` (the default) keeps it on the serial
+    /// reference implementation; `0` means one worker per available core.
+    /// Statistics are bit-identical at every setting. Estimates, single or
+    /// batched, are always served serially.
     pub threads: usize,
-    /// Enables the per-table query-result cache: repeated single-query
-    /// estimates with the same rectangle bits are answered from a bounded
-    /// LRU instead of re-scanning the histogram. The cache is invalidated
-    /// by every mutation (`insert`, `delete`, any statistics install), so a
-    /// cached value is always bit-identical to a fresh computation. Batch
-    /// estimation bypasses the cache (counted as `engine.batch.cache_bypass`
-    /// in [`SpatialTable::metrics`]). Defaults to `true`.
+    /// Enables the per-table query-result cache: repeated estimates with
+    /// the same rectangle bits — single queries and batch members alike —
+    /// are answered from a bounded LRU instead of re-scanning the
+    /// histogram. The cache is keyed on the snapshot generation, which
+    /// every mutation (`insert`, `delete`, any statistics install) bumps,
+    /// so a cached value is always bit-identical to a fresh computation.
+    /// Hits and misses count in `engine.cache.*` (see
+    /// [`SpatialTable::metrics`]). Defaults to `true`.
     pub query_cache: bool,
     /// Capacity of the query-result cache in entries (applied at table
     /// construction or via [`SpatialTable::set_query_cache`]). Defaults to
@@ -209,12 +206,14 @@ pub struct TableOptions {
     /// or `false`. Off, the serving path never takes the sampled, timed
     /// path, the accuracy reservoir and flight recorder have capacity 0, and
     /// no registry metric is recorded; the plain serving counters in
-    /// [`SpatialTable::metrics`] still count. On, it adds sampled stage
+    /// [`SpatialTable::metrics`] still count. On, it adds sampled latency
     /// timing (see [`TableOptions::metrics_sampling`]). Defaults to `true`.
     pub metrics: bool,
-    /// Sample one in this many single-query estimates for stage timing
-    /// (cache probe → index scan → clamp) and per-technique latency
-    /// histograms. Rounded up to a power of two; values `<= 1` time every
+    /// Time one in this many single-query estimates. A sampled call that
+    /// computes its value (a cache miss, or any call with the cache off)
+    /// records its latency in the per-technique histogram
+    /// `engine.estimate.<technique>.ns` and is offered to the flight
+    /// recorder. Rounded up to a power of two; values `<= 1` time every
     /// call. Unsampled calls never read the clock. Defaults to 256.
     pub metrics_sampling: u32,
     /// Capacity of the accuracy monitor's query reservoir (`0` disables the
@@ -256,6 +255,18 @@ pub struct TableOptions {
     /// baseline of ordinary traffic. `0` disables the sampled trigger.
     /// Defaults to 0.
     pub flight_sample: u32,
+}
+
+impl TableOptions {
+    /// The query-cache capacity these options configure (`0` when the
+    /// cache is off).
+    pub(crate) fn cache_capacity(&self) -> usize {
+        if self.query_cache {
+            self.query_cache_capacity
+        } else {
+            0
+        }
+    }
 }
 
 impl Default for TableOptions {
@@ -365,22 +376,20 @@ impl std::fmt::Display for StatsDiagnostics {
     }
 }
 
-/// Per-table serving state: the query-result cache, the reusable index
-/// scratch for single-query estimates, and the serving counters. The
-/// counters are the only store of these counts: plain `u64` fields bumped
-/// under the serving lock the call already holds (no atomics, no clock
-/// reads), merged into [`SpatialTable::metrics`] when it is read. Behind a
-/// [`Mutex`] so `&self` estimation stays `Sync` (batch workers use their
-/// own scratch; a batch takes this lock once, to count itself).
+/// Per-table serving state: the table's own [`SpatialReader`] (its
+/// query-result cache, kernel scratch and Morton buffers), the accuracy
+/// reservoir, and the serving counters. The counters are the only store of
+/// these counts: plain `u64` fields bumped under the serving lock the call
+/// already holds (no atomics, no clock reads), merged into
+/// [`SpatialTable::metrics`] when it is read. Behind a [`Mutex`] so `&self`
+/// estimation stays `Sync`.
 #[derive(Debug)]
 struct ServingState {
-    cache: QueryCache,
-    scratch: EstimateScratch,
-    /// Publication generation the cache's entries were filled under; a
-    /// mismatch with the table's current generation flushes before any
-    /// probe, making cache invalidation atomic with snapshot publication
-    /// by construction (not by remembering to call a flush).
-    seen_generation: u64,
+    /// Serves every estimate, batch and EXPLAIN against the table's
+    /// current snapshot: the same body lock-free readers run. Its cache is
+    /// keyed on the snapshot generation, so a publication flushes it
+    /// before any probe.
+    reader: SpatialReader,
     /// Data era the reservoir's cached exact counts were replayed under.
     /// Row churn advances the table's data era, which invalidates the
     /// cached exact counts (they are no longer exact) but keeps the
@@ -392,34 +401,25 @@ struct ServingState {
     seen_era: u64,
     /// Single-query estimates served (cached or computed).
     calls: u64,
-    /// Of `calls`, how many took the sampled stage-timing path.
+    /// Of `calls`, how many were sampled for latency timing.
     sampled: u64,
     /// Batch API invocations.
     batch_calls: u64,
     /// Queries served through the batch APIs.
     batch_queries: u64,
-    /// Of `batch_queries`, how many bypassed an enabled query cache.
-    batch_bypass: u64,
     /// Accuracy-monitor reservoir of computed (non-cache-hit) queries.
     reservoir: Reservoir,
 }
 
 impl ServingState {
-    fn new(options: &TableOptions) -> ServingState {
+    fn new(options: &TableOptions, cell: &Arc<SnapshotCell<TableSnapshot>>) -> ServingState {
         ServingState {
-            cache: QueryCache::new(if options.query_cache {
-                options.query_cache_capacity
-            } else {
-                0
-            }),
-            scratch: EstimateScratch::new(),
-            seen_generation: 0,
+            reader: SpatialReader::new(cell.clone(), options.cache_capacity()),
             seen_era: 0,
             calls: 0,
             sampled: 0,
             batch_calls: 0,
             batch_queries: 0,
-            batch_bypass: 0,
             reservoir: Reservoir::new(if options.metrics {
                 options.accuracy_reservoir
             } else {
@@ -428,44 +428,30 @@ impl ServingState {
         }
     }
 
+    /// Drops the reservoir's cached exact counts when row churn advanced
+    /// the data era since they were replayed.
+    fn sync_era(&mut self, data_era: u64) {
+        if self.seen_era != data_era {
+            self.reservoir.invalidate_exact();
+            self.seen_era = data_era;
+        }
+    }
+
     /// The serving counters under their metric names.
     fn counters(&self) -> Vec<(String, u64)> {
+        let cache = &self.reader.cache;
         [
-            ("engine.batch.cache_bypass", self.batch_bypass),
             ("engine.batch.calls", self.batch_calls),
             ("engine.batch.queries", self.batch_queries),
-            ("engine.cache.hits", self.cache.hits()),
-            ("engine.cache.invalidations", self.cache.invalidations()),
-            ("engine.cache.misses", self.cache.misses()),
+            ("engine.cache.hits", cache.hits()),
+            ("engine.cache.invalidations", cache.invalidations()),
+            ("engine.cache.misses", cache.misses()),
             ("engine.query.calls", self.calls),
             ("engine.query.sampled", self.sampled),
         ]
         .into_iter()
         .map(|(name, value)| (name.to_owned(), value))
         .collect()
-    }
-}
-
-/// The hot-path latency histograms, resolved once at table construction so
-/// sampled calls record through the `Arc` without a registry lookup.
-#[derive(Debug)]
-struct TableMetrics {
-    cache_probe_ns: Arc<Histogram>,
-    index_scan_ns: Arc<Histogram>,
-    clamp_ns: Arc<Histogram>,
-    /// Current publication generation, resolved once so the per-mutation
-    /// publish path avoids a registry lookup.
-    generation: Arc<Gauge>,
-}
-
-impl TableMetrics {
-    fn new(registry: &Registry) -> TableMetrics {
-        TableMetrics {
-            cache_probe_ns: registry.histogram("engine.query.cache_probe_ns"),
-            index_scan_ns: registry.histogram("engine.query.index_scan_ns"),
-            clamp_ns: registry.histogram("engine.query.clamp_ns"),
-            generation: registry.gauge("engine.stats.generation"),
-        }
     }
 }
 
@@ -483,7 +469,9 @@ pub struct SpatialTable {
     serving: Mutex<ServingState>,
     /// Per-table metrics registry (see [`SpatialTable::metrics`]).
     pub(crate) registry: Registry,
-    metrics: TableMetrics,
+    /// Current publication generation, resolved once so the per-mutation
+    /// publish path avoids a registry lookup.
+    generation_gauge: Arc<Gauge>,
     /// Monotonic publication counter; bumped by every mutation (a bulk
     /// insert is one).
     generation: u64,
@@ -541,7 +529,7 @@ impl SpatialTable {
             return Err(BuildError::ZeroBucketBudget);
         }
         let registry = Registry::new();
-        let metrics = TableMetrics::new(&registry);
+        let generation_gauge = registry.gauge("engine.stats.generation");
         let current = Arc::new(TableSnapshot::new(0, 0, 0, None, None));
         let cell = Arc::new(SnapshotCell::new(current.clone()));
         // Metrics off ⇒ no recording at all; sizing the ring to zero makes
@@ -557,9 +545,9 @@ impl SpatialTable {
             index: RStarTree::new(config),
             stats: None,
             diagnostics: StatsDiagnostics::default(),
-            serving: Mutex::new(ServingState::new(&options)),
+            serving: Mutex::new(ServingState::new(&options, &cell)),
             registry,
-            metrics,
+            generation_gauge,
             generation: 0,
             stats_era: 0,
             data_era: 0,
@@ -595,7 +583,7 @@ impl SpatialTable {
         self.current = snapshot.clone();
         self.cell.store(snapshot);
         if self.options.metrics {
-            self.metrics.generation.set(self.generation as f64);
+            self.generation_gauge.set(self.generation as f64);
         }
     }
 
@@ -606,14 +594,7 @@ impl SpatialTable {
     /// carry their own scratch and their own generation-keyed query cache;
     /// any number may run concurrently with each other and with a writer.
     pub fn reader(&self) -> SpatialReader {
-        SpatialReader::new(
-            self.cell.clone(),
-            if self.options.query_cache {
-                self.options.query_cache_capacity
-            } else {
-                0
-            },
-        )
+        SpatialReader::new(self.cell.clone(), self.options.cache_capacity())
     }
 
     /// The publication cell behind [`SpatialTable::reader`], for callers
@@ -632,18 +613,6 @@ impl SpatialTable {
     /// [`SpatialTable::insert_many`] batch is one mutation).
     pub fn generation(&self) -> u64 {
         self.generation
-    }
-
-    /// Drops every cached estimate. Called by every path that changes what
-    /// an estimate could return: row mutations and statistics installs.
-    fn invalidate_cache(&mut self) {
-        // A poisoned lock only means some estimating thread panicked; the
-        // cache itself is a plain value and flushing it is always safe.
-        self.serving
-            .get_mut()
-            .unwrap_or_else(PoisonError::into_inner)
-            .cache
-            .invalidate();
     }
 
     /// Number of live rows.
@@ -704,7 +673,6 @@ impl SpatialTable {
             let n = end - start;
             self.live += usize::try_from(n).expect("row count fits in memory");
             self.data_era += n;
-            self.invalidate_cache();
             self.publish();
         }
         RowId(start)..RowId(end)
@@ -723,7 +691,6 @@ impl SpatialTable {
             stats.note_delete(&rect);
         }
         self.data_era += 1;
-        self.invalidate_cache();
         self.publish();
         true
     }
@@ -775,9 +742,10 @@ impl SpatialTable {
         Dataset::new(self.rows.iter().map(|(_, rect)| rect).collect())
     }
 
-    /// Installs `hist` and records how it was obtained. New statistics mean
-    /// new estimates, so the query cache is flushed here — this covers
-    /// `analyze`, `try_analyze`, `load_stats`, and auto-`ANALYZE` alike.
+    /// Installs `hist` and records how it was obtained: `analyze`,
+    /// `try_analyze`, `load_stats`, and auto-`ANALYZE` alike. New
+    /// statistics mean new estimates; the publication's new generation
+    /// flushes every query cache before its next probe.
     pub(crate) fn install_stats(&mut self, hist: SpatialHistogram, mut diag: StatsDiagnostics) {
         diag.requested_buckets = self.options.analyze.buckets;
         diag.achieved_buckets = hist.buckets().len();
@@ -799,19 +767,17 @@ impl SpatialTable {
         }
         self.stats = Some(hist);
         self.diagnostics = diag;
-        // A statistics install starts a new era: flush the query cache
-        // *before* publishing, so no path — locked or lock-free — can pair
-        // the new statistics with state from the old ones. The
-        // era/generation stamps in the published snapshot enforce the same
-        // discipline on every reader cache. The accuracy reservoir is
-        // deliberately **not** cleared: its sample is of the served
-        // workload (still representative) and its cached exact counts are
-        // a property of the *data*, not of the statistics — they are keyed
-        // to the data era and survive any install. Clearing here would
-        // discard exactly the feedback pairs the online refiner needs on
-        // its next pass.
+        // A statistics install starts a new era. The generation stamp in the
+        // published snapshot flushes every query cache — the table's own
+        // and every reader's — before its next probe, so no path can pair
+        // the new statistics with values from the old ones. The accuracy
+        // reservoir is deliberately **not** cleared: its sample is of the
+        // served workload (still representative) and its cached exact
+        // counts are a property of the *data*, not of the statistics — they
+        // are keyed to the data era and survive any install. Clearing here
+        // would discard exactly the feedback pairs the online refiner needs
+        // on its next pass.
         self.stats_era += 1;
-        self.invalidate_cache();
         self.publish();
     }
 
@@ -943,10 +909,11 @@ impl SpatialTable {
         &self.diagnostics
     }
 
-    /// Sets the worker-thread count used by ANALYZE and batch estimation
-    /// (`1` = inline serial reference, `0` = one worker per available core).
+    /// Sets the worker-thread count used by `ANALYZE` (`1` = inline serial
+    /// reference, `0` = one worker per available core); estimation is
+    /// always serial.
     ///
-    /// Thread count is a performance knob only: every result is
+    /// Thread count is a performance knob only: the statistics are
     /// bit-identical at every setting, so it can be changed at any time
     /// without invalidating existing statistics.
     pub fn set_threads(&mut self, threads: usize) {
@@ -968,8 +935,9 @@ impl SpatialTable {
         self.serving
             .get_mut()
             .unwrap_or_else(PoisonError::into_inner)
+            .reader
             .cache
-            .resize(if enabled { capacity } else { 0 });
+            .resize(self.options.cache_capacity());
     }
 
     /// Estimated result size for `query`, falling back to the global
@@ -985,118 +953,59 @@ impl SpatialTable {
     /// Estimated result size for `query`, rejecting non-finite queries
     /// instead of guessing. The `Ok` value is finite and within `[0, N]`.
     ///
-    /// Serving path: the estimate goes through the histogram's block-pruned
-    /// kernel ([`SpatialHistogram::estimate_count_indexed`], sub-linear in
-    /// the bucket count, bit-identical to the linear scan) and, when
-    /// [`TableOptions::query_cache`] is on, through the per-table LRU —
-    /// also bit-identical, because every mutation flushes it.
+    /// Serving path: the table's own [`SpatialReader`] body against the
+    /// current snapshot — the histogram's block-pruned kernel
+    /// ([`SpatialHistogram::estimate_count_indexed`]) behind, when
+    /// [`TableOptions::query_cache`] is on, the generation-keyed LRU. Both
+    /// are bit-identical to a fresh linear scan.
+    ///
+    /// With metrics on, one call in [`TableOptions::metrics_sampling`] is
+    /// timed; a sampled call that computed its value records its latency in
+    /// `engine.estimate.<technique>.ns` and is offered to the flight
+    /// recorder's `slow` and `sampled` triggers. Unsampled calls never read
+    /// the clock. Every computed value is offered to the accuracy
+    /// reservoir; with metrics off it has capacity 0 and no call is
+    /// sampled.
     pub fn try_estimate(&self, query: &Rect) -> Result<f64, EstimateError> {
         if !query.is_finite() {
             return Err(EstimateError::NonFiniteQuery);
         }
         let mut guard = self.serving.lock().unwrap_or_else(PoisonError::into_inner);
         let serving = &mut *guard;
-        // Sync with the published snapshot before any cache probe: a stale
-        // generation flushes the cache, a stale data era invalidates the
-        // reservoir's cached exact counts (churn made them inexact — the
-        // sampled queries themselves stay resident). Mutations also flush
-        // eagerly (they hold `&mut self`), so this is normally a no-op —
-        // it exists so cache coherence is a property of publication itself
-        // rather than of every mutation path remembering to flush.
-        if serving.seen_generation != self.generation {
-            serving.cache.invalidate();
-            serving.seen_generation = self.generation;
-        }
-        if serving.seen_era != self.data_era {
-            serving.reservoir.invalidate_exact();
-            serving.seen_era = self.data_era;
-        }
+        serving.sync_era(self.data_era);
         serving.calls += 1;
-        // With metrics on, 1-in-`metrics_sampling` calls take the timed
-        // path; the rest run the exact same estimator functions with
-        // counter-only bookkeeping (crucially: no clock reads off the
-        // sampled path). With metrics off no call is sampled, and the
-        // reservoir has capacity 0, so `observe` is a no-op.
         let mask = u64::from(self.options.metrics_sampling.max(1)).next_power_of_two() - 1;
-        if self.options.metrics && (serving.calls - 1) & mask == 0 {
+        let clock = (self.options.metrics && (serving.calls - 1) & mask == 0).then(|| {
             serving.sampled += 1;
-            return Ok(self.estimate_timed(query, serving));
-        }
-        if !self.options.query_cache {
-            let value = self.estimate_finite(query, &mut serving.scratch);
+            Stopwatch::start()
+        });
+        let (value, computed) = serving.reader.estimate_on(&self.current, query);
+        if computed {
+            // Recording happens strictly after the value is fixed and only
+            // writes metrics and the ring's atomics: bit-invisible.
+            if let Some(clock) = clock {
+                let latency_ns = clock.total();
+                self.record_estimate_latency(latency_ns);
+                self.note_flight(query, value, latency_ns, serving.sampled - 1);
+            }
             serving.reservoir.observe(*query);
-            return Ok(value);
         }
-        let key = cache_key(query);
-        if let Some(cached) = serving.cache.get(&key) {
-            return Ok(cached);
-        }
-        let value = self.estimate_finite(query, &mut serving.scratch);
-        serving.cache.insert(key, value);
-        serving.reservoir.observe(*query);
         Ok(value)
     }
 
-    /// The sampled serving path: same functions in the same order as the
-    /// unsampled path (so the result is bit-identical), with a [`Stopwatch`]
-    /// lap between stages feeding the `engine.query.*_ns` histograms.
-    ///
-    /// This is also where the flight recorder's `slow` and `sampled`
-    /// triggers live: only sampled calls read the clock, so slow-query
-    /// detection rides this path and the unsampled fast path stays exactly
-    /// as it was. Recording happens strictly after the value is computed
-    /// and only writes the ring's atomics — bit-invisible by construction.
-    fn estimate_timed(&self, query: &Rect, serving: &mut ServingState) -> f64 {
-        let mut clock = Stopwatch::start();
-        if self.options.query_cache {
-            let key = cache_key(query);
-            let cached = serving.cache.get(&key);
-            self.metrics.cache_probe_ns.record(clock.lap());
-            if let Some(value) = cached {
-                // A cache hit cannot be slow and carries no scan evidence;
-                // it is never flight-recorded.
-                return value;
-            }
-            let raw = self.estimate_raw(query, &mut serving.scratch);
-            self.metrics.index_scan_ns.record(clock.lap());
-            let value = self.clamp_estimate(raw);
-            self.metrics.clamp_ns.record(clock.lap());
-            let total_ns = clock.total();
-            self.record_estimate_latency(total_ns);
-            self.note_flight(query, value, total_ns, serving.sampled);
-            serving.cache.insert(key, value);
-            serving.reservoir.observe(*query);
-            return value;
-        }
-        let raw = self.estimate_raw(query, &mut serving.scratch);
-        self.metrics.index_scan_ns.record(clock.lap());
-        let value = self.clamp_estimate(raw);
-        self.metrics.clamp_ns.record(clock.lap());
-        let total_ns = clock.total();
-        self.record_estimate_latency(total_ns);
-        self.note_flight(query, value, total_ns, serving.sampled);
-        serving.reservoir.observe(*query);
-        value
-    }
-
-    /// Offers one computed, timed estimate to the flight recorder: `slow`
-    /// when the latency threshold fires, else a 1-in-N `sampled` baseline
-    /// record. Table-level records carry no trace id (wire records, which
-    /// do, are captured by the server).
-    fn note_flight(&self, query: &Rect, estimate: f64, latency_ns: u64, sampled: u64) {
+    /// Offers one computed, timed estimate (the `index`-th, from 0, of the
+    /// sampled stream) to the flight recorder. Table-level records carry
+    /// no trace id (wire records, which do, are captured by the server).
+    fn note_flight(&self, query: &Rect, estimate: f64, latency_ns: u64, index: u64) {
         if self.flight.capacity() == 0 {
             return;
         }
-        let slow = self.options.flight_slow_ns > 0 && latency_ns >= self.options.flight_slow_ns;
-        // `sampled` is the 1-based index of this call within the timed
-        // stream, so `(sampled - 1) % N == 0` captures the 1st, N+1th, ….
-        let trigger = if slow {
-            FlightTrigger::Slow
-        } else if self.options.flight_sample > 0
-            && (sampled.wrapping_sub(1)).is_multiple_of(u64::from(self.options.flight_sample))
-        {
-            FlightTrigger::Sampled
-        } else {
+        let Some(trigger) = FlightTrigger::for_served(
+            latency_ns,
+            self.options.flight_slow_ns,
+            index,
+            self.options.flight_sample,
+        ) else {
             return;
         };
         self.flight.record(&QueryRecord {
@@ -1115,28 +1024,14 @@ impl SpatialTable {
     /// contributions, extension-rule inputs, and pruning counters. The
     /// trace's headline estimate is **bit-identical** to `try_estimate`
     /// for the same query — EXPLAIN recomputes through the identical
-    /// serving path and never inserts into (or evicts from) the query
-    /// cache, so tracing perturbs nothing.
+    /// serving path, and never inserts into the query cache, counts a hit
+    /// or miss, or changes its eviction order, so tracing perturbs nothing.
     pub fn try_explain(&self, query: &Rect) -> Result<EstimateTrace, EstimateError> {
         if !query.is_finite() {
             return Err(EstimateError::NonFiniteQuery);
         }
-        let mut guard = self.serving.lock().unwrap_or_else(PoisonError::into_inner);
-        let serving = &mut *guard;
-        if serving.seen_generation != self.generation {
-            serving.cache.invalidate();
-            serving.seen_generation = self.generation;
-        }
-        let cached = self.options.query_cache && serving.cache.get(&cache_key(query)).is_some();
-        let mut trace = self.current.explain(query, &mut serving.scratch);
-        trace.cache = if !self.options.query_cache {
-            CacheDisposition::Bypassed
-        } else if cached {
-            CacheDisposition::Hit
-        } else {
-            CacheDisposition::Miss
-        };
-        Ok(trace)
+        let mut serving = self.serving.lock().unwrap_or_else(PoisonError::into_inner);
+        Ok(serving.reader.explain_on(&self.current, query))
     }
 
     /// The table's flight recorder: the ring of slow / wrong / sampled
@@ -1158,118 +1053,41 @@ impl SpatialTable {
             .record(ns);
     }
 
-    /// The uncached estimator core for a query already validated finite.
-    /// All serving entry points (single-query, batch, planner) funnel here,
-    /// so they agree bit for bit.
-    fn estimate_finite(&self, query: &Rect, scratch: &mut EstimateScratch) -> f64 {
-        self.clamp_estimate(self.estimate_raw(query, scratch))
-    }
-
-    /// The raw (unclamped) estimate, computed against the current published
-    /// [`TableSnapshot`] — the same object lock-free readers load — so the
-    /// locked and lock-free serving paths agree by construction.
-    fn estimate_raw(&self, query: &Rect, scratch: &mut EstimateScratch) -> f64 {
-        self.current.estimate_raw(query, scratch)
-    }
-
-    /// Clamp to `[0, N]`: degraded or stale statistics may over- or
-    /// under-shoot, but the bound always holds.
-    fn clamp_estimate(&self, raw: f64) -> f64 {
-        if raw.is_finite() {
-            raw.clamp(0.0, self.live as f64)
-        } else {
-            0.0
-        }
-    }
-
-    /// Estimated result sizes for a batch of queries, fanned out across
-    /// [`TableOptions::threads`] worker threads (`1` = inline serial, `0` =
-    /// one worker per available core).
+    /// Estimated result sizes for a batch of queries: semantically
+    /// `queries.iter().map(|q| self.estimate(q)).collect()` (`0.0` for a
+    /// non-finite query) and **bit-identical** to that loop.
     ///
-    /// Semantically `queries.iter().map(|q| self.estimate(q)).collect()`,
-    /// and **bit-identical** to that serial loop at every thread count:
-    /// each estimate is computed independently against the immutable
-    /// statistics and written back at its query's index — no cross-query
-    /// accumulation, so no floating-point reordering. Batch estimation is
-    /// the planner's bulk entry point (multi-query optimization, workload
-    /// what-if analysis, auto-tuning sweeps).
-    ///
-    /// Each worker reuses one [`EstimateScratch`] across every query it
-    /// serves, so the loop is allocation-free once the scratch warms up.
-    /// The batch path bypasses the query cache — with per-worker scratch
-    /// there is no shared state to lock — so cached single-query answers are
-    /// neither consulted nor refreshed here. That silent bypass is itself
-    /// observable: every batch bumps `engine.batch.queries`, and when the
-    /// cache is enabled the bypassed queries are counted in
-    /// `engine.batch.cache_bypass` (see [`SpatialTable::metrics`]).
-    ///
-    /// Internally the pool is evaluated in **Morton order** of the query
-    /// centres ([`minskew_core::morton_schedule`]): consecutive queries are
-    /// spatial neighbours, so they survive the same pruning blocks and touch
-    /// the same stretches of the SoA kernel plane instead of bouncing across it.
-    /// Each estimate is computed independently, so the schedule cannot move
-    /// a bit; results are scattered back to input order before returning.
+    /// The batch is served by the table's [`SpatialReader`] batch body
+    /// under the serving lock: one pass over the current snapshot in
+    /// **Morton order** of the query centres
+    /// ([`minskew_core::morton_schedule`]), so consecutive queries are
+    /// spatial neighbours that survive the same pruning blocks, each
+    /// answered through the query cache like a single estimate. Each
+    /// estimate is independent, so neither the schedule nor the cache can
+    /// move a bit; results come back in input order. Every batch bumps
+    /// `engine.batch.calls` and `engine.batch.queries`, and its probes
+    /// count in `engine.cache.*` (see [`SpatialTable::metrics`]); batch
+    /// queries are not sampled for latency or offered to the accuracy
+    /// reservoir.
     pub fn estimate_batch(&self, queries: &[Rect]) -> Vec<f64> {
-        self.note_batch(queries.len());
-        let order = minskew_core::morton_schedule(queries);
-        let sorted: Vec<Rect> = order.iter().map(|&i| queries[i as usize]).collect();
-        // Chunked queue rather than static chunks: estimate cost varies
-        // with how many buckets a query overlaps.
-        let results = minskew_par::map_chunks_queued_with(
-            self.options.threads,
-            64,
-            &sorted,
-            EstimateScratch::new,
-            |scratch, q| {
-                if q.is_finite() {
-                    self.estimate_finite(q, scratch)
-                } else {
-                    0.0
-                }
-            },
-        );
-        let mut out = vec![0.0f64; queries.len()];
-        for (&value, &i) in results.iter().zip(&order) {
-            out[i as usize] = value;
-        }
+        let mut serving = self.serving.lock().unwrap_or_else(PoisonError::into_inner);
+        serving.batch_calls += 1;
+        serving.batch_queries += queries.len() as u64;
+        let mut out = Vec::new();
+        serving
+            .reader
+            .estimate_batch_on(&self.current, queries, &mut out);
         out
     }
 
     /// Strict counterpart of [`SpatialTable::estimate_batch`]: any
-    /// non-finite query fails the whole batch instead of estimating zero.
-    ///
-    /// Validation runs as one upfront pass over the batch, so the worker
-    /// loop itself is branch-light; the reported error is the same
-    /// first-in-input-order failure the per-query loop would hit.
+    /// non-finite query fails the whole batch instead of estimating zero,
+    /// with the same error the per-query loop would hit.
     pub fn try_estimate_batch(&self, queries: &[Rect]) -> Result<Vec<f64>, EstimateError> {
         if queries.iter().any(|q| !q.is_finite()) {
             return Err(EstimateError::NonFiniteQuery);
         }
-        self.note_batch(queries.len());
-        let order = minskew_core::morton_schedule(queries);
-        let sorted: Vec<Rect> = order.iter().map(|&i| queries[i as usize]).collect();
-        let results = minskew_par::map_chunks_queued_with(
-            self.options.threads,
-            64,
-            &sorted,
-            EstimateScratch::new,
-            |scratch, q| self.estimate_finite(q, scratch),
-        );
-        let mut out = vec![0.0f64; queries.len()];
-        for (&value, &i) in results.iter().zip(&order) {
-            out[i as usize] = value;
-        }
-        Ok(out)
-    }
-
-    /// Records one batch invocation of `n` queries in the serving counters.
-    fn note_batch(&self, n: usize) {
-        let mut serving = self.serving.lock().unwrap_or_else(PoisonError::into_inner);
-        serving.batch_calls += 1;
-        serving.batch_queries += n as u64;
-        if self.options.query_cache {
-            serving.batch_bypass += n as u64;
-        }
+        Ok(self.estimate_batch(queries))
     }
 
     /// A snapshot of this table's metrics: the registry's `engine.*`
@@ -1319,10 +1137,7 @@ impl SpatialTable {
             let mut serving = self.serving.lock().unwrap_or_else(PoisonError::into_inner);
             // Sync the data era first so any exact counts cached by a
             // previous audit are dropped if churn made them inexact.
-            if serving.seen_era != self.data_era {
-                serving.reservoir.invalidate_exact();
-                serving.seen_era = self.data_era;
-            }
+            serving.sync_era(self.data_era);
             (
                 serving.reservoir.samples().to_vec(),
                 serving.reservoir.seen(),
@@ -1341,7 +1156,7 @@ impl SpatialTable {
             let actual = sample
                 .exact
                 .unwrap_or_else(|| self.index.count_intersecting(&sample.query) as f64);
-            let estimate = self.estimate_finite(&sample.query, &mut scratch);
+            let estimate = self.current.estimate(&sample.query, &mut scratch);
             exacts.push(actual);
             num += (actual - estimate).abs();
             den += actual;
@@ -1503,7 +1318,7 @@ impl SpatialTable {
                 sample.exact.map(|actual| RefineObservation {
                     query: sample.query,
                     actual,
-                    estimate: self.estimate_finite(&sample.query, &mut scratch),
+                    estimate: self.current.estimate(&sample.query, &mut scratch),
                 })
             })
             .collect();
@@ -1543,7 +1358,6 @@ impl SpatialTable {
         self.diagnostics.achieved_buckets = hist.buckets().len();
         self.stats = Some(hist);
         self.stats_era += 1;
-        self.invalidate_cache();
         self.publish();
     }
 
@@ -1848,7 +1662,7 @@ mod tests {
     }
 
     #[test]
-    fn estimate_batch_equals_per_query_loop_at_every_thread_count() {
+    fn estimate_batch_equals_per_query_loop() {
         let mut t = SpatialTable::new(TableOptions::default());
         for r in charminar_with(3_000, 4).rects() {
             t.insert(*r);
@@ -1861,15 +1675,15 @@ mod tests {
             })
             .collect();
         let serial: Vec<f64> = queries.iter().map(|q| t.estimate(q)).collect();
-        for threads in [0usize, 1, 2, 3, 8] {
-            t.options.threads = threads;
-            let batch = t.estimate_batch(&queries);
-            // Bit-identical, not approximately equal.
-            let serial_bits: Vec<u64> = serial.iter().map(|v| v.to_bits()).collect();
-            let batch_bits: Vec<u64> = batch.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(batch_bits, serial_bits, "threads = {threads}");
-            assert_eq!(t.try_estimate_batch(&queries).expect("finite"), serial);
-        }
+        // Bit-identical, not approximately equal.
+        let serial_bits: Vec<u64> = serial.iter().map(|v| v.to_bits()).collect();
+        let batch_bits: Vec<u64> = t
+            .estimate_batch(&queries)
+            .iter()
+            .map(|v| v.to_bits())
+            .collect();
+        assert_eq!(batch_bits, serial_bits);
+        assert_eq!(t.try_estimate_batch(&queries).expect("finite"), serial);
         // Strict batch rejects a poisoned query; graceful batch maps it to 0.
         let poisoned = Rect {
             lo: minskew_geom::Point::new(f64::NAN, 0.0),
@@ -2180,20 +1994,23 @@ mod tests {
             .map(|i| Rect::new(0.0, 0.0, 10.0 + i as f64, 10.0))
             .collect();
         t.estimate_batch(&queries);
+        assert_eq!(counter(&t, "engine.cache.hits"), 0);
+        assert_eq!(counter(&t, "engine.cache.misses"), 10);
+        // The batch went through the cache: repeating its queries hits.
         let _ = t.try_estimate_batch(&queries[..4]).expect("finite");
         assert_eq!(counter(&t, "engine.batch.calls"), 2);
         assert_eq!(counter(&t, "engine.batch.queries"), 14);
-        // The default table has the cache on, so every batch query bypassed
-        // it.
-        assert_eq!(counter(&t, "engine.batch.cache_bypass"), 14);
+        assert_eq!(counter(&t, "engine.cache.hits"), 4);
+        assert_eq!(counter(&t, "engine.cache.misses"), 10);
         let text = t.stats_diagnostics().to_string();
         assert_eq!(text, "stats 51/100 buckets (fallback: none, attempts: 1)");
 
-        // With the cache off, batches are counted but nothing is "bypassed".
+        // With the cache off, batches are counted and probe nothing.
         t.set_query_cache(false, 0);
         t.estimate_batch(&queries);
         assert_eq!(counter(&t, "engine.batch.queries"), 24);
-        assert_eq!(counter(&t, "engine.batch.cache_bypass"), 14);
+        assert_eq!(counter(&t, "engine.cache.hits"), 4);
+        assert_eq!(counter(&t, "engine.cache.misses"), 10);
     }
 
     #[test]
@@ -2226,7 +2043,7 @@ mod tests {
             (single, batch)
         };
         let off = run(false, 256);
-        // Sampling 1 forces every call down the timed path.
+        // Sampling 1 times every call.
         for sampling in [1, 256] {
             assert_eq!(run(true, sampling), off, "sampling={sampling}");
         }
@@ -2242,7 +2059,6 @@ mod tests {
         t.estimate_batch(&[Rect::new(0.0, 0.0, 9.0, 9.0); 3]);
         assert_eq!(counter(&t, "engine.query.calls"), 20);
         assert_eq!(counter(&t, "engine.batch.queries"), 3);
-        assert_eq!(counter(&t, "engine.batch.cache_bypass"), 3);
         // A second read must not double count.
         assert_eq!(counter(&t, "engine.query.calls"), 20);
         assert!(t.metrics_json().contains("\"engine.query.calls\": 20"));

@@ -58,6 +58,26 @@ impl FlightTrigger {
         }
     }
 
+    /// The capture rule every serving front end applies to one served,
+    /// timed estimate: `slow` when `slow_ns > 0` and `latency_ns ≥
+    /// slow_ns`, else `sampled` for the 1st, (N+1)th, … call of the offered
+    /// stream (`index` counts from 0, `sample_every` is N, `0` disables),
+    /// else nothing.
+    pub fn for_served(
+        latency_ns: u64,
+        slow_ns: u64,
+        index: u64,
+        sample_every: u32,
+    ) -> Option<FlightTrigger> {
+        if slow_ns > 0 && latency_ns >= slow_ns {
+            Some(FlightTrigger::Slow)
+        } else if sample_every > 0 && index.is_multiple_of(u64::from(sample_every)) {
+            Some(FlightTrigger::Sampled)
+        } else {
+            None
+        }
+    }
+
     fn from_code(code: u64) -> FlightTrigger {
         match code {
             0 => FlightTrigger::Slow,
@@ -317,6 +337,17 @@ mod tests {
             assert_eq!(*r, rec(i as u64));
         }
         assert_eq!(ring.total(), 3);
+    }
+
+    #[test]
+    fn served_trigger_rule() {
+        let rule = FlightTrigger::for_served;
+        assert_eq!(rule(5, 5, 1, 0), Some(FlightTrigger::Slow));
+        assert_eq!(rule(4, 5, 1, 0), None);
+        assert_eq!(rule(u64::MAX, 0, 1, 0), None, "0 disables slow");
+        let sampled: Vec<u64> = (0..7).filter(|&i| rule(0, 0, i, 3).is_some()).collect();
+        assert_eq!(sampled, [0, 3, 6], "the 1st, 4th, 7th call");
+        assert_eq!(rule(9, 5, 1, 3), Some(FlightTrigger::Slow), "slow wins");
     }
 
     #[test]

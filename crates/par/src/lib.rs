@@ -3,7 +3,7 @@
 //!
 //! The estimator stack parallelizes three kinds of loops: sharded counting
 //! (density-grid construction), independent per-item evaluation (split
-//! candidates, batch estimates), and load-imbalanced per-item work (exact
+//! candidates), and load-imbalanced per-item work (exact
 //! ground-truth counting, where query cost varies by orders of magnitude).
 //! This crate provides one primitive per shape, all built on
 //! [`std::thread::scope`]:
@@ -14,8 +14,6 @@
 //!   slow items do not serialize the whole batch. Not work stealing: chunk
 //!   boundaries are fixed up front and results are reassembled by chunk
 //!   index, so scheduling order can never leak into the output.
-//! * [`map_chunks_queued_with`] — the queued map with one reusable scratch
-//!   state per worker, for allocation-free per-item work (batch serving).
 //! * [`fold_shards`] — one accumulator per chunk, returned in chunk order,
 //!   for sharded-counts-then-merge patterns.
 //!
@@ -126,39 +124,11 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    map_chunks_queued_with(threads, chunk_size, items, || (), move |(), item| f(item))
-}
-
-/// [`map_chunks_queued`] with **per-worker scratch state**: each worker
-/// creates one `S` via `init()` when it starts and threads it through every
-/// item it processes (`out[i] = f(&mut state, &items[i])`).
-///
-/// This is the allocation-free batch-serving shape: a worker's scratch
-/// buffers (candidate lists, visited stamps) are reused across all the
-/// items that worker claims, instead of being reallocated per item. The
-/// determinism contract still holds **provided `f` is pure with respect to
-/// the scratch** — the scratch may cache allocations but must not change
-/// the value `f` returns for a given item. All existing callers get this
-/// for free via [`map_chunks_queued`] (`S = ()`).
-pub fn map_chunks_queued_with<T, R, S, I, F>(
-    threads: usize,
-    chunk_size: usize,
-    items: &[T],
-    init: I,
-    f: F,
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, &T) -> R + Sync,
-{
     let threads = effective_threads(threads).min(items.len());
     let chunk_size = chunk_size.max(1);
     let n_chunks = items.len().div_ceil(chunk_size);
     if threads <= 1 || n_chunks <= 1 {
-        let mut state = init();
-        return items.iter().map(|item| f(&mut state, item)).collect();
+        return items.iter().map(&f).collect();
     }
     let workers = threads.min(n_chunks);
     let registry = minskew_obs::Registry::global();
@@ -171,7 +141,6 @@ where
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 let cursor = &cursor;
-                let init = &init;
                 let f = &f;
                 scope.spawn(move || {
                     // Per-worker observability, accumulated locally and
@@ -180,7 +149,6 @@ where
                     let clock = minskew_obs::Stopwatch::start();
                     let mut contended: u64 = 0;
                     let mut prev_ci: Option<usize> = None;
-                    let mut state = init();
                     let mut done: Vec<(usize, Vec<R>)> = Vec::new();
                     loop {
                         let ci = cursor.fetch_add(1, Ordering::Relaxed);
@@ -195,13 +163,7 @@ where
                         prev_ci = Some(ci);
                         let lo = ci * chunk_size;
                         let hi = (lo + chunk_size).min(items.len());
-                        done.push((
-                            ci,
-                            items[lo..hi]
-                                .iter()
-                                .map(|item| f(&mut state, item))
-                                .collect(),
-                        ));
+                        done.push((ci, items[lo..hi].iter().map(f).collect()));
                     }
                     let registry = minskew_obs::Registry::global();
                     registry
@@ -332,31 +294,6 @@ mod tests {
     }
 
     #[test]
-    fn queued_map_with_scratch_matches_serial_and_reuses_state() {
-        // The scratch buffer caches a growable allocation; the per-item
-        // value must not depend on which worker (or how many) ran it.
-        let items: Vec<usize> = (0..333).collect();
-        let f = |scratch: &mut Vec<u64>, x: &usize| {
-            scratch.clear();
-            scratch.extend((0..x % 13).map(|i| (x + i) as u64));
-            scratch.iter().sum::<u64>()
-        };
-        let expect: Vec<u64> = {
-            let mut s = Vec::new();
-            items.iter().map(|x| f(&mut s, x)).collect()
-        };
-        for threads in [1usize, 2, 3, 8] {
-            for chunk in [1usize, 5, 64, 1000] {
-                assert_eq!(
-                    map_chunks_queued_with(threads, chunk, &items, Vec::new, f),
-                    expect,
-                    "threads={threads} chunk={chunk}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn fold_shards_merge_exactly_for_integers() {
         // Sharded histogram counting: u32 addition is order-independent, so
         // the merged shards equal the serial fold bit-for-bit.
@@ -392,7 +329,7 @@ mod tests {
         let before = registry.snapshot();
         let busy_before = registry.histogram("par.worker.busy_ns").count();
         let items: Vec<usize> = (0..640).collect();
-        let out = map_chunks_queued_with(4, 64, &items, || (), |(), x| x * 2);
+        let out = map_chunks_queued(4, 64, &items, |x| x * 2);
         assert_eq!(out, items.iter().map(|x| x * 2).collect::<Vec<_>>());
         let after = registry.snapshot();
         // The global registry is shared across concurrently running

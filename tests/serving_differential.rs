@@ -259,32 +259,12 @@ fn counter(table: &SpatialTable, name: &str) -> u64 {
 #[test]
 fn batch_estimation_matches_single_query_loop_with_scratch_reuse() {
     let data = charminar_with(3_000, 41);
-    let mut table = SpatialTable::new(TableOptions::default());
-    for r in data.rects() {
-        table.insert(*r);
-    }
-    table.analyze();
     let queries = queries_for(&data);
-    let serial_bits: Vec<u64> = queries
-        .iter()
-        .map(|q| table.estimate(q).to_bits())
-        .collect();
-    for threads in [1usize, 2, 3, 8] {
-        table.set_threads(threads);
-        let batch_bits: Vec<u64> = table
-            .estimate_batch(&queries)
-            .iter()
-            .map(|v| v.to_bits())
-            .collect();
-        assert_eq!(batch_bits, serial_bits, "threads={threads}");
-        let strict: Vec<u64> = table
-            .try_estimate_batch(&queries)
-            .expect("all finite")
-            .iter()
-            .map(|v| v.to_bits())
-            .collect();
-        assert_eq!(strict, serial_bits, "strict threads={threads}");
-    }
+    let table = assert_batch_matches_single_queries(&data, &queries);
+    // A workload-generated pool over a second dataset.
+    let pool = charminar_with(4_000, 31);
+    let workload = QueryWorkload::generate(&pool, 0.15, 300, 37);
+    assert_batch_matches_single_queries(&pool, workload.queries());
     // Upfront validation preserves strict-batch semantics at any position.
     let poisoned = Rect {
         lo: Point::new(f64::NAN, 0.0),
@@ -303,6 +283,42 @@ fn batch_estimation_matches_single_query_loop_with_scratch_reuse() {
         // Graceful batch still answers, mapping the bad query to 0.0.
         assert_eq!(table.estimate_batch(&bad)[position], 0.0);
     }
+}
+
+/// Table batches against a request-order loop of single estimates on a
+/// table with the cache off: bit-identical with the cache off, cold, and
+/// pre-warmed by the same single queries, and equal to a lock-free
+/// reader's batch on the same generation. Returns the cached table.
+fn assert_batch_matches_single_queries(data: &Dataset, queries: &[Rect]) -> SpatialTable {
+    let table = |query_cache: bool| {
+        let mut t = SpatialTable::new(TableOptions {
+            query_cache,
+            ..TableOptions::default()
+        });
+        t.insert_many(data.rects().iter().copied());
+        t.analyze();
+        t
+    };
+    let bits = |values: Vec<f64>| -> Vec<u64> { values.into_iter().map(f64::to_bits).collect() };
+    let uncached = table(false);
+    let serial = bits(queries.iter().map(|q| uncached.estimate(q)).collect());
+    assert_eq!(bits(uncached.estimate_batch(queries)), serial, "cache off");
+    let cold = table(true);
+    assert_eq!(bits(cold.estimate_batch(queries)), serial, "cold cache");
+    let strict = cold.try_estimate_batch(queries).expect("all finite");
+    assert_eq!(bits(strict), serial, "strict, cache warmed by the batch");
+    let warm = table(true);
+    let singles = bits(queries.iter().map(|q| warm.estimate(q)).collect());
+    assert_eq!(singles, serial, "single queries, cache on");
+    assert_eq!(
+        bits(warm.estimate_batch(queries)),
+        serial,
+        "pre-warmed cache"
+    );
+    let mut reader = warm.reader();
+    assert_eq!(bits(reader.estimate_batch(queries)), serial, "reader batch");
+    assert_eq!(reader.generation(), warm.generation());
+    warm
 }
 
 /// Exhaustive cross product on larger inputs — enabled by the `serving`

@@ -245,6 +245,16 @@ fn filled_table(data: &Dataset, options: TableOptions) -> SpatialTable {
     table
 }
 
+/// The table's `engine.cache.*` counters.
+fn cache_counters(table: &SpatialTable) -> Vec<(String, u64)> {
+    table
+        .metrics()
+        .counters
+        .into_iter()
+        .filter(|(name, _)| name.starts_with("engine.cache."))
+        .collect()
+}
+
 #[test]
 fn engine_explain_reports_exactly_the_served_bits() {
     let data = charminar_with(2_000, 83);
@@ -252,8 +262,17 @@ fn engine_explain_reports_exactly_the_served_bits() {
     let table = filled_table(&data, TableOptions::default());
     let mut reader = table.reader();
     for q in engine_queries(mbr) {
+        // EXPLAIN counts no hit or miss: the cache counters stand still
+        // across every trace, table and reader alike.
+        let counters = cache_counters(&table);
         let trace = table.try_explain(&q).expect("finite query");
+        assert_eq!(cache_counters(&table), counters, "table EXPLAIN: q={q}");
+        assert_ne!(trace.cache, CacheDisposition::Hit, "q={q}");
         let served = table.estimate(&q);
+        let counters = cache_counters(&table);
+        let hit = table.try_explain(&q).expect("finite query");
+        assert_eq!(cache_counters(&table), counters, "table EXPLAIN: q={q}");
+        assert_eq!(hit.cache, CacheDisposition::Hit, "q={q}");
         assert_eq!(
             served.to_bits(),
             trace.estimate.to_bits(),
@@ -267,7 +286,9 @@ fn engine_explain_reports_exactly_the_served_bits() {
         }
         // Reader side: EXPLAIN first (must not warm the cache), then the
         // estimate, then EXPLAIN again (now a would-be hit).
+        let stats = reader.cache_stats();
         let rtrace = reader.try_explain(&q).expect("finite query");
+        assert_eq!(reader.cache_stats(), stats, "reader EXPLAIN: q={q}");
         assert_eq!(
             served.to_bits(),
             rtrace.estimate.to_bits(),
@@ -280,7 +301,9 @@ fn engine_explain_reports_exactly_the_served_bits() {
         );
         let rserved = reader.try_estimate(&q).expect("finite query");
         assert_eq!(served.to_bits(), rserved.to_bits());
+        let stats = reader.cache_stats();
         let rtrace = reader.try_explain(&q).expect("finite query");
+        assert_eq!(reader.cache_stats(), stats, "reader EXPLAIN: q={q}");
         assert_eq!(rtrace.cache, CacheDisposition::Hit, "q={q}");
         assert_eq!(
             served.to_bits(),

@@ -57,11 +57,14 @@
 #  18. a CLI stats smoke: `minskew stats --json` over the generated
 #      2000-row charminar input must carry the counter and histogram names
 #      README quotes (engine.query.calls, engine.cache.hits,
-#      engine.batch.queries, engine.estimate.min_skew.ns) and none of the
-#      deleted ones (engine.batch.cache_bypass, engine.query.clamp_ns),
-#  19. a check that the committed BENCH_obs.json is a full-scale run
-#      (`"quick": false`) with its flight-recorder overhead column, since
-#      README and DESIGN quote it,
+#      engine.batch.queries, engine.estimate.min_skew.ns,
+#      engine.analyze.grid_reused, engine.analyze.grid_built), must count
+#      at least one built grid for its one ANALYZE, and must carry none of
+#      the deleted names (engine.batch.cache_bypass, engine.query.clamp_ns),
+#  19. checks that the committed BENCH_obs.json is a full-scale run
+#      (`"quick": false`) with its flight-recorder overhead column, and
+#      that the committed BENCH_snapshot.json is a full-scale run, since
+#      README and DESIGN quote them,
 #  20. smoke runs of the parallel-speedup, serving-throughput (asserting
 #      the qps_kernel and qps_kernel_scalar columns are present in the
 #      emitted artefact), obs-overhead (asserting the flight-recorder
@@ -264,12 +267,17 @@ fi
 echo "==> CLI stats smoke (minskew stats --json metric names)"
 STATS_JSON=$(./target/debug/minskew stats --input "$SERVE_TMP/data.csv" --json)
 for NAME in engine.query.calls engine.cache.hits engine.batch.queries \
-    engine.estimate.min_skew.ns; do
+    engine.estimate.min_skew.ns engine.analyze.grid_reused \
+    engine.analyze.grid_built; do
     if [[ "$STATS_JSON" != *"\"$NAME\""* ]]; then
         echo "ERROR: minskew stats --json is missing $NAME" >&2
         exit 1
     fi
 done
+if ! grep -Eq '"engine\.analyze\.grid_built": [1-9]' <<< "$STATS_JSON"; then
+    echo "ERROR: minskew stats --json counts no built density grid for its ANALYZE" >&2
+    exit 1
+fi
 for NAME in engine.batch.cache_bypass engine.query.clamp_ns; do
     if [[ "$STATS_JSON" == *"\"$NAME\""* ]]; then
         echo "ERROR: minskew stats --json still reports the deleted $NAME" >&2
@@ -281,6 +289,12 @@ echo "==> committed BENCH_obs.json is full scale, with the recorder column"
 if ! grep -q '"quick": false' BENCH_obs.json || ! grep -q '"recorder_overhead_pct"' BENCH_obs.json; then
     echo "ERROR: the committed BENCH_obs.json must be a full-scale run (\"quick\": false)" \
         "with a recorder_overhead_pct column" >&2
+    exit 1
+fi
+
+echo "==> committed BENCH_snapshot.json is full scale"
+if ! grep -q '"quick": false' BENCH_snapshot.json; then
+    echo "ERROR: the committed BENCH_snapshot.json must be a full-scale run (\"quick\": false)" >&2
     exit 1
 fi
 

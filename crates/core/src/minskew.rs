@@ -28,7 +28,7 @@
 //! intervals spends early buckets on the broad structure and late buckets on
 //! the skewed hot spots.
 
-use minskew_data::{CellBlock, Dataset, DensityGrid, GridPrefixSums, RectSource};
+use minskew_data::{CellBlock, Dataset, DensityGrid, GridPrefixSums, GridSet, RectSource};
 use minskew_geom::Axis;
 
 use crate::error::BuildError;
@@ -249,6 +249,27 @@ impl MinSkewBuilder {
         Ok(self.build_from_source_detailed(source))
     }
 
+    /// [`Self::try_build_from_source_detailed`] over density grids that the
+    /// caller keeps up to date (see [`GridSet`]).
+    ///
+    /// Each refinement phase takes its grid from `grids` when one over the
+    /// source's MBR at that phase's dimensions is held, and builds it
+    /// otherwise. On success `grids` holds exactly the grids this build
+    /// used; [`MinSkewDetail`] counts how many were reused and built. A held
+    /// grid must equal what [`DensityGrid::build`] would make over the
+    /// source, which [`GridSet::patch`] maintains; the histogram is then
+    /// byte-identical to a build from an empty set. On error `grids` is
+    /// left as it was.
+    pub fn try_build_with_grids<S: RectSource + ?Sized>(
+        &self,
+        source: &S,
+        grids: &mut GridSet,
+    ) -> Result<(SpatialHistogram, MinSkewDetail), BuildError> {
+        self.check_preconditions(source)?;
+        let (hist, detail, _) = self.build_impl(source, grids, false);
+        Ok((hist, detail))
+    }
+
     /// Side length of the final density grid: `√regions` rounded, then
     /// rounded up so every progressive refinement halves exactly.
     fn final_grid_side(&self) -> usize {
@@ -274,7 +295,7 @@ impl MinSkewBuilder {
         &self,
         source: &S,
     ) -> (SpatialHistogram, MinSkewDetail) {
-        let (hist, detail, _) = self.build_impl(source, false);
+        let (hist, detail, _) = self.build_impl(source, &mut GridSet::default(), false);
         (hist, detail)
     }
 
@@ -289,7 +310,7 @@ impl MinSkewBuilder {
         &self,
         source: &S,
     ) -> (SpatialHistogram, MinSkewBuildTrace) {
-        let (hist, _, trace) = self.build_impl(source, true);
+        let (hist, _, trace) = self.build_impl(source, &mut GridSet::default(), true);
         (hist, trace)
     }
 
@@ -301,7 +322,7 @@ impl MinSkewBuilder {
         source: &S,
     ) -> Result<(SpatialHistogram, MinSkewBuildTrace), BuildError> {
         self.check_preconditions(source)?;
-        let (hist, _, trace) = self.build_impl(source, true);
+        let (hist, _, trace) = self.build_impl(source, &mut GridSet::default(), true);
         Ok((hist, trace))
     }
 
@@ -324,21 +345,27 @@ impl MinSkewBuilder {
         Ok(())
     }
 
-    /// The one construction path behind every `build*` entry point. When
-    /// `traced`, chosen splits are recorded (the trace is empty otherwise).
+    /// The one construction path behind every `build*` entry point. Each
+    /// phase's grid comes from `grids` or is built; afterwards `grids` holds
+    /// exactly the grids this build used. When `traced`, chosen splits are
+    /// recorded (the trace is empty otherwise).
     fn build_impl<S: RectSource + ?Sized>(
         &self,
         source: &S,
+        grids: &mut GridSet,
         traced: bool,
     ) -> (SpatialHistogram, MinSkewDetail, MinSkewBuildTrace) {
         let mut build_clock = minskew_obs::Stopwatch::start();
         let data = source;
         if data.stats().n == 0 {
+            *grids = GridSet::default();
             return (
                 SpatialHistogram::from_parts("Min-Skew", vec![], 0, self.rule),
                 MinSkewDetail {
                     spatial_skew: 0.0,
                     grid_side: 0,
+                    grids_reused: 0,
+                    grids_built: 0,
                 },
                 MinSkewBuildTrace::default(),
             );
@@ -348,21 +375,35 @@ impl MinSkewBuilder {
         let side = self.final_grid_side();
 
         let mut blocks: Vec<CellBlock> = Vec::new();
-        let mut grid = None;
+        let mut used = GridSet::default();
+        // The latest phase's grid and the side it was requested at.
+        let mut grid: Option<(usize, DensityGrid)> = None;
         let mut prefix = None;
         let mut prev_dims = (0usize, 0usize);
         let mut splits: Vec<SplitEvent> = Vec::new();
+        let mut grids_reused = 0;
 
         for phase in 0..phases {
             let cur_side = side >> (self.refinements - phase);
-            // Sharded parallel counting when the source is memory-resident;
-            // streaming sources keep the serial single-sweep build. Both
-            // produce bit-identical grids (integer counters merge exactly).
-            let g = match data.as_slice() {
-                Some(rects) if self.threads != 1 => {
-                    DensityGrid::build_with_threads(rects, mbr, cur_side, cur_side, self.threads)
+            // A held grid that writes have patched equals a fresh build. On
+            // a miss, a memory-resident source counts in parallel shards and
+            // any other source in one serial sweep; both produce
+            // bit-identical grids (integer counters merge exactly).
+            let g = match grids.take(mbr, cur_side, cur_side) {
+                Some(g) => {
+                    grids_reused += 1;
+                    g
                 }
-                _ => DensityGrid::build(data.scan(), mbr, cur_side, cur_side),
+                None => match data.as_slice() {
+                    Some(rects) if self.threads != 1 => DensityGrid::build_with_threads(
+                        rects,
+                        mbr,
+                        cur_side,
+                        cur_side,
+                        self.threads,
+                    ),
+                    _ => DensityGrid::build(data.scan(), mbr, cur_side, cur_side),
+                },
             };
             let p = GridPrefixSums::from_grid(&g);
             if phase == 0 {
@@ -419,11 +460,13 @@ impl MinSkewBuilder {
                     skew_after: r.sse_after,
                 });
             }
-            grid = Some(g);
+            if let Some((s, done)) = grid.replace((cur_side, g)) {
+                used.insert(s, s, done);
+            }
             prefix = Some(p);
         }
 
-        let grid = grid.expect("at least one phase ran");
+        let (final_side, grid) = grid.expect("at least one phase ran");
         let prefix = prefix.expect("at least one phase ran");
         let skew: f64 = blocks.iter().map(|b| prefix.block_sse(b)).sum();
         let hist = blocks_to_histogram("Min-Skew", data, &grid, &blocks, self.rule);
@@ -432,7 +475,11 @@ impl MinSkewBuilder {
         let detail = MinSkewDetail {
             spatial_skew: skew,
             grid_side: grid.nx().max(grid.ny()),
+            grids_reused,
+            grids_built: phases - grids_reused,
         };
+        used.insert(final_side, final_side, grid);
+        *grids = used;
         let trace = MinSkewBuildTrace {
             splits,
             phases,
@@ -452,6 +499,10 @@ pub struct MinSkewDetail {
     pub spatial_skew: f64,
     /// Side length of the final grid actually used.
     pub grid_side: usize,
+    /// Phase grids taken from the caller's [`GridSet`] instead of built.
+    pub grids_reused: usize,
+    /// Phase grids built by sweeping the source.
+    pub grids_built: usize,
 }
 
 /// One greedy split of the §4.2 loop, as recorded by

@@ -1,6 +1,6 @@
 //! The single-bucket uniformity-assumption estimator (§3.1).
 
-use minskew_data::Dataset;
+use minskew_data::RectSource;
 
 use crate::error::BuildError;
 use crate::{Bucket, ExtensionRule, SpatialHistogram};
@@ -10,8 +10,9 @@ use crate::{Bucket, ExtensionRule, SpatialHistogram};
 /// An empty dataset is *not* an error here — the uniform estimator is the
 /// engine's degradation floor and must be constructible in every state —
 /// but a non-finite bounding box still is.
-pub fn try_build_uniform(data: &Dataset) -> Result<SpatialHistogram, BuildError> {
-    if !data.is_empty() && !data.stats().mbr.is_finite() {
+pub fn try_build_uniform<S: RectSource + ?Sized>(data: &S) -> Result<SpatialHistogram, BuildError> {
+    let s = data.stats();
+    if s.n > 0 && !s.mbr.is_finite() {
         return Err(BuildError::NonFiniteMbr);
     }
     Ok(build_uniform(data))
@@ -25,7 +26,9 @@ pub fn try_build_uniform(data: &Dataset) -> Result<SpatialHistogram, BuildError>
 /// baseline and shows 57–80 % error on real data. Point queries estimate
 /// `N·W̄·H̄ / Area(T)`, which for identically-sized rectangles equals the
 /// paper's `TA / Area(T)` average.
-pub fn build_uniform(data: &Dataset) -> SpatialHistogram {
+///
+/// Reads only the source's summary statistics, never its rectangles.
+pub fn build_uniform<S: RectSource + ?Sized>(data: &S) -> SpatialHistogram {
     let mut build_clock = minskew_obs::Stopwatch::start();
     let s = data.stats();
     let bucket = Bucket {

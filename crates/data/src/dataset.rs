@@ -1,6 +1,6 @@
 //! The input rectangle distribution and its summary statistics.
 
-use minskew_geom::{mbr_of, Rect};
+use minskew_geom::Rect;
 
 /// Summary statistics of a [`Dataset`], in the paper's notation.
 ///
@@ -19,6 +19,45 @@ pub struct DatasetStats {
     pub avg_width: f64,
     /// `H_avg`: average rectangle height.
     pub avg_height: f64,
+}
+
+impl DatasetStats {
+    /// The statistics of `rects`, computed in one sweep that folds the MBR
+    /// and the area, width and height sums in iteration order. Every source
+    /// that yields the same rectangles in the same order therefore gets
+    /// bit-identical statistics.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any rectangle has a non-finite coordinate: it would poison
+    /// every downstream aggregate.
+    pub fn of(rects: impl IntoIterator<Item = Rect>) -> DatasetStats {
+        let mut n = 0usize;
+        let mut mbr: Option<Rect> = None;
+        let mut total_area = 0.0;
+        let mut sum_w = 0.0;
+        let mut sum_h = 0.0;
+        for r in rects {
+            assert!(
+                r.is_finite(),
+                "dataset rectangles must have finite coordinates"
+            );
+            n += 1;
+            // The fold `mbr_of` makes: accumulator first, then the next rect.
+            mbr = Some(mbr.map_or(r, |m| m.union(&r)));
+            total_area += r.area();
+            sum_w += r.width();
+            sum_h += r.height();
+        }
+        let denom = n.max(1) as f64;
+        DatasetStats {
+            n,
+            mbr: mbr.unwrap_or_else(|| Rect::new(0.0, 0.0, 0.0, 0.0)),
+            total_area,
+            avg_width: sum_w / denom,
+            avg_height: sum_h / denom,
+        }
+    }
 }
 
 /// An immutable collection of input rectangles (the distribution `T`).
@@ -60,31 +99,8 @@ impl Dataset {
     ///
     /// Panics if any rectangle has a non-finite coordinate.
     pub fn new(rects: Vec<Rect>) -> Dataset {
-        assert!(
-            rects.iter().all(Rect::is_finite),
-            "dataset rectangles must have finite coordinates"
-        );
-        let n = rects.len();
-        let mbr = mbr_of(rects.iter().copied()).unwrap_or_else(|| Rect::new(0.0, 0.0, 0.0, 0.0));
-        let mut total_area = 0.0;
-        let mut sum_w = 0.0;
-        let mut sum_h = 0.0;
-        for r in &rects {
-            total_area += r.area();
-            sum_w += r.width();
-            sum_h += r.height();
-        }
-        let denom = n.max(1) as f64;
-        Dataset {
-            rects,
-            stats: DatasetStats {
-                n,
-                mbr,
-                total_area,
-                avg_width: sum_w / denom,
-                avg_height: sum_h / denom,
-            },
-        }
+        let stats = DatasetStats::of(rects.iter().copied());
+        Dataset { rects, stats }
     }
 
     /// Number of rectangles (`N`).

@@ -56,23 +56,34 @@ impl DensityGrid {
             ny,
             cell_w,
             cell_h,
-            density: vec![0; nx * ny],
+            density: Vec::new(),
         };
+        let mut density = vec![0; nx * ny];
         for r in rects {
-            let r = r.borrow();
-            if !bounds.intersects(r) {
-                continue;
-            }
-            let (ix0, ix1) = grid.axis_range(r, Axis::X);
-            let (iy0, iy1) = grid.axis_range(r, Axis::Y);
-            for iy in iy0..=iy1 {
-                let row = iy * grid.nx;
-                for d in &mut grid.density[row + ix0..=row + ix1] {
-                    *d += 1;
-                }
+            grid.count(&mut density, r.borrow(), 1);
+        }
+        grid.density = density;
+        grid
+    }
+
+    /// Adds `delta` to every cell of `cells` (laid out like this grid's
+    /// densities) that `r` intersects. A rect outside the bounds touches
+    /// nothing; the rest is clamped into range. This is the one mapping from
+    /// a rect to its cells: the serial build, the sharded build and
+    /// [`GridSet::patch`] all count through it, which is what makes a
+    /// patched grid equal a fresh build.
+    fn count(&self, cells: &mut [u32], r: &Rect, delta: i32) {
+        if !self.bounds.intersects(r) {
+            return;
+        }
+        let (ix0, ix1) = self.axis_range(r, Axis::X);
+        let (iy0, iy1) = self.axis_range(r, Axis::Y);
+        for iy in iy0..=iy1 {
+            let row = iy * self.nx;
+            for d in &mut cells[row + ix0..=row + ix1] {
+                *d = d.wrapping_add_signed(delta);
             }
         }
-        grid
     }
 
     /// Parallel counterpart of [`DensityGrid::build`]: sharded counts, then
@@ -112,19 +123,7 @@ impl DensityGrid {
             threads,
             rects,
             || vec![0u32; grid.nx * grid.ny],
-            |shard: &mut Vec<u32>, r: &Rect| {
-                if !bounds.intersects(r) {
-                    return;
-                }
-                let (ix0, ix1) = grid.axis_range(r, Axis::X);
-                let (iy0, iy1) = grid.axis_range(r, Axis::Y);
-                for iy in iy0..=iy1 {
-                    let row = iy * grid.nx;
-                    for d in &mut shard[row + ix0..=row + ix1] {
-                        *d += 1;
-                    }
-                }
-            },
+            |shard: &mut Vec<u32>, r: &Rect| grid.count(shard, r, 1),
         );
         for shard in shards {
             for (cell, s) in grid.density.iter_mut().zip(shard) {
@@ -256,6 +255,67 @@ impl DensityGrid {
             0
         } else {
             (idx as usize).min(n - 1)
+        }
+    }
+}
+
+/// Density grids kept up to date under writes, so that a rebuild over the
+/// same bounds can be skipped.
+///
+/// A cell's density counts the rects that intersect it, which does not
+/// depend on the order of the rects. So adding each inserted rect's
+/// footprint and subtracting each deleted one's keeps every held grid equal,
+/// bit for bit, to a fresh [`DensityGrid::build`] over the live rects with
+/// the same bounds and dimensions. Rects outside a grid's bounds touch none
+/// of its cells, exactly as in `build`, so they may come and go freely.
+///
+/// A grid is keyed by the dimensions it was requested at and by its bounds
+/// compared bit for bit (`-0.0` and `0.0` differ). A Min-Skew build takes
+/// each refinement phase's grid from the set, or builds and stores it.
+#[derive(Debug, Clone, Default)]
+pub struct GridSet {
+    grids: Vec<(GridKey, DensityGrid)>,
+}
+
+/// The requested dimensions and bit-exact bounds a held grid matches.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct GridKey {
+    nx: usize,
+    ny: usize,
+    bounds: [u64; 4],
+}
+
+impl GridKey {
+    fn new(bounds: Rect, nx: usize, ny: usize) -> GridKey {
+        GridKey {
+            nx,
+            ny,
+            bounds: [bounds.lo.x, bounds.lo.y, bounds.hi.x, bounds.hi.y].map(f64::to_bits),
+        }
+    }
+}
+
+impl GridSet {
+    /// Removes and returns the grid that `DensityGrid::build(_, bounds, nx,
+    /// ny)` would build, if one is held.
+    pub fn take(&mut self, bounds: Rect, nx: usize, ny: usize) -> Option<DensityGrid> {
+        let key = GridKey::new(bounds, nx, ny);
+        let i = self.grids.iter().position(|(k, _)| *k == key)?;
+        Some(self.grids.swap_remove(i).1)
+    }
+
+    /// Holds `grid`, which was built at the requested `nx × ny`.
+    pub fn insert(&mut self, nx: usize, ny: usize, grid: DensityGrid) {
+        self.grids.push((GridKey::new(grid.bounds, nx, ny), grid));
+    }
+
+    /// Adds `delta` (`1` for an insert, `-1` for a delete) to every cell
+    /// of every held grid that `rect` intersects.
+    pub fn patch(&mut self, rect: &Rect, delta: i32) {
+        for (_, grid) in &mut self.grids {
+            let mut density = std::mem::take(&mut grid.density);
+            grid.count(&mut density, rect, delta);
+            grid.density = density;
         }
     }
 }
@@ -462,6 +522,113 @@ mod tests {
             assert_eq!(par.bounds(), serial.bounds());
             assert_eq!((par.nx(), par.ny()), (serial.nx(), serial.ny()));
         }
+    }
+
+    /// Rects inside, straddling, outside, and exactly on the edges and
+    /// corners of `unit_bounds()` (cells of width 2.5 on a 4×4 grid).
+    fn edge_cases() -> Vec<Rect> {
+        vec![
+            Rect::new(1.0, 1.0, 3.0, 2.0),
+            Rect::new(-5.0, 4.0, 1.0, 6.0),
+            Rect::new(20.0, 20.0, 30.0, 30.0),
+            Rect::new(-3.0, -3.0, -1.0, -1.0),
+            Rect::new(10.0, 0.0, 12.0, 10.0),
+            Rect::new(-2.0, 10.0, 3.0, 14.0),
+            Rect::new(2.5, 2.5, 5.0, 7.5),
+            Rect::from_point(Point::new(10.0, 10.0)),
+            Rect::from_point(Point::new(0.0, 0.0)),
+            Rect::new(-1.0, -1.0, 11.0, 11.0),
+        ]
+    }
+
+    /// A set holding one empty `4 × 4` grid over `unit_bounds()`.
+    fn empty_set() -> GridSet {
+        let mut set = GridSet::default();
+        let empty = DensityGrid::build(std::iter::empty::<&Rect>(), unit_bounds(), 4, 4);
+        set.insert(4, 4, empty);
+        set
+    }
+
+    #[test]
+    fn patching_every_rect_into_an_empty_grid_equals_build() {
+        let rects = edge_cases();
+        let mut set = empty_set();
+        for r in &rects {
+            set.patch(r, 1);
+        }
+        let patched = set.take(unit_bounds(), 4, 4).expect("held");
+        let built = DensityGrid::build(rects.iter(), unit_bounds(), 4, 4);
+        assert_eq!(patched.densities(), built.densities());
+        assert!(set.take(unit_bounds(), 4, 4).is_none(), "taken once");
+    }
+
+    #[test]
+    fn patch_round_trips() {
+        let rects = edge_cases();
+        let built = DensityGrid::build(rects.iter(), unit_bounds(), 4, 4);
+        let mut set = GridSet::default();
+        set.insert(4, 4, built.clone());
+        for r in &rects {
+            set.patch(r, 1);
+        }
+        for r in rects.iter().rev() {
+            set.patch(r, -1);
+        }
+        let back = set.take(unit_bounds(), 4, 4).expect("held");
+        assert_eq!(back.densities(), built.densities());
+        // Deleting every rect leaves the empty grid.
+        let mut set = GridSet::default();
+        set.insert(4, 4, built);
+        for r in &rects {
+            set.patch(r, -1);
+        }
+        let cleared = set.take(unit_bounds(), 4, 4).expect("held");
+        assert!(cleared.densities().iter().all(|&d| d == 0));
+    }
+
+    #[test]
+    fn outside_and_edge_rects_map_exactly_as_in_build() {
+        // One rect at a time, so each footprint is compared on its own.
+        for r in edge_cases() {
+            let mut set = empty_set();
+            set.patch(&r, 1);
+            let patched = set.take(unit_bounds(), 4, 4).expect("held");
+            let built = DensityGrid::build([r], unit_bounds(), 4, 4);
+            assert_eq!(patched.densities(), built.densities(), "rect {r}");
+        }
+        // A degenerate axis collapses the same way in both.
+        let line = Rect::new(0.0, 5.0, 10.0, 5.0);
+        let mut set = GridSet::default();
+        set.insert(4, 4, DensityGrid::build([line], line, 4, 4));
+        set.patch(&Rect::new(2.0, 5.0, 3.0, 5.0), 1);
+        set.patch(&Rect::new(2.0, 6.0, 3.0, 7.0), 1);
+        let patched = set.take(line, 4, 4).expect("held");
+        let built = DensityGrid::build(
+            [
+                line,
+                Rect::new(2.0, 5.0, 3.0, 5.0),
+                Rect::new(2.0, 6.0, 3.0, 7.0),
+            ],
+            line,
+            4,
+            4,
+        );
+        assert_eq!((patched.nx(), patched.ny()), (4, 1));
+        assert_eq!(patched.densities(), built.densities());
+    }
+
+    #[test]
+    fn grids_are_keyed_by_requested_dims_and_bound_bits() {
+        let mut set = empty_set();
+        assert!(set.take(unit_bounds(), 4, 8).is_none());
+        assert!(set.take(Rect::new(0.0, 0.0, 10.0, 10.5), 4, 4).is_none());
+        let neg_zero = Rect {
+            lo: Point::new(-0.0, 0.0),
+            hi: Point::new(10.0, 10.0),
+        };
+        assert!(set.take(neg_zero, 4, 4).is_none());
+        assert!(set.take(unit_bounds(), 4, 4).is_some());
+        assert!(set.take(unit_bounds(), 4, 4).is_none());
     }
 
     #[test]

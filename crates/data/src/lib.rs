@@ -10,6 +10,9 @@
 //!   MBR where each region carries its *spatial density* (the number of input
 //!   rectangles intersecting it, §4 of the paper). The grid is the compact
 //!   approximation Min-Skew partitions instead of the raw data.
+//! * [`GridSet`] — density grids kept equal to a fresh build under inserts
+//!   and deletes, so a statistics rebuild over unchanged bounds can skip
+//!   the sweep.
 //! * [`GridPrefixSums`] — 2-D prefix-sum tables of density and squared
 //!   density, giving O(1) evaluation of the sum / sum-of-squares / SSE of any
 //!   axis-aligned block of cells. The SSE of a block equals `n·s` from the
@@ -36,7 +39,7 @@ pub use atomic::{
 };
 pub use dataset::{Dataset, DatasetStats};
 pub use fault::{ChaosReader, FaultInjector, FaultKind, FaultSource};
-pub use grid::{CellBlock, DensityGrid};
+pub use grid::{CellBlock, DensityGrid, GridSet};
 pub use io::{read_rects_csv, read_rects_csv_from, write_rects_csv, CsvError};
 pub use prefix::GridPrefixSums;
 pub use source::{source_mbr, CsvRectSource, RectSource};

@@ -84,33 +84,15 @@ impl CsvRectSource {
     /// statistics in one pass.
     pub fn open(path: impl AsRef<Path>) -> Result<CsvRectSource, CsvError> {
         let path = path.as_ref().to_path_buf();
-        let mut n = 0usize;
-        let mut mbr: Option<Rect> = None;
-        let mut total_area = 0.0;
-        let mut sum_w = 0.0;
-        let mut sum_h = 0.0;
-        for r in scan_file(&path)? {
-            let r = r?;
-            n += 1;
-            mbr = Some(match mbr {
-                Some(m) => m.union(&r),
-                None => r,
-            });
-            total_area += r.area();
-            sum_w += r.width();
-            sum_h += r.height();
+        // The parser rejects non-finite values, so the sweep never panics.
+        let mut failure = None;
+        let stats = DatasetStats::of(
+            scan_file(&path)?.map_while(|r| r.map_err(|e| failure = Some(e)).ok()),
+        );
+        match failure {
+            Some(e) => Err(e),
+            None => Ok(CsvRectSource { path, stats }),
         }
-        let denom = n.max(1) as f64;
-        Ok(CsvRectSource {
-            path,
-            stats: DatasetStats {
-                n,
-                mbr: mbr.unwrap_or_else(|| Rect::new(0.0, 0.0, 0.0, 0.0)),
-                total_area,
-                avg_width: sum_w / denom,
-                avg_height: sum_h / denom,
-            },
-        })
     }
 
     /// The file backing this source.

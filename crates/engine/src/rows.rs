@@ -6,7 +6,10 @@
 //! chunk is deleted, the chunk is freed. A table under first-in-first-out
 //! churn therefore holds a bounded number of chunks instead of one
 //! tombstone per row it ever stored.
+//!
+//! `ANALYZE` reads the rows where they are, through [`LiveRows`].
 
+use minskew_data::{Dataset, DatasetStats, RectSource};
 use minskew_geom::Rect;
 
 /// Row slots per chunk.
@@ -95,10 +98,49 @@ impl RowStore {
             })
     }
 
+    /// The live rows as a [`RectSource`], read in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a live row has a non-finite coordinate, as
+    /// [`Dataset::new`] does.
+    pub(crate) fn live(&self) -> LiveRows<'_> {
+        LiveRows {
+            rows: self,
+            stats: DatasetStats::of(self.iter().map(|(_, rect)| rect)),
+        }
+    }
+
     /// Chunks currently allocated.
     #[cfg(test)]
     pub(crate) fn allocated_chunks(&self) -> usize {
         self.chunks.iter().flatten().count()
+    }
+}
+
+/// The live rows of a [`RowStore`] as a [`RectSource`], swept in ascending
+/// id order. That is the order a copy into a [`Dataset`] keeps, so the
+/// statistics and every sweep match that copy's bit for bit.
+pub(crate) struct LiveRows<'a> {
+    rows: &'a RowStore,
+    stats: DatasetStats,
+}
+
+impl LiveRows<'_> {
+    /// Copies the live rows into a [`Dataset`], for the builders that sort
+    /// a resident slice.
+    pub(crate) fn to_dataset(&self) -> Dataset {
+        Dataset::new(self.scan().collect())
+    }
+}
+
+impl RectSource for LiveRows<'_> {
+    fn scan(&self) -> Box<dyn Iterator<Item = Rect> + '_> {
+        Box::new(self.rows.iter().map(|(_, rect)| rect))
+    }
+
+    fn stats(&self) -> DatasetStats {
+        self.stats
     }
 }
 
@@ -138,6 +180,59 @@ mod tests {
         assert_eq!(rows.allocated_chunks(), 1);
         assert_eq!(rows.insert(rect(1)), 1);
         assert_eq!(rows.iter().collect::<Vec<_>>(), vec![(1, rect(1))]);
+    }
+
+    #[test]
+    fn live_rows_match_a_dataset_copy_bit_for_bit() {
+        // Irregular rects, so the float sums depend on the fold order.
+        let rect = |i: u64| {
+            let x = (i * 7919 % 1009) as f64 * 0.37;
+            let y = (i * 104_729 % 997) as f64 * 1.13;
+            Rect::new(
+                x,
+                y,
+                x + 0.1 + (i % 11) as f64 * 0.71,
+                y + (i % 5) as f64 * 2.9,
+            )
+        };
+        let mut rows = RowStore::default();
+        for i in 0..4 * CHUNK as u64 {
+            rows.insert(rect(i));
+        }
+        // Free the first chunk, thin the others, and add fresh rows.
+        for id in (0..CHUNK as u64).chain((CHUNK as u64..4 * CHUNK as u64).step_by(3)) {
+            rows.remove(id);
+        }
+        for i in 0..500 {
+            rows.insert(rect(10_000 + i));
+        }
+        assert_eq!(rows.allocated_chunks(), 4);
+        let live = rows.live();
+        let copy = Dataset::new(rows.iter().map(|(_, r)| r).collect());
+        let (a, b) = (live.stats(), *copy.stats());
+        assert_eq!(a.n, b.n);
+        assert_eq!(a.mbr, b.mbr);
+        for (x, y) in [
+            (a.total_area, b.total_area),
+            (a.avg_width, b.avg_width),
+            (a.avg_height, b.avg_height),
+        ] {
+            assert_eq!(x.to_bits(), y.to_bits());
+        }
+        assert!(live.scan().eq(copy.rects().iter().copied()));
+        assert_eq!(live.to_dataset().rects(), copy.rects());
+    }
+
+    #[test]
+    #[should_panic(expected = "finite")]
+    fn a_non_finite_row_is_rejected_as_by_a_dataset() {
+        let mut rows = RowStore::default();
+        rows.insert(Rect::new(0.0, 0.0, 1.0, 1.0));
+        rows.insert(Rect {
+            lo: minskew_geom::Point::new(0.0, f64::NAN),
+            hi: minskew_geom::Point::new(1.0, 1.0),
+        });
+        rows.live();
     }
 
     #[test]

@@ -8,7 +8,7 @@ use minskew_core::{
     EstimateError, MinSkewBuilder, RefineObservation, RefineOptions, RefineReport,
     SpatialEstimator, SpatialHistogram,
 };
-use minskew_data::Dataset;
+use minskew_data::GridSet;
 use minskew_geom::Rect;
 use minskew_obs::{
     FlightRecorder, FlightTrigger, Gauge, QueryRecord, Registry, RegistrySnapshot, Stopwatch,
@@ -18,7 +18,7 @@ use minskew_rtree::{Item, RStarTree, RTreeConfig, ValidationError};
 use crate::monitor::{AccuracyReport, Reservoir};
 use crate::publish::{EstimateScratch, EstimateTrace, SnapshotCell, TableSnapshot};
 use crate::reader::SpatialReader;
-use crate::rows::RowStore;
+use crate::rows::{LiveRows, RowStore};
 use crate::{CostModel, Explain, Plan};
 
 /// Stable identifier of a row in a [`SpatialTable`].
@@ -180,9 +180,12 @@ pub struct TableOptions {
     pub auto_analyze_threshold: Option<f64>,
     /// R\*-tree node capacity.
     pub index_fanout: usize,
-    /// Worker threads for `ANALYZE`-time Min-Skew construction, the one
-    /// parallel path a table has. `1` (the default) keeps it on the serial
-    /// reference implementation; `0` means one worker per available core.
+    /// Worker threads for scoring Min-Skew's split candidates during
+    /// `ANALYZE`, the one parallel path a table has. `1` (the default)
+    /// keeps it on the serial reference implementation; `0` means one
+    /// worker per available core. The density grids are not counted in
+    /// parallel: `ANALYZE` reuses the grids that writes keep up to date,
+    /// and builds a missing one in one serial sweep of the rows in place.
     /// Statistics are bit-identical at every setting. Estimates, single or
     /// batched, are always served serially.
     pub threads: usize,
@@ -464,6 +467,9 @@ pub struct SpatialTable {
     rows: RowStore,
     live: usize,
     index: RStarTree<u64>,
+    /// The density grids the last Min-Skew `ANALYZE` used, patched by
+    /// every write so the next one can reuse them (see [`GridSet`]).
+    grids: GridSet,
     stats: Option<SpatialHistogram>,
     pub(crate) diagnostics: StatsDiagnostics,
     serving: Mutex<ServingState>,
@@ -543,6 +549,7 @@ impl SpatialTable {
             rows: RowStore::default(),
             live: 0,
             index: RStarTree::new(config),
+            grids: GridSet::default(),
             stats: None,
             diagnostics: StatsDiagnostics::default(),
             serving: Mutex::new(ServingState::new(&options, &cell)),
@@ -664,6 +671,7 @@ impl SpatialTable {
             if let Some(stats) = &mut self.stats {
                 stats.note_insert(&rect);
             }
+            self.grids.patch(&rect, 1);
         }
         let end = self.rows.next_id();
         if end > start {
@@ -690,6 +698,7 @@ impl SpatialTable {
         if let Some(stats) = &mut self.stats {
             stats.note_delete(&rect);
         }
+        self.grids.patch(&rect, -1);
         self.data_era += 1;
         self.publish();
         true
@@ -714,32 +723,48 @@ impl SpatialTable {
         Ok(())
     }
 
-    /// Builds the configured statistics over `data` via the strict `try_*`
-    /// constructors — one rung of the ladder, no fallback.
+    /// Builds the configured statistics over the live rows via the strict
+    /// `try_*` constructors — one rung of the ladder, no fallback.
+    ///
+    /// Min-Skew takes each phase's density grid from `grids` when it holds
+    /// one over the live MBR, and on success leaves there the grids it used.
+    /// It counts them in `engine.analyze.grid_reused` and
+    /// `engine.analyze.grid_built`. Equi-Area and Equi-Count sort a resident
+    /// slice, so they build from a copy of the rows.
     fn build_stats(
-        data: &Dataset,
+        &self,
+        rows: &LiveRows<'_>,
         opts: AnalyzeOptions,
-        threads: usize,
+        grids: &mut GridSet,
     ) -> Result<SpatialHistogram, BuildError> {
         match opts.technique {
             StatsTechnique::MinSkew => {
                 let mut b = MinSkewBuilder::try_new(opts.buckets)?
                     .try_regions(opts.regions)?
-                    .threads(threads);
+                    .threads(self.options.threads);
                 if opts.refinements > 0 {
                     b = b.try_progressive_refinements(opts.refinements)?;
                 }
-                b.try_build(data)
+                let built = b.try_build_with_grids(rows, grids);
+                if self.options.metrics {
+                    // Registered on every attempt, so both names always
+                    // appear once a Min-Skew ANALYZE has run.
+                    let (reused, fresh) = built
+                        .as_ref()
+                        .map_or((0, 0), |(_, d)| (d.grids_reused, d.grids_built));
+                    self.registry
+                        .counter("engine.analyze.grid_reused")
+                        .add(reused as u64);
+                    self.registry
+                        .counter("engine.analyze.grid_built")
+                        .add(fresh as u64);
+                }
+                built.map(|(hist, _)| hist)
             }
-            StatsTechnique::EquiArea => try_build_equi_area(data, opts.buckets),
-            StatsTechnique::EquiCount => try_build_equi_count(data, opts.buckets),
-            StatsTechnique::Uniform => try_build_uniform(data),
+            StatsTechnique::EquiArea => try_build_equi_area(&rows.to_dataset(), opts.buckets),
+            StatsTechnique::EquiCount => try_build_equi_count(&rows.to_dataset(), opts.buckets),
+            StatsTechnique::Uniform => try_build_uniform(rows),
         }
-    }
-
-    /// Snapshots the live rows as an in-memory dataset.
-    fn snapshot(&self) -> Dataset {
-        Dataset::new(self.rows.iter().map(|(_, rect)| rect).collect())
     }
 
     /// Installs `hist` and records how it was obtained: `analyze`,
@@ -801,7 +826,12 @@ impl SpatialTable {
     /// is installed on failure (the previous statistics stay in force).
     pub fn try_analyze(&mut self) -> Result<(), BuildError> {
         let mut clock = Stopwatch::start();
-        let hist = Self::build_stats(&self.snapshot(), self.options.analyze, self.options.threads)?;
+        let opts = self.options.analyze;
+        // ANALYZE takes the held grids; only a Min-Skew build hands back
+        // the ones it used.
+        let mut grids = std::mem::take(&mut self.grids);
+        let hist = self.build_stats(&self.rows.live(), opts, &mut grids)?;
+        self.keep_grids(opts, grids);
         self.note_analyze(hist.name(), clock.lap());
         self.install_stats(
             hist,
@@ -813,6 +843,14 @@ impl SpatialTable {
         Ok(())
     }
 
+    /// Holds on to the grids a successful build at `opts` used: Min-Skew's
+    /// phase grids, none for the other techniques.
+    fn keep_grids(&mut self, opts: AnalyzeOptions, grids: GridSet) {
+        if opts.technique == StatsTechnique::MinSkew {
+            self.grids = grids;
+        }
+    }
+
     /// Rebuilds the optimizer statistics from the live rows
     /// (the `ANALYZE` command).
     ///
@@ -821,16 +859,23 @@ impl SpatialTable {
     /// retry at the achievable bucket budget, then fall back to the
     /// single-bucket uniform assumption — and records the outcome in
     /// [`SpatialTable::stats_diagnostics`].
+    ///
+    /// Min-Skew and Uniform read the rows in place. Min-Skew also reuses
+    /// each density grid that the writes since the last Min-Skew `ANALYZE`
+    /// have patched, as long as the live MBR and the grid's dimensions are
+    /// unchanged; the statistics are byte-identical to a build from scratch.
     pub fn analyze(&mut self) {
         let opts = self.options.analyze;
-        let data = self.snapshot();
+        let mut grids = std::mem::take(&mut self.grids);
+        let rows = self.rows.live();
         let mut clock = Stopwatch::start();
         let mut diag = StatsDiagnostics {
             attempts: 1,
             ..StatsDiagnostics::default()
         };
-        let err = match Self::build_stats(&data, opts, self.options.threads) {
+        let err = match self.build_stats(&rows, opts, &mut grids) {
             Ok(hist) => {
+                self.keep_grids(opts, grids);
                 self.note_analyze(hist.name(), clock.lap());
                 self.install_stats(hist, diag);
                 return;
@@ -847,7 +892,8 @@ impl SpatialTable {
                     buckets: regions,
                     ..opts
                 };
-                if let Ok(hist) = Self::build_stats(&data, degraded, self.options.threads) {
+                if let Ok(hist) = self.build_stats(&rows, degraded, &mut grids) {
+                    self.keep_grids(degraded, grids);
                     diag.degraded = true;
                     diag.fallback = StatsFallback::DegradedBuckets;
                     self.note_analyze(hist.name(), clock.lap());
@@ -861,7 +907,7 @@ impl SpatialTable {
         diag.attempts += 1;
         diag.degraded = true;
         diag.fallback = StatsFallback::Uniform;
-        let hist = build_uniform(&data);
+        let hist = build_uniform(&rows);
         self.note_analyze(hist.name(), clock.lap());
         self.install_stats(hist, diag);
     }
@@ -909,9 +955,10 @@ impl SpatialTable {
         &self.diagnostics
     }
 
-    /// Sets the worker-thread count used by `ANALYZE` (`1` = inline serial
-    /// reference, `0` = one worker per available core); estimation is
-    /// always serial.
+    /// Sets the worker-thread count `ANALYZE` scores Min-Skew's split
+    /// candidates with (`1` = inline serial reference, `0` = one worker per
+    /// available core); density grids are reused or built serially, and
+    /// estimation is always serial.
     ///
     /// Thread count is a performance knob only: the statistics are
     /// bit-identical at every setting, so it can be changed at any time

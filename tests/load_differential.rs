@@ -261,3 +261,200 @@ fn an_empty_batch_changes_nothing() {
     assert_eq!(t.len(), 1);
     t.validate_index().expect("valid index");
 }
+
+/// A table under churn, with the test's own copy of its live rows (in id
+/// order) and of its `ANALYZE` settings.
+struct Model {
+    table: SpatialTable,
+    rows: std::collections::BTreeMap<RowId, Rect>,
+    opts: AnalyzeOptions,
+    threads: usize,
+    counts: (u64, u64),
+}
+
+impl Model {
+    fn new(rects: &[Rect]) -> Model {
+        let opts = AnalyzeOptions {
+            buckets: 40,
+            regions: 1_600,
+            ..AnalyzeOptions::default()
+        };
+        let mut table = SpatialTable::new(TableOptions {
+            analyze: opts,
+            auto_analyze_threshold: None,
+            ..TableOptions::default()
+        });
+        let ids = ids_of(table.insert_many(rects.iter().copied()));
+        Model {
+            table,
+            rows: ids.into_iter().zip(rects.iter().copied()).collect(),
+            opts,
+            threads: 1,
+            counts: (0, 0),
+        }
+    }
+
+    fn set_options(&mut self, opts: AnalyzeOptions) {
+        self.opts = opts;
+        self.table.set_analyze_options(opts);
+    }
+
+    fn set_threads(&mut self, threads: usize) {
+        self.threads = threads;
+        self.table.set_threads(threads);
+    }
+
+    fn insert(&mut self, r: Rect) {
+        let id = self.table.insert(r);
+        self.rows.insert(id, r);
+    }
+
+    fn delete(&mut self, id: RowId) {
+        assert!(self.table.delete(id));
+        self.rows.remove(&id);
+    }
+
+    fn live(&self) -> Dataset {
+        Dataset::new(self.rows.values().copied().collect())
+    }
+
+    /// Deletes every `step`-th live row that lies strictly inside the
+    /// live MBR (along each axis of non-zero extent), and inserts as many
+    /// points inside it.
+    fn interior_churn(&mut self, step: usize) {
+        let mbr = self.live().stats().mbr;
+        let within = |lo: f64, hi: f64, min: f64, max: f64| min == max || (lo > min && hi < max);
+        let inside = |r: &Rect| {
+            within(r.lo.x, r.hi.x, mbr.lo.x, mbr.hi.x) && within(r.lo.y, r.hi.y, mbr.lo.y, mbr.hi.y)
+        };
+        let victims: Vec<RowId> = self
+            .rows
+            .iter()
+            .filter(|(_, r)| inside(r))
+            .map(|(id, _)| *id)
+            .step_by(step)
+            .collect();
+        for (i, id) in victims.iter().enumerate() {
+            self.delete(*id);
+            let t = (i % 97) as f64 / 97.0;
+            let x = mbr.lo.x + mbr.width() * (0.1 + 0.8 * t);
+            let y = mbr.lo.y + mbr.height() * (0.9 - 0.8 * t);
+            self.insert(Rect::new(x, y, x, y));
+        }
+    }
+
+    /// Runs `ANALYZE` and checks it against a fresh build over a copy of
+    /// the live rows: the same bytes, with `reused` phase grids taken from
+    /// the table's maintained set and `built` ones built.
+    fn analyze(&mut self, step: &str, reused: u64, built: u64) {
+        self.table.analyze();
+        let fresh = MinSkewBuilder::new(self.opts.buckets)
+            .regions(self.opts.regions)
+            .progressive_refinements(self.opts.refinements)
+            .threads(self.threads)
+            .build(&self.live());
+        assert_eq!(
+            self.table.stats().map(SpatialHistogram::to_bytes),
+            Some(fresh.to_bytes()),
+            "{step}: maintained ANALYZE differs from a fresh build"
+        );
+        let counter = |name: &str| {
+            let counters = self.table.metrics().counters;
+            let found = counters.iter().find(|(n, _)| n == name);
+            found
+                .unwrap_or_else(|| panic!("{step}: {name} is not registered"))
+                .1
+        };
+        let now = (
+            counter("engine.analyze.grid_reused"),
+            counter("engine.analyze.grid_built"),
+        );
+        assert_eq!(
+            (now.0 - self.counts.0, now.1 - self.counts.1),
+            (reused, built),
+            "{step}: (reused, built) phase grids"
+        );
+        self.counts = now;
+    }
+}
+
+#[test]
+fn analyze_from_maintained_grids_matches_a_fresh_build() {
+    let road = RoadNetworkSpec {
+        segments: 3_000,
+        ..RoadNetworkSpec::default()
+    }
+    .generate(61);
+    let mut m = Model::new(road.rects());
+    m.analyze("first ANALYZE", 0, 1);
+    m.analyze("no writes", 1, 0);
+    m.interior_churn(5);
+    m.analyze("interior churn", 1, 0);
+
+    // An insert that grows the MBR, then its delete: both move the bounds.
+    let mbr = m.live().stats().mbr;
+    let outlier = Rect::new(mbr.hi.x + 10.0, mbr.lo.y, mbr.hi.x + 11.0, mbr.lo.y + 1.0);
+    m.insert(outlier);
+    m.analyze("MBR grown", 0, 1);
+    let id = *m.rows.iter().find(|(_, r)| **r == outlier).expect("live").0;
+    m.delete(id);
+    assert_eq!(m.live().stats().mbr, mbr);
+    m.analyze("MBR shrunk back", 0, 1);
+
+    // Rows on the MBR's left edge: deleting one of several keeps the
+    // bounds, deleting the last one moves them.
+    let edge: Vec<RowId> = m
+        .rows
+        .iter()
+        .filter(|(_, r)| r.lo.x == mbr.lo.x)
+        .map(|(id, _)| *id)
+        .collect();
+    assert!(edge.len() >= 2, "the road network has several edge rows");
+    m.delete(edge[0]);
+    assert_eq!(m.live().stats().mbr, mbr);
+    m.analyze("one of several boundary rows deleted", 1, 0);
+    for id in &edge[1..] {
+        m.delete(*id);
+    }
+    assert!(m.live().stats().mbr.lo.x > mbr.lo.x, "the left edge moved");
+    m.analyze("last boundary row deleted", 0, 1);
+
+    // Three phases over sides 10, 20 and 40: the side-40 grid is held.
+    let mut opts = m.opts;
+    opts.refinements = 2;
+    m.set_options(opts);
+    m.analyze("refinements = 2", 1, 2);
+    m.interior_churn(7);
+    m.analyze("refinements = 2, interior churn", 3, 0);
+
+    // Sides 20, 40 and 80: the first two grids are held already.
+    opts.regions = 6_400;
+    m.set_options(opts);
+    m.analyze("regions = 6400", 2, 1);
+
+    m.set_threads(3);
+    m.interior_churn(11);
+    m.analyze("threads = 3", 3, 0);
+    m.set_threads(1);
+
+    // Another technique holds no grids, so the next Min-Skew builds all.
+    m.table.set_analyze_options(AnalyzeOptions {
+        technique: StatsTechnique::Uniform,
+        ..opts
+    });
+    m.table.analyze();
+    m.set_options(opts);
+    m.analyze("after Uniform", 0, 3);
+
+    // All rects on one horizontal line: the y axis collapses to one row.
+    let line: Vec<Rect> = (0..2_000)
+        .map(|i| {
+            let x = f64::from(i % 500) * 3.0 + f64::from(i / 500) * 0.5;
+            Rect::new(x, 7.0, x + 1.0 + f64::from(i % 13), 7.0)
+        })
+        .collect();
+    let mut m = Model::new(&line);
+    m.analyze("line: first ANALYZE", 0, 1);
+    m.interior_churn(3);
+    m.analyze("line: interior churn", 1, 0);
+}

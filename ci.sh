@@ -58,7 +58,10 @@
 #      2000-row charminar input must carry the counter and histogram names
 #      README quotes (engine.query.calls, engine.cache.hits,
 #      engine.batch.queries, engine.estimate.min_skew.ns,
-#      engine.analyze.grid_reused, engine.analyze.grid_built), must count
+#      engine.analyze.grid_reused, engine.analyze.grid_built, and the
+#      ANALYZE part timings engine.analyze.stats_ns,
+#      engine.analyze.min_skew.grid_ns, engine.analyze.min_skew.split_ns,
+#      engine.analyze.min_skew.assign_ns), must count
 #      at least one built grid for its one ANALYZE, and must carry none of
 #      the deleted names (engine.batch.cache_bypass, engine.query.clamp_ns),
 #  19. checks that the committed BENCH_obs.json is a full-scale run
@@ -268,7 +271,9 @@ echo "==> CLI stats smoke (minskew stats --json metric names)"
 STATS_JSON=$(./target/debug/minskew stats --input "$SERVE_TMP/data.csv" --json)
 for NAME in engine.query.calls engine.cache.hits engine.batch.queries \
     engine.estimate.min_skew.ns engine.analyze.grid_reused \
-    engine.analyze.grid_built; do
+    engine.analyze.grid_built engine.analyze.stats_ns \
+    engine.analyze.min_skew.grid_ns engine.analyze.min_skew.split_ns \
+    engine.analyze.min_skew.assign_ns; do
     if [[ "$STATS_JSON" != *"\"$NAME\""* ]]; then
         echo "ERROR: minskew stats --json is missing $NAME" >&2
         exit 1

@@ -366,6 +366,9 @@ impl MinSkewBuilder {
                     grid_side: 0,
                     grids_reused: 0,
                     grids_built: 0,
+                    grid_ns: 0,
+                    split_ns: 0,
+                    assign_ns: 0,
                 },
                 MinSkewBuildTrace::default(),
             );
@@ -382,6 +385,9 @@ impl MinSkewBuilder {
         let mut prev_dims = (0usize, 0usize);
         let mut splits: Vec<SplitEvent> = Vec::new();
         let mut grids_reused = 0;
+        // Each phase laps the clock after its grid and after its split
+        // search; the assignment pass laps last.
+        let (mut grid_ns, mut split_ns) = (0, 0);
 
         for phase in 0..phases {
             let cur_side = side >> (self.refinements - phase);
@@ -405,6 +411,7 @@ impl MinSkewBuilder {
                     _ => DensityGrid::build(data.scan(), mbr, cur_side, cur_side),
                 },
             };
+            grid_ns += build_clock.lap();
             let p = GridPrefixSums::from_grid(&g);
             if phase == 0 {
                 blocks.push(g.full_block());
@@ -464,19 +471,25 @@ impl MinSkewBuilder {
                 used.insert(s, s, done);
             }
             prefix = Some(p);
+            split_ns += build_clock.lap();
         }
 
         let (final_side, grid) = grid.expect("at least one phase ran");
         let prefix = prefix.expect("at least one phase ran");
         let skew: f64 = blocks.iter().map(|b| prefix.block_sse(b)).sum();
+        split_ns += build_clock.lap();
         let hist = blocks_to_histogram("Min-Skew", data, &grid, &blocks, self.rule);
-        let build_ns = build_clock.lap();
+        let assign_ns = build_clock.lap();
+        let build_ns = build_clock.total();
         crate::buildobs::record_build(&hist, build_ns);
         let detail = MinSkewDetail {
             spatial_skew: skew,
             grid_side: grid.nx().max(grid.ny()),
             grids_reused,
             grids_built: phases - grids_reused,
+            grid_ns,
+            split_ns,
+            assign_ns,
         };
         used.insert(final_side, final_side, grid);
         *grids = used;
@@ -503,6 +516,14 @@ pub struct MinSkewDetail {
     pub grids_reused: usize,
     /// Phase grids built by sweeping the source.
     pub grids_built: usize,
+    /// Nanoseconds spent taking or building the phase grids.
+    pub grid_ns: u64,
+    /// Nanoseconds spent in the split search: prefix sums, the greedy
+    /// loop and the bucket remap of every phase, and the final skew.
+    pub split_ns: u64,
+    /// Nanoseconds spent in the assignment pass, which sweeps the source
+    /// once to put each rect in the bucket holding its centre.
+    pub assign_ns: u64,
 }
 
 /// One greedy split of the §4.2 loop, as recorded by
@@ -755,15 +776,17 @@ pub(crate) fn blocks_to_histogram<S: RectSource + ?Sized>(
     let mut count = vec![0f64; blocks.len()];
     let mut sum_w = vec![0f64; blocks.len()];
     let mut sum_h = vec![0f64; blocks.len()];
-    for r in data.scan() {
-        let (ix, iy) = grid.cell_containing(r.center());
-        let bi = owner[iy * grid.nx() + ix];
-        debug_assert!(bi != u32::MAX, "blocks must tile the grid");
-        let bi = bi as usize;
-        count[bi] += 1.0;
-        sum_w[bi] += r.width();
-        sum_h[bi] += r.height();
-    }
+    data.for_each_run(&mut |run| {
+        for r in run {
+            let (ix, iy) = grid.cell_containing(r.center());
+            let bi = owner[iy * grid.nx() + ix];
+            debug_assert!(bi != u32::MAX, "blocks must tile the grid");
+            let bi = bi as usize;
+            count[bi] += 1.0;
+            sum_w[bi] += r.width();
+            sum_h[bi] += r.height();
+        }
+    });
     let buckets: Vec<Bucket> = blocks
         .iter()
         .enumerate()

@@ -250,11 +250,15 @@ impl DensityGrid {
         if cell == 0.0 {
             return 0;
         }
-        let idx = ((v - lo) / cell).floor();
-        if idx < 0.0 {
+        // No `floor`: `as usize` truncates a quotient ≥ 0 exactly as
+        // `floor` would, (−1, 0) and −∞ take the `< 0` branch either way,
+        // and `-0.0` and NaN cast to 0. The division stays: a reciprocal
+        // multiply can round across a cell boundary.
+        let q = (v - lo) / cell;
+        if q < 0.0 {
             0
         } else {
-            (idx as usize).min(n - 1)
+            (q as usize).min(n - 1)
         }
     }
 }
@@ -464,6 +468,80 @@ mod tests {
         assert_eq!(g.cell_containing(Point::new(10.0, 10.0)), (3, 3));
         assert_eq!(g.cell_containing(Point::new(-5.0, 12.0)), (0, 3));
         assert_eq!(g.cell_containing(Point::new(2.5, 2.5)), (1, 1));
+    }
+
+    #[test]
+    fn cell_map_equals_the_floor_form_on_adversarial_values() {
+        // The adjacent floats of a finite `v` (`f64::next_up` is newer
+        // than the workspace's minimum Rust).
+        fn next_up(v: f64) -> f64 {
+            if v == 0.0 {
+                return f64::from_bits(1);
+            }
+            let b = v.to_bits();
+            f64::from_bits(if v > 0.0 { b + 1 } else { b - 1 })
+        }
+        fn next_down(v: f64) -> f64 {
+            -next_up(-v)
+        }
+        // The mapping before the `floor` call was dropped, as the oracle.
+        fn floor_index(v: f64, lo: f64, cell: f64, n: usize) -> usize {
+            if cell == 0.0 {
+                return 0;
+            }
+            let idx = ((v - lo) / cell).floor();
+            if idx < 0.0 {
+                0
+            } else {
+                (idx as usize).min(n - 1)
+            }
+        }
+        // An awkward origin and cell width, so boundaries are inexact, over
+        // a zero-height y axis; and an origin at 0, where `v = -0.0` makes
+        // the quotient `-0.0`.
+        for bounds in [
+            Rect::new(-3.7, 0.1, 96.3, 0.1),
+            Rect::new(0.0, 0.0, 10.0, 1e-3),
+        ] {
+            let g = DensityGrid::build(std::iter::empty::<&Rect>(), bounds, 7, 5);
+            let mut values = vec![
+                -0.0,
+                0.0,
+                f64::NAN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                1e300,
+                -1e300,
+            ];
+            for (axis, lo, hi, cell, n) in [
+                (Axis::X, bounds.lo.x, bounds.hi.x, g.cell_w, g.nx()),
+                (Axis::Y, bounds.lo.y, bounds.hi.y, g.cell_h, g.ny()),
+            ] {
+                values.extend([lo - 1.0, lo - cell * 0.5, hi + 1.0, hi + cell * 3.0]);
+                for k in -2..=9 {
+                    let edge = lo + k as f64 * cell;
+                    values.extend([edge, next_up(edge), next_down(edge)]);
+                }
+                for v in [lo, hi] {
+                    values.extend([v, next_up(v), next_down(v)]);
+                }
+                for &v in &values {
+                    assert_eq!(
+                        g.index_1d(v, axis),
+                        floor_index(v, lo, cell, n),
+                        "{axis:?} = {v:e} over {bounds}"
+                    );
+                }
+            }
+        }
+        // The zero-height axis collapsed to one cell of width 0.
+        let g = DensityGrid::build(
+            std::iter::empty::<&Rect>(),
+            Rect::new(-3.7, 0.1, 96.3, 0.1),
+            7,
+            5,
+        );
+        assert_eq!((g.ny(), g.cell_h), (1, 0.0));
     }
 
     #[test]

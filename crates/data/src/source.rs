@@ -50,7 +50,31 @@ pub trait RectSource {
     fn as_slice(&self) -> Option<&[Rect]> {
         None
     }
+
+    /// Sweeps every rectangle, in [`RectSource::scan`] order, handing `f`
+    /// one contiguous slice at a time, so a sweep over resident rows runs
+    /// as a plain loop per slice.
+    ///
+    /// The default buffers `scan()` in slices of 1024 rects, so it
+    /// yields (and fails) exactly as `scan()` does; sources that hold
+    /// their rows in slices pass those instead.
+    fn for_each_run(&self, f: &mut dyn FnMut(&[Rect])) {
+        let mut run = Vec::with_capacity(RUN);
+        for r in self.scan() {
+            run.push(r);
+            if run.len() == RUN {
+                f(&run);
+                run.clear();
+            }
+        }
+        if !run.is_empty() {
+            f(&run);
+        }
+    }
 }
+
+/// Rects per slice in the default [`RectSource::for_each_run`].
+const RUN: usize = 1024;
 
 impl RectSource for Dataset {
     fn scan(&self) -> Box<dyn Iterator<Item = Rect> + '_> {
@@ -63,6 +87,10 @@ impl RectSource for Dataset {
 
     fn as_slice(&self) -> Option<&[Rect]> {
         Some(self.rects())
+    }
+
+    fn for_each_run(&self, f: &mut dyn FnMut(&[Rect])) {
+        f(self.rects());
     }
 }
 
@@ -174,6 +202,39 @@ mod tests {
             let got: Vec<Rect> = src.scan().collect();
             assert_eq!(got, ds.rects());
         }
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn default_runs_of_a_csv_source_concatenate_to_its_scan() {
+        // 2 500 rows: two full slices and a partial one.
+        let ds = Dataset::new(
+            (0..2_500)
+                .map(|i| {
+                    let x = (i * 37 % 1000) as f64;
+                    Rect::new(x, i as f64, x + 2.5, i as f64 + 0.5)
+                })
+                .collect(),
+        );
+        let path = tmp("runs.csv");
+        write_rects_csv(&ds, &path).unwrap();
+        let src = CsvRectSource::open(&path).unwrap();
+        let mut lens = Vec::new();
+        let mut swept = Vec::new();
+        src.for_each_run(&mut |run| {
+            lens.push(run.len());
+            swept.extend_from_slice(run);
+        });
+        assert_eq!(lens, [RUN, RUN, 2_500 - 2 * RUN]);
+        assert_eq!(swept, src.scan().collect::<Vec<_>>());
+        assert_eq!(swept, ds.rects());
+        // A resident source hands over its one slice.
+        let mut runs = 0;
+        ds.for_each_run(&mut |run| {
+            runs += 1;
+            assert_eq!(run, ds.rects());
+        });
+        assert_eq!(runs, 1);
         std::fs::remove_file(path).ok();
     }
 

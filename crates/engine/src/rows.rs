@@ -1,13 +1,14 @@
 //! Row storage behind [`crate::SpatialTable`].
 //!
 //! A row id is the row's position in insertion order, so ids are
-//! monotonic, never reused, and found in O(1). Slots live in fixed
-//! [`CHUNK`]-slot chunks with a live count each; once every row of a full
-//! chunk is deleted, the chunk is freed. A table under first-in-first-out
-//! churn therefore holds a bounded number of chunks instead of one
-//! tombstone per row it ever stored.
+//! monotonic, never reused, and found in O(1). Rows live in fixed
+//! [`CHUNK`]-slot chunks: a dense array of rects plus a bitmap of which
+//! slots are live. Once every row of a full chunk is deleted, the chunk is
+//! freed. A table under first-in-first-out churn therefore holds a bounded
+//! number of chunks instead of one tombstone per row it ever stored.
 //!
-//! `ANALYZE` reads the rows where they are, through [`LiveRows`].
+//! `ANALYZE` reads the rows where they are, through [`LiveRows`], a run of
+//! consecutive live rows at a time.
 
 use minskew_data::{Dataset, DatasetStats, RectSource};
 use minskew_geom::Rect;
@@ -15,11 +16,57 @@ use minskew_geom::Rect;
 /// Row slots per chunk.
 const CHUNK: usize = 1024;
 
-/// One chunk of row slots; `None` marks a deleted (or not yet assigned)
-/// row.
+/// Words of a chunk's live bitmap.
+const WORDS: usize = CHUNK / 64;
+
+/// One chunk of rows. A slot's rect counts only while its live bit is set;
+/// a deleted (or not yet assigned) slot keeps a stale rect nobody reads.
 struct Chunk {
-    slots: Box<[Option<Rect>]>,
+    rects: Box<[Rect]>,
+    /// Bit `s % 64` of word `s / 64` is set while slot `s` is live.
+    bits: [u64; WORDS],
     live: usize,
+}
+
+impl Chunk {
+    fn is_live(&self, s: usize) -> bool {
+        self.bits[s / 64] >> (s % 64) & 1 == 1
+    }
+
+    /// The first slot at or after `from` whose live bit is `live`, or
+    /// [`CHUNK`] if there is none.
+    fn next_slot(&self, from: usize, live: bool) -> usize {
+        let flip = if live { 0 } else { u64::MAX };
+        let mut w = from / 64;
+        if w == WORDS {
+            return CHUNK;
+        }
+        let mut word = (self.bits[w] ^ flip) & (u64::MAX << (from % 64));
+        loop {
+            if word != 0 {
+                return w * 64 + word.trailing_zeros() as usize;
+            }
+            w += 1;
+            if w == WORDS {
+                return CHUNK;
+            }
+            word = self.bits[w] ^ flip;
+        }
+    }
+
+    /// The maximal runs of live slots, as `(first slot, rects)` in slot
+    /// order.
+    fn runs(&self) -> impl Iterator<Item = (usize, &[Rect])> + '_ {
+        let mut from = 0;
+        std::iter::from_fn(move || {
+            let start = self.next_slot(from, true);
+            if start == CHUNK {
+                return None;
+            }
+            from = self.next_slot(start, false);
+            Some((start, &self.rects[start..from]))
+        })
+    }
 }
 
 /// Row slots by id, chunked so that deleted rows can be reclaimed.
@@ -50,14 +97,16 @@ impl RowStore {
         let (c, s) = locate(id);
         if s == 0 {
             self.chunks.push(Some(Chunk {
-                slots: vec![None; CHUNK].into_boxed_slice(),
+                rects: vec![rect; CHUNK].into_boxed_slice(),
+                bits: [0; WORDS],
                 live: 0,
             }));
         }
         let chunk = self.chunks[c]
             .as_mut()
             .expect("the chunk being filled is never freed");
-        chunk.slots[s] = Some(rect);
+        chunk.rects[s] = rect;
+        chunk.bits[s / 64] |= 1 << (s % 64);
         chunk.live += 1;
         self.next += 1;
         id
@@ -66,7 +115,8 @@ impl RowStore {
     /// The live row `id`, if any.
     pub(crate) fn get(&self, id: u64) -> Option<Rect> {
         let (c, s) = locate(id);
-        self.chunks.get(c)?.as_ref()?.slots[s]
+        let chunk = self.chunks.get(c)?.as_ref()?;
+        chunk.is_live(s).then(|| chunk.rects[s])
     }
 
     /// Deletes row `id` and returns its rectangle; `None` if the id was
@@ -75,27 +125,36 @@ impl RowStore {
     pub(crate) fn remove(&mut self, id: u64) -> Option<Rect> {
         let (c, s) = locate(id);
         let chunk = self.chunks.get_mut(c)?.as_mut()?;
-        let rect = chunk.slots[s].take()?;
+        if !chunk.is_live(s) {
+            return None;
+        }
+        chunk.bits[s / 64] &= !(1 << (s % 64));
         chunk.live -= 1;
+        let rect = chunk.rects[s];
         if chunk.live == 0 && ((c + 1) * CHUNK) as u64 <= self.next {
             self.chunks[c] = None;
         }
         Some(rect)
     }
 
-    /// The live rows in ascending id order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, Rect)> + '_ {
+    /// The maximal runs of consecutive live rows within a chunk, as
+    /// `(id of the first, rects)`, in ascending id order.
+    pub(crate) fn runs(&self) -> impl Iterator<Item = (u64, &[Rect])> + '_ {
         self.chunks
             .iter()
             .enumerate()
             .filter_map(|(c, chunk)| Some((c, chunk.as_ref()?)))
             .flat_map(|(c, chunk)| {
                 chunk
-                    .slots
-                    .iter()
-                    .enumerate()
-                    .filter_map(move |(s, slot)| slot.map(|rect| ((c * CHUNK + s) as u64, rect)))
+                    .runs()
+                    .map(move |(s, rects)| ((c * CHUNK + s) as u64, rects))
             })
+    }
+
+    /// The live rows in ascending id order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, Rect)> + '_ {
+        self.runs()
+            .flat_map(|(first, rects)| (first..).zip(rects.iter().copied()))
     }
 
     /// The live rows as a [`RectSource`], read in place.
@@ -107,7 +166,7 @@ impl RowStore {
     pub(crate) fn live(&self) -> LiveRows<'_> {
         LiveRows {
             rows: self,
-            stats: DatasetStats::of(self.iter().map(|(_, rect)| rect)),
+            stats: DatasetStats::of(self.runs().flat_map(|(_, rects)| rects.iter().copied())),
         }
     }
 
@@ -130,17 +189,31 @@ impl LiveRows<'_> {
     /// Copies the live rows into a [`Dataset`], for the builders that sort
     /// a resident slice.
     pub(crate) fn to_dataset(&self) -> Dataset {
-        Dataset::new(self.scan().collect())
+        let mut rects = Vec::with_capacity(self.stats.n);
+        for (_, run) in self.rows.runs() {
+            rects.extend_from_slice(run);
+        }
+        Dataset::new(rects)
     }
 }
 
 impl RectSource for LiveRows<'_> {
     fn scan(&self) -> Box<dyn Iterator<Item = Rect> + '_> {
-        Box::new(self.rows.iter().map(|(_, rect)| rect))
+        Box::new(
+            self.rows
+                .runs()
+                .flat_map(|(_, rects)| rects.iter().copied()),
+        )
     }
 
     fn stats(&self) -> DatasetStats {
         self.stats
+    }
+
+    fn for_each_run(&self, f: &mut dyn FnMut(&[Rect])) {
+        for (_, run) in self.rows.runs() {
+            f(run);
+        }
     }
 }
 
@@ -180,6 +253,82 @@ mod tests {
         assert_eq!(rows.allocated_chunks(), 1);
         assert_eq!(rows.insert(rect(1)), 1);
         assert_eq!(rows.iter().collect::<Vec<_>>(), vec![(1, rect(1))]);
+    }
+
+    /// Checks that `runs()` holds exactly the rows of `want`, as maximal
+    /// runs in id order, and that `iter()` and the sweeps agree.
+    fn assert_runs(rows: &RowStore, want: &[(u64, Rect)]) {
+        let runs: Vec<(u64, &[Rect])> = rows.runs().collect();
+        let flat: Vec<(u64, Rect)> = runs
+            .iter()
+            .flat_map(|&(first, rects)| (first..).zip(rects.iter().copied()))
+            .collect();
+        assert_eq!(flat, want);
+        for pair in runs.windows(2) {
+            let ((a, ra), (b, _)) = (pair[0], pair[1]);
+            let end = a + ra.len() as u64;
+            // Runs are non-empty, and two runs that touch straddle a chunk
+            // boundary.
+            assert!(!ra.is_empty());
+            assert!(end < b || locate(end).1 == 0, "runs {a} and {b}");
+        }
+        assert_eq!(rows.iter().collect::<Vec<_>>(), want);
+        let live = rows.live();
+        let rects: Vec<Rect> = want.iter().map(|&(_, r)| r).collect();
+        assert!(live.scan().eq(rects.iter().copied()));
+        let mut swept = Vec::new();
+        live.for_each_run(&mut |run| swept.extend_from_slice(run));
+        assert_eq!(swept, rects);
+    }
+
+    #[test]
+    fn runs_concatenate_to_the_live_rows_through_churn() {
+        let mut rows = RowStore::default();
+        let mut want: Vec<(u64, Rect)> = Vec::new();
+        assert_runs(&rows, &want);
+        // Three full chunks and part of a fourth, the one being filled.
+        for i in 0..3 * CHUNK as u64 + 100 {
+            rows.insert(rect(i));
+            want.push((i, rect(i)));
+        }
+        assert_runs(&rows, &want);
+        let delete = |rows: &mut RowStore, want: &mut Vec<(u64, Rect)>, id: u64| {
+            assert_eq!(rows.remove(id), Some(rect(id)));
+            want.retain(|&(i, _)| i != id);
+        };
+        // The first and last slot of the second chunk, and slots on either
+        // side of a bitmap word boundary.
+        let c = CHUNK as u64;
+        for id in [c, 2 * c - 1, c + 63, c + 64, c + 127] {
+            delete(&mut rows, &mut want, id);
+        }
+        assert_runs(&rows, &want);
+        // Free the first chunk.
+        for id in 0..c {
+            delete(&mut rows, &mut want, id);
+        }
+        assert_eq!(rows.allocated_chunks(), 3);
+        assert_runs(&rows, &want);
+        // Every other row of the third chunk and of the one being filled:
+        // runs one row long.
+        for id in (2 * c..3 * c).chain(3 * c..3 * c + 100).step_by(2) {
+            delete(&mut rows, &mut want, id);
+        }
+        assert_runs(&rows, &want);
+        // The chunk being filled keeps filling behind its deleted slots.
+        for i in 0..50 {
+            let id = rows.insert(rect(10_000 + i));
+            want.push((id, rect(10_000 + i)));
+        }
+        assert_runs(&rows, &want);
+        // Dead slots are never read, whatever stale rect they hold.
+        for id in [0, c, 2 * c, 2 * c - 1, 3 * c + 98] {
+            assert_eq!(rows.get(id), None, "id {id}");
+            assert_eq!(rows.remove(id), None, "id {id}");
+        }
+        assert_eq!(rows.get(rows.next_id()), None);
+        assert_eq!(rows.remove(rows.next_id()), None);
+        assert_runs(&rows, &want);
     }
 
     #[test]

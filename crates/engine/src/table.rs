@@ -729,8 +729,10 @@ impl SpatialTable {
     /// Min-Skew takes each phase's density grid from `grids` when it holds
     /// one over the live MBR, and on success leaves there the grids it used.
     /// It counts them in `engine.analyze.grid_reused` and
-    /// `engine.analyze.grid_built`. Equi-Area and Equi-Count sort a resident
-    /// slice, so they build from a copy of the rows.
+    /// `engine.analyze.grid_built`, and a successful build records its
+    /// parts in `engine.analyze.min_skew.{grid,split,assign}_ns`. Equi-Area
+    /// and Equi-Count sort a resident slice, so they build from a copy of
+    /// the rows.
     fn build_stats(
         &self,
         rows: &LiveRows<'_>,
@@ -758,6 +760,17 @@ impl SpatialTable {
                     self.registry
                         .counter("engine.analyze.grid_built")
                         .add(fresh as u64);
+                    if let Ok((_, d)) = &built {
+                        for (part, ns) in [
+                            ("grid", d.grid_ns),
+                            ("split", d.split_ns),
+                            ("assign", d.assign_ns),
+                        ] {
+                            self.registry
+                                .histogram(&format!("engine.analyze.min_skew.{part}_ns"))
+                                .record(ns);
+                        }
+                    }
                 }
                 built.map(|(hist, _)| hist)
             }
@@ -821,6 +834,19 @@ impl SpatialTable {
             .record(build_ns);
     }
 
+    /// The live rows for an `ANALYZE`, whose statistics sweep is timed in
+    /// `engine.analyze.stats_ns`.
+    fn live_rows(&self) -> LiveRows<'_> {
+        let clock = Stopwatch::start();
+        let rows = self.rows.live();
+        if self.options.metrics {
+            self.registry
+                .histogram("engine.analyze.stats_ns")
+                .record(clock.total());
+        }
+        rows
+    }
+
     /// Rebuilds the optimizer statistics from the live rows, strictly: the
     /// configured technique at the configured budget, or an error. Nothing
     /// is installed on failure (the previous statistics stay in force).
@@ -830,7 +856,7 @@ impl SpatialTable {
         // ANALYZE takes the held grids; only a Min-Skew build hands back
         // the ones it used.
         let mut grids = std::mem::take(&mut self.grids);
-        let hist = self.build_stats(&self.rows.live(), opts, &mut grids)?;
+        let hist = self.build_stats(&self.live_rows(), opts, &mut grids)?;
         self.keep_grids(opts, grids);
         self.note_analyze(hist.name(), clock.lap());
         self.install_stats(
@@ -867,7 +893,7 @@ impl SpatialTable {
     pub fn analyze(&mut self) {
         let opts = self.options.analyze;
         let mut grids = std::mem::take(&mut self.grids);
-        let rows = self.rows.live();
+        let rows = self.live_rows();
         let mut clock = Stopwatch::start();
         let mut diag = StatsDiagnostics {
             attempts: 1,

@@ -446,6 +446,16 @@ fn analyze_from_maintained_grids_matches_a_fresh_build() {
     m.set_options(opts);
     m.analyze("after Uniform", 0, 3);
 
+    // Every other live row deleted: every run of live rows is one row
+    // long. The bounds survive, so all three grids are reused.
+    let mbr = m.live().stats().mbr;
+    let victims: Vec<RowId> = m.rows.keys().copied().step_by(2).collect();
+    for id in victims {
+        m.delete(id);
+    }
+    assert_eq!(m.live().stats().mbr, mbr);
+    m.analyze("every other row deleted", 3, 0);
+
     // All rects on one horizontal line: the y axis collapses to one row.
     let line: Vec<Rect> = (0..2_000)
         .map(|i| {

@@ -11,38 +11,36 @@
 #   5. the benchmark package's own tests, in release mode: it is a package
 #      of its own outside the workspace, so no --workspace gate compiles it
 #      against a changed crate API,
-#   6. the serial/parallel differential suite, exhaustive matrix on, pinned
-#      to one test thread so scheduler interleaving can't mask ordering
-#      bugs inside the work queues,
-#   7. the kernel-vs-linear serving differential suite, exhaustive matrix
-#      on, single test thread (same rationale as the parallel suite),
-#   8. the observability differential suite (metrics on vs off serve the
+#   6. the kernel-vs-linear serving differential suite, exhaustive matrix
+#      on, pinned to one test thread so scheduler interleaving can't mask
+#      ordering bugs,
+#   7. the observability differential suite (metrics on vs off serve the
 #      same bytes), exhaustive matrix on, single test thread,
-#   9. the snapshot recovery differential suite, exhaustive fault-kind ×
+#   8. the snapshot recovery differential suite, exhaustive fault-kind ×
 #      technique matrix on, single test thread (filesystem quarantine
 #      paths must not interleave),
-#  10. the lock-free serving stress suite (readers racing ≥1000 statistics
+#   9. the lock-free serving stress suite (readers racing ≥1000 statistics
 #      installs, every observed estimate bitwise old-or-new) and the wire
 #      protocol golden suite, both pinned to one test thread so the stress
 #      owns its thread budget,
-#  11. the kernel differential suite pinning the SoA clip-and-accumulate
+#  10. the kernel differential suite pinning the SoA clip-and-accumulate
 #      plane bit-identical to the AoS reference fold, and its AVX2 scan
 #      (compiled on every x86_64 build) to its portable scalar body:
 #      exhaustive matrix on via --features kernel, single test thread so
 #      runtime dispatch is exercised deterministically,
-#  12. the online-refine differential suite (clamping/partition/codec/
+#  11. the online-refine differential suite (clamping/partition/codec/
 #      Off-inertness invariants, exhaustive dataset × budget × feedback
 #      matrix on via --features refine, single test thread),
-#  13. the query-tracing differential suite (EXPLAIN bitwise equal to the
+#  12. the query-tracing differential suite (EXPLAIN bitwise equal to the
 #      kernel serving path, term sums reproducing estimates exactly,
 #      flight recorder / trace ids bit-invisible; exhaustive matrix on via
 #      --features trace, single test thread),
-#  14. a focused clippy pass over minskew-obs denying `unwrap()` even in
+#  13. a focused clippy pass over minskew-obs denying `unwrap()` even in
 #      the presence of poisoned-lock recovery paths,
-#  15. a focused clippy pass over the serving-path crates that additionally
+#  14. a focused clippy pass over the serving-path crates that additionally
 #      denies needless_collect / redundant_clone — the serving path is
 #      allocation-free by design and those lints catch regressions,
-#  16. a CLI serve smoke: start `minskew serve` on an ephemeral port, run
+#  15. a CLI serve smoke: start `minskew serve` on an ephemeral port, run
 #      a catalog-client round trip against it — including a STATS check
 #      that the --input load put every row in with one publication (plus
 #      one for its ANALYZE) before any write, the MAINTAIN
@@ -52,9 +50,9 @@
 #      `minskew explain` surface, and a bounded `minskew top` scrape —
 #      shut it down over the wire, and require a clean exit plus an
 #      emitted metrics dump,
-#  17. a CLI maintain smoke: the offline `minskew maintain` churn demo
+#  16. a CLI maintain smoke: the offline `minskew maintain` churn demo
 #      must run in every maintenance mode and reject unknown ones,
-#  18. a CLI stats smoke: `minskew stats --json` over the generated
+#  17. a CLI stats smoke: `minskew stats --json` over the generated
 #      2000-row charminar input must carry the counter and histogram names
 #      README quotes (engine.query.calls, engine.cache.hits,
 #      engine.batch.queries, engine.estimate.min_skew.ns,
@@ -64,11 +62,11 @@
 #      engine.analyze.min_skew.assign_ns), must count
 #      at least one built grid for its one ANALYZE, and must carry none of
 #      the deleted names (engine.batch.cache_bypass, engine.query.clamp_ns),
-#  19. checks that the committed BENCH_obs.json is a full-scale run
+#  18. checks that the committed BENCH_obs.json is a full-scale run
 #      (`"quick": false`) with its flight-recorder overhead column, and
-#      that the committed BENCH_snapshot.json is a full-scale run, since
-#      README and DESIGN quote them,
-#  20. smoke runs of the parallel-speedup, serving-throughput (asserting
+#      that the committed BENCH_snapshot.json and BENCH_parallel.json are
+#      full-scale runs, since README and DESIGN quote them,
+#  19. smoke runs of the parallel-speedup, serving-throughput (asserting
 #      the qps_kernel and qps_kernel_scalar columns are present in the
 #      emitted artefact), obs-overhead (asserting the flight-recorder
 #      overhead column is present in the emitted artefact),
@@ -93,9 +91,6 @@ cargo test -q --workspace --all-features
 
 echo "==> benchmark package tests (outside the workspace)"
 cargo test -q --release --manifest-path minskew-benchmark/Cargo.toml
-
-echo "==> parallel differential suite (exhaustive, single test thread)"
-RUST_TEST_THREADS=1 cargo test -q --test parallel_differential --features parallel
 
 echo "==> serving differential suite (exhaustive, single test thread)"
 RUST_TEST_THREADS=1 cargo test -q --test serving_differential --features serving
@@ -297,11 +292,13 @@ if ! grep -q '"quick": false' BENCH_obs.json || ! grep -q '"recorder_overhead_pc
     exit 1
 fi
 
-echo "==> committed BENCH_snapshot.json is full scale"
-if ! grep -q '"quick": false' BENCH_snapshot.json; then
-    echo "ERROR: the committed BENCH_snapshot.json must be a full-scale run (\"quick\": false)" >&2
-    exit 1
-fi
+echo "==> committed BENCH_snapshot.json and BENCH_parallel.json are full scale"
+for BENCH in BENCH_snapshot.json BENCH_parallel.json; do
+    if ! grep -q '"quick": false' "$BENCH"; then
+        echo "ERROR: the committed $BENCH must be a full-scale run (\"quick\": false)" >&2
+        exit 1
+    fi
+done
 
 echo "==> parallel speedup bench smoke (MINSKEW_QUICK=1)"
 rm -f BENCH_parallel.json

@@ -8,7 +8,7 @@
 //!                  [--n N] [--seed S] --out data.csv
 //! minskew build    --input data.csv --technique min-skew|equi-area|
 //!                  equi-count|rtree|uniform [--buckets B] [--regions R]
-//!                  [--refinements K] [--threads T] --out stats.bin
+//!                  [--refinements K] [--trace] --out stats.bin
 //! minskew estimate --stats stats.bin --query x1,y1,x2,y2 [--input data.csv]
 //!                  [--trace]
 //! minskew explain  --stats stats.bin --query x1,y1,x2,y2 [--input data.csv]
@@ -34,6 +34,9 @@
 //! minskew top      --addr HOST:PORT [--name TABLE] [--interval SECS]
 //!                  [--iterations N]
 //! ```
+//!
+//! Every subcommand rejects a flag it does not know as a usage error,
+//! before it does any work.
 //!
 //! `build --trace` prints the Min-Skew per-split audit trail; `estimate
 //! --trace` prints the query's lifecycle spans; `stats` drives a serving
@@ -156,72 +159,94 @@ fn main() -> ExitCode {
     }
 }
 
+/// The flags a subcommand accepts (space-separated names), and its body.
+type Command = (&'static str, fn(&Flags) -> Result<(), CliError>);
+
 fn run(args: Vec<String>) -> Result<(), CliError> {
     let Some((cmd, rest)) = args.split_first() else {
         return Err(CliError::usage("missing subcommand"));
     };
-    if cmd == "snapshot" {
-        // `snapshot` takes an action word before its flags.
-        let Some((action, rest)) = rest.split_first() else {
+    // `snapshot` and `catalog` take an action word before their flags.
+    let (action, rest) = match (cmd.as_str(), rest.split_first()) {
+        ("snapshot" | "catalog", Some((action, rest))) => (action.as_str(), rest),
+        ("snapshot", None) => {
             return Err(CliError::usage(
                 "snapshot needs an action: save, load, or verify",
-            ));
-        };
-        let opts = parse_flags(rest)?;
-        return snapshot_cmd(action, &opts);
-    }
-    if cmd == "catalog" {
-        // `catalog` also takes an action word before its flags.
-        let Some((action, rest)) = rest.split_first() else {
+            ))
+        }
+        ("catalog", None) => {
             return Err(CliError::usage(
                 "catalog needs an action: ping, list, create, drop, insert, delete, \
                  analyze, estimate, explain, stats, flight, metrics, maintain, \
                  snapshot, or shutdown",
-            ));
-        };
-        let opts = parse_flags(rest)?;
-        return serve::catalog_cmd(action, &opts);
-    }
-    let opts = parse_flags(rest)?;
-    match cmd.as_str() {
-        "generate" => generate(&opts),
-        "build" => build(&opts),
-        "estimate" => estimate(&opts),
-        "explain" => explain_cmd(&opts),
-        "evaluate" => evaluate_cmd(&opts),
-        "tune" => tune(&opts),
-        "render" => render(&opts),
-        "stats" => stats_cmd(&opts),
-        "maintain" => maintain_cmd(&opts),
-        "serve" => serve::serve_cmd(&opts),
-        "top" => serve::top_cmd(&opts),
-        "help" | "--help" | "-h" => {
-            print!("{}", USAGE);
-            Ok(())
+            ))
         }
-        other => Err(CliError::usage(format!("unknown subcommand {other:?}"))),
-    }
+        _ => ("", rest),
+    };
+    let (accepted, body): Command = match (cmd.as_str(), action) {
+        ("generate", _) => ("kind n seed width height out", generate),
+        ("build", _) => (
+            "input technique buckets regions refinements trace out",
+            build,
+        ),
+        ("estimate", _) => ("stats query input trace", estimate),
+        ("explain", _) => ("stats query input terms", explain_cmd),
+        ("evaluate", _) => ("input buckets regions qsize queries seed", evaluate_cmd),
+        ("tune", _) => ("input buckets queries out", tune),
+        ("render", _) => ("input technique buckets regions refinements out", render),
+        ("stats", _) => ("input buckets queries qsize seed json", stats_cmd),
+        ("maintain", _) => ("input mode buckets rounds queries qsize seed", maintain_cmd),
+        ("snapshot", "save") => (
+            "input stats technique buckets regions refinements out",
+            snapshot_save,
+        ),
+        ("snapshot", "verify") => ("snapshot", snapshot_verify),
+        ("snapshot", "load") => ("snapshot input buckets", snapshot_load),
+        ("snapshot", other) => {
+            return Err(CliError::usage(format!(
+                "unknown snapshot action {other:?} (expected save, load, or verify)"
+            )))
+        }
+        ("catalog", _) => {
+            let opts = parse_flags(rest, serve::CATALOG_FLAGS)?;
+            return serve::catalog_cmd(action, &opts);
+        }
+        ("serve", _) => (
+            "addr port-file input table buckets technique max-batch",
+            serve::serve_cmd,
+        ),
+        ("top", _) => ("addr name interval iterations", serve::top_cmd),
+        ("help" | "--help" | "-h", _) => ("", help),
+        (other, _) => return Err(CliError::usage(format!("unknown subcommand {other:?}"))),
+    };
+    body(&parse_flags(rest, accepted)?)
+}
+
+fn help(_: &Flags) -> Result<(), CliError> {
+    print!("{USAGE}");
+    Ok(())
 }
 
 const USAGE: &str = "\
 minskew — spatial selectivity estimation (Min-Skew, SIGMOD 1999)
 
   minskew generate --kind charminar|road|synthetic|uniform|points \\
-                   [--n N] [--seed S] --out data.csv
+                   [--n N] [--seed S] [--width W] [--height H] --out data.csv
+                   (--width/--height: the uniform kind's rect size)
   minskew build    --input data.csv --technique min-skew|equi-area|equi-count|rtree|uniform \\
-                   [--buckets B] [--regions R] [--refinements K] [--threads T] [--trace] \\
-                   --out stats.bin
-                   (--threads: min-skew only; 1 = serial, 0 = all cores; output is
-                    bit-identical at every setting. --trace prints the Min-Skew
-                    per-split audit trail; tracing never changes the output bytes)
+                   [--buckets B] [--regions R] [--refinements K] [--trace] --out stats.bin
+                   (--trace prints the Min-Skew per-split audit trail; tracing never
+                    changes the output bytes)
   minskew estimate --stats stats.bin --query x1,y1,x2,y2 [--input data.csv] [--trace]
   minskew explain  --stats stats.bin --query x1,y1,x2,y2 [--input data.csv] [--terms N]
                    (the estimate with its evidence: per-bucket contributions, pruning
                     counters, extension-rule inputs; the headline is bit-identical to
                     `estimate`'s indexed serving path, and the term sum reproduces it)
-  minskew evaluate --input data.csv [--buckets B] [--qsize F] [--queries N] [--seed S]
-  minskew tune     --input data.csv [--buckets B] [--queries N]
-  minskew render   --input data.csv --technique T [--buckets B] [--regions R] --out out.svg
+  minskew evaluate --input data.csv [--buckets B] [--regions R] [--qsize F] [--queries N] \
+                   [--seed S]
+  minskew tune     --input data.csv [--buckets B] [--queries N] [--out stats.bin]
+  minskew render   --input data.csv --technique T [--buckets B] [--regions R] \
+                   [--refinements K] --out out.svg
   minskew stats    --input data.csv [--buckets B] [--queries N] [--qsize F] [--seed S] [--json]
                    (drives a serving workload through the query engine, audits live
                     accuracy against exact counts, and dumps the metrics registry)
@@ -231,7 +256,8 @@ minskew — spatial selectivity estimation (Min-Skew, SIGMOD 1999)
                     a query workload, and runs one maintenance pass per round: audit the
                     live accuracy, then repair per --mode: off observes only, reanalyze
                     rebuilds, refine applies the bounded query-driven histogram repair)
-  minskew snapshot save   --input data.csv [--technique T] [--buckets B] --out stats.snap
+  minskew snapshot save   --input data.csv [--technique T] [--buckets B] [--regions R] \
+                          [--refinements K] --out stats.snap
   minskew snapshot save   --stats legacy.bin --out stats.snap   (migrate a legacy file)
                    (builds or migrates statistics and installs them as a checksummed
                     snapshot via the crash-safe temp+fsync+rename protocol)
@@ -267,6 +293,7 @@ minskew — spatial selectivity estimation (Min-Skew, SIGMOD 1999)
                     quantiles, connections, and staleness for --name;
                     --iterations 0 polls until interrupted)
 
+every subcommand rejects a flag it does not list as a usage error (exit 2)
 exit codes: 0 ok, 2 usage, 3 I/O, 4 malformed dataset, 5 corrupt stats, 6 build failure
 ";
 
@@ -275,13 +302,19 @@ type Flags = HashMap<String, String>;
 /// Flags that take no value: present means `true`.
 const BOOL_FLAGS: &[&str] = &["trace", "json"];
 
-fn parse_flags(args: &[String]) -> Result<Flags, CliError> {
+/// Parses `--name value` pairs (and the value-less [`BOOL_FLAGS`]),
+/// rejecting any name not among the space-separated `accepted` as a usage
+/// error.
+fn parse_flags(args: &[String], accepted: &str) -> Result<Flags, CliError> {
     let mut out = HashMap::new();
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         let Some(name) = flag.strip_prefix("--") else {
             return Err(CliError::usage(format!("expected --flag, got {flag:?}")));
         };
+        if !accepted.split_whitespace().any(|a| a == name) {
+            return Err(CliError::usage(format!("unknown flag --{name}")));
+        }
         if BOOL_FLAGS.contains(&name) {
             out.insert(name.to_owned(), "true".to_owned());
             continue;
@@ -380,9 +413,6 @@ fn build_technique_traced(
             if k > 0 {
                 b = b.try_progressive_refinements(k)?;
             }
-            // Bit-identical at every thread count, so this is purely a
-            // wall-clock knob (1 = serial, 0 = one worker per core).
-            b = b.threads(num(opts, "threads", 1usize)?);
             if traced {
                 // The traced build is byte-identical to the untraced one.
                 let (hist, trace) = b.try_build_traced(data)?;
@@ -796,17 +826,6 @@ fn tune(opts: &Flags) -> Result<(), CliError> {
     Ok(())
 }
 
-fn snapshot_cmd(action: &str, opts: &Flags) -> Result<(), CliError> {
-    match action {
-        "save" => snapshot_save(opts),
-        "verify" => snapshot_verify(opts),
-        "load" => snapshot_load(opts),
-        other => Err(CliError::usage(format!(
-            "unknown snapshot action {other:?} (expected save, load, or verify)"
-        ))),
-    }
-}
-
 fn describe_snapshot(info: &SnapshotInfo) -> String {
     format!(
         "{} snapshot: {} ({} buckets, N = {}, {} section(s), {} bytes)",
@@ -928,21 +947,31 @@ mod tests {
 
     #[test]
     fn flag_parsing() {
-        let flags =
-            parse_flags(&["--kind".into(), "road".into(), "--n".into(), "100".into()]).unwrap();
+        let accepted = "kind n dangling";
+        let flags = parse_flags(
+            &["--kind".into(), "road".into(), "--n".into(), "100".into()],
+            accepted,
+        )
+        .unwrap();
         assert_eq!(flags["kind"], "road");
         assert_eq!(num::<usize>(&flags, "n", 5).unwrap(), 100);
         assert_eq!(num::<usize>(&flags, "missing", 5).unwrap(), 5);
-        assert!(parse_flags(&["oops".into()]).is_err());
-        assert!(parse_flags(&["--dangling".into()]).is_err());
+        assert!(parse_flags(&["oops".into()], accepted).is_err());
+        assert!(parse_flags(&["--dangling".into()], accepted).is_err());
+        let e = parse_flags(&["--kin".into(), "road".into()], accepted).unwrap_err();
+        assert_eq!(e.kind, ErrorKind::Usage);
+        assert!(e.message.contains("--kin"), "{e}");
     }
 
     #[test]
     fn boolean_flags_take_no_value() {
         // `--trace` / `--json` consume no operand: the flag after them still
         // parses as a flag, and trailing position is fine.
-        let flags = parse_flags(&["--trace".into(), "--n".into(), "9".into(), "--json".into()])
-            .expect("boolean flags parse");
+        let flags = parse_flags(
+            &["--trace".into(), "--n".into(), "9".into(), "--json".into()],
+            "trace json n",
+        )
+        .expect("boolean flags parse");
         assert!(flag_set(&flags, "trace"));
         assert!(flag_set(&flags, "json"));
         assert!(!flag_set(&flags, "quiet"));
@@ -1151,46 +1180,49 @@ mod tests {
     }
 
     #[test]
-    fn threads_flag_builds_bit_identical_stats() {
-        let dir = std::env::temp_dir().join(format!("minskew-cli-thr-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let csv = dir.join("d.csv");
-        run(vec![
-            "generate".into(),
-            "--kind".into(),
-            "charminar".into(),
-            "--n".into(),
-            "3000".into(),
-            "--out".into(),
-            csv.display().to_string(),
-        ])
-        .unwrap();
-        let build_with = |threads: &str, out: &std::path::Path| {
+    fn unknown_flags_are_usage_errors_before_any_work() {
+        // The input does not exist: an I/O error here would mean the build
+        // started before the flags were checked.
+        let build = |flag: &str, value: &str| {
             run(vec![
                 "build".into(),
                 "--input".into(),
-                csv.display().to_string(),
+                "/no/such/file.csv".into(),
                 "--technique".into(),
                 "min-skew".into(),
-                "--buckets".into(),
-                "25".into(),
-                "--threads".into(),
-                threads.into(),
+                flag.into(),
+                value.into(),
                 "--out".into(),
-                out.display().to_string(),
+                "/no/such/dir/s.bin".into(),
             ])
-            .unwrap();
-            std::fs::read(out).unwrap()
+            .unwrap_err()
         };
-        let serial = build_with("1", &dir.join("s1.bin"));
-        for t in ["0", "2", "8"] {
-            assert_eq!(
-                build_with(t, &dir.join(format!("s{t}.bin"))),
-                serial,
-                "--threads {t} drifted from the serial build"
-            );
+        for (flag, value) in [("--threads", "2"), ("--bucket", "7")] {
+            let e = build(flag, value);
+            assert_eq!(e.kind, ErrorKind::Usage, "{flag}: {e}");
+            assert!(e.message.contains(flag), "{flag}: {e}");
         }
-        std::fs::remove_dir_all(&dir).ok();
+        // Actions check their own flags: `verify` takes no `--input`.
+        let e = run(vec![
+            "snapshot".into(),
+            "verify".into(),
+            "--snapshot".into(),
+            "/no/such.snap".into(),
+            "--input".into(),
+            "d.csv".into(),
+        ])
+        .unwrap_err();
+        assert_eq!(e.kind, ErrorKind::Usage, "{e}");
+        assert!(e.message.contains("--input"), "{e}");
+        let e = run(vec![
+            "catalog".into(),
+            "ping".into(),
+            "--adr".into(),
+            "127.0.0.1:1".into(),
+        ])
+        .unwrap_err();
+        assert_eq!(e.kind, ErrorKind::Usage, "{e}");
+        assert!(e.message.contains("--adr"), "{e}");
     }
 
     #[test]

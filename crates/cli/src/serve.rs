@@ -194,6 +194,10 @@ fn rect_tokens(s: &str) -> Result<String, CliError> {
     Ok(parts.join(" "))
 }
 
+/// The flags any `catalog` action accepts: the union over actions.
+pub(crate) const CATALOG_FLAGS: &str =
+    "addr tid name buckets technique rect id query limit format mode op path";
+
 /// `minskew catalog <action> --addr HOST:PORT ...` — one-shot client.
 ///
 /// With `--tid TOKEN`, the request carries a `TID=<token>` prefix and the

@@ -19,7 +19,7 @@
 //! AoS fold (`buckets.iter().map(estimate_with_extension).sum::<f64>()`,
 //! which folds from Rust's `f64` additive identity `-0.0`). That is what
 //! lets the kernel serve underneath every existing differential contract
-//! (serving, parallel, trace, wire-protocol goldens) without moving a
+//! (serving, trace, wire-protocol goldens) without moving a
 //! single bit. The derivation:
 //!
 //! 1. **The clip arithmetic is the same arithmetic.** For bucket `i` the

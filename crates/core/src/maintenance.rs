@@ -214,9 +214,7 @@ mod tests {
         // the denominator. Against the stable construction base the same
         // stream stays bounded by churn/5000 <= 0.8.
         let (ds, mut h) = hist();
-        use minskew_data::RectSource;
-        let rects = ds.as_slice().expect("dataset is materialised");
-        for r in rects.iter().take(4_000) {
+        for r in ds.rects().iter().take(4_000) {
             h.note_delete(r);
         }
         assert_eq!(h.input_len(), 1_000);

@@ -81,7 +81,6 @@ pub struct MinSkewBuilder {
     refinements: usize,
     strategy: SplitStrategy,
     rule: ExtensionRule,
-    threads: usize,
 }
 
 impl MinSkewBuilder {
@@ -111,7 +110,6 @@ impl MinSkewBuilder {
             refinements: 0,
             strategy: SplitStrategy::default(),
             rule: ExtensionRule::default(),
-            threads: 1,
         })
     }
 
@@ -172,26 +170,6 @@ impl MinSkewBuilder {
     pub fn extension_rule(mut self, rule: ExtensionRule) -> MinSkewBuilder {
         self.rule = rule;
         self
-    }
-
-    /// Sets the construction thread count. `1` (the default) is the serial
-    /// reference path; `0` means one worker per available core.
-    ///
-    /// Parallel construction is **bit-identical** to serial: density-grid
-    /// counting shards integer counters (order-independent merge), split
-    /// candidates are scored independently per block, and the greedy
-    /// selection itself — with its deterministic tie-break (lowest block
-    /// index, then X before Y, then lowest split coordinate) — stays
-    /// sequential. Sources without in-memory slices (streaming CSV scans)
-    /// fall back to serial grid sweeps; the result is still identical.
-    pub fn threads(mut self, threads: usize) -> MinSkewBuilder {
-        self.threads = threads;
-        self
-    }
-
-    /// The configured construction thread count (`0` = auto).
-    pub fn thread_count(&self) -> usize {
-        self.threads
     }
 
     /// Builds the histogram.
@@ -391,25 +369,14 @@ impl MinSkewBuilder {
 
         for phase in 0..phases {
             let cur_side = side >> (self.refinements - phase);
-            // A held grid that writes have patched equals a fresh build. On
-            // a miss, a memory-resident source counts in parallel shards and
-            // any other source in one serial sweep; both produce
-            // bit-identical grids (integer counters merge exactly).
+            // A held grid that writes have patched equals a fresh build; a
+            // miss counts the source in one sweep.
             let g = match grids.take(mbr, cur_side, cur_side) {
                 Some(g) => {
                     grids_reused += 1;
                     g
                 }
-                None => match data.as_slice() {
-                    Some(rects) if self.threads != 1 => DensityGrid::build_with_threads(
-                        rects,
-                        mbr,
-                        cur_side,
-                        cur_side,
-                        self.threads,
-                    ),
-                    _ => DensityGrid::build(data.scan(), mbr, cur_side, cur_side),
-                },
+                None => DensityGrid::build(data.scan(), mbr, cur_side, cur_side),
             };
             grid_ns += build_clock.lap();
             let p = GridPrefixSums::from_grid(&g);
@@ -447,7 +414,6 @@ impl MinSkewBuilder {
                 &p,
                 self.strategy,
                 target,
-                self.threads,
                 traced.then_some(&mut raw),
             );
             // Convert grid indices into data-space coordinates while this
@@ -585,11 +551,6 @@ struct Candidate {
 /// Greedily splits `blocks` until `target` buckets exist or no split
 /// reduces the spatial skew.
 ///
-/// Split candidates are scored **across open blocks in parallel** (each
-/// block's scan is independent, given the shared prefix-sum tables), while
-/// the greedy selection itself stays sequential with a deterministic
-/// tie-break — so the construction is bit-identical at every thread count.
-///
 /// Tie-break on equal skew reduction: the **lowest block index** wins, and
 /// within a block the X axis before the Y axis, then the **lowest split
 /// coordinate** (enforced by the strictly-greater comparisons in
@@ -600,10 +561,12 @@ fn greedy_split(
     prefix: &GridPrefixSums,
     strategy: SplitStrategy,
     target: usize,
-    threads: usize,
     mut sink: Option<&mut Vec<RawSplit>>,
 ) {
-    let mut candidates: Vec<Option<Candidate>> = best_splits_par(blocks, prefix, strategy, threads);
+    let mut candidates: Vec<Option<Candidate>> = blocks
+        .iter()
+        .map(|b| best_split(b, prefix, strategy))
+        .collect();
     while blocks.len() < target {
         // Pick the bucket whose best split yields the greatest reduction in
         // spatial skew (the paper's greedy criterion). The scan keeps the
@@ -636,29 +599,6 @@ fn greedy_split(
         candidates[i] = best_split(&a, prefix, strategy);
         candidates.push(best_split(&b, prefix, strategy));
     }
-}
-
-/// Scores every block's best split, fanning the scans out across threads.
-///
-/// Each block's result is a pure function of `(block, prefix, strategy)`
-/// and lands at its block's index, so the output is identical to the serial
-/// map regardless of thread count or scheduling.
-fn best_splits_par(
-    blocks: &[CellBlock],
-    prefix: &GridPrefixSums,
-    strategy: SplitStrategy,
-    threads: usize,
-) -> Vec<Option<Candidate>> {
-    // A candidate scan is O(width + height) prefix-sum probes; only fan out
-    // when there is enough aggregate work to amortise thread spawns.
-    const PAR_MIN_BLOCKS: usize = 16;
-    if threads == 1 || blocks.len() < PAR_MIN_BLOCKS {
-        return blocks
-            .iter()
-            .map(|b| best_split(b, prefix, strategy))
-            .collect();
-    }
-    minskew_par::map_slice(threads, blocks, |b| best_split(b, prefix, strategy))
 }
 
 /// Finds the best split of one block under the given strategy.
@@ -749,13 +689,9 @@ fn best_split_marginal(block: &CellBlock, prefix: &GridPrefixSums) -> Option<Can
 /// bucket whose region contains its centre, then emit bucket summaries.
 ///
 /// Shared by every grid-block-based partitioner in this crate (greedy
-/// Min-Skew, the optimal-BSP baseline). One sequential sweep of the source.
-///
-/// Deliberately **not** parallelized: the pass accumulates `f64` sums
-/// (counts, widths, heights), and floating-point addition is not
-/// associative — sharding the sweep would reorder additions and break the
-/// bit-identical serial/parallel contract for, at most, a few percent of
-/// total construction time.
+/// Min-Skew, the optimal-BSP baseline). One sequential sweep of the source:
+/// the pass accumulates `f64` sums (counts, widths, heights) in id order,
+/// and those sums are part of the statistics bytes.
 pub(crate) fn blocks_to_histogram<S: RectSource + ?Sized>(
     name: &str,
     data: &S,
@@ -945,33 +881,10 @@ mod tests {
     }
 
     #[test]
-    fn parallel_build_is_bit_identical_to_serial() {
-        let ds = charminar_with(10_000, 11);
-        for strategy in [SplitStrategy::Exact2d, SplitStrategy::Marginal] {
-            for refinements in [0usize, 2] {
-                let base = MinSkewBuilder::new(40)
-                    .regions(1_600)
-                    .progressive_refinements(refinements)
-                    .split_strategy(strategy);
-                let serial = base.clone().threads(1).build(&ds);
-                for threads in [0usize, 2, 3, 8] {
-                    let parallel = base.clone().threads(threads).build(&ds);
-                    assert_eq!(
-                        parallel, serial,
-                        "threads={threads} strategy={strategy:?} refinements={refinements}"
-                    );
-                    assert_eq!(parallel.to_bytes(), serial.to_bytes());
-                }
-            }
-        }
-    }
-
-    #[test]
     fn tie_break_prefers_lowest_block_then_lowest_coordinate() {
         // A 2x1 arrangement of two identical point clusters: splitting the
         // full block after column 0 or 1 gives the same skew reduction. The
-        // deterministic rule must pick the lowest split coordinate, every
-        // time, at every thread count.
+        // deterministic rule must pick the lowest split coordinate.
         let mut rects = Vec::new();
         for i in 0..32 {
             let dx = (i % 2) as f64 * 0.1;
@@ -979,15 +892,10 @@ mod tests {
             rects.push(Rect::new(2.0 + dx, 0.0, 2.0 + dx + 0.05, 0.05)); // cell 2
         }
         let ds = Dataset::new(rects);
-        let reference = MinSkewBuilder::new(2).regions(9).build(&ds);
-        for threads in [1usize, 2, 8] {
-            let h = MinSkewBuilder::new(2)
-                .regions(9)
-                .threads(threads)
-                .build(&ds);
-            assert_eq!(h, reference, "threads = {threads}");
-        }
-        assert_eq!(reference.num_buckets(), 2);
+        let h = MinSkewBuilder::new(2).regions(9).build(&ds);
+        assert_eq!(h.num_buckets(), 2);
+        // Column 0 ends at a third of the 2.15-wide MBR; column 1 at two.
+        assert!(h.buckets()[0].mbr.hi.x < 1.0, "{:?}", h.buckets()[0]);
     }
 
     #[test]

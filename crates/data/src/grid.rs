@@ -56,23 +56,20 @@ impl DensityGrid {
             ny,
             cell_w,
             cell_h,
-            density: Vec::new(),
+            density: vec![0; nx * ny],
         };
-        let mut density = vec![0; nx * ny];
         for r in rects {
-            grid.count(&mut density, r.borrow(), 1);
+            grid.count(r.borrow(), 1);
         }
-        grid.density = density;
         grid
     }
 
-    /// Adds `delta` to every cell of `cells` (laid out like this grid's
-    /// densities) that `r` intersects. A rect outside the bounds touches
-    /// nothing; the rest is clamped into range. This is the one mapping from
-    /// a rect to its cells: the serial build, the sharded build and
-    /// [`GridSet::patch`] all count through it, which is what makes a
+    /// Adds `delta` to every cell that `r` intersects. A rect outside the
+    /// bounds touches nothing; the rest is clamped into range. This is the
+    /// one mapping from a rect to its cells: the build and
+    /// [`GridSet::patch`] both count through it, which is what makes a
     /// patched grid equal a fresh build.
-    fn count(&self, cells: &mut [u32], r: &Rect, delta: i32) {
+    fn count(&mut self, r: &Rect, delta: i32) {
         if !self.bounds.intersects(r) {
             return;
         }
@@ -80,57 +77,10 @@ impl DensityGrid {
         let (iy0, iy1) = self.axis_range(r, Axis::Y);
         for iy in iy0..=iy1 {
             let row = iy * self.nx;
-            for d in &mut cells[row + ix0..=row + ix1] {
+            for d in &mut self.density[row + ix0..=row + ix1] {
                 *d = d.wrapping_add_signed(delta);
             }
         }
-    }
-
-    /// Parallel counterpart of [`DensityGrid::build`]: sharded counts, then
-    /// a merge — each worker sweeps one contiguous chunk of `rects` into its
-    /// own counter array, and the shards are summed cell-wise.
-    ///
-    /// **Bit-identical to the serial build at every thread count**: cell
-    /// densities are `u32` counters, and integer addition is
-    /// order-independent, so the merged shard totals equal the serial
-    /// sweep's exactly. `threads == 1` (the default everywhere) runs the
-    /// serial reference path; `threads == 0` means one worker per available
-    /// core.
-    ///
-    /// Unlike [`DensityGrid::build`] this requires the input as a slice:
-    /// sharding needs random access. Streaming sources keep using the
-    /// serial single-sweep build.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nx == 0 || ny == 0`.
-    pub fn build_with_threads(
-        rects: &[Rect],
-        bounds: Rect,
-        nx: usize,
-        ny: usize,
-        threads: usize,
-    ) -> DensityGrid {
-        let threads = minskew_par::effective_threads(threads);
-        // Below ~8k rects the sweep is microseconds; thread spawn would
-        // dominate. The output is identical either way.
-        const PAR_MIN_RECTS: usize = 8_192;
-        if threads <= 1 || rects.len() < PAR_MIN_RECTS {
-            return DensityGrid::build(rects.iter(), bounds, nx, ny);
-        }
-        let mut grid = DensityGrid::build(std::iter::empty::<&Rect>(), bounds, nx, ny);
-        let shards = minskew_par::fold_shards(
-            threads,
-            rects,
-            || vec![0u32; grid.nx * grid.ny],
-            |shard: &mut Vec<u32>, r: &Rect| grid.count(shard, r, 1),
-        );
-        for shard in shards {
-            for (cell, s) in grid.density.iter_mut().zip(shard) {
-                *cell += s;
-            }
-        }
-        grid
     }
 
     /// Builds a roughly square grid with approximately `regions` cells
@@ -317,9 +267,7 @@ impl GridSet {
     /// of every held grid that `rect` intersects.
     pub fn patch(&mut self, rect: &Rect, delta: i32) {
         for (_, grid) in &mut self.grids {
-            let mut density = std::mem::take(&mut grid.density);
-            grid.count(&mut density, rect, delta);
-            grid.density = density;
+            grid.count(rect, delta);
         }
     }
 }
@@ -579,27 +527,6 @@ mod tests {
         assert_eq!(g.nx(), 1);
         assert_eq!(g.ny(), 4);
         assert!(g.densities().iter().all(|&d| d == 1));
-    }
-
-    #[test]
-    fn parallel_build_is_bit_identical_to_serial() {
-        // Enough rects to cross the parallel threshold, deterministic layout.
-        let bounds = Rect::new(0.0, 0.0, 1_000.0, 1_000.0);
-        let rects: Vec<Rect> = (0..10_000)
-            .map(|i| {
-                let x = (i % 100) as f64 * 10.0;
-                let y = (i / 100) as f64 * 10.0;
-                let w = 5.0 + (i % 7) as f64 * 20.0;
-                Rect::new(x, y, (x + w).min(1_000.0), (y + w).min(1_000.0))
-            })
-            .collect();
-        let serial = DensityGrid::build(rects.iter(), bounds, 16, 16);
-        for threads in [1usize, 2, 3, 8] {
-            let par = DensityGrid::build_with_threads(&rects, bounds, 16, 16, threads);
-            assert_eq!(par.densities(), serial.densities(), "threads = {threads}");
-            assert_eq!(par.bounds(), serial.bounds());
-            assert_eq!((par.nx(), par.ny()), (serial.nx(), serial.ny()));
-        }
     }
 
     /// Rects inside, straddling, outside, and exactly on the edges and

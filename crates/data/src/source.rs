@@ -41,16 +41,6 @@ pub trait RectSource {
         Ok(Box::new(self.scan().map(Ok)))
     }
 
-    /// Random access to the rectangles, when the source holds them resident.
-    ///
-    /// Parallel construction paths shard contiguous chunks of this slice
-    /// across worker threads; a streaming source (the default) returns
-    /// `None` and construction falls back to the serial single-sweep
-    /// reference path, preserving the paper's O(1)-memory story.
-    fn as_slice(&self) -> Option<&[Rect]> {
-        None
-    }
-
     /// Sweeps every rectangle, in [`RectSource::scan`] order, handing `f`
     /// one contiguous slice at a time, so a sweep over resident rows runs
     /// as a plain loop per slice.
@@ -83,10 +73,6 @@ impl RectSource for Dataset {
 
     fn stats(&self) -> DatasetStats {
         *Dataset::stats(self)
-    }
-
-    fn as_slice(&self) -> Option<&[Rect]> {
-        Some(self.rects())
     }
 
     fn for_each_run(&self, f: &mut dyn FnMut(&[Rect])) {
@@ -189,8 +175,6 @@ mod tests {
         let path = tmp("stats.csv");
         write_rects_csv(&ds, &path).unwrap();
         let src = CsvRectSource::open(&path).unwrap();
-        // Disk-backed sources stream; they have no resident slice.
-        assert!(src.as_slice().is_none());
         let a = src.stats();
         let b = *ds.stats();
         assert_eq!(a.n, b.n);
@@ -245,8 +229,6 @@ mod tests {
         assert_eq!(src.scan().count(), 1);
         assert_eq!(src.stats().n, 1);
         assert_eq!(source_mbr(src), Some(Rect::new(0.0, 0.0, 1.0, 1.0)));
-        // In-memory sources expose their slice for sharded construction.
-        assert_eq!(src.as_slice().map(<[Rect]>::len), Some(1));
     }
 
     #[test]

@@ -8,20 +8,22 @@
 //! `unsafe`): an atomic epoch plus two slots, each a `Mutex<Arc<T>>`.
 //!
 //! * **Readers** load the epoch with `Acquire`, lock the *current* slot
-//!   (`epoch & 1`), clone the `Arc`, and drop the lock — a few nanoseconds,
-//!   and never a lock the writer is holding for the current epoch.
+//!   (`epoch & 1`), clone the `Arc`, drop the lock, and load the epoch
+//!   again. If it moved, they retry. A few nanoseconds, and never a lock
+//!   the writer is holding for the current epoch.
 //! * **The writer** (serialized by its own mutex) writes the new `Arc` into
-//!   the *inactive* slot, then flips the epoch with `Release`. Readers that
-//!   loaded the old epoch finish against the complete old snapshot; readers
-//!   that load the new epoch see the complete new one. There is no state in
-//!   between: the only shared mutation is an `Arc` pointer swap performed
-//!   under the slot's mutex, so an estimate is always computed against
-//!   exactly one fully-built [`TableSnapshot`].
+//!   the *inactive* slot, then flips the epoch with `Release`. The only
+//!   shared mutation is an `Arc` pointer swap performed under the slot's
+//!   mutex, so an estimate is always computed against exactly one
+//!   fully-built [`TableSnapshot`].
 //!
-//! A reader can contend with the writer only if it stalls between the epoch
-//! load and the slot lock for a *full* publication cycle — and even then it
-//! merely waits for a pointer store, never for statistics construction
-//! (histograms are built before `store` is called).
+//! **Contract: each reader sees publications in non-decreasing order**, and
+//! only published ones. While the epoch stays `e`, the writer writes only
+//! slot `(e + 1) & 1`, so a clone of slot `e & 1` taken between two loads
+//! that both read `e` is the value published at `e`. Without the second
+//! load, a reader that stalls after reading `e` could clone the value the
+//! writer is staging for `e + 2` before it is published, and then return
+//! the older `e + 1` on its next load.
 //!
 //! # What a snapshot carries
 //!
@@ -256,7 +258,18 @@ pub struct SnapshotCell<T> {
     /// flip. Readers never touch this lock.
     writer: Mutex<()>,
     slots: [Mutex<Arc<T>>; 2],
+    /// Pause points a test can arm to drive an exact interleaving:
+    /// [`READER_PAUSE`] and [`WRITER_PAUSE`].
+    #[cfg(test)]
+    pauses: [Mutex<Option<tests::Gate>>; 2],
 }
+
+/// In `load`, between the epoch load and the slot lock.
+#[cfg(test)]
+const READER_PAUSE: usize = 0;
+/// In `store`, between the slot write and the epoch flip.
+#[cfg(test)]
+const WRITER_PAUSE: usize = 1;
 
 impl<T> SnapshotCell<T> {
     /// Creates a cell publishing `initial`.
@@ -265,18 +278,32 @@ impl<T> SnapshotCell<T> {
             epoch: AtomicU64::new(0),
             writer: Mutex::new(()),
             slots: [Mutex::new(initial.clone()), Mutex::new(initial)],
+            #[cfg(test)]
+            pauses: Default::default(),
         }
     }
 
     /// The currently published value. Never blocks on a writer installing
-    /// the next value (the writer works in the other slot), and always
-    /// returns a complete, fully-built `T`.
+    /// the next value (the writer works in the other slot), always returns
+    /// a complete, fully-built `T`, and never returns an older value than
+    /// an earlier `load` on the same thread did.
     pub fn load(&self) -> Arc<T> {
-        let epoch = self.epoch.load(Ordering::Acquire);
-        self.slots[(epoch & 1) as usize]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
+        loop {
+            let epoch = self.epoch.load(Ordering::Acquire);
+            #[cfg(test)]
+            self.pause(READER_PAUSE);
+            let value = self.slots[(epoch & 1) as usize]
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .clone();
+            // A writer flips to `epoch + 1` before it locks this slot to
+            // stage `epoch + 2`, and our lock acquire orders that flip
+            // before this load; so an unchanged epoch means the clone is
+            // the value published at `epoch`.
+            if self.epoch.load(Ordering::Acquire) == epoch {
+                return value;
+            }
+        }
     }
 
     /// Publishes `value`: writes it into the inactive slot, then flips the
@@ -288,7 +315,23 @@ impl<T> SnapshotCell<T> {
         *self.slots[((epoch + 1) & 1) as usize]
             .lock()
             .unwrap_or_else(PoisonError::into_inner) = value;
+        #[cfg(test)]
+        self.pause(WRITER_PAUSE);
         self.epoch.store(epoch + 1, Ordering::Release);
+    }
+
+    /// Blocks the first thread to reach pause point `at` after a test armed
+    /// it, until the test releases it.
+    #[cfg(test)]
+    fn pause(&self, at: usize) {
+        let gate = self.pauses[at]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
+        if let Some((arrived, go)) = gate {
+            arrived.send(()).expect("the test waits for arrival");
+            go.recv().expect("the test releases the pause");
+        }
     }
 
     /// Number of publications so far (the current epoch).
@@ -301,6 +344,53 @@ impl<T> SnapshotCell<T> {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicBool;
+    use std::sync::mpsc::{channel, Receiver, Sender};
+
+    /// An armed pause point: the paused thread signals arrival on the
+    /// sender, then waits on the receiver.
+    pub(super) type Gate = (Sender<()>, Receiver<()>);
+
+    /// Arms pause point `at`; returns the arrival signal and the release.
+    fn arm<T>(cell: &SnapshotCell<T>, at: usize) -> (Receiver<()>, Sender<()>) {
+        let (arrived_tx, arrived) = channel();
+        let (go, go_rx) = channel();
+        *cell.pauses[at].lock().expect("gate lock") = Some((arrived_tx, go_rx));
+        (arrived, go)
+    }
+
+    /// The stalled-reader race, driven step by step: a reader reads epoch
+    /// `e`, the writer publishes `e + 1` and stages `e + 2` in slot `e & 1`,
+    /// and only then does the reader lock that slot. It must return the
+    /// published `e + 1`, never the staged `e + 2` followed by an older
+    /// value.
+    #[test]
+    fn a_stalled_reader_never_returns_an_unpublished_value() {
+        let cell = Arc::new(SnapshotCell::new(Arc::new(0u64)));
+        let (reader_arrived, reader_go) = arm(&cell, READER_PAUSE);
+        let reader = {
+            let cell = Arc::clone(&cell);
+            std::thread::spawn(move || *cell.load())
+        };
+        reader_arrived.recv().expect("reader read epoch 0");
+        cell.store(Arc::new(1));
+        let (writer_arrived, writer_go) = arm(&cell, WRITER_PAUSE);
+        let writer = {
+            let cell = Arc::clone(&cell);
+            std::thread::spawn(move || cell.store(Arc::new(2)))
+        };
+        writer_arrived.recv().expect("writer staged 2 in slot 0");
+        reader_go.send(()).expect("reader waits");
+        let first = reader.join().expect("reader panicked");
+        let next = *cell.load();
+        assert!(
+            first <= next,
+            "publication went backwards: {first} -> {next}"
+        );
+        assert_eq!(first, 1, "the reader returned a value not yet published");
+        writer_go.send(()).expect("writer waits");
+        writer.join().expect("writer panicked");
+        assert_eq!(*cell.load(), 2);
+    }
 
     #[test]
     fn load_returns_latest_store() {

@@ -180,15 +180,6 @@ pub struct TableOptions {
     pub auto_analyze_threshold: Option<f64>,
     /// R\*-tree node capacity.
     pub index_fanout: usize,
-    /// Worker threads for scoring Min-Skew's split candidates during
-    /// `ANALYZE`, the one parallel path a table has. `1` (the default)
-    /// keeps it on the serial reference implementation; `0` means one
-    /// worker per available core. The density grids are not counted in
-    /// parallel: `ANALYZE` reuses the grids that writes keep up to date,
-    /// and builds a missing one in one serial sweep of the rows in place.
-    /// Statistics are bit-identical at every setting. Estimates, single or
-    /// batched, are always served serially.
-    pub threads: usize,
     /// Enables the per-table query-result cache: repeated estimates with
     /// the same rectangle bits — single queries and batch members alike —
     /// are answered from a bounded LRU instead of re-scanning the
@@ -279,7 +270,6 @@ impl Default for TableOptions {
             analyze: AnalyzeOptions::default(),
             auto_analyze_threshold: Some(0.2),
             index_fanout: 16,
-            threads: 1,
             query_cache: true,
             query_cache_capacity: 1024,
             metrics: true,
@@ -741,9 +731,7 @@ impl SpatialTable {
     ) -> Result<SpatialHistogram, BuildError> {
         match opts.technique {
             StatsTechnique::MinSkew => {
-                let mut b = MinSkewBuilder::try_new(opts.buckets)?
-                    .try_regions(opts.regions)?
-                    .threads(self.options.threads);
+                let mut b = MinSkewBuilder::try_new(opts.buckets)?.try_regions(opts.regions)?;
                 if opts.refinements > 0 {
                     b = b.try_progressive_refinements(opts.refinements)?;
                 }
@@ -981,18 +969,6 @@ impl SpatialTable {
         &self.diagnostics
     }
 
-    /// Sets the worker-thread count `ANALYZE` scores Min-Skew's split
-    /// candidates with (`1` = inline serial reference, `0` = one worker per
-    /// available core); density grids are reused or built serially, and
-    /// estimation is always serial.
-    ///
-    /// Thread count is a performance knob only: the statistics are
-    /// bit-identical at every setting, so it can be changed at any time
-    /// without invalidating existing statistics.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.options.threads = threads;
-    }
-
     /// Replaces the `ANALYZE` configuration (technique, bucket budget,
     /// grid regions, refinements). Takes effect on the next analysis; the
     /// installed statistics are untouched.
@@ -1170,8 +1146,8 @@ impl SpatialTable {
     /// bumps them as plain integers under the lock it already holds; the
     /// registry keeps no copy, so every read reports them exactly once.
     ///
-    /// Build-time metrics (`core.build.*`) and parallel-runtime metrics
-    /// (`par.*`) live in the process-wide [`minskew_obs::Registry::global`]
+    /// Build-time metrics (`core.build.*`) and ground-truth counting
+    /// metrics (`par.*`) live in the process-wide [`minskew_obs::Registry::global`]
     /// registry, not here: they aggregate work that is not owned by any one
     /// table.
     pub fn metrics(&self) -> RegistrySnapshot {
@@ -1766,25 +1742,6 @@ mod tests {
         with_bad.push(poisoned);
         assert!(t.try_estimate_batch(&with_bad).is_err());
         assert_eq!(t.estimate_batch(&with_bad).last(), Some(&0.0));
-    }
-
-    #[test]
-    fn threaded_analyze_builds_identical_statistics() {
-        let data = charminar_with(9_000, 6);
-        let mut serial_table = SpatialTable::new(TableOptions::default());
-        let mut par_table = SpatialTable::new(TableOptions {
-            threads: 4,
-            ..TableOptions::default()
-        });
-        for r in data.rects() {
-            serial_table.insert(*r);
-            par_table.insert(*r);
-        }
-        serial_table.analyze();
-        par_table.analyze();
-        let a = serial_table.stats().expect("analyzed").to_bytes();
-        let b = par_table.stats().expect("analyzed").to_bytes();
-        assert_eq!(a, b, "ANALYZE must not depend on the thread count");
     }
 
     #[test]

@@ -1,46 +1,25 @@
 //! Deterministic data parallelism on scoped threads — no work stealing, no
 //! external crates, and **bit-identical results at every thread count**.
 //!
-//! The estimator stack parallelizes three kinds of loops: sharded counting
-//! (density-grid construction), independent per-item evaluation (split
-//! candidates), and load-imbalanced per-item work (exact
-//! ground-truth counting, where query cost varies by orders of magnitude).
-//! This crate provides one primitive per shape, all built on
-//! [`std::thread::scope`]:
-//!
-//! * [`map_slice`] — order-preserving parallel map over contiguous chunks.
-//! * [`map_chunks_queued`] — order-preserving parallel map driven by a
-//!   chunked work *queue* (an atomic cursor over fixed chunk boundaries), so
-//!   slow items do not serialize the whole batch. Not work stealing: chunk
-//!   boundaries are fixed up front and results are reassembled by chunk
-//!   index, so scheduling order can never leak into the output.
-//! * [`fold_shards`] — one accumulator per chunk, returned in chunk order,
-//!   for sharded-counts-then-merge patterns.
+//! One loop in the stack runs in parallel: exact ground-truth counting
+//! (`GroundTruth::counts`), where per-query cost varies by orders of
+//! magnitude. [`map_chunks_queued`] serves it: an order-preserving parallel
+//! map driven by a chunked work *queue* (an atomic cursor over fixed chunk
+//! boundaries), built on [`std::thread::scope`], so slow items do not
+//! serialize the whole batch.
 //!
 //! # Determinism contract
 //!
-//! Every function here returns output whose value depends only on the input
-//! and the (pure) closure — never on the number of threads or on how the OS
-//! schedules them. The building blocks:
-//!
-//! 1. chunk boundaries are a pure function of `(len, threads)`
-//!    ([`chunk_ranges`]);
-//! 2. each chunk is processed left-to-right by exactly one worker;
-//! 3. results are reassembled in chunk order, not completion order.
-//!
-//! Callers keep the contract by merging shard accumulators with
-//! order-independent operations (integer addition) or by folding them in
-//! chunk order. Floating-point *reductions across items* are the one shape
-//! deliberately not offered: `(a + b) + c != a + (b + c)` in general, so a
-//! parallel f64 sum cannot be bit-identical to the serial sweep. Hot paths
-//! that accumulate f64 (the final bucket-assignment pass of Min-Skew) stay
-//! serial for exactly this reason.
+//! The output depends only on the input and the (pure) closure — never on
+//! the number of threads or on how the OS schedules them: chunk boundaries
+//! are fixed up front, each chunk is mapped left-to-right by exactly one
+//! worker, and results are reassembled by chunk index, not completion
+//! order.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
-use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Resolves a `threads` knob: `0` means "auto" (one worker per available
@@ -55,69 +34,16 @@ pub fn effective_threads(requested: usize) -> usize {
     }
 }
 
-/// Deterministic contiguous chunk boundaries: `len` items split into at most
-/// `chunks` ranges, the first `len % chunks` ranges one item longer. Empty
-/// ranges are never emitted, so fewer than `chunks` ranges come back when
-/// `len < chunks`.
-pub fn chunk_ranges(len: usize, chunks: usize) -> Vec<Range<usize>> {
-    let chunks = chunks.max(1).min(len);
-    if chunks == 0 {
-        return Vec::new();
-    }
-    let base = len / chunks;
-    let extra = len % chunks;
-    let mut out = Vec::with_capacity(chunks);
-    let mut start = 0;
-    for i in 0..chunks {
-        let size = base + usize::from(i < extra);
-        out.push(start..start + size);
-        start += size;
-    }
-    debug_assert_eq!(start, len);
-    out
-}
-
-/// Order-preserving parallel map: `out[i] = f(&items[i])`.
-///
-/// The slice is split into one contiguous chunk per worker; with
-/// `threads <= 1` (or a single-item input) the map runs inline on the
-/// calling thread. The output is identical at every thread count.
-pub fn map_slice<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let threads = effective_threads(threads).min(items.len());
-    if threads <= 1 {
-        return items.iter().map(f).collect();
-    }
-    let ranges = chunk_ranges(items.len(), threads);
-    let mut out = Vec::with_capacity(items.len());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .into_iter()
-            .map(|r| {
-                let f = &f;
-                scope.spawn(move || items[r].iter().map(f).collect::<Vec<R>>())
-            })
-            .collect();
-        for h in handles {
-            out.extend(h.join().expect("parallel map worker panicked"));
-        }
-    });
-    out
-}
-
 /// Order-preserving parallel map over a **chunked work queue**: the slice is
 /// cut into fixed chunks of `chunk_size`, workers claim chunks through an
 /// atomic cursor (cheapest-possible dynamic load balancing — no stealing,
 /// no per-item locks), and results are reassembled by chunk index.
 ///
-/// Use this instead of [`map_slice`] when per-item cost is wildly uneven
-/// (e.g. range queries whose result sizes span orders of magnitude), so one
-/// expensive region of the input does not serialize a whole static chunk.
-/// Output is still `out[i] = f(&items[i])`, independent of scheduling.
+/// Per-item cost may be wildly uneven (e.g. range queries whose result
+/// sizes span orders of magnitude): one expensive region of the input does
+/// not serialize a whole static chunk. Output is `out[i] = f(&items[i])`,
+/// independent of scheduling; with `threads <= 1` (or a single chunk) the
+/// map runs inline on the calling thread.
 pub fn map_chunks_queued<T, R, F>(threads: usize, chunk_size: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -189,90 +115,9 @@ where
     out
 }
 
-/// Sharded fold: splits `items` into one contiguous chunk per worker, folds
-/// each chunk left-to-right into its own accumulator (`init()` per shard),
-/// and returns the accumulators **in chunk order**.
-///
-/// The caller merges the shards; the merge is bit-identical to a serial fold
-/// whenever the accumulation is order-independent (integer counters) or the
-/// caller folds shards in the returned order and the operation is
-/// associative.
-pub fn fold_shards<T, A, I, F>(threads: usize, items: &[T], init: I, fold: F) -> Vec<A>
-where
-    T: Sync,
-    A: Send,
-    I: Fn() -> A + Sync,
-    F: Fn(&mut A, &T) + Sync,
-{
-    let threads = effective_threads(threads).min(items.len());
-    if threads <= 1 {
-        let mut acc = init();
-        for item in items {
-            fold(&mut acc, item);
-        }
-        return vec![acc];
-    }
-    let ranges = chunk_ranges(items.len(), threads);
-    let mut out = Vec::with_capacity(ranges.len());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .into_iter()
-            .map(|r| {
-                let init = &init;
-                let fold = &fold;
-                scope.spawn(move || {
-                    let mut acc = init();
-                    for item in &items[r] {
-                        fold(&mut acc, item);
-                    }
-                    acc
-                })
-            })
-            .collect();
-        for h in handles {
-            out.push(h.join().expect("sharded fold worker panicked"));
-        }
-    });
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn chunk_ranges_cover_exactly() {
-        for len in [0usize, 1, 2, 7, 100, 101] {
-            for chunks in [1usize, 2, 3, 8, 200] {
-                let rs = chunk_ranges(len, chunks);
-                let mut next = 0;
-                for r in &rs {
-                    assert_eq!(r.start, next, "len={len} chunks={chunks}");
-                    assert!(!r.is_empty(), "empty chunk for len={len} chunks={chunks}");
-                    next = r.end;
-                }
-                assert_eq!(next, len);
-                assert!(rs.len() <= chunks);
-                // Balanced: sizes differ by at most one.
-                if let (Some(min), Some(max)) = (
-                    rs.iter().map(ExactSizeIterator::len).min(),
-                    rs.iter().map(ExactSizeIterator::len).max(),
-                ) {
-                    assert!(max - min <= 1);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn map_slice_is_order_preserving_at_every_thread_count() {
-        let items: Vec<u64> = (0..257).collect();
-        let expect: Vec<u64> = items.iter().map(|x| x * x + 1).collect();
-        for threads in [1usize, 2, 3, 8, 64] {
-            assert_eq!(map_slice(threads, &items, |x| x * x + 1), expect);
-        }
-        assert_eq!(map_slice(4, &[] as &[u64], |x| *x), Vec::<u64>::new());
-    }
 
     #[test]
     fn queued_map_matches_serial_under_uneven_load() {
@@ -290,30 +135,6 @@ mod tests {
             for chunk in [1usize, 7, 64, 1000] {
                 assert_eq!(map_chunks_queued(threads, chunk, &items, spin), expect);
             }
-        }
-    }
-
-    #[test]
-    fn fold_shards_merge_exactly_for_integers() {
-        // Sharded histogram counting: u32 addition is order-independent, so
-        // the merged shards equal the serial fold bit-for-bit.
-        let items: Vec<usize> = (0..1000).map(|i| (i * 7) % 16).collect();
-        let serial = {
-            let mut h = vec![0u32; 16];
-            for &i in &items {
-                h[i] += 1;
-            }
-            h
-        };
-        for threads in [1usize, 2, 3, 8] {
-            let shards = fold_shards(threads, &items, || vec![0u32; 16], |h, &i| h[i] += 1);
-            let mut merged = vec![0u32; 16];
-            for shard in shards {
-                for (m, s) in merged.iter_mut().zip(shard) {
-                    *m += s;
-                }
-            }
-            assert_eq!(merged, serial);
         }
     }
 

@@ -73,7 +73,8 @@ impl GroundTruth {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use minskew_datagen::charminar_with;
+    use crate::QueryWorkload;
+    use minskew_datagen::{charminar_with, uniform_rects};
 
     #[test]
     fn matches_brute_force() {
@@ -135,31 +136,61 @@ mod tests {
         assert_eq!(empty.count(&Rect::new(0.0, 0.0, 1.0, 1.0)), 0);
     }
 
+    /// Batch counts equal the O(N) scan at every thread count, over
+    /// `(dataset, queries)` pairs that span dense, sparse, disjoint, point
+    /// and touching queries.
     #[test]
     fn threaded_batch_counts_equal_serial() {
-        let ds = charminar_with(4_000, 5);
-        let gt = GroundTruth::index(&ds);
-        // A mix of dense, sparse, disjoint, point, and touching queries.
-        let mbr = ds.stats().mbr;
-        let queries: Vec<Rect> = (0..300)
-            .map(|i| {
-                let t = (i % 100) as f64 * 110.0;
-                match i % 4 {
-                    0 => Rect::new(t, t, t + 900.0, t + 900.0),
-                    1 => Rect::new(t, t, t, t), // point query
-                    2 => Rect::new(mbr.hi.x + t + 1.0, 0.0, mbr.hi.x + t + 2.0, 10.0),
-                    _ => Rect::new(0.0, t, 1_500.0, t + 1_500.0),
-                }
-            })
-            .collect();
-        let serial = gt.counts_with_threads(&queries, 1);
-        for threads in [0usize, 2, 3, 8] {
-            assert_eq!(
-                gt.counts_with_threads(&queries, threads),
-                serial,
-                "threads = {threads}"
-            );
+        let mixed = {
+            let ds = charminar_with(4_000, 5);
+            let mbr = ds.stats().mbr;
+            let queries: Vec<Rect> = (0..300)
+                .map(|i| {
+                    let t = (i % 100) as f64 * 110.0;
+                    match i % 4 {
+                        0 => Rect::new(t, t, t + 900.0, t + 900.0),
+                        1 => Rect::new(t, t, t, t), // point query
+                        2 => Rect::new(mbr.hi.x + t + 1.0, 0.0, mbr.hi.x + t + 2.0, 10.0),
+                        _ => Rect::new(0.0, t, 1_500.0, t + 1_500.0),
+                    }
+                })
+                .collect();
+            (ds, queries)
+        };
+        let workload = |ds: Dataset, qsize: f64, n: usize, seed: u64| {
+            let queries = QueryWorkload::generate(&ds, qsize, n, seed)
+                .queries()
+                .to_vec();
+            (ds, queries)
+        };
+        // A uniform spread with one dense cluster: skewed per-query cost.
+        let clustered = {
+            let mut rects =
+                uniform_rects(300, Rect::new(0.0, 0.0, 2_000.0, 2_000.0), 40.0, 40.0, 3)
+                    .into_rects();
+            rects.extend((0..50).map(|i| {
+                let (x, y) = (900.0 + (i % 10) as f64 * 4.0, 700.0 + (i / 10) as f64 * 4.0);
+                Rect::new(x, y, x + 6.0, y + 6.0)
+            }));
+            Dataset::new(rects)
+        };
+        for (ds, queries) in [
+            mixed,
+            workload(charminar_with(5_000, 23), 0.1, 400, 29),
+            workload(clustered, 0.1, 64, 7),
+        ] {
+            let gt = GroundTruth::index(&ds);
+            let serial = gt.counts_with_threads(&queries, 1);
+            let scan: Vec<usize> = queries.iter().map(|q| ds.count_intersecting(q)).collect();
+            assert_eq!(serial, scan);
+            for threads in [0usize, 2, 3, 8] {
+                assert_eq!(
+                    gt.counts_with_threads(&queries, threads),
+                    serial,
+                    "threads = {threads}"
+                );
+            }
+            assert_eq!(gt.counts(&queries), serial);
         }
-        assert_eq!(gt.counts(&queries), serial);
     }
 }

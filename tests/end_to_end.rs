@@ -132,6 +132,24 @@ fn ground_truth_agrees_with_scan() {
 }
 
 /// Estimator trait objects: the whole roster can be driven polymorphically.
+/// A build that streams its input from CSV, one sweep per grid and one for
+/// the assignment pass, equals the in-memory build byte for byte.
+#[test]
+fn streaming_build_matches_in_memory_build() {
+    let data = minskew::datagen::charminar_with(2_000, 41);
+    let path = std::env::temp_dir().join(format!(
+        "minskew-streaming-build-{}.csv",
+        std::process::id()
+    ));
+    minskew::data::write_rects_csv(&data, &path).expect("write dataset");
+    let csv = CsvRectSource::open(&path).expect("reopen dataset");
+    let builder = MinSkewBuilder::new(20).regions(900);
+    let from_memory = builder.build(&data).to_bytes();
+    let from_stream = builder.build_from_source(&csv).to_bytes();
+    assert_eq!(from_memory, from_stream);
+    std::fs::remove_file(path).ok();
+}
+
 #[test]
 fn trait_object_roster() {
     let data = minskew::datagen::charminar_with(2_000, 13);

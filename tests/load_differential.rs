@@ -268,7 +268,6 @@ struct Model {
     table: SpatialTable,
     rows: std::collections::BTreeMap<RowId, Rect>,
     opts: AnalyzeOptions,
-    threads: usize,
     counts: (u64, u64),
 }
 
@@ -289,7 +288,6 @@ impl Model {
             table,
             rows: ids.into_iter().zip(rects.iter().copied()).collect(),
             opts,
-            threads: 1,
             counts: (0, 0),
         }
     }
@@ -297,11 +295,6 @@ impl Model {
     fn set_options(&mut self, opts: AnalyzeOptions) {
         self.opts = opts;
         self.table.set_analyze_options(opts);
-    }
-
-    fn set_threads(&mut self, threads: usize) {
-        self.threads = threads;
-        self.table.set_threads(threads);
     }
 
     fn insert(&mut self, r: Rect) {
@@ -351,7 +344,6 @@ impl Model {
         let fresh = MinSkewBuilder::new(self.opts.buckets)
             .regions(self.opts.regions)
             .progressive_refinements(self.opts.refinements)
-            .threads(self.threads)
             .build(&self.live());
         assert_eq!(
             self.table.stats().map(SpatialHistogram::to_bytes),
@@ -432,10 +424,8 @@ fn analyze_from_maintained_grids_matches_a_fresh_build() {
     m.set_options(opts);
     m.analyze("regions = 6400", 2, 1);
 
-    m.set_threads(3);
     m.interior_churn(11);
-    m.analyze("threads = 3", 3, 0);
-    m.set_threads(1);
+    m.analyze("regions = 6400, interior churn", 3, 0);
 
     // Another technique holds no grids, so the next Min-Skew builds all.
     m.table.set_analyze_options(AnalyzeOptions {

@@ -6,10 +6,9 @@
 //! traced Min-Skew build must emit the same statistics bytes as the
 //! untraced one.
 //!
-//! This is the same contract the parallel layer (`parallel_differential.rs`)
-//! and the serving layer (`serving_differential.rs`) are pinned by: an
-//! optimisation — here, an *instrumentation* — that is observationally
-//! invisible. The base matrix below always runs (tier 1); the `obs` feature
+//! This is the same contract the serving layer (`serving_differential.rs`)
+//! is pinned by: an optimisation — here, an *instrumentation* — that is
+//! observationally invisible. The base matrix below always runs (tier 1); the `obs` feature
 //! turns on the exhaustive cross product.
 
 use minskew::prelude::*;
@@ -300,18 +299,13 @@ fn exhaustive_obs_matrix() {
                 lifecycle(&mut t, &queries)
             };
             for (name, options) in obs_configs() {
-                for threads in [1usize, 4] {
-                    let mut options = options;
-                    options.threads = threads;
-                    let mut t = table_with(&data, technique, options);
-                    let got = lifecycle(&mut t, &queries);
-                    assert_eq!(
-                        (got.0, got.1),
-                        (reference.0.clone(), reference.1.clone()),
-                        "dataset={dataset_name} technique={technique:?} \
-                         config={name} threads={threads}"
-                    );
-                }
+                let mut t = table_with(&data, technique, options);
+                let got = lifecycle(&mut t, &queries);
+                assert_eq!(
+                    (got.0, got.1),
+                    (reference.0.clone(), reference.1.clone()),
+                    "dataset={dataset_name} technique={technique:?} config={name}"
+                );
             }
         }
     }

@@ -9,9 +9,8 @@
 //! `Bucket::estimate` over all buckets) is the reference semantics; the
 //! serving layer — the SoA clip-and-accumulate kernel behind
 //! `estimate_count`, its block-pruned scan, and the query cache — is an
-//! optimisation stack that must be observationally invisible, exactly like
-//! the parallel layer pinned by `parallel_differential.rs`. The kernel gets
-//! its own deeper matrix in `kernel_differential.rs`.
+//! optimisation stack that must be observationally invisible. The kernel
+//! gets its own deeper matrix in `kernel_differential.rs`.
 //!
 //! The base matrix below always runs (tier 1). The `serving` feature turns
 //! on the exhaustive cross product on larger inputs; the `proptest` feature

@@ -59,7 +59,8 @@
 #      engine.analyze.grid_reused, engine.analyze.grid_built, and the
 #      ANALYZE part timings engine.analyze.stats_ns,
 #      engine.analyze.min_skew.grid_ns, engine.analyze.min_skew.split_ns,
-#      engine.analyze.min_skew.assign_ns), must count
+#      engine.analyze.min_skew.assign_ns, and the row-sweep counter
+#      engine.analyze.row_sweeps), must count
 #      at least one built grid for its one ANALYZE, and must carry none of
 #      the deleted names (engine.batch.cache_bypass, engine.query.clamp_ns),
 #  18. checks that the committed BENCH_obs.json is a full-scale run
@@ -268,7 +269,7 @@ for NAME in engine.query.calls engine.cache.hits engine.batch.queries \
     engine.estimate.min_skew.ns engine.analyze.grid_reused \
     engine.analyze.grid_built engine.analyze.stats_ns \
     engine.analyze.min_skew.grid_ns engine.analyze.min_skew.split_ns \
-    engine.analyze.min_skew.assign_ns; do
+    engine.analyze.min_skew.assign_ns engine.analyze.row_sweeps; do
     if [[ "$STATS_JSON" != *"\"$NAME\""* ]]; then
         echo "ERROR: minskew stats --json is missing $NAME" >&2
         exit 1

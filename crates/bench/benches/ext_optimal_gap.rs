@@ -47,7 +47,7 @@ fn main() {
         );
     }
     println!(
-        "\n(note: greedy timings include the full build — data sweep and \
-         final assignment pass — while the DP timing is the pure search)"
+        "\n(note: greedy timings include the full build — the data sweep \
+         and the bucket summaries — while the DP timing is the pure search)"
     );
 }

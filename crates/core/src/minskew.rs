@@ -28,7 +28,9 @@
 //! intervals spends early buckets on the broad structure and late buckets on
 //! the skewed hot spots.
 
-use minskew_data::{CellBlock, Dataset, DensityGrid, GridPrefixSums, GridSet, RectSource};
+use minskew_data::{
+    CellBlock, CentreSums, Dataset, DensityGrid, GridPrefixSums, GridSet, RectSource,
+};
 use minskew_geom::Axis;
 
 use crate::error::BuildError;
@@ -232,10 +234,13 @@ impl MinSkewBuilder {
     ///
     /// Each refinement phase takes its grid from `grids` when one over the
     /// source's MBR at that phase's dimensions is held, and builds it
-    /// otherwise. On success `grids` holds exactly the grids this build
-    /// used; [`MinSkewDetail`] counts how many were reused and built. A held
-    /// grid must equal what [`DensityGrid::build`] would make over the
-    /// source, which [`GridSet::patch`] maintains; the histogram is then
+    /// otherwise; the final phase takes its [`CentreSums`] with its grid,
+    /// and builds both in one sweep unless both are held. On success
+    /// `grids` holds exactly the grids this build used and the final
+    /// phase's centre sums; [`MinSkewDetail`] counts how many grids were
+    /// reused and built. A held grid must equal what
+    /// [`DensityGrid::build_with_centres`] would make over the source,
+    /// which [`GridSet::patch`] maintains; the histogram is then
     /// byte-identical to a build from an empty set. On error `grids` is
     /// left as it was.
     pub fn try_build_with_grids<S: RectSource + ?Sized>(
@@ -258,8 +263,10 @@ impl MinSkewBuilder {
 
     /// Builds the histogram from any [`RectSource`] — including
     /// disk-resident sources like [`minskew_data::CsvRectSource`] — using
-    /// only sequential sweeps (one per refinement phase plus the final
-    /// assignment pass) and O(grid + buckets) resident memory.
+    /// only sequential sweeps, one per refinement phase, and O(grid +
+    /// buckets) resident memory. The final phase's sweep also sums each
+    /// cell's centred rects, so the bucket summaries need no sweep of
+    /// their own.
     ///
     /// This is the paper's memory story made literal: "the construction
     /// algorithm does not require the entire data distribution to fit in
@@ -306,11 +313,11 @@ impl MinSkewBuilder {
 
     /// Shared precondition checks for the `try_` builders.
     fn check_preconditions<S: RectSource + ?Sized>(&self, source: &S) -> Result<(), BuildError> {
-        let stats = source.stats();
-        if stats.n == 0 {
+        let (n, mbr) = source.len_and_mbr();
+        if n == 0 {
             return Err(BuildError::EmptyDataset);
         }
-        if !stats.mbr.is_finite() {
+        if !mbr.is_finite() {
             return Err(BuildError::NonFiniteMbr);
         }
         let side = self.final_grid_side();
@@ -335,7 +342,8 @@ impl MinSkewBuilder {
     ) -> (SpatialHistogram, MinSkewDetail, MinSkewBuildTrace) {
         let mut build_clock = minskew_obs::Stopwatch::start();
         let data = source;
-        if data.stats().n == 0 {
+        let (n, mbr) = data.len_and_mbr();
+        if n == 0 {
             *grids = GridSet::default();
             return (
                 SpatialHistogram::from_parts("Min-Skew", vec![], 0, self.rule),
@@ -351,7 +359,6 @@ impl MinSkewBuilder {
                 MinSkewBuildTrace::default(),
             );
         }
-        let mbr = data.stats().mbr;
         let phases = self.refinements + 1;
         let side = self.final_grid_side();
 
@@ -359,24 +366,43 @@ impl MinSkewBuilder {
         let mut used = GridSet::default();
         // The latest phase's grid and the side it was requested at.
         let mut grid: Option<(usize, DensityGrid)> = None;
+        let mut centres: Option<CentreSums> = None;
         let mut prefix = None;
         let mut prev_dims = (0usize, 0usize);
         let mut splits: Vec<SplitEvent> = Vec::new();
         let mut grids_reused = 0;
         // Each phase laps the clock after its grid and after its split
-        // search; the assignment pass laps last.
+        // search; the fold of the bucket summaries laps last.
         let (mut grid_ns, mut split_ns) = (0, 0);
 
         for phase in 0..phases {
             let cur_side = side >> (self.refinements - phase);
             // A held grid that writes have patched equals a fresh build; a
-            // miss counts the source in one sweep.
-            let g = match grids.take(mbr, cur_side, cur_side) {
-                Some(g) => {
-                    grids_reused += 1;
-                    g
+            // miss counts the source in one sweep. The final phase needs its
+            // centre sums too, and builds both in one sweep unless both are
+            // held.
+            let held = grids.take(mbr, cur_side, cur_side);
+            let g = if phase + 1 < phases {
+                held.map_or_else(
+                    || DensityGrid::build(data.scan(), mbr, cur_side, cur_side),
+                    |g| {
+                        grids_reused += 1;
+                        g
+                    },
+                )
+            } else {
+                match (held, grids.take_centres(mbr, cur_side, cur_side)) {
+                    (Some(g), Some(c)) => {
+                        grids_reused += 1;
+                        centres = Some(c);
+                        g
+                    }
+                    _ => {
+                        let (g, c) = DensityGrid::build_with_centres(data, mbr, cur_side, cur_side);
+                        centres = Some(c);
+                        g
+                    }
                 }
-                None => DensityGrid::build(data.scan(), mbr, cur_side, cur_side),
             };
             grid_ns += build_clock.lap();
             let p = GridPrefixSums::from_grid(&g);
@@ -441,10 +467,11 @@ impl MinSkewBuilder {
         }
 
         let (final_side, grid) = grid.expect("at least one phase ran");
+        let centres = centres.expect("the final phase ran");
         let prefix = prefix.expect("at least one phase ran");
         let skew: f64 = blocks.iter().map(|b| prefix.block_sse(b)).sum();
         split_ns += build_clock.lap();
-        let hist = blocks_to_histogram("Min-Skew", data, &grid, &blocks, self.rule);
+        let hist = blocks_to_histogram("Min-Skew", n, &grid, &centres, &blocks, self.rule);
         let assign_ns = build_clock.lap();
         let build_ns = build_clock.total();
         crate::buildobs::record_build(&hist, build_ns);
@@ -458,6 +485,7 @@ impl MinSkewBuilder {
             assign_ns,
         };
         used.insert(final_side, final_side, grid);
+        used.insert_centres(final_side, final_side, centres);
         *grids = used;
         let trace = MinSkewBuildTrace {
             splits,
@@ -487,8 +515,9 @@ pub struct MinSkewDetail {
     /// Nanoseconds spent in the split search: prefix sums, the greedy
     /// loop and the bucket remap of every phase, and the final skew.
     pub split_ns: u64,
-    /// Nanoseconds spent in the assignment pass, which sweeps the source
-    /// once to put each rect in the bucket holding its centre.
+    /// Nanoseconds spent folding each bucket's summary (count, average
+    /// width and height) from the final grid's [`CentreSums`], O(cells)
+    /// with no sweep of the source.
     pub assign_ns: u64,
 }
 
@@ -685,56 +714,37 @@ fn best_split_marginal(block: &CellBlock, prefix: &GridPrefixSums) -> Option<Can
     best
 }
 
-/// The final data pass of Algorithm Min-Skew: assign each rectangle to the
-/// bucket whose region contains its centre, then emit bucket summaries.
+/// The final step of Algorithm Min-Skew: each bucket summarises the
+/// rectangles whose centre lies in its region.
 ///
 /// Shared by every grid-block-based partitioner in this crate (greedy
-/// Min-Skew, the optimal-BSP baseline). One sequential sweep of the source:
-/// the pass accumulates `f64` sums (counts, widths, heights) in id order,
-/// and those sums are part of the statistics bytes.
-pub(crate) fn blocks_to_histogram<S: RectSource + ?Sized>(
+/// Min-Skew, the optimal-BSP baseline). The blocks tile the grid and
+/// `centres` holds each cell's count and fixed-point width and height
+/// sums, so a bucket's summary is a fold over its block's cells: O(cells),
+/// with no sweep of the rectangles. The sums are exact, so the summary is
+/// the same whatever order the rectangles came in.
+pub(crate) fn blocks_to_histogram(
     name: &str,
-    data: &S,
+    n: usize,
     grid: &DensityGrid,
+    centres: &CentreSums,
     blocks: &[CellBlock],
     rule: ExtensionRule,
 ) -> SpatialHistogram {
-    // Cell -> bucket index map for O(1) point location.
-    let mut owner = vec![u32::MAX; grid.num_cells()];
-    for (bi, b) in blocks.iter().enumerate() {
-        for iy in b.y0..=b.y1 {
-            let row = iy * grid.nx();
-            for slot in &mut owner[row + b.x0..=row + b.x1] {
-                *slot = bi as u32;
-            }
-        }
-    }
-    let mut count = vec![0f64; blocks.len()];
-    let mut sum_w = vec![0f64; blocks.len()];
-    let mut sum_h = vec![0f64; blocks.len()];
-    data.for_each_run(&mut |run| {
-        for r in run {
-            let (ix, iy) = grid.cell_containing(r.center());
-            let bi = owner[iy * grid.nx() + ix];
-            debug_assert!(bi != u32::MAX, "blocks must tile the grid");
-            let bi = bi as usize;
-            count[bi] += 1.0;
-            sum_w[bi] += r.width();
-            sum_h[bi] += r.height();
-        }
-    });
     let buckets: Vec<Bucket> = blocks
         .iter()
-        .enumerate()
-        .filter(|&(bi, _)| count[bi] > 0.0)
-        .map(|(bi, b)| Bucket {
-            mbr: grid.block_rect(b),
-            count: count[bi],
-            avg_width: sum_w[bi] / count[bi],
-            avg_height: sum_h[bi] / count[bi],
+        .filter_map(|b| {
+            let (count, sum_w, sum_h) = centres.block(b);
+            let count = count as f64;
+            (count > 0.0).then(|| Bucket {
+                mbr: grid.block_rect(b),
+                count,
+                avg_width: sum_w / count,
+                avg_height: sum_h / count,
+            })
         })
         .collect();
-    SpatialHistogram::from_parts(name, buckets, data.stats().n, rule)
+    SpatialHistogram::from_parts(name, buckets, n, rule)
 }
 
 #[cfg(test)]

@@ -115,14 +115,15 @@ pub fn try_build_optimal_bsp(
 
 fn build_optimal_bsp_inner(data: &Dataset, buckets: usize, side: usize) -> OptimalBsp {
     let mbr = data.stats().mbr;
-    let grid = DensityGrid::build(data.rects().iter(), mbr, side, side);
+    let (grid, centres) = DensityGrid::build_with_centres(data, mbr, side, side);
     let prefix = GridPrefixSums::from_grid(&grid);
     let solver = Solver::new(&grid, &prefix, buckets);
     let (skew, blocks) = solver.solve(grid.full_block());
     let histogram = blocks_to_histogram(
         "Optimal-BSP",
-        data,
+        data.len(),
         &grid,
+        &centres,
         &blocks,
         ExtensionRule::default(),
     );

@@ -13,6 +13,9 @@
 //! * [`GridSet`] — density grids kept equal to a fresh build under inserts
 //!   and deletes, so a statistics rebuild over unchanged bounds can skip
 //!   the sweep.
+//! * [`CentreSums`] — per-cell counts and exact fixed-point width and
+//!   height sums of the rectangles centred in each cell of a grid, from
+//!   which Min-Skew's bucket summaries fold without a sweep.
 //! * [`GridPrefixSums`] — 2-D prefix-sum tables of density and squared
 //!   density, giving O(1) evaluation of the sum / sum-of-squares / SSE of any
 //!   axis-aligned block of cells. The SSE of a block equals `n·s` from the
@@ -39,7 +42,7 @@ pub use atomic::{
 };
 pub use dataset::{Dataset, DatasetStats};
 pub use fault::{ChaosReader, FaultInjector, FaultKind, FaultSource};
-pub use grid::{CellBlock, DensityGrid, GridSet};
+pub use grid::{CellBlock, CentreSums, DensityGrid, GridSet};
 pub use io::{read_rects_csv, read_rects_csv_from, write_rects_csv, CsvError};
 pub use prefix::GridPrefixSums;
 pub use source::{source_mbr, CsvRectSource, RectSource};

@@ -19,8 +19,8 @@ use crate::{Dataset, DatasetStats};
 /// A rectangle collection that supports repeated sequential sweeps.
 ///
 /// Construction algorithms that honour the paper's memory model
-/// (Min-Skew's density-grid builds, the final bucket-assignment pass)
-/// consume data exclusively through this trait.
+/// (Min-Skew's density-grid builds) consume data exclusively through this
+/// trait.
 pub trait RectSource {
     /// Starts a fresh sweep over all rectangles.
     fn scan(&self) -> Box<dyn Iterator<Item = Rect> + '_>;
@@ -28,6 +28,14 @@ pub trait RectSource {
     /// Summary statistics (`N`, MBR, total area, average dimensions),
     /// computed once when the source is opened.
     fn stats(&self) -> DatasetStats;
+
+    /// `N` and the MBR, the two statistics a grid build reads. The default
+    /// takes them from [`RectSource::stats`]; a source that maintains them
+    /// answers without computing the rest.
+    fn len_and_mbr(&self) -> (usize, Rect) {
+        let stats = self.stats();
+        (stats.n, stats.mbr)
+    }
 
     /// Starts a fresh sweep, surfacing source failures as errors instead of
     /// panicking: the outer `Result` reports failure to *start* the sweep

@@ -38,8 +38,9 @@ fn main() -> std::io::Result<()> {
         stats.n, stats.mbr, stats.avg_width, stats.avg_height
     );
 
-    // ANALYZE: three refinement phases = four sequential sweeps, plus the
-    // final assignment sweep. Resident memory is O(grid + buckets).
+    // ANALYZE: one refinement = two phases, one sequential sweep each; the
+    // final sweep also sums each cell's centred rects for the bucket
+    // summaries. Resident memory is O(grid + buckets).
     let start = std::time::Instant::now();
     let hist = MinSkewBuilder::new(100)
         .regions(10_000)

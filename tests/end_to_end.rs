@@ -132,8 +132,9 @@ fn ground_truth_agrees_with_scan() {
 }
 
 /// Estimator trait objects: the whole roster can be driven polymorphically.
-/// A build that streams its input from CSV, one sweep per grid and one for
-/// the assignment pass, equals the in-memory build byte for byte.
+/// A build that streams its input from CSV, one sweep per grid (the final
+/// one also summing each cell's centred rects), equals the in-memory build
+/// byte for byte.
 #[test]
 fn streaming_build_matches_in_memory_build() {
     let data = minskew::datagen::charminar_with(2_000, 41);

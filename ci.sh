@@ -13,7 +13,9 @@
 #      against a changed crate API,
 #   6. the kernel-vs-linear serving differential suite, exhaustive matrix
 #      on, pinned to one test thread so scheduler interleaving can't mask
-#      ordering bugs,
+#      ordering bugs. Steps 6-8 and 10-12 each turn the exhaustive matrix
+#      on with the one root feature, --features exhaustive, and run one
+#      test binary,
 #   7. the observability differential suite (metrics on vs off serve the
 #      same bytes), exhaustive matrix on, single test thread,
 #   8. the snapshot recovery differential suite, exhaustive fault-kind ×
@@ -26,15 +28,15 @@
 #  10. the kernel differential suite pinning the SoA clip-and-accumulate
 #      plane bit-identical to the AoS reference fold, and its AVX2 scan
 #      (compiled on every x86_64 build) to its portable scalar body:
-#      exhaustive matrix on via --features kernel, single test thread so
+#      exhaustive matrix on, single test thread so
 #      runtime dispatch is exercised deterministically,
 #  11. the online-refine differential suite (clamping/partition/codec/
 #      Off-inertness invariants, exhaustive dataset × budget × feedback
-#      matrix on via --features refine, single test thread),
+#      matrix on, single test thread),
 #  12. the query-tracing differential suite (EXPLAIN bitwise equal to the
 #      kernel serving path, term sums reproducing estimates exactly,
-#      flight recorder / trace ids bit-invisible; exhaustive matrix on via
-#      --features trace, single test thread),
+#      flight recorder / trace ids bit-invisible; exhaustive matrix on,
+#      single test thread),
 #  13. a focused clippy pass over minskew-obs denying `unwrap()` even in
 #      the presence of poisoned-lock recovery paths,
 #  14. a focused clippy pass over the serving-path crates that additionally
@@ -47,7 +49,9 @@
 #      maintenance surface, trace-id echo, the EXPLAIN/FLIGHT/METRICS
 #      observability verbs, a raw malformed-TID fuzz probe, a raw
 #      three-request pipelined burst answered in order, the offline
-#      `minskew explain` surface, and a bounded `minskew top` scrape —
+#      `minskew explain` surface (over a freshly built stats file and over
+#      the committed charminar.stats, as README shows it), and a bounded
+#      `minskew top` scrape —
 #      shut it down over the wire, and require a clean exit plus an
 #      emitted metrics dump,
 #  16. a CLI maintain smoke: the offline `minskew maintain` churn demo
@@ -94,13 +98,13 @@ echo "==> benchmark package tests (outside the workspace)"
 cargo test -q --release --manifest-path minskew-benchmark/Cargo.toml
 
 echo "==> serving differential suite (exhaustive, single test thread)"
-RUST_TEST_THREADS=1 cargo test -q --test serving_differential --features serving
+RUST_TEST_THREADS=1 cargo test -q --test serving_differential --features exhaustive
 
 echo "==> observability differential suite (exhaustive, single test thread)"
-RUST_TEST_THREADS=1 cargo test -q --test obs_differential --features obs
+RUST_TEST_THREADS=1 cargo test -q --test obs_differential --features exhaustive
 
 echo "==> snapshot recovery differential suite (exhaustive, single test thread)"
-RUST_TEST_THREADS=1 cargo test -q --test snapshot_recovery --features snapshot
+RUST_TEST_THREADS=1 cargo test -q --test snapshot_recovery --features exhaustive
 
 echo "==> lock-free serving stress suite (single test thread)"
 RUST_TEST_THREADS=1 cargo test -q --test serve_stress
@@ -109,13 +113,13 @@ echo "==> wire protocol golden suite (single test thread)"
 RUST_TEST_THREADS=1 cargo test -q --test serve_protocol
 
 echo "==> kernel differential suite (exhaustive, single test thread)"
-RUST_TEST_THREADS=1 cargo test -q --test kernel_differential --features kernel
+RUST_TEST_THREADS=1 cargo test -q --test kernel_differential --features exhaustive
 
 echo "==> online-refine differential suite (exhaustive, single test thread)"
-RUST_TEST_THREADS=1 cargo test -q --test refine_differential --features refine
+RUST_TEST_THREADS=1 cargo test -q --test refine_differential --features exhaustive
 
 echo "==> query-tracing differential suite (exhaustive, single test thread)"
-RUST_TEST_THREADS=1 cargo test -q --test trace_differential --features trace
+RUST_TEST_THREADS=1 cargo test -q --test trace_differential --features exhaustive
 
 echo "==> clippy (minskew-obs, unwrap denied everywhere)"
 cargo clippy -p minskew-obs --all-targets -- -D warnings -D clippy::unwrap_used
@@ -253,13 +257,22 @@ if ./target/debug/minskew maintain --input "$SERVE_TMP/data.csv" \
     exit 1
 fi
 
-echo "==> CLI explain smoke (offline EXPLAIN against a built stats file)"
+echo "==> CLI explain smoke (offline EXPLAIN against a built and the committed stats file)"
 ./target/debug/minskew build --input "$SERVE_TMP/data.csv" \
     --technique min-skew --buckets 50 --out "$SERVE_TMP/stats.bin" >/dev/null
 EXPLAIN_CLI_OUT=$(./target/debug/minskew explain --stats "$SERVE_TMP/stats.bin" \
     --query 60,25,65,30 --terms 3)
 if [[ "$EXPLAIN_CLI_OUT" != *'bit-identical'* ]]; then
     echo "ERROR: minskew explain did not certify bit-identity" >&2
+    exit 1
+fi
+# README's own command, over the committed statistics file.
+README_EXPLAIN_OUT=$(./target/debug/minskew explain --stats charminar.stats \
+    --query 60,25,65,30 --terms 3)
+if [[ "$README_EXPLAIN_OUT" != *'bit-identical'* \
+    || "$README_EXPLAIN_OUT" != *'reproduces the estimate exactly'* ]]; then
+    echo "ERROR: minskew explain over charminar.stats did not certify its estimate:" \
+        "$README_EXPLAIN_OUT" >&2
     exit 1
 fi
 

@@ -8,15 +8,15 @@
 //!                  [--n N] [--seed S] --out data.csv
 //! minskew build    --input data.csv --technique min-skew|equi-area|
 //!                  equi-count|rtree|uniform [--buckets B] [--regions R]
-//!                  [--refinements K] [--trace] --out stats.bin
-//! minskew estimate --stats stats.bin --query x1,y1,x2,y2 [--input data.csv]
+//!                  [--refinements K] [--trace] --out stats.snap
+//! minskew estimate --stats stats.snap --query x1,y1,x2,y2 [--input data.csv]
 //!                  [--trace]
-//! minskew explain  --stats stats.bin --query x1,y1,x2,y2 [--input data.csv]
+//! minskew explain  --stats stats.snap --query x1,y1,x2,y2 [--input data.csv]
 //!                  [--terms N]
 //! minskew evaluate --input data.csv [--buckets B] [--qsize F]
 //!                  [--queries N] [--seed S]
 //! minskew tune     --input data.csv [--buckets B] [--queries N]
-//!                  [--out stats.bin]
+//!                  [--out stats.snap]
 //! minskew render   --input data.csv --technique <t> [--buckets B]
 //!                  --out out.svg
 //! minskew stats    --input data.csv [--buckets B] [--queries N]
@@ -24,8 +24,7 @@
 //! minskew maintain --input data.csv [--mode off|reanalyze|refine]
 //!                  [--buckets B] [--rounds R] [--queries N] [--qsize F]
 //!                  [--seed S]
-//! minskew snapshot save --input data.csv [--technique <t>] [--buckets B]
-//!                  --out stats.snap   (or --stats legacy.bin to migrate)
+//! minskew snapshot save --stats legacy.bin --out stats.snap
 //! minskew snapshot verify --snapshot stats.snap
 //! minskew snapshot load --snapshot stats.snap [--input data.csv]
 //! minskew serve    [--addr A] [--port-file F] [--input data.csv]
@@ -43,8 +42,10 @@
 //! workload through the query engine and dumps the metrics registry
 //! (human-readable, or the `minskew-obs/v1` JSON document with `--json`).
 //!
-//! Dataset files are `x1,y1,x2,y2` CSV; statistics files use the library's
-//! versioned catalog codec.
+//! Dataset files are `x1,y1,x2,y2` CSV. Every statistics file the CLI
+//! writes is a checksummed snapshot container, installed through the
+//! crash-safe atomic write protocol; every reader also accepts a legacy
+//! bare-codec file, which `snapshot save --stats` re-seals.
 //!
 //! Failures never panic: every error is mapped to a category with a stable
 //! process exit code, so scripts can branch on the failure class:
@@ -196,10 +197,7 @@ fn run(args: Vec<String>) -> Result<(), CliError> {
         ("render", _) => ("input technique buckets regions refinements out", render),
         ("stats", _) => ("input buckets queries qsize seed json", stats_cmd),
         ("maintain", _) => ("input mode buckets rounds queries qsize seed", maintain_cmd),
-        ("snapshot", "save") => (
-            "input stats technique buckets regions refinements out",
-            snapshot_save,
-        ),
+        ("snapshot", "save") => ("stats out", snapshot_save),
         ("snapshot", "verify") => ("snapshot", snapshot_verify),
         ("snapshot", "load") => ("snapshot input buckets", snapshot_load),
         ("snapshot", other) => {
@@ -234,17 +232,17 @@ minskew — spatial selectivity estimation (Min-Skew, SIGMOD 1999)
                    [--n N] [--seed S] [--width W] [--height H] --out data.csv
                    (--width/--height: the uniform kind's rect size)
   minskew build    --input data.csv --technique min-skew|equi-area|equi-count|rtree|uniform \\
-                   [--buckets B] [--regions R] [--refinements K] [--trace] --out stats.bin
+                   [--buckets B] [--regions R] [--refinements K] [--trace] --out stats.snap
                    (--trace prints the Min-Skew per-split audit trail; tracing never
                     changes the output bytes)
-  minskew estimate --stats stats.bin --query x1,y1,x2,y2 [--input data.csv] [--trace]
-  minskew explain  --stats stats.bin --query x1,y1,x2,y2 [--input data.csv] [--terms N]
+  minskew estimate --stats stats.snap --query x1,y1,x2,y2 [--input data.csv] [--trace]
+  minskew explain  --stats stats.snap --query x1,y1,x2,y2 [--input data.csv] [--terms N]
                    (the estimate with its evidence: per-bucket contributions, pruning
                     counters, extension-rule inputs; the headline is bit-identical to
                     `estimate`'s indexed serving path, and the term sum reproduces it)
   minskew evaluate --input data.csv [--buckets B] [--regions R] [--qsize F] [--queries N] \
                    [--seed S]
-  minskew tune     --input data.csv [--buckets B] [--queries N] [--out stats.bin]
+  minskew tune     --input data.csv [--buckets B] [--queries N] [--out stats.snap]
   minskew render   --input data.csv --technique T [--buckets B] [--regions R] \
                    [--refinements K] --out out.svg
   minskew stats    --input data.csv [--buckets B] [--queries N] [--qsize F] [--seed S] [--json]
@@ -256,11 +254,9 @@ minskew — spatial selectivity estimation (Min-Skew, SIGMOD 1999)
                     a query workload, and runs one maintenance pass per round: audit the
                     live accuracy, then repair per --mode: off observes only, reanalyze
                     rebuilds, refine applies the bounded query-driven histogram repair)
-  minskew snapshot save   --input data.csv [--technique T] [--buckets B] [--regions R] \
-                          [--refinements K] --out stats.snap
-  minskew snapshot save   --stats legacy.bin --out stats.snap   (migrate a legacy file)
-                   (builds or migrates statistics and installs them as a checksummed
-                    snapshot via the crash-safe temp+fsync+rename protocol)
+  minskew snapshot save   --stats legacy.bin --out stats.snap
+                   (re-seals a statistics file, legacy bare-codec ones included, as a
+                    checksummed snapshot)
   minskew snapshot verify --snapshot stats.snap
                    (integrity check only: exit 0 and a summary, or exit 5 on corruption)
   minskew snapshot load   --snapshot stats.snap [--input data.csv]
@@ -293,6 +289,8 @@ minskew — spatial selectivity estimation (Min-Skew, SIGMOD 1999)
                     quantiles, connections, and staleness for --name;
                     --iterations 0 polls until interrupted)
 
+stats files are written as checksummed snapshots (temp+fsync+rename); readers also
+accept legacy bare-codec files
 every subcommand rejects a flag it does not list as a usage error (exit 2)
 exit codes: 0 ok, 2 usage, 3 I/O, 4 malformed dataset, 5 corrupt stats, 6 build failure
 ";
@@ -394,14 +392,6 @@ fn build_technique(
     data: &Dataset,
     technique: &str,
     opts: &Flags,
-) -> Result<SpatialHistogram, CliError> {
-    Ok(build_technique_traced(data, technique, opts, false)?.0)
-}
-
-fn build_technique_traced(
-    data: &Dataset,
-    technique: &str,
-    opts: &Flags,
     traced: bool,
 ) -> Result<(SpatialHistogram, Option<MinSkewBuildTrace>), CliError> {
     let buckets = num(opts, "buckets", 100usize)?;
@@ -454,9 +444,8 @@ fn build(opts: &Flags) -> Result<(), CliError> {
     let technique = req(opts, "technique")?;
     let out = req(opts, "out")?;
     let traced = flag_set(opts, "trace");
-    let (hist, trace) = build_technique_traced(&data, technique, opts, traced)?;
-    std::fs::write(out, hist.to_bytes())
-        .map_err(|e| CliError::new(ErrorKind::Io, format!("writing {out}: {e}")))?;
+    let (hist, trace) = build_technique(&data, technique, opts, traced)?;
+    write_stats(out, &hist)?;
     println!(
         "built {} with {} buckets ({} bytes) over {} rects -> {out}",
         hist.name(),
@@ -496,16 +485,9 @@ fn parse_query(s: &str) -> Result<Rect, CliError> {
 fn estimate(opts: &Flags) -> Result<(), CliError> {
     let trace = minskew_obs::Trace::new();
     let stats_path = req(opts, "stats")?;
-    let hist = {
+    let (hist, _) = {
         let _span = trace.span("decode_stats");
-        let bytes = std::fs::read(stats_path)
-            .map_err(|e| CliError::new(ErrorKind::Io, format!("reading {stats_path}: {e}")))?;
-        SpatialHistogram::from_bytes(&bytes).map_err(|e| {
-            CliError::new(
-                ErrorKind::CorruptStats,
-                format!("decoding {stats_path}: {e}"),
-            )
-        })?
+        read_stats(stats_path)?
     };
     let query = parse_query(req(opts, "query")?)?;
     // Serve through the pruned kernel — bit-identical to the linear scan.
@@ -546,15 +528,7 @@ fn estimate(opts: &Flags) -> Result<(), CliError> {
 /// evidence behind it (per-bucket terms, pruning counters, extension-rule
 /// inputs), computed through the same indexed serving path as `estimate`.
 fn explain_cmd(opts: &Flags) -> Result<(), CliError> {
-    let stats_path = req(opts, "stats")?;
-    let bytes = std::fs::read(stats_path)
-        .map_err(|e| CliError::new(ErrorKind::Io, format!("reading {stats_path}: {e}")))?;
-    let hist = SpatialHistogram::from_bytes(&bytes).map_err(|e| {
-        CliError::new(
-            ErrorKind::CorruptStats,
-            format!("decoding {stats_path}: {e}"),
-        )
-    })?;
+    let (hist, _) = read_stats(req(opts, "stats")?)?;
     let query = parse_query(req(opts, "query")?)?;
     let mut scratch = KernelScratch::new();
     let trace = hist.estimate_count_explained(&query, &mut scratch);
@@ -819,8 +793,7 @@ fn tune(opts: &Flags) -> Result<(), CliError> {
         );
     }
     if let Some(out) = opts.get("out") {
-        std::fs::write(out, tuned.histogram.to_bytes())
-            .map_err(|e| CliError::new(ErrorKind::Io, format!("writing {out}: {e}")))?;
+        write_stats(out, &tuned.histogram)?;
         println!("wrote tuned histogram to {out}");
     }
     Ok(())
@@ -841,35 +814,36 @@ fn describe_snapshot(info: &SnapshotInfo) -> String {
     )
 }
 
-/// `snapshot save`: build statistics from a dataset (or re-seal an existing
-/// statistics file, migrating legacy bytes to the container format) and
-/// install them at `--out` through the crash-safe atomic write protocol.
-fn snapshot_save(opts: &Flags) -> Result<(), CliError> {
-    let out = req(opts, "out")?;
-    let hist = if let Some(stats_path) = opts.get("stats") {
-        // Migration path: accept container or legacy bytes.
-        let bytes = std::fs::read(stats_path)
-            .map_err(|e| CliError::new(ErrorKind::Io, format!("reading {stats_path}: {e}")))?;
-        let (hist, info) = SpatialHistogram::from_snapshot_bytes(&bytes).map_err(|e| {
-            CliError::new(
-                ErrorKind::CorruptStats,
-                format!("decoding {stats_path}: {e}"),
-            )
-        })?;
-        if info.version == FormatVersion::Legacy {
-            println!("migrating legacy statistics file {stats_path} to the snapshot container");
-        }
-        hist
-    } else {
-        let data = load(opts)?;
-        let technique = opts.get("technique").map_or("min-skew", String::as_str);
-        build_technique(&data, technique, opts)?
-    };
+/// Reads a statistics file: a snapshot container, or a legacy bare-codec
+/// file through the decoder's shim. A missing file is an I/O error (exit
+/// 3), bytes that fail to decode are corrupt statistics (exit 5).
+fn read_stats(path: &str) -> Result<(SpatialHistogram, SnapshotInfo), CliError> {
+    let bytes = std::fs::read(path)
+        .map_err(|e| CliError::new(ErrorKind::Io, format!("reading {path}: {e}")))?;
+    SpatialHistogram::from_snapshot_bytes(&bytes)
+        .map_err(|e| CliError::new(ErrorKind::CorruptStats, format!("decoding {path}: {e}")))
+}
+
+/// Writes `hist` to `out` as a checksummed snapshot container through the
+/// crash-safe atomic write protocol, and describes what it wrote.
+fn write_stats(out: &str, hist: &SpatialHistogram) -> Result<SnapshotInfo, CliError> {
     let bytes = hist.to_snapshot_bytes();
     write_atomic(std::path::Path::new(out), &bytes)
         .map_err(|e| CliError::new(ErrorKind::Io, format!("writing {out}: {e}")))?;
-    let info = minskew_core::verify_snapshot(&bytes)
-        .map_err(|e| CliError::new(ErrorKind::CorruptStats, format!("self-check: {e}")))?;
+    minskew_core::verify_snapshot(&bytes)
+        .map_err(|e| CliError::new(ErrorKind::CorruptStats, format!("self-check: {e}")))
+}
+
+/// `snapshot save`: re-seal an existing statistics file (migrating legacy
+/// bytes to the container format) at `--out`.
+fn snapshot_save(opts: &Flags) -> Result<(), CliError> {
+    let stats_path = req(opts, "stats")?;
+    let out = req(opts, "out")?;
+    let (hist, info) = read_stats(stats_path)?;
+    if info.version == FormatVersion::Legacy {
+        println!("migrating legacy statistics file {stats_path} to the snapshot container");
+    }
+    let info = write_stats(out, &hist)?;
     println!("saved {} -> {out}", describe_snapshot(&info));
     Ok(())
 }
@@ -877,11 +851,7 @@ fn snapshot_save(opts: &Flags) -> Result<(), CliError> {
 /// `snapshot verify`: run the full container integrity check without
 /// installing anything. Corruption of any kind is exit code 5.
 fn snapshot_verify(opts: &Flags) -> Result<(), CliError> {
-    let path = req(opts, "snapshot")?;
-    let bytes = std::fs::read(path)
-        .map_err(|e| CliError::new(ErrorKind::Io, format!("reading {path}: {e}")))?;
-    let info = minskew_core::verify_snapshot(&bytes)
-        .map_err(|e| CliError::new(ErrorKind::CorruptStats, format!("{path}: {e}")))?;
+    let (_, info) = read_stats(req(opts, "snapshot")?)?;
     println!("ok: {}", describe_snapshot(&info));
     Ok(())
 }
@@ -892,10 +862,7 @@ fn snapshot_verify(opts: &Flags) -> Result<(), CliError> {
 fn snapshot_load(opts: &Flags) -> Result<(), CliError> {
     let path = req(opts, "snapshot")?;
     if !opts.contains_key("input") {
-        let bytes = std::fs::read(path)
-            .map_err(|e| CliError::new(ErrorKind::Io, format!("reading {path}: {e}")))?;
-        let (_, info) = SpatialHistogram::from_snapshot_bytes(&bytes)
-            .map_err(|e| CliError::new(ErrorKind::CorruptStats, format!("decoding {path}: {e}")))?;
+        let (_, info) = read_stats(path)?;
         println!("loaded {}", describe_snapshot(&info));
         return Ok(());
     }
@@ -928,7 +895,7 @@ fn render(opts: &Flags) -> Result<(), CliError> {
     let data = load(opts)?;
     let technique = req(opts, "technique")?;
     let out = req(opts, "out")?;
-    let hist = build_technique(&data, technique, opts)?;
+    let (hist, _) = build_technique(&data, technique, opts, false)?;
     let svg = minskew_viz::partitioning_svg(&data, &hist, 800);
     std::fs::write(out, svg)
         .map_err(|e| CliError::new(ErrorKind::Io, format!("writing {out}: {e}")))?;
@@ -944,6 +911,29 @@ fn render(opts: &Flags) -> Result<(), CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `snapshot verify`, `estimate` and `explain` all accept the
+    /// statistics file at `stats`.
+    fn assert_readers_accept(stats: &std::path::Path) {
+        let stats = stats.display().to_string();
+        run(vec![
+            "snapshot".into(),
+            "verify".into(),
+            "--snapshot".into(),
+            stats.clone(),
+        ])
+        .unwrap_or_else(|e| panic!("verify {stats}: {e}"));
+        for cmd in ["estimate", "explain"] {
+            run(vec![
+                cmd.into(),
+                "--stats".into(),
+                stats.clone(),
+                "--query".into(),
+                "60,25,65,30".into(),
+            ])
+            .unwrap_or_else(|e| panic!("{cmd} {stats}: {e}"));
+        }
+    }
 
     #[test]
     fn flag_parsing() {
@@ -1126,6 +1116,8 @@ mod tests {
             stats.display().to_string(),
         ])
         .unwrap();
+        assert!(std::fs::read(&stats).unwrap().starts_with(b"MSKSNAP"));
+        assert_readers_accept(&stats);
 
         run(vec![
             "estimate".into(),
@@ -1214,6 +1206,18 @@ mod tests {
         .unwrap_err();
         assert_eq!(e.kind, ErrorKind::Usage, "{e}");
         assert!(e.message.contains("--input"), "{e}");
+        // `save` only re-seals a statistics file; `build` makes one.
+        let e = run(vec![
+            "snapshot".into(),
+            "save".into(),
+            "--input".into(),
+            "d.csv".into(),
+            "--out".into(),
+            "/no/such/dir/s.snap".into(),
+        ])
+        .unwrap_err();
+        assert_eq!(e.kind, ErrorKind::Usage, "{e}");
+        assert!(e.message.contains("--input"), "{e}");
         let e = run(vec![
             "catalog".into(),
             "ping".into(),
@@ -1290,7 +1294,8 @@ mod tests {
             stats.display().to_string(),
         ])
         .unwrap();
-        assert!(stats.exists());
+        assert!(std::fs::read(&stats).unwrap().starts_with(b"MSKSNAP"));
+        assert_readers_accept(&stats);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1376,12 +1381,13 @@ mod tests {
             csv.display().to_string(),
         ])
         .unwrap();
-        // save -> verify -> load (strict) all succeed.
+        // build -> verify -> load (strict) all succeed.
         run(vec![
-            "snapshot".into(),
-            "save".into(),
+            "build".into(),
             "--input".into(),
             csv.display().to_string(),
+            "--technique".into(),
+            "min-skew".into(),
             "--buckets".into(),
             "20".into(),
             "--regions".into(),
@@ -1474,7 +1480,7 @@ mod tests {
             csv.display().to_string(),
         ])
         .unwrap();
-        // `build` writes the legacy bare-codec format.
+        let built = dir.join("built.snap");
         run(vec![
             "build".into(),
             "--input".into(),
@@ -1484,9 +1490,15 @@ mod tests {
             "--buckets".into(),
             "8".into(),
             "--out".into(),
-            legacy.display().to_string(),
+            built.display().to_string(),
         ])
         .unwrap();
+        // `build` writes containers only; a file from before the container
+        // format holds the bare codec's bytes.
+        let (hist, _) =
+            SpatialHistogram::from_snapshot_bytes(&std::fs::read(&built).unwrap()).unwrap();
+        std::fs::write(&legacy, hist.to_bytes()).unwrap();
+        assert_readers_accept(&legacy);
         run(vec![
             "snapshot".into(),
             "save".into(),
@@ -1509,7 +1521,25 @@ mod tests {
         let (hist, info) = SpatialHistogram::from_snapshot_bytes(&container).unwrap();
         assert_eq!(info.version, FormatVersion::Container);
         assert_eq!(hist.to_bytes(), legacy_bytes);
+        // Re-sealing a container reproduces what `build` wrote.
+        assert_eq!(container, std::fs::read(&built).unwrap());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn readers_accept_the_committed_charminar_stats() {
+        let stats = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../charminar.stats");
+        assert_readers_accept(&stats);
+        run(vec![
+            "explain".into(),
+            "--stats".into(),
+            stats.display().to_string(),
+            "--query".into(),
+            "60,25,65,30".into(),
+            "--terms".into(),
+            "3".into(),
+        ])
+        .unwrap();
     }
 
     #[test]

@@ -384,7 +384,7 @@ impl MinSkewBuilder {
             let held = grids.take(mbr, cur_side, cur_side);
             let g = if phase + 1 < phases {
                 held.map_or_else(
-                    || DensityGrid::build(data.scan(), mbr, cur_side, cur_side),
+                    || DensityGrid::from_source(data, mbr, cur_side, cur_side),
                     |g| {
                         grids_reused += 1;
                         g

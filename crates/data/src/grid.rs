@@ -107,8 +107,29 @@ impl DensityGrid {
     }
 
     /// Builds the `nx × ny` density grid over `bounds` that
-    /// [`DensityGrid::build`] makes, and in the same sweep of `source` the
-    /// [`CentreSums`] over the same cells.
+    /// [`DensityGrid::build`] makes over `source`, sweeping it a slice at a
+    /// time through [`RectSource::for_each_run`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `nx == 0 || ny == 0`.
+    pub fn from_source<S: RectSource + ?Sized>(
+        source: &S,
+        bounds: Rect,
+        nx: usize,
+        ny: usize,
+    ) -> DensityGrid {
+        let mut grid = DensityGrid::build(std::iter::empty::<Rect>(), bounds, nx, ny);
+        source.for_each_run(&mut |run| {
+            for r in run {
+                grid.count(r, 1);
+            }
+        });
+        grid
+    }
+
+    /// Builds the grid of [`DensityGrid::from_source`], and in the same
+    /// sweep of `source` the [`CentreSums`] over the same cells.
     ///
     /// # Panics
     ///

@@ -13,10 +13,15 @@
 //!   typed error and nothing changes.
 //! * [`SpatialTable::load_snapshot`] — graceful: a corrupt file is
 //!   **quarantined** (renamed aside so the next load cannot trip over it),
-//!   the table rebuilds statistics from its live rows via the PR 1
+//!   the table rebuilds statistics from its live rows via the
 //!   degradation ladder, and the outcome is recorded in
 //!   [`StatsDiagnostics`] and the `engine.snapshot.*` metrics. Estimates
 //!   stay available and clamped to `[0, N]` through the whole cycle.
+//! * [`SpatialTable::load_stats`] — the same graceful load from bytes
+//!   already in memory, with the same recovery and nothing to quarantine.
+//!
+//! Every path decodes through [`SpatialHistogram::from_snapshot_bytes`], so
+//! each accepts a container or a legacy bare-codec blob.
 
 use std::path::{Path, PathBuf};
 
@@ -143,7 +148,7 @@ impl SpatialTable {
     ///    damaged bytes are kept for forensics but never reloaded,
     /// 2. walks the degradation ladder — rebuild from the live rows, or
     ///    the uniform floor when even that fails — exactly as
-    ///    [`SpatialTable::load_stats`] does for corrupt summaries,
+    ///    [`SpatialTable::load_stats`] does for corrupt bytes,
     /// 3. records the outcome in [`StatsDiagnostics`] (fallback rung,
     ///    `last_error`) and the `engine.snapshot.*` metrics.
     ///
@@ -170,7 +175,6 @@ impl SpatialTable {
                 // Quarantine only what exists: an Io error usually means
                 // the file is absent, and there is nothing to move.
                 let quarantined = if matches!(err, SnapshotIoError::Corrupt(_)) {
-                    self.bump_snapshot_counter("engine.snapshot.corrupt");
                     let moved = quarantine(path);
                     if moved.is_some() {
                         self.bump_snapshot_counter("engine.snapshot.quarantined");
@@ -179,11 +183,7 @@ impl SpatialTable {
                 } else {
                     None
                 };
-                // The recovery rung: rebuild from the rows we still have.
-                // `analyze` is itself degradation-protected, so this always
-                // installs *something* (uniform floor at worst).
-                self.analyze();
-                self.stamp_recovery(&err.to_string());
+                self.recover(&err);
                 self.note_snapshot("recover", clock.lap());
                 SnapshotLoadReport {
                     installed: false,
@@ -193,6 +193,23 @@ impl SpatialTable {
                 }
             }
         }
+    }
+
+    /// Installs persisted statistics from bytes: a snapshot container, or
+    /// a legacy bare-codec blob (the bytes of
+    /// [`SpatialHistogram::to_bytes`]).
+    ///
+    /// Bytes that fail to decode are never installed; the table recovers
+    /// as [`SpatialTable::load_snapshot`] does — rebuild from the live
+    /// rows, count `engine.snapshot.corrupt` — and the returned
+    /// diagnostics say so. Estimates therefore stay available and bounded
+    /// through a corrupt-statistics / recovery cycle.
+    pub fn load_stats(&mut self, bytes: &[u8]) -> StatsDiagnostics {
+        match SpatialHistogram::from_snapshot_bytes(bytes) {
+            Ok((hist, info)) => self.install_snapshot_stats(hist, &info),
+            Err(e) => self.recover(&SnapshotIoError::Corrupt(e)),
+        }
+        self.diagnostics.clone()
     }
 
     /// Installs decoded snapshot statistics with clean diagnostics and
@@ -211,15 +228,22 @@ impl SpatialTable {
         });
     }
 
-    /// Stamps the diagnostics after a recovery rebuild, preserving a deeper
-    /// ladder rung when `analyze` already fell to the uniform floor.
-    fn stamp_recovery(&mut self, trigger: &str) {
+    /// The one recovery body for statistics that could not be loaded:
+    /// count corrupt input, rebuild from the rows the table still has, and
+    /// stamp the diagnostics with the trigger. `analyze` is itself
+    /// degradation-protected, so this always installs *something*; a
+    /// deeper rung (the uniform floor) is preserved.
+    fn recover(&mut self, err: &SnapshotIoError) {
+        if matches!(err, SnapshotIoError::Corrupt(_)) {
+            self.bump_snapshot_counter("engine.snapshot.corrupt");
+        }
+        self.analyze();
         self.diagnostics.degraded = true;
         self.diagnostics.attempts += 1;
         if self.diagnostics.fallback != StatsFallback::Uniform {
             self.diagnostics.fallback = StatsFallback::RebuiltFromData;
         }
-        self.diagnostics.last_error = Some(trigger.to_owned());
+        self.diagnostics.last_error = Some(err.to_string());
     }
 
     /// Records one snapshot operation: an `engine.snapshot.<op>` counter
@@ -379,6 +403,34 @@ mod tests {
             t.stats().expect("analyzed").to_bytes()
         );
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn load_stats_installs_containers_and_recovers_from_corrupt_ones() {
+        let mut t = analyzed_table(1_000, 27);
+        let container = t.stats().expect("analyzed").to_snapshot_bytes();
+        let d = t.load_stats(&container);
+        assert_eq!(d.fallback, StatsFallback::None);
+        assert_eq!(t.stats().expect("installed").to_snapshot_bytes(), container);
+        let mut corrupt = container.clone();
+        let mid = corrupt.len() / 2;
+        corrupt[mid] ^= 0x01;
+        let d = t.load_stats(&corrupt);
+        assert_eq!(d.fallback, StatsFallback::RebuiltFromData);
+        assert!(d
+            .last_error
+            .as_deref()
+            .is_some_and(|e| e.contains("corrupt snapshot")));
+        let snap = t.metrics();
+        let counter = |name: &str| {
+            snap.counters
+                .iter()
+                .find(|(n, _)| n == name)
+                .map(|&(_, v)| v)
+        };
+        assert_eq!(counter("engine.snapshot.load_ok"), Some(1));
+        assert_eq!(counter("engine.snapshot.corrupt"), Some(1));
+        assert_eq!(counter("engine.stats.corrupt_summary"), None);
     }
 
     #[test]

@@ -951,44 +951,6 @@ impl SpatialTable {
         (build_uniform(rows), diag, None)
     }
 
-    /// Installs a persisted statistics summary (the bytes of
-    /// [`SpatialHistogram::to_bytes`]).
-    ///
-    /// A summary that fails to decode is never installed; instead the table
-    /// falls back down the ladder — rebuild from the live rows (itself
-    /// degradation-protected via [`SpatialTable::analyze`]) — and the
-    /// returned diagnostics say so. Estimates therefore stay available and
-    /// bounded through a corrupt-summary / recovery cycle.
-    pub fn load_stats(&mut self, bytes: &[u8]) -> StatsDiagnostics {
-        match SpatialHistogram::from_bytes(bytes) {
-            Ok(hist) => {
-                self.install_stats(
-                    hist,
-                    StatsDiagnostics {
-                        attempts: 1,
-                        ..StatsDiagnostics::default()
-                    },
-                );
-            }
-            Err(e) => {
-                let corrupt = e.to_string();
-                if self.options.metrics {
-                    self.registry.counter("engine.stats.corrupt_summary").inc();
-                }
-                self.analyze();
-                // analyze() recorded its own outcome; stamp on top that the
-                // trigger was a corrupt summary, preserving a deeper rung.
-                self.diagnostics.degraded = true;
-                self.diagnostics.attempts += 1;
-                if self.diagnostics.fallback != StatsFallback::Uniform {
-                    self.diagnostics.fallback = StatsFallback::RebuiltFromData;
-                }
-                self.diagnostics.last_error = Some(format!("corrupt summary: {corrupt}"));
-            }
-        }
-        self.diagnostics.clone()
-    }
-
     /// Diagnostics for the most recent statistics build or load.
     pub fn stats_diagnostics(&self) -> &StatsDiagnostics {
         &self.diagnostics

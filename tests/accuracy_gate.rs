@@ -5,7 +5,8 @@
 //!
 //! The bit-identity suites compare one build path against another, so they
 //! cannot see a deliberate change to the build itself (say, a different
-//! summation order in the assignment pass). This gate can: such a change
+//! fixed-point scale for the centre sums that bucket averages are folded
+//! from). This gate can: such a change
 //! may move these numbers only in digits the error metric cannot see.
 //! Every input is deterministic, so a failure here is a real change in
 //! accuracy. If the change is intended, re-pin the table from the values

@@ -12,7 +12,7 @@
 //! so on an AVX2 host every build tests the explicit-SIMD code against its
 //! reference; on other hosts both sides are the portable body.
 //!
-//! The base matrix below always runs (tier 1). The `kernel` feature turns
+//! The base matrix below always runs (tier 1). The `exhaustive` feature turns
 //! on the exhaustive cross product on larger inputs; the `proptest` feature
 //! adds randomized differential properties. CI also runs the suite under
 //! `RUST_TEST_THREADS=1` so test-scheduler interference cannot mask bugs.
@@ -269,9 +269,9 @@ fn morton_schedule_is_a_permutation_on_adversarial_batches() {
     assert!(seen.iter().all(|&s| s));
 }
 
-/// Exhaustive cross product on larger inputs — enabled by the `kernel`
+/// Exhaustive cross product on larger inputs — enabled by the `exhaustive`
 /// feature (CI runs it; plain `cargo test` keeps the fast base matrix).
-#[cfg(feature = "kernel")]
+#[cfg(feature = "exhaustive")]
 #[test]
 fn exhaustive_kernel_matrix() {
     let mut scratch = KernelScratch::new();

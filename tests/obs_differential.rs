@@ -8,11 +8,11 @@
 //!
 //! This is the same contract the serving layer (`serving_differential.rs`)
 //! is pinned by: an optimisation — here, an *instrumentation* — that is
-//! observationally invisible. The base matrix below always runs (tier 1); the `obs` feature
+//! observationally invisible. The base matrix below always runs (tier 1); the `exhaustive` feature
 //! turns on the exhaustive cross product.
 
 use minskew::prelude::*;
-#[cfg(feature = "obs")]
+#[cfg(feature = "exhaustive")]
 use minskew_datagen::SyntheticSpec;
 use minskew_datagen::{charminar_with, uniform_rects};
 
@@ -263,9 +263,9 @@ fn accuracy_monitor_reproduces_the_papers_error_metric() {
     );
 }
 
-/// Exhaustive cross product — enabled by the `obs` feature (CI runs it;
+/// Exhaustive cross product — enabled by the `exhaustive` feature (CI runs it;
 /// plain `cargo test` keeps the fast base matrix).
-#[cfg(feature = "obs")]
+#[cfg(feature = "exhaustive")]
 #[test]
 fn exhaustive_obs_matrix() {
     let datasets = [

@@ -19,13 +19,13 @@
 //!    to one that never calls it: turning the feature off reproduces
 //!    yesterday's bytes.
 //!
-//! The base tests below always run (tier 1); the `refine` feature turns on
+//! The base tests below always run (tier 1); the `exhaustive` feature turns on
 //! the exhaustive dataset × budget × feedback-volume matrix. CI runs the
-//! gated matrix with `RUST_TEST_THREADS=1 --features refine`.
+//! gated matrix with `RUST_TEST_THREADS=1 --features exhaustive`.
 
 use minskew::prelude::*;
 use minskew_datagen::charminar_with;
-#[cfg(feature = "refine")]
+#[cfg(feature = "exhaustive")]
 use minskew_datagen::uniform_rects;
 
 /// Deterministic query mix over (and beyond) the dataset extent.
@@ -294,10 +294,10 @@ fn maintenance_off_serves_bit_identical_to_never_maintaining() {
 
 // ---------------------------------------------------------------------
 // Exhaustive matrix: dataset × bucket budget × feedback volume.
-// Gated behind `--features refine`; CI runs it single-threaded.
+// Gated behind `--features exhaustive`; CI runs it single-threaded.
 // ---------------------------------------------------------------------
 
-#[cfg(feature = "refine")]
+#[cfg(feature = "exhaustive")]
 #[test]
 fn exhaustive_refine_matrix_holds_all_invariants() {
     let datasets: Vec<(&str, Dataset)> = vec![

@@ -12,7 +12,7 @@
 //! optimisation stack that must be observationally invisible. The kernel
 //! gets its own deeper matrix in `kernel_differential.rs`.
 //!
-//! The base matrix below always runs (tier 1). The `serving` feature turns
+//! The base matrix below always runs (tier 1). The `exhaustive` feature turns
 //! on the exhaustive cross product on larger inputs; the `proptest` feature
 //! adds randomized differential properties. CI also runs the suite under
 //! `RUST_TEST_THREADS=1` so test-scheduler interference cannot mask bugs.
@@ -320,9 +320,9 @@ fn assert_batch_matches_single_queries(data: &Dataset, queries: &[Rect]) -> Spat
     warm
 }
 
-/// Exhaustive cross product on larger inputs — enabled by the `serving`
+/// Exhaustive cross product on larger inputs — enabled by the `exhaustive`
 /// feature (CI runs it; plain `cargo test` keeps the fast base matrix).
-#[cfg(feature = "serving")]
+#[cfg(feature = "exhaustive")]
 #[test]
 fn exhaustive_serving_matrix() {
     let mut scratch = KernelScratch::new();

@@ -11,7 +11,7 @@
 //! Nothing in between: no panic, no silent mis-decode, no unbounded
 //! estimate, no stuck table. The base tests run under plain `cargo test`;
 //! the exhaustive fault × technique × seed matrix runs under
-//! `--features snapshot` (CI tier), and the arbitrary-byte-mutation
+//! `--features exhaustive` (CI tier), and the arbitrary-byte-mutation
 //! property tests under `--features proptest`.
 
 use minskew::prelude::*;
@@ -243,8 +243,8 @@ fn transient_write_faults_are_retried_and_permanent_ones_leave_dest_intact() {
 
 /// Exhaustive CI matrix: every snapshot fault kind × every technique ×
 /// several seeds. Run with `cargo test --test snapshot_recovery
-/// --features snapshot`.
-#[cfg(feature = "snapshot")]
+/// --features exhaustive`.
+#[cfg(feature = "exhaustive")]
 #[test]
 fn exhaustive_fault_technique_matrix() {
     let dir = tmp_dir("matrix");

@@ -20,7 +20,7 @@
 //!    must produce bit-identical estimates to an identically-built table
 //!    with the recorder off, and to one with metrics off entirely.
 //!
-//! The base matrix below always runs (tier 1). The `trace` feature turns
+//! The base matrix below always runs (tier 1). The `exhaustive` feature turns
 //! on the exhaustive cross product on larger inputs. CI also re-runs the
 //! suite under `RUST_TEST_THREADS=1`.
 
@@ -196,7 +196,7 @@ fn explained_estimate_is_bitwise_identical_to_indexed() {
     }
 }
 
-#[cfg(feature = "trace")]
+#[cfg(feature = "exhaustive")]
 #[test]
 fn explained_matrix_exhaustive() {
     let mut scratch = KernelScratch::new();
@@ -443,7 +443,7 @@ fn armed_recorder_captures_slow_sampled_and_wrong_queries() {
     assert_eq!(table.flight_recorder().total(), 0);
 }
 
-#[cfg(feature = "trace")]
+#[cfg(feature = "exhaustive")]
 #[test]
 fn recorder_matrix_exhaustive_bit_invisibility() {
     // Every technique × recorder config serves one bit pattern per query

@@ -64,9 +64,13 @@
 #      ANALYZE part timings engine.analyze.stats_ns,
 #      engine.analyze.min_skew.grid_ns, engine.analyze.min_skew.split_ns,
 #      engine.analyze.min_skew.assign_ns, and the row-sweep counter
-#      engine.analyze.row_sweeps), must count
+#      engine.analyze.row_sweeps, and the state gauges
+#      engine.stats.generation and engine.stats.bytes that the table reads
+#      at scrape time), must count
 #      at least one built grid for its one ANALYZE, and must carry none of
-#      the deleted names (engine.batch.cache_bypass, engine.query.clamp_ns),
+#      the deleted names (engine.batch.cache_bypass, engine.query.clamp_ns)
+#      nor any name of the deleted process-wide registry (core.build.*,
+#      par.*),
 #  18. checks that the committed BENCH_obs.json is a full-scale run
 #      (`"quick": false`) with its flight-recorder overhead column, and
 #      that the committed BENCH_snapshot.json and BENCH_parallel.json are
@@ -282,7 +286,8 @@ for NAME in engine.query.calls engine.cache.hits engine.batch.queries \
     engine.estimate.min_skew.ns engine.analyze.grid_reused \
     engine.analyze.grid_built engine.analyze.stats_ns \
     engine.analyze.min_skew.grid_ns engine.analyze.min_skew.split_ns \
-    engine.analyze.min_skew.assign_ns engine.analyze.row_sweeps; do
+    engine.analyze.min_skew.assign_ns engine.analyze.row_sweeps \
+    engine.stats.generation engine.stats.bytes; do
     if [[ "$STATS_JSON" != *"\"$NAME\""* ]]; then
         echo "ERROR: minskew stats --json is missing $NAME" >&2
         exit 1
@@ -295,6 +300,12 @@ fi
 for NAME in engine.batch.cache_bypass engine.query.clamp_ns; do
     if [[ "$STATS_JSON" == *"\"$NAME\""* ]]; then
         echo "ERROR: minskew stats --json still reports the deleted $NAME" >&2
+        exit 1
+    fi
+done
+for PREFIX in core.build. par.; do
+    if [[ "$STATS_JSON" == *"\"$PREFIX"* ]]; then
+        echo "ERROR: minskew stats --json still reports a $PREFIX* metric" >&2
         exit 1
     fi
 done

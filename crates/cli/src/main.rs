@@ -26,7 +26,7 @@
 //!                  [--seed S]
 //! minskew snapshot save --stats legacy.bin --out stats.snap
 //! minskew snapshot verify --snapshot stats.snap
-//! minskew snapshot load --snapshot stats.snap [--input data.csv]
+//! minskew snapshot load --snapshot stats.snap --input data.csv
 //! minskew serve    [--addr A] [--port-file F] [--input data.csv]
 //!                  [--table NAME] [--buckets B] [--technique T]
 //! minskew catalog  <action> --addr HOST:PORT [action flags]
@@ -37,10 +37,11 @@
 //! Every subcommand rejects a flag it does not know as a usage error,
 //! before it does any work.
 //!
-//! `build --trace` prints the Min-Skew per-split audit trail; `estimate
-//! --trace` prints the query's lifecycle spans; `stats` drives a serving
-//! workload through the query engine and dumps the metrics registry
-//! (human-readable, or the `minskew-obs/v1` JSON document with `--json`).
+//! `build --trace` prints the build time (and the Min-Skew per-split audit
+//! trail); `estimate --trace` prints the time of each stage of the query;
+//! `stats` drives a serving workload through the query engine and dumps
+//! the table's metrics snapshot (human-readable, or the `minskew-obs/v1`
+//! JSON document with `--json`).
 //!
 //! Dataset files are `x1,y1,x2,y2` CSV. Every statistics file the CLI
 //! writes is a checksummed snapshot container, installed through the
@@ -62,7 +63,8 @@
 //! `snapshot verify` maps every container-integrity failure (bad magic,
 //! checksum mismatch, truncation, malformed payload) to exit code 5, so
 //! health checks can distinguish "the snapshot is damaged" from plain I/O
-//! trouble (exit 3).
+//! trouble (exit 3). `snapshot load` demonstrates the engine's graceful
+//! recovery instead, so it needs the data to rebuild from (`--input`).
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
@@ -85,6 +87,7 @@ use minskew_datagen::{
 };
 use minskew_engine::{AnalyzeOptions, MaintenanceMode, RowId, SpatialTable, TableOptions};
 use minskew_geom::Rect;
+use minskew_obs::Stopwatch;
 use minskew_workload::{evaluate_all, GroundTruth, QueryWorkload};
 
 /// Failure category; the discriminant is the process exit code.
@@ -233,9 +236,10 @@ minskew — spatial selectivity estimation (Min-Skew, SIGMOD 1999)
                    (--width/--height: the uniform kind's rect size)
   minskew build    --input data.csv --technique min-skew|equi-area|equi-count|rtree|uniform \\
                    [--buckets B] [--regions R] [--refinements K] [--trace] --out stats.snap
-                   (--trace prints the Min-Skew per-split audit trail; tracing never
-                    changes the output bytes)
+                   (--trace prints the build time, and the Min-Skew per-split audit
+                    trail; tracing never changes the output bytes)
   minskew estimate --stats stats.snap --query x1,y1,x2,y2 [--input data.csv] [--trace]
+                   (--trace prints the time of each stage: decode, estimate, exact count)
   minskew explain  --stats stats.snap --query x1,y1,x2,y2 [--input data.csv] [--terms N]
                    (the estimate with its evidence: per-bucket contributions, pruning
                     counters, extension-rule inputs; the headline is bit-identical to
@@ -247,7 +251,7 @@ minskew — spatial selectivity estimation (Min-Skew, SIGMOD 1999)
                    [--refinements K] --out out.svg
   minskew stats    --input data.csv [--buckets B] [--queries N] [--qsize F] [--seed S] [--json]
                    (drives a serving workload through the query engine, audits live
-                    accuracy against exact counts, and dumps the metrics registry)
+                    accuracy against exact counts, and dumps the table's metrics)
   minskew maintain --input data.csv [--mode off|reanalyze|refine] [--buckets B] \\
                    [--rounds R] [--queries N] [--qsize F] [--seed S]
                    (simulates data drift in rounds — hotspot inserts plus deletes — serves
@@ -259,9 +263,9 @@ minskew — spatial selectivity estimation (Min-Skew, SIGMOD 1999)
                     checksummed snapshot)
   minskew snapshot verify --snapshot stats.snap
                    (integrity check only: exit 0 and a summary, or exit 5 on corruption)
-  minskew snapshot load   --snapshot stats.snap [--input data.csv]
-                   (strict load by default: corruption is exit 5; with --input, runs the
-                    engine's graceful recovery — quarantine + rebuild from the data)
+  minskew snapshot load   --snapshot stats.snap --input data.csv
+                   (runs the engine's graceful recovery: a corrupt snapshot is
+                    quarantined and statistics are rebuilt from the data)
   minskew serve    [--addr HOST:PORT] [--port-file F] [--input data.csv] [--table NAME] \\
                    [--buckets B] [--technique T] [--max-batch N]
                    (hosts a table catalog over the line protocol; --input preloads and
@@ -419,49 +423,50 @@ fn build_technique(
     })
 }
 
-fn print_build_trace(trace: &MinSkewBuildTrace) {
-    println!(
-        "build trace: {} splits over {} phase(s), final grid {}x{} -> final skew {:.3}",
-        trace.splits.len(),
-        trace.phases,
-        trace.grid_side,
-        trace.grid_side,
-        trace.final_skew
-    );
-    for (i, s) in trace.splits.iter().enumerate() {
-        println!(
-            "  #{i:<4} phase {} bucket {:<4} {:?} @ {:<12.3} skew {:.3} -> {:.3}",
-            s.phase, s.bucket, s.axis, s.coordinate, s.skew_before, s.skew_after
-        );
-    }
-    if trace.build_ns > 0 {
-        println!("build time: {:.3} ms", trace.build_ns as f64 / 1e6);
-    }
+fn build(opts: &Flags) -> Result<(), CliError> {
+    print!("{}", build_report(opts)?);
+    Ok(())
 }
 
-fn build(opts: &Flags) -> Result<(), CliError> {
+/// Builds and writes the statistics file; returns what `build` prints: the
+/// file written, and with `--trace` the Min-Skew split trail and the build
+/// time.
+fn build_report(opts: &Flags) -> Result<String, CliError> {
     let data = load(opts)?;
     let technique = req(opts, "technique")?;
     let out = req(opts, "out")?;
     let traced = flag_set(opts, "trace");
+    let clock = Stopwatch::start();
     let (hist, trace) = build_technique(&data, technique, opts, traced)?;
-    write_stats(out, &hist)?;
-    println!(
-        "built {} with {} buckets ({} bytes) over {} rects -> {out}",
+    let build_ns = clock.total();
+    let info = write_stats(out, &hist)?;
+    let mut report = format!(
+        "built {} with {} buckets ({} bytes) over {} rects -> {out}\n",
         hist.name(),
         hist.num_buckets(),
-        hist.size_bytes(),
+        info.total_bytes,
         data.len()
     );
-    match &trace {
-        Some(trace) => print_build_trace(trace),
-        None if traced => println!(
-            "(per-split tracing is Min-Skew-only; build time for every technique \
-             is recorded under core.build.* in `minskew stats`)"
-        ),
-        None => {}
+    if let Some(trace) = &trace {
+        report.push_str(&format!(
+            "build trace: {} splits over {} phase(s), final grid {}x{} -> final skew {:.3}\n",
+            trace.splits.len(),
+            trace.phases,
+            trace.grid_side,
+            trace.grid_side,
+            trace.final_skew
+        ));
+        for (i, s) in trace.splits.iter().enumerate() {
+            report.push_str(&format!(
+                "  #{i:<4} phase {} bucket {:<4} {:?} @ {:<12.3} skew {:.3} -> {:.3}\n",
+                s.phase, s.bucket, s.axis, s.coordinate, s.skew_before, s.skew_after
+            ));
+        }
     }
-    Ok(())
+    if traced {
+        report.push_str(&format!("build time: {:.3} ms\n", build_ns as f64 / 1e6));
+    }
+    Ok(report)
 }
 
 fn parse_query(s: &str) -> Result<Rect, CliError> {
@@ -483,45 +488,45 @@ fn parse_query(s: &str) -> Result<Rect, CliError> {
 }
 
 fn estimate(opts: &Flags) -> Result<(), CliError> {
-    let trace = minskew_obs::Trace::new();
-    let stats_path = req(opts, "stats")?;
-    let (hist, _) = {
-        let _span = trace.span("decode_stats");
-        read_stats(stats_path)?
-    };
+    print!("{}", estimate_report(opts)?);
+    Ok(())
+}
+
+/// What `estimate` prints: the estimate, the exact count with `--input`,
+/// and with `--trace` the time of each stage.
+fn estimate_report(opts: &Flags) -> Result<String, CliError> {
+    let mut clock = Stopwatch::start();
+    let (hist, _) = read_stats(req(opts, "stats")?)?;
+    let mut stages = vec![("decode_stats", clock.lap())];
     let query = parse_query(req(opts, "query")?)?;
     // Serve through the pruned kernel — bit-identical to the linear scan.
     let mut scratch = KernelScratch::new();
-    let est = {
-        let _span = trace.span("estimate");
-        hist.estimate_count_indexed(&query, &mut scratch)
-    };
+    clock.lap(); // parsing the query is not a stage
+    let est = hist.estimate_count_indexed(&query, &mut scratch);
+    stages.push(("estimate", clock.lap()));
     let selectivity = if hist.input_len() == 0 {
         0.0
     } else {
         est / hist.input_len() as f64
     };
-    println!(
-        "{}: estimated |Q| = {est:.1} (selectivity {selectivity:.5})",
+    let mut report = format!(
+        "{}: estimated |Q| = {est:.1} (selectivity {selectivity:.5})\n",
         hist.name(),
     );
     if opts.contains_key("input") {
-        let _span = trace.span("exact_count");
+        clock.lap();
         let data = load(opts)?;
-        println!("exact:    |Q| = {}", data.count_intersecting(&query));
+        let exact = data.count_intersecting(&query);
+        stages.push(("exact_count", clock.lap()));
+        report.push_str(&format!("exact:    |Q| = {exact}\n"));
     }
     if flag_set(opts, "trace") {
-        println!("trace:");
-        for e in trace.events() {
-            println!(
-                "  {:<14} start {:>10.3} us  dur {:>10.3} us",
-                e.name,
-                e.start_ns as f64 / 1e3,
-                e.dur_ns as f64 / 1e3
-            );
+        report.push_str("trace:\n");
+        for (stage, ns) in stages {
+            report.push_str(&format!("  {stage:<14} {:>10.3} us\n", ns as f64 / 1e3));
         }
     }
-    Ok(())
+    Ok(report)
 }
 
 /// `minskew explain` — the offline EXPLAIN surface: the estimate plus the
@@ -618,10 +623,7 @@ fn stats_cmd(opts: &Flags) -> Result<(), CliError> {
         let _ = table.estimate(q);
     }
     let report = table.audit_accuracy();
-    // The engine publishes per-table metrics; builders and the parallel
-    // runtime publish to the process-wide registry. Merge for one view.
-    let mut snap = table.metrics();
-    snap.merge(minskew_obs::Registry::global().snapshot());
+    let snap = table.metrics();
     if flag_set(opts, "json") {
         println!("{}", snap.to_json());
     } else {
@@ -856,15 +858,16 @@ fn snapshot_verify(opts: &Flags) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `snapshot load`: strict decode by default (corruption is exit code 5);
-/// with `--input`, demonstrates the engine's graceful recovery instead —
-/// the corrupt file is quarantined and statistics are rebuilt from data.
+/// `snapshot load`: demonstrates the engine's graceful recovery — a
+/// corrupt file is quarantined and statistics are rebuilt from `--input`.
+/// A strict check that installs nothing is `snapshot verify`.
 fn snapshot_load(opts: &Flags) -> Result<(), CliError> {
     let path = req(opts, "snapshot")?;
     if !opts.contains_key("input") {
-        let (_, info) = read_stats(path)?;
-        println!("loaded {}", describe_snapshot(&info));
-        return Ok(());
+        return Err(CliError::usage(
+            "snapshot load needs --input data.csv to recover from; \
+             `snapshot verify --snapshot F` checks a file strictly",
+        ));
     }
     let data = load(opts)?;
     let mut table = SpatialTable::try_new(TableOptions {
@@ -933,6 +936,40 @@ mod tests {
             ])
             .unwrap_or_else(|e| panic!("{cmd} {stats}: {e}"));
         }
+    }
+
+    /// Flags as `parse_flags` would produce them.
+    fn flags(pairs: &[(&str, &str)]) -> Flags {
+        pairs
+            .iter()
+            .map(|&(k, v)| (k.to_string(), v.to_string()))
+            .collect()
+    }
+
+    #[test]
+    fn write_stats_reports_the_written_file_size() {
+        let dir = std::env::temp_dir().join(format!("minskew-cli-size-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let out = dir.join("s.snap");
+        let data = charminar_with(1_000, 3);
+        let hist = MinSkewBuilder::new(20).regions(400).build(&data);
+        let info = write_stats(&out.display().to_string(), &hist).unwrap();
+        let written = std::fs::metadata(&out).unwrap().len();
+        assert_eq!(info.total_bytes as u64, written);
+        // `build` reports that size, not the in-memory footprint.
+        let csv = dir.join("d.csv");
+        write_rects_csv(&data, &csv).unwrap();
+        let report = build_report(&flags(&[
+            ("input", &csv.display().to_string()),
+            ("technique", "min-skew"),
+            ("buckets", "20"),
+            ("regions", "400"),
+            ("out", &out.display().to_string()),
+        ]))
+        .unwrap();
+        let written = std::fs::metadata(&out).unwrap().len();
+        assert!(report.contains(&format!("({written} bytes)")), "{report}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1338,16 +1375,31 @@ mod tests {
         let plain = build(false, &dir.join("plain.bin"));
         let traced = build(true, &dir.join("traced.bin"));
         assert_eq!(plain, traced, "--trace changed the stats bytes");
-        // `estimate --trace` runs.
-        run(vec![
-            "estimate".into(),
-            "--stats".into(),
-            dir.join("plain.bin").display().to_string(),
-            "--query".into(),
-            "0,0,2000,2000".into(),
-            "--trace".into(),
-        ])
+        // `build --trace` times every technique, not only Min-Skew.
+        let out = dir.join("equi.bin").display().to_string();
+        let report = build_report(&flags(&[
+            ("input", &csv.display().to_string()),
+            ("technique", "equi-area"),
+            ("buckets", "16"),
+            ("trace", "true"),
+            ("out", &out),
+        ]))
         .unwrap();
+        assert!(report.contains("build time: "), "{report}");
+        // `estimate --trace` times its three stages.
+        let report = estimate_report(&flags(&[
+            ("stats", &dir.join("plain.bin").display().to_string()),
+            ("query", "0,0,2000,2000"),
+            ("input", &csv.display().to_string()),
+            ("trace", "true"),
+        ]))
+        .unwrap();
+        for stage in ["decode_stats", "estimate", "exact_count"] {
+            assert!(
+                report.lines().any(|l| l.trim_start().starts_with(stage)),
+                "{stage} missing from {report}"
+            );
+        }
         // `stats` serves a workload and exits cleanly in both output modes.
         let base = vec![
             "stats".to_string(),
@@ -1403,28 +1455,30 @@ mod tests {
             snap.display().to_string(),
         ])
         .unwrap();
-        run(vec![
+        // `load` recovers from data, so without `--input` it is a usage
+        // error that points at `verify`.
+        let e = run(vec![
             "snapshot".into(),
             "load".into(),
             "--snapshot".into(),
             snap.display().to_string(),
         ])
-        .unwrap();
-        // Corrupt the file: verify and strict load report exit class 5.
+        .unwrap_err();
+        assert_eq!(e.kind, ErrorKind::Usage);
+        assert!(e.message.contains("snapshot verify"), "{}", e.message);
+        // Corrupt the file: verify reports exit class 5.
         let mut bytes = std::fs::read(&snap).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x40;
         std::fs::write(&snap, &bytes).unwrap();
-        for action in ["verify", "load"] {
-            let e = run(vec![
-                "snapshot".into(),
-                action.into(),
-                "--snapshot".into(),
-                snap.display().to_string(),
-            ])
-            .unwrap_err();
-            assert_eq!(e.kind, ErrorKind::CorruptStats, "{action}");
-        }
+        let e = run(vec![
+            "snapshot".into(),
+            "verify".into(),
+            "--snapshot".into(),
+            snap.display().to_string(),
+        ])
+        .unwrap_err();
+        assert_eq!(e.kind, ErrorKind::CorruptStats);
         // Graceful load with --input recovers (exit 0) and quarantines.
         run(vec![
             "snapshot".into(),

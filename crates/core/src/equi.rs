@@ -102,7 +102,6 @@ impl BuildBucket {
 
 fn build_equi(data: &Dataset, buckets: usize, strategy: Strategy, name: &str) -> SpatialHistogram {
     assert!(buckets >= 1, "need at least one bucket");
-    let mut build_clock = minskew_obs::Stopwatch::start();
     let rects = data.rects();
     if rects.is_empty() {
         return SpatialHistogram::from_parts(name, vec![], 0, ExtensionRule::default());
@@ -145,9 +144,7 @@ fn build_equi(data: &Dataset, buckets: usize, strategy: Strategy, name: &str) ->
         .filter(|p| !p.members.is_empty())
         .map(|p| finalize(&p, rects))
         .collect();
-    let hist = SpatialHistogram::from_parts(name, buckets, input_len, ExtensionRule::default());
-    crate::buildobs::record_build(&hist, build_clock.lap());
-    hist
+    SpatialHistogram::from_parts(name, buckets, input_len, ExtensionRule::default())
 }
 
 fn finalize(p: &BuildBucket, rects: &[Rect]) -> Bucket {

@@ -50,7 +50,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 mod bucket;
-mod buildobs;
 mod codec;
 mod diagnostics;
 mod equi;

@@ -473,8 +473,6 @@ impl MinSkewBuilder {
         split_ns += build_clock.lap();
         let hist = blocks_to_histogram("Min-Skew", n, &grid, &centres, &blocks, self.rule);
         let assign_ns = build_clock.lap();
-        let build_ns = build_clock.total();
-        crate::buildobs::record_build(&hist, build_ns);
         let detail = MinSkewDetail {
             spatial_skew: skew,
             grid_side: grid.nx().max(grid.ny()),
@@ -492,7 +490,6 @@ impl MinSkewBuilder {
             phases,
             final_skew: skew,
             grid_side: detail.grid_side,
-            build_ns,
         };
         (hist, detail, trace)
     }
@@ -554,8 +551,6 @@ pub struct MinSkewBuildTrace {
     pub final_skew: f64,
     /// Side length of the final grid actually used.
     pub grid_side: usize,
-    /// Wall-clock construction time in nanoseconds.
-    pub build_ns: u64,
 }
 
 /// A chosen split as recorded inside [`greedy_split`], in grid coordinates;

@@ -103,7 +103,6 @@ fn build_rtree_partitioning_with(
     options: RTreePartitioningOptions,
     config: RTreeConfig,
 ) -> SpatialHistogram {
-    let mut build_clock = minskew_obs::Stopwatch::start();
     let items = || {
         data.rects()
             .iter()
@@ -132,9 +131,7 @@ fn build_rtree_partitioning_with(
             avg_height: s.sum_height / s.count as f64,
         })
         .collect();
-    let hist = SpatialHistogram::from_parts("R-Tree", out, data.len(), ExtensionRule::default());
-    crate::buildobs::record_build(&hist, build_clock.lap());
-    hist
+    SpatialHistogram::from_parts("R-Tree", out, data.len(), ExtensionRule::default())
 }
 
 /// Convenience wrapper using default options.

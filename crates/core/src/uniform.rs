@@ -29,7 +29,6 @@ pub fn try_build_uniform<S: RectSource + ?Sized>(data: &S) -> Result<SpatialHist
 ///
 /// Reads only the source's summary statistics, never its rectangles.
 pub fn build_uniform<S: RectSource + ?Sized>(data: &S) -> SpatialHistogram {
-    let mut build_clock = minskew_obs::Stopwatch::start();
     let s = data.stats();
     let bucket = Bucket {
         mbr: s.mbr,
@@ -38,9 +37,7 @@ pub fn build_uniform<S: RectSource + ?Sized>(data: &S) -> SpatialHistogram {
         avg_height: s.avg_height,
     };
     let buckets = if s.n == 0 { vec![] } else { vec![bucket] };
-    let hist = SpatialHistogram::from_parts("Uniform", buckets, s.n, ExtensionRule::default());
-    crate::buildobs::record_build(&hist, build_clock.lap());
-    hist
+    SpatialHistogram::from_parts("Uniform", buckets, s.n, ExtensionRule::default())
 }
 
 #[cfg(test)]

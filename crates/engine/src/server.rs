@@ -80,11 +80,13 @@
 //! 25 ms read timeout.
 //!
 //! Per-connection and per-verb counters and request latency flow into the
-//! server's [`Registry`]
-//! ([`ServerHandle::metrics`]). The per-request ones are resolved once per
+//! server's [`Registry`]. The per-request ones are resolved once per
 //! server, so an `ESTIMATE` takes no registry lock, and once its
 //! connection's buffers have grown it allocates nothing (a flight record,
-//! when one is taken, copies its trace id).
+//! when one is taken, copies its trace id). State is not mirrored into
+//! the registry: `serve.active_connections` and `serve.tables` are read
+//! when a snapshot is taken ([`ServerHandle::metrics`]), and `STATS` is a
+//! fixed projection of that same snapshot.
 
 use std::borrow::Cow;
 use std::fmt::Write as _;
@@ -97,7 +99,8 @@ use std::time::Duration;
 
 use minskew_geom::Rect;
 use minskew_obs::{
-    Counter, FlightRecorder, FlightTrigger, Histogram, QueryRecord, Registry, Stopwatch,
+    Counter, FlightRecorder, FlightTrigger, Histogram, QueryRecord, Registry, RegistrySnapshot,
+    Stopwatch,
 };
 
 use crate::catalog::{CatalogEntry, CatalogError, SpatialCatalog};
@@ -286,6 +289,25 @@ impl ServerCtx {
         }
     }
 
+    /// The server's metrics: its registry, with the state gauges read at
+    /// scrape time merged in (`serve.active_connections`, `serve.tables`).
+    /// `METRICS`, `STATS`, [`ServerHandle::metrics`] and
+    /// [`ServerHandle::join`] all read this one snapshot.
+    fn metrics(&self) -> RegistrySnapshot {
+        let mut snapshot = self.registry.snapshot();
+        snapshot.merge(RegistrySnapshot {
+            gauges: vec![
+                (
+                    "serve.active_connections".to_owned(),
+                    self.active.load(Ordering::SeqCst) as f64,
+                ),
+                ("serve.tables".to_owned(), self.catalog.len() as f64),
+            ],
+            ..RegistrySnapshot::default()
+        });
+        snapshot
+    }
+
     /// Bumps a rarely used counter by name (one registry lookup).
     fn bump(&self, name: &str) {
         self.registry.counter(name).inc();
@@ -377,25 +399,26 @@ impl ServerHandle {
         self.ctx.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Blocks until the accept loop and every connection thread exit.
-    pub fn join(mut self) -> minskew_obs::RegistrySnapshot {
+    /// Blocks until the accept loop and every connection thread exit;
+    /// returns the final metrics snapshot.
+    pub fn join(mut self) -> RegistrySnapshot {
         if let Some(accept) = self.accept.take() {
             let _ = accept.join();
         }
-        self.ctx.registry.snapshot()
+        self.ctx.metrics()
     }
 
     /// Requests shutdown and waits for a clean drain; returns the final
     /// metrics snapshot.
-    pub fn shutdown(self) -> minskew_obs::RegistrySnapshot {
+    pub fn shutdown(self) -> RegistrySnapshot {
         self.request_shutdown();
         self.join()
     }
 
-    /// A point-in-time snapshot of the server's metrics registry
-    /// (`serve.*` counters, gauges, latency histograms).
-    pub fn metrics(&self) -> minskew_obs::RegistrySnapshot {
-        self.ctx.registry.snapshot()
+    /// A point-in-time snapshot of the server's metrics (`serve.*`
+    /// counters, gauges, latency histograms): what `METRICS` exports.
+    pub fn metrics(&self) -> RegistrySnapshot {
+        self.ctx.metrics()
     }
 }
 
@@ -487,14 +510,8 @@ fn handle_connection(stream: TcpStream, ctx: Arc<ServerCtx>) {
     let _ = stream.set_read_timeout(Some(READ_POLL));
     let _ = stream.set_write_timeout(Some(SERVE_WRITE_TIMEOUT));
     ctx.active.fetch_add(1, Ordering::SeqCst);
-    ctx.registry
-        .gauge("serve.active_connections")
-        .set(ctx.active.load(Ordering::SeqCst) as f64);
     serve_requests(stream, &ctx);
-    let now = ctx.active.fetch_sub(1, Ordering::SeqCst) - 1;
-    ctx.registry
-        .gauge("serve.active_connections")
-        .set(now as f64);
+    ctx.active.fetch_sub(1, Ordering::SeqCst);
 }
 
 fn serve_requests(mut stream: TcpStream, ctx: &Arc<ServerCtx>) {
@@ -1153,8 +1170,8 @@ fn cmd_metrics(ctx: &Arc<ServerCtx>, args: &[&str]) -> Reply {
     // `METRICS <t> [json|text]` a table's. The format literals win the
     // one-argument ambiguity, like `FLIGHT`'s counts.
     let (snap, format) = match args {
-        [] => (ctx.registry.snapshot(), "json"),
-        [first] if *first == "json" || *first == "text" => (ctx.registry.snapshot(), *first),
+        [] => (ctx.metrics(), "json"),
+        [first] if *first == "json" || *first == "text" => (ctx.metrics(), *first),
         [name] => match lookup(ctx, name) {
             Ok(entry) => (entry.table().metrics(), "json"),
             Err(reply) => return reply,
@@ -1174,15 +1191,28 @@ fn cmd_metrics(ctx: &Arc<ServerCtx>, args: &[&str]) -> Reply {
     framed(&text)
 }
 
+/// The count gauge `name` of a metrics snapshot, as an integer (0 if
+/// absent).
+fn count(snap: &RegistrySnapshot, name: &str) -> u64 {
+    snap.gauge(name).map_or(0, |v| v as u64)
+}
+
+/// `STATS` is a fixed projection of the snapshot `METRICS` exports: every
+/// number comes from it. Only a table's `fallback` and `maintenance`
+/// labels, which are not numbers, are read from the table.
 fn cmd_stats(ctx: &Arc<ServerCtx>, args: &[&str]) -> Reply {
     match args {
         [] => {
-            let lat = ctx.registry.histogram("serve.request_ns").snapshot();
+            let snap = ctx.metrics();
+            let lat = snap
+                .histogram("serve.request_ns")
+                .cloned()
+                .unwrap_or_default();
             ok(format_args!(
                 "{{\"tables\":{},\"active_connections\":{},\"request_ns\":\
                  {{\"count\":{},\"p50\":{},\"p95\":{},\"p99\":{}}}}}",
-                ctx.catalog.len(),
-                ctx.active.load(Ordering::SeqCst),
+                count(&snap, "serve.tables"),
+                count(&snap, "serve.active_connections"),
                 lat.count,
                 lat.quantile_upper_bound(0.5),
                 lat.quantile_upper_bound(0.95),
@@ -1192,22 +1222,21 @@ fn cmd_stats(ctx: &Arc<ServerCtx>, args: &[&str]) -> Reply {
         [name] => match lookup(ctx, name) {
             Ok(entry) => {
                 let table = entry.table();
-                let snapshot = table.current_snapshot();
-                let diag = table.stats_diagnostics();
-                let buckets = snapshot.stats().map_or(0, |s| s.num_buckets());
+                let snap = table.metrics();
                 // Filter non-finite staleness: `{s:.6}` would otherwise
                 // print a bare `NaN`/`inf` token into the JSON reply.
-                let staleness = table
-                    .stats_staleness()
+                let staleness = snap
+                    .gauge("engine.stats.staleness")
                     .filter(|s| s.is_finite())
                     .map_or_else(|| String::from("null"), |s| format!("{s:.6}"));
                 ok(format_args!(
-                    "{{\"table\":\"{name}\",\"rows\":{},\"buckets\":{buckets},\
+                    "{{\"table\":\"{name}\",\"rows\":{},\"buckets\":{},\
                      \"generation\":{},\"fallback\":\"{}\",\"maintenance\":\"{}\",\
                      \"staleness\":{staleness}}}",
-                    table.len(),
-                    snapshot.generation(),
-                    diag.fallback,
+                    count(&snap, "engine.rows"),
+                    count(&snap, "engine.stats.buckets"),
+                    count(&snap, "engine.stats.generation"),
+                    table.stats_diagnostics().fallback,
                     table.maintenance_mode(),
                 ))
             }
@@ -1507,6 +1536,105 @@ mod tests {
         );
         assert!(line(&ctx, &mut conn, "METRICS ghost").starts_with("ERR 2 "));
         assert!(line(&ctx, &mut conn, "METRICS t xml").starts_with("ERR 2 "));
+    }
+
+    /// A blocking line client for the tests that need real connections.
+    struct Client(std::io::BufReader<TcpStream>);
+
+    impl Client {
+        fn connect(addr: SocketAddr) -> Client {
+            Client(std::io::BufReader::new(
+                TcpStream::connect(addr).expect("connect"),
+            ))
+        }
+
+        fn send(&mut self, req: &str) -> String {
+            use std::io::BufRead;
+            let stream = self.0.get_mut();
+            stream.write_all(req.as_bytes()).expect("write");
+            stream.write_all(b"\n").expect("write");
+            let mut reply = String::new();
+            self.0.read_line(&mut reply).expect("read");
+            reply.trim_end().to_string()
+        }
+    }
+
+    /// The numeric field `key` of a single-line JSON reply.
+    fn field(json: &str, key: &str) -> String {
+        let at = json.find(&format!("\"{key}\":")).expect(key) + key.len() + 3;
+        json[at..]
+            .split([',', '}'])
+            .next()
+            .expect("value")
+            .to_string()
+    }
+
+    #[test]
+    fn stats_is_a_projection_of_the_metrics_snapshot() {
+        let handle = serve(Arc::new(SpatialCatalog::new()), ServeOptions::default())
+            .expect("bind an ephemeral port");
+        // Every connection that has answered is counted until it closes.
+        let (mut a, mut b) = (
+            Client::connect(handle.addr()),
+            Client::connect(handle.addr()),
+        );
+        assert_eq!(a.send("PING"), "OK pong");
+        assert_eq!(b.send("PING"), "OK pong");
+        let mut c = Client::connect(handle.addr());
+        assert_eq!(c.send("CREATE t"), "OK created t");
+        for i in 0..40 {
+            let x = f64::from(i % 8) * 10.0;
+            let y = f64::from(i / 8) * 10.0;
+            let req = format!("INSERT t {x} {y} {} {}", x + 5.0, y + 5.0);
+            assert!(c.send(&req).starts_with("OK "));
+        }
+        assert!(c.send("ANALYZE t").starts_with("OK analyzed t"));
+        assert!(c.send("INSERT t 1 1 2 2").starts_with("OK "));
+        // Served in process, so no request is recorded between a STATS
+        // reply and the snapshot it is checked against.
+        let ctx = &handle.ctx;
+        let Reply::Line(server) = cmd_stats(ctx, &[]) else {
+            panic!("STATS failed")
+        };
+        let Reply::Line(table) = cmd_stats(ctx, &["t"]) else {
+            panic!("STATS t failed")
+        };
+        let metrics = ctx.metrics();
+        let gauge = |name| metrics.gauge(name).expect(name).to_string();
+        assert_eq!(field(&server, "tables"), gauge("serve.tables"));
+        assert_eq!(
+            field(&server, "active_connections"),
+            gauge("serve.active_connections")
+        );
+        assert_eq!(field(&server, "active_connections"), "3");
+        let lat = metrics
+            .histogram("serve.request_ns")
+            .expect("requests timed");
+        assert_eq!(field(&server, "count"), lat.count.to_string());
+        for (key, q) in [("p50", 0.5), ("p95", 0.95), ("p99", 0.99)] {
+            assert_eq!(field(&server, key), lat.quantile_upper_bound(q).to_string());
+        }
+        let metrics = ctx.catalog.get("t").expect("created").table().metrics();
+        let gauge = |name| metrics.gauge(name).expect(name);
+        assert_eq!(field(&table, "rows"), gauge("engine.rows").to_string());
+        assert_eq!(field(&table, "rows"), "41");
+        assert_eq!(
+            field(&table, "buckets"),
+            gauge("engine.stats.buckets").to_string()
+        );
+        assert_eq!(
+            field(&table, "generation"),
+            gauge("engine.stats.generation").to_string()
+        );
+        let staleness = gauge("engine.stats.staleness");
+        assert!(staleness > 0.0);
+        assert_eq!(field(&table, "staleness"), format!("{staleness:.6}"));
+        // Connections that close together leave the count at zero.
+        drop((a, b, c));
+        assert_eq!(
+            handle.shutdown().gauge("serve.active_connections"),
+            Some(0.0)
+        );
     }
 
     #[test]

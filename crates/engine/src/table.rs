@@ -11,7 +11,7 @@ use minskew_core::{
 use minskew_data::GridSet;
 use minskew_geom::Rect;
 use minskew_obs::{
-    FlightRecorder, FlightTrigger, Gauge, QueryRecord, Registry, RegistrySnapshot, Stopwatch,
+    FlightRecorder, FlightTrigger, QueryRecord, Registry, RegistrySnapshot, Stopwatch,
 };
 use minskew_rtree::{Item, RStarTree, RTreeConfig, ValidationError};
 
@@ -465,9 +465,6 @@ pub struct SpatialTable {
     serving: Mutex<ServingState>,
     /// Per-table metrics registry (see [`SpatialTable::metrics`]).
     pub(crate) registry: Registry,
-    /// Current publication generation, resolved once so the per-mutation
-    /// publish path avoids a registry lookup.
-    generation_gauge: Arc<Gauge>,
     /// Monotonic publication counter; bumped by every mutation (a bulk
     /// insert is one).
     generation: u64,
@@ -525,7 +522,6 @@ impl SpatialTable {
             return Err(BuildError::ZeroBucketBudget);
         }
         let registry = Registry::new();
-        let generation_gauge = registry.gauge("engine.stats.generation");
         let current = Arc::new(TableSnapshot::new(0, 0, 0, None, None));
         let cell = Arc::new(SnapshotCell::new(current.clone()));
         // Metrics off ⇒ no recording at all; sizing the ring to zero makes
@@ -543,7 +539,6 @@ impl SpatialTable {
             diagnostics: StatsDiagnostics::default(),
             serving: Mutex::new(ServingState::new(&options, &cell)),
             registry,
-            generation_gauge,
             generation: 0,
             stats_era: 0,
             data_era: 0,
@@ -578,9 +573,6 @@ impl SpatialTable {
         ));
         self.current = snapshot.clone();
         self.cell.store(snapshot);
-        if self.options.metrics {
-            self.generation_gauge.set(self.generation as f64);
-        }
     }
 
     /// A lock-free reader handle over this table's published snapshots:
@@ -781,12 +773,6 @@ impl SpatialTable {
                     diag.fallback.label()
                 ))
                 .inc();
-            self.registry
-                .gauge("engine.stats.buckets")
-                .set(diag.achieved_buckets as f64);
-            self.registry
-                .gauge("engine.stats.bytes")
-                .set(hist.size_bytes() as f64);
         }
         self.stats = Some(hist);
         self.diagnostics = diag;
@@ -1127,34 +1113,50 @@ impl SpatialTable {
     }
 
     /// A snapshot of this table's metrics: the registry's `engine.*`
-    /// counters, gauges, and latency histograms, with the serving counters
-    /// (`engine.query.*`, `engine.cache.*`, `engine.batch.*`) merged in.
-    /// Those counters live only in the serving state, where the hot path
-    /// bumps them as plain integers under the lock it already holds; the
-    /// registry keeps no copy, so every read reports them exactly once.
+    /// counters, gauges, and latency histograms, with the values that
+    /// live elsewhere merged in at read time. Every value has one store:
     ///
-    /// Build-time metrics (`core.build.*`) and ground-truth counting
-    /// metrics (`par.*`) live in the process-wide [`minskew_obs::Registry::global`]
-    /// registry, not here: they aggregate work that is not owned by any one
-    /// table.
+    /// * the serving counters (`engine.query.*`, `engine.cache.*`,
+    ///   `engine.batch.*`) live only in the serving state, where the hot
+    ///   path bumps them as plain integers under the lock it already holds;
+    /// * the state gauges (`engine.rows`, `engine.stats.generation`,
+    ///   `engine.stats.buckets`, `engine.stats.bytes`, and
+    ///   `engine.stats.staleness` while statistics exist) are read from the
+    ///   table itself, metrics on or off. `engine.stats.bytes` is the
+    ///   published histogram's [`SpatialEstimator::size_bytes`], kernel
+    ///   plane included.
     pub fn metrics(&self) -> RegistrySnapshot {
         let counters = self
             .serving
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .counters();
+        let stats = self.current.stats();
+        let mut gauges = vec![
+            ("engine.rows", self.rows.len() as f64),
+            (
+                "engine.stats.buckets",
+                stats.map_or(0, |s| s.num_buckets()) as f64,
+            ),
+            (
+                "engine.stats.bytes",
+                stats.map_or(0, |s| s.size_bytes()) as f64,
+            ),
+            ("engine.stats.generation", self.generation as f64),
+        ];
+        if let Some(staleness) = self.stats_staleness() {
+            gauges.push(("engine.stats.staleness", staleness));
+        }
         let mut snapshot = self.registry.snapshot();
         snapshot.merge(RegistrySnapshot {
             counters,
+            gauges: gauges
+                .into_iter()
+                .map(|(name, value)| (name.to_owned(), value))
+                .collect(),
             ..RegistrySnapshot::default()
         });
         snapshot
-    }
-
-    /// This table's metrics as a self-describing JSON document
-    /// (schema `minskew-obs/v1`).
-    pub fn metrics_json(&self) -> String {
-        self.metrics().to_json()
     }
 
     /// Replays the accuracy monitor's reservoir of sampled served queries
@@ -1383,14 +1385,6 @@ impl SpatialTable {
     /// `ANALYZE`, incrementally repaired) and the accuracy reservoir keeps
     /// its replayed feedback.
     fn install_refined(&mut self, hist: SpatialHistogram) {
-        if self.options.metrics {
-            self.registry
-                .gauge("engine.stats.buckets")
-                .set(hist.buckets().len() as f64);
-            self.registry
-                .gauge("engine.stats.bytes")
-                .set(hist.size_bytes() as f64);
-        }
         self.diagnostics.achieved_buckets = hist.buckets().len();
         self.stats = Some(hist);
         self.stats_era += 1;
@@ -1468,11 +1462,7 @@ mod tests {
 
     /// The counter `name` in the table's metrics snapshot (0 if absent).
     fn counter(t: &SpatialTable, name: &str) -> u64 {
-        t.metrics()
-            .counters
-            .into_iter()
-            .find(|(n, _)| n == name)
-            .map_or(0, |(_, v)| v)
+        t.metrics().counter(name).unwrap_or(0)
     }
 
     fn grid_table(side: usize) -> SpatialTable {
@@ -2103,7 +2093,7 @@ mod tests {
         assert_eq!(counter(&t, "engine.batch.queries"), 3);
         // A second read must not double count.
         assert_eq!(counter(&t, "engine.query.calls"), 20);
-        assert!(t.metrics_json().contains("\"engine.query.calls\": 20"));
+        assert!(t.metrics().to_json().contains("\"engine.query.calls\": 20"));
     }
 
     #[test]
@@ -2315,6 +2305,50 @@ mod tests {
             let est = t.estimate(&q);
             assert!((0.0..=t.len() as f64).contains(&est));
         }
+    }
+
+    #[test]
+    fn state_gauges_are_read_from_the_table_with_metrics_off() {
+        let mut t = SpatialTable::new(TableOptions {
+            metrics: false,
+            ..TableOptions::default()
+        });
+        let snap = t.metrics();
+        assert_eq!(snap.gauge("engine.stats.buckets"), Some(0.0));
+        assert_eq!(snap.gauge("engine.stats.bytes"), Some(0.0));
+        assert_eq!(snap.gauge("engine.stats.staleness"), None, "no statistics");
+        for i in 0..100 {
+            let x = f64::from(i % 10) * 10.0;
+            let y = f64::from(i / 10) * 10.0;
+            t.insert(Rect::new(x, y, x + 5.0, y + 5.0));
+        }
+        t.analyze();
+        t.insert(Rect::new(1.0, 1.0, 2.0, 2.0));
+        let snap = t.metrics();
+        let stats = t.stats().expect("analyzed");
+        assert_eq!(
+            snap.gauge("engine.stats.generation"),
+            Some(t.generation() as f64)
+        );
+        assert_eq!(
+            snap.gauge("engine.stats.buckets"),
+            Some(stats.num_buckets() as f64)
+        );
+        assert_eq!(snap.gauge("engine.rows"), Some(t.len() as f64));
+        assert_eq!(snap.gauge("engine.stats.staleness"), t.stats_staleness());
+        assert!(t.stats_staleness().is_some_and(|s| s > 0.0));
+    }
+
+    #[test]
+    fn stats_bytes_gauge_counts_the_published_kernel_plane() {
+        let mut t = grid_table(10);
+        t.analyze();
+        let published = t.current_snapshot();
+        let stats = published.stats().expect("analyzed");
+        let bytes = t.metrics().gauge("engine.stats.bytes").expect("gauge");
+        assert_eq!(bytes, stats.size_bytes() as f64);
+        let without_plane = stats.summary_bytes() + stats.serving_footprint().ext_table;
+        assert!(bytes > without_plane as f64, "{bytes} vs {without_plane}");
     }
 
     #[test]

@@ -15,14 +15,15 @@
 //!   (latencies in nanoseconds, sizes in bytes): 64 buckets, bucket *i*
 //!   counting values in `[2^i, 2^(i+1))`, recorded with two relaxed atomic
 //!   adds and summarised without allocation.
-//! * [`Stopwatch`] / [`Timer`] — monotonic-clock timing; `Timer` is the RAII
-//!   form that records into a histogram on drop.
-//! * [`Trace`] / [`Span`] — an event buffer of named RAII spans with start
-//!   offsets and durations, for `--trace`-style reporting.
-//! * [`Registry`] — a process- or component-wide directory of metrics under
-//!   hierarchical dot-separated names, exported to JSON
-//!   ([`Registry::to_json`], schema-pinned by a golden test) or
-//!   human-readable text ([`Registry::to_text`]).
+//! * [`Stopwatch`] — a monotonic-clock lap timer for staged timing.
+//! * [`Registry`] — one component's directory of metrics under
+//!   hierarchical dot-separated names. Each table and each server owns
+//!   one; there is no process-wide registry, so every value has exactly
+//!   one store. A [`RegistrySnapshot`] is the one read model: owners merge
+//!   the state they compute at scrape time into it, every surface reads
+//!   it by name ([`RegistrySnapshot::counter`], …), and it exports to JSON
+//!   ([`RegistrySnapshot::to_json`], schema-pinned by a golden test) or
+//!   human-readable text ([`RegistrySnapshot::to_text`]).
 //! * [`FlightRecorder`] — a fixed-capacity lock-free ring of structured
 //!   [`QueryRecord`]s (slow / wrong / sampled queries), drained as pinned
 //!   `minskew-obs/flight-v1` JSONL.
@@ -49,12 +50,12 @@ mod export;
 mod flight;
 mod metrics;
 mod registry;
-mod span;
+mod stopwatch;
 
 pub use flight::{FlightRecorder, FlightTrigger, QueryRecord, TID_BYTES};
 pub use metrics::{bucket_bounds, Counter, Gauge, Histogram, HistogramSnapshot, HISTOGRAM_BUCKETS};
 pub use registry::{Registry, RegistrySnapshot};
-pub use span::{Span, Stopwatch, Timer, Trace, TraceEvent};
+pub use stopwatch::Stopwatch;
 
 /// Normalises a display name (a technique name like `"Min-Skew"`) into one
 /// dot-separated metric-name component: lowercase, with `-`, spaces, and

@@ -159,7 +159,7 @@ impl Histogram {
 }
 
 /// A point-in-time copy of a [`Histogram`], sparse over non-empty buckets.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Total samples.
     pub count: u64,

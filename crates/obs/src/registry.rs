@@ -3,7 +3,7 @@
 use crate::export;
 use crate::metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// One registered metric.
 #[derive(Debug, Clone)]
@@ -14,7 +14,8 @@ enum Metric {
 }
 
 /// A directory of metrics under hierarchical dot-separated names
-/// (`engine.cache.hits`, `par.worker.busy_ns`).
+/// (`engine.cache.hits`, `serve.request_ns`), owned by the one table or
+/// server whose work it records.
 ///
 /// Lookup-or-create goes through a mutex, so callers hold on to the returned
 /// `Arc` rather than re-resolving names on hot paths; recording through the
@@ -31,14 +32,6 @@ impl Registry {
     /// Creates an empty registry.
     pub fn new() -> Registry {
         Registry::default()
-    }
-
-    /// The process-wide registry, created on first use. Components that are
-    /// not handed an explicit registry (the parallel runtime, builders)
-    /// record here; `minskew stats` and the exporters read it.
-    pub fn global() -> &'static Registry {
-        static GLOBAL: OnceLock<Registry> = OnceLock::new();
-        GLOBAL.get_or_init(Registry::new)
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, BTreeMap<String, Metric>> {
@@ -130,7 +123,27 @@ pub struct RegistrySnapshot {
     pub histograms: Vec<(String, HistogramSnapshot)>,
 }
 
+/// The value of the row named `name`, if any.
+fn find<'a, T>(rows: &'a [(String, T)], name: &str) -> Option<&'a T> {
+    rows.iter().find(|(n, _)| n == name).map(|(_, v)| v)
+}
+
 impl RegistrySnapshot {
+    /// The counter named `name`, if the snapshot carries one.
+    pub fn counter(&self, name: &str) -> Option<u64> {
+        find(&self.counters, name).copied()
+    }
+
+    /// The gauge named `name`, if the snapshot carries one.
+    pub fn gauge(&self, name: &str) -> Option<f64> {
+        find(&self.gauges, name).copied()
+    }
+
+    /// The histogram named `name`, if the snapshot carries one.
+    pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
+        find(&self.histograms, name)
+    }
+
     /// The snapshot as JSON (schema `minskew-obs/v1`, pinned by a golden
     /// test). Names sort lexicographically; non-finite gauges export as
     /// `null`.
@@ -230,6 +243,21 @@ mod tests {
     }
 
     #[test]
+    fn snapshot_lookups_find_each_kind_by_name() {
+        let r = Registry::new();
+        r.counter("c").add(3);
+        r.gauge("g").set(1.5);
+        r.histogram("h").record(7);
+        let snap = r.snapshot();
+        assert_eq!(snap.counter("c"), Some(3));
+        assert_eq!(snap.gauge("g"), Some(1.5));
+        assert_eq!(snap.histogram("h").map(|h| h.count), Some(1));
+        // A name resolves only within its own kind.
+        assert_eq!(snap.counter("g"), None);
+        assert_eq!(snap.gauge("missing"), None);
+    }
+
+    #[test]
     fn snapshot_sorts_names() {
         let r = Registry::new();
         r.counter("b");
@@ -238,12 +266,5 @@ mod tests {
         let snap = r.snapshot();
         let names: Vec<&str> = snap.counters.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, ["a", "b", "c"]);
-    }
-
-    #[test]
-    fn global_registry_is_a_singleton() {
-        let a = Registry::global().counter("test.registry.global");
-        let b = Registry::global().counter("test.registry.global");
-        assert!(Arc::ptr_eq(&a, &b));
     }
 }

@@ -57,10 +57,6 @@ where
         return items.iter().map(&f).collect();
     }
     let workers = threads.min(n_chunks);
-    let registry = minskew_obs::Registry::global();
-    registry.counter("par.queued.calls").inc();
-    registry.counter("par.queued.chunks").add(n_chunks as u64);
-    registry.counter("par.queued.workers").add(workers as u64);
     let cursor = AtomicUsize::new(0);
     let mut slots: Vec<Option<Vec<R>>> = (0..n_chunks).map(|_| None).collect();
     std::thread::scope(|scope| {
@@ -69,35 +65,16 @@ where
                 let cursor = &cursor;
                 let f = &f;
                 scope.spawn(move || {
-                    // Per-worker observability, accumulated locally and
-                    // flushed once at worker exit — the claim loop itself
-                    // stays two relaxed atomics per chunk.
-                    let clock = minskew_obs::Stopwatch::start();
-                    let mut contended: u64 = 0;
-                    let mut prev_ci: Option<usize> = None;
                     let mut done: Vec<(usize, Vec<R>)> = Vec::new();
                     loop {
                         let ci = cursor.fetch_add(1, Ordering::Relaxed);
                         if ci >= n_chunks {
                             break;
                         }
-                        // A gap in this worker's claim sequence means another
-                        // worker claimed in between: the queue was contended.
-                        if prev_ci.is_some_and(|p| ci != p + 1) {
-                            contended += 1;
-                        }
-                        prev_ci = Some(ci);
                         let lo = ci * chunk_size;
                         let hi = (lo + chunk_size).min(items.len());
                         done.push((ci, items[lo..hi].iter().map(f).collect()));
                     }
-                    let registry = minskew_obs::Registry::global();
-                    registry
-                        .histogram("par.worker.busy_ns")
-                        .record(clock.total());
-                    registry
-                        .counter("par.queue.contended_claims")
-                        .add(contended);
                     done
                 })
             })
@@ -136,29 +113,6 @@ mod tests {
                 assert_eq!(map_chunks_queued(threads, chunk, &items, spin), expect);
             }
         }
-    }
-
-    #[test]
-    fn queued_map_publishes_worker_metrics() {
-        let registry = minskew_obs::Registry::global();
-        let read = |snap: &minskew_obs::RegistrySnapshot, name: &str| {
-            snap.counters
-                .iter()
-                .find(|(n, _)| n == name)
-                .map_or(0, |&(_, v)| v)
-        };
-        let before = registry.snapshot();
-        let busy_before = registry.histogram("par.worker.busy_ns").count();
-        let items: Vec<usize> = (0..640).collect();
-        let out = map_chunks_queued(4, 64, &items, |x| x * 2);
-        assert_eq!(out, items.iter().map(|x| x * 2).collect::<Vec<_>>());
-        let after = registry.snapshot();
-        // The global registry is shared across concurrently running
-        // tests, so assert deltas as lower bounds.
-        assert!(read(&after, "par.queued.calls") > read(&before, "par.queued.calls"));
-        assert!(read(&after, "par.queued.chunks") >= read(&before, "par.queued.chunks") + 10);
-        assert!(read(&after, "par.queued.workers") >= read(&before, "par.queued.workers") + 4);
-        assert!(registry.histogram("par.worker.busy_ns").count() >= busy_before + 4);
     }
 
     #[test]

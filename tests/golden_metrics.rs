@@ -147,8 +147,9 @@ fn snapshot_merge_coalesces_same_named_metrics() {
 
 /// Counter merges across minskew-par workers are order-independent: the
 /// same multiset of `add`s lands on the same totals no matter how the
-/// scheduler interleaves workers. This is what makes `par.*` metrics
-/// trustworthy under the deterministic-parallelism contract.
+/// scheduler interleaves workers. This is what makes a counter shared by
+/// concurrent recorders (a table's or a server's) trustworthy under the
+/// deterministic-parallelism contract.
 #[cfg(feature = "proptest")]
 mod prop {
     use super::*;

@@ -8,9 +8,10 @@
 #      code via #![cfg_attr(not(test), deny(clippy::unwrap_used))],
 #   3. the root-package test suite (tier 1),
 #   4. the full workspace suite with every feature (incl. proptest suites),
-#   5. the benchmark package's own tests, in release mode: it is a package
-#      of its own outside the workspace, so no --workspace gate compiles it
-#      against a changed crate API,
+#   5. the benchmark package's own formatting, clippy at -D warnings over
+#      all its targets, and tests in release mode: it is a package of its
+#      own outside the workspace, so no --workspace gate compiles or lints
+#      it against a changed crate API,
 #   6. the kernel-vs-linear serving differential suite, exhaustive matrix
 #      on, pinned to one test thread so scheduler interleaving can't mask
 #      ordering bugs. Steps 6-8 and 10-12 each turn the exhaustive matrix
@@ -98,7 +99,9 @@ cargo test -q
 echo "==> cargo test --workspace --all-features"
 cargo test -q --workspace --all-features
 
-echo "==> benchmark package tests (outside the workspace)"
+echo "==> benchmark package fmt, clippy and tests (outside the workspace)"
+cargo fmt --manifest-path minskew-benchmark/Cargo.toml --check
+cargo clippy --release --manifest-path minskew-benchmark/Cargo.toml --all-targets -- -D warnings
 cargo test -q --release --manifest-path minskew-benchmark/Cargo.toml
 
 echo "==> serving differential suite (exhaustive, single test thread)"

@@ -249,7 +249,7 @@ impl MinSkewBuilder {
         grids: &mut GridSet,
     ) -> Result<(SpatialHistogram, MinSkewDetail), BuildError> {
         self.check_preconditions(source)?;
-        let (hist, detail, _) = self.build_impl(source, grids, false);
+        let (hist, detail, _) = self.build_impl(source, grids, false, greedy_split);
         Ok((hist, detail))
     }
 
@@ -280,7 +280,8 @@ impl MinSkewBuilder {
         &self,
         source: &S,
     ) -> (SpatialHistogram, MinSkewDetail) {
-        let (hist, detail, _) = self.build_impl(source, &mut GridSet::default(), false);
+        let (hist, detail, _) =
+            self.build_impl(source, &mut GridSet::default(), false, greedy_split);
         (hist, detail)
     }
 
@@ -295,7 +296,7 @@ impl MinSkewBuilder {
         &self,
         source: &S,
     ) -> (SpatialHistogram, MinSkewBuildTrace) {
-        let (hist, _, trace) = self.build_impl(source, &mut GridSet::default(), true);
+        let (hist, _, trace) = self.build_impl(source, &mut GridSet::default(), true, greedy_split);
         (hist, trace)
     }
 
@@ -307,7 +308,7 @@ impl MinSkewBuilder {
         source: &S,
     ) -> Result<(SpatialHistogram, MinSkewBuildTrace), BuildError> {
         self.check_preconditions(source)?;
-        let (hist, _, trace) = self.build_impl(source, &mut GridSet::default(), true);
+        let (hist, _, trace) = self.build_impl(source, &mut GridSet::default(), true, greedy_split);
         Ok((hist, trace))
     }
 
@@ -333,12 +334,14 @@ impl MinSkewBuilder {
     /// The one construction path behind every `build*` entry point. Each
     /// phase's grid comes from `grids` or is built; afterwards `grids` holds
     /// exactly the grids this build used. When `traced`, chosen splits are
-    /// recorded (the trace is empty otherwise).
+    /// recorded (the trace is empty otherwise). Every phase splits with
+    /// `split_loop`, which is [`greedy_split`] outside this module's tests.
     fn build_impl<S: RectSource + ?Sized>(
         &self,
         source: &S,
         grids: &mut GridSet,
         traced: bool,
+        split_loop: SplitLoop,
     ) -> (SpatialHistogram, MinSkewDetail, MinSkewBuildTrace) {
         let mut build_clock = minskew_obs::Stopwatch::start();
         let data = source;
@@ -435,7 +438,7 @@ impl MinSkewBuilder {
                 (self.buckets * (phase + 1)) / phases
             };
             let mut raw: Vec<RawSplit> = Vec::new();
-            greedy_split(
+            split_loop(
                 &mut blocks,
                 &p,
                 self.strategy,
@@ -572,14 +575,19 @@ struct Candidate {
     index: usize,
 }
 
+/// The greedy loop one refinement phase runs over its blocks: split until
+/// `target` blocks exist, recording chosen splits into the sink if given.
+type SplitLoop =
+    fn(&mut Vec<CellBlock>, &GridPrefixSums, SplitStrategy, usize, Option<&mut Vec<RawSplit>>);
+
 /// Greedily splits `blocks` until `target` buckets exist or no split
 /// reduces the spatial skew.
 ///
-/// Tie-break on equal skew reduction: the **lowest block index** wins, and
-/// within a block the X axis before the Y axis, then the **lowest split
-/// coordinate** (enforced by the strictly-greater comparisons in
-/// [`best_split_exact`] / [`best_split_marginal`], which scan axes and
-/// indices in ascending order).
+/// Tie-break on equal skew reduction: the **lowest block index** wins (see
+/// [`Tournament`]), and within a block the X axis before the Y axis, then
+/// the **lowest split coordinate** (the strictly-greater comparisons in
+/// [`GridPrefixSums::best_split`] / [`best_split_marginal`], which scan
+/// axes and indices in ascending order).
 fn greedy_split(
     blocks: &mut Vec<CellBlock>,
     prefix: &GridPrefixSums,
@@ -587,22 +595,21 @@ fn greedy_split(
     target: usize,
     mut sink: Option<&mut Vec<RawSplit>>,
 ) {
-    let mut candidates: Vec<Option<Candidate>> = blocks
-        .iter()
-        .map(|b| best_split(b, prefix, strategy))
-        .collect();
+    // The tree is sized for `target` buckets; a phase whose share of the
+    // budget is already met has nothing to split.
+    if blocks.len() >= target {
+        return;
+    }
+    let mut tree = Tournament::new(
+        target,
+        blocks.iter().map(|b| best_split(b, prefix, strategy)),
+    );
     while blocks.len() < target {
         // Pick the bucket whose best split yields the greatest reduction in
-        // spatial skew (the paper's greedy criterion). The scan keeps the
-        // first strict maximum, so ties resolve to the lowest block index.
-        let mut best: Option<(usize, Candidate)> = None;
-        for (i, cand) in candidates.iter().enumerate() {
-            let Some(cand) = cand else { continue };
-            if best.is_none_or(|(_, b)| cand.reduction > b.reduction) {
-                best = Some((i, *cand));
-            }
-        }
-        let Some((i, cand)) = best else { break };
+        // spatial skew (the paper's greedy criterion).
+        let Some((i, cand)) = tree.winner() else {
+            break;
+        };
         if cand.reduction <= 0.0 {
             break;
         }
@@ -620,8 +627,70 @@ fn greedy_split(
         }
         blocks[i] = a;
         blocks.push(b);
-        candidates[i] = best_split(&a, prefix, strategy);
-        candidates.push(best_split(&b, prefix, strategy));
+        tree.set(i, best_split(&a, prefix, strategy));
+        tree.set(blocks.len() - 1, best_split(&b, prefix, strategy));
+    }
+}
+
+/// Every bucket's cached best split under a tournament tree: the greedy
+/// pick reads the root, and replacing one bucket's candidate replays the
+/// O(log B) matches on its path.
+///
+/// Each internal node holds the slot that wins between its two children.
+/// The right child wins only with a *strictly greater* reduction and `None`
+/// always loses, so the root is the first strict maximum in slot order:
+/// among the buckets tied for the greatest reduction, the lowest index.
+/// Reductions are finite (they come from finite cell counts), so this is
+/// the order a linear scan for the first strict maximum gives.
+struct Tournament {
+    /// One candidate per bucket index; a power-of-two count, unused slots
+    /// `None`.
+    slots: Vec<Option<Candidate>>,
+    /// Winning slot per node: node `k` has children `2k` and `2k + 1`, the
+    /// leaves `slots.len()..` stand for the slots, and node 1 is the root.
+    winners: Vec<usize>,
+}
+
+impl Tournament {
+    /// A tree with room for `capacity` buckets holding `candidates` in
+    /// slot order.
+    fn new(capacity: usize, candidates: impl Iterator<Item = Option<Candidate>>) -> Tournament {
+        let leaves = capacity.next_power_of_two();
+        let mut slots: Vec<Option<Candidate>> = candidates.collect();
+        slots.resize(leaves, None);
+        let mut winners = vec![0; leaves];
+        winners.extend(0..leaves);
+        let mut tree = Tournament { slots, winners };
+        for k in (1..leaves).rev() {
+            tree.winners[k] = tree.play(k);
+        }
+        tree
+    }
+
+    /// The slot winning node `k`'s match between its two children.
+    fn play(&self, k: usize) -> usize {
+        let (left, right) = (self.winners[2 * k], self.winners[2 * k + 1]);
+        match (self.slots[left], self.slots[right]) {
+            (Some(l), Some(r)) if r.reduction > l.reduction => right,
+            (None, Some(_)) => right,
+            _ => left,
+        }
+    }
+
+    /// The winning bucket and its candidate, `None` if no bucket can split.
+    fn winner(&self) -> Option<(usize, Candidate)> {
+        let i = self.winners[1];
+        self.slots[i].map(|c| (i, c))
+    }
+
+    /// Replaces `slot`'s candidate and replays the matches above it.
+    fn set(&mut self, slot: usize, candidate: Option<Candidate>) {
+        self.slots[slot] = candidate;
+        let mut k = (self.slots.len() + slot) / 2;
+        while k > 0 {
+            self.winners[k] = self.play(k);
+            k /= 2;
+        }
     }
 }
 
@@ -631,35 +700,19 @@ fn best_split(
     prefix: &GridPrefixSums,
     strategy: SplitStrategy,
 ) -> Option<Candidate> {
-    if block.is_unit() {
-        return None;
-    }
-    match strategy {
-        SplitStrategy::Exact2d => best_split_exact(block, prefix),
-        SplitStrategy::Marginal => best_split_marginal(block, prefix),
-    }
-}
-
-fn best_split_exact(block: &CellBlock, prefix: &GridPrefixSums) -> Option<Candidate> {
-    let parent = prefix.block_sse(block);
-    let mut best: Option<Candidate> = None;
-    for axis in Axis::BOTH {
-        let (lo, hi) = match axis {
-            Axis::X => (block.x0, block.x1),
-            Axis::Y => (block.y0, block.y1),
-        };
-        for i in lo..hi {
-            let (a, b) = block.split_after(axis, i);
-            let reduction = parent - prefix.block_sse(&a) - prefix.block_sse(&b);
-            if best.is_none_or(|c| reduction > c.reduction) {
-                best = Some(Candidate {
+    let best = match strategy {
+        SplitStrategy::Exact2d => {
+            prefix
+                .best_split(block)
+                .map(|(reduction, axis, index)| Candidate {
                     reduction,
                     axis,
-                    index: i,
-                });
-            }
+                    index,
+                })
         }
-    }
+        SplitStrategy::Marginal => best_split_marginal(block, prefix),
+    };
+    debug_assert!(best.is_none_or(|c| c.reduction.is_finite()));
     best
 }
 
@@ -901,6 +954,170 @@ mod tests {
         assert_eq!(h.num_buckets(), 2);
         // Column 0 ends at a third of the 2.15-wide MBR; column 1 at two.
         assert!(h.buckets()[0].mbr.hi.x < 1.0, "{:?}", h.buckets()[0]);
+    }
+
+    #[test]
+    fn tie_break_across_blocks_prefers_the_lowest_block() {
+        // A 4x4 grid of exact cell counts: rows 0-1 read [8, 8, 0, 0] and
+        // rows 2-3 read [16, 16, 24, 24]. The first split separates the two
+        // row pairs; each pair then offers the same best reduction (128, by
+        // cutting after column 1), so the lower block must split first.
+        let density = |ix: usize, iy: usize| [[8, 8, 0, 0], [16, 16, 24, 24]][iy / 2][ix];
+        let mut rects = Vec::new();
+        for iy in 0..4 {
+            for ix in 0..4 {
+                let (x, y) = (ix as f64 + 0.5, iy as f64 + 0.5);
+                for _ in 0..density(ix, iy) {
+                    rects.push(Rect::new(x - 0.1, y - 0.1, x + 0.1, y + 0.1));
+                }
+            }
+        }
+        // Stretch the MBR to [0, 4]² (the first rect sits in cell (0, 0),
+        // the last in cell (3, 3)) so the cells are unit squares.
+        rects[0] = Rect::new(0.0, 0.0, 0.1, 0.1);
+        *rects.last_mut().expect("cell (3, 3) is not empty") = Rect::new(3.9, 3.9, 4.0, 4.0);
+        let ds = Dataset::new(rects);
+        let (_, trace) = MinSkewBuilder::new(4)
+            .regions(16)
+            .build_from_source_traced(&ds);
+        let picks: Vec<_> = trace
+            .splits
+            .iter()
+            .map(|s| (s.bucket, s.axis, s.grid_index))
+            .collect();
+        assert_eq!(picks, [(0, Axis::Y, 1), (0, Axis::X, 1), (1, Axis::X, 1)]);
+        let reduction = |s: &SplitEvent| s.skew_before - s.skew_after;
+        assert_eq!(reduction(&trace.splits[1]), 128.0);
+        assert_eq!(reduction(&trace.splits[2]), 128.0);
+    }
+
+    /// The split search before the tournament tree, kept as the oracle of
+    /// [`greedy_split`]: each pick scans every bucket's cached candidate
+    /// for the first strict maximum, and exact candidates are scored
+    /// through `block_sse` on the two `split_after` halves.
+    fn linear_scan_greedy_split(
+        blocks: &mut Vec<CellBlock>,
+        prefix: &GridPrefixSums,
+        strategy: SplitStrategy,
+        target: usize,
+        mut sink: Option<&mut Vec<RawSplit>>,
+    ) {
+        let best_split = |block: &CellBlock| match strategy {
+            _ if block.is_unit() => None,
+            SplitStrategy::Exact2d => block_sse_best_split(block, prefix),
+            SplitStrategy::Marginal => best_split_marginal(block, prefix),
+        };
+        let mut candidates: Vec<Option<Candidate>> = blocks.iter().map(best_split).collect();
+        while blocks.len() < target {
+            let mut best: Option<(usize, Candidate)> = None;
+            for (i, cand) in candidates.iter().enumerate() {
+                let Some(cand) = cand else { continue };
+                if best.is_none_or(|(_, b)| cand.reduction > b.reduction) {
+                    best = Some((i, *cand));
+                }
+            }
+            let Some((i, cand)) = best else { break };
+            if cand.reduction <= 0.0 {
+                break;
+            }
+            let (a, b) = blocks[i].split_after(cand.axis, cand.index);
+            if let Some(sink) = sink.as_deref_mut() {
+                sink.push(RawSplit {
+                    bucket: i,
+                    axis: cand.axis,
+                    index: cand.index,
+                    sse_before: prefix.block_sse(&blocks[i]),
+                    sse_after: prefix.block_sse(&a) + prefix.block_sse(&b),
+                });
+            }
+            blocks[i] = a;
+            blocks.push(b);
+            candidates[i] = best_split(&a);
+            candidates.push(best_split(&b));
+        }
+    }
+
+    fn block_sse_best_split(block: &CellBlock, prefix: &GridPrefixSums) -> Option<Candidate> {
+        let parent = prefix.block_sse(block);
+        let mut best: Option<Candidate> = None;
+        for axis in Axis::BOTH {
+            let (lo, hi) = match axis {
+                Axis::X => (block.x0, block.x1),
+                Axis::Y => (block.y0, block.y1),
+            };
+            for i in lo..hi {
+                let (a, b) = block.split_after(axis, i);
+                let reduction = parent - prefix.block_sse(&a) - prefix.block_sse(&b);
+                if best.is_none_or(|c| reduction > c.reduction) {
+                    best = Some(Candidate {
+                        reduction,
+                        axis,
+                        index: i,
+                    });
+                }
+            }
+        }
+        best
+    }
+
+    #[test]
+    fn tournament_split_search_matches_the_linear_scan_oracle() {
+        let road = minskew_datagen::RoadNetworkSpec {
+            segments: 20_000,
+            ..Default::default()
+        }
+        .generate(3);
+        // Every centre on one vertical line: the grid collapses to a
+        // single column, so no block ever has an X cut.
+        let line = Dataset::new(
+            (0..2_000)
+                .map(|i| {
+                    let y = (i * i % 997) as f64;
+                    Rect::new(5.0, y, 5.0, y + 0.5)
+                })
+                .collect(),
+        );
+        let datasets = [
+            ("charminar", charminar_with(20_000, 13)),
+            ("road", road),
+            ("line", line),
+        ];
+        let bits = |trace: &MinSkewBuildTrace| -> Vec<_> {
+            trace
+                .splits
+                .iter()
+                .map(|s| {
+                    (
+                        (s.phase, s.bucket, s.axis, s.grid_index),
+                        s.coordinate.to_bits(),
+                        s.skew_before.to_bits(),
+                        s.skew_after.to_bits(),
+                    )
+                })
+                .collect()
+        };
+        for (name, ds) in &datasets {
+            for budget in [1, 2, 50, 1000] {
+                for refinements in [0, 2] {
+                    for strategy in [SplitStrategy::Exact2d, SplitStrategy::Marginal] {
+                        let builder = MinSkewBuilder::new(budget)
+                            .progressive_refinements(refinements)
+                            .split_strategy(strategy);
+                        let case = format!("{name} β={budget} r={refinements} {strategy:?}");
+                        let (hist, trace) = builder.build_from_source_traced(ds);
+                        let (want, _, want_trace) = builder.build_impl(
+                            ds,
+                            &mut GridSet::default(),
+                            true,
+                            linear_scan_greedy_split,
+                        );
+                        assert_eq!(bits(&trace), bits(&want_trace), "{case}");
+                        assert_eq!(trace.final_skew.to_bits(), want_trace.final_skew.to_bits());
+                        assert_eq!(hist.to_snapshot_bytes(), want.to_snapshot_bytes(), "{case}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

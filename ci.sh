@@ -6,7 +6,9 @@
 #   2. clippy is clean at -D warnings across every target — the library
 #      crates (core/engine/data) additionally deny `unwrap()` in non-test
 #      code via #![cfg_attr(not(test), deny(clippy::unwrap_used))],
-#   3. the root-package test suite (tier 1),
+#   3. the tier-1 suite: plain `cargo test`, which through the root
+#      workspace's default-members runs the root package and every crate
+#      under crates/ (their unit tests and oracles included),
 #   4. the full workspace suite with every feature (incl. proptest suites),
 #   5. the benchmark package's own formatting, clippy at -D warnings over
 #      all its targets, and tests in release mode: it is a package of its
@@ -59,8 +61,7 @@
 #      must run in every maintenance mode and reject unknown ones,
 #  17. a CLI stats smoke: `minskew stats --json` over the generated
 #      2000-row charminar input must carry the counter and histogram names
-#      README quotes (engine.query.calls, engine.cache.hits,
-#      engine.batch.queries, engine.estimate.min_skew.ns,
+#      README quotes (engine.query.calls, engine.batch.queries, engine.estimate.min_skew.ns,
 #      engine.analyze.grid_reused, engine.analyze.grid_built, and the
 #      ANALYZE part timings engine.analyze.stats_ns,
 #      engine.analyze.min_skew.grid_ns, engine.analyze.min_skew.split_ns,
@@ -69,13 +70,15 @@
 #      engine.stats.generation and engine.stats.bytes that the table reads
 #      at scrape time), must count
 #      at least one built grid for its one ANALYZE, and must carry none of
-#      the deleted names (engine.batch.cache_bypass, engine.query.clamp_ns)
+#      the deleted names (engine.batch.cache_bypass, engine.query.clamp_ns,
+#      engine.cache.hits)
 #      nor any name of the deleted process-wide registry (core.build.*,
 #      par.*),
 #  18. checks that the committed BENCH_obs.json is a full-scale run
 #      (`"quick": false`) with its flight-recorder overhead column, and
-#      that the committed BENCH_snapshot.json and BENCH_parallel.json are
-#      full-scale runs, since README and DESIGN quote them,
+#      that the committed BENCH_snapshot.json, BENCH_parallel.json and
+#      BENCH_estimate.json are full-scale runs, since README and DESIGN
+#      quote them,
 #  19. smoke runs of the parallel-speedup, serving-throughput (asserting
 #      the qps_kernel and qps_kernel_scalar columns are present in the
 #      emitted artefact), obs-overhead (asserting the flight-recorder
@@ -285,7 +288,7 @@ fi
 
 echo "==> CLI stats smoke (minskew stats --json metric names)"
 STATS_JSON=$(./target/debug/minskew stats --input "$SERVE_TMP/data.csv" --json)
-for NAME in engine.query.calls engine.cache.hits engine.batch.queries \
+for NAME in engine.query.calls engine.batch.queries \
     engine.estimate.min_skew.ns engine.analyze.grid_reused \
     engine.analyze.grid_built engine.analyze.stats_ns \
     engine.analyze.min_skew.grid_ns engine.analyze.min_skew.split_ns \
@@ -300,7 +303,7 @@ if ! grep -Eq '"engine\.analyze\.grid_built": [1-9]' <<< "$STATS_JSON"; then
     echo "ERROR: minskew stats --json counts no built density grid for its ANALYZE" >&2
     exit 1
 fi
-for NAME in engine.batch.cache_bypass engine.query.clamp_ns; do
+for NAME in engine.batch.cache_bypass engine.query.clamp_ns engine.cache.hits; do
     if [[ "$STATS_JSON" == *"\"$NAME\""* ]]; then
         echo "ERROR: minskew stats --json still reports the deleted $NAME" >&2
         exit 1
@@ -320,8 +323,8 @@ if ! grep -q '"quick": false' BENCH_obs.json || ! grep -q '"recorder_overhead_pc
     exit 1
 fi
 
-echo "==> committed BENCH_snapshot.json and BENCH_parallel.json are full scale"
-for BENCH in BENCH_snapshot.json BENCH_parallel.json; do
+echo "==> committed BENCH_snapshot.json, BENCH_parallel.json and BENCH_estimate.json are full scale"
+for BENCH in BENCH_snapshot.json BENCH_parallel.json BENCH_estimate.json; do
     if ! grep -q '"quick": false' "$BENCH"; then
         echo "ERROR: the committed $BENCH must be a full-scale run (\"quick\": false)" >&2
         exit 1

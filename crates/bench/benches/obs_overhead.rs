@@ -1,7 +1,6 @@
 //! Observability overhead: the engine's serving path timed with metrics
 //! enabled (default sampling, accuracy reservoir on) against the same path
-//! with `TableOptions::metrics = false`, on both the cached and the
-//! uncached serving configurations — with the bit-identity contract
+//! with `TableOptions::metrics = false` — with the bit-identity contract
 //! re-checked before timing (instrumentation that changes an estimate is a
 //! bug, not an acceptable cost). A third column arms the flight recorder
 //! at its worst case (`flight_sample = 1`: every single query is encoded
@@ -10,9 +9,9 @@
 //! The contract under test is the observability layer's ≤5% serving
 //! overhead budget: with metrics on, every call pays a few plain integer
 //! bumps under the already-held serving lock, one in
-//! `metrics_sampling` calls pays two clock reads (and, when it computed,
-//! one per-technique latency record), and uncached computes pay one
-//! splitmix64 step for the accuracy reservoir.
+//! `metrics_sampling` calls pays two clock reads and one per-technique
+//! latency record, and every call pays one splitmix64 step for the
+//! accuracy reservoir.
 //! The serving counters are bumped with metrics off too; nothing on the
 //! hot path touches the registry (the counters are merged into the
 //! metrics snapshot when it is read).
@@ -52,12 +51,7 @@ impl Row {
     }
 }
 
-fn build_table(
-    data: &minskew_data::Dataset,
-    metrics: bool,
-    cache: bool,
-    flight_sample: u32,
-) -> SpatialTable {
+fn build_table(data: &minskew_data::Dataset, metrics: bool, flight_sample: u32) -> SpatialTable {
     let mut table = SpatialTable::new(TableOptions {
         analyze: AnalyzeOptions {
             technique: StatsTechnique::MinSkew,
@@ -66,7 +60,6 @@ fn build_table(
             refinements: 0,
         },
         metrics,
-        query_cache: cache,
         flight_sample,
         ..TableOptions::default()
     });
@@ -148,32 +141,21 @@ fn main() {
     let pool: Vec<Rect> = workload.queries().to_vec();
     let rounds = (200_000 / (pool.len() * scale.data_divisor)).max(2);
 
-    let mut rows = Vec::new();
-    for (path, cache) in [("uncached", false), ("cached", true)] {
-        let off = build_table(&data, false, cache, 0);
-        let on = build_table(&data, true, cache, 0);
-        // Worst-case recorder: every query encoded into the flight ring.
-        let recorder = build_table(&data, true, cache, 1);
-        if cache {
-            // Warm the caches so the timed loop measures steady-state hits.
-            for q in &pool {
-                let _ = off.estimate(q);
-                let _ = on.estimate(q);
-                let _ = recorder.estimate(q);
-            }
-        }
-        let row = bench_path(path, &off, &on, &recorder, &pool, rounds);
-        eprintln!(
-            "[obs] {path}: metrics off {:.0} q/s, on {:.0} q/s ({:.2}%), \
-             recorder on {:.0} q/s ({:+.2}% vs recorder-off)",
-            row.qps_metrics_off,
-            row.qps_metrics_on,
-            row.overhead_pct(),
-            row.qps_recorder_on,
-            row.recorder_overhead_pct()
-        );
-        rows.push(row);
-    }
+    let off = build_table(&data, false, 0);
+    let on = build_table(&data, true, 0);
+    // Worst-case recorder: every query encoded into the flight ring.
+    let recorder = build_table(&data, true, 1);
+    let row = bench_path("estimate", &off, &on, &recorder, &pool, rounds);
+    eprintln!(
+        "[obs] estimate: metrics off {:.0} q/s, on {:.0} q/s ({:.2}%), \
+         recorder on {:.0} q/s ({:+.2}% vs recorder-off)",
+        row.qps_metrics_off,
+        row.qps_metrics_on,
+        row.overhead_pct(),
+        row.qps_recorder_on,
+        row.recorder_overhead_pct()
+    );
+    let rows = [row];
 
     println!("\n## Observability overhead (queries/sec, median of {REPS})\n");
     println!("| path | metrics off | metrics on | overhead | recorder on | vs recorder-off |");

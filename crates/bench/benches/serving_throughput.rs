@@ -1,9 +1,8 @@
 //! Serving-path throughput: queries/sec for the scalar AoS reference fold
 //! vs the production block-pruned SoA kernel path vs its portable scalar
-//! body vs the kernel path behind the engine's query cache, at bucket
-//! budgets β ∈ {50, 200, 1000} on Charminar and the NJ-Road stand-in —
-//! with the bit-identity contract re-checked before timing (a speedup
-//! that changes the answer is a bug, not a win).
+//! body, at bucket budgets β ∈ {50, 200, 1000} on Charminar and the
+//! NJ-Road stand-in — with the bit-identity contract re-checked before
+//! timing (a speedup that changes the answer is a bug, not a win).
 //!
 //! `qps_linear` times the linear oracle (`estimate_count_reference`), so
 //! `kernel_speedup` measures exactly what the pruned SoA clip-and-accumulate
@@ -19,16 +18,13 @@
 //! workspace root so CI can assert the file exists and reviewers can diff
 //! numbers across machines. `host_cpus` is recorded honestly; the kernel's
 //! win is algorithmic (fewer buckets touched per query), so it shows up on
-//! a 1-CPU host too. The cached row models repeated query traffic:
-//! the same pool of distinct rectangles served over and over, which is the
-//! workload the LRU exists for.
+//! a 1-CPU host too.
 //!
 //! `MINSKEW_QUICK=1` shrinks the inputs for a smoke run.
 
 use minskew_bench::{charminar_scaled, nj_road, time_it, Scale, DEFAULT_REGIONS};
 use minskew_core::{simd_level, KernelScratch, MinSkewBuilder, QueryPrep, TermBuf};
 use minskew_data::Dataset;
-use minskew_engine::{AnalyzeOptions, SpatialTable, StatsTechnique, TableOptions};
 use minskew_geom::Rect;
 use minskew_workload::QueryWorkload;
 use std::hint::black_box;
@@ -53,22 +49,15 @@ struct Row {
     qps_linear: f64,
     qps_kernel: f64,
     qps_kernel_scalar: f64,
-    qps_cached: f64,
 }
 
 fn bench_dataset(name: &'static str, data: &Dataset, scale: Scale, rows: &mut Vec<Row>) {
     // A fixed pool of distinct queries, served repeatedly: `rounds` passes
-    // give stable timings and make the cached scenario honest (pass 1
-    // misses, later passes hit).
+    // give stable timings.
     let pool_size = scale.queries.min(1_000);
     let workload = QueryWorkload::generate(data, 0.05, pool_size, 0x5E4F);
     let pool: Vec<Rect> = workload.queries().to_vec();
     let rounds = (100_000 / (pool.len() * scale.data_divisor)).max(2);
-
-    let mut table = SpatialTable::new(TableOptions::default());
-    for r in data.rects() {
-        table.insert(*r);
-    }
 
     for buckets in BUCKETS {
         let hist = MinSkewBuilder::new(buckets)
@@ -123,48 +112,21 @@ fn bench_dataset(name: &'static str, data: &Dataset, scale: Scale, rows: &mut Ve
             black_box(acc)
         });
 
-        // Table-level: the same histogram technique behind the engine's
-        // serving path, with the query cache absorbing the repeats.
-        table.set_analyze_options(AnalyzeOptions {
-            technique: StatsTechnique::MinSkew,
-            buckets,
-            regions: DEFAULT_REGIONS,
-            refinements: 0,
-        });
-        table.analyze();
-        table.set_query_cache(false, 0);
-        let reference: Vec<u64> = pool.iter().map(|q| table.estimate(q).to_bits()).collect();
-        table.set_query_cache(true, 2 * pool.len());
-        let cached: Vec<u64> = pool.iter().map(|q| table.estimate(q).to_bits()).collect();
-        assert_eq!(cached, reference, "cached estimate diverged: {name}");
-        let secs_cached = best_of(|| {
-            let mut acc = 0.0;
-            for _ in 0..rounds {
-                for q in &pool {
-                    acc += table.estimate(q);
-                }
-            }
-            black_box(acc)
-        });
-
         let row = Row {
             dataset: name,
             buckets,
             qps_linear: calls / secs_linear,
             qps_kernel: calls / secs_kernel,
             qps_kernel_scalar: calls / secs_kernel_scalar,
-            qps_cached: calls / secs_cached,
         };
         eprintln!(
             "[serving] {name} beta={buckets}: linear {:.0} q/s, kernel {:.0} q/s \
-             ({:.2}x), scalar kernel {:.0} q/s ({:.2}x), kernel+cache {:.0} q/s ({:.2}x)",
+             ({:.2}x), scalar kernel {:.0} q/s ({:.2}x)",
             row.qps_linear,
             row.qps_kernel,
             row.qps_kernel / row.qps_linear,
             row.qps_kernel_scalar,
             row.qps_kernel_scalar / row.qps_linear,
-            row.qps_cached,
-            row.qps_cached / row.qps_linear,
         );
         rows.push(row);
     }
@@ -186,20 +148,19 @@ fn main() {
 
     println!("\n## Serving throughput (queries/sec, best of {REPS})\n");
     println!(
-        "| dataset | beta | linear | kernel | scalar kernel | kernel+cache | kernel speedup | simd speedup |"
+        "| dataset | beta | linear | kernel | scalar kernel | kernel speedup | simd speedup |"
     );
     println!(
-        "|---------|------|--------|--------|---------------|--------------|----------------|--------------|"
+        "|---------|------|--------|--------|---------------|----------------|--------------|"
     );
     for r in &rows {
         println!(
-            "| {} | {} | {:.0} | {:.0} | {:.0} | {:.0} | {:.2}x | {:.2}x |",
+            "| {} | {} | {:.0} | {:.0} | {:.0} | {:.2}x | {:.2}x |",
             r.dataset,
             r.buckets,
             r.qps_linear,
             r.qps_kernel,
             r.qps_kernel_scalar,
-            r.qps_cached,
             r.qps_kernel / r.qps_linear,
             r.qps_kernel / r.qps_kernel_scalar,
         );
@@ -219,21 +180,19 @@ fn main() {
          AoS reference fold, qps_kernel the production block-pruned SoA \
          clip-and-accumulate plane (bit-identical; body in simd_level), \
          qps_kernel_scalar the same scan through its portable scalar body; \
-         kernel_speedup is qps_kernel / qps_linear; cached row is repeated \
-         traffic over a fixed query pool\",\n",
+         kernel_speedup is qps_kernel / qps_linear\",\n",
     );
     json.push_str("  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
         json.push_str(&format!(
             "    {{\"dataset\": \"{}\", \"buckets\": {}, \"qps_linear\": {:.1}, \
              \"qps_kernel\": {:.1}, \"qps_kernel_scalar\": {:.1}, \
-             \"qps_indexed_cache\": {:.1}, \"kernel_speedup\": {:.4}}}{}\n",
+             \"kernel_speedup\": {:.4}}}{}\n",
             r.dataset,
             r.buckets,
             r.qps_linear,
             r.qps_kernel,
             r.qps_kernel_scalar,
-            r.qps_cached,
             r.qps_kernel / r.qps_linear,
             if i + 1 < rows.len() { "," } else { "" }
         ));

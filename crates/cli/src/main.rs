@@ -616,8 +616,8 @@ fn stats_cmd(opts: &Flags) -> Result<(), CliError> {
     for q in workload.queries() {
         let _ = table.estimate(q);
     }
-    // Serve the same workload once more through the batch path (and, for
-    // the single-query path, through the now-warm cache).
+    // Serve the same workload once more through the batch path and the
+    // single-query path.
     table.estimate_batch(workload.queries());
     for q in workload.queries() {
         let _ = table.estimate(q);

@@ -476,8 +476,8 @@ mod tests {
         assert_eq!(json_field(stats, "count"), Some(14.0));
         assert_eq!(json_field(stats, "p99"), Some(8192.0));
         // minskew-obs/v1 style (space after the colon).
-        let obs = "{\n  \"counters\": {\n    \"engine.cache.hits\": 12\n  }\n}";
-        assert_eq!(json_field(obs, "engine.cache.hits"), Some(12.0));
+        let obs = "{\n  \"counters\": {\n    \"engine.query.calls\": 12\n  }\n}";
+        assert_eq!(json_field(obs, "engine.query.calls"), Some(12.0));
         // Null and absent fields are both None.
         assert_eq!(json_field(r#"{"staleness":null}"#, "staleness"), None);
         assert_eq!(json_field(stats, "missing"), None);

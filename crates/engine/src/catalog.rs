@@ -65,7 +65,6 @@ pub struct CatalogEntry {
     /// The table's publication cell, cloned out at creation so readers can
     /// be minted while the table is locked.
     cell: Arc<SnapshotCell<TableSnapshot>>,
-    cache_capacity: usize,
     table: Mutex<SpatialTable>,
 }
 
@@ -85,7 +84,7 @@ impl CatalogEntry {
     /// A lock-free reader over this table's published snapshots; see
     /// [`SpatialTable::reader`]. Does **not** take the table lock.
     pub fn reader(&self) -> SpatialReader {
-        SpatialReader::new(self.cell.clone(), self.cache_capacity)
+        SpatialReader::new(self.cell.clone())
     }
 }
 
@@ -132,7 +131,6 @@ impl SpatialCatalog {
         let entry = Arc::new(CatalogEntry {
             name: name.to_string(),
             cell: table.snapshot_cell(),
-            cache_capacity: options.cache_capacity(),
             table: Mutex::new(table),
         });
         let mut tables = self.lock();

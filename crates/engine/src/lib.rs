@@ -51,7 +51,6 @@
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
-mod cache;
 mod catalog;
 mod monitor;
 mod persist;
@@ -66,9 +65,7 @@ pub use catalog::{CatalogEntry, CatalogError, SpatialCatalog, MAX_TABLE_NAME};
 pub use monitor::AccuracyReport;
 pub use persist::{SnapshotIoError, SnapshotLoadReport};
 pub use planner::{CostModel, Explain, Plan};
-pub use publish::{
-    CacheDisposition, EstimatePath, EstimateScratch, EstimateTrace, SnapshotCell, TableSnapshot,
-};
+pub use publish::{EstimatePath, EstimateScratch, EstimateTrace, SnapshotCell, TableSnapshot};
 pub use reader::{BatchQueryError, SpatialReader};
 pub use server::{serve, ServeOptions, ServerHandle, SERVE_WRITE_TIMEOUT};
 pub use table::{

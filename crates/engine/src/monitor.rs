@@ -4,11 +4,12 @@
 //! The paper's entire evaluation (§5) reduces to one number — the average
 //! relative error `Σ|r_i − e_i| / Σ r_i` over a query workload — but a
 //! running system has no offline workload to measure against. The monitor
-//! closes that gap: the serving path samples the queries it actually
-//! computes (cache misses, where the work already dwarfs the bookkeeping)
-//! into a bounded reservoir, and [`crate::SpatialTable::audit_accuracy`]
-//! periodically replays the reservoir against exact index counts to publish
-//! a live error gauge and a drift signal that recommends re-`ANALYZE`.
+//! closes that gap: the table's serving path offers every single-query
+//! estimate it serves, repeats included, to a bounded reservoir, so the
+//! sample weights each query by how often clients ask for it; and
+//! [`crate::SpatialTable::audit_accuracy`] periodically replays the
+//! reservoir against exact index counts to publish a live error gauge and
+//! a drift signal that recommends re-`ANALYZE`.
 
 use minskew_geom::Rect;
 

@@ -30,10 +30,9 @@
 //! [`TableSnapshot`] is everything the serving path needs: the live row
 //! count (for clamping), the fallback MBR (for never-analyzed tables), the
 //! statistics, and two monotonic counters — `generation` (bumped by
-//! every publication; readers key their query caches on it, which makes
-//! cache flush atomic with publication *by construction*) and `stats_era`
-//! (bumped only by statistics installs; the accuracy reservoir is keyed on
-//! it so row churn does not discard the sample).
+//! every publication) and `stats_era` (bumped only by statistics
+//! installs). Readers keep no results between loads, so a publication
+//! needs no flush: the next estimate simply runs against the new snapshot.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -165,7 +164,6 @@ impl TableSnapshot {
             generation: self.generation,
             stats_era: self.stats_era,
             live: self.live,
-            cache: CacheDisposition::Bypassed,
             detail,
         }
     }
@@ -187,34 +185,6 @@ impl EstimatePath {
         match self {
             EstimatePath::Indexed => "indexed",
             EstimatePath::Fallback => "fallback",
-        }
-    }
-}
-
-/// What the query cache would have done with this query at the entry point
-/// that produced a trace. EXPLAIN always recomputes (the breakdown needs
-/// the scan), but reports whether the serving path would have answered from
-/// cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheDisposition {
-    /// The query's key was resident: `ESTIMATE` would have served the
-    /// cached value (pinned bit-identical to the recomputation by the
-    /// cache's coherence contract).
-    Hit,
-    /// The key was absent: `ESTIMATE` would have computed, as EXPLAIN did.
-    Miss,
-    /// The entry point has no cache (snapshot-level explain) or the cache
-    /// is disabled.
-    Bypassed,
-}
-
-impl CacheDisposition {
-    /// Stable wire label.
-    pub fn label(self) -> &'static str {
-        match self {
-            CacheDisposition::Hit => "hit",
-            CacheDisposition::Miss => "miss",
-            CacheDisposition::Bypassed => "bypassed",
         }
     }
 }
@@ -242,8 +212,6 @@ pub struct EstimateTrace {
     pub stats_era: u64,
     /// Live rows the clamp was taken against.
     pub live: usize,
-    /// What the query cache at the traced entry point would have done.
-    pub cache: CacheDisposition,
     /// The kernel's per-bucket breakdown (`None` when the fallback path
     /// served — there are no buckets to blame).
     pub detail: Option<minskew_core::EstimateExplain>,

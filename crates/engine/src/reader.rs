@@ -5,10 +5,7 @@ use std::sync::Arc;
 use minskew_core::EstimateError;
 use minskew_geom::Rect;
 
-use crate::cache::{cache_key, QueryCache};
-use crate::publish::{
-    CacheDisposition, EstimateScratch, EstimateTrace, SnapshotCell, TableSnapshot,
-};
+use crate::publish::{EstimateScratch, EstimateTrace, SnapshotCell, TableSnapshot};
 
 /// A lock-free serving handle for one table, obtained via
 /// [`crate::SpatialTable::reader`].
@@ -23,18 +20,15 @@ use crate::publish::{
 /// through a reader of its own, so both run one estimate, batch and
 /// EXPLAIN body.
 ///
-/// Readers carry their own scratch buffers and their own query-result
-/// cache. The cache is keyed on the snapshot generation: when a load
-/// observes a new generation, the cache is flushed *before* any probe, so
-/// a cache hit can never serve an estimate computed under superseded
-/// statistics. That makes cache invalidation atomic with snapshot
-/// publication by construction.
+/// Readers carry their own scratch buffers and keep no results: every
+/// estimate is computed by [`TableSnapshot::estimate`] against the
+/// snapshot it loaded, so nothing a reader holds can outlive a
+/// publication.
 #[derive(Debug)]
 pub struct SpatialReader {
     cell: Arc<SnapshotCell<TableSnapshot>>,
     scratch: EstimateScratch,
-    pub(crate) cache: QueryCache,
-    /// Generation the cache's entries were filled under.
+    /// Generation of the snapshot the most recent estimate ran against.
     generation: u64,
     /// A batch's Morton order and its scratch keys, kept between batches.
     order: Vec<u32>,
@@ -64,13 +58,11 @@ impl std::error::Error for BatchQueryError {
 }
 
 impl SpatialReader {
-    /// Creates a reader over `cell` with a query cache of
-    /// `cache_capacity` entries (`0` disables caching).
-    pub fn new(cell: Arc<SnapshotCell<TableSnapshot>>, cache_capacity: usize) -> SpatialReader {
+    /// Creates a reader over `cell`.
+    pub fn new(cell: Arc<SnapshotCell<TableSnapshot>>) -> SpatialReader {
         SpatialReader {
             cell,
             scratch: EstimateScratch::new(),
-            cache: QueryCache::new(cache_capacity),
             generation: 0,
             order: Vec::new(),
             keys: Vec::new(),
@@ -90,37 +82,21 @@ impl SpatialReader {
             return Err(EstimateError::NonFiniteQuery);
         }
         let snapshot = self.cell.load();
-        Ok(self.estimate_on(&snapshot, query).0)
+        Ok(self.estimate_on(&snapshot, query))
     }
 
     /// The one estimate body, shared by every reader and by
-    /// [`crate::SpatialTable`], against the caller's `snapshot`. Returns
-    /// the served value and whether it was computed (`false`: a cache
-    /// hit). `query` must be finite.
-    pub(crate) fn estimate_on(&mut self, snapshot: &TableSnapshot, query: &Rect) -> (f64, bool) {
-        self.sync(snapshot);
-        serve(&mut self.cache, &mut self.scratch, snapshot, query)
-    }
-
-    /// Flushes the cache when `snapshot` is a new publication: every cached
-    /// value is potentially stale. Flushing here — on the load that first
-    /// observes the new generation, before any probe — is what makes the
-    /// flush atomic with publication.
-    fn sync(&mut self, snapshot: &TableSnapshot) {
-        if snapshot.generation() != self.generation {
-            self.cache.invalidate();
-            self.generation = snapshot.generation();
-        }
+    /// [`crate::SpatialTable`], against the caller's `snapshot`. `query`
+    /// must be finite.
+    pub(crate) fn estimate_on(&mut self, snapshot: &TableSnapshot, query: &Rect) -> f64 {
+        self.generation = snapshot.generation();
+        snapshot.estimate(query, &mut self.scratch)
     }
 
     /// [`SpatialReader::try_estimate`] with the evidence attached: the
     /// trace's headline estimate is bit-identical to what `try_estimate`
-    /// would return for the same query against the same snapshot (EXPLAIN
-    /// recomputes through the identical serving path; the cache's
-    /// coherence contract pins a would-be hit to the same bits). The
-    /// reported cache disposition is what `try_estimate` *would* have
-    /// done; EXPLAIN neither inserts nor counts a hit or miss nor touches
-    /// recency, so tracing a query perturbs nothing.
+    /// would return for the same query against the same snapshot, since
+    /// EXPLAIN recomputes through the identical serving path.
     pub fn try_explain(&mut self, query: &Rect) -> Result<EstimateTrace, EstimateError> {
         if !query.is_finite() {
             return Err(EstimateError::NonFiniteQuery);
@@ -132,18 +108,8 @@ impl SpatialReader {
     /// The one EXPLAIN body, against the caller's `snapshot`. `query` must
     /// be finite.
     pub(crate) fn explain_on(&mut self, snapshot: &TableSnapshot, query: &Rect) -> EstimateTrace {
-        self.sync(snapshot);
-        let cache = if self.cache.capacity() == 0 {
-            CacheDisposition::Bypassed
-        } else if self.cache.contains(&cache_key(query)) {
-            CacheDisposition::Hit
-        } else {
-            CacheDisposition::Miss
-        };
-        EstimateTrace {
-            cache,
-            ..snapshot.explain(query, &mut self.scratch)
-        }
+        self.generation = snapshot.generation();
+        snapshot.explain(query, &mut self.scratch)
     }
 
     /// Estimated result sizes for a batch of queries (`0.0` for any
@@ -165,9 +131,8 @@ impl SpatialReader {
     /// neighbouring pruning blocks and SoA cache lines. Results are returned
     /// in request order, and every value is bit-identical to what a
     /// request-order [`SpatialReader::try_estimate`] loop against the same
-    /// snapshot would produce: each estimate is independent, and the
-    /// reader's query cache stores exact previously returned values keyed
-    /// by query bits, so probe order cannot change any answer.
+    /// snapshot would produce: each estimate is independent, so the order
+    /// cannot change any answer.
     pub fn try_estimate_batch(&mut self, queries: &[Rect]) -> Result<Vec<f64>, BatchQueryError> {
         let mut out = Vec::new();
         self.try_estimate_batch_into(queries, &mut out)?;
@@ -197,23 +162,23 @@ impl SpatialReader {
     }
 
     /// The one batch body, against the caller's `snapshot`: `out` is
-    /// overwritten with the estimates in request order, each served by the
-    /// [`SpatialReader::estimate_on`] cache body in Morton order, and
-    /// `0.0` for a non-finite query.
+    /// overwritten with the estimates in request order, each computed by
+    /// [`TableSnapshot::estimate`] in Morton order, and `0.0` for a
+    /// non-finite query.
     pub(crate) fn estimate_batch_on(
         &mut self,
         snapshot: &TableSnapshot,
         queries: &[Rect],
         out: &mut Vec<f64>,
     ) {
-        self.sync(snapshot);
+        self.generation = snapshot.generation();
         minskew_core::morton_schedule_into(queries, &mut self.order, &mut self.keys);
         out.clear();
         out.resize(queries.len(), 0.0);
         for &i in &self.order {
             let query = &queries[i as usize];
             if query.is_finite() {
-                out[i as usize] = serve(&mut self.cache, &mut self.scratch, snapshot, query).0;
+                out[i as usize] = snapshot.estimate(query, &mut self.scratch);
             }
         }
     }
@@ -230,38 +195,19 @@ impl SpatialReader {
         self.generation
     }
 
-    /// `(hits, misses)` of this reader's private query cache.
+    /// Always `(0, 0)`: readers keep no query cache. Inert; it stays only
+    /// because the benchmark package still calls it, and goes with
+    /// ROADMAP item 2's benchmark half.
     pub fn cache_stats(&self) -> (u64, u64) {
-        (self.cache.hits(), self.cache.misses())
+        (0, 0)
     }
-}
-
-/// Answers `query` from `cache` or computes it against `snapshot` and fills
-/// the cache; `true` when computed. A disabled cache (capacity 0) is
-/// neither hashed nor probed.
-fn serve(
-    cache: &mut QueryCache,
-    scratch: &mut EstimateScratch,
-    snapshot: &TableSnapshot,
-    query: &Rect,
-) -> (f64, bool) {
-    if cache.capacity() == 0 {
-        return (snapshot.estimate(query, scratch), true);
-    }
-    let key = cache_key(query);
-    if let Some(cached) = cache.get(&key) {
-        return (cached, false);
-    }
-    let value = snapshot.estimate(query, scratch);
-    cache.insert(key, value);
-    (value, true)
 }
 
 impl Clone for SpatialReader {
     /// Clones the subscription, not the state: the clone shares the
-    /// publication cell but starts with fresh scratch and an empty cache
-    /// (sized like the original), so clones can be handed to other threads.
+    /// publication cell but starts with fresh scratch, so clones can be
+    /// handed to other threads.
     fn clone(&self) -> SpatialReader {
-        SpatialReader::new(self.cell.clone(), self.cache.capacity())
+        SpatialReader::new(self.cell.clone())
     }
 }

@@ -41,8 +41,8 @@
 //! without the prefix are byte-for-byte unchanged — the golden transcripts
 //! pin that.
 //!
-//! `EXPLAIN` answers with the full estimate trace (serving path, cache
-//! disposition, per-bucket terms, pruning counters); its `estimate` field
+//! `EXPLAIN` answers with the full estimate trace (serving path,
+//! per-bucket terms, pruning counters); its `estimate` field
 //! is bit-identical to what `ESTIMATE` returns for the same query.
 //! `FLIGHT` drains flight recorders: bare for the server's wire records
 //! (slow or 1-in-N-sampled `ESTIMATE` requests, trace ids attached), with
@@ -1055,11 +1055,8 @@ fn trace_json(trace: &EstimateTrace) -> String {
     );
     let _ = write!(
         out,
-        ",\"generation\":{},\"stats_era\":{},\"live\":{},\"cache\":{}",
-        trace.generation,
-        trace.stats_era,
-        trace.live,
-        json_str(trace.cache.label()),
+        ",\"generation\":{},\"stats_era\":{},\"live\":{}",
+        trace.generation, trace.stats_era, trace.live,
     );
     match &trace.detail {
         None => out.push_str(",\"detail\":null}"),

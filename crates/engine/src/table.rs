@@ -180,19 +180,10 @@ pub struct TableOptions {
     pub auto_analyze_threshold: Option<f64>,
     /// R\*-tree node capacity.
     pub index_fanout: usize,
-    /// Enables the per-table query-result cache: repeated estimates with
-    /// the same rectangle bits — single queries and batch members alike —
-    /// are answered from a bounded LRU instead of re-scanning the
-    /// histogram. The cache is keyed on the snapshot generation, which
-    /// every mutation (`insert`, `delete`, any statistics install) bumps,
-    /// so a cached value is always bit-identical to a fresh computation.
-    /// Hits and misses count in `engine.cache.*` (see
-    /// [`SpatialTable::metrics`]). Defaults to `true`.
+    /// Inert: nothing reads it, and every estimate is computed. It stays
+    /// only because the benchmark package still sets it, and goes with
+    /// ROADMAP item 2's benchmark half. Defaults to `false`.
     pub query_cache: bool,
-    /// Capacity of the query-result cache in entries (applied at table
-    /// construction or via [`SpatialTable::set_query_cache`]). Defaults to
-    /// 1024 (~48 KiB).
-    pub query_cache_capacity: usize,
     /// Enables in-process metrics and the online accuracy monitor.
     ///
     /// Instrumentation is **bit-invisible**: every estimate and every
@@ -203,16 +194,15 @@ pub struct TableOptions {
     /// [`SpatialTable::metrics`] still count. On, it adds sampled latency
     /// timing (see [`TableOptions::metrics_sampling`]). Defaults to `true`.
     pub metrics: bool,
-    /// Time one in this many single-query estimates. A sampled call that
-    /// computes its value (a cache miss, or any call with the cache off)
+    /// Time one in this many single-query estimates. A sampled call
     /// records its latency in the per-technique histogram
     /// `engine.estimate.<technique>.ns` and is offered to the flight
     /// recorder. Rounded up to a power of two; values `<= 1` time every
     /// call. Unsampled calls never read the clock. Defaults to 256.
     pub metrics_sampling: u32,
     /// Capacity of the accuracy monitor's query reservoir (`0` disables the
-    /// monitor). The serving path samples computed queries into the
-    /// reservoir; [`SpatialTable::audit_accuracy`] replays them against
+    /// monitor). The serving path samples every single-query estimate into
+    /// the reservoir; [`SpatialTable::audit_accuracy`] replays them against
     /// exact index counts. Defaults to 256.
     pub accuracy_reservoir: usize,
     /// Average relative error (the paper's §5 metric, `Σ|r−e| / Σr`) above
@@ -251,18 +241,6 @@ pub struct TableOptions {
     pub flight_sample: u32,
 }
 
-impl TableOptions {
-    /// The query-cache capacity these options configure (`0` when the
-    /// cache is off).
-    pub(crate) fn cache_capacity(&self) -> usize {
-        if self.query_cache {
-            self.query_cache_capacity
-        } else {
-            0
-        }
-    }
-}
-
 impl Default for TableOptions {
     fn default() -> TableOptions {
         TableOptions {
@@ -270,8 +248,7 @@ impl Default for TableOptions {
             analyze: AnalyzeOptions::default(),
             auto_analyze_threshold: Some(0.2),
             index_fanout: 16,
-            query_cache: true,
-            query_cache_capacity: 1024,
+            query_cache: false,
             metrics: true,
             metrics_sampling: 256,
             accuracy_reservoir: 256,
@@ -327,7 +304,7 @@ impl std::fmt::Display for StatsFallback {
 }
 
 /// Diagnostics for the most recent statistics build or load: where it
-/// landed on the degradation ladder. Serving counters (cache hits, batch
+/// landed on the degradation ladder. Serving counters (single and batch
 /// queries) are not here; read them from [`SpatialTable::metrics`].
 ///
 /// Marked `#[non_exhaustive]`: construct it with
@@ -369,19 +346,16 @@ impl std::fmt::Display for StatsDiagnostics {
     }
 }
 
-/// Per-table serving state: the table's own [`SpatialReader`] (its
-/// query-result cache, kernel scratch and Morton buffers), the accuracy
-/// reservoir, and the serving counters. The counters are the only store of
-/// these counts: plain `u64` fields bumped under the serving lock the call
-/// already holds (no atomics, no clock reads), merged into
-/// [`SpatialTable::metrics`] when it is read. Behind a [`Mutex`] so `&self`
-/// estimation stays `Sync`.
+/// Per-table serving state: the table's own [`SpatialReader`] (its kernel
+/// scratch and Morton buffers), the accuracy reservoir, and the serving
+/// counters. The counters are the only store of these counts: plain `u64`
+/// fields bumped under the serving lock the call already holds (no atomics,
+/// no clock reads), merged into [`SpatialTable::metrics`] when it is read.
+/// Behind a [`Mutex`] so `&self` estimation stays `Sync`.
 #[derive(Debug)]
 struct ServingState {
     /// Serves every estimate, batch and EXPLAIN against the table's
-    /// current snapshot: the same body lock-free readers run. Its cache is
-    /// keyed on the snapshot generation, so a publication flushes it
-    /// before any probe.
+    /// current snapshot: the same body lock-free readers run.
     reader: SpatialReader,
     /// Data era the reservoir's cached exact counts were replayed under.
     /// Row churn advances the table's data era, which invalidates the
@@ -392,7 +366,7 @@ struct ServingState {
     /// not touch the reservoir at all: a refine install must retain the
     /// replayed (query, exact) pairs it was driven by.
     seen_era: u64,
-    /// Single-query estimates served (cached or computed).
+    /// Single-query estimates served.
     calls: u64,
     /// Of `calls`, how many were sampled for latency timing.
     sampled: u64,
@@ -400,14 +374,14 @@ struct ServingState {
     batch_calls: u64,
     /// Queries served through the batch APIs.
     batch_queries: u64,
-    /// Accuracy-monitor reservoir of computed (non-cache-hit) queries.
+    /// Accuracy-monitor reservoir of served single-query estimates.
     reservoir: Reservoir,
 }
 
 impl ServingState {
     fn new(options: &TableOptions, cell: &Arc<SnapshotCell<TableSnapshot>>) -> ServingState {
         ServingState {
-            reader: SpatialReader::new(cell.clone(), options.cache_capacity()),
+            reader: SpatialReader::new(cell.clone()),
             seen_era: 0,
             calls: 0,
             sampled: 0,
@@ -432,13 +406,9 @@ impl ServingState {
 
     /// The serving counters under their metric names.
     fn counters(&self) -> Vec<(String, u64)> {
-        let cache = &self.reader.cache;
         [
             ("engine.batch.calls", self.batch_calls),
             ("engine.batch.queries", self.batch_queries),
-            ("engine.cache.hits", cache.hits()),
-            ("engine.cache.invalidations", cache.invalidations()),
-            ("engine.cache.misses", cache.misses()),
             ("engine.query.calls", self.calls),
             ("engine.query.sampled", self.sampled),
         ]
@@ -579,10 +549,10 @@ impl SpatialTable {
     /// `estimate` on the handle never takes the table's serving lock and
     /// never blocks on `ANALYZE`/mutations, yet is bit-identical to
     /// [`SpatialTable::estimate`] against the same publication. Readers
-    /// carry their own scratch and their own generation-keyed query cache;
-    /// any number may run concurrently with each other and with a writer.
+    /// carry their own scratch; any number may run concurrently with each
+    /// other and with a writer.
     pub fn reader(&self) -> SpatialReader {
-        SpatialReader::new(self.cell.clone(), self.options.cache_capacity())
+        SpatialReader::new(self.cell.clone())
     }
 
     /// The publication cell behind [`SpatialTable::reader`], for callers
@@ -759,8 +729,8 @@ impl SpatialTable {
 
     /// Installs `hist` and records how it was obtained: `analyze`,
     /// `try_analyze`, `load_stats`, and auto-`ANALYZE` alike. New
-    /// statistics mean new estimates; the publication's new generation
-    /// flushes every query cache before its next probe.
+    /// statistics mean new estimates from the next load of the published
+    /// snapshot on.
     pub(crate) fn install_stats(&mut self, hist: SpatialHistogram, mut diag: StatsDiagnostics) {
         diag.requested_buckets = self.options.analyze.buckets;
         diag.achieved_buckets = hist.buckets().len();
@@ -776,16 +746,12 @@ impl SpatialTable {
         }
         self.stats = Some(hist);
         self.diagnostics = diag;
-        // A statistics install starts a new era. The generation stamp in the
-        // published snapshot flushes every query cache — the table's own
-        // and every reader's — before its next probe, so no path can pair
-        // the new statistics with values from the old ones. The accuracy
-        // reservoir is deliberately **not** cleared: its sample is of the
-        // served workload (still representative) and its cached exact
-        // counts are a property of the *data*, not of the statistics — they
-        // are keyed to the data era and survive any install. Clearing here
-        // would discard exactly the feedback pairs the online refiner needs
-        // on its next pass.
+        // A statistics install starts a new era. The accuracy reservoir is
+        // deliberately **not** cleared: its sample is of the served workload
+        // (still representative) and its cached exact counts are a property
+        // of the *data*, not of the statistics — they are keyed to the data
+        // era and survive any install. Clearing here would discard exactly
+        // the feedback pairs the online refiner needs on its next pass.
         self.stats_era += 1;
         self.publish();
     }
@@ -949,19 +915,6 @@ impl SpatialTable {
         self.options.analyze = analyze;
     }
 
-    /// Reconfigures the query-result cache: on/off and capacity. The cached
-    /// entries are dropped; the hit/miss/invalidation counters carry on.
-    pub fn set_query_cache(&mut self, enabled: bool, capacity: usize) {
-        self.options.query_cache = enabled;
-        self.options.query_cache_capacity = capacity;
-        self.serving
-            .get_mut()
-            .unwrap_or_else(PoisonError::into_inner)
-            .reader
-            .cache
-            .resize(self.options.cache_capacity());
-    }
-
     /// Estimated result size for `query`, falling back to the global
     /// uniformity assumption when the table was never analyzed.
     ///
@@ -977,17 +930,16 @@ impl SpatialTable {
     ///
     /// Serving path: the table's own [`SpatialReader`] body against the
     /// current snapshot — the histogram's block-pruned kernel
-    /// ([`SpatialHistogram::estimate_count_indexed`]) behind, when
-    /// [`TableOptions::query_cache`] is on, the generation-keyed LRU. Both
-    /// are bit-identical to a fresh linear scan.
+    /// ([`SpatialHistogram::estimate_count_indexed`]), bit-identical to a
+    /// fresh linear scan.
     ///
     /// With metrics on, one call in [`TableOptions::metrics_sampling`] is
-    /// timed; a sampled call that computed its value records its latency in
+    /// timed; a sampled call records its latency in
     /// `engine.estimate.<technique>.ns` and is offered to the flight
     /// recorder's `slow` and `sampled` triggers. Unsampled calls never read
-    /// the clock. Every computed value is offered to the accuracy
-    /// reservoir; with metrics off it has capacity 0 and no call is
-    /// sampled.
+    /// the clock. Every query is offered to the accuracy reservoir, so it
+    /// samples the served workload, repeats included; with metrics off it
+    /// has capacity 0 and no call is sampled.
     pub fn try_estimate(&self, query: &Rect) -> Result<f64, EstimateError> {
         if !query.is_finite() {
             return Err(EstimateError::NonFiniteQuery);
@@ -1001,23 +953,21 @@ impl SpatialTable {
             serving.sampled += 1;
             Stopwatch::start()
         });
-        let (value, computed) = serving.reader.estimate_on(&self.current, query);
-        if computed {
-            // Recording happens strictly after the value is fixed and only
-            // writes metrics and the ring's atomics: bit-invisible.
-            if let Some(clock) = clock {
-                let latency_ns = clock.total();
-                self.record_estimate_latency(latency_ns);
-                self.note_flight(query, value, latency_ns, serving.sampled - 1);
-            }
-            serving.reservoir.observe(*query);
+        let value = serving.reader.estimate_on(&self.current, query);
+        // Recording happens strictly after the value is fixed and only
+        // writes metrics and the ring's atomics: bit-invisible.
+        if let Some(clock) = clock {
+            let latency_ns = clock.total();
+            self.record_estimate_latency(latency_ns);
+            self.note_flight(query, value, latency_ns, serving.sampled - 1);
         }
+        serving.reservoir.observe(*query);
         Ok(value)
     }
 
-    /// Offers one computed, timed estimate (the `index`-th, from 0, of the
-    /// sampled stream) to the flight recorder. Table-level records carry
-    /// no trace id (wire records, which do, are captured by the server).
+    /// Offers one timed estimate (the `index`-th, from 0, of the sampled
+    /// stream) to the flight recorder. Table-level records carry no trace
+    /// id (wire records, which do, are captured by the server).
     fn note_flight(&self, query: &Rect, estimate: f64, latency_ns: u64, index: u64) {
         if self.flight.capacity() == 0 {
             return;
@@ -1042,12 +992,11 @@ impl SpatialTable {
     }
 
     /// [`SpatialTable::try_estimate`] with the evidence attached: which
-    /// serving path ran, what the cache would have done, per-bucket
-    /// contributions, extension-rule inputs, and pruning counters. The
-    /// trace's headline estimate is **bit-identical** to `try_estimate`
-    /// for the same query — EXPLAIN recomputes through the identical
-    /// serving path, and never inserts into the query cache, counts a hit
-    /// or miss, or changes its eviction order, so tracing perturbs nothing.
+    /// serving path ran, per-bucket contributions, extension-rule inputs,
+    /// and pruning counters. The trace's headline estimate is
+    /// **bit-identical** to `try_estimate` for the same query — EXPLAIN
+    /// recomputes through the identical serving path, and counts no call
+    /// and samples nothing, so tracing perturbs nothing.
     pub fn try_explain(&self, query: &Rect) -> Result<EstimateTrace, EstimateError> {
         if !query.is_finite() {
             return Err(EstimateError::NonFiniteQuery);
@@ -1083,12 +1032,10 @@ impl SpatialTable {
     /// under the serving lock: one pass over the current snapshot in
     /// **Morton order** of the query centres
     /// ([`minskew_core::morton_schedule`]), so consecutive queries are
-    /// spatial neighbours that survive the same pruning blocks, each
-    /// answered through the query cache like a single estimate. Each
-    /// estimate is independent, so neither the schedule nor the cache can
-    /// move a bit; results come back in input order. Every batch bumps
-    /// `engine.batch.calls` and `engine.batch.queries`, and its probes
-    /// count in `engine.cache.*` (see [`SpatialTable::metrics`]); batch
+    /// spatial neighbours that survive the same pruning blocks. Each
+    /// estimate is independent, so the schedule cannot move a bit; results
+    /// come back in input order. Every batch bumps `engine.batch.calls`
+    /// and `engine.batch.queries` (see [`SpatialTable::metrics`]); batch
     /// queries are not sampled for latency or offered to the accuracy
     /// reservoir.
     pub fn estimate_batch(&self, queries: &[Rect]) -> Vec<f64> {
@@ -1116,9 +1063,9 @@ impl SpatialTable {
     /// counters, gauges, and latency histograms, with the values that
     /// live elsewhere merged in at read time. Every value has one store:
     ///
-    /// * the serving counters (`engine.query.*`, `engine.cache.*`,
-    ///   `engine.batch.*`) live only in the serving state, where the hot
-    ///   path bumps them as plain integers under the lock it already holds;
+    /// * the serving counters (`engine.query.*`, `engine.batch.*`) live
+    ///   only in the serving state, where the hot path bumps them as plain
+    ///   integers under the lock it already holds;
     /// * the state gauges (`engine.rows`, `engine.stats.generation`,
     ///   `engine.stats.buckets`, `engine.stats.bytes`, and
     ///   `engine.stats.staleness` while statistics exist) are read from the
@@ -1164,12 +1111,11 @@ impl SpatialTable {
     /// `Σ|r_i − e_i| / Σ r_i` over that sample.
     ///
     /// Returns `None` when nothing has been sampled yet (metrics disabled,
-    /// [`TableOptions::accuracy_reservoir`] zero, or no uncached queries
-    /// served since the last statistics install). The audit runs the exact
-    /// counts outside the serving lock, so concurrent estimates are not
-    /// blocked; it publishes `engine.accuracy.avg_rel_error` /
-    /// `engine.accuracy.samples` gauges and, on drift, bumps the
-    /// `engine.accuracy.drift_detected` counter.
+    /// [`TableOptions::accuracy_reservoir`] zero, or no single-query
+    /// estimate served yet). The audit runs the exact counts outside the
+    /// serving lock, so concurrent estimates are not blocked; it publishes
+    /// `engine.accuracy.avg_rel_error` / `engine.accuracy.samples` gauges
+    /// and, on drift, bumps the `engine.accuracy.drift_detected` counter.
     pub fn audit_accuracy(&self) -> Option<AccuracyReport> {
         let (samples, observed) = {
             let mut serving = self.serving.lock().unwrap_or_else(PoisonError::into_inner);
@@ -1299,7 +1245,7 @@ impl SpatialTable {
     /// * [`MaintenanceMode::OnlineRefine`] — one bounded refine step from
     ///   the reservoir's replayed (query, exact) feedback, published
     ///   through the same snapshot cell as any install (generation bump,
-    ///   caches invalidated, readers never see a torn install); falls back
+    ///   readers never see a torn install); falls back
     ///   to a full re-`ANALYZE` when there is nothing to refine.
     ///
     /// With no sampled queries yet, repair is driven by staleness alone.
@@ -1379,7 +1325,7 @@ impl SpatialTable {
     }
 
     /// Installs a refined histogram: same publication discipline as
-    /// [`SpatialTable::install_stats`] (era bump, cache flush, snapshot
+    /// [`SpatialTable::install_stats`] (era bump, snapshot
     /// publish — readers never see a torn install), except the diagnostics
     /// are preserved (the statistics are still the product of the last
     /// `ANALYZE`, incrementally repaired) and the accuracy reservoir keeps
@@ -1870,96 +1816,21 @@ mod tests {
     }
 
     #[test]
-    fn cached_estimates_equal_uncached_and_invalidate_on_mutation() {
-        let data = charminar_with(2_500, 11);
-        let mut cached = SpatialTable::new(TableOptions::default());
-        let mut plain = SpatialTable::new(TableOptions {
-            query_cache: false,
-            ..TableOptions::default()
-        });
-        for r in data.rects() {
-            cached.insert(*r);
-            plain.insert(*r);
-        }
-        cached.analyze();
-        plain.analyze();
-        let queries: Vec<Rect> = (0..60)
-            .map(|i| {
-                let s = (i % 20) as f64 * 300.0;
-                Rect::new(s, s, s + 900.0, s + 900.0)
-            })
-            .collect();
-        // Repeated queries: the second pass over the same 20 distinct
-        // rectangles must hit the cache and return the same bits.
-        for pass in 0..3 {
-            for q in &queries {
-                assert_eq!(
-                    cached.estimate(q).to_bits(),
-                    plain.estimate(q).to_bits(),
-                    "pass={pass} q={q}"
-                );
-            }
-        }
-        let hits = counter(&cached, "engine.cache.hits");
-        assert!(hits > 0, "repeated queries must hit");
-        assert!(counter(&cached, "engine.cache.misses") >= 20);
-        // Mutations flush the cache; estimates immediately reflect them.
-        let q = queries[0];
-        let before = cached.estimate(&q);
-        let id = cached.insert(Rect::new(10.0, 10.0, 60.0, 60.0));
-        plain.insert(Rect::new(10.0, 10.0, 60.0, 60.0));
-        assert_eq!(
-            cached.estimate(&q).to_bits(),
-            plain.estimate(&q).to_bits(),
-            "post-insert estimates must agree (no stale cache entry)"
-        );
-        cached.delete(id);
-        plain.delete(RowId(plain.rows.next_id() - 1));
-        assert_eq!(
-            cached.estimate(&q).to_bits(),
-            plain.estimate(&q).to_bits(),
-            "post-delete estimates must agree"
-        );
-        assert_eq!(cached.estimate(&q).to_bits(), before.to_bits());
-        assert!(counter(&cached, "engine.cache.invalidations") >= 2);
-    }
-
-    #[test]
-    fn query_cache_can_be_reconfigured() {
+    fn repeated_queries_reach_the_reservoir() {
         let mut t = grid_table(20);
         t.analyze();
         let q = Rect::new(0.0, 0.0, 50.0, 50.0);
-        let reference = t.estimate(&q);
-        t.set_query_cache(false, 0);
-        assert_eq!(t.estimate(&q).to_bits(), reference.to_bits());
-        assert_eq!(counter(&t, "engine.cache.hits"), 0);
-        t.set_query_cache(true, 4);
-        let _ = t.estimate(&q);
-        assert_eq!(t.estimate(&q).to_bits(), reference.to_bits());
-        assert_eq!(counter(&t, "engine.cache.hits"), 1);
-    }
-
-    #[test]
-    fn cache_counters_survive_reconfiguration_and_repeated_reads() {
-        let mut t = grid_table(20);
-        t.analyze();
-        let q = Rect::new(0.0, 0.0, 50.0, 50.0);
-        // One miss, then two hits before the reconfiguration...
-        for _ in 0..3 {
-            let _ = t.estimate(&q);
+        let first = t.estimate(&q);
+        for _ in 1..10 {
+            assert_eq!(t.estimate(&q).to_bits(), first.to_bits());
         }
-        assert_eq!(counter(&t, "engine.cache.hits"), 2);
-        t.set_query_cache(true, 8);
-        // ...and, the entries dropped, one miss and three hits after it.
-        for _ in 0..4 {
-            let _ = t.estimate(&q);
-        }
-        // Hits from both sides of the reconfiguration sum exactly, and
-        // reading the metrics again never counts anything twice.
+        // Every served estimate is offered to the reservoir, so a query
+        // asked ten times is seen ten times, and reading the metrics
+        // again never counts anything twice.
+        let report = t.audit_accuracy().expect("queries were served");
+        assert_eq!(report.observed, 10);
         for _ in 0..3 {
-            assert_eq!(counter(&t, "engine.cache.hits"), 5);
-            assert_eq!(counter(&t, "engine.cache.misses"), 2);
-            assert_eq!(counter(&t, "engine.query.calls"), 7);
+            assert_eq!(counter(&t, "engine.query.calls"), 10);
         }
     }
 
@@ -2026,23 +1897,13 @@ mod tests {
             .map(|i| Rect::new(0.0, 0.0, 10.0 + i as f64, 10.0))
             .collect();
         t.estimate_batch(&queries);
-        assert_eq!(counter(&t, "engine.cache.hits"), 0);
-        assert_eq!(counter(&t, "engine.cache.misses"), 10);
-        // The batch went through the cache: repeating its queries hits.
         let _ = t.try_estimate_batch(&queries[..4]).expect("finite");
         assert_eq!(counter(&t, "engine.batch.calls"), 2);
         assert_eq!(counter(&t, "engine.batch.queries"), 14);
-        assert_eq!(counter(&t, "engine.cache.hits"), 4);
-        assert_eq!(counter(&t, "engine.cache.misses"), 10);
+        // Batch queries are not single-query calls.
+        assert_eq!(counter(&t, "engine.query.calls"), 0);
         let text = t.stats_diagnostics().to_string();
         assert_eq!(text, "stats 51/100 buckets (fallback: none, attempts: 1)");
-
-        // With the cache off, batches are counted and probe nothing.
-        t.set_query_cache(false, 0);
-        t.estimate_batch(&queries);
-        assert_eq!(counter(&t, "engine.batch.queries"), 24);
-        assert_eq!(counter(&t, "engine.cache.hits"), 4);
-        assert_eq!(counter(&t, "engine.cache.misses"), 10);
     }
 
     #[test]
@@ -2369,7 +2230,7 @@ mod tests {
         }
         assert!(t.audit_accuracy().is_none());
         // The serving counters still count (they are plain bookkeeping)...
-        assert_eq!(counter(&t, "engine.cache.misses"), 40);
+        assert_eq!(counter(&t, "engine.query.calls"), 40);
         assert_eq!(counter(&t, "engine.query.sampled"), 0);
         // ...but nothing was timed into a histogram.
         let snap = t.metrics();

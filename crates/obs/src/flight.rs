@@ -25,8 +25,8 @@
 //! ## Bit-invisibility
 //!
 //! Recording happens strictly *after* an estimate is computed and only
-//! touches this ring's atomics; it can never perturb an estimate, the
-//! query cache, or the statistics. The trace differential suite pins that
+//! touches this ring's atomics; it can never perturb an estimate or the
+//! statistics. The trace differential suite pins that
 //! estimates and encoded stats are byte-identical with the recorder on
 //! (capacity > 0), off (capacity 0), and sampling every query.
 //!

@@ -14,7 +14,7 @@ enum Metric {
 }
 
 /// A directory of metrics under hierarchical dot-separated names
-/// (`engine.cache.hits`, `serve.request_ns`), owned by the one table or
+/// (`engine.query.calls`, `serve.request_ns`), owned by the one table or
 /// server whose work it records.
 ///
 /// Lookup-or-create goes through a mutex, so callers hold on to the returned

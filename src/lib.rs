@@ -72,12 +72,12 @@ pub mod prelude {
         write_atomic, CsvRectSource, Dataset, DensityGrid, FaultInjector, FaultKind, RectSource,
     };
     pub use minskew_engine::{
-        serve, AccuracyReport, AnalyzeOptions, BatchQueryError, CacheDisposition, CatalogEntry,
-        CatalogError, EstimatePath, EstimateScratch, EstimateTrace, MaintenanceAction,
-        MaintenanceMode, MaintenanceReport, ServeOptions, ServerHandle, SnapshotCell,
-        SnapshotIoError, SnapshotLoadReport, SpatialCatalog, SpatialReader, SpatialTable,
-        StatsDiagnostics, StatsFallback, StatsTechnique, TableOptions, TableSnapshot,
-        MAX_TABLE_NAME, SERVE_WRITE_TIMEOUT,
+        serve, AccuracyReport, AnalyzeOptions, BatchQueryError, CatalogEntry, CatalogError,
+        EstimatePath, EstimateScratch, EstimateTrace, MaintenanceAction, MaintenanceMode,
+        MaintenanceReport, ServeOptions, ServerHandle, SnapshotCell, SnapshotIoError,
+        SnapshotLoadReport, SpatialCatalog, SpatialReader, SpatialTable, StatsDiagnostics,
+        StatsFallback, StatsTechnique, TableOptions, TableSnapshot, MAX_TABLE_NAME,
+        SERVE_WRITE_TIMEOUT,
     };
     pub use minskew_geom::{Point, Rect};
     pub use minskew_workload::{

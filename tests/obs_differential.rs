@@ -64,19 +64,38 @@ fn table_with(data: &Dataset, technique: StatsTechnique, options: TableOptions) 
     t
 }
 
+/// The linear oracle for `table`'s current publication: the reference
+/// fold over its statistics, clamped to `[0, N]` like every served value.
+fn oracle(table: &SpatialTable, query: &Rect) -> f64 {
+    let snapshot = table.current_snapshot();
+    let raw = snapshot
+        .stats()
+        .expect("analyzed")
+        .estimate_count_reference(query);
+    if raw.is_finite() {
+        raw.clamp(0.0, snapshot.live() as f64)
+    } else {
+        0.0
+    }
+}
+
 /// Drives one full serving lifecycle — single queries, a batch pass, churn,
-/// re-ANALYZE, an accuracy audit between every stage — and returns every
-/// estimate bit pattern plus the final encoded statistics bytes.
+/// re-ANALYZE, an accuracy audit between every stage — checking each
+/// first-pass single-query estimate against the linear oracle, and
+/// returns every estimate bit pattern plus the final encoded statistics
+/// bytes.
 fn lifecycle(table: &mut SpatialTable, queries: &[Rect]) -> (Vec<u64>, Vec<u8>) {
     let mut bits = Vec::new();
     let mut serve = |table: &mut SpatialTable| {
         for q in queries {
-            bits_push(&mut bits, table.estimate(q));
+            let served = table.estimate(q);
+            assert_eq!(served.to_bits(), oracle(table, q).to_bits(), "q={q}");
+            bits_push(&mut bits, served);
         }
         for v in table.estimate_batch(queries) {
             bits_push(&mut bits, v);
         }
-        // Second single-query pass: served from the cache where enabled.
+        // Second single-query pass: repeats are served like first asks.
         for q in queries {
             bits_push(&mut bits, table.estimate(q));
         }
@@ -108,7 +127,7 @@ fn bits_push(bits: &mut Vec<u64>, v: f64) {
 }
 
 /// The instrumented configurations that must all match the metrics-off
-/// reference: default sampling, time-every-call, and cache-off variants.
+/// reference: metrics off, default sampling, and time-every-call.
 fn obs_configs() -> Vec<(&'static str, TableOptions)> {
     vec![
         (
@@ -123,22 +142,6 @@ fn obs_configs() -> Vec<(&'static str, TableOptions)> {
             "metrics-sample-every-call",
             TableOptions {
                 metrics_sampling: 1,
-                ..TableOptions::default()
-            },
-        ),
-        (
-            "metrics-no-cache",
-            TableOptions {
-                query_cache: false,
-                metrics_sampling: 1,
-                ..TableOptions::default()
-            },
-        ),
-        (
-            "metrics-off-no-cache",
-            TableOptions {
-                metrics: false,
-                query_cache: false,
                 ..TableOptions::default()
             },
         ),
@@ -166,8 +169,8 @@ fn metrics_are_bit_invisible_across_the_serving_lifecycle() {
             lifecycle(&mut t, &queries)
         };
         for (name, options) in obs_configs() {
-            // Cache-off configs legitimately differ from the reference in
-            // *counters*, never in estimates or statistics bytes.
+            // Configs legitimately differ from the reference in *counters*,
+            // never in estimates or statistics bytes.
             let mut t = table_with(&data, technique, options);
             let got = lifecycle(&mut t, &queries);
             assert_eq!(
@@ -228,8 +231,8 @@ fn traced_min_skew_build_is_byte_identical_and_monotone() {
 
 #[test]
 fn accuracy_monitor_reproduces_the_papers_error_metric() {
-    // With a reservoir larger than the workload every served (uncached)
-    // query is resident, so the audit must equal the offline average
+    // With a reservoir larger than the workload every served query is
+    // resident, so the audit must equal the offline average
     // relative error over exactly those queries.
     let data = charminar_with(2_000, 29);
     let mut table = SpatialTable::new(TableOptions {

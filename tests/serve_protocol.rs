@@ -330,7 +330,7 @@ fn trace_ids_and_observability_verbs_round_trip() {
     // (both print the same bits through the same formatter).
     let explain = c.send("EXPLAIN t 0 0 10 10");
     assert!(explain.starts_with("OK {\"estimate\":4,"), "{explain}");
-    for key in ["\"path\":", "\"cache\":", "\"generation\":", "\"detail\":"] {
+    for key in ["\"path\":", "\"generation\":", "\"detail\":"] {
         assert!(explain.contains(key), "{explain}");
     }
     assert_eq!(
@@ -574,8 +574,6 @@ fn pipelined_requests_get_the_replies_of_one_at_a_time() {
         "EXPLAIN t 0 0 10 10",
         "TID=bad!token PING",
     ];
-    // Fresh connections, so both start with empty reader caches and
-    // EXPLAIN reports the same cache disposition.
     let mut single = Client::connect(handle.addr());
     let expected: Vec<String> = lines
         .iter()

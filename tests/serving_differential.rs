@@ -1,15 +1,14 @@
 //! Differential test suite for the serving path: the indexed estimate
-//! (`estimate_count_indexed`) and the engine's query cache must be
-//! **bit-identical** to the linear reference scan, for every technique,
-//! every extension rule, and every query shape — including after
-//! maintenance churn patches the kernel plane and invalidates the query
-//! cache.
+//! (`estimate_count_indexed`) and the engine's table, batch and reader
+//! estimates must be **bit-identical** to the linear reference scan, for
+//! every technique, every extension rule, and every query shape —
+//! including after maintenance churn patches the kernel plane.
 //!
 //! The scalar AoS fold (`estimate_count_reference`, a left-to-right sum of
 //! `Bucket::estimate` over all buckets) is the reference semantics; the
 //! serving layer — the SoA clip-and-accumulate kernel behind
-//! `estimate_count`, its block-pruned scan, and the query cache — is an
-//! optimisation stack that must be observationally invisible. The kernel
+//! `estimate_count` and its block-pruned scan — is an optimisation stack
+//! that must be observationally invisible. The kernel
 //! gets its own deeper matrix in `kernel_differential.rs`.
 //!
 //! The base matrix below always runs (tier 1). The `exhaustive` feature turns
@@ -184,75 +183,50 @@ fn indexed_estimates_survive_maintenance_churn() {
     }
 }
 
-#[test]
-fn table_cached_estimates_equal_uncached_and_survive_invalidation() {
-    let data = charminar_with(3_000, 31);
-    let mut cached = SpatialTable::new(TableOptions::default());
-    let mut uncached = SpatialTable::new(TableOptions {
-        query_cache: false,
-        ..TableOptions::default()
-    });
-    for r in data.rects() {
-        cached.insert(*r);
-        uncached.insert(*r);
+/// The linear oracle for `table`'s current publication: the reference
+/// fold over its statistics, clamped to `[0, N]` like every served value.
+fn oracle(table: &SpatialTable, query: &Rect) -> f64 {
+    let snapshot = table.current_snapshot();
+    let raw = snapshot
+        .stats()
+        .expect("analyzed")
+        .estimate_count_reference(query);
+    if raw.is_finite() {
+        raw.clamp(0.0, snapshot.live() as f64)
+    } else {
+        0.0
     }
-    cached.analyze();
-    uncached.analyze();
-    let queries = queries_for(&data);
-    // Three passes: pass 2+ is served from the cache and must not drift.
-    for pass in 0..3 {
-        for q in &queries {
-            assert_eq!(
-                cached.estimate(q).to_bits(),
-                uncached.estimate(q).to_bits(),
-                "pass={pass} q={q}"
-            );
-        }
-    }
-    assert!(counter(&cached, "engine.cache.hits") > 0);
-    assert!(counter(&cached, "engine.cache.misses") > 0);
-    // Mutations invalidate: estimates agree immediately after each change.
-    let extra = Rect::new(100.0, 100.0, 400.0, 400.0);
-    let id_c = cached.insert(extra);
-    let id_u = uncached.insert(extra);
-    for q in &queries {
-        assert_eq!(
-            cached.estimate(q).to_bits(),
-            uncached.estimate(q).to_bits(),
-            "post-insert q={q}"
-        );
-    }
-    cached.delete(id_c);
-    uncached.delete(id_u);
-    for q in &queries {
-        assert_eq!(
-            cached.estimate(q).to_bits(),
-            uncached.estimate(q).to_bits(),
-            "post-delete q={q}"
-        );
-    }
-    // A fresh ANALYZE also flushes; the caches never serve pre-ANALYZE
-    // values afterwards.
-    cached.analyze();
-    uncached.analyze();
-    for q in &queries {
-        assert_eq!(
-            cached.estimate(q).to_bits(),
-            uncached.estimate(q).to_bits(),
-            "post-analyze q={q}"
-        );
-    }
-    assert!(counter(&cached, "engine.cache.invalidations") >= 3);
 }
 
-/// The counter `name` in the table's metrics snapshot (0 if absent).
-fn counter(table: &SpatialTable, name: &str) -> u64 {
-    table
-        .metrics()
-        .counters
-        .into_iter()
-        .find(|(n, _)| n == name)
-        .map_or(0, |(_, v)| v)
+#[test]
+fn table_estimates_match_the_linear_oracle_through_mutation() {
+    let data = charminar_with(3_000, 31);
+    let mut table = SpatialTable::new(TableOptions::default());
+    for r in data.rects() {
+        table.insert(*r);
+    }
+    table.analyze();
+    let queries = queries_for(&data);
+    let check = |table: &SpatialTable, stage: &str| {
+        for q in &queries {
+            assert_eq!(
+                table.estimate(q).to_bits(),
+                oracle(table, q).to_bits(),
+                "{stage} q={q}"
+            );
+        }
+    };
+    // Three passes: repeated queries must not drift.
+    for pass in 0..3 {
+        check(&table, &format!("pass={pass}"));
+    }
+    // Every mutation publishes: estimates follow each change at once.
+    let id = table.insert(Rect::new(100.0, 100.0, 400.0, 400.0));
+    check(&table, "post-insert");
+    table.delete(id);
+    check(&table, "post-delete");
+    table.analyze();
+    check(&table, "post-analyze");
 }
 
 #[test]
@@ -284,40 +258,24 @@ fn batch_estimation_matches_single_query_loop_with_scratch_reuse() {
     }
 }
 
-/// Table batches against a request-order loop of single estimates on a
-/// table with the cache off: bit-identical with the cache off, cold, and
-/// pre-warmed by the same single queries, and equal to a lock-free
-/// reader's batch on the same generation. Returns the cached table.
+/// Table batches, strict batches, a request-order loop of single
+/// estimates and a lock-free reader's batch on the same generation, all
+/// against the linear oracle. Returns the table.
 fn assert_batch_matches_single_queries(data: &Dataset, queries: &[Rect]) -> SpatialTable {
-    let table = |query_cache: bool| {
-        let mut t = SpatialTable::new(TableOptions {
-            query_cache,
-            ..TableOptions::default()
-        });
-        t.insert_many(data.rects().iter().copied());
-        t.analyze();
-        t
-    };
+    let mut table = SpatialTable::new(TableOptions::default());
+    table.insert_many(data.rects().iter().copied());
+    table.analyze();
     let bits = |values: Vec<f64>| -> Vec<u64> { values.into_iter().map(f64::to_bits).collect() };
-    let uncached = table(false);
-    let serial = bits(queries.iter().map(|q| uncached.estimate(q)).collect());
-    assert_eq!(bits(uncached.estimate_batch(queries)), serial, "cache off");
-    let cold = table(true);
-    assert_eq!(bits(cold.estimate_batch(queries)), serial, "cold cache");
-    let strict = cold.try_estimate_batch(queries).expect("all finite");
-    assert_eq!(bits(strict), serial, "strict, cache warmed by the batch");
-    let warm = table(true);
-    let singles = bits(queries.iter().map(|q| warm.estimate(q)).collect());
-    assert_eq!(singles, serial, "single queries, cache on");
-    assert_eq!(
-        bits(warm.estimate_batch(queries)),
-        serial,
-        "pre-warmed cache"
-    );
-    let mut reader = warm.reader();
+    let serial = bits(queries.iter().map(|q| oracle(&table, q)).collect());
+    assert_eq!(bits(table.estimate_batch(queries)), serial, "batch");
+    let strict = table.try_estimate_batch(queries).expect("all finite");
+    assert_eq!(bits(strict), serial, "strict batch");
+    let singles = bits(queries.iter().map(|q| table.estimate(q)).collect());
+    assert_eq!(singles, serial, "single queries");
+    let mut reader = table.reader();
     assert_eq!(bits(reader.estimate_batch(queries)), serial, "reader batch");
-    assert_eq!(reader.generation(), warm.generation());
-    warm
+    assert_eq!(reader.generation(), table.generation());
+    table
 }
 
 /// Exhaustive cross product on larger inputs — enabled by the `exhaustive`

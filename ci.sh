@@ -76,9 +76,9 @@
 #      par.*),
 #  18. checks that the committed BENCH_obs.json is a full-scale run
 #      (`"quick": false`) with its flight-recorder overhead column, and
-#      that the committed BENCH_snapshot.json, BENCH_parallel.json and
-#      BENCH_estimate.json are full-scale runs, since README and DESIGN
-#      quote them,
+#      that the committed BENCH_snapshot.json, BENCH_parallel.json,
+#      BENCH_estimate.json and BENCH_refine.json are full-scale runs,
+#      since README and DESIGN quote them,
 #  19. smoke runs of the parallel-speedup, serving-throughput (asserting
 #      the qps_kernel and qps_kernel_scalar columns are present in the
 #      emitted artefact), obs-overhead (asserting the flight-recorder
@@ -323,8 +323,8 @@ if ! grep -q '"quick": false' BENCH_obs.json || ! grep -q '"recorder_overhead_pc
     exit 1
 fi
 
-echo "==> committed BENCH_snapshot.json, BENCH_parallel.json and BENCH_estimate.json are full scale"
-for BENCH in BENCH_snapshot.json BENCH_parallel.json BENCH_estimate.json; do
+echo "==> committed BENCH_snapshot.json, BENCH_parallel.json, BENCH_estimate.json and BENCH_refine.json are full scale"
+for BENCH in BENCH_snapshot.json BENCH_parallel.json BENCH_estimate.json BENCH_refine.json; do
     if ! grep -q '"quick": false' "$BENCH"; then
         echo "ERROR: the committed $BENCH must be a full-scale run (\"quick\": false)" >&2
         exit 1

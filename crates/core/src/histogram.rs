@@ -3,7 +3,7 @@
 use std::cell::RefCell;
 use std::sync::{Arc, OnceLock};
 
-use minskew_geom::Rect;
+use minskew_geom::{Point, Rect};
 
 use crate::kernel::{BucketPlane, KernelExplain, KernelScratch, QueryPrep};
 use crate::{Bucket, ExtensionRule, SpatialEstimator};
@@ -72,10 +72,11 @@ pub struct SpatialHistogram {
     /// Cached [`SpatialHistogram::total_count`].
     total: OnceLock<f64>,
     /// Lazily built SoA mirror of the buckets for the vectorised
-    /// clip-and-accumulate kernel; see [`BucketPlane`]. Shared by clones
-    /// (a published snapshot and the table's working copy hold the same
-    /// plane), patched copy-on-write by [`SpatialHistogram::update_bucket`],
-    /// and dropped when the rule changes.
+    /// clip-and-accumulate kernel, and the index one-row updates find
+    /// their bucket through; see [`BucketPlane`]. Built by the first
+    /// estimate or update, shared by clones, patched copy-on-write by
+    /// [`SpatialHistogram::update_bucket`], and dropped when the rule
+    /// changes.
     plane: OnceLock<Arc<BucketPlane>>,
 }
 
@@ -116,23 +117,30 @@ impl SpatialHistogram {
         hist
     }
 
-    /// Applies `f` to bucket `id` — a count or average-extent update that
-    /// keeps the bucket's MBR — and returns what `f` returns. The
-    /// extension table and the total are dropped and recomputed on next
-    /// use; a materialised kernel plane is patched in place
-    /// ([`BucketPlane::patch`]), after a copy if a clone (a published
-    /// snapshot) still shares it, so no clone ever sees the change.
-    pub(crate) fn update_bucket<R>(&mut self, id: usize, f: impl FnOnce(&mut Bucket) -> R) -> R {
+    /// Applies `f` to the lowest-id bucket whose MBR contains `p` — a count
+    /// or average-extent update that keeps the bucket's MBR — and returns
+    /// what `f` returns, or `None` when no bucket contains `p`. The bucket
+    /// is found through the kernel plane ([`BucketPlane::locate`], built
+    /// first if no estimate has built it), which also names the mirror
+    /// slot to patch, so neither step scans every bucket. The extension
+    /// table and the total are dropped and recomputed on next use; the
+    /// plane is patched in place ([`BucketPlane::patch`]), after a copy if
+    /// a clone still shares it, so no clone ever sees the change.
+    pub(crate) fn update_bucket<R>(
+        &mut self,
+        p: Point,
+        f: impl FnOnce(&mut Bucket) -> R,
+    ) -> Option<R> {
+        let (id, slot) = self.bucket_plane().locate(p)?;
         let bucket = &mut self.buckets[id];
         let mbr = bucket.mbr;
         let out = f(bucket);
         debug_assert_eq!(bucket.mbr, mbr, "update_bucket must keep the MBR");
         self.ext.take();
         self.total.take();
-        if let Some(plane) = self.plane.get_mut() {
-            Arc::make_mut(plane).patch(id, bucket, self.rule);
-        }
-        out
+        let plane = self.plane.get_mut().expect("located through the plane");
+        Arc::make_mut(plane).patch(slot, bucket, self.rule);
+        Some(out)
     }
 
     /// Per-bucket extension amounts under the active rule, computed once.
@@ -265,7 +273,7 @@ impl SpatialHistogram {
 
     /// Byte-level breakdown of everything this histogram keeps resident
     /// for serving, *as currently materialised*: the lazily built kernel
-    /// plane counts only once something has forced it.
+    /// plane counts only once an estimate or a one-row update has built it.
     pub fn serving_footprint(&self) -> ServingFootprint {
         let summary = self.buckets.len() * Bucket::SIZE_BYTES;
         let ext_table = self
@@ -466,10 +474,11 @@ mod tests {
         assert_eq!(h.total_count(), 100.0);
         let _ = h.bucket_plane(); // force-build the lazy plane
         let shared = h.clone();
-        h.update_bucket(0, |b| {
+        h.update_bucket(Point::new(5.0, 5.0), |b| {
             b.count = 0.0;
             b.avg_width = 2.0;
-        });
+        })
+        .expect("bucket 0 holds the point");
         assert_eq!(h.total_count(), 40.0, "total cache must invalidate");
         let mut scratch = KernelScratch::new();
         let q = Rect::new(0.0, 0.0, 15.0, 10.0);

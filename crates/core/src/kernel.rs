@@ -78,7 +78,7 @@
 
 use std::ops::Range;
 
-use minskew_geom::Rect;
+use minskew_geom::{Point, Rect};
 
 use crate::{Bucket, ExtensionRule};
 
@@ -537,35 +537,67 @@ impl BucketPlane {
         s
     }
 
-    /// Rewrites bucket `id` after an update that kept its MBR: its count
-    /// and extension amounts in the Morton mirror, then the extension
-    /// maxima of the one block and one quad holding it. The result equals
+    /// The lowest-id bucket whose MBR contains `p`, with its Morton-mirror
+    /// slot: `(id, slot)`, or `None` when no bucket contains `p` (a NaN
+    /// coordinate included). The id is the one
+    /// `buckets.iter().position(|b| b.mbr.contains_point(p))` returns, but
+    /// found through the summaries: a block or quad whose union MBR misses
+    /// `p` cannot hold a member that contains it (the union's `f64::min`
+    /// and `max` keep every non-NaN member coordinate, and a NaN one fails
+    /// the member's own test), so only the members of surviving quads are
+    /// tested. Z-order is not id order, so every surviving member is
+    /// tested and the lowest id wins, as the linear scan's first match
+    /// does where MBRs share an edge.
+    pub(crate) fn locate(&self, p: Point) -> Option<(usize, usize)> {
+        let holds =
+            |x1: f64, y1: f64, x2: f64, y2: f64| x1 <= p.x && p.x <= x2 && y1 <= p.y && p.y <= y2;
+        let mut found: Option<(usize, usize)> = None;
+        for b in 0..self.n.div_ceil(BLOCK) {
+            if !holds(self.bx1[b], self.by1[b], self.bx2[b], self.by2[b]) {
+                continue;
+            }
+            // Quad pads are never-holding sentinels, like the block pads.
+            for q in b * (BLOCK / QUAD)..(b + 1) * (BLOCK / QUAD) {
+                if !holds(self.qx1[q], self.qy1[q], self.qx2[q], self.qy2[q]) {
+                    continue;
+                }
+                for j in q * QUAD..((q + 1) * QUAD).min(self.n) {
+                    let id = self.morder[j] as usize;
+                    if holds(self.mx1[j], self.my1[j], self.mx2[j], self.my2[j])
+                        && found.is_none_or(|(best, _)| id < best)
+                    {
+                        found = Some((id, j));
+                    }
+                }
+            }
+        }
+        found
+    }
+
+    /// Rewrites the bucket at mirror slot `slot` (as
+    /// [`BucketPlane::locate`] returns it) after an update that kept its
+    /// MBR: its count and extension amounts, then the extension maxima of
+    /// the one block and one quad holding it. The result equals
     /// [`BucketPlane::build`] of the updated buckets, column for column and
     /// bit for bit: the geometry, and with it the Z-order, is untouched,
     /// and the summaries are refolded by the same
-    /// [`BucketPlane::summarize`].
-    ///
-    /// Finding the mirror slot scans `morder`, O(buckets); the caller's
-    /// update already searched the buckets for the one to change, so the
-    /// plane keeps no inverse permutation for it.
+    /// [`BucketPlane::summarize`]. O(1): the caller found the slot with the
+    /// bucket, so the plane keeps no inverse permutation.
     ///
     /// # Panics
     ///
-    /// Panics if `id` is not a bucket of the plane.
-    pub(crate) fn patch(&mut self, id: usize, bucket: &Bucket, rule: ExtensionRule) {
+    /// Panics if `slot` is not a bucket's slot of the plane.
+    pub(crate) fn patch(&mut self, slot: usize, bucket: &Bucket, rule: ExtensionRule) {
         let n = self.n;
+        assert!(slot < n, "mirror slot {slot} out of {n} buckets");
         let (ex, ey) = rule.amounts(bucket.avg_width, bucket.avg_height);
-        let j = self.morder[..n]
-            .iter()
-            .position(|&m| m as usize == id)
-            .expect("the Morton mirror is a permutation of the bucket ids");
-        self.mcount[j] = bucket.count;
-        self.mex[j] = ex;
-        self.mey[j] = ey;
-        let b = j / BLOCK;
+        self.mcount[slot] = bucket.count;
+        self.mex[slot] = ex;
+        self.mey[slot] = ey;
+        let b = slot / BLOCK;
         let s = self.summarize(b * BLOCK..((b + 1) * BLOCK).min(n));
         (self.bex[b], self.bey[b]) = (s[4], s[5]);
-        let q = j / QUAD;
+        let q = slot / QUAD;
         let s = self.summarize(q * QUAD..((q + 1) * QUAD).min(n));
         (self.qex[q], self.qey[q]) = (s[4], s[5]);
     }
@@ -1434,7 +1466,8 @@ mod tests {
                     b.count -= b.count.clamp(0.0, 1.0);
                     drained |= before > 0.0 && before < 1.0 && b.count.to_bits() == 0;
                 }
-                plane.patch(id, &buckets[id], rule);
+                let slot = plane.morder.iter().position(|&m| m as usize == id);
+                plane.patch(slot.expect("a bucket's slot"), &buckets[id], rule);
                 let ctx = format!("rule={rule:?} step={step}");
                 assert_planes_bit_equal(&plane, &BucketPlane::build(&buckets, rule), &ctx);
             }
@@ -1443,6 +1476,74 @@ mod tests {
                 "rule={rule:?}: no fractional bucket drained to 0.0"
             );
         }
+    }
+
+    /// Every bucket's corners, edge midpoints and centre (shared edges and
+    /// corners included, where the lowest id must win), seeded points in
+    /// and around the buckets' extent, and NaN coordinates: `locate` must
+    /// name the bucket the linear scan finds first, and that bucket's
+    /// mirror slot.
+    fn assert_locate_matches_linear_scan(buckets: &[Bucket], ctx: &str) {
+        let plane = BucketPlane::build(buckets, ExtensionRule::Minkowski);
+        let mut points = vec![
+            Point::new(f64::NAN, f64::NAN),
+            Point::new(f64::NAN, 0.0),
+            Point::new(0.0, f64::NAN),
+        ];
+        for b in buckets {
+            let (lo, hi, c) = (b.mbr.lo, b.mbr.hi, b.mbr.center());
+            for x in [lo.x, c.x, hi.x] {
+                for y in [lo.y, c.y, hi.y] {
+                    points.push(Point::new(x, y));
+                }
+            }
+        }
+        let finite = buckets.iter().map(|b| b.mbr).filter(|r| {
+            [r.lo.x, r.lo.y, r.hi.x, r.hi.y]
+                .iter()
+                .all(|v| v.abs() < 1e12)
+        });
+        let extent = finite.reduce(|a, b| a.union(&b)).expect("a finite bucket");
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut unit = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        // A tenth of the extent's size past each edge, so about a third
+        // of the points fall outside it.
+        let (w, h) = (extent.width(), extent.height());
+        for _ in 0..2_000 {
+            points.push(Point::new(
+                extent.lo.x - 0.1 * w + 1.2 * w * unit(),
+                extent.lo.y - 0.1 * h + 1.2 * h * unit(),
+            ));
+        }
+        for p in points {
+            let want = buckets.iter().position(|b| b.mbr.contains_point(p));
+            let got = plane.locate(p);
+            assert_eq!(got.map(|(id, _)| id), want, "{ctx}: p={p:?}");
+            if let Some((id, slot)) = got {
+                assert_eq!(plane.morder[slot] as usize, id, "{ctx}: slot of {id}");
+            }
+        }
+    }
+
+    #[test]
+    fn locate_matches_the_linear_scan() {
+        assert_locate_matches_linear_scan(&adversarial_buckets(), "adversarial");
+        assert_locate_matches_linear_scan(&grid(7), "grid");
+        let road = minskew_datagen::RoadNetworkSpec {
+            segments: 60_000,
+            ..Default::default()
+        }
+        .generate(1999);
+        // The build `tests/golden_large_build.rs` pins: 970 buckets of a
+        // budget of 1000.
+        let hist = crate::MinSkewBuilder::new(1_000).build(&road);
+        assert!(hist.num_buckets() > 900, "{} buckets", hist.num_buckets());
+        assert_locate_matches_linear_scan(hist.buckets(), "road");
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! * [`SpatialHistogram::note_insert`] / [`SpatialHistogram::note_delete`]
 //!   fold a single data change into the bucket counts (running averages for
 //!   the width/height statistics included). Only one bucket changes and its
-//!   MBR never does, so the kernel plane is patched, not rebuilt.
+//!   MBR never does, so the kernel plane is patched, not rebuilt, and the
+//!   bucket is found through the plane's summaries, not by a scan.
 //! * A **staleness** measure tracks how much of the mutation stream the
 //!   bucket grid could not absorb faithfully — inserts outside every bucket,
 //!   deletes that no bucket could account for, and raw churn volume —
@@ -36,25 +37,26 @@ use crate::SpatialHistogram;
 impl SpatialHistogram {
     /// Records the insertion of `rect` into the underlying relation.
     ///
-    /// The rectangle is credited to the bucket containing its centre; its
-    /// dimensions update that bucket's running averages. Returns `true` if
+    /// The rectangle is credited to the lowest-id bucket whose MBR contains
+    /// its centre, found through the kernel plane's block and quad
+    /// summaries (the plane is built here if nothing has built it yet); its
+    /// dimensions update that bucket's running averages, and the plane's
+    /// one mirror slot for it is patched. Returns `true` if
     /// a bucket absorbed it; inserts that no bucket covers (outside the
     /// histogram's original data extent) only increase staleness — exactly
     /// the situation that requires a rebuild.
     pub fn note_insert(&mut self, rect: &Rect) -> bool {
         self.input_len_mut(1);
-        let Some(id) = self.bucket_containing(rect) else {
-            self.churn_mut(1.0);
-            return false;
-        };
-        self.update_bucket(id, |bucket| {
-            let n = bucket.count;
-            bucket.avg_width = (bucket.avg_width * n + rect.width()) / (n + 1.0);
-            bucket.avg_height = (bucket.avg_height * n + rect.height()) / (n + 1.0);
-            bucket.count = n + 1.0;
-        });
-        self.churn_mut(0.5);
-        true
+        let absorbed = self
+            .update_bucket(rect.center(), |bucket| {
+                let n = bucket.count;
+                bucket.avg_width = (bucket.avg_width * n + rect.width()) / (n + 1.0);
+                bucket.avg_height = (bucket.avg_height * n + rect.height()) / (n + 1.0);
+                bucket.count = n + 1.0;
+            })
+            .is_some();
+        self.churn_mut(if absorbed { 0.5 } else { 1.0 });
+        absorbed
     }
 
     /// Records the deletion of `rect` from the underlying relation.
@@ -68,29 +70,18 @@ impl SpatialHistogram {
     /// when a bucket fully accounted for the delete.
     pub fn note_delete(&mut self, rect: &Rect) -> bool {
         self.input_len_mut(-1);
-        let Some(id) = self.bucket_containing(rect) else {
-            self.churn_mut(1.0);
-            return false;
-        };
-        let absorbed = self.update_bucket(id, |bucket| {
-            let dec = bucket.count.clamp(0.0, 1.0);
-            bucket.count -= dec;
-            dec
-        });
+        let absorbed = self
+            .update_bucket(rect.center(), |bucket| {
+                let dec = bucket.count.clamp(0.0, 1.0);
+                bucket.count -= dec;
+                dec
+            })
+            .unwrap_or(0.0);
         // The absorbed fraction carries half weight, the shortfall full
         // weight — a fully absorbable delete costs 0.5, an empty-bucket
         // delete the same 1.0 an uncovered delete costs.
         self.churn_mut(0.5 * absorbed + (1.0 - absorbed));
         absorbed >= 1.0
-    }
-
-    /// The first bucket whose MBR contains `rect`'s centre: the bucket a
-    /// one-row change is credited to.
-    fn bucket_containing(&self, rect: &Rect) -> Option<usize> {
-        let center = rect.center();
-        self.buckets()
-            .iter()
-            .position(|b| b.mbr.contains_point(center))
     }
 
     /// Fraction of the (weighted) mutation stream since construction that

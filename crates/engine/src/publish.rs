@@ -16,6 +16,13 @@
 //!   shared mutation is an `Arc` pointer swap performed under the slot's
 //!   mutex, so an estimate is always computed against exactly one
 //!   fully-built [`TableSnapshot`].
+//! * **After the flip** the writer also writes the new `Arc` into the slot
+//!   it displaced, which is now the inactive one. The cell then holds only
+//!   the current value, so a superseded snapshot is freed as soon as no
+//!   reader holds it, and the table can reuse its statistics (see
+//!   `SpatialTable`'s retired histogram). A reader that read the old
+//!   epoch and clones from that slot gets the new value, sees the epoch
+//!   move, and retries, exactly as it would after a staged write.
 //!
 //! **Contract: each reader sees publications in non-decreasing order**, and
 //! only published ones. While the epoch stays `e`, the writer writes only
@@ -276,16 +283,28 @@ impl<T> SnapshotCell<T> {
 
     /// Publishes `value`: writes it into the inactive slot, then flips the
     /// epoch. Readers observe either the previous value or `value`, never
-    /// a mixture.
+    /// a mixture. Then `value` also replaces the displaced value in the
+    /// other slot, so the cell no longer holds the superseded value: it is
+    /// freed once no reader holds it.
     pub fn store(&self, value: Arc<T>) {
         let _writer = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
         let epoch = self.epoch.load(Ordering::Relaxed);
         *self.slots[((epoch + 1) & 1) as usize]
             .lock()
-            .unwrap_or_else(PoisonError::into_inner) = value;
+            .unwrap_or_else(PoisonError::into_inner) = value.clone();
         #[cfg(test)]
         self.pause(WRITER_PAUSE);
         self.epoch.store(epoch + 1, Ordering::Release);
+        // The displaced slot is now the inactive one, which the protocol
+        // lets the writer write while the epoch is `epoch + 1`. The
+        // displaced value is dropped after the slot lock is released.
+        let displaced = std::mem::replace(
+            &mut *self.slots[(epoch & 1) as usize]
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner),
+            value,
+        );
+        drop(displaced);
     }
 
     /// Blocks the first thread to reach pause point `at` after a test armed
@@ -357,6 +376,18 @@ mod tests {
         assert_eq!(first, 1, "the reader returned a value not yet published");
         writer_go.send(()).expect("writer waits");
         writer.join().expect("writer panicked");
+        assert_eq!(*cell.load(), 2);
+    }
+
+    #[test]
+    fn store_frees_the_displaced_value() {
+        let initial = Arc::new(0u64);
+        let cell = SnapshotCell::new(initial.clone());
+        let a = Arc::new(1u64);
+        cell.store(a.clone());
+        assert_eq!(Arc::strong_count(&initial), 1, "the initial value");
+        cell.store(Arc::new(2));
+        assert_eq!(Arc::strong_count(&a), 1, "the cell still holds a");
         assert_eq!(*cell.load(), 2);
     }
 

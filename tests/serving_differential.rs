@@ -16,6 +16,7 @@
 //! adds randomized differential properties. CI also runs the suite under
 //! `RUST_TEST_THREADS=1` so test-scheduler interference cannot mask bugs.
 
+use minskew::engine::RowId;
 use minskew::prelude::*;
 use minskew_datagen::{charminar_with, uniform_rects, RoadNetworkSpec, SyntheticSpec};
 
@@ -227,6 +228,179 @@ fn table_estimates_match_the_linear_oracle_through_mutation() {
     check(&table, "post-delete");
     table.analyze();
     check(&table, "post-analyze");
+}
+
+/// A seeded one-row write: mostly inserts of small squares, a fifth of
+/// them outside the data's extent (no bucket absorbs those), and a delete
+/// of a random earlier insert every third step.
+struct WriteStream {
+    state: u64,
+    live: Vec<RowId>,
+}
+
+impl WriteStream {
+    fn next(&mut self) -> u64 {
+        self.state = self
+            .state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        self.state >> 33
+    }
+
+    /// Applies one write to `table` and the same `note_*` call to
+    /// `reference`.
+    fn write(&mut self, table: &mut SpatialTable, reference: &mut SpatialHistogram) {
+        if self.next().is_multiple_of(3) && !self.live.is_empty() {
+            let at = self.next() as usize % self.live.len();
+            let id = self.live.swap_remove(at);
+            let rect = table.get(id).expect("live");
+            assert!(table.delete(id));
+            reference.note_delete(&rect);
+        } else {
+            let outside = self.next().is_multiple_of(5);
+            let (x, y) = ((self.next() % 1_000) as f64, (self.next() % 1_000) as f64);
+            let (x, y) = if outside { (x - 5_000.0, y) } else { (x, y) };
+            let side = 1.0 + (self.next() % 40) as f64;
+            let rect = Rect::new(x, y, x + side, y + side);
+            self.live.push(table.insert(rect));
+            reference.note_insert(&rect);
+        }
+    }
+}
+
+/// The current publication's statistics equal `reference` bit for bit:
+/// every bucket, the staleness, and the estimates over `queries` (the
+/// kernel's, against the reference fold of `reference`).
+fn assert_publication_equals(
+    table: &SpatialTable,
+    reference: &SpatialHistogram,
+    queries: &[Rect],
+    ctx: &str,
+) {
+    let snapshot = table.current_snapshot();
+    let stats = snapshot.stats().expect("analyzed");
+    let bits = |b: &Bucket| {
+        [
+            b.mbr.lo.x,
+            b.mbr.lo.y,
+            b.mbr.hi.x,
+            b.mbr.hi.y,
+            b.count,
+            b.avg_width,
+            b.avg_height,
+        ]
+        .map(f64::to_bits)
+    };
+    assert_eq!(
+        stats.num_buckets(),
+        reference.num_buckets(),
+        "{ctx}: buckets"
+    );
+    for (i, (got, want)) in stats.buckets().iter().zip(reference.buckets()).enumerate() {
+        assert_eq!(bits(got), bits(want), "{ctx}: bucket {i}");
+    }
+    assert_eq!(stats.input_len(), reference.input_len(), "{ctx}: input_len");
+    assert_eq!(
+        stats.staleness().to_bits(),
+        reference.staleness().to_bits(),
+        "{ctx}: staleness"
+    );
+    let mut scratch = KernelScratch::new();
+    for q in queries {
+        assert_eq!(
+            stats.estimate_count_indexed(q, &mut scratch).to_bits(),
+            reference.estimate_count_reference(q).to_bits(),
+            "{ctx}: q={q}"
+        );
+    }
+}
+
+#[test]
+fn one_row_write_replay_equals_a_single_copy_reference() {
+    // Published statistics after every write must equal one histogram
+    // that saw the same `note_insert`/`note_delete` calls, whichever way
+    // the table produced them: replayed onto the retired histogram, or
+    // copied because a held snapshot still shares it. A multi-row insert,
+    // an ANALYZE and a refining MAINTAIN each install or patch in a way the
+    // reference follows by taking a copy of what was published. A held
+    // snapshot keeps serving exactly what it served when it was taken.
+    let data = charminar_with(20_000, 53);
+    let mut table = SpatialTable::new(TableOptions {
+        analyze: AnalyzeOptions {
+            buckets: 1_000,
+            regions: 40_000,
+            ..AnalyzeOptions::default()
+        },
+        auto_analyze_threshold: None,
+        accuracy_reservoir: 512,
+        // Any audited error counts as drift, so `maintain` always repairs.
+        accuracy_drift_threshold: 0.0,
+        maintenance: MaintenanceMode::OnlineRefine,
+        ..TableOptions::default()
+    });
+    table.insert_many(data.rects().iter().copied());
+    table.analyze();
+    let buckets = table.stats().expect("analyzed").num_buckets();
+    assert!(buckets > 900, "{buckets} buckets");
+    let queries: Vec<Rect> = queries_for(&data).into_iter().step_by(3).collect();
+    let mut scratch = KernelScratch::new();
+    let mut served = |snapshot: &TableSnapshot| -> Vec<u64> {
+        queries
+            .iter()
+            .map(|q| snapshot.estimate(q, &mut scratch).to_bits())
+            .collect()
+    };
+    let mut reference = table.stats().expect("analyzed").clone();
+    let mut stream = WriteStream {
+        state: 0x5eed,
+        live: Vec::new(),
+    };
+    let mut held: Option<(std::sync::Arc<TableSnapshot>, Vec<u64>)> = None;
+    for step in 0..240 {
+        match step {
+            60 => {
+                let batch: Vec<Rect> = (0..50)
+                    .map(|i| {
+                        let v = (i * 17 % 900) as f64;
+                        Rect::new(v, 900.0 - v, v + 3.0, 903.0 - v)
+                    })
+                    .collect();
+                table.insert_many(batch.iter().copied());
+                for r in &batch {
+                    reference.note_insert(r);
+                }
+            }
+            120 => {
+                table.analyze();
+                reference = table.stats().expect("analyzed").clone();
+            }
+            180 => {
+                for q in &queries {
+                    table.estimate(q);
+                }
+                let report = table.maintain();
+                assert!(
+                    matches!(report.action, MaintenanceAction::Refined(_)),
+                    "{report}"
+                );
+                reference = table.stats().expect("refined").clone();
+            }
+            _ => stream.write(&mut table, &mut reference),
+        }
+        assert_publication_equals(&table, &reference, &queries, &format!("step {step}"));
+        if let Some((snapshot, before)) = &held {
+            assert_eq!(served(snapshot), *before, "step {step}: a held snapshot");
+        }
+        // Hold every twentieth publication across the next ten writes:
+        // while it is held, every other write must copy.
+        if step % 20 == 0 {
+            let snapshot = table.reader().snapshot();
+            let before = served(&snapshot);
+            held = Some((snapshot, before));
+        } else if step % 20 == 10 {
+            held = None;
+        }
+    }
 }
 
 #[test]

@@ -6,46 +6,49 @@
 #   2. clippy is clean at -D warnings across every target — the library
 #      crates (core/engine/data) additionally deny `unwrap()` in non-test
 #      code via #![cfg_attr(not(test), deny(clippy::unwrap_used))],
-#   3. the tier-1 suite: plain `cargo test`, which through the root
+#   3. rustdoc is clean at -D warnings over the workspace's public docs:
+#      no broken intra-doc link and none to a private item (--no-deps,
+#      so only the workspace's own crates are documented),
+#   4. the tier-1 suite: plain `cargo test`, which through the root
 #      workspace's default-members runs the root package and every crate
 #      under crates/ (their unit tests and oracles included),
-#   4. the full workspace suite with every feature (incl. proptest suites),
-#   5. the benchmark package's own formatting, clippy at -D warnings over
+#   5. the full workspace suite with every feature (incl. proptest suites),
+#   6. the benchmark package's own formatting, clippy at -D warnings over
 #      all its targets, and tests in release mode: it is a package of its
 #      own outside the workspace, so no --workspace gate compiles or lints
 #      it against a changed crate API,
-#   6. the kernel-vs-linear serving differential suite, exhaustive matrix
+#   7. the kernel-vs-linear serving differential suite, exhaustive matrix
 #      on, pinned to one test thread so scheduler interleaving can't mask
-#      ordering bugs. Steps 6-8 and 10-12 each turn the exhaustive matrix
+#      ordering bugs. Steps 7-9 and 11-13 each turn the exhaustive matrix
 #      on with the one root feature, --features exhaustive, and run one
 #      test binary,
-#   7. the observability differential suite (metrics on vs off serve the
+#   8. the observability differential suite (metrics on vs off serve the
 #      same bytes), exhaustive matrix on, single test thread,
-#   8. the snapshot recovery differential suite, exhaustive fault-kind ×
+#   9. the snapshot recovery differential suite, exhaustive fault-kind ×
 #      technique matrix on, single test thread (filesystem quarantine
 #      paths must not interleave),
-#   9. the lock-free serving stress suite (readers racing ≥1000 statistics
+#  10. the lock-free serving stress suite (readers racing ≥1000 statistics
 #      installs, every observed estimate bitwise old-or-new) and the wire
 #      protocol golden suite, both pinned to one test thread so the stress
 #      owns its thread budget,
-#  10. the kernel differential suite pinning the SoA clip-and-accumulate
+#  11. the kernel differential suite pinning the SoA clip-and-accumulate
 #      plane bit-identical to the AoS reference fold, and its AVX2 scan
 #      (compiled on every x86_64 build) to its portable scalar body:
 #      exhaustive matrix on, single test thread so
 #      runtime dispatch is exercised deterministically,
-#  11. the online-refine differential suite (clamping/partition/codec/
+#  12. the online-refine differential suite (clamping/partition/codec/
 #      Off-inertness invariants, exhaustive dataset × budget × feedback
 #      matrix on, single test thread),
-#  12. the query-tracing differential suite (EXPLAIN bitwise equal to the
+#  13. the query-tracing differential suite (EXPLAIN bitwise equal to the
 #      kernel serving path, term sums reproducing estimates exactly,
 #      flight recorder / trace ids bit-invisible; exhaustive matrix on,
 #      single test thread),
-#  13. a focused clippy pass over minskew-obs denying `unwrap()` even in
+#  14. a focused clippy pass over minskew-obs denying `unwrap()` even in
 #      the presence of poisoned-lock recovery paths,
-#  14. a focused clippy pass over the serving-path crates that additionally
+#  15. a focused clippy pass over the serving-path crates that additionally
 #      denies needless_collect / redundant_clone — the serving path is
 #      allocation-free by design and those lints catch regressions,
-#  15. a CLI serve smoke: start `minskew serve` on an ephemeral port, run
+#  16. a CLI serve smoke: start `minskew serve` on an ephemeral port, run
 #      a catalog-client round trip against it — including a STATS check
 #      that the --input load put every row in with one publication (plus
 #      one for its ANALYZE) before any write, the MAINTAIN
@@ -57,9 +60,9 @@
 #      `minskew top` scrape —
 #      shut it down over the wire, and require a clean exit plus an
 #      emitted metrics dump,
-#  16. a CLI maintain smoke: the offline `minskew maintain` churn demo
+#  17. a CLI maintain smoke: the offline `minskew maintain` churn demo
 #      must run in every maintenance mode and reject unknown ones,
-#  17. a CLI stats smoke: `minskew stats --json` over the generated
+#  18. a CLI stats smoke: `minskew stats --json` over the generated
 #      2000-row charminar input must carry the counter and histogram names
 #      README quotes (engine.query.calls, engine.batch.queries, engine.estimate.min_skew.ns,
 #      engine.analyze.grid_reused, engine.analyze.grid_built, and the
@@ -74,12 +77,12 @@
 #      engine.cache.hits)
 #      nor any name of the deleted process-wide registry (core.build.*,
 #      par.*),
-#  18. checks that the committed BENCH_obs.json is a full-scale run
+#  19. checks that the committed BENCH_obs.json is a full-scale run
 #      (`"quick": false`) with its flight-recorder overhead column, and
 #      that the committed BENCH_snapshot.json, BENCH_parallel.json,
 #      BENCH_estimate.json and BENCH_refine.json are full-scale runs,
 #      since README and DESIGN quote them,
-#  19. smoke runs of the parallel-speedup, serving-throughput (asserting
+#  20. smoke runs of the parallel-speedup, serving-throughput (asserting
 #      the qps_kernel and qps_kernel_scalar columns are present in the
 #      emitted artefact), obs-overhead (asserting the flight-recorder
 #      overhead column is present in the emitted artefact),
@@ -95,6 +98,9 @@ cargo fmt --all --check
 
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets --all-features -- -D warnings
+
+echo "==> cargo doc -D warnings"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "==> cargo test (tier 1)"
 cargo test -q

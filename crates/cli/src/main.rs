@@ -75,8 +75,9 @@ use std::process::ExitCode;
 
 use minskew_core::{
     build_uniform, simd_level, try_build_equi_area, try_build_equi_count,
-    try_build_rtree_partitioning_default, BuildError, FractalEstimator, KernelScratch,
-    MinSkewBuildTrace, MinSkewBuilder, SamplingEstimator, SpatialEstimator, SpatialHistogram,
+    try_build_rtree_partitioning, BuildError, FractalEstimator, KernelScratch, MinSkewBuildTrace,
+    MinSkewBuilder, RTreePartitioningOptions, SamplingEstimator, SpatialEstimator,
+    SpatialHistogram,
 };
 use minskew_core::{FormatVersion, SnapshotInfo};
 use minskew_data::atomic::write_atomic;
@@ -417,7 +418,10 @@ fn build_technique(
         }
         "equi-area" => (try_build_equi_area(data, buckets)?, None),
         "equi-count" => (try_build_equi_count(data, buckets)?, None),
-        "rtree" => (try_build_rtree_partitioning_default(data, buckets)?, None),
+        "rtree" => (
+            try_build_rtree_partitioning(data, buckets, RTreePartitioningOptions::default())?,
+            None,
+        ),
         "uniform" => (build_uniform(data), None),
         other => return Err(CliError::usage(format!("unknown technique {other:?}"))),
     })
@@ -754,7 +758,7 @@ fn evaluate_cmd(opts: &Flags) -> Result<(), CliError> {
         .try_build(&data)?;
     let equi_count = try_build_equi_count(&data, buckets)?;
     let equi_area = try_build_equi_area(&data, buckets)?;
-    let rtree = try_build_rtree_partitioning_default(&data, buckets)?;
+    let rtree = try_build_rtree_partitioning(&data, buckets, RTreePartitioningOptions::default())?;
     let sample = SamplingEstimator::build(&data, buckets, seed);
     let fractal = FractalEstimator::build(&data);
     let uniform = build_uniform(&data);

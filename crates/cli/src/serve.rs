@@ -15,27 +15,15 @@ use std::time::Duration;
 
 use minskew_data::atomic::write_atomic;
 use minskew_data::read_rects_csv;
-use minskew_engine::{serve, ServeOptions, SpatialCatalog, StatsTechnique, TableOptions};
+use minskew_engine::{serve, ServeOptions, SpatialCatalog, TableOptions};
 
 use crate::{num, req, CliError, ErrorKind, Flags};
-
-fn parse_technique(value: &str) -> Result<StatsTechnique, CliError> {
-    match value {
-        "min-skew" | "minskew" => Ok(StatsTechnique::MinSkew),
-        "equi-area" => Ok(StatsTechnique::EquiArea),
-        "equi-count" => Ok(StatsTechnique::EquiCount),
-        "uniform" => Ok(StatsTechnique::Uniform),
-        other => Err(CliError::usage(format!(
-            "unknown technique {other:?} (want min-skew|equi-area|equi-count|uniform)"
-        ))),
-    }
-}
 
 fn table_options(opts: &Flags) -> Result<TableOptions, CliError> {
     let mut options = TableOptions::default();
     options.analyze.buckets = num(opts, "buckets", options.analyze.buckets)?;
     if let Some(t) = opts.get("technique") {
-        options.analyze.technique = parse_technique(t)?;
+        options.analyze.technique = t.parse().map_err(CliError::usage)?;
     }
     Ok(options)
 }

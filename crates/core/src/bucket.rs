@@ -124,9 +124,10 @@ impl Bucket {
     /// returns `count · fx · fy`.
     ///
     /// Unlike the estimate itself this is meaningful for *empty* buckets
-    /// too, which is what the selectivity refit in [`crate::refine`] needs:
-    /// there the counts are the unknowns being solved for, so the
-    /// `count == 0` shortcut cannot apply.
+    /// too, which is what the selectivity refit of
+    /// [`crate::SpatialHistogram::refine`] needs: there the counts are the
+    /// unknowns being solved for, so the `count == 0` shortcut cannot
+    /// apply.
     pub fn coverage_fraction(&self, query: &Rect, ex: f64, ey: f64) -> f64 {
         let extended = query.expanded(ex, ey);
         if !extended.intersects(&self.mbr) {

@@ -17,7 +17,6 @@
 use minskew_data::Dataset;
 use minskew_geom::{Point, Rect};
 
-use crate::error::BuildError;
 use crate::SpatialEstimator;
 
 /// The *Fractal* estimator: stores only `N`, the input MBR, and `D₂`.
@@ -29,20 +28,9 @@ pub struct FractalEstimator {
 }
 
 impl FractalEstimator {
-    /// Measures `D₂` with the default box-counting ladder
-    /// (grid sides 2, 4, …, 256).
+    /// Measures `D₂` by box counting over grid sides 2, 4, …, 256.
     pub fn build(data: &Dataset) -> FractalEstimator {
-        Self::with_ladder(data, &[2, 4, 8, 16, 32, 64, 128, 256])
-    }
-
-    /// Measures `D₂` using the given ladder of grid resolutions
-    /// (cells per axis).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the ladder has fewer than two rungs.
-    pub fn with_ladder(data: &Dataset, grid_sides: &[usize]) -> FractalEstimator {
-        assert!(grid_sides.len() >= 2, "need at least two resolutions");
+        let grid_sides = [2, 4, 8, 16, 32, 64, 128, 256];
         let mbr = data.stats().mbr;
         let n = data.len();
         if n == 0 {
@@ -56,8 +44,7 @@ impl FractalEstimator {
         // Regress log(sum p_i^2) on log(r).
         let mut xs = Vec::with_capacity(grid_sides.len());
         let mut ys = Vec::with_capacity(grid_sides.len());
-        for &g in grid_sides {
-            assert!(g >= 1, "grid side must be positive");
+        for g in grid_sides {
             let s2 = sum_squared_fractions(&centers, &mbr, g);
             // Normalised cell side r = 1/g.
             xs.push((1.0 / g as f64).ln());
@@ -69,35 +56,6 @@ impl FractalEstimator {
             mbr,
             d2,
         }
-    }
-
-    /// Fallible counterpart of [`FractalEstimator::build`].
-    pub fn try_build(data: &Dataset) -> Result<FractalEstimator, BuildError> {
-        Self::try_with_ladder(data, &[2, 4, 8, 16, 32, 64, 128, 256])
-    }
-
-    /// Fallible counterpart of [`FractalEstimator::with_ladder`].
-    pub fn try_with_ladder(
-        data: &Dataset,
-        grid_sides: &[usize],
-    ) -> Result<FractalEstimator, BuildError> {
-        if grid_sides.len() < 2 {
-            return Err(BuildError::InvalidConfig(
-                "box-counting ladder needs at least two resolutions".into(),
-            ));
-        }
-        if grid_sides.contains(&0) {
-            return Err(BuildError::InvalidConfig(
-                "box-counting grid sides must be positive".into(),
-            ));
-        }
-        if data.is_empty() {
-            return Err(BuildError::EmptyDataset);
-        }
-        if !data.stats().mbr.is_finite() {
-            return Err(BuildError::NonFiniteMbr);
-        }
-        Ok(Self::with_ladder(data, grid_sides))
     }
 
     /// The measured correlation fractal dimension.

@@ -7,22 +7,7 @@
 
 use minskew_data::{Dataset, DensityGrid};
 
-use crate::error::BuildError;
 use crate::{Bucket, ExtensionRule, SpatialHistogram};
-
-/// Fallible counterpart of [`build_grid`].
-pub fn try_build_grid(data: &Dataset, buckets: usize) -> Result<SpatialHistogram, BuildError> {
-    if buckets == 0 {
-        return Err(BuildError::ZeroBucketBudget);
-    }
-    if data.is_empty() {
-        return Err(BuildError::EmptyDataset);
-    }
-    if !data.stats().mbr.is_finite() {
-        return Err(BuildError::NonFiniteMbr);
-    }
-    Ok(build_grid(data, buckets))
-}
 
 /// Builds a uniform `⌊√buckets⌋ × ⌊√buckets⌋` grid histogram.
 ///
@@ -31,8 +16,7 @@ pub fn try_build_grid(data: &Dataset, buckets: usize) -> Result<SpatialHistogram
 ///
 /// # Panics
 ///
-/// Panics if `buckets == 0`; use [`try_build_grid`] to handle that as an
-/// error.
+/// Panics if `buckets == 0`.
 pub fn build_grid(data: &Dataset, buckets: usize) -> SpatialHistogram {
     assert!(buckets >= 1, "need at least one bucket");
     if data.is_empty() {

@@ -123,13 +123,13 @@ const QUAD: usize = 4;
 /// extension amounts under one [`ExtensionRule`].
 ///
 /// Built lazily by [`crate::SpatialHistogram`], patched in place by a
-/// one-bucket update ([`BucketPlane::patch`]), and dropped when the
+/// one-bucket update (`BucketPlane::patch`), and dropped when the
 /// extension rule changes.
 ///
 /// The fold inputs live in a **Morton mirror** for the pruned scan
 /// ([`BucketPlane::accumulate_pruned`]): the columns are permuted into
 /// Z-order of the bucket centres (`morder` maps mirror position → bucket
-/// id), plus one coarse **block summary** per [`BLOCK`] consecutive mirror
+/// id), plus one coarse **block summary** per `BLOCK` consecutive mirror
 /// positions — the union of the members' MBRs and the maxima of their
 /// extension amounts. Z-order makes a block's members spatial neighbours,
 /// so a selective query prunes almost every block with one rectangle
@@ -731,7 +731,7 @@ impl BucketPlane {
     ///
     /// The scan visits members of surviving blocks in mirror order,
     /// scattering non-zero terms into the term buffer's per-bucket slots;
-    /// [`BucketPlane::fold_masked`] then replays them in ascending id
+    /// `BucketPlane::fold_masked` then replays them in ascending id
     /// order straight off the buffer's bitmask. The term *values* are
     /// order-independent (each is a pure function of one bucket and the
     /// query), the zero-sign flag is a commutative OR, and the non-zero

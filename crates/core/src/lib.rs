@@ -74,7 +74,7 @@ pub use diagnostics::HistogramDiagnostics;
 pub use equi::{build_equi_area, build_equi_count, try_build_equi_area, try_build_equi_count};
 pub use error::{BuildError, EstimateError};
 pub use fractal::FractalEstimator;
-pub use gridhist::{build_grid, try_build_grid};
+pub use gridhist::build_grid;
 pub use histogram::{EstimateExplain, ServingFootprint, SpatialHistogram};
 pub use kernel::{
     simd_level, BucketPlane, ExplainTerm, KernelExplain, KernelScratch, PruneStats, QueryPrep,
@@ -82,11 +82,11 @@ pub use kernel::{
 };
 pub use minskew::{MinSkewBuildTrace, MinSkewBuilder, MinSkewDetail, SplitEvent, SplitStrategy};
 pub use morton::{morton_key, morton_schedule, morton_schedule_into};
-pub use optimal::{build_optimal_bsp, optimal_bsp_skew, try_build_optimal_bsp, OptimalBsp};
+pub use optimal::{build_optimal_bsp, optimal_bsp_skew, OptimalBsp};
 pub use refine::{RefineObservation, RefineOptions, RefineReport};
 pub use rtree_part::{
     build_rtree_partitioning, build_rtree_partitioning_default, try_build_rtree_partitioning,
-    try_build_rtree_partitioning_default, RTreeBuildMethod, RTreePartitioningOptions,
+    RTreeBuildMethod, RTreePartitioningOptions,
 };
 pub use sampling::SamplingEstimator;
 pub use snapshot::{

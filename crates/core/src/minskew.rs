@@ -28,9 +28,7 @@
 //! intervals spends early buckets on the broad structure and late buckets on
 //! the skewed hot spots.
 
-use minskew_data::{
-    CellBlock, CentreSums, Dataset, DensityGrid, GridPrefixSums, GridSet, RectSource,
-};
+use minskew_data::{CellBlock, CentreSums, DensityGrid, GridPrefixSums, GridSet, RectSource};
 use minskew_geom::Axis;
 
 use crate::error::BuildError;
@@ -115,11 +113,6 @@ impl MinSkewBuilder {
         })
     }
 
-    /// The configured bucket budget.
-    pub fn bucket_budget(&self) -> usize {
-        self.buckets
-    }
-
     /// Sets the (final) number of uniform grid regions approximating the
     /// input. More regions capture more detail at higher construction cost;
     /// see the paper's Experiment 3 for the trade-off.
@@ -174,44 +167,35 @@ impl MinSkewBuilder {
         self
     }
 
-    /// Builds the histogram.
+    /// Builds the histogram from any [`RectSource`]: an in-memory
+    /// [`minskew_data::Dataset`], or a disk-resident source like
+    /// [`minskew_data::CsvRectSource`]. Construction uses only sequential
+    /// sweeps, one per refinement phase, and O(grid + buckets) resident
+    /// memory. The final phase's sweep also sums each cell's centred rects,
+    /// so the bucket summaries need no sweep of their own.
     ///
-    /// Lenient wrapper: an empty input yields an empty histogram and a grid
+    /// This is the paper's memory story made literal: "the construction
+    /// algorithm does not require the entire data distribution to fit in
+    /// main memory".
+    ///
+    /// Lenient: an empty input yields an empty histogram and a grid
     /// coarser than the bucket budget silently produces fewer buckets. Use
     /// [`MinSkewBuilder::try_build`] to surface those conditions as errors.
-    pub fn build(&self, data: &Dataset) -> SpatialHistogram {
-        self.build_detailed(data).0
+    pub fn build<S: RectSource + ?Sized>(&self, source: &S) -> SpatialHistogram {
+        self.build_detailed(source).0
     }
 
-    /// Builds the histogram and reports construction diagnostics.
-    pub fn build_detailed(&self, data: &Dataset) -> (SpatialHistogram, MinSkewDetail) {
-        self.build_from_source_detailed(data)
-    }
-
-    /// Fallible counterpart of [`MinSkewBuilder::build`]: reports empty
-    /// inputs, non-finite bounding boxes, and unreachable bucket budgets as
-    /// [`BuildError`]s instead of silently degrading.
-    pub fn try_build(&self, data: &Dataset) -> Result<SpatialHistogram, BuildError> {
-        self.try_build_from_source(data)
-    }
-
-    /// Fallible counterpart of [`MinSkewBuilder::build_detailed`].
-    pub fn try_build_detailed(
-        &self,
-        data: &Dataset,
-    ) -> Result<(SpatialHistogram, MinSkewDetail), BuildError> {
-        self.try_build_from_source_detailed(data)
-    }
-
-    /// Fallible counterpart of [`MinSkewBuilder::build_from_source`].
-    pub fn try_build_from_source<S: RectSource + ?Sized>(
+    /// [`Self::build`] with construction diagnostics.
+    pub fn build_detailed<S: RectSource + ?Sized>(
         &self,
         source: &S,
-    ) -> Result<SpatialHistogram, BuildError> {
-        Ok(self.try_build_from_source_detailed(source)?.0)
+    ) -> (SpatialHistogram, MinSkewDetail) {
+        let (hist, detail, _) =
+            self.build_impl(source, &mut GridSet::default(), false, greedy_split);
+        (hist, detail)
     }
 
-    /// Fallible counterpart of [`MinSkewBuilder::build_from_source_detailed`].
+    /// Fallible counterpart of [`MinSkewBuilder::build`].
     ///
     /// # Errors
     ///
@@ -221,16 +205,16 @@ impl MinSkewBuilder {
     /// * [`BuildError::GridTooCoarse`] — the final density grid has fewer
     ///   cells than the bucket budget, so the budget is unreachable; the
     ///   error carries the achievable count for callers that degrade.
-    pub fn try_build_from_source_detailed<S: RectSource + ?Sized>(
+    pub fn try_build<S: RectSource + ?Sized>(
         &self,
         source: &S,
-    ) -> Result<(SpatialHistogram, MinSkewDetail), BuildError> {
+    ) -> Result<SpatialHistogram, BuildError> {
         self.check_preconditions(source)?;
-        Ok(self.build_from_source_detailed(source))
+        Ok(self.build(source))
     }
 
-    /// [`Self::try_build_from_source_detailed`] over density grids that the
-    /// caller keeps up to date (see [`GridSet`]).
+    /// [`Self::try_build`] with construction diagnostics, over density
+    /// grids that the caller keeps up to date (see [`GridSet`]).
     ///
     /// Each refinement phase takes its grid from `grids` when one over the
     /// source's MBR at that phase's dimensions is held, and builds it
@@ -261,31 +245,7 @@ impl MinSkewBuilder {
         side.div_ceil(align) * align
     }
 
-    /// Builds the histogram from any [`RectSource`] — including
-    /// disk-resident sources like [`minskew_data::CsvRectSource`] — using
-    /// only sequential sweeps, one per refinement phase, and O(grid +
-    /// buckets) resident memory. The final phase's sweep also sums each
-    /// cell's centred rects, so the bucket summaries need no sweep of
-    /// their own.
-    ///
-    /// This is the paper's memory story made literal: "the construction
-    /// algorithm does not require the entire data distribution to fit in
-    /// main memory".
-    pub fn build_from_source<S: RectSource + ?Sized>(&self, source: &S) -> SpatialHistogram {
-        self.build_from_source_detailed(source).0
-    }
-
-    /// [`Self::build_from_source`] with construction diagnostics.
-    pub fn build_from_source_detailed<S: RectSource + ?Sized>(
-        &self,
-        source: &S,
-    ) -> (SpatialHistogram, MinSkewDetail) {
-        let (hist, detail, _) =
-            self.build_impl(source, &mut GridSet::default(), false, greedy_split);
-        (hist, detail)
-    }
-
-    /// [`Self::build_from_source`] with a per-split build trace: every
+    /// [`Self::build`] with a per-split build trace: every
     /// greedy split of the §4.2 loop recorded as a [`SplitEvent`], so the
     /// construction is auditable split by split.
     ///
@@ -1263,7 +1223,7 @@ mod tests {
                 .regions(1_600)
                 .progressive_refinements(refinements);
             let in_memory = builder.build(&ds);
-            let streamed = builder.build_from_source(&source);
+            let streamed = builder.build(&source);
             assert_eq!(in_memory, streamed, "refinements = {refinements}");
         }
         std::fs::remove_file(path).ok();

@@ -29,7 +29,6 @@
 use minskew_data::{CellBlock, Dataset, DensityGrid, GridPrefixSums};
 use minskew_geom::Axis;
 
-use crate::error::BuildError;
 use crate::minskew::blocks_to_histogram;
 use crate::{ExtensionRule, SpatialHistogram};
 
@@ -71,49 +70,6 @@ pub fn build_optimal_bsp(data: &Dataset, buckets: usize, side: usize) -> Optimal
             spatial_skew: 0.0,
         };
     }
-    build_optimal_bsp_inner(data, buckets, side)
-}
-
-/// Fallible counterpart of [`build_optimal_bsp`].
-///
-/// # Errors
-///
-/// * [`BuildError::ZeroBucketBudget`] — `buckets == 0`.
-/// * [`BuildError::EmptyDataset`] — no input rectangles.
-/// * [`BuildError::InvalidConfig`] — `side == 0` or a state space beyond
-///   the feasibility bound of this exact baseline.
-pub fn try_build_optimal_bsp(
-    data: &Dataset,
-    buckets: usize,
-    side: usize,
-) -> Result<OptimalBsp, BuildError> {
-    if buckets == 0 {
-        return Err(BuildError::ZeroBucketBudget);
-    }
-    if side == 0 {
-        return Err(BuildError::InvalidConfig(
-            "need at least one grid cell per axis".into(),
-        ));
-    }
-    if data.is_empty() {
-        return Err(BuildError::EmptyDataset);
-    }
-    if !data.stats().mbr.is_finite() {
-        return Err(BuildError::NonFiniteMbr);
-    }
-    let states = side
-        .checked_pow(4)
-        .and_then(|s4| s4.checked_mul(buckets + 1))
-        .unwrap_or(usize::MAX);
-    if states > MAX_DP_STATES {
-        return Err(BuildError::InvalidConfig(format!(
-            "optimal BSP state space too large ({states}); use MinSkewBuilder instead"
-        )));
-    }
-    Ok(build_optimal_bsp_inner(data, buckets, side))
-}
-
-fn build_optimal_bsp_inner(data: &Dataset, buckets: usize, side: usize) -> OptimalBsp {
     let mbr = data.stats().mbr;
     let (grid, centres) = DensityGrid::build_with_centres(data, mbr, side, side);
     let prefix = GridPrefixSums::from_grid(&grid);

@@ -89,14 +89,6 @@ pub fn try_build_rtree_partitioning(
     ))
 }
 
-/// Fallible counterpart of [`build_rtree_partitioning_default`].
-pub fn try_build_rtree_partitioning_default(
-    data: &Dataset,
-    buckets: usize,
-) -> Result<SpatialHistogram, BuildError> {
-    try_build_rtree_partitioning(data, buckets, RTreePartitioningOptions::default())
-}
-
 fn build_rtree_partitioning_with(
     data: &Dataset,
     buckets: usize,

@@ -13,7 +13,6 @@ use minskew_data::Dataset;
 use minskew_geom::Rect;
 use rand::{Rng, SeedableRng};
 
-use crate::error::BuildError;
 use crate::SpatialEstimator;
 
 /// The *Sample* estimator.
@@ -29,17 +28,12 @@ impl SamplingEstimator {
     pub const RECTS_PER_BUCKET: usize = 4;
 
     /// Draws a uniform reservoir sample equivalent in (doubled) space to
-    /// `buckets` buckets, i.e. `4 × buckets` rectangles.
+    /// `buckets` buckets, i.e. `4 × buckets` rectangles (capped at the
+    /// dataset size).
     pub fn build(data: &Dataset, buckets: usize, seed: u64) -> SamplingEstimator {
-        Self::with_sample_size(data, buckets * Self::RECTS_PER_BUCKET, seed)
-    }
-
-    /// Draws a uniform reservoir sample of exactly `sample_size` rectangles
-    /// (capped at the dataset size).
-    pub fn with_sample_size(data: &Dataset, sample_size: usize, seed: u64) -> SamplingEstimator {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let rects = data.rects();
-        let k = sample_size.min(rects.len());
+        let k = (buckets * Self::RECTS_PER_BUCKET).min(rects.len());
         // Algorithm R reservoir sampling: one pass, O(N), uniform without
         // knowing N in advance (mirrors how a DBMS samples a scan).
         let mut sample: Vec<Rect> = rects.iter().take(k).copied().collect();
@@ -53,35 +47,6 @@ impl SamplingEstimator {
             sample,
             input_len: rects.len(),
         }
-    }
-
-    /// Fallible counterpart of [`SamplingEstimator::build`].
-    pub fn try_build(
-        data: &Dataset,
-        buckets: usize,
-        seed: u64,
-    ) -> Result<SamplingEstimator, BuildError> {
-        if buckets == 0 {
-            return Err(BuildError::ZeroBucketBudget);
-        }
-        Self::try_with_sample_size(data, buckets * Self::RECTS_PER_BUCKET, seed)
-    }
-
-    /// Fallible counterpart of [`SamplingEstimator::with_sample_size`].
-    pub fn try_with_sample_size(
-        data: &Dataset,
-        sample_size: usize,
-        seed: u64,
-    ) -> Result<SamplingEstimator, BuildError> {
-        if sample_size == 0 {
-            return Err(BuildError::InvalidConfig(
-                "sample size must be at least 1".into(),
-            ));
-        }
-        if data.is_empty() {
-            return Err(BuildError::EmptyDataset);
-        }
-        Ok(Self::with_sample_size(data, sample_size, seed))
     }
 
     /// Number of sampled rectangles.

@@ -1,11 +1,12 @@
 //! Durable snapshot container for persisted statistics.
 //!
-//! The catalog codec ([`crate::codec`]) gives a histogram a compact wire
-//! form, but a bare codec blob on disk has no integrity story: a torn
-//! write, a flipped bit in a zeroed region, or a half-synced page can decode
-//! into a *plausible* histogram that silently mis-estimates forever. This
-//! module wraps the codec payload in a versioned, checksummed container so
-//! every such corruption is **detected**, typed, and recoverable:
+//! The catalog codec ([`crate::SpatialHistogram::to_bytes`]) gives a
+//! histogram a compact wire form, but a bare codec blob on disk has no
+//! integrity story: a torn write, a flipped bit in a zeroed region, or a
+//! half-synced page can decode into a *plausible* histogram that silently
+//! mis-estimates forever. This module wraps the codec payload in a
+//! versioned, checksummed container so every such corruption is
+//! **detected**, typed, and recoverable:
 //!
 //! ```text
 //! offset  size  field

@@ -170,18 +170,6 @@ impl DensityGrid {
         }
     }
 
-    /// Builds a roughly square grid with approximately `regions` cells
-    /// (the paper parameterises Min-Skew by the *number of regions*, e.g.
-    /// 10 000 regions = a 100 × 100 grid).
-    pub fn with_regions<I, B>(rects: I, bounds: Rect, regions: usize) -> DensityGrid
-    where
-        I: IntoIterator<Item = B>,
-        B: std::borrow::Borrow<Rect>,
-    {
-        let side = (regions.max(1) as f64).sqrt().round().max(1.0) as usize;
-        DensityGrid::build(rects, bounds, side, side)
-    }
-
     /// Number of columns.
     #[inline]
     pub fn nx(&self) -> usize {
@@ -617,15 +605,6 @@ mod tests {
         let g = DensityGrid::build(r.iter(), unit_bounds(), 3, 3);
         assert!(g.densities().iter().all(|&d| d == 1));
         assert_eq!(g.num_cells(), 9);
-    }
-
-    #[test]
-    fn with_regions_builds_square_grid() {
-        let r = [unit_bounds()];
-        let g = DensityGrid::with_regions(r.iter(), unit_bounds(), 10_000);
-        assert_eq!((g.nx(), g.ny()), (100, 100));
-        let g = DensityGrid::with_regions(r.iter(), unit_bounds(), 1);
-        assert_eq!((g.nx(), g.ny()), (1, 1));
     }
 
     #[test]

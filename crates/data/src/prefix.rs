@@ -61,12 +61,6 @@ impl GridPrefixSums {
         self.rect_query(&self.sum2, b)
     }
 
-    /// Mean density over the block.
-    #[inline]
-    pub fn block_mean(&self, b: &CellBlock) -> f64 {
-        self.block_sum(b) / b.num_cells() as f64
-    }
-
     /// Sum of squared errors of the block's densities around their mean:
     /// `Σ d_j² − (Σ d_j)² / n`.
     ///
@@ -211,7 +205,6 @@ mod tests {
         let full = g.full_block();
         assert_eq!(p.block_sum(&full), 45.0);
         assert_eq!(p.block_sum2(&full), 285.0);
-        assert!((p.block_mean(&full) - 5.0).abs() < 1e-12);
         // SSE of 1..9 around mean 5 = 60.
         assert!((p.block_sse(&full) - 60.0).abs() < 1e-9);
         // Sub-block: top-right 2x2 = [5, 6, 8, 9].

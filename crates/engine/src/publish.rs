@@ -147,7 +147,7 @@ impl TableSnapshot {
 
     /// [`TableSnapshot::estimate`] with the evidence attached. The headline
     /// number is produced by *calling the serving path itself*
-    /// ([`TableSnapshot::estimate_raw`] plus the identical clamp), so it is
+    /// (`TableSnapshot::estimate_raw` plus the identical clamp), so it is
     /// bit-identical to what `ESTIMATE` would have returned by
     /// construction. The per-bucket breakdown then comes from the kernel's
     /// explained scan — the same scan with recording on the side, pinned
@@ -177,7 +177,7 @@ impl TableSnapshot {
 }
 
 /// Which serving path computed an estimate (see
-/// [`TableSnapshot::estimate_raw`]'s two-way dispatch).
+/// `TableSnapshot::estimate_raw`'s two-way dispatch).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EstimatePath {
     /// The block-pruned kernel path.

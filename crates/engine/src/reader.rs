@@ -13,7 +13,7 @@ use crate::publish::{EstimateScratch, EstimateTrace, SnapshotCell, TableSnapshot
 /// A reader never takes the table's serving lock and never blocks on a
 /// writer: each estimate loads the currently published [`TableSnapshot`]
 /// from the table's [`SnapshotCell`] (a few nanoseconds; see the
-/// publication protocol in [`crate::publish`]) and computes against that
+/// publication protocol there) and computes against that
 /// immutable view. Every value it returns is therefore **exactly** the
 /// value [`crate::SpatialTable::estimate`] would return against the same
 /// publication — old snapshot or new, never a mixture. The table serves
@@ -35,7 +35,7 @@ pub struct SpatialReader {
     keys: Vec<u64>,
 }
 
-/// Error from [`SpatialReader::try_estimate_batch`]: the first offending
+/// Error from [`SpatialReader::try_estimate_batch_into`]: the first offending
 /// query (in request order) and why it was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchQueryError {
@@ -122,28 +122,20 @@ impl SpatialReader {
     }
 
     /// Estimated result sizes for a batch of queries, rejecting the batch
-    /// on the first (request-order) non-finite query.
+    /// on the first (request-order) non-finite query. `out` is overwritten
+    /// with the batch's estimates in request order (and left empty on
+    /// error).
     ///
     /// The whole batch is served against **one** snapshot load — a mid-batch
     /// publication cannot split the batch across generations — and is
     /// evaluated in Morton order of the query centres
     /// ([`minskew_core::morton_schedule`]) so consecutive estimates touch
-    /// neighbouring pruning blocks and SoA cache lines. Results are returned
-    /// in request order, and every value is bit-identical to what a
-    /// request-order [`SpatialReader::try_estimate`] loop against the same
-    /// snapshot would produce: each estimate is independent, so the order
-    /// cannot change any answer.
-    pub fn try_estimate_batch(&mut self, queries: &[Rect]) -> Result<Vec<f64>, BatchQueryError> {
-        let mut out = Vec::new();
-        self.try_estimate_batch_into(queries, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`SpatialReader::try_estimate_batch`] into a caller's buffer: `out`
-    /// is overwritten with the batch's estimates in request order (and
-    /// left empty on error). The Morton order lives in buffers the reader
-    /// keeps, so once `out` and those buffers have grown to the batch
-    /// size, a batch allocates nothing.
+    /// neighbouring pruning blocks and SoA cache lines. Every value is
+    /// bit-identical to what a request-order [`SpatialReader::try_estimate`]
+    /// loop against the same snapshot would produce: each estimate is
+    /// independent, so the order cannot change any answer. The Morton order
+    /// lives in buffers the reader keeps, so once `out` and those buffers
+    /// have grown to the batch size, a batch allocates nothing.
     pub fn try_estimate_batch_into(
         &mut self,
         queries: &[Rect],

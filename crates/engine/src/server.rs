@@ -99,15 +99,15 @@ use std::time::Duration;
 
 use minskew_geom::Rect;
 use minskew_obs::{
-    Counter, FlightRecorder, FlightTrigger, Histogram, QueryRecord, Registry, RegistrySnapshot,
-    Stopwatch,
+    json_escape, json_f64, Counter, FlightRecorder, FlightTrigger, Histogram, QueryRecord,
+    Registry, RegistrySnapshot, Stopwatch,
 };
 
 use crate::catalog::{CatalogEntry, CatalogError, SpatialCatalog};
 use crate::persist::SnapshotIoError;
 use crate::publish::EstimateTrace;
 use crate::reader::SpatialReader;
-use crate::table::{MaintenanceMode, RowId, StatsTechnique, TableOptions};
+use crate::table::{MaintenanceMode, RowId, TableOptions};
 
 /// Hard cap on one request line (transport protection; a longer line
 /// closes the connection after a typed error).
@@ -828,12 +828,9 @@ fn cmd_create(ctx: &Arc<ServerCtx>, args: &[&str]) -> Reply {
                 Err(_) => return err(2, format_args!("usage: bad buckets {value:?}")),
             },
             "technique" => {
-                options.analyze.technique = match value {
-                    "min-skew" | "minskew" => StatsTechnique::MinSkew,
-                    "equi-area" => StatsTechnique::EquiArea,
-                    "equi-count" => StatsTechnique::EquiCount,
-                    "uniform" => StatsTechnique::Uniform,
-                    _ => return err(2, format_args!("usage: unknown technique {value:?}")),
+                options.analyze.technique = match value.parse() {
+                    Ok(technique) => technique,
+                    Err(_) => return err(2, format_args!("usage: unknown technique {value:?}")),
                 }
             }
             _ => return err(2, format_args!("usage: unknown option {key:?}")),
@@ -1010,34 +1007,6 @@ fn cmd_batch(
     Reply::Written
 }
 
-/// A number for hand-written JSON: shortest-round-trip for finite values,
-/// `null` otherwise (JSON has no Inf/NaN).
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        v.to_string()
-    } else {
-        String::from("null")
-    }
-}
-
-/// A JSON string literal (quotes, backslash, control characters escaped).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Cap on per-bucket terms inlined into an `EXPLAIN` reply; the full count
 /// is always reported as `terms_total`.
 const EXPLAIN_MAX_TERMS: usize = 32;
@@ -1047,11 +1016,11 @@ fn trace_json(trace: &EstimateTrace) -> String {
     let mut out = String::with_capacity(256);
     let _ = write!(
         out,
-        "{{\"estimate\":{},\"raw\":{},\"clamped\":{},\"path\":{}",
-        json_num(trace.estimate),
-        json_num(trace.raw),
+        "{{\"estimate\":{},\"raw\":{},\"clamped\":{},\"path\":\"{}\"",
+        json_f64(trace.estimate),
+        json_f64(trace.raw),
         trace.clamped,
-        json_str(trace.path.label()),
+        trace.path.label(),
     );
     let _ = write!(
         out,
@@ -1064,14 +1033,14 @@ fn trace_json(trace: &EstimateTrace) -> String {
             let k = &d.kernel;
             let _ = write!(
                 out,
-                ",\"detail\":{{\"technique\":{},\"rule\":{},\"buckets\":{},\
+                ",\"detail\":{{\"technique\":\"{}\",\"rule\":\"{}\",\"buckets\":{},\
                  \"total_count\":{},\"saw_pos_zero\":{},\"prune\":{{\"blocks\":{},\
                  \"blocks_pruned\":{},\"quads_tested\":{},\"quads_pruned\":{},\
                  \"buckets_classified\":{}}},\"terms_total\":{},\"terms\":[",
-                json_str(&d.technique),
-                json_str(d.rule.label()),
+                json_escape(&d.technique),
+                d.rule.label(),
                 d.num_buckets,
-                json_num(d.total_count),
+                json_f64(d.total_count),
                 k.saw_pos_zero,
                 k.prune.blocks,
                 k.prune.blocks_pruned,
@@ -1087,11 +1056,11 @@ fn trace_json(trace: &EstimateTrace) -> String {
                     "{sep}{{\"bucket\":{},\"count\":{},\"ex\":{},\"ey\":{},\
                      \"fraction\":{},\"term\":{}}}",
                     t.bucket,
-                    json_num(t.count),
-                    json_num(t.ex),
-                    json_num(t.ey),
-                    json_num(t.fraction),
-                    json_num(t.term),
+                    json_f64(t.count),
+                    json_f64(t.ex),
+                    json_f64(t.ey),
+                    json_f64(t.fraction),
+                    json_f64(t.term),
                 );
             }
             out.push_str("]}}");
@@ -1446,6 +1415,69 @@ mod tests {
         // Exactly 64 chars is still valid.
         let max = format!("TID={} PING", "y".repeat(64));
         assert!(line(&ctx, &mut conn, &max).ends_with("OK pong"));
+    }
+
+    #[test]
+    fn create_takes_every_technique_name_and_keeps_its_error_reply() {
+        let ctx = test_ctx(ServeOptions::default());
+        let mut conn = ConnState::default();
+        for (i, (name, built)) in [
+            ("min-skew", "Min-Skew"),
+            ("minskew", "Min-Skew"),
+            ("equi-area", "Equi-Area"),
+            ("equi-count", "Equi-Count"),
+            ("uniform", "Uniform"),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let create = format!("CREATE t{i} buckets=4 technique={name}");
+            assert_eq!(line(&ctx, &mut conn, &create), format!("OK created t{i}"));
+            for j in 0..20 {
+                let x = f64::from(j) * 5.0;
+                let req = format!("INSERT t{i} {x} 0 {} 3", x + 3.0);
+                assert!(line(&ctx, &mut conn, &req).starts_with("OK "));
+            }
+            assert!(line(&ctx, &mut conn, &format!("ANALYZE t{i}")).starts_with("OK analyzed"));
+            let explain = line(&ctx, &mut conn, &format!("EXPLAIN t{i} 0 0 50 3"));
+            assert!(
+                explain.contains(&format!("\"technique\":\"{built}\"")),
+                "{name}: {explain:?}"
+            );
+        }
+        for bad in ["rtree", "Min-Skew"] {
+            assert_eq!(
+                line(&ctx, &mut conn, &format!("CREATE u technique={bad}")),
+                format!("ERR 2 usage: unknown technique \"{bad}\"")
+            );
+        }
+    }
+
+    #[test]
+    fn explain_escapes_a_loaded_technique_name() {
+        // A statistics file may carry any technique name (a snapshot files
+        // an unknown one under tag 255), control characters and quotes
+        // included; EXPLAIN must still be one JSON line that decodes to it.
+        let mut t = crate::SpatialTable::new(TableOptions::default());
+        t.insert(Rect::new(0.0, 0.0, 4.0, 4.0));
+        t.analyze();
+        let stats = t.stats().expect("analyzed");
+        let named = minskew_core::SpatialHistogram::from_parts(
+            "a\n\"b\"\t\\c\u{1}",
+            stats.buckets().to_vec(),
+            1,
+            stats.extension_rule(),
+        );
+        t.load_stats(&named.to_bytes());
+        let trace = t
+            .try_explain(&Rect::new(0.0, 0.0, 2.0, 2.0))
+            .expect("finite");
+        let json = trace_json(&trace);
+        assert!(
+            json.contains(r#""technique":"a\n\"b\"\t\\c\u0001","#),
+            "{json:?}"
+        );
+        assert!(!json.contains('\n'), "{json:?}");
     }
 
     #[test]

@@ -70,6 +70,24 @@ pub enum StatsTechnique {
     Uniform,
 }
 
+impl std::str::FromStr for StatsTechnique {
+    type Err = String;
+
+    /// Parses the technique names the CLI and the wire protocol accept:
+    /// `min-skew` (or `minskew`), `equi-area`, `equi-count` and `uniform`.
+    fn from_str(s: &str) -> Result<StatsTechnique, String> {
+        match s {
+            "min-skew" | "minskew" => Ok(StatsTechnique::MinSkew),
+            "equi-area" => Ok(StatsTechnique::EquiArea),
+            "equi-count" => Ok(StatsTechnique::EquiCount),
+            "uniform" => Ok(StatsTechnique::Uniform),
+            other => Err(format!(
+                "unknown technique {other:?} (want min-skew|equi-area|equi-count|uniform)"
+            )),
+        }
+    }
+}
+
 /// How the table repairs drifted statistics when
 /// [`SpatialTable::maintain`] runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -787,9 +805,8 @@ impl SpatialTable {
     }
 
     /// Installs `hist` and records how it was obtained: `analyze`,
-    /// `try_analyze`, `load_stats`, and auto-`ANALYZE` alike. New
-    /// statistics mean new estimates from the next load of the published
-    /// snapshot on.
+    /// `load_stats`, and auto-`ANALYZE` alike. New statistics mean new
+    /// estimates from the next load of the published snapshot on.
     pub(crate) fn install_stats(&mut self, hist: SpatialHistogram, mut diag: StatsDiagnostics) {
         diag.requested_buckets = self.options.analyze.buckets;
         diag.achieved_buckets = hist.buckets().len();
@@ -865,32 +882,6 @@ impl SpatialTable {
         }
     }
 
-    /// Rebuilds the optimizer statistics from the live rows, strictly: the
-    /// configured technique at the configured budget, or an error. Nothing
-    /// is installed on failure (the previous statistics stay in force).
-    pub fn try_analyze(&mut self) -> Result<(), BuildError> {
-        let mut clock = Stopwatch::start();
-        let opts = self.options.analyze;
-        let metrics = self.options.metrics.then_some(&self.registry);
-        let rows = Self::live_rows(&mut self.rows, metrics);
-        // ANALYZE takes the held grids; only a Min-Skew build hands back
-        // the ones it used.
-        let mut grids = std::mem::take(&mut self.grids);
-        let built = Self::build_stats(metrics, &rows, opts, &mut grids);
-        Self::note_row_sweeps(metrics, &rows);
-        let hist = built?;
-        self.keep_grids(opts, grids);
-        self.note_analyze(hist.name(), clock.lap());
-        self.install_stats(
-            hist,
-            StatsDiagnostics {
-                attempts: 1,
-                ..StatsDiagnostics::default()
-            },
-        );
-        Ok(())
-    }
-
     /// Holds on to the grids a successful build at `opts` used: Min-Skew's
     /// phase grids, none for the other techniques.
     fn keep_grids(&mut self, opts: AnalyzeOptions, grids: GridSet) {
@@ -902,11 +893,10 @@ impl SpatialTable {
     /// Rebuilds the optimizer statistics from the live rows
     /// (the `ANALYZE` command).
     ///
-    /// Unlike [`SpatialTable::try_analyze`], this never fails: when the
-    /// configured build cannot succeed it walks the degradation ladder —
-    /// retry at the achievable bucket budget, then fall back to the
-    /// single-bucket uniform assumption — and records the outcome in
-    /// [`SpatialTable::stats_diagnostics`].
+    /// This never fails: when the configured build cannot succeed it walks
+    /// the degradation ladder — retry at the achievable bucket budget, then
+    /// fall back to the single-bucket uniform assumption — and records the
+    /// outcome in [`SpatialTable::stats_diagnostics`].
     ///
     /// Min-Skew and Uniform read the rows in place. Min-Skew also reuses
     /// each density grid, and the final grid's centre sums, that the writes
@@ -1114,16 +1104,6 @@ impl SpatialTable {
             .reader
             .estimate_batch_on(&self.current, queries, &mut out);
         out
-    }
-
-    /// Strict counterpart of [`SpatialTable::estimate_batch`]: any
-    /// non-finite query fails the whole batch instead of estimating zero,
-    /// with the same error the per-query loop would hit.
-    pub fn try_estimate_batch(&self, queries: &[Rect]) -> Result<Vec<f64>, EstimateError> {
-        if queries.iter().any(|q| !q.is_finite()) {
-            return Err(EstimateError::NonFiniteQuery);
-        }
-        Ok(self.estimate_batch(queries))
     }
 
     /// A snapshot of this table's metrics: the registry's `engine.*`
@@ -1469,6 +1449,7 @@ impl SpatialTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reader::BatchQueryError;
     use minskew_datagen::charminar_with;
 
     /// The counter `name` in the table's metrics snapshot (0 if absent).
@@ -1762,7 +1743,12 @@ mod tests {
             .map(|v| v.to_bits())
             .collect();
         assert_eq!(batch_bits, serial_bits);
-        assert_eq!(t.try_estimate_batch(&queries).expect("finite"), serial);
+        let mut reader = t.reader();
+        let mut strict = Vec::new();
+        reader
+            .try_estimate_batch_into(&queries, &mut strict)
+            .expect("finite");
+        assert_eq!(strict, serial);
         // Strict batch rejects a poisoned query; graceful batch maps it to 0.
         let poisoned = Rect {
             lo: minskew_geom::Point::new(f64::NAN, 0.0),
@@ -1770,7 +1756,9 @@ mod tests {
         };
         let mut with_bad = queries;
         with_bad.push(poisoned);
-        assert!(t.try_estimate_batch(&with_bad).is_err());
+        assert!(reader
+            .try_estimate_batch_into(&with_bad, &mut strict)
+            .is_err());
         assert_eq!(t.estimate_batch(&with_bad).last(), Some(&0.0));
     }
 
@@ -1799,23 +1787,18 @@ mod tests {
     }
 
     #[test]
-    fn try_analyze_is_strict_where_analyze_degrades() {
-        // An empty table: strict analysis refuses, graceful analysis
-        // degrades to the uniform floor and records it.
+    fn analyze_degrades_an_empty_table_to_uniform() {
+        // An empty table: the configured build refuses, and analyze
+        // degrades to the uniform floor and records why.
         let mut t = SpatialTable::new(TableOptions::default());
-        assert!(matches!(
-            t.try_analyze(),
-            Err(minskew_core::BuildError::EmptyDataset)
-        ));
-        assert!(
-            t.stats().is_none(),
-            "failed strict analyze must not install"
-        );
         t.analyze();
         let d = t.stats_diagnostics();
         assert!(d.degraded);
         assert_eq!(d.fallback, StatsFallback::Uniform);
-        assert!(d.last_error.is_some());
+        assert_eq!(
+            d.last_error,
+            Some(minskew_core::BuildError::EmptyDataset.to_string())
+        );
         assert_eq!(t.estimate(&Rect::new(0.0, 0.0, 1.0, 1.0)), 0.0);
     }
 
@@ -1849,12 +1832,13 @@ mod tests {
         for r in charminar_with(500, 7).rects() {
             t.insert(*r);
         }
-        assert!(matches!(
-            t.try_analyze(),
-            Err(minskew_core::BuildError::GridTooCoarse { .. })
-        ));
         t.analyze();
         let d = t.stats_diagnostics();
+        let too_coarse = minskew_core::BuildError::GridTooCoarse {
+            regions: 4,
+            buckets: 100,
+        };
+        assert_eq!(d.last_error, Some(too_coarse.to_string()));
         assert_eq!(d.fallback, StatsFallback::DegradedBuckets);
         assert!(d.degraded);
         assert_eq!(d.requested_buckets, 100);
@@ -1947,7 +1931,12 @@ mod tests {
             })
             .collect();
         let serial: Vec<f64> = good.iter().map(|q| t.estimate(q)).collect();
-        assert_eq!(t.try_estimate_batch(&good).expect("all finite"), serial);
+        let mut reader = t.reader();
+        let mut out = Vec::new();
+        reader
+            .try_estimate_batch_into(&good, &mut out)
+            .expect("all finite");
+        assert_eq!(out, serial);
         let poisoned = Rect {
             lo: minskew_geom::Point::new(f64::INFINITY, 0.0),
             hi: minskew_geom::Point::new(1.0, 1.0),
@@ -1955,12 +1944,37 @@ mod tests {
         for position in [0usize, 64, good.len()] {
             let mut batch = good.clone();
             batch.insert(position, poisoned);
-            let err = t.try_estimate_batch(&batch).expect_err("must reject");
-            assert!(
-                matches!(err, EstimateError::NonFiniteQuery),
-                "position={position}"
+            let err = reader
+                .try_estimate_batch_into(&batch, &mut out)
+                .expect_err("must reject");
+            assert_eq!(
+                err,
+                BatchQueryError {
+                    index: position,
+                    error: EstimateError::NonFiniteQuery,
+                },
             );
+            assert!(out.is_empty(), "position={position}");
         }
+    }
+
+    #[test]
+    fn technique_names_parse() {
+        for (name, technique) in [
+            ("min-skew", StatsTechnique::MinSkew),
+            ("minskew", StatsTechnique::MinSkew),
+            ("equi-area", StatsTechnique::EquiArea),
+            ("equi-count", StatsTechnique::EquiCount),
+            ("uniform", StatsTechnique::Uniform),
+        ] {
+            assert_eq!(name.parse::<StatsTechnique>(), Ok(technique), "{name}");
+        }
+        assert_eq!(
+            "rtree".parse::<StatsTechnique>(),
+            Err(String::from(
+                "unknown technique \"rtree\" (want min-skew|equi-area|equi-count|uniform)"
+            ))
+        );
     }
 
     #[test]
@@ -1995,7 +2009,7 @@ mod tests {
             .map(|i| Rect::new(0.0, 0.0, 10.0 + i as f64, 10.0))
             .collect();
         t.estimate_batch(&queries);
-        let _ = t.try_estimate_batch(&queries[..4]).expect("finite");
+        t.estimate_batch(&queries[..4]);
         assert_eq!(counter(&t, "engine.batch.calls"), 2);
         assert_eq!(counter(&t, "engine.batch.queries"), 14);
         // Batch queries are not single-query calls.

@@ -27,16 +27,6 @@ impl Point {
         }
     }
 
-    /// Returns a copy with the coordinate along `axis` replaced by `v`.
-    #[inline]
-    pub fn with_coord(mut self, axis: Axis, v: f64) -> Point {
-        match axis {
-            Axis::X => self.x = v,
-            Axis::Y => self.y = v,
-        }
-        self
-    }
-
     /// Squared Euclidean distance to `other`.
     ///
     /// Avoids the square root; use when only comparisons are needed
@@ -76,8 +66,6 @@ mod tests {
         let p = Point::new(3.0, -2.0);
         assert_eq!(p.coord(Axis::X), 3.0);
         assert_eq!(p.coord(Axis::Y), -2.0);
-        assert_eq!(p.with_coord(Axis::X, 7.0), Point::new(7.0, -2.0));
-        assert_eq!(p.with_coord(Axis::Y, 7.0), Point::new(3.0, 7.0));
     }
 
     #[test]

@@ -11,7 +11,7 @@ use crate::registry::RegistrySnapshot;
 use std::fmt::Write as _;
 
 /// Escapes `s` for a JSON string literal (quotes, backslash, control chars).
-pub(crate) fn json_escape(s: &str) -> String {
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for ch in s.chars() {
         match ch {
@@ -31,7 +31,7 @@ pub(crate) fn json_escape(s: &str) -> String {
 
 /// A gauge value as a JSON number, or `null` when non-finite (JSON has no
 /// Inf/NaN).
-pub(crate) fn json_f64(v: f64) -> String {
+pub fn json_f64(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
     } else {

@@ -52,6 +52,7 @@ mod metrics;
 mod registry;
 mod stopwatch;
 
+pub use export::{json_escape, json_f64};
 pub use flight::{FlightRecorder, FlightTrigger, QueryRecord, TID_BYTES};
 pub use metrics::{bucket_bounds, Counter, Gauge, Histogram, HistogramSnapshot, HISTOGRAM_BUCKETS};
 pub use registry::{Registry, RegistrySnapshot};

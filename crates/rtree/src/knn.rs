@@ -102,14 +102,6 @@ impl<T> RStarTree<T> {
         }
         out
     }
-
-    /// Distance-ordered variant returning `(item, distance)` pairs.
-    pub fn nearest_neighbors_with_distance(&self, p: Point, k: usize) -> Vec<(&Item<T>, f64)> {
-        self.nearest_neighbors(p, k)
-            .into_iter()
-            .map(|item| (item, min_dist2(p, &item.rect).sqrt()))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -176,9 +168,6 @@ mod tests {
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].data, 7);
         assert!(one.nearest_neighbors(Point::new(0.0, 0.0), 0).is_empty());
-
-        let with_d = one.nearest_neighbors_with_distance(Point::new(5.0, 2.0), 1);
-        assert!((with_d[0].1 - 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -188,10 +177,14 @@ mod tests {
             let x = i as f64 * 10.0;
             tree.insert(Rect::new(x, 0.0, x + 1.0, 1.0), i);
         }
-        let got = tree.nearest_neighbors_with_distance(Point::new(250.0, 0.5), 5);
+        let p = Point::new(250.0, 0.5);
+        let got = tree.nearest_neighbors(p, 5);
         for w in got.windows(2) {
-            assert!(w[0].1 <= w[1].1, "distances must be non-decreasing");
+            assert!(
+                min_dist2(p, &w[0].rect) <= min_dist2(p, &w[1].rect),
+                "distances must be non-decreasing"
+            );
         }
-        assert_eq!(got[0].0.data, 25);
+        assert_eq!(got[0].data, 25);
     }
 }

@@ -8,7 +8,8 @@ use minskew_geom::Rect;
 use crate::node::{Entry, Item, Node};
 use crate::split::{group_mbr, rstar_split};
 
-/// An inconsistent [`RTreeConfig`] reported by the fallible constructors.
+/// An inconsistent [`RTreeConfig`], as [`RTreeConfig::try_with_max_entries`]
+/// reports it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfigError(pub String);
 
@@ -65,7 +66,7 @@ impl RTreeConfig {
     }
 
     /// Checks internal consistency, reporting the first violated constraint.
-    pub fn try_validate(&self) -> Result<(), ConfigError> {
+    fn try_validate(&self) -> Result<(), ConfigError> {
         if self.max_entries < 4 {
             return Err(ConfigError("max_entries must be at least 4".into()));
         }
@@ -146,17 +147,6 @@ impl<T> RStarTree<T> {
         }
     }
 
-    /// Fallible counterpart of [`RStarTree::new`].
-    pub fn try_new(config: RTreeConfig) -> Result<RStarTree<T>, ConfigError> {
-        config.try_validate()?;
-        Ok(RStarTree {
-            config,
-            root: Node::empty_leaf(),
-            height: 1,
-            len: 0,
-        })
-    }
-
     /// Bulk loads a tree from items using Sort-Tile-Recursive packing.
     ///
     /// Much faster than repeated insertion for static datasets
@@ -165,15 +155,6 @@ impl<T> RStarTree<T> {
     pub fn bulk_load(config: RTreeConfig, items: Vec<Item<T>>) -> RStarTree<T> {
         config.validate();
         crate::bulk::str_bulk_load(config, items)
-    }
-
-    /// Fallible counterpart of [`RStarTree::bulk_load`].
-    pub fn try_bulk_load(
-        config: RTreeConfig,
-        items: Vec<Item<T>>,
-    ) -> Result<RStarTree<T>, ConfigError> {
-        config.try_validate()?;
-        Ok(crate::bulk::str_bulk_load(config, items))
     }
 
     /// Bulk loads a tree by **Hilbert packing** (Kamel & Faloutsos): items
@@ -186,15 +167,6 @@ impl<T> RStarTree<T> {
     pub fn bulk_load_hilbert(config: RTreeConfig, items: Vec<Item<T>>) -> RStarTree<T> {
         config.validate();
         crate::hilbert::hilbert_bulk_load(config, items)
-    }
-
-    /// Fallible counterpart of [`RStarTree::bulk_load_hilbert`].
-    pub fn try_bulk_load_hilbert(
-        config: RTreeConfig,
-        items: Vec<Item<T>>,
-    ) -> Result<RStarTree<T>, ConfigError> {
-        config.try_validate()?;
-        Ok(crate::hilbert::hilbert_bulk_load(config, items))
     }
 
     pub(crate) fn from_parts(
@@ -1048,17 +1020,24 @@ mod tests {
             reinsert_count: 1,
         };
         assert!(broken.try_validate().is_err());
-        assert!(RStarTree::<usize>::try_new(broken).is_err());
-        assert!(RStarTree::<usize>::try_bulk_load(broken, vec![]).is_err());
-        assert!(RStarTree::<usize>::try_bulk_load_hilbert(broken, vec![]).is_err());
-        // The Ok paths build real trees.
+        // A config built from the public fields is still checked by every
+        // constructor.
+        assert!(std::panic::catch_unwind(|| RStarTree::<usize>::new(broken)).is_err());
+        assert!(
+            std::panic::catch_unwind(|| RStarTree::<usize>::bulk_load(broken, vec![])).is_err()
+        );
+        assert!(
+            std::panic::catch_unwind(|| RStarTree::<usize>::bulk_load_hilbert(broken, vec![]))
+                .is_err()
+        );
+        // A valid config builds real trees.
         let items: Vec<Item<usize>> = (0..40)
             .map(|i| Item::new(Rect::new(i as f64, 0.0, i as f64 + 0.5, 1.0), i))
             .collect();
-        let t = RStarTree::try_bulk_load(cfg, items.clone()).expect("valid config");
+        let t = RStarTree::bulk_load(cfg, items.clone());
         assert_eq!(t.len(), 40);
         t.validate().expect("bulk-loaded tree is well-formed");
-        let h = RStarTree::try_bulk_load_hilbert(cfg, items).expect("valid config");
+        let h = RStarTree::bulk_load_hilbert(cfg, items);
         assert_eq!(h.len(), 40);
     }
 }

@@ -127,55 +127,6 @@ impl QueryWorkload {
     pub fn qsize(&self) -> f64 {
         self.qsize
     }
-
-    /// Saves the workload as a `x1,y1,x2,y2` CSV (with the QSize recorded
-    /// in a header comment), so evaluation runs can be replayed bit-exactly
-    /// across machines and versions.
-    pub fn save_csv(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        use std::io::Write;
-        let mut w = std::io::BufWriter::new(std::fs::File::create(path)?);
-        writeln!(w, "# minskew query workload; qsize={}", self.qsize)?;
-        for q in &self.queries {
-            writeln!(w, "{},{},{},{}", q.lo.x, q.lo.y, q.hi.x, q.hi.y)?;
-        }
-        w.flush()
-    }
-
-    /// Loads a workload saved by [`Self::save_csv`] (the QSize header is
-    /// recovered when present; plain rect CSVs load with `qsize = 0`).
-    pub fn load_csv(path: impl AsRef<std::path::Path>) -> Result<QueryWorkload, String> {
-        let text = std::fs::read_to_string(&path)
-            .map_err(|e| format!("reading {}: {e}", path.as_ref().display()))?;
-        let mut qsize = 0.0;
-        let mut queries = Vec::new();
-        for (i, line) in text.lines().enumerate() {
-            let trimmed = line.trim();
-            if trimmed.is_empty() {
-                continue;
-            }
-            if let Some(rest) = trimmed.strip_prefix('#') {
-                if let Some(v) = rest.trim().strip_prefix("minskew query workload; qsize=") {
-                    qsize = v.trim().parse().unwrap_or(0.0);
-                }
-                continue;
-            }
-            let fields: Vec<&str> = trimmed.split(',').map(str::trim).collect();
-            if fields.len() != 4 {
-                return Err(format!("line {}: expected 4 fields", i + 1));
-            }
-            let mut vals = [0.0f64; 4];
-            for (slot, f) in vals.iter_mut().zip(&fields) {
-                *slot = f
-                    .parse()
-                    .map_err(|e| format!("line {}: bad number {f:?}: {e}", i + 1))?;
-            }
-            queries.push(Rect::new(vals[0], vals[1], vals[2], vals[3]));
-        }
-        if queries.is_empty() {
-            return Err("workload file contains no queries".into());
-        }
-        Ok(QueryWorkload { queries, qsize })
-    }
 }
 
 /// Translates `r` so it lies within `bounds` (§5.2: "rectangles lying within
@@ -288,20 +239,6 @@ mod tests {
         assert!(misses > 50, "expected many empty results, got {misses}");
         let mbr = ds.stats().mbr;
         assert!(w.queries().iter().all(|q| mbr.contains_rect(q)));
-    }
-
-    #[test]
-    fn csv_roundtrip_replays_exactly() {
-        let ds = charminar_with(400, 15);
-        let w = QueryWorkload::generate(&ds, 0.1, 40, 16);
-        let path =
-            std::env::temp_dir().join(format!("minskew-workload-{}.csv", std::process::id()));
-        w.save_csv(&path).unwrap();
-        let back = QueryWorkload::load_csv(&path).unwrap();
-        assert_eq!(back.queries(), w.queries());
-        assert_eq!(back.qsize(), w.qsize());
-        std::fs::remove_file(&path).ok();
-        assert!(QueryWorkload::load_csv("/no/such/file.csv").is_err());
     }
 
     #[test]

@@ -45,7 +45,7 @@ fn main() -> std::io::Result<()> {
     let hist = MinSkewBuilder::new(100)
         .regions(10_000)
         .progressive_refinements(1)
-        .build_from_source(&source);
+        .build(&source);
     println!(
         "built {} with {} buckets in {:.2}s using sequential sweeps only",
         hist.name(),

@@ -146,7 +146,7 @@ fn streaming_build_matches_in_memory_build() {
     let csv = CsvRectSource::open(&path).expect("reopen dataset");
     let builder = MinSkewBuilder::new(20).regions(900);
     let from_memory = builder.build(&data).to_bytes();
-    let from_stream = builder.build_from_source(&csv).to_bytes();
+    let from_stream = builder.build(&csv).to_bytes();
     assert_eq!(from_memory, from_stream);
     std::fs::remove_file(path).ok();
 }
@@ -236,9 +236,7 @@ fn fault_and_recovery_cycle_keeps_estimates_bounded() {
     // the lenient path or clean errors via the strict path — never a panic.
     for kind in [FaultKind::Truncate, FaultKind::EarlyEof] {
         let faulty = FaultSource::new(&data, kind, 23);
-        let hist = MinSkewBuilder::new(20)
-            .regions(400)
-            .build_from_source(&faulty);
+        let hist = MinSkewBuilder::new(20).regions(400).build(&faulty);
         let est = hist.estimate_count(&queries[0]);
         assert!(est.is_finite() && est >= 0.0, "{kind:?}: {est}");
         assert_eq!(faulty.stats().n, data.len(), "stats pass through");
@@ -267,10 +265,6 @@ fn try_api_surface_is_consistent() {
     ));
     assert!(matches!(
         try_build_equi_count(&empty, 5),
-        Err(BuildError::EmptyDataset)
-    ));
-    assert!(matches!(
-        try_build_grid(&empty, 5),
         Err(BuildError::EmptyDataset)
     ));
     assert!(matches!(

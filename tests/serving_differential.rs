@@ -417,24 +417,26 @@ fn batch_estimation_matches_single_query_loop_with_scratch_reuse() {
         lo: Point::new(f64::NAN, 0.0),
         hi: Point::new(1.0, 1.0),
     };
+    let mut reader = table.reader();
+    let mut out = Vec::new();
     for position in [0usize, queries.len() / 2, queries.len()] {
         let mut bad = queries.clone();
         bad.insert(position, poisoned);
-        assert!(
-            matches!(
-                table.try_estimate_batch(&bad),
-                Err(EstimateError::NonFiniteQuery)
-            ),
-            "position={position}"
+        assert_eq!(
+            reader.try_estimate_batch_into(&bad, &mut out),
+            Err(BatchQueryError {
+                index: position,
+                error: EstimateError::NonFiniteQuery,
+            }),
         );
         // Graceful batch still answers, mapping the bad query to 0.0.
         assert_eq!(table.estimate_batch(&bad)[position], 0.0);
     }
 }
 
-/// Table batches, strict batches, a request-order loop of single
-/// estimates and a lock-free reader's batch on the same generation, all
-/// against the linear oracle. Returns the table.
+/// Table batches, a request-order loop of single estimates and a
+/// lock-free reader's graceful and strict batches on the same generation,
+/// all against the linear oracle. Returns the table.
 fn assert_batch_matches_single_queries(data: &Dataset, queries: &[Rect]) -> SpatialTable {
     let mut table = SpatialTable::new(TableOptions::default());
     table.insert_many(data.rects().iter().copied());
@@ -442,12 +444,15 @@ fn assert_batch_matches_single_queries(data: &Dataset, queries: &[Rect]) -> Spat
     let bits = |values: Vec<f64>| -> Vec<u64> { values.into_iter().map(f64::to_bits).collect() };
     let serial = bits(queries.iter().map(|q| oracle(&table, q)).collect());
     assert_eq!(bits(table.estimate_batch(queries)), serial, "batch");
-    let strict = table.try_estimate_batch(queries).expect("all finite");
-    assert_eq!(bits(strict), serial, "strict batch");
     let singles = bits(queries.iter().map(|q| table.estimate(q)).collect());
     assert_eq!(singles, serial, "single queries");
     let mut reader = table.reader();
     assert_eq!(bits(reader.estimate_batch(queries)), serial, "reader batch");
+    let mut strict = Vec::new();
+    reader
+        .try_estimate_batch_into(queries, &mut strict)
+        .expect("all finite");
+    assert_eq!(bits(strict), serial, "strict batch");
     assert_eq!(reader.generation(), table.generation());
     table
 }

@@ -53,7 +53,9 @@
 #      that the --input load put every row in with one publication (plus
 #      one for its ANALYZE) before any write, the MAINTAIN
 #      maintenance surface, trace-id echo, the EXPLAIN/FLIGHT/METRICS
-#      observability verbs, a raw malformed-TID fuzz probe, a raw
+#      observability verbs (a table-less `catalog flight` is a local usage
+#      error, and the table's METRICS carries engine.flight.recorded), a
+#      raw malformed-TID fuzz probe, a raw
 #      three-request pipelined burst answered in order, the offline
 #      `minskew explain` surface (over a freshly built stats file and over
 #      the committed charminar.stats, as README shows it), and a bounded
@@ -203,14 +205,22 @@ if ./target/debug/minskew catalog ping --addr "$SERVE_ADDR" \
     exit 1
 fi
 # The observability verbs: EXPLAIN carries the estimate headline, FLIGHT
-# drains pinned JSONL, METRICS scrapes both registries in both formats.
+# drains a table's pinned JSONL, METRICS scrapes both registries in both
+# formats.
 EXPLAIN_OUT=$(./target/debug/minskew catalog explain --addr "$SERVE_ADDR" \
     --name roads --query 60,25,65,30)
 if [[ "$EXPLAIN_OUT" != *'"estimate":'* ]]; then
     echo "ERROR: catalog explain did not return an estimate trace" >&2
     exit 1
 fi
-./target/debug/minskew catalog flight --addr "$SERVE_ADDR" >/dev/null
+# Every drain names its table: without --name the client exits 2 before
+# any round trip.
+FLIGHT_STATUS=0
+./target/debug/minskew catalog flight --addr "$SERVE_ADDR" 2>/dev/null || FLIGHT_STATUS=$?
+if [[ "$FLIGHT_STATUS" != 2 ]]; then
+    echo "ERROR: catalog flight without --name exited $FLIGHT_STATUS (want 2)" >&2
+    exit 1
+fi
 ./target/debug/minskew catalog flight --addr "$SERVE_ADDR" --name roads \
     --limit 5 >/dev/null
 METRICS_OUT=$(./target/debug/minskew catalog metrics --addr "$SERVE_ADDR")
@@ -218,8 +228,12 @@ if [[ "$METRICS_OUT" != *'minskew-obs/v1'* ]]; then
     echo "ERROR: catalog metrics did not return a schema-tagged scrape" >&2
     exit 1
 fi
-./target/debug/minskew catalog metrics --addr "$SERVE_ADDR" --name roads \
-    --format text >/dev/null
+TABLE_METRICS=$(./target/debug/minskew catalog metrics --addr "$SERVE_ADDR" \
+    --name roads --format text)
+if ! grep -q '^engine\.flight\.recorded ' <<< "$TABLE_METRICS"; then
+    echo "ERROR: the table's METRICS lacks engine.flight.recorded" >&2
+    exit 1
+fi
 # Malformed-TID fuzz straight over the wire: the reply must be a typed
 # usage error with no TID= echo, and the connection must stay usable.
 exec 3<>"/dev/tcp/${SERVE_ADDR%:*}/${SERVE_ADDR##*:}"

@@ -3,8 +3,9 @@
 //! with `TableOptions::metrics = false` — with the bit-identity contract
 //! re-checked before timing (instrumentation that changes an estimate is a
 //! bug, not an acceptable cost). A third column arms the flight recorder
-//! at its worst case (`flight_sample = 1`: every single query is encoded
-//! into the seqlock ring) and holds it to the same ≤5% budget.
+//! at its worst case (`flight_sample = 1`: every sampled query, 1 in
+//! `metrics_sampling`, is encoded into the seqlock ring) and holds it to
+//! the same ≤5% budget.
 //!
 //! The contract under test is the observability layer's ≤5% serving
 //! overhead budget: with metrics on, every call pays a few plain integer
@@ -143,7 +144,8 @@ fn main() {
 
     let off = build_table(&data, false, 0);
     let on = build_table(&data, true, 0);
-    // Worst-case recorder: every query encoded into the flight ring.
+    // Worst-case recorder: every sampled query (1 in `metrics_sampling`)
+    // encoded into the flight ring.
     let recorder = build_table(&data, true, 1);
     let row = bench_path("estimate", &off, &on, &recorder, &pool, rounds);
     eprintln!(
@@ -185,7 +187,8 @@ fn main() {
         "  \"note\": \"single-query serving, metrics on (default sampling + \
          accuracy reservoir) vs TableOptions::metrics = false; recorder_on \
          additionally arms the flight recorder at flight_sample = 1 (every \
-         query encoded into the seqlock ring, the worst case) and its \
+         sampled query, 1 in metrics_sampling, encoded into the seqlock \
+         ring, the worst case) and its \
          recorder_overhead_pct is measured against metrics-on with the \
          recorder off, isolating the ring's own cost; estimates bit-checked \
          equal before timing; contract is <= 5% overhead\",\n",

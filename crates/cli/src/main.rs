@@ -279,16 +279,16 @@ minskew — spatial selectivity estimation (Min-Skew, SIGMOD 1999)
                             insert --name T --rect x1,y1,x2,y2 | delete --name T --id N
                             estimate --name T --query x1,y1,x2,y2
                             explain --name T --query x1,y1,x2,y2
-                            flight [--name T] [--limit N]
+                            flight --name T [--limit N]
                             metrics [--name T] [--format json|text]
                             maintain --name T [--mode off|reanalyze|refine]
                             snapshot --name T --op save|load --path P
                    (one-shot client; server ERR codes become the matching exit code.
                     any action takes --tid TOKEN: the request carries a TID=<token>
-                    prefix, the reply echo is verified, and the token lands in the
-                    server's flight records. flight drains the slow/wrong/sampled
-                    query recorder — bare for the wire recorder, --name T for a
-                    table's; metrics scrapes a registry live)
+                    prefix, the reply echo is verified, and the token lands in any
+                    flight record the request produces. flight drains table T's
+                    slow/wrong/sampled query recorder (FLIGHT <name> [N]); metrics
+                    scrapes a registry live)
   minskew top      --addr HOST:PORT [--name TABLE] [--interval SECS] [--iterations N]
                    (live dashboard over STATS: requests/sec, request-latency
                     quantiles, connections, and staleness for --name;

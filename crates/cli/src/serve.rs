@@ -226,10 +226,7 @@ pub(crate) fn catalog_cmd(action: &str, opts: &Flags) -> Result<(), CliError> {
             rect_tokens(req(opts, "query")?)?
         ),
         "flight" => {
-            let mut request = String::from("FLIGHT");
-            if let Some(name) = opts.get("name") {
-                request.push_str(&format!(" {name}"));
-            }
+            let mut request = format!("FLIGHT {}", req(opts, "name")?);
             if let Some(limit) = opts.get("limit") {
                 limit
                     .parse::<usize>()

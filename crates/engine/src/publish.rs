@@ -1,45 +1,8 @@
 //! Lock-free statistics publication: an epoch/two-slot cell that installs
 //! immutable `Arc`-published table snapshots, so readers never block on a
-//! writer and never observe a half-installed histogram.
-//!
-//! # The publication protocol
-//!
-//! [`SnapshotCell`] is a hand-rolled arc-swap (no external crates, no
-//! `unsafe`): an atomic epoch plus two slots, each a `Mutex<Arc<T>>`.
-//!
-//! * **Readers** load the epoch with `Acquire`, lock the *current* slot
-//!   (`epoch & 1`), clone the `Arc`, drop the lock, and load the epoch
-//!   again. If it moved, they retry. A few nanoseconds, and never a lock
-//!   the writer is holding for the current epoch.
-//! * **The writer** (serialized by its own mutex) writes the new `Arc` into
-//!   the *inactive* slot, then flips the epoch with `Release`. The only
-//!   shared mutation is an `Arc` pointer swap performed under the slot's
-//!   mutex, so an estimate is always computed against exactly one
-//!   fully-built [`TableSnapshot`].
-//! * **After the flip** the writer also writes the new `Arc` into the slot
-//!   it displaced, which is now the inactive one. The cell then holds only
-//!   the current value, so a superseded snapshot is freed as soon as no
-//!   reader holds it, and the table can reuse its statistics (see
-//!   `SpatialTable`'s retired histogram). A reader that read the old
-//!   epoch and clones from that slot gets the new value, sees the epoch
-//!   move, and retries, exactly as it would after a staged write.
-//!
-//! **Contract: each reader sees publications in non-decreasing order**, and
-//! only published ones. While the epoch stays `e`, the writer writes only
-//! slot `(e + 1) & 1`, so a clone of slot `e & 1` taken between two loads
-//! that both read `e` is the value published at `e`. Without the second
-//! load, a reader that stalls after reading `e` could clone the value the
-//! writer is staging for `e + 2` before it is published, and then return
-//! the older `e + 1` on its next load.
-//!
-//! # What a snapshot carries
-//!
-//! [`TableSnapshot`] is everything the serving path needs: the live row
-//! count (for clamping), the fallback MBR (for never-analyzed tables), the
-//! statistics, and two monotonic counters — `generation` (bumped by
-//! every publication) and `stats_era` (bumped only by statistics
-//! installs). Readers keep no results between loads, so a publication
-//! needs no flush: the next estimate simply runs against the new snapshot.
+//! writer and never observe a half-installed histogram. The protocol is
+//! documented on [`SnapshotCell`], and what a snapshot holds on
+//! [`TableSnapshot`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -47,12 +10,25 @@ use std::sync::{Arc, Mutex, PoisonError};
 use minskew_core::{KernelScratch, SpatialHistogram};
 use minskew_geom::Rect;
 
+use crate::reader::Capture;
+
 /// Reusable serving scratch: the kernel's term buffer, so every estimate
 /// entry point is allocation-free once warm.
 pub type EstimateScratch = KernelScratch;
 
 /// An immutable, fully-built view of a table's serving state, published
-/// atomically via [`SnapshotCell`]. See the module docs.
+/// atomically via [`SnapshotCell`].
+///
+/// # What a snapshot carries
+///
+/// Everything the serving path needs: the live row count (for clamping),
+/// the fallback MBR (for never-analyzed tables), the statistics, the
+/// table's capture policy (which calls a reader samples, and the flight
+/// recorder they enter; see [`crate::SpatialReader`]), and two monotonic
+/// counters — `generation` (bumped by every publication) and `stats_era`
+/// (bumped only by statistics installs). Readers keep no results between
+/// loads, so a publication needs no flush: the next estimate simply runs
+/// against the new snapshot.
 #[derive(Debug)]
 pub struct TableSnapshot {
     generation: u64,
@@ -62,6 +38,8 @@ pub struct TableSnapshot {
     /// used only by the never-analyzed fallback estimate.
     mbr: Option<Rect>,
     stats: Option<Arc<SpatialHistogram>>,
+    /// The table's capture policy, shared by every publication.
+    capture: Arc<Capture>,
 }
 
 impl TableSnapshot {
@@ -71,6 +49,7 @@ impl TableSnapshot {
         live: usize,
         mbr: Option<Rect>,
         stats: Option<Arc<SpatialHistogram>>,
+        capture: Arc<Capture>,
     ) -> TableSnapshot {
         TableSnapshot {
             generation,
@@ -78,6 +57,7 @@ impl TableSnapshot {
             live,
             mbr,
             stats,
+            capture,
         }
     }
 
@@ -99,6 +79,11 @@ impl TableSnapshot {
     /// The published statistics, if `ANALYZE` has run.
     pub fn stats(&self) -> Option<&SpatialHistogram> {
         self.stats.as_deref()
+    }
+
+    /// The table's capture policy, which the reader body applies.
+    pub(crate) fn capture(&self) -> &Capture {
+        &self.capture
     }
 
     /// The raw (unclamped) estimate against this snapshot. Every serving
@@ -224,8 +209,39 @@ pub struct EstimateTrace {
     pub detail: Option<minskew_core::EstimateExplain>,
 }
 
-/// The epoch/two-slot publication cell. See the module docs for the
-/// protocol and its torn-read-freedom argument.
+/// The epoch/two-slot publication cell that publishes a table's
+/// [`TableSnapshot`]s to its readers.
+///
+/// # The publication protocol
+///
+/// The cell is a hand-rolled arc-swap (no external crates, no `unsafe`):
+/// an atomic epoch plus two slots, each a `Mutex<Arc<T>>`.
+///
+/// * **Readers** load the epoch with `Acquire`, lock the *current* slot
+///   (`epoch & 1`), clone the `Arc`, drop the lock, and load the epoch
+///   again. If it moved, they retry. A few nanoseconds, and never a lock
+///   the writer is holding for the current epoch.
+/// * **The writer** (serialized by its own mutex) writes the new `Arc` into
+///   the *inactive* slot, then flips the epoch with `Release`. The only
+///   shared mutation is an `Arc` pointer swap performed under the slot's
+///   mutex, so an estimate is always computed against exactly one
+///   fully-built [`TableSnapshot`].
+/// * **After the flip** the writer also writes the new `Arc` into the slot
+///   it displaced, which is now the inactive one. The cell then holds only
+///   the current value, so a superseded snapshot is freed as soon as no
+///   reader holds it, and the table can reuse its statistics (see
+///   `SpatialTable`'s retired histogram). A reader that read the old
+///   epoch and clones from that slot gets the new value, sees the epoch
+///   move, and retries, exactly as it would after a staged write.
+///
+/// **Contract: each reader sees publications in non-decreasing order**, and
+/// only published ones. While the epoch stays `e`, the writer writes only
+/// slot `(e + 1) & 1`, so a clone of slot `e & 1` taken between two loads
+/// that both read `e` is the value published at `e`. Without the second
+/// load, a reader that stalls after reading `e` could clone the value the
+/// writer is staging for `e + 2` before it is published, and then return
+/// the older `e + 1` on its next load.
+///
 #[derive(Debug)]
 pub struct SnapshotCell<T> {
     epoch: AtomicU64,

@@ -1,11 +1,52 @@
-//! Lock-free reader handles over a table's published snapshots.
+//! Lock-free reader handles over a table's published snapshots, and the
+//! one instrumented estimate body every front end runs.
 
 use std::sync::Arc;
 
 use minskew_core::EstimateError;
 use minskew_geom::Rect;
+use minskew_obs::{FlightRecorder, FlightTrigger, QueryRecord, Stopwatch};
 
 use crate::publish::{EstimateScratch, EstimateTrace, SnapshotCell, TableSnapshot};
+use crate::table::TableOptions;
+
+/// How a table's readers capture the estimates they serve: which calls are
+/// sampled and timed, and which sampled calls enter the table's one flight
+/// ring. Built once per table from its [`TableOptions`] and published with
+/// every [`TableSnapshot`], so the table's own reader and every wire
+/// connection's reader apply the same policy.
+#[derive(Debug)]
+pub(crate) struct Capture {
+    /// A reader samples its `n`-th call (from 0) when `n & mask == 0`;
+    /// `None` when metrics are off, which samples nothing.
+    mask: Option<u64>,
+    /// [`TableOptions::flight_slow_ns`].
+    slow_ns: u64,
+    /// [`TableOptions::flight_sample`].
+    sample: u32,
+    /// The table's flight recorder, sized to 0 when metrics are off.
+    pub(crate) flight: Arc<FlightRecorder>,
+}
+
+impl Capture {
+    pub(crate) fn new(options: &TableOptions) -> Capture {
+        // Metrics off ⇒ no recording at all; sizing the ring to zero makes
+        // that structural instead of a per-call check.
+        let capacity = if options.metrics {
+            options.flight_capacity
+        } else {
+            0
+        };
+        Capture {
+            mask: options
+                .metrics
+                .then(|| u64::from(options.metrics_sampling.max(1)).next_power_of_two() - 1),
+            slow_ns: options.flight_slow_ns,
+            sample: options.flight_sample,
+            flight: Arc::new(FlightRecorder::new(capacity)),
+        }
+    }
+}
 
 /// A lock-free serving handle for one table, obtained via
 /// [`crate::SpatialTable::reader`].
@@ -20,6 +61,13 @@ use crate::publish::{EstimateScratch, EstimateTrace, SnapshotCell, TableSnapshot
 /// through a reader of its own, so both run one estimate, batch and
 /// EXPLAIN body.
 ///
+/// That estimate body is instrumented once, here: with the table's
+/// metrics on, a reader times one call in
+/// [`TableOptions::metrics_sampling`] of its own and offers each timed
+/// call to the table's flight recorder (see
+/// [`TableOptions::flight_sample`]). Unsampled calls read no clock and
+/// touch no shared state.
+///
 /// Readers carry their own scratch buffers and keep no results: every
 /// estimate is computed by [`TableSnapshot::estimate`] against the
 /// snapshot it loaded, so nothing a reader holds can outlive a
@@ -30,6 +78,10 @@ pub struct SpatialReader {
     scratch: EstimateScratch,
     /// Generation of the snapshot the most recent estimate ran against.
     generation: u64,
+    /// Single-query estimates this reader served.
+    calls: u64,
+    /// Of `calls`, how many were sampled and timed.
+    sampled: u64,
     /// A batch's Morton order and its scratch keys, kept between batches.
     order: Vec<u32>,
     keys: Vec<u64>,
@@ -64,6 +116,8 @@ impl SpatialReader {
             cell,
             scratch: EstimateScratch::new(),
             generation: 0,
+            calls: 0,
+            sampled: 0,
             order: Vec::new(),
             keys: Vec::new(),
         }
@@ -78,19 +132,66 @@ impl SpatialReader {
 
     /// Estimated result size for `query`, rejecting non-finite queries.
     pub fn try_estimate(&mut self, query: &Rect) -> Result<f64, EstimateError> {
+        self.try_estimate_tagged(query, "")
+    }
+
+    /// [`SpatialReader::try_estimate`] for a request carrying trace id
+    /// `tid`, which a flight record of this call carries.
+    pub(crate) fn try_estimate_tagged(
+        &mut self,
+        query: &Rect,
+        tid: &str,
+    ) -> Result<f64, EstimateError> {
         if !query.is_finite() {
             return Err(EstimateError::NonFiniteQuery);
         }
         let snapshot = self.cell.load();
-        Ok(self.estimate_on(&snapshot, query))
+        Ok(self.estimate_on(&snapshot, query, tid).0)
     }
 
     /// The one estimate body, shared by every reader and by
     /// [`crate::SpatialTable`], against the caller's `snapshot`. `query`
-    /// must be finite.
-    pub(crate) fn estimate_on(&mut self, snapshot: &TableSnapshot, query: &Rect) -> f64 {
+    /// must be finite. Counts the call, and times it when it is sampled
+    /// (see [`TableOptions::metrics_sampling`]): a timed call is offered
+    /// to the flight recorder with trace id `tid` (empty in process), and
+    /// its latency is returned. Recording happens strictly after the value
+    /// is fixed, so it is bit-invisible.
+    pub(crate) fn estimate_on(
+        &mut self,
+        snapshot: &TableSnapshot,
+        query: &Rect,
+        tid: &str,
+    ) -> (f64, Option<u64>) {
         self.generation = snapshot.generation();
-        snapshot.estimate(query, &mut self.scratch)
+        self.calls += 1;
+        let capture = snapshot.capture();
+        let clock = capture
+            .mask
+            .is_some_and(|mask| (self.calls - 1) & mask == 0)
+            .then(Stopwatch::start);
+        let value = snapshot.estimate(query, &mut self.scratch);
+        let Some(clock) = clock else {
+            return (value, None);
+        };
+        let latency_ns = clock.total();
+        self.sampled += 1;
+        if let Some(trigger) = FlightTrigger::for_served(
+            latency_ns,
+            capture.slow_ns,
+            self.sampled - 1,
+            capture.sample,
+        ) {
+            capture.flight.record(&QueryRecord {
+                trigger,
+                tid: tid.to_owned(),
+                query: [query.lo.x, query.lo.y, query.hi.x, query.hi.y],
+                estimate: value,
+                exact: None,
+                latency_ns,
+                generation: self.generation,
+            });
+        }
+        (value, Some(latency_ns))
     }
 
     /// [`SpatialReader::try_estimate`] with the evidence attached: the
@@ -187,6 +288,11 @@ impl SpatialReader {
         self.generation
     }
 
+    /// Single-query estimates served, and how many of them were sampled.
+    pub(crate) fn served(&self) -> (u64, u64) {
+        (self.calls, self.sampled)
+    }
+
     /// Always `(0, 0)`: readers keep no query cache. Inert; it stays only
     /// because the benchmark package still calls it, and goes with
     /// ROADMAP item 2's benchmark half.
@@ -197,8 +303,8 @@ impl SpatialReader {
 
 impl Clone for SpatialReader {
     /// Clones the subscription, not the state: the clone shares the
-    /// publication cell but starts with fresh scratch, so clones can be
-    /// handed to other threads.
+    /// publication cell but starts with fresh scratch and counters, so
+    /// clones can be handed to other threads.
     fn clone(&self) -> SpatialReader {
         SpatialReader::new(self.cell.clone())
     }

@@ -24,7 +24,6 @@
 //! | `MAINTAIN <t> MODE off\|reanalyze\|refine` | `OK maintenance <t> mode=<m>` |
 //! | `SNAPSHOT <t> SAVE\|LOAD <path>` | `OK saved/loaded ...` |
 //! | `EXPLAIN <t> <x1> <y1> <x2> <y2>` | `OK {...}` (single-line JSON trace) |
-//! | `FLIGHT [N]` | `OK <k>` + `k` lines of wire flight-record JSONL |
 //! | `FLIGHT <t> [N]` | `OK <k>` + `k` lines of table `<t>`'s flight JSONL |
 //! | `METRICS [json\|text]` | `OK <k>` + `k` lines of the server registry |
 //! | `METRICS <t> [json\|text]` | `OK <k>` + `k` lines of table `<t>`'s registry |
@@ -44,10 +43,11 @@
 //! `EXPLAIN` answers with the full estimate trace (serving path,
 //! per-bucket terms, pruning counters); its `estimate` field
 //! is bit-identical to what `ESTIMATE` returns for the same query.
-//! `FLIGHT` drains flight recorders: bare for the server's wire records
-//! (slow or 1-in-N-sampled `ESTIMATE` requests, trace ids attached), with
-//! a table name for that table's engine-level records (slow / wrong /
-//! sampled; see [`crate::TableOptions::flight_capacity`]). `METRICS`
+//! `FLIGHT <t> [N]` drains the newest `N` (default all) records of table
+//! `<t>`'s one flight recorder: slow, wrong and sampled queries, whether a
+//! wire `ESTIMATE` (trace id attached), the table or a reader served them
+//! (see [`crate::TableOptions::flight_capacity`]). The first argument is
+//! always the table, so a table named `5` drains like any other. `METRICS`
 //! makes registries scrapeable live instead of dumped only at shutdown.
 //!
 //! Estimates are formatted with Rust's shortest-round-trip `f64` display,
@@ -67,7 +67,11 @@
 //! `ESTIMATE`/`BATCH` go through per-connection [`SpatialReader`]s — the
 //! lock-free snapshot path — so estimate traffic on one table proceeds
 //! concurrently across connections even while a writer runs `ANALYZE`.
-//! Mutating verbs lock only their target table.
+//! An `ESTIMATE` runs the reader's instrumented body, the one the table
+//! runs: the connection's reader samples by the table's
+//! [`crate::TableOptions::metrics_sampling`], and a sampled request may
+//! enter the table's flight recorder. Mutating verbs lock only their
+//! target table.
 //!
 //! A connection serves every complete request line one read delivered,
 //! appends each reply to one output buffer, and sends the buffer with a
@@ -82,11 +86,12 @@
 //! Per-connection and per-verb counters and request latency flow into the
 //! server's [`Registry`]. The per-request ones are resolved once per
 //! server, so an `ESTIMATE` takes no registry lock, and once its
-//! connection's buffers have grown it allocates nothing (a flight record,
-//! when one is taken, copies its trace id). State is not mirrored into
-//! the registry: `serve.active_connections` and `serve.tables` are read
-//! when a snapshot is taken ([`ServerHandle::metrics`]), and `STATS` is a
-//! fixed projection of that same snapshot.
+//! connection's buffers have grown it allocates nothing (a sampled request
+//! that enters the flight recorder copies its trace id). State is not
+//! mirrored into the registry: `serve.active_connections` and
+//! `serve.tables` are read when a snapshot is taken
+//! ([`ServerHandle::metrics`]), and `STATS` is a fixed projection of that
+//! same snapshot.
 
 use std::borrow::Cow;
 use std::fmt::Write as _;
@@ -99,8 +104,7 @@ use std::time::Duration;
 
 use minskew_geom::Rect;
 use minskew_obs::{
-    json_escape, json_f64, Counter, FlightRecorder, FlightTrigger, Histogram, QueryRecord,
-    Registry, RegistrySnapshot, Stopwatch,
+    json_escape, json_f64, Counter, Histogram, Registry, RegistrySnapshot, Stopwatch,
 };
 
 use crate::catalog::{CatalogEntry, CatalogError, SpatialCatalog};
@@ -136,7 +140,8 @@ pub struct ServeOptions {
     /// [`ServerHandle::addr`]).
     pub addr: String,
     /// Options for tables created via the `CREATE` verb (bucket budget and
-    /// technique are overridable per request).
+    /// technique are overridable per request). Each table's sampling and
+    /// flight recorder come from its own options; this seeds nothing else.
     pub table_options: TableOptions,
     /// Maximum query count accepted by one `BATCH` request.
     pub max_batch: usize,
@@ -253,22 +258,10 @@ struct ServerCtx {
     /// bound address, with an unspecified IP replaced by loopback.
     wake_addr: SocketAddr,
     active: AtomicU64,
-    /// Wire-level flight recorder: slow or 1-in-N-sampled `ESTIMATE`
-    /// requests, with the client's trace id stamped in. Sized by the
-    /// table options' flight knobs (drained by the bare `FLIGHT` verb).
-    flight: FlightRecorder,
-    /// Total `ESTIMATE` requests offered to the wire recorder (drives the
-    /// 1-in-N sampled trigger).
-    wire_estimates: AtomicU64,
 }
 
 impl ServerCtx {
     fn new(catalog: Arc<SpatialCatalog>, options: ServeOptions, addr: SocketAddr) -> ServerCtx {
-        let flight_capacity = if options.table_options.metrics {
-            options.table_options.flight_capacity
-        } else {
-            0
-        };
         let mut wake_addr = addr;
         if addr.ip().is_unspecified() {
             wake_addr.set_ip(match addr {
@@ -284,8 +277,6 @@ impl ServerCtx {
             shutdown: AtomicBool::new(false),
             wake_addr,
             active: AtomicU64::new(0),
-            flight: FlightRecorder::new(flight_capacity),
-            wire_estimates: AtomicU64::new(0),
         }
     }
 
@@ -335,40 +326,6 @@ impl ServerCtx {
         if !self.shutdown.swap(true, Ordering::SeqCst) {
             let _ = TcpStream::connect_timeout(&self.wake_addr, Duration::from_secs(1));
         }
-    }
-
-    /// Offers one served wire estimate to the wire flight recorder:
-    /// `slow` when the request latency crosses the table options' slow
-    /// threshold, else a 1-in-`flight_sample` baseline record. Runs after
-    /// the reply value is fixed, so it can never perturb an estimate.
-    fn note_wire_flight(
-        &self,
-        tid: &str,
-        query: &Rect,
-        estimate: f64,
-        latency_ns: u64,
-        generation: u64,
-    ) {
-        if self.flight.capacity() == 0 {
-            return;
-        }
-        let opts = &self.options.table_options;
-        let n = self.wire_estimates.fetch_add(1, Ordering::Relaxed);
-        let Some(trigger) =
-            FlightTrigger::for_served(latency_ns, opts.flight_slow_ns, n, opts.flight_sample)
-        else {
-            return;
-        };
-        self.flight.record(&QueryRecord {
-            trigger,
-            tid: tid.to_string(),
-            query: [query.lo.x, query.lo.y, query.hi.x, query.hi.y],
-            estimate,
-            exact: None,
-            latency_ns,
-            generation,
-        });
-        self.bump("serve.flight.recorded");
     }
 }
 
@@ -937,13 +894,9 @@ fn cmd_estimate(
         Ok(reader) => reader,
         Err(reply) => return reply,
     };
-    let mut clock = Stopwatch::start();
-    match reader.try_estimate(&rect) {
+    match reader.try_estimate_tagged(&rect, tid) {
         Ok(value) => {
-            // The reply value is already fixed: recording can only observe.
-            let latency_ns = clock.lap();
             ctx.add(&ctx.hot.estimates, 1);
-            ctx.note_wire_flight(tid, &rect, value, latency_ns, reader.generation());
             let _ = write!(out, "OK {value}");
             Reply::Written
         }
@@ -1101,32 +1054,20 @@ fn framed(payload: &str) -> Reply {
 }
 
 fn cmd_flight(ctx: &Arc<ServerCtx>, args: &[&str]) -> Reply {
-    // Bare `FLIGHT [N]` drains the server's wire recorder; `FLIGHT <t> [N]`
-    // a table's engine-level recorder. A first argument that parses as a
-    // count is a count — table names that look like numbers lose.
-    let jsonl = match args {
-        [] => ctx.flight.to_jsonl(usize::MAX),
-        [first] => {
-            if let Ok(max) = first.parse::<usize>() {
-                ctx.flight.to_jsonl(max)
-            } else {
-                match lookup(ctx, first) {
-                    Ok(entry) => entry.table().flight_recorder().to_jsonl(usize::MAX),
-                    Err(reply) => return reply,
-                }
-            }
-        }
-        [name, max] => {
-            let Ok(max) = max.parse::<usize>() else {
-                return err(2, format_args!("usage: bad count {max:?}"));
-            };
-            match lookup(ctx, name) {
-                Ok(entry) => entry.table().flight_recorder().to_jsonl(max),
-                Err(reply) => return reply,
-            }
-        }
-        _ => return err(2, "usage: FLIGHT [<table>] [N]"),
+    let (name, max) = match args {
+        [name] => (name, usize::MAX),
+        [name, max] => match max.parse::<usize>() {
+            Ok(max) => (name, max),
+            Err(_) => return err(2, format_args!("usage: bad count {max:?}")),
+        },
+        _ => return err(2, "usage: FLIGHT <table> [N]"),
     };
+    // The table lock is held only to clone the recorder's `Arc`.
+    let flight = match lookup(ctx, name) {
+        Ok(entry) => entry.table().flight_recorder(),
+        Err(reply) => return reply,
+    };
+    let jsonl = flight.to_jsonl(max);
     ctx.bump("serve.flight.drains");
     framed(&jsonl)
 }
@@ -1134,7 +1075,7 @@ fn cmd_flight(ctx: &Arc<ServerCtx>, args: &[&str]) -> Reply {
 fn cmd_metrics(ctx: &Arc<ServerCtx>, args: &[&str]) -> Reply {
     // Bare `METRICS [json|text]` scrapes the server registry;
     // `METRICS <t> [json|text]` a table's. The format literals win the
-    // one-argument ambiguity, like `FLIGHT`'s counts.
+    // one-argument ambiguity.
     let (snap, format) = match args {
         [] => (ctx.metrics(), "json"),
         [first] if *first == "json" || *first == "text" => (ctx.metrics(), *first),
@@ -1267,8 +1208,7 @@ fn cmd_snapshot(ctx: &Arc<ServerCtx>, args: &[&str]) -> Reply {
 mod tests {
     use super::*;
 
-    /// A test context with the wire flight recorder sized by `options`
-    /// exactly as [`serve`] sizes it.
+    /// A test context serving a fresh catalog with `options`.
     fn test_ctx(options: ServeOptions) -> Arc<ServerCtx> {
         // Nothing listens here: a wire SHUTDOWN's wake-up connect fails.
         let addr = SocketAddr::from((Ipv4Addr::LOCALHOST, 1));
@@ -1512,14 +1452,15 @@ mod tests {
     #[test]
     fn flight_drains_wire_records_with_trace_ids() {
         let mut options = ServeOptions::default();
-        options.table_options.flight_sample = 1; // record every estimate
+        options.table_options.metrics_sampling = 1; // sample every estimate
+        options.table_options.flight_sample = 1; // record every sampled one
         let ctx = test_ctx(options);
         let mut conn = ConnState::default();
         assert_eq!(line(&ctx, &mut conn, "CREATE t"), "OK created t");
         assert_eq!(line(&ctx, &mut conn, "INSERT t 0 0 1 1"), "OK 0");
         assert!(line(&ctx, &mut conn, "TID=q1 ESTIMATE t 0 0 2 2").starts_with("TID=q1 OK "));
         assert!(line(&ctx, &mut conn, "ESTIMATE t 0 0 3 3").starts_with("OK "));
-        let reply = line(&ctx, &mut conn, "FLIGHT");
+        let reply = line(&ctx, &mut conn, "FLIGHT t");
         let mut lines = reply.lines();
         assert_eq!(lines.next(), Some("OK 2"), "{reply:?}");
         let first = lines.next().expect("first record");
@@ -1531,13 +1472,89 @@ mod tests {
         let second = lines.next().expect("second record");
         assert!(second.contains("\"tid\":\"\""), "{second:?}");
         // Bounded drains keep the newest.
-        let bounded = line(&ctx, &mut conn, "FLIGHT 1");
+        let bounded = line(&ctx, &mut conn, "FLIGHT t 1");
         assert!(bounded.starts_with("OK 1\n"), "{bounded:?}");
-        // Per-table recorders answer too (empty here: no slow/wrong/sampled
-        // engine-side records were produced).
-        assert_eq!(line(&ctx, &mut conn, "FLIGHT t"), "OK 0");
+        // Every drain names its table.
+        assert!(line(&ctx, &mut conn, "FLIGHT").starts_with("ERR 2 "));
         assert!(line(&ctx, &mut conn, "FLIGHT ghost").starts_with("ERR 2 "));
         assert!(line(&ctx, &mut conn, "FLIGHT t bogus").starts_with("ERR 2 "));
+    }
+
+    /// The trace ids of the records `FLIGHT <args>` drains, oldest first.
+    fn drained_tids(ctx: &Arc<ServerCtx>, conn: &mut ConnState, args: &str) -> Vec<String> {
+        let reply = line(ctx, conn, &format!("FLIGHT {args}"));
+        let mut lines = reply.lines();
+        let head = lines.next().expect("header");
+        let tids: Vec<String> = lines.map(|record| field(record, "tid")).collect();
+        assert_eq!(head, format!("OK {}", tids.len()), "{reply:?}");
+        tids
+    }
+
+    #[test]
+    fn flight_drains_a_table_whose_name_is_a_number() {
+        let mut options = ServeOptions::default();
+        options.table_options.metrics_sampling = 1;
+        options.table_options.flight_sample = 1;
+        let ctx = test_ctx(options);
+        let mut conn = ConnState::default();
+        for name in ["5", "t"] {
+            assert_eq!(
+                line(&ctx, &mut conn, &format!("CREATE {name}")),
+                format!("OK created {name}")
+            );
+            let tagged = format!("TID=in-{name} ESTIMATE {name} 0 0 1 1");
+            assert!(line(&ctx, &mut conn, &tagged).starts_with(&format!("TID=in-{name} OK ")));
+        }
+        assert_eq!(drained_tids(&ctx, &mut conn, "5"), ["\"in-5\""]);
+        assert_eq!(drained_tids(&ctx, &mut conn, "t"), ["\"in-t\""]);
+        assert_eq!(drained_tids(&ctx, &mut conn, "5 1"), ["\"in-5\""]);
+        assert_eq!(
+            line(&ctx, &mut conn, "FLIGHT 5 x"),
+            "ERR 2 usage: bad count \"x\""
+        );
+    }
+
+    #[test]
+    fn wire_estimates_sample_by_the_table_mask_per_connection() {
+        for metrics in [true, false] {
+            let mut options = ServeOptions::default();
+            options.table_options.metrics = metrics;
+            options.table_options.metrics_sampling = 4;
+            options.table_options.flight_sample = 1;
+            let ctx = test_ctx(options);
+            let mut conn = ConnState::default();
+            assert_eq!(line(&ctx, &mut conn, "CREATE t"), "OK created t");
+            assert_eq!(line(&ctx, &mut conn, "INSERT t 0 0 1 1"), "OK 0");
+            for i in 0..8 {
+                let reply = line(&ctx, &mut conn, &format!("TID=q{i} ESTIMATE t 0 0 2 2"));
+                assert_eq!(reply, format!("TID=q{i} OK 1"));
+            }
+            // A second connection has a reader, and a sampled index, of
+            // its own: its first estimate is sampled too.
+            let mut other = ConnState::default();
+            assert_eq!(
+                line(&ctx, &mut other, "TID=r0 ESTIMATE t 0 0 2 2"),
+                "TID=r0 OK 1"
+            );
+            let want: &[&str] = if metrics {
+                &["\"q0\"", "\"q4\"", "\"r0\""]
+            } else {
+                &[]
+            };
+            assert_eq!(
+                drained_tids(&ctx, &mut conn, "t"),
+                want,
+                "metrics {metrics}"
+            );
+            let text = line(&ctx, &mut conn, "METRICS t text");
+            let recorded = want.len().to_string();
+            assert!(
+                text.lines().any(|l| l
+                    .split_whitespace()
+                    .eq(["engine.flight.recorded", recorded.as_str()])),
+                "want engine.flight.recorded {recorded} in {text:?}"
+            );
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@ use minskew_rtree::{Item, RStarTree, RTreeConfig, ValidationError};
 
 use crate::monitor::{AccuracyReport, Reservoir};
 use crate::publish::{EstimateScratch, EstimateTrace, SnapshotCell, TableSnapshot};
-use crate::reader::SpatialReader;
+use crate::reader::{Capture, SpatialReader};
 use crate::rows::{LiveRows, RowStore};
 use crate::{CostModel, Explain, Plan};
 
@@ -230,11 +230,13 @@ pub struct TableOptions {
     /// [`SpatialTable::metrics`] still count. On, it adds sampled latency
     /// timing (see [`TableOptions::metrics_sampling`]). Defaults to `true`.
     pub metrics: bool,
-    /// Time one in this many single-query estimates. A sampled call
+    /// Time one in this many single-query estimates, counted per reader
+    /// (the table's own, and each wire connection's per table). A sampled
+    /// call is offered to the flight recorder, and a sampled table estimate
     /// records its latency in the per-technique histogram
-    /// `engine.estimate.<technique>.ns` and is offered to the flight
-    /// recorder. Rounded up to a power of two; values `<= 1` time every
-    /// call. Unsampled calls never read the clock. Defaults to 256.
+    /// `engine.estimate.<technique>.ns`. Rounded up to a power of two;
+    /// values `<= 1` time every call. Unsampled calls never read the clock.
+    /// Defaults to 256.
     pub metrics_sampling: u32,
     /// Capacity of the accuracy monitor's query reservoir (`0` disables the
     /// monitor). The serving path samples every single-query estimate into
@@ -251,9 +253,11 @@ pub struct TableOptions {
     /// feedback instead of re-reading the data.
     pub maintenance: MaintenanceMode,
     /// Capacity of the table's flight recorder
-    /// ([`minskew_obs::FlightRecorder`]): the ring of structured records
-    /// for slow / wrong / sampled queries, drained via
-    /// [`SpatialTable::flight_recorder`] (or the server's `FLIGHT` verb).
+    /// ([`minskew_obs::FlightRecorder`]): the one ring of structured
+    /// records for the table's slow / wrong / sampled queries, whether the
+    /// table, a lock-free reader or a wire `ESTIMATE` served them, drained
+    /// via [`SpatialTable::flight_recorder`] (or the server's
+    /// `FLIGHT <table>` verb).
     /// `0` disables recording. Recording is bit-invisible like the rest of
     /// the instrumentation and inert when [`TableOptions::metrics`] is
     /// off. Defaults to 256.
@@ -272,8 +276,9 @@ pub struct TableOptions {
     pub flight_residual: f64,
     /// Capture one in this many sampled (timed) estimates as a `sampled`
     /// flight record regardless of latency, so the ring always carries a
-    /// baseline of ordinary traffic. `0` disables the sampled trigger.
-    /// Defaults to 0.
+    /// baseline of ordinary traffic. Counted per reader, like
+    /// [`TableOptions::metrics_sampling`], so on the wire per connection.
+    /// `0` disables the sampled trigger. Defaults to 0.
     pub flight_sample: u32,
 }
 
@@ -383,11 +388,12 @@ impl std::fmt::Display for StatsDiagnostics {
 }
 
 /// Per-table serving state: the table's own [`SpatialReader`] (its kernel
-/// scratch and Morton buffers), the accuracy reservoir, and the serving
-/// counters. The counters are the only store of these counts: plain `u64`
-/// fields bumped under the serving lock the call already holds (no atomics,
-/// no clock reads), merged into [`SpatialTable::metrics`] when it is read.
-/// Behind a [`Mutex`] so `&self` estimation stays `Sync`.
+/// scratch, Morton buffers and single-query counters), the accuracy
+/// reservoir, and the batch counters. The counters are the only store of
+/// these counts: plain `u64` fields bumped under the serving lock the call
+/// already holds (no atomics, no clock reads), merged into
+/// [`SpatialTable::metrics`] when it is read. Behind a [`Mutex`] so `&self`
+/// estimation stays `Sync`.
 #[derive(Debug)]
 struct ServingState {
     /// Serves every estimate, batch and EXPLAIN against the table's
@@ -402,10 +408,6 @@ struct ServingState {
     /// not touch the reservoir at all: a refine install must retain the
     /// replayed (query, exact) pairs it was driven by.
     seen_era: u64,
-    /// Single-query estimates served.
-    calls: u64,
-    /// Of `calls`, how many were sampled for latency timing.
-    sampled: u64,
     /// Batch API invocations.
     batch_calls: u64,
     /// Queries served through the batch APIs.
@@ -419,8 +421,6 @@ impl ServingState {
         ServingState {
             reader: SpatialReader::new(cell.clone()),
             seen_era: 0,
-            calls: 0,
-            sampled: 0,
             batch_calls: 0,
             batch_queries: 0,
             reservoir: Reservoir::new(if options.metrics {
@@ -442,11 +442,12 @@ impl ServingState {
 
     /// The serving counters under their metric names.
     fn counters(&self) -> Vec<(String, u64)> {
+        let (calls, sampled) = self.reader.served();
         [
             ("engine.batch.calls", self.batch_calls),
             ("engine.batch.queries", self.batch_queries),
-            ("engine.query.calls", self.calls),
-            ("engine.query.sampled", self.sampled),
+            ("engine.query.calls", calls),
+            ("engine.query.sampled", sampled),
         ]
         .into_iter()
         .map(|(name, value)| (name.to_owned(), value))
@@ -497,10 +498,9 @@ pub struct SpatialTable {
     current: Arc<TableSnapshot>,
     /// The publication cell lock-free readers subscribe to.
     cell: Arc<SnapshotCell<TableSnapshot>>,
-    /// The table's flight recorder: slow / wrong / sampled query records
-    /// (see [`TableOptions::flight_capacity`]). Shared by `Arc` so the
-    /// server can drain it without the table lock.
-    flight: Arc<FlightRecorder>,
+    /// How served estimates are sampled and captured, and the table's one
+    /// flight recorder; every snapshot publishes it to the readers.
+    capture: Arc<Capture>,
 }
 
 impl std::fmt::Debug for SpatialTable {
@@ -539,15 +539,9 @@ impl SpatialTable {
             return Err(BuildError::ZeroBucketBudget);
         }
         let registry = Registry::new();
-        let current = Arc::new(TableSnapshot::new(0, 0, 0, None, None));
+        let capture = Arc::new(Capture::new(&options));
+        let current = Arc::new(TableSnapshot::new(0, 0, 0, None, None, capture.clone()));
         let cell = Arc::new(SnapshotCell::new(current.clone()));
-        // Metrics off ⇒ no recording at all; sizing the ring to zero makes
-        // that structural instead of a per-call check.
-        let flight = Arc::new(FlightRecorder::new(if options.metrics {
-            options.flight_capacity
-        } else {
-            0
-        }));
         Ok(SpatialTable {
             rows: RowStore::default(),
             index: RStarTree::new(config),
@@ -564,7 +558,7 @@ impl SpatialTable {
             data_era: 0,
             current,
             cell,
-            flight,
+            capture,
             options,
         })
     }
@@ -587,6 +581,7 @@ impl SpatialTable {
             self.rows.len(),
             mbr,
             self.stats.clone(),
+            self.capture.clone(),
         ));
         self.current = snapshot.clone();
         self.cell.store(snapshot);
@@ -990,13 +985,13 @@ impl SpatialTable {
     /// ([`SpatialHistogram::estimate_count_indexed`]), bit-identical to a
     /// fresh linear scan.
     ///
-    /// With metrics on, one call in [`TableOptions::metrics_sampling`] is
-    /// timed; a sampled call records its latency in
-    /// `engine.estimate.<technique>.ns` and is offered to the flight
-    /// recorder's `slow` and `sampled` triggers. Unsampled calls never read
-    /// the clock. Every query is offered to the accuracy reservoir, so it
-    /// samples the served workload, repeats included; with metrics off it
-    /// has capacity 0 and no call is sampled.
+    /// With metrics on, the reader body times one call in
+    /// [`TableOptions::metrics_sampling`] and offers it to the flight
+    /// recorder's `slow` and `sampled` triggers; the table records a timed
+    /// call's latency in `engine.estimate.<technique>.ns`. Unsampled calls
+    /// never read the clock. Every query is offered to the accuracy
+    /// reservoir, so it samples the served workload, repeats included; with
+    /// metrics off it has capacity 0 and no call is sampled.
     pub fn try_estimate(&self, query: &Rect) -> Result<f64, EstimateError> {
         if !query.is_finite() {
             return Err(EstimateError::NonFiniteQuery);
@@ -1004,48 +999,12 @@ impl SpatialTable {
         let mut guard = self.serving.lock().unwrap_or_else(PoisonError::into_inner);
         let serving = &mut *guard;
         serving.sync_era(self.data_era);
-        serving.calls += 1;
-        let mask = u64::from(self.options.metrics_sampling.max(1)).next_power_of_two() - 1;
-        let clock = (self.options.metrics && (serving.calls - 1) & mask == 0).then(|| {
-            serving.sampled += 1;
-            Stopwatch::start()
-        });
-        let value = serving.reader.estimate_on(&self.current, query);
-        // Recording happens strictly after the value is fixed and only
-        // writes metrics and the ring's atomics: bit-invisible.
-        if let Some(clock) = clock {
-            let latency_ns = clock.total();
+        let (value, latency_ns) = serving.reader.estimate_on(&self.current, query, "");
+        if let Some(latency_ns) = latency_ns {
             self.record_estimate_latency(latency_ns);
-            self.note_flight(query, value, latency_ns, serving.sampled - 1);
         }
         serving.reservoir.observe(*query);
         Ok(value)
-    }
-
-    /// Offers one timed estimate (the `index`-th, from 0, of the sampled
-    /// stream) to the flight recorder. Table-level records carry no trace
-    /// id (wire records, which do, are captured by the server).
-    fn note_flight(&self, query: &Rect, estimate: f64, latency_ns: u64, index: u64) {
-        if self.flight.capacity() == 0 {
-            return;
-        }
-        let Some(trigger) = FlightTrigger::for_served(
-            latency_ns,
-            self.options.flight_slow_ns,
-            index,
-            self.options.flight_sample,
-        ) else {
-            return;
-        };
-        self.flight.record(&QueryRecord {
-            trigger,
-            tid: String::new(),
-            query: [query.lo.x, query.lo.y, query.hi.x, query.hi.y],
-            estimate,
-            exact: None,
-            latency_ns,
-            generation: self.generation,
-        });
     }
 
     /// [`SpatialTable::try_estimate`] with the evidence attached: which
@@ -1062,11 +1021,12 @@ impl SpatialTable {
         Ok(serving.reader.explain_on(&self.current, query))
     }
 
-    /// The table's flight recorder: the ring of slow / wrong / sampled
-    /// query records (see [`TableOptions::flight_capacity`]). The `Arc`
-    /// lets a server drain records without holding the table lock.
+    /// The table's flight recorder: the one ring of slow / wrong / sampled
+    /// query records, which the table's own estimates and every reader's
+    /// (wire connections included) enter (see
+    /// [`TableOptions::flight_capacity`]).
     pub fn flight_recorder(&self) -> Arc<FlightRecorder> {
-        Arc::clone(&self.flight)
+        Arc::clone(&self.capture.flight)
     }
 
     /// Records a sampled end-to-end estimate latency into the per-technique
@@ -1113,6 +1073,9 @@ impl SpatialTable {
     /// * the serving counters (`engine.query.*`, `engine.batch.*`) live
     ///   only in the serving state, where the hot path bumps them as plain
     ///   integers under the lock it already holds;
+    /// * `engine.flight.recorded`, the records the table's flight recorder
+    ///   ever captured (from the table, every reader and the audit), is
+    ///   read from the recorder;
     /// * the state gauges (`engine.rows`, `engine.stats.generation`,
     ///   `engine.stats.buckets`, `engine.stats.bytes`, and
     ///   `engine.stats.staleness` while statistics exist) are read from the
@@ -1120,11 +1083,15 @@ impl SpatialTable {
     ///   published histogram's [`SpatialEstimator::size_bytes`], kernel
     ///   plane included.
     pub fn metrics(&self) -> RegistrySnapshot {
-        let counters = self
+        let mut counters = self
             .serving
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .counters();
+        counters.push((
+            "engine.flight.recorded".to_owned(),
+            self.capture.flight.total(),
+        ));
         let stats = self.current.stats();
         let mut gauges = vec![
             ("engine.rows", self.rows.len() as f64),
@@ -1196,11 +1163,11 @@ impl SpatialTable {
             // a `wrong` flight record so the offending query is
             // inspectable after the fact.
             let residual = (actual - estimate).abs() / actual.abs().max(1.0);
-            if self.flight.capacity() > 0
+            if self.capture.flight.capacity() > 0
                 && self.options.flight_residual > 0.0
                 && residual > self.options.flight_residual
             {
-                self.flight.record(&QueryRecord {
+                self.capture.flight.record(&QueryRecord {
                     trigger: FlightTrigger::Wrong,
                     tid: String::new(),
                     query: [

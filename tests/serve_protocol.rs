@@ -291,7 +291,7 @@ fn malformed_input_fuzz_yields_typed_errors_and_never_wedges() {
 
 #[test]
 fn trace_ids_and_observability_verbs_round_trip() {
-    // A server whose wire flight recorder samples every estimate, so the
+    // A server whose tables sample and record every estimate, so the
     // FLIGHT drain below is deterministic.
     let catalog = Arc::new(SpatialCatalog::new());
     let armed = TableOptions {
@@ -340,7 +340,7 @@ fn trace_ids_and_observability_verbs_round_trip() {
 
     // FLIGHT: framed `OK <k>` + k pinned JSONL lines, carrying the trace
     // id stamped on the sampled ESTIMATE above.
-    let (header, body) = c.send_framed("FLIGHT");
+    let (header, body) = c.send_framed("FLIGHT t");
     assert!(
         !body.is_empty(),
         "sample-every recorder drained nothing: {header}"
@@ -357,8 +357,10 @@ fn trace_ids_and_observability_verbs_round_trip() {
         "trace id q2 missing from flight records: {body:?}"
     );
     // A bounded drain returns at most that many records.
-    let (_, bounded) = c.send_framed("FLIGHT 1");
+    let (_, bounded) = c.send_framed("FLIGHT t 1");
     assert_eq!(bounded.len(), 1);
+    // Every drain names its table.
+    assert!(c.send("FLIGHT").starts_with("ERR 2 "), "bare FLIGHT");
     // The per-table recorder drains through the same verb.
     let (table_header, _) = c.send_framed("FLIGHT t");
     assert!(table_header.starts_with("OK "), "{table_header}");
@@ -374,7 +376,6 @@ fn trace_ids_and_observability_verbs_round_trip() {
     let doc = body.join("\n");
     assert!(doc.contains("\"schema\": \"minskew-obs/v1\""), "{doc}");
     assert!(doc.contains("serve.verb.ping"), "{doc}");
-    assert!(doc.contains("serve.flight.recorded"), "{doc}");
     let (_, text_body) = c.send_framed("METRICS text");
     assert!(
         text_body.iter().any(|l| l.starts_with("serve.requests")),
@@ -384,6 +385,12 @@ fn trace_ids_and_observability_verbs_round_trip() {
     assert!(
         table_body.iter().any(|l| l.contains("engine.")),
         "table scrape must expose engine metrics: {table_body:?}"
+    );
+    assert!(
+        table_body
+            .iter()
+            .any(|l| l.contains("\"engine.flight.recorded\"")),
+        "{table_body:?}"
     );
     assert!(c.send("METRICS t yaml").starts_with("ERR 2 "), "bad format");
     assert!(

@@ -43,12 +43,16 @@
 #      kernel serving path, term sums reproducing estimates exactly,
 #      flight recorder / trace ids bit-invisible; exhaustive matrix on,
 #      single test thread),
-#  14. a focused clippy pass over minskew-obs denying `unwrap()` even in
+#  14. the allocation-count suite (tests/alloc_free.rs: a counting global
+#      allocator pins the warm reader estimate and batch bodies and the
+#      table's sampled estimate at exactly zero allocations), single test
+#      thread like steps 7-13,
+#  15. a focused clippy pass over minskew-obs denying `unwrap()` even in
 #      the presence of poisoned-lock recovery paths,
-#  15. a focused clippy pass over the serving-path crates that additionally
+#  16. a focused clippy pass over the serving-path crates that additionally
 #      denies needless_collect / redundant_clone — the serving path is
 #      allocation-free by design and those lints catch regressions,
-#  16. a CLI serve smoke: start `minskew serve` on an ephemeral port, run
+#  17. a CLI serve smoke: start `minskew serve` on an ephemeral port, run
 #      a catalog-client round trip against it — including a STATS check
 #      that the --input load put every row in with one publication (plus
 #      one for its ANALYZE) before any write, the MAINTAIN
@@ -62,15 +66,16 @@
 #      `minskew top` scrape —
 #      shut it down over the wire, and require a clean exit plus an
 #      emitted metrics dump,
-#  17. a CLI maintain smoke: the offline `minskew maintain` churn demo
+#  18. a CLI maintain smoke: the offline `minskew maintain` churn demo
 #      must run in every maintenance mode and reject unknown ones,
-#  18. a CLI stats smoke: `minskew stats --json` over the generated
+#  19. a CLI stats smoke: `minskew stats --json` over the generated
 #      2000-row charminar input must carry the counter and histogram names
 #      README quotes (engine.query.calls, engine.batch.queries, engine.estimate.min_skew.ns,
 #      engine.analyze.grid_reused, engine.analyze.grid_built, and the
 #      ANALYZE part timings engine.analyze.stats_ns,
-#      engine.analyze.min_skew.grid_ns, engine.analyze.min_skew.split_ns,
-#      engine.analyze.min_skew.assign_ns, and the row-sweep counter
+#      engine.analyze.min_skew.grid_ns, engine.analyze.min_skew.prefix_ns,
+#      engine.analyze.min_skew.split_ns, engine.analyze.min_skew.assign_ns
+#      and engine.analyze.publish_ns, and the row-sweep counter
 #      engine.analyze.row_sweeps, and the state gauges
 #      engine.stats.generation and engine.stats.bytes that the table reads
 #      at scrape time), must count
@@ -79,12 +84,12 @@
 #      engine.cache.hits)
 #      nor any name of the deleted process-wide registry (core.build.*,
 #      par.*),
-#  19. checks that the committed BENCH_obs.json is a full-scale run
+#  20. checks that the committed BENCH_obs.json is a full-scale run
 #      (`"quick": false`) with its flight-recorder overhead column, and
 #      that the committed BENCH_snapshot.json, BENCH_parallel.json,
 #      BENCH_estimate.json and BENCH_refine.json are full-scale runs,
 #      since README and DESIGN quote them,
-#  20. smoke runs of the parallel-speedup, serving-throughput (asserting
+#  21. smoke runs of the parallel-speedup, serving-throughput (asserting
 #      the qps_kernel and qps_kernel_scalar columns are present in the
 #      emitted artefact), obs-overhead (asserting the flight-recorder
 #      overhead column is present in the emitted artefact),
@@ -138,6 +143,9 @@ RUST_TEST_THREADS=1 cargo test -q --test refine_differential --features exhausti
 
 echo "==> query-tracing differential suite (exhaustive, single test thread)"
 RUST_TEST_THREADS=1 cargo test -q --test trace_differential --features exhaustive
+
+echo "==> allocation-count suite (single test thread)"
+RUST_TEST_THREADS=1 cargo test -q --test alloc_free
 
 echo "==> clippy (minskew-obs, unwrap denied everywhere)"
 cargo clippy -p minskew-obs --all-targets -- -D warnings -D clippy::unwrap_used
@@ -311,8 +319,9 @@ STATS_JSON=$(./target/debug/minskew stats --input "$SERVE_TMP/data.csv" --json)
 for NAME in engine.query.calls engine.batch.queries \
     engine.estimate.min_skew.ns engine.analyze.grid_reused \
     engine.analyze.grid_built engine.analyze.stats_ns \
-    engine.analyze.min_skew.grid_ns engine.analyze.min_skew.split_ns \
-    engine.analyze.min_skew.assign_ns engine.analyze.row_sweeps \
+    engine.analyze.min_skew.grid_ns engine.analyze.min_skew.prefix_ns \
+    engine.analyze.min_skew.split_ns engine.analyze.min_skew.assign_ns \
+    engine.analyze.publish_ns engine.analyze.row_sweeps \
     engine.stats.generation engine.stats.bytes; do
     if [[ "$STATS_JSON" != *"\"$NAME\""* ]]; then
         echo "ERROR: minskew stats --json is missing $NAME" >&2

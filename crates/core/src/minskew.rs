@@ -316,6 +316,7 @@ impl MinSkewBuilder {
                     grids_reused: 0,
                     grids_built: 0,
                     grid_ns: 0,
+                    prefix_ns: 0,
                     split_ns: 0,
                     assign_ns: 0,
                 },
@@ -334,9 +335,9 @@ impl MinSkewBuilder {
         let mut prev_dims = (0usize, 0usize);
         let mut splits: Vec<SplitEvent> = Vec::new();
         let mut grids_reused = 0;
-        // Each phase laps the clock after its grid and after its split
-        // search; the fold of the bucket summaries laps last.
-        let (mut grid_ns, mut split_ns) = (0, 0);
+        // Each phase laps the clock after its grid, its prefix sums and its
+        // split search; the fold of the bucket summaries laps last.
+        let (mut grid_ns, mut prefix_ns, mut split_ns) = (0, 0, 0);
 
         for phase in 0..phases {
             let cur_side = side >> (self.refinements - phase);
@@ -369,6 +370,7 @@ impl MinSkewBuilder {
             };
             grid_ns += build_clock.lap();
             let p = GridPrefixSums::from_grid(&g);
+            prefix_ns += build_clock.lap();
             if phase == 0 {
                 blocks.push(g.full_block());
             } else {
@@ -442,6 +444,7 @@ impl MinSkewBuilder {
             grids_reused,
             grids_built: phases - grids_reused,
             grid_ns,
+            prefix_ns,
             split_ns,
             assign_ns,
         };
@@ -472,8 +475,10 @@ pub struct MinSkewDetail {
     pub grids_built: usize,
     /// Nanoseconds spent taking or building the phase grids.
     pub grid_ns: u64,
-    /// Nanoseconds spent in the split search: prefix sums, the greedy
-    /// loop and the bucket remap of every phase, and the final skew.
+    /// Nanoseconds spent building every phase's [`GridPrefixSums`].
+    pub prefix_ns: u64,
+    /// Nanoseconds spent in the split search: the greedy loop and the
+    /// bucket remap of every phase, and the final skew.
     pub split_ns: u64,
     /// Nanoseconds spent folding each bucket's summary (count, average
     /// width and height) from the final grid's [`CentreSums`], O(cells)
@@ -596,12 +601,16 @@ fn greedy_split(
 /// pick reads the root, and replacing one bucket's candidate replays the
 /// O(log B) matches on its path.
 ///
-/// Each internal node holds the slot that wins between its two children.
-/// The right child wins only with a *strictly greater* reduction and `None`
-/// always loses, so the root is the first strict maximum in slot order:
-/// among the buckets tied for the greatest reduction, the lowest index.
-/// Reductions are finite (they come from finite cell counts), so this is
-/// the order a linear scan for the first strict maximum gives.
+/// Each node holds the slot that wins between its two children and that
+/// slot's key: its candidate's reduction, or `-inf` for a slot with no
+/// candidate. The right child wins only with a *strictly greater* key, so
+/// the root is the first strict maximum in slot order: among the buckets
+/// tied for the greatest reduction, the lowest index. Reductions are
+/// finite (they come from finite cell counts), so a `-inf` key always
+/// loses to a candidate, and two `-inf` keys tie to the left: this is the
+/// order a linear scan for the first strict maximum gives. A match is one
+/// comparison that picks which child's key and slot to copy, with no
+/// branch on the candidates.
 struct Tournament {
     /// One candidate per bucket index; a power-of-two count, unused slots
     /// `None`.
@@ -609,6 +618,8 @@ struct Tournament {
     /// Winning slot per node: node `k` has children `2k` and `2k + 1`, the
     /// leaves `slots.len()..` stand for the slots, and node 1 is the root.
     winners: Vec<usize>,
+    /// The reduction of each node's winning slot, `-inf` for `None`.
+    keys: Vec<f64>,
 }
 
 impl Tournament {
@@ -620,21 +631,30 @@ impl Tournament {
         slots.resize(leaves, None);
         let mut winners = vec![0; leaves];
         winners.extend(0..leaves);
-        let mut tree = Tournament { slots, winners };
+        let mut keys = vec![f64::NEG_INFINITY; leaves];
+        keys.extend(slots.iter().map(|c| Tournament::key(*c)));
+        let mut tree = Tournament {
+            slots,
+            winners,
+            keys,
+        };
         for k in (1..leaves).rev() {
-            tree.winners[k] = tree.play(k);
+            tree.play(k);
         }
         tree
     }
 
-    /// The slot winning node `k`'s match between its two children.
-    fn play(&self, k: usize) -> usize {
-        let (left, right) = (self.winners[2 * k], self.winners[2 * k + 1]);
-        match (self.slots[left], self.slots[right]) {
-            (Some(l), Some(r)) if r.reduction > l.reduction => right,
-            (None, Some(_)) => right,
-            _ => left,
-        }
+    /// A slot's key: its candidate's reduction, `-inf` without one.
+    fn key(candidate: Option<Candidate>) -> f64 {
+        candidate.map_or(f64::NEG_INFINITY, |c| c.reduction)
+    }
+
+    /// Plays node `k`'s match: the right child wins only with a strictly
+    /// greater key.
+    fn play(&mut self, k: usize) {
+        let child = 2 * k + usize::from(self.keys[2 * k + 1] > self.keys[2 * k]);
+        self.keys[k] = self.keys[child];
+        self.winners[k] = self.winners[child];
     }
 
     /// The winning bucket and its candidate, `None` if no bucket can split.
@@ -645,10 +665,12 @@ impl Tournament {
 
     /// Replaces `slot`'s candidate and replays the matches above it.
     fn set(&mut self, slot: usize, candidate: Option<Candidate>) {
+        let leaf = self.slots.len() + slot;
         self.slots[slot] = candidate;
-        let mut k = (self.slots.len() + slot) / 2;
+        self.keys[leaf] = Tournament::key(candidate);
+        let mut k = leaf / 2;
         while k > 0 {
-            self.winners[k] = self.play(k);
+            self.play(k);
             k /= 2;
         }
     }
@@ -1018,6 +1040,65 @@ mod tests {
             }
         }
         best
+    }
+
+    #[test]
+    fn tournament_winner_is_the_first_strict_maximum_after_every_set() {
+        // Reductions drawn from four values, so most matches tie, and one
+        // draw in five is `None`; slots are drawn at random, so each is
+        // set many times over.
+        let mut state = 0x853c_49e6_748f_ea9bu64;
+        let mut next = move |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n) as usize
+        };
+        let candidate = |r: usize, index: usize| {
+            (r > 0).then(|| Candidate {
+                reduction: [-1.0, 0.0, 2.0, 2.0][r - 1],
+                axis: Axis::X,
+                index,
+            })
+        };
+        let bits =
+            |w: Option<(usize, Candidate)>| w.map(|(i, c)| (i, c.reduction.to_bits(), c.index));
+        let first_strict_maximum = |slots: &[Option<Candidate>]| {
+            let mut best: Option<(usize, Candidate)> = None;
+            for (i, c) in slots.iter().enumerate() {
+                let Some(c) = *c else { continue };
+                if best.is_none_or(|(_, b)| c.reduction > b.reduction) {
+                    best = Some((i, c));
+                }
+            }
+            bits(best)
+        };
+        let mut id = 0;
+        for capacity in [1usize, 2, 3, 5, 8, 13, 64] {
+            let mut slots: Vec<Option<Candidate>> = (0..capacity)
+                .map(|_| {
+                    id += 1;
+                    candidate(next(5), id)
+                })
+                .collect();
+            // The tree starts with a prefix of the slots, as the greedy
+            // loop does; the rest start empty.
+            let start = capacity.div_ceil(2);
+            slots[start..].fill(None);
+            let mut tree = Tournament::new(capacity, slots[..start].iter().copied());
+            assert_eq!(bits(tree.winner()), first_strict_maximum(&slots));
+            for _ in 0..1_000 {
+                let slot = next(capacity as u64);
+                id += 1;
+                slots[slot] = candidate(next(5), id);
+                tree.set(slot, slots[slot]);
+                assert_eq!(
+                    bits(tree.winner()),
+                    first_strict_maximum(&slots),
+                    "{capacity}"
+                );
+            }
+        }
     }
 
     #[test]

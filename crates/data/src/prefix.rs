@@ -78,11 +78,15 @@ impl GridPrefixSums {
     /// block_sse(block) − block_sse(lower) − block_sse(upper)`, the most of
     /// any cut. `None` for a single-cell block.
     ///
-    /// X cuts are scanned before Y cuts, each in ascending order, and only
-    /// a strictly greater reduction replaces the best so far, so ties go to
-    /// X and then to the lowest index. The two prefix rows bounding the
-    /// block, and their values in the block's bounding columns, are read
-    /// once per block; each cut then reads two more values of each table.
+    /// X cuts are scanned before Y cuts, each in ascending order, from a
+    /// best of `-inf`, and only a strictly greater reduction replaces the
+    /// best so far, so ties go to X and then to the lowest index. The
+    /// replacement is a select on that one comparison, not a branch.
+    /// Reductions are finite (`sse` clamps with `f64::max`, so no NaN
+    /// arises), so the first cut always replaces `-inf`. The two prefix
+    /// rows bounding the block, and their values in the block's bounding
+    /// columns, are read once per block; each cut then reads two more
+    /// values of each table.
     /// Every half is still summed with the same four terms in the same
     /// order as [`Self::block_sse`], so `reduction` is bit-identical to
     /// that expression.
@@ -98,12 +102,8 @@ impl GridPrefixSums {
         let ((lo_x0, lo_x1), (hi_x0, hi_x1)) = (row(&self.sum, y0), row(&self.sum, y1));
         let ((lo2_x0, lo2_x1), (hi2_x0, hi2_x1)) = (row(&self.sum2, y0), row(&self.sum2, y1));
 
-        let mut best: Option<(f64, Axis, usize)> = None;
-        let mut offer = |reduction: f64, axis: Axis, index: usize| {
-            if best.is_none_or(|(r, _, _)| reduction > r) {
-                best = Some((reduction, axis, index));
-            }
-        };
+        // The first strict maximum, kept by selects.
+        let (mut best, mut best_axis, mut best_index) = (f64::NEG_INFINITY, Axis::X, 0);
         // Cut at column line `c`: cells x0..c below, c..x1 above.
         let height = block.height();
         for c in x0 + 1..x1 {
@@ -114,7 +114,9 @@ impl GridPrefixSums {
             );
             let reduction =
                 parent - sse(s_a, s2_a, (c - x0) * height) - sse(s_b, s2_b, (x1 - c) * height);
-            offer(reduction, Axis::X, c - 1);
+            let better = reduction > best;
+            best = if better { reduction } else { best };
+            best_index = if better { c - 1 } else { best_index };
         }
         // Cut at row line `r`: rows y0..r below, r..y1 above.
         let width = block.width();
@@ -127,9 +129,12 @@ impl GridPrefixSums {
             );
             let reduction =
                 parent - sse(s_a, s2_a, width * (r - y0)) - sse(s_b, s2_b, width * (y1 - r));
-            offer(reduction, Axis::Y, r - 1);
+            let better = reduction > best;
+            best = if better { reduction } else { best };
+            best_axis = if better { Axis::Y } else { best_axis };
+            best_index = if better { r - 1 } else { best_index };
         }
-        best
+        (!block.is_unit()).then_some((best, best_axis, best_index))
     }
 
     /// Sum of densities in column `ix`, rows `y0..=y1`.

@@ -1,97 +1,8 @@
 //! A zero-dependency TCP front-end serving a [`SpatialCatalog`] over a
 //! line-based protocol (`std::net` only — no external crates).
 //!
-//! # Protocol
-//!
-//! Requests and responses are single UTF-8 lines terminated by `\n`.
-//! Responses are `OK <payload>` or `ERR <code> <message>`, where `<code>`
-//! is the CLI's exit-code taxonomy (DESIGN.md §7): `2` usage, `3` I/O,
-//! `4` malformed data, `5` corrupt statistics, `6` build failure.
-//!
-//! | Request | Response |
-//! |---|---|
-//! | `PING` | `OK pong` |
-//! | `TABLES` | `OK <n> <name>...` |
-//! | `CREATE <t> [buckets=N] [technique=T]` | `OK created <t>` |
-//! | `DROP <t>` | `OK dropped <t>` |
-//! | `INSERT <t> <x1> <y1> <x2> <y2>` | `OK <rowid>` |
-//! | `DELETE <t> <rowid>` | `OK deleted <rowid>` |
-//! | `ANALYZE <t>` | `OK analyzed <t> buckets=<B> fallback=<F>` |
-//! | `ESTIMATE <t> <x1> <y1> <x2> <y2>` | `OK <estimate>` |
-//! | `BATCH <t> <n> <x1> <y1> <x2> <y2> ...` | `OK <e1> <e2> ...` |
-//! | `STATS [<t>]` | `OK {...}` (single-line JSON) |
-//! | `MAINTAIN <t>` | `OK maintained <t> mode=<m> accuracy: ...; action: ...` |
-//! | `MAINTAIN <t> MODE off\|reanalyze\|refine` | `OK maintenance <t> mode=<m>` |
-//! | `SNAPSHOT <t> SAVE\|LOAD <path>` | `OK saved/loaded ...` |
-//! | `EXPLAIN <t> <x1> <y1> <x2> <y2>` | `OK {...}` (single-line JSON trace) |
-//! | `FLIGHT <t> [N]` | `OK <k>` + `k` lines of table `<t>`'s flight JSONL |
-//! | `METRICS [json\|text]` | `OK <k>` + `k` lines of the server registry |
-//! | `METRICS <t> [json\|text]` | `OK <k>` + `k` lines of table `<t>`'s registry |
-//! | `SHUTDOWN` | `OK bye` (server stops accepting and drains) |
-//!
-//! # Trace ids
-//!
-//! Any request may carry an optional `TID=<token>` prefix (1–64 characters
-//! from `[A-Za-z0-9._-]`): `TID=req7 ESTIMATE t 0 0 1 1`. The reply to a
-//! `TID`-prefixed request is prefixed `TID=<token> ` (`TID=req7 OK 42`),
-//! and the token is stamped into any flight record the request produces,
-//! so a client can join its own requests to the server's flight JSONL. A
-//! malformed token is a usage error (`ERR 2 ...`, no echo). Requests
-//! without the prefix are byte-for-byte unchanged — the golden transcripts
-//! pin that.
-//!
-//! `EXPLAIN` answers with the full estimate trace (serving path,
-//! per-bucket terms, pruning counters); its `estimate` field
-//! is bit-identical to what `ESTIMATE` returns for the same query.
-//! `FLIGHT <t> [N]` drains the newest `N` (default all) records of table
-//! `<t>`'s one flight recorder: slow, wrong and sampled queries, whether a
-//! wire `ESTIMATE` (trace id attached), the table or a reader served them
-//! (see [`crate::TableOptions::flight_capacity`]). The first argument is
-//! always the table, so a table named `5` drains like any other. `METRICS`
-//! makes registries scrapeable live instead of dumped only at shutdown.
-//!
-//! Estimates are formatted with Rust's shortest-round-trip `f64` display,
-//! so `parse::<f64>()` on the client recovers the exact bits — the wire
-//! preserves the bitwise differential contract.
-//!
-//! Malformed input yields a typed `ERR` reply and the connection keeps
-//! serving; the only lines that close a connection are transport-level
-//! (EOF, an over-long line, an unwritable socket). A request can never
-//! panic the server: handlers touch only total functions and typed errors.
-//!
-//! # Concurrency
-//!
-//! Thread per connection. The accept loop blocks in `accept`; a shutdown
-//! request wakes it with a loopback connection to the server's own port,
-//! and every accept reaps the connection threads that have finished.
-//! `ESTIMATE`/`BATCH` go through per-connection [`SpatialReader`]s — the
-//! lock-free snapshot path — so estimate traffic on one table proceeds
-//! concurrently across connections even while a writer runs `ANALYZE`.
-//! An `ESTIMATE` runs the reader's instrumented body, the one the table
-//! runs: the connection's reader samples by the table's
-//! [`crate::TableOptions::metrics_sampling`], and a sampled request may
-//! enter the table's flight recorder. Mutating verbs lock only their
-//! target table.
-//!
-//! A connection serves every complete request line one read delivered,
-//! appends each reply to one output buffer, and sends the buffer with a
-//! single `write` before it reads again. Pipelined requests therefore cost
-//! one write per wake-up, not one per reply (`serve.writes` counts them);
-//! only replies past 64 KiB are sent early, which bounds the buffer. A
-//! peer that has not taken a write within [`SERVE_WRITE_TIMEOUT`] is
-//! dropped, so a client that never reads can hold neither its thread nor
-//! [`ServerHandle::join`]. Idle connections notice a shutdown within their
-//! 25 ms read timeout.
-//!
-//! Per-connection and per-verb counters and request latency flow into the
-//! server's [`Registry`]. The per-request ones are resolved once per
-//! server, so an `ESTIMATE` takes no registry lock, and once its
-//! connection's buffers have grown it allocates nothing (a sampled request
-//! that enters the flight recorder copies its trace id). State is not
-//! mirrored into the registry: `serve.active_connections` and
-//! `serve.tables` are read when a snapshot is taken
-//! ([`ServerHandle::metrics`]), and `STATS` is a fixed projection of that
-//! same snapshot.
+//! The protocol, trace ids and concurrency model are documented on
+//! [`serve`], which `cargo doc` renders; this module is private.
 
 use std::borrow::Cow;
 use std::fmt::Write as _;
@@ -133,7 +44,8 @@ const READ_POLL: Duration = Duration::from_millis(25);
 /// forever.
 pub const SERVE_WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// Configuration for [`serve`].
+/// Configuration for [`serve`], whose docs describe the protocol it
+/// serves.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
     /// Bind address; port `0` picks an ephemeral port (see
@@ -380,7 +292,99 @@ impl ServerHandle {
 }
 
 /// Starts serving `catalog` per `options`; returns once the listener is
-/// bound. See the module docs for the protocol.
+/// bound.
+///
+/// # Protocol
+///
+/// Requests and responses are single UTF-8 lines terminated by `\n`.
+/// Responses are `OK <payload>` or `ERR <code> <message>`, where `<code>`
+/// is the CLI's exit-code taxonomy (DESIGN.md §7): `2` usage, `3` I/O,
+/// `4` malformed data, `5` corrupt statistics, `6` build failure.
+///
+/// | Request | Response |
+/// |---|---|
+/// | `PING` | `OK pong` |
+/// | `TABLES` | `OK <n> <name>...` |
+/// | `CREATE <t> [buckets=N] [technique=T]` | `OK created <t>` |
+/// | `DROP <t>` | `OK dropped <t>` |
+/// | `INSERT <t> <x1> <y1> <x2> <y2>` | `OK <rowid>` |
+/// | `DELETE <t> <rowid>` | `OK deleted <rowid>` |
+/// | `ANALYZE <t>` | `OK analyzed <t> buckets=<B> fallback=<F>` |
+/// | `ESTIMATE <t> <x1> <y1> <x2> <y2>` | `OK <estimate>` |
+/// | `BATCH <t> <n> <x1> <y1> <x2> <y2> ...` | `OK <e1> <e2> ...` |
+/// | `STATS [<t>]` | `OK {...}` (single-line JSON) |
+/// | `MAINTAIN <t>` | `OK maintained <t> mode=<m> accuracy: ...; action: ...` |
+/// | `MAINTAIN <t> MODE off\|reanalyze\|refine` | `OK maintenance <t> mode=<m>` |
+/// | `SNAPSHOT <t> SAVE\|LOAD <path>` | `OK saved/loaded ...` |
+/// | `EXPLAIN <t> <x1> <y1> <x2> <y2>` | `OK {...}` (single-line JSON trace) |
+/// | `FLIGHT <t> [N]` | `OK <k>` + `k` lines of table `<t>`'s flight JSONL |
+/// | `METRICS [json\|text]` | `OK <k>` + `k` lines of the server registry |
+/// | `METRICS <t> [json\|text]` | `OK <k>` + `k` lines of table `<t>`'s registry |
+/// | `SHUTDOWN` | `OK bye` (server stops accepting and drains) |
+///
+/// # Trace ids
+///
+/// Any request may carry an optional `TID=<token>` prefix (1–64 characters
+/// from `[A-Za-z0-9._-]`): `TID=req7 ESTIMATE t 0 0 1 1`. The reply to a
+/// `TID`-prefixed request is prefixed `TID=<token> ` (`TID=req7 OK 42`),
+/// and the token is stamped into any flight record the request produces,
+/// so a client can join its own requests to the server's flight JSONL. A
+/// malformed token is a usage error (`ERR 2 ...`, no echo). Requests
+/// without the prefix are byte-for-byte unchanged — the golden transcripts
+/// pin that.
+///
+/// `EXPLAIN` answers with the full estimate trace (serving path,
+/// per-bucket terms, pruning counters); its `estimate` field
+/// is bit-identical to what `ESTIMATE` returns for the same query.
+/// `FLIGHT <t> [N]` drains the newest `N` (default all) records of table
+/// `<t>`'s one flight recorder: slow, wrong and sampled queries, whether a
+/// wire `ESTIMATE` (trace id attached), the table or a reader served them
+/// (see [`crate::TableOptions::flight_capacity`]). The first argument is
+/// always the table, so a table named `5` drains like any other. `METRICS`
+/// makes registries scrapeable live instead of dumped only at shutdown.
+///
+/// Estimates are formatted with Rust's shortest-round-trip `f64` display,
+/// so `parse::<f64>()` on the client recovers the exact bits — the wire
+/// preserves the bitwise differential contract.
+///
+/// Malformed input yields a typed `ERR` reply and the connection keeps
+/// serving; the only lines that close a connection are transport-level
+/// (EOF, an over-long line, an unwritable socket). A request can never
+/// panic the server: handlers touch only total functions and typed errors.
+///
+/// # Concurrency
+///
+/// Thread per connection. The accept loop blocks in `accept`; a shutdown
+/// request wakes it with a loopback connection to the server's own port,
+/// and every accept reaps the connection threads that have finished.
+/// `ESTIMATE`/`BATCH` go through per-connection [`SpatialReader`]s — the
+/// lock-free snapshot path — so estimate traffic on one table proceeds
+/// concurrently across connections even while a writer runs `ANALYZE`.
+/// An `ESTIMATE` runs the reader's instrumented body, the one the table
+/// runs: the connection's reader samples by the table's
+/// [`crate::TableOptions::metrics_sampling`], and a sampled request may
+/// enter the table's flight recorder. Mutating verbs lock only their
+/// target table.
+///
+/// A connection serves every complete request line one read delivered,
+/// appends each reply to one output buffer, and sends the buffer with a
+/// single `write` before it reads again. Pipelined requests therefore cost
+/// one write per wake-up, not one per reply (`serve.writes` counts them);
+/// only replies past 64 KiB are sent early, which bounds the buffer. A
+/// peer that has not taken a write within [`SERVE_WRITE_TIMEOUT`] is
+/// dropped, so a client that never reads can hold neither its thread nor
+/// [`ServerHandle::join`]. Idle connections notice a shutdown within their
+/// 25 ms read timeout.
+///
+/// Per-connection and per-verb counters and request latency flow into the
+/// server's [`Registry`]. The per-request ones are resolved once per
+/// server, so an `ESTIMATE` takes no registry lock, and once its
+/// connection's buffers have grown it allocates nothing (a sampled request
+/// that enters the flight recorder copies its trace id). State is not
+/// mirrored into the registry: `serve.active_connections` and
+/// `serve.tables` are read when a snapshot is taken
+/// ([`ServerHandle::metrics`]), and `STATS` is a fixed projection of that
+/// same snapshot.
 pub fn serve(catalog: Arc<SpatialCatalog>, options: ServeOptions) -> std::io::Result<ServerHandle> {
     let addrs: Vec<SocketAddr> = options.addr.to_socket_addrs()?.collect();
     let listener = TcpListener::bind(&addrs[..])?;

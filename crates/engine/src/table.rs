@@ -1,7 +1,7 @@
 //! The spatial table: storage, index, statistics, and the execution loop.
 
 use std::ops::Range;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use minskew_core::{
     build_uniform, try_build_equi_area, try_build_equi_count, try_build_uniform, BuildError,
@@ -11,7 +11,7 @@ use minskew_core::{
 use minskew_data::GridSet;
 use minskew_geom::Rect;
 use minskew_obs::{
-    FlightRecorder, FlightTrigger, QueryRecord, Registry, RegistrySnapshot, Stopwatch,
+    FlightRecorder, FlightTrigger, Histogram, QueryRecord, Registry, RegistrySnapshot, Stopwatch,
 };
 use minskew_rtree::{Item, RStarTree, RTreeConfig, ValidationError};
 
@@ -483,6 +483,9 @@ pub struct SpatialTable {
     serving: Mutex<ServingState>,
     /// Per-table metrics registry (see [`SpatialTable::metrics`]).
     pub(crate) registry: Registry,
+    /// `engine.estimate.<technique>.ns` for the installed statistics,
+    /// resolved by the first sampled estimate after each install.
+    estimate_ns: OnceLock<Arc<Histogram>>,
     /// Monotonic publication counter; bumped by every mutation (a bulk
     /// insert is one).
     generation: u64,
@@ -553,6 +556,7 @@ impl SpatialTable {
             diagnostics: StatsDiagnostics::default(),
             serving: Mutex::new(ServingState::new(&options, &cell)),
             registry,
+            estimate_ns: OnceLock::new(),
             generation: 0,
             stats_era: 0,
             data_era: 0,
@@ -750,10 +754,10 @@ impl SpatialTable {
     /// one over the live MBR, and on success leaves there the grids it used.
     /// It counts them in `engine.analyze.grid_reused` and
     /// `engine.analyze.grid_built`, and a successful build records its
-    /// parts in `engine.analyze.min_skew.{grid,split,assign}_ns`. Equi-Area
-    /// and Equi-Count sort a resident slice, so they build from a copy of
-    /// the rows. It records into `metrics`, the table's registry when
-    /// metrics are on.
+    /// parts in `engine.analyze.min_skew.{grid,prefix,split,assign}_ns`.
+    /// Equi-Area and Equi-Count sort a resident slice, so they build from a
+    /// copy of the rows. It records into `metrics`, the table's registry
+    /// when metrics are on.
     fn build_stats(
         metrics: Option<&Registry>,
         rows: &LiveRows<'_>,
@@ -782,6 +786,7 @@ impl SpatialTable {
                     if let Ok((_, d)) = &built {
                         for (part, ns) in [
                             ("grid", d.grid_ns),
+                            ("prefix", d.prefix_ns),
                             ("split", d.split_ns),
                             ("assign", d.assign_ns),
                         ] {
@@ -822,15 +827,23 @@ impl SpatialTable {
         // statistics — they are keyed to the data era and survive any
         // install. Clearing here would discard exactly the feedback pairs
         // the online refiner needs on its next pass.
+        let clock = Stopwatch::start();
         self.install(hist);
+        if self.options.metrics {
+            self.registry
+                .histogram("engine.analyze.publish_ns")
+                .record(clock.total());
+        }
     }
 
     /// Installs `hist` as the statistics and publishes it in a new
     /// statistics era. The retired histogram is dropped: it belongs to the
-    /// statistics `hist` replaces.
+    /// statistics `hist` replaces, and so is the latency histogram its
+    /// estimates were recorded in.
     fn install(&mut self, hist: SpatialHistogram) {
         self.stats = Some(Arc::new(hist));
         self.retired = None;
+        self.estimate_ns = OnceLock::new();
         self.stats_era += 1;
         self.publish();
     }
@@ -1030,14 +1043,19 @@ impl SpatialTable {
     }
 
     /// Records a sampled end-to-end estimate latency into the per-technique
-    /// histogram `engine.estimate.<technique>.ns`.
+    /// histogram `engine.estimate.<technique>.ns`, which the first sampled
+    /// call under each installed statistics resolves; later calls take no
+    /// registry lock and allocate nothing.
     fn record_estimate_latency(&self, ns: u64) {
-        let technique = match &self.stats {
-            Some(stats) => minskew_obs::name_component(stats.name()),
-            None => String::from("fallback"),
-        };
-        self.registry
-            .histogram(&format!("engine.estimate.{technique}.ns"))
+        self.estimate_ns
+            .get_or_init(|| {
+                let technique = match &self.stats {
+                    Some(stats) => minskew_obs::name_component(stats.name()),
+                    None => String::from("fallback"),
+                };
+                self.registry
+                    .histogram(&format!("engine.estimate.{technique}.ns"))
+            })
             .record(ns);
     }
 

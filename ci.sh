@@ -45,8 +45,12 @@
 #      single test thread),
 #  14. the allocation-count suite (tests/alloc_free.rs: a counting global
 #      allocator pins the warm reader estimate and batch bodies and the
-#      table's sampled estimate at exactly zero allocations), single test
-#      thread like steps 7-13,
+#      table's sampled estimate at exactly zero allocations; counted
+#      process-wide, 2048 wire ESTIMATEs, 100 wire BATCHes of 64 and an
+#      idle server for 500 ms at zero and a wire EXPLAIN at its documented
+#      count; and the live-heap high-water check that a first load of
+#      100 000 rows peaks at most 20 bytes per row over its start or end
+#      state), single test thread like steps 7-13,
 #  15. a focused clippy pass over minskew-obs denying `unwrap()` even in
 #      the presence of poisoned-lock recovery paths,
 #  16. a focused clippy pass over the serving-path crates that additionally

@@ -74,29 +74,34 @@ pub fn read_rects_csv_from(mut reader: impl BufRead) -> Result<Dataset, CsvError
 
 /// Parses one trimmed, non-comment data line (`line_no` is 1-based) into
 /// a rectangle with normalised corners.
+///
+/// One pass over the fields: a field count other than four outranks a
+/// bad field, and the first bad field outranks the rest.
 pub(crate) fn parse_line(line: &str, line_no: usize) -> Result<Rect, CsvError> {
-    // Counting the separators as bytes is several times cheaper than
-    // running a second `split` over the line.
-    let count = line.bytes().filter(|&b| b == b',').count() + 1;
+    let mut vals = [0.0f64; 4];
+    let mut count = 0;
+    let mut bad = None;
+    for field in line.split(',') {
+        if count < 4 && bad.is_none() {
+            let field = field.trim();
+            match field.parse::<f64>() {
+                Ok(v) if v.is_finite() => vals[count] = v,
+                Ok(_) => bad = Some(format!("non-finite value {field:?}")),
+                Err(e) => bad = Some(format!("bad number {field:?}: {e}")),
+            }
+        }
+        count += 1;
+    }
     if count != 4 {
         return Err(CsvError::Parse(
             line_no,
             format!("expected 4 comma-separated values, got {count}"),
         ));
     }
-    let mut vals = [0.0f64; 4];
-    for (slot, field) in vals.iter_mut().zip(line.split(',').map(str::trim)) {
-        *slot = field
-            .parse()
-            .map_err(|e| CsvError::Parse(line_no, format!("bad number {field:?}: {e}")))?;
-        if !slot.is_finite() {
-            return Err(CsvError::Parse(
-                line_no,
-                format!("non-finite value {field:?}"),
-            ));
-        }
+    match bad {
+        Some(why) => Err(CsvError::Parse(line_no, why)),
+        None => Ok(Rect::new(vals[0], vals[1], vals[2], vals[3])),
     }
-    Ok(Rect::new(vals[0], vals[1], vals[2], vals[3]))
 }
 
 /// Writes a dataset as a `x1,y1,x2,y2` CSV file (with a header comment).

@@ -380,7 +380,11 @@ impl ServerHandle {
 /// server's [`Registry`]. The per-request ones are resolved once per
 /// server, so an `ESTIMATE` takes no registry lock, and once its
 /// connection's buffers have grown it allocates nothing (a sampled request
-/// that enters the flight recorder copies its trace id). State is not
+/// that enters the flight recorder copies its trace id). Neither does a
+/// `BATCH` once the buffers fit its size, nor an idle server. An `EXPLAIN`
+/// returns an owned trace: 9 allocations when no bucket overlaps its
+/// query, more as its term list and JSON reply grow. `tests/alloc_free.rs`
+/// counts all four, process-wide. State is not
 /// mirrored into the registry: `serve.active_connections` and
 /// `serve.tables` are read when a snapshot is taken
 /// ([`ServerHandle::metrics`]), and `STATS` is a fixed projection of that
@@ -929,20 +933,39 @@ fn cmd_batch(
             ),
         );
     }
-    let given = args.clone().count();
-    if given != 4 * n {
-        return err(
+    // One pass over the line: the tokens past a short read or a bad
+    // coordinate are counted only to pick the error, since a count
+    // mismatch outranks a bad coordinate.
+    let expected = 4 * n;
+    let miscount = |given: usize| {
+        err(
             2,
-            format_args!("usage: expected {} coordinates, got {given}", 4 * n),
-        );
-    }
+            format_args!("usage: expected {expected} coordinates, got {given}"),
+        )
+    };
     conn.queries.clear();
-    for _ in 0..n {
-        let quad: [&str; 4] = std::array::from_fn(|_| args.next().unwrap_or_default());
+    let mut quad = [""; 4];
+    for i in 0..n {
+        for (k, slot) in quad.iter_mut().enumerate() {
+            match args.next() {
+                Some(token) => *slot = token,
+                None => return miscount(4 * i + k),
+            }
+        }
         match parse_rect(&quad, 2) {
             Ok(rect) => conn.queries.push(rect),
-            Err(reply) => return reply,
+            Err(reply) => {
+                let given = 4 * (i + 1) + args.count();
+                return if given == expected {
+                    reply
+                } else {
+                    miscount(given)
+                };
+            }
         }
+    }
+    if args.next().is_some() {
+        return miscount(expected + 1 + args.count());
     }
     let reader = match conn.readers.get(ctx, name) {
         Ok(reader) => reader,
@@ -1229,6 +1252,44 @@ mod tests {
         out.strip_suffix('\n')
             .expect("newline-terminated")
             .to_string()
+    }
+
+    #[test]
+    fn a_batch_count_mismatch_outranks_a_bad_coordinate() {
+        let ctx = test_ctx(ServeOptions::default());
+        let mut conn = ConnState::default();
+        for (req, want) in [
+            // Short, long and exact counts, each with a bad first
+            // coordinate: only the exact count reports the coordinate.
+            (
+                "BATCH t 2 x 0 1 1 0 0 1",
+                "ERR 2 usage: expected 8 coordinates, got 7",
+            ),
+            (
+                "BATCH t 1 x 0 1 1 5",
+                "ERR 2 usage: expected 4 coordinates, got 5",
+            ),
+            ("BATCH t 1 x 0 1 1", "ERR 2 bad coordinate \"x\""),
+            // A bad coordinate in the last quad, short by one.
+            (
+                "BATCH t 2 0 0 1 1 0 0 y",
+                "ERR 2 usage: expected 8 coordinates, got 7",
+            ),
+            (
+                "BATCH t 2 0 0 1 1 0 0 1",
+                "ERR 2 usage: expected 8 coordinates, got 7",
+            ),
+            (
+                "BATCH t 1 0 0 1 1 2 3",
+                "ERR 2 usage: expected 4 coordinates, got 6",
+            ),
+            ("BATCH t 0 1", "ERR 2 usage: expected 0 coordinates, got 1"),
+            ("BATCH t 1", "ERR 2 usage: expected 4 coordinates, got 0"),
+            // Counts and coordinates check out; the table does not exist.
+            ("BATCH t 0", "ERR 2 usage: unknown table \"t\""),
+        ] {
+            assert_eq!(line(&ctx, &mut conn, req), want, "{req}");
+        }
     }
 
     #[test]

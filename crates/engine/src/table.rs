@@ -13,7 +13,7 @@ use minskew_geom::Rect;
 use minskew_obs::{
     FlightRecorder, FlightTrigger, Histogram, QueryRecord, Registry, RegistrySnapshot, Stopwatch,
 };
-use minskew_rtree::{Item, RStarTree, RTreeConfig, ValidationError};
+use minskew_rtree::{Item, RStarTree, RTreeConfig, StrLoader, ValidationError};
 
 use crate::monitor::{AccuracyReport, Reservoir};
 use crate::publish::{EstimateScratch, EstimateTrace, SnapshotCell, TableSnapshot};
@@ -654,24 +654,38 @@ impl SpatialTable {
     /// first load, or a table emptied by deletes) it is packed with
     /// Sort-Tile-Recursive bulk loading instead of one R\*-tree insertion
     /// per row; otherwise each row is inserted through R\*.
+    ///
+    /// Memory: the pack copies no row. It sorts 16 bytes of keys per row
+    /// and writes the leaves from the row store, so at its peak a first
+    /// load holds the input, the rows and the tree being built, plus those
+    /// keys, which it frees before it packs the levels above the leaves.
     pub fn insert_many(&mut self, rects: impl IntoIterator<Item = Rect>) -> Range<RowId> {
         let start = self.rows.next_id();
-        let pack = self.index.is_empty();
-        let mut items = Vec::new();
+        let rects = rects.into_iter();
+        // Allocated while `rects` still holds its buffer, if it has one: the
+        // buffer's release raises glibc's mmap threshold, and keys
+        // allocated after it would stay resident once freed.
+        let mut pack = self
+            .index
+            .is_empty()
+            .then(|| StrLoader::new(*self.index.config(), rects.size_hint().0));
         for rect in rects {
             let id = self.rows.insert(rect);
-            if pack {
-                items.push(Item::new(rect, id));
-            } else {
-                self.index.insert(rect, id);
+            match &mut pack {
+                Some(loader) => loader.push(&rect),
+                None => self.index.insert(rect, id),
             }
             self.note_row(RowChange::Insert(rect));
             self.grids.patch(&rect, 1);
         }
         let end = self.rows.next_id();
         if end > start {
-            if pack {
-                self.index = RStarTree::bulk_load(*self.index.config(), items);
+            if let Some(loader) = pack {
+                let rows = &self.rows;
+                self.index = loader.finish(|p| {
+                    let id = start + p as u64;
+                    Item::new(rows.get(id).expect("a row of this batch is live"), id)
+                });
             }
             self.data_era += end - start;
             self.publish();

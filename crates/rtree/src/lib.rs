@@ -47,6 +47,7 @@ mod partition;
 mod split;
 mod tree;
 
+pub use bulk::StrLoader;
 pub use hilbert::{hilbert_index, hilbert_point};
 pub use node::Item;
 pub use partition::SubtreeSummary;

@@ -82,7 +82,7 @@ impl RTreeConfig {
         Ok(())
     }
 
-    fn validate(&self) {
+    pub(crate) fn validate(&self) {
         if let Err(e) = self.try_validate() {
             panic!("{e}");
         }

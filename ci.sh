@@ -27,9 +27,11 @@
 #   9. the snapshot recovery differential suite, exhaustive fault-kind ×
 #      technique matrix on, single test thread (filesystem quarantine
 #      paths must not interleave),
-#  10. the lock-free serving stress suite (readers racing ≥1000 statistics
-#      installs, every observed estimate bitwise old-or-new) and the wire
-#      protocol golden suite, both pinned to one test thread so the stress
+#  10. the serving stress suite (readers racing ≥1000 statistics
+#      installs, every observed estimate bitwise old-or-new), the
+#      publication cell's and the flight ring's concurrency unit tests in
+#      release mode, where interleavings are densest, and the wire
+#      protocol golden suite, all pinned to one test thread so the stress
 #      owns its thread budget,
 #  11. the kernel differential suite pinning the SoA clip-and-accumulate
 #      plane bit-identical to the AoS reference fold, and its AVX2 scan
@@ -133,8 +135,10 @@ RUST_TEST_THREADS=1 cargo test -q --test obs_differential --features exhaustive
 echo "==> snapshot recovery differential suite (exhaustive, single test thread)"
 RUST_TEST_THREADS=1 cargo test -q --test snapshot_recovery --features exhaustive
 
-echo "==> lock-free serving stress suite (single test thread)"
+echo "==> serving stress suite (single test thread)"
 RUST_TEST_THREADS=1 cargo test -q --test serve_stress
+RUST_TEST_THREADS=1 cargo test -q --release -p minskew-engine publish::
+RUST_TEST_THREADS=1 cargo test -q --release -p minskew-obs flight::
 
 echo "==> wire protocol golden suite (single test thread)"
 RUST_TEST_THREADS=1 cargo test -q --test serve_protocol

@@ -4,7 +4,7 @@
 //! re-checked before timing (instrumentation that changes an estimate is a
 //! bug, not an acceptable cost). A third column arms the flight recorder
 //! at its worst case (`flight_sample = 1`: every sampled query, 1 in
-//! `metrics_sampling`, is encoded into the seqlock ring) and holds it to
+//! `metrics_sampling`, is moved into the flight ring) and holds it to
 //! the same ≤5% budget.
 //!
 //! The contract under test is the observability layer's ≤5% serving
@@ -22,12 +22,11 @@
 //! single-threaded, so the overhead ratio is meaningful on a 1-CPU
 //! container too. `MINSKEW_QUICK=1` shrinks the inputs for a smoke run.
 
-use minskew_bench::{charminar_scaled, time_it, Scale, DEFAULT_REGIONS};
+use minskew_bench::{charminar_scaled, record_path, time_it, Scale, DEFAULT_REGIONS};
 use minskew_engine::{AnalyzeOptions, SpatialTable, StatsTechnique, TableOptions};
 use minskew_geom::Rect;
 use minskew_workload::QueryWorkload;
 use std::hint::black_box;
-use std::path::Path;
 
 const BUCKETS: usize = 200;
 const REPS: usize = 41;
@@ -187,7 +186,7 @@ fn main() {
         "  \"note\": \"single-query serving, metrics on (default sampling + \
          accuracy reservoir) vs TableOptions::metrics = false; recorder_on \
          additionally arms the flight recorder at flight_sample = 1 (every \
-         sampled query, 1 in metrics_sampling, encoded into the seqlock \
+         sampled query, 1 in metrics_sampling, moved into the flight \
          ring, the worst case) and its \
          recorder_overhead_pct is measured against metrics-on with the \
          recorder off, isolating the ring's own cost; estimates bit-checked \
@@ -210,7 +209,7 @@ fn main() {
     }
     json.push_str("  ]\n}\n");
 
-    let out = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_obs.json");
+    let out = record_path("BENCH_obs.json");
     std::fs::write(&out, json).expect("write BENCH_obs.json");
     println!("\nwrote {}", out.display());
 }

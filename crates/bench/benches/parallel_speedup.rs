@@ -12,10 +12,9 @@
 //!
 //! `MINSKEW_QUICK=1` shrinks the inputs for a smoke run.
 
-use minskew_bench::{time_it, Scale};
+use minskew_bench::{record_path, time_it, Scale};
 use minskew_datagen::charminar_with;
 use minskew_workload::{GroundTruth, QueryWorkload};
-use std::path::Path;
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 const REPS: usize = 3;
@@ -90,7 +89,7 @@ fn main() {
 
     // The bench binary runs with the bench crate as manifest dir; the JSON
     // belongs at the workspace root next to the other committed artefacts.
-    let out = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_parallel.json");
+    let out = record_path("BENCH_parallel.json");
     std::fs::write(&out, json).expect("write BENCH_parallel.json");
     println!("\nwrote {}", out.display());
 }

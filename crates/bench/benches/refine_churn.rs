@@ -23,9 +23,7 @@
 //! Writes machine-readable results to `BENCH_refine.json` at the workspace
 //! root. `MINSKEW_QUICK=1` shrinks the dataset and horizon for smoke runs.
 
-use std::path::Path;
-
-use minskew_bench::{charminar_scaled, time_it, Scale};
+use minskew_bench::{charminar_scaled, record_path, time_it, Scale};
 use minskew_core::{MinSkewBuilder, SpatialEstimator};
 use minskew_data::Dataset;
 use minskew_engine::{MaintenanceAction, MaintenanceMode, RowId, SpatialTable, TableOptions};
@@ -283,7 +281,7 @@ fn main() {
     );
     json.push_str("}\n");
 
-    let out = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_refine.json");
+    let out = record_path("BENCH_refine.json");
     std::fs::write(&out, json).expect("write BENCH_refine.json");
     println!("\nwrote {}", out.display());
 }

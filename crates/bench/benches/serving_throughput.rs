@@ -22,13 +22,12 @@
 //!
 //! `MINSKEW_QUICK=1` shrinks the inputs for a smoke run.
 
-use minskew_bench::{charminar_scaled, nj_road, time_it, Scale, DEFAULT_REGIONS};
+use minskew_bench::{charminar_scaled, nj_road, record_path, time_it, Scale, DEFAULT_REGIONS};
 use minskew_core::{simd_level, KernelScratch, MinSkewBuilder, QueryPrep, TermBuf};
 use minskew_data::Dataset;
 use minskew_geom::Rect;
 use minskew_workload::QueryWorkload;
 use std::hint::black_box;
-use std::path::Path;
 
 const BUCKETS: [usize; 3] = [50, 200, 1000];
 const REPS: usize = 3;
@@ -199,7 +198,7 @@ fn main() {
     }
     json.push_str("  ]\n}\n");
 
-    let out = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_estimate.json");
+    let out = record_path("BENCH_estimate.json");
     std::fs::write(&out, json).expect("write BENCH_estimate.json");
     println!("\nwrote {}", out.display());
 }

@@ -15,11 +15,10 @@
 //! is single-threaded. `MINSKEW_QUICK=1` shrinks the inputs for a smoke
 //! run.
 
-use minskew_bench::{charminar_scaled, time_it, Scale, DEFAULT_REGIONS};
+use minskew_bench::{charminar_scaled, record_path, time_it, Scale, DEFAULT_REGIONS};
 use minskew_core::{verify_snapshot, SpatialHistogram};
 use minskew_engine::{AnalyzeOptions, SpatialTable, StatsTechnique, TableOptions};
 use std::hint::black_box;
-use std::path::Path;
 
 const BUCKETS: usize = 200;
 const REPS: usize = 7;
@@ -142,7 +141,7 @@ fn main() {
     json.push_str(&format!("  \"load_vs_rebuild_speedup\": {ratio:.1}\n"));
     json.push_str("}\n");
 
-    let out = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_snapshot.json");
+    let out = record_path("BENCH_snapshot.json");
     std::fs::write(&out, json).expect("write BENCH_snapshot.json");
     println!("\nwrote {}", out.display());
 }

@@ -15,6 +15,8 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+use std::path::{Path, PathBuf};
+
 use minskew_core::{
     build_equi_area, build_equi_count, build_rtree_partitioning, build_uniform, FractalEstimator,
     MinSkewBuilder, RTreeBuildMethod, RTreePartitioningOptions, SamplingEstimator,
@@ -143,6 +145,18 @@ pub fn time_it<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let start = std::time::Instant::now();
     let out = f();
     (out, start.elapsed().as_secs_f64())
+}
+
+/// Where a record bench writes its `BENCH_*.json` file: the workspace root
+/// of the checkout the bench runs in, found from the `CARGO_MANIFEST_DIR`
+/// that cargo sets for every bench process at run time. (The compile-time
+/// `env!` would name the checkout a cached binary was built in.) A bench
+/// binary run without cargo writes to the working directory.
+pub fn record_path(name: &str) -> PathBuf {
+    match std::env::var_os("CARGO_MANIFEST_DIR") {
+        Some(manifest) => Path::new(&manifest).join("../..").join(name),
+        None => PathBuf::from(name),
+    }
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! A catalog of named [`SpatialTable`]s with create/drop/list, designed for
 //! concurrent serving: writers lock one table, readers go through each
-//! table's lock-free publication cell.
+//! table's publication cell and never take the table lock.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -81,10 +81,16 @@ impl CatalogEntry {
         self.table.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// A lock-free reader over this table's published snapshots; see
+    /// A reader over this table's published snapshots; see
     /// [`SpatialTable::reader`]. Does **not** take the table lock.
     pub fn reader(&self) -> SpatialReader {
         SpatialReader::new(self.cell.clone())
+    }
+
+    /// The table's currently published snapshot. Does **not** take the
+    /// table lock.
+    pub(crate) fn snapshot(&self) -> Arc<TableSnapshot> {
+        self.cell.load()
     }
 }
 

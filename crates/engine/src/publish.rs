@@ -1,10 +1,8 @@
-//! Lock-free statistics publication: an epoch/two-slot cell that installs
-//! immutable `Arc`-published table snapshots, so readers never block on a
-//! writer and never observe a half-installed histogram. The protocol is
-//! documented on [`SnapshotCell`], and what a snapshot holds on
-//! [`TableSnapshot`].
+//! Statistics publication: a one-slot cell that installs immutable
+//! `Arc`-published table snapshots, so readers never wait on the table lock
+//! and never observe a half-installed histogram. The cell is documented on
+//! [`SnapshotCell`], and what a snapshot holds on [`TableSnapshot`].
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use minskew_core::{KernelScratch, SpatialHistogram};
@@ -87,8 +85,8 @@ impl TableSnapshot {
     }
 
     /// The raw (unclamped) estimate against this snapshot. Every serving
-    /// entry point — the table, every lock-free reader, the network
-    /// front-end — funnels here, so they agree bit for bit.
+    /// entry point — the table, every reader, the network front-end —
+    /// funnels here, so they agree bit for bit.
     pub(crate) fn estimate_raw(&self, query: &Rect, scratch: &mut EstimateScratch) -> f64 {
         match &self.stats {
             Some(stats) => stats.estimate_count_indexed(query, scratch),
@@ -209,191 +207,52 @@ pub struct EstimateTrace {
     pub detail: Option<minskew_core::EstimateExplain>,
 }
 
-/// The epoch/two-slot publication cell that publishes a table's
-/// [`TableSnapshot`]s to its readers.
+/// The publication cell that publishes a table's [`TableSnapshot`]s to its
+/// readers: one `Mutex<Arc<T>>`.
 ///
-/// # The publication protocol
-///
-/// The cell is a hand-rolled arc-swap (no external crates, no `unsafe`):
-/// an atomic epoch plus two slots, each a `Mutex<Arc<T>>`.
-///
-/// * **Readers** load the epoch with `Acquire`, lock the *current* slot
-///   (`epoch & 1`), clone the `Arc`, drop the lock, and load the epoch
-///   again. If it moved, they retry. A few nanoseconds, and never a lock
-///   the writer is holding for the current epoch.
-/// * **The writer** (serialized by its own mutex) writes the new `Arc` into
-///   the *inactive* slot, then flips the epoch with `Release`. The only
-///   shared mutation is an `Arc` pointer swap performed under the slot's
-///   mutex, so an estimate is always computed against exactly one
-///   fully-built [`TableSnapshot`].
-/// * **After the flip** the writer also writes the new `Arc` into the slot
-///   it displaced, which is now the inactive one. The cell then holds only
-///   the current value, so a superseded snapshot is freed as soon as no
-///   reader holds it, and the table can reuse its statistics (see
-///   `SpatialTable`'s retired histogram). A reader that read the old
-///   epoch and clones from that slot gets the new value, sees the epoch
-///   move, and retries, exactly as it would after a staged write.
-///
-/// **Contract: each reader sees publications in non-decreasing order**, and
-/// only published ones. While the epoch stays `e`, the writer writes only
-/// slot `(e + 1) & 1`, so a clone of slot `e & 1` taken between two loads
-/// that both read `e` is the value published at `e`. Without the second
-/// load, a reader that stalls after reading `e` could clone the value the
-/// writer is staging for `e + 2` before it is published, and then return
-/// the older `e + 1` on its next load.
-///
+/// `load` locks the slot, clones the `Arc` and unlocks; `store` swaps the
+/// new `Arc` in under the same lock. The lock is held only for a pointer
+/// copy, never across an estimate or a build, so an estimate is always
+/// computed against exactly one fully-built [`TableSnapshot`], each thread
+/// sees publications in non-decreasing order, and a reader never waits on
+/// the table lock, an `ANALYZE` or a write. The cell holds only the
+/// current value, so a superseded snapshot is freed as soon as no reader
+/// holds it, and the table can reuse its statistics (see `SpatialTable`'s
+/// retired histogram).
 #[derive(Debug)]
 pub struct SnapshotCell<T> {
-    epoch: AtomicU64,
-    /// Serializes writers so concurrent `store`s cannot race the epoch
-    /// flip. Readers never touch this lock.
-    writer: Mutex<()>,
-    slots: [Mutex<Arc<T>>; 2],
-    /// Pause points a test can arm to drive an exact interleaving:
-    /// [`READER_PAUSE`] and [`WRITER_PAUSE`].
-    #[cfg(test)]
-    pauses: [Mutex<Option<tests::Gate>>; 2],
+    slot: Mutex<Arc<T>>,
 }
-
-/// In `load`, between the epoch load and the slot lock.
-#[cfg(test)]
-const READER_PAUSE: usize = 0;
-/// In `store`, between the slot write and the epoch flip.
-#[cfg(test)]
-const WRITER_PAUSE: usize = 1;
 
 impl<T> SnapshotCell<T> {
     /// Creates a cell publishing `initial`.
     pub fn new(initial: Arc<T>) -> SnapshotCell<T> {
         SnapshotCell {
-            epoch: AtomicU64::new(0),
-            writer: Mutex::new(()),
-            slots: [Mutex::new(initial.clone()), Mutex::new(initial)],
-            #[cfg(test)]
-            pauses: Default::default(),
+            slot: Mutex::new(initial),
         }
     }
 
-    /// The currently published value. Never blocks on a writer installing
-    /// the next value (the writer works in the other slot), always returns
-    /// a complete, fully-built `T`, and never returns an older value than
-    /// an earlier `load` on the same thread did.
+    /// The currently published value: a complete, fully-built `T`.
     pub fn load(&self) -> Arc<T> {
-        loop {
-            let epoch = self.epoch.load(Ordering::Acquire);
-            #[cfg(test)]
-            self.pause(READER_PAUSE);
-            let value = self.slots[(epoch & 1) as usize]
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .clone();
-            // A writer flips to `epoch + 1` before it locks this slot to
-            // stage `epoch + 2`, and our lock acquire orders that flip
-            // before this load; so an unchanged epoch means the clone is
-            // the value published at `epoch`.
-            if self.epoch.load(Ordering::Acquire) == epoch {
-                return value;
-            }
-        }
+        Arc::clone(&self.slot.lock().unwrap_or_else(PoisonError::into_inner))
     }
 
-    /// Publishes `value`: writes it into the inactive slot, then flips the
-    /// epoch. Readers observe either the previous value or `value`, never
-    /// a mixture. Then `value` also replaces the displaced value in the
-    /// other slot, so the cell no longer holds the superseded value: it is
-    /// freed once no reader holds it.
+    /// Publishes `value`. Readers observe either the previous value or
+    /// `value`, never a mixture; the displaced value is dropped after the
+    /// lock is released, and freed once no reader holds it.
     pub fn store(&self, value: Arc<T>) {
-        let _writer = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
-        let epoch = self.epoch.load(Ordering::Relaxed);
-        *self.slots[((epoch + 1) & 1) as usize]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner) = value.clone();
-        #[cfg(test)]
-        self.pause(WRITER_PAUSE);
-        self.epoch.store(epoch + 1, Ordering::Release);
-        // The displaced slot is now the inactive one, which the protocol
-        // lets the writer write while the epoch is `epoch + 1`. The
-        // displaced value is dropped after the slot lock is released.
         let displaced = std::mem::replace(
-            &mut *self.slots[(epoch & 1) as usize]
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner),
+            &mut *self.slot.lock().unwrap_or_else(PoisonError::into_inner),
             value,
         );
         drop(displaced);
-    }
-
-    /// Blocks the first thread to reach pause point `at` after a test armed
-    /// it, until the test releases it.
-    #[cfg(test)]
-    fn pause(&self, at: usize) {
-        let gate = self.pauses[at]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take();
-        if let Some((arrived, go)) = gate {
-            arrived.send(()).expect("the test waits for arrival");
-            go.recv().expect("the test releases the pause");
-        }
-    }
-
-    /// Number of publications so far (the current epoch).
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicBool;
-    use std::sync::mpsc::{channel, Receiver, Sender};
-
-    /// An armed pause point: the paused thread signals arrival on the
-    /// sender, then waits on the receiver.
-    pub(super) type Gate = (Sender<()>, Receiver<()>);
-
-    /// Arms pause point `at`; returns the arrival signal and the release.
-    fn arm<T>(cell: &SnapshotCell<T>, at: usize) -> (Receiver<()>, Sender<()>) {
-        let (arrived_tx, arrived) = channel();
-        let (go, go_rx) = channel();
-        *cell.pauses[at].lock().expect("gate lock") = Some((arrived_tx, go_rx));
-        (arrived, go)
-    }
-
-    /// The stalled-reader race, driven step by step: a reader reads epoch
-    /// `e`, the writer publishes `e + 1` and stages `e + 2` in slot `e & 1`,
-    /// and only then does the reader lock that slot. It must return the
-    /// published `e + 1`, never the staged `e + 2` followed by an older
-    /// value.
-    #[test]
-    fn a_stalled_reader_never_returns_an_unpublished_value() {
-        let cell = Arc::new(SnapshotCell::new(Arc::new(0u64)));
-        let (reader_arrived, reader_go) = arm(&cell, READER_PAUSE);
-        let reader = {
-            let cell = Arc::clone(&cell);
-            std::thread::spawn(move || *cell.load())
-        };
-        reader_arrived.recv().expect("reader read epoch 0");
-        cell.store(Arc::new(1));
-        let (writer_arrived, writer_go) = arm(&cell, WRITER_PAUSE);
-        let writer = {
-            let cell = Arc::clone(&cell);
-            std::thread::spawn(move || cell.store(Arc::new(2)))
-        };
-        writer_arrived.recv().expect("writer staged 2 in slot 0");
-        reader_go.send(()).expect("reader waits");
-        let first = reader.join().expect("reader panicked");
-        let next = *cell.load();
-        assert!(
-            first <= next,
-            "publication went backwards: {first} -> {next}"
-        );
-        assert_eq!(first, 1, "the reader returned a value not yet published");
-        writer_go.send(()).expect("writer waits");
-        writer.join().expect("writer panicked");
-        assert_eq!(*cell.load(), 2);
-    }
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     #[test]
     fn store_frees_the_displaced_value() {
@@ -414,7 +273,6 @@ mod tests {
         for i in 1..10 {
             cell.store(Arc::new(i));
             assert_eq!(*cell.load(), i);
-            assert_eq!(cell.epoch(), i);
         }
     }
 
@@ -446,6 +304,6 @@ mod tests {
         for r in readers {
             r.join().expect("reader panicked");
         }
-        assert_eq!(cell.epoch(), 2_000);
+        assert_eq!(*cell.load(), (2_000, 6_000));
     }
 }

@@ -1,5 +1,6 @@
-//! Lock-free reader handles over a table's published snapshots, and the
-//! one instrumented estimate body every front end runs.
+//! Reader handles over a table's published snapshots, which never take
+//! the table lock, and the one instrumented estimate body every front end
+//! runs.
 
 use std::sync::Arc;
 
@@ -48,14 +49,13 @@ impl Capture {
     }
 }
 
-/// A lock-free serving handle for one table, obtained via
+/// A serving handle for one table, obtained via
 /// [`crate::SpatialTable::reader`].
 ///
-/// A reader never takes the table's serving lock and never blocks on a
-/// writer: each estimate loads the currently published [`TableSnapshot`]
-/// from the table's [`SnapshotCell`] (a few nanoseconds; see the
-/// publication protocol there) and computes against that
-/// immutable view. Every value it returns is therefore **exactly** the
+/// A reader never takes the table lock and never waits on an `ANALYZE` or
+/// a write: each estimate loads the currently published [`TableSnapshot`]
+/// from the table's [`SnapshotCell`] (one uncontended mutex held for an
+/// `Arc` clone) and computes against that immutable view. Every value it returns is therefore **exactly** the
 /// value [`crate::SpatialTable::estimate`] would return against the same
 /// publication — old snapshot or new, never a mixture. The table serves
 /// through a reader of its own, so both run one estimate, batch and
@@ -181,7 +181,7 @@ impl SpatialReader {
             self.sampled - 1,
             capture.sample,
         ) {
-            capture.flight.record(&QueryRecord {
+            capture.flight.record(QueryRecord {
                 trigger,
                 tid: tid.to_owned(),
                 query: [query.lo.x, query.lo.y, query.hi.x, query.hi.y],

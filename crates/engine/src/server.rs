@@ -358,8 +358,9 @@ impl ServerHandle {
 /// request wakes it with a loopback connection to the server's own port,
 /// and every accept reaps the connection threads that have finished.
 /// `ESTIMATE`/`BATCH` go through per-connection [`SpatialReader`]s — the
-/// lock-free snapshot path — so estimate traffic on one table proceeds
-/// concurrently across connections even while a writer runs `ANALYZE`.
+/// snapshot path, which never takes the table lock — so estimate traffic
+/// on one table proceeds concurrently across connections even while a
+/// writer runs `ANALYZE`.
 /// An `ESTIMATE` runs the reader's instrumented body, the one the table
 /// runs: the connection's reader samples by the table's
 /// [`crate::TableOptions::metrics_sampling`], and a sampled request may
@@ -379,12 +380,13 @@ impl ServerHandle {
 /// Per-connection and per-verb counters and request latency flow into the
 /// server's [`Registry`]. The per-request ones are resolved once per
 /// server, so an `ESTIMATE` takes no registry lock, and once its
-/// connection's buffers have grown it allocates nothing (a sampled request
-/// that enters the flight recorder copies its trace id). Neither does a
-/// `BATCH` once the buffers fit its size, nor an idle server. An `EXPLAIN`
-/// returns an owned trace: 9 allocations when no bucket overlaps its
-/// query, more as its term list and JSON reply grow. `tests/alloc_free.rs`
-/// counts all four, process-wide. State is not
+/// connection's buffers have grown it allocates nothing. Neither does a
+/// `BATCH` once the buffers fit its size, nor an idle server. An
+/// `ESTIMATE` that enters the flight recorder allocates nothing either
+/// without a `TID=` prefix, and exactly 1 with one: the record's copy of
+/// the id. An `EXPLAIN` returns an owned trace: 9 allocations when no
+/// bucket overlaps its query, more as its term list and JSON reply grow.
+/// `tests/alloc_free.rs` counts all five, process-wide. State is not
 /// mirrored into the registry: `serve.active_connections` and
 /// `serve.tables` are read when a snapshot is taken
 /// ([`ServerHandle::metrics`]), and `STATS` is a fixed projection of that
@@ -431,7 +433,7 @@ fn accept_loop(listener: TcpListener, ctx: Arc<ServerCtx>) {
     }
 }
 
-/// Per-connection state: cached lock-free readers (one per table touched)
+/// Per-connection state: cached readers (one per table touched)
 /// and `BATCH`'s query and result buffers, reused from request to request.
 #[derive(Default)]
 struct ConnState {
@@ -440,7 +442,7 @@ struct ConnState {
     values: Vec<f64>,
 }
 
-/// A connection's lock-free readers by table name, valid for one catalog
+/// A connection's readers by table name, valid for one catalog
 /// epoch: once a table is created or dropped anywhere, they are minted
 /// again on next use, so a dropped table stops answering and a re-created
 /// one is served from its own snapshots.
@@ -451,7 +453,8 @@ struct ConnReaders {
 }
 
 impl ConnReaders {
-    /// The reader for `name`, minted lock-free on first use in this epoch.
+    /// The reader for `name`, minted on first use in this epoch without
+    /// taking the table lock.
     fn get(&mut self, ctx: &Arc<ServerCtx>, name: &str) -> Result<&mut SpatialReader, Reply> {
         let epoch = ctx.catalog.epoch();
         if epoch != self.epoch {
@@ -1089,12 +1092,12 @@ fn cmd_flight(ctx: &Arc<ServerCtx>, args: &[&str]) -> Reply {
         },
         _ => return err(2, "usage: FLIGHT <table> [N]"),
     };
-    // The table lock is held only to clone the recorder's `Arc`.
-    let flight = match lookup(ctx, name) {
-        Ok(entry) => entry.table().flight_recorder(),
+    // The recorder travels with every published snapshot, so a drain never
+    // takes the table lock.
+    let jsonl = match lookup(ctx, name) {
+        Ok(entry) => entry.snapshot().capture().flight.to_jsonl(max),
         Err(reply) => return reply,
     };
-    let jsonl = flight.to_jsonl(max);
     ctx.bump("serve.flight.drains");
     framed(&jsonl)
 }
@@ -1543,6 +1546,40 @@ mod tests {
         assert!(line(&ctx, &mut conn, "FLIGHT").starts_with("ERR 2 "));
         assert!(line(&ctx, &mut conn, "FLIGHT ghost").starts_with("ERR 2 "));
         assert!(line(&ctx, &mut conn, "FLIGHT t bogus").starts_with("ERR 2 "));
+    }
+
+    #[test]
+    fn flight_drains_while_the_table_lock_is_held() {
+        use std::sync::mpsc::channel;
+        let mut options = ServeOptions::default();
+        options.table_options.metrics_sampling = 1;
+        options.table_options.flight_sample = 1;
+        let ctx = test_ctx(options);
+        let mut conn = ConnState::default();
+        assert_eq!(line(&ctx, &mut conn, "CREATE t"), "OK created t");
+        assert!(line(&ctx, &mut conn, "TID=held ESTIMATE t 0 0 1 1").starts_with("TID=held OK "));
+        let entry = ctx.catalog.get("t").expect("created");
+        let (held, held_rx) = channel();
+        let (release, release_rx) = channel::<()>();
+        let (drained, drained_rx) = channel();
+        let (entry, ctx) = (&entry, &ctx);
+        std::thread::scope(|scope| {
+            scope.spawn(move || {
+                let _table = entry.table();
+                held.send(()).expect("the test waits for the lock");
+                release_rx.recv().ok();
+            });
+            held_rx.recv().expect("the table lock is held");
+            scope.spawn(move || {
+                let mut conn = ConnState::default();
+                drained.send(line(ctx, &mut conn, "FLIGHT t")).ok();
+            });
+            let reply = drained_rx.recv_timeout(Duration::from_secs(1));
+            release.send(()).expect("the holder waits");
+            let reply = reply.expect("FLIGHT waited on the table lock");
+            assert!(reply.starts_with("OK 1\n"), "{reply:?}");
+            assert!(reply.contains("\"tid\":\"held\""), "{reply:?}");
+        });
     }
 
     /// The trace ids of the records `FLIGHT <args>` drains, oldest first.

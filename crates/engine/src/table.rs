@@ -255,7 +255,7 @@ pub struct TableOptions {
     /// Capacity of the table's flight recorder
     /// ([`minskew_obs::FlightRecorder`]): the one ring of structured
     /// records for the table's slow / wrong / sampled queries, whether the
-    /// table, a lock-free reader or a wire `ESTIMATE` served them, drained
+    /// table, a reader or a wire `ESTIMATE` served them, drained
     /// via [`SpatialTable::flight_recorder`] (or the server's
     /// `FLIGHT <table>` verb).
     /// `0` disables recording. Recording is bit-invisible like the rest of
@@ -397,7 +397,7 @@ impl std::fmt::Display for StatsDiagnostics {
 #[derive(Debug)]
 struct ServingState {
     /// Serves every estimate, batch and EXPLAIN against the table's
-    /// current snapshot: the same body lock-free readers run.
+    /// current snapshot: the same body every reader runs.
     reader: SpatialReader,
     /// Data era the reservoir's cached exact counts were replayed under.
     /// Row churn advances the table's data era, which invalidates the
@@ -496,10 +496,10 @@ pub struct SpatialTable {
     /// (see [`ServingState::seen_era`]).
     data_era: u64,
     /// The latest published snapshot (the same `Arc` the cell holds); the
-    /// table's own serving path estimates against it so locked and
-    /// lock-free readers agree structurally, not by parallel maintenance.
+    /// table's own serving path estimates against it so the table and its
+    /// readers agree structurally, not by parallel maintenance.
     current: Arc<TableSnapshot>,
-    /// The publication cell lock-free readers subscribe to.
+    /// The publication cell readers subscribe to.
     cell: Arc<SnapshotCell<TableSnapshot>>,
     /// How served estimates are sampled and captured, and the table's one
     /// flight recorder; every snapshot publishes it to the readers.
@@ -591,9 +591,9 @@ impl SpatialTable {
         self.cell.store(snapshot);
     }
 
-    /// A lock-free reader handle over this table's published snapshots:
-    /// `estimate` on the handle never takes the table's serving lock and
-    /// never blocks on `ANALYZE`/mutations, yet is bit-identical to
+    /// A reader handle over this table's published snapshots: `estimate`
+    /// on the handle never takes the table lock and never waits on
+    /// `ANALYZE`/mutations, yet is bit-identical to
     /// [`SpatialTable::estimate`] against the same publication. Readers
     /// carry their own scratch; any number may run concurrently with each
     /// other and with a writer.
@@ -1199,7 +1199,7 @@ impl SpatialTable {
                 && self.options.flight_residual > 0.0
                 && residual > self.options.flight_residual
             {
-                self.capture.flight.record(&QueryRecord {
+                self.capture.flight.record(QueryRecord {
                     trigger: FlightTrigger::Wrong,
                     tid: String::new(),
                     query: [

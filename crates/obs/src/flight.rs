@@ -1,31 +1,26 @@
-//! The flight recorder: a fixed-capacity lock-free ring of structured
+//! The flight recorder: a fixed-capacity ring of structured
 //! [`QueryRecord`]s capturing the queries worth a second look — slow ones
 //! (latency threshold), wrong ones (residual threshold, fed by the accuracy
 //! monitor's replay), and a 1-in-N sample of everything else.
 //!
-//! ## Ring semantics (safe-code seqlock)
+//! ## Ring semantics
 //!
-//! Each slot is a stamp word plus a fixed array of payload words, all
-//! `AtomicU64` — no `unsafe`, no locks. A writer claims a slot by bumping
-//! the global head (`fetch_add`, so claims never collide), stores the
-//! odd stamp `2·seq + 1`, writes the payload words relaxed, then stores the
-//! even stamp `2·seq + 2`. A reader snapshots the stamp, skips empty (`0`)
-//! or in-progress (odd) slots, reads the payload, and re-reads the stamp:
-//! any concurrent overwrite changes the stamp (seq is globally unique and
-//! monotone), so a torn read is always detected and dropped. Torn *words*
-//! are impossible — every payload word is itself atomic — so the only
-//! failure mode is a skipped record, never a corrupt one.
+//! The ring is one `Mutex` over a deque preallocated to its capacity, plus
+//! the count of records ever captured. A writer takes the lock, evicts the
+//! oldest record when the ring is full and appends its own; a reader takes
+//! the lock and clones the newest records out. Every record is whole and
+//! every drain is exact: `recent(max)` returns the newest
+//! `min(max, capacity, total)` records with consecutive sequence numbers.
 //!
-//! Writers therefore never block, never allocate, and never wait on
-//! readers; recording costs a handful of relaxed stores. Draining is
-//! best-effort by design: records overwritten mid-drain are silently
-//! dropped, which is the correct trade for a diagnostics buffer on a hot
-//! serving path.
+//! Recording moves the caller's record into the ring, so it never
+//! allocates; the lock is held for a few word moves, and only sampled
+//! calls that trip a trigger take it. A ring of capacity 0 takes no lock
+//! at all.
 //!
 //! ## Bit-invisibility
 //!
 //! Recording happens strictly *after* an estimate is computed and only
-//! touches this ring's atomics; it can never perturb an estimate or the
+//! touches this ring; it can never perturb an estimate or the
 //! statistics. The trace differential suite pins that
 //! estimates and encoded stats are byte-identical with the recorder on
 //! (capacity > 0), off (capacity 0), and sampling every query.
@@ -33,7 +28,8 @@
 //! Drained output is pinned JSONL, one record per line, schema
 //! `minskew-obs/flight-v1`.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::VecDeque;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::export::{json_escape, json_f64};
 
@@ -77,14 +73,6 @@ impl FlightTrigger {
             None
         }
     }
-
-    fn from_code(code: u64) -> FlightTrigger {
-        match code {
-            0 => FlightTrigger::Slow,
-            1 => FlightTrigger::Wrong,
-            _ => FlightTrigger::Sampled,
-        }
-    }
 }
 
 /// Maximum trace-id bytes a record retains (longer ids are truncated).
@@ -119,20 +107,12 @@ impl QueryRecord {
     /// Non-finite floats serialise as `null` so the line is always valid
     /// JSON.
     pub fn to_json(&self, seq: u64) -> String {
-        let mut tid = self.tid.as_str();
-        if tid.len() > TID_BYTES {
-            let mut end = TID_BYTES;
-            while !tid.is_char_boundary(end) {
-                end -= 1;
-            }
-            tid = &tid[..end];
-        }
         format!(
             "{{\"schema\":\"minskew-obs/flight-v1\",\"seq\":{seq},\"trigger\":\"{}\",\
              \"tid\":\"{}\",\"query\":[{},{},{},{}],\"estimate\":{},\"exact\":{},\
              \"latency_ns\":{},\"generation\":{}}}",
             self.trigger.label(),
-            json_escape(tid),
+            json_escape(&self.tid),
             json_f64(self.query[0]),
             json_f64(self.query[1]),
             json_f64(self.query[2]),
@@ -145,82 +125,24 @@ impl QueryRecord {
     }
 }
 
-/// Payload words per slot: flags, 4 query coords, estimate, exact,
-/// latency, generation, 2 trace-id words.
-const WORDS: usize = 11;
-
-struct Slot {
-    /// `0` = never written; odd = write in progress; `2·seq + 2` = record
-    /// `seq` committed.
-    stamp: AtomicU64,
-    words: [AtomicU64; WORDS],
-}
-
-impl Slot {
-    fn new() -> Slot {
-        Slot {
-            stamp: AtomicU64::new(0),
-            words: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-}
-
-fn encode(record: &QueryRecord) -> [u64; WORDS] {
-    let mut tid = [0u8; TID_BYTES];
-    let take = record.tid.len().min(TID_BYTES);
-    tid[..take].copy_from_slice(&record.tid.as_bytes()[..take]);
-    let trigger = match record.trigger {
-        FlightTrigger::Slow => 0u64,
-        FlightTrigger::Wrong => 1,
-        FlightTrigger::Sampled => 2,
-    };
-    [
-        trigger | (u64::from(record.exact.is_some()) << 8),
-        record.query[0].to_bits(),
-        record.query[1].to_bits(),
-        record.query[2].to_bits(),
-        record.query[3].to_bits(),
-        record.estimate.to_bits(),
-        record.exact.unwrap_or(0.0).to_bits(),
-        record.latency_ns,
-        record.generation,
-        u64::from_le_bytes(tid[..8].try_into().unwrap_or([0; 8])),
-        u64::from_le_bytes(tid[8..].try_into().unwrap_or([0; 8])),
-    ]
-}
-
-fn decode(words: &[u64; WORDS]) -> QueryRecord {
-    let mut tid = [0u8; TID_BYTES];
-    tid[..8].copy_from_slice(&words[9].to_le_bytes());
-    tid[8..].copy_from_slice(&words[10].to_le_bytes());
-    let len = tid.iter().position(|&b| b == 0).unwrap_or(TID_BYTES);
-    QueryRecord {
-        trigger: FlightTrigger::from_code(words[0] & 0xff),
-        tid: String::from_utf8_lossy(&tid[..len]).into_owned(),
-        query: [
-            f64::from_bits(words[1]),
-            f64::from_bits(words[2]),
-            f64::from_bits(words[3]),
-            f64::from_bits(words[4]),
-        ],
-        estimate: f64::from_bits(words[5]),
-        exact: ((words[0] >> 8) & 1 == 1).then(|| f64::from_bits(words[6])),
-        latency_ns: words[7],
-        generation: words[8],
-    }
-}
-
-/// The fixed-capacity lock-free ring of [`QueryRecord`]s. Shared by `Arc`;
-/// every method takes `&self`. Capacity `0` disables recording entirely.
+/// The fixed-capacity ring of [`QueryRecord`]s. Shared by `Arc`; every
+/// method takes `&self`. Capacity `0` disables recording entirely.
 pub struct FlightRecorder {
-    head: AtomicU64,
-    slots: Vec<Slot>,
+    capacity: usize,
+    ring: Mutex<Ring>,
+}
+
+struct Ring {
+    /// Records ever captured; the newest has sequence number `total - 1`.
+    total: u64,
+    /// The newest `min(capacity, total)` records, oldest first.
+    records: VecDeque<QueryRecord>,
 }
 
 impl std::fmt::Debug for FlightRecorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FlightRecorder")
-            .field("capacity", &self.capacity())
+            .field("capacity", &self.capacity)
             .field("total", &self.total())
             .finish()
     }
@@ -232,66 +154,60 @@ impl FlightRecorder {
     #[must_use]
     pub fn new(capacity: usize) -> FlightRecorder {
         FlightRecorder {
-            head: AtomicU64::new(0),
-            slots: (0..capacity).map(|_| Slot::new()).collect(),
+            capacity,
+            ring: Mutex::new(Ring {
+                total: 0,
+                records: VecDeque::with_capacity(capacity),
+            }),
         }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Ring> {
+        self.ring.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Slot count (0 when disabled).
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.capacity
     }
 
     /// Records ever captured (including those since overwritten).
     pub fn total(&self) -> u64 {
-        self.head.load(Ordering::Relaxed)
+        self.lock().total
     }
 
-    /// Captures one record. Lock-free, allocation-free, wait-free for
-    /// writers; a no-op when capacity is 0.
-    pub fn record(&self, record: &QueryRecord) {
-        if self.slots.is_empty() {
+    /// Captures one record, keeping at most [`TID_BYTES`] bytes of its
+    /// trace id (cut at a char boundary). Allocation-free; a no-op that
+    /// takes no lock when capacity is 0.
+    pub fn record(&self, mut record: QueryRecord) {
+        if self.capacity == 0 {
             return;
         }
-        let seq = self.head.fetch_add(1, Ordering::Relaxed);
-        let slot = &self.slots[(seq % self.slots.len() as u64) as usize];
-        let words = encode(record);
-        slot.stamp
-            .store(seq.wrapping_mul(2).wrapping_add(1), Ordering::Release);
-        for (dst, &src) in slot.words.iter().zip(words.iter()) {
-            dst.store(src, Ordering::Relaxed);
-        }
-        slot.stamp
-            .store(seq.wrapping_mul(2).wrapping_add(2), Ordering::Release);
+        record
+            .tid
+            .truncate(record.tid.floor_char_boundary(TID_BYTES));
+        let mut ring = self.lock();
+        ring.total += 1;
+        let evicted = if ring.records.len() == self.capacity {
+            ring.records.pop_front()
+        } else {
+            None
+        };
+        ring.records.push_back(record);
+        drop(ring);
+        drop(evicted);
     }
 
-    /// The most recent `max` committed records, oldest first, each with
-    /// its sequence number. Best-effort: slots overwritten mid-read are
-    /// skipped, never returned torn.
+    /// The newest `min(max, capacity, total)` records, oldest first, each
+    /// with its sequence number.
     pub fn recent(&self, max: usize) -> Vec<(u64, QueryRecord)> {
-        let head = self.head.load(Ordering::Acquire);
-        let cap = self.slots.len() as u64;
-        if cap == 0 || head == 0 || max == 0 {
-            return Vec::new();
-        }
-        let span = head.min(cap).min(max as u64);
-        let mut out = Vec::with_capacity(span as usize);
-        for seq in (head - span)..head {
-            let slot = &self.slots[(seq % cap) as usize];
-            let s1 = slot.stamp.load(Ordering::Acquire);
-            if s1 != seq.wrapping_mul(2).wrapping_add(2) {
-                continue; // empty, in progress, or already overwritten
-            }
-            let mut words = [0u64; WORDS];
-            for (dst, src) in words.iter_mut().zip(slot.words.iter()) {
-                *dst = src.load(Ordering::Relaxed);
-            }
-            if slot.stamp.load(Ordering::Acquire) != s1 {
-                continue; // overwritten while reading: drop, never tear
-            }
-            out.push((seq, decode(&words)));
-        }
-        out
+        let ring = self.lock();
+        let len = ring.records.len();
+        let first = ring.total - len as u64;
+        let skip = len.saturating_sub(max);
+        (skip..len)
+            .map(|i| (first + i as u64, ring.records[i].clone()))
+            .collect()
     }
 
     /// Drains the most recent `max` records as pinned
@@ -328,7 +244,7 @@ mod tests {
     fn round_trips_records_in_order() {
         let ring = FlightRecorder::new(4);
         for i in 0..3 {
-            ring.record(&rec(i));
+            ring.record(rec(i));
         }
         let got = ring.recent(10);
         assert_eq!(got.len(), 3);
@@ -354,7 +270,7 @@ mod tests {
     fn wraps_keeping_newest() {
         let ring = FlightRecorder::new(4);
         for i in 0..10 {
-            ring.record(&rec(i));
+            ring.record(rec(i));
         }
         let got = ring.recent(100);
         let seqs: Vec<u64> = got.iter().map(|&(s, _)| s).collect();
@@ -368,7 +284,7 @@ mod tests {
     #[test]
     fn zero_capacity_records_nothing() {
         let ring = FlightRecorder::new(0);
-        ring.record(&rec(1));
+        ring.record(rec(1));
         assert_eq!(ring.total(), 0);
         assert!(ring.recent(10).is_empty());
         assert_eq!(ring.to_jsonl(10), "");
@@ -379,7 +295,7 @@ mod tests {
         let ring = FlightRecorder::new(2);
         let mut r = rec(0);
         r.tid = "abcdefghijklmnopqrstuvwxyz".to_string();
-        ring.record(&r);
+        ring.record(r);
         let got = ring.recent(1);
         assert_eq!(got[0].1.tid, "abcdefghijklmnop");
     }
@@ -387,7 +303,7 @@ mod tests {
     #[test]
     fn jsonl_lines_are_pinned() {
         let ring = FlightRecorder::new(2);
-        ring.record(&QueryRecord {
+        ring.record(QueryRecord {
             trigger: FlightTrigger::Wrong,
             tid: "req-1".to_string(),
             query: [0.0, 0.5, 2.0, 1.5],
@@ -396,7 +312,7 @@ mod tests {
             latency_ns: 1200,
             generation: 7,
         });
-        ring.record(&QueryRecord {
+        ring.record(QueryRecord {
             trigger: FlightTrigger::Sampled,
             tid: String::new(),
             query: [0.0, 0.0, 1.0, f64::NAN],
@@ -431,7 +347,7 @@ mod tests {
                 let ring = Arc::clone(&ring);
                 scope.spawn(move || {
                     for i in 0..500 {
-                        ring.record(&rec(t * 1_000 + i));
+                        ring.record(rec(t * 1_000 + i));
                     }
                 });
             }
@@ -446,5 +362,46 @@ mod tests {
             }
         });
         assert_eq!(ring.total(), 2_000);
+    }
+
+    #[test]
+    fn drains_are_exact_while_writers_lap_the_ring() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::time::{Duration, Instant};
+        // Three writers lap a two-record ring for about a second; every
+        // drain must come back whole: both records, consecutive sequence
+        // numbers, each equal to the record its writer built.
+        let ring = FlightRecorder::new(2);
+        let stop = AtomicBool::new(false);
+        let bad = std::thread::scope(|scope| {
+            for t in 0..3u64 {
+                let (ring, stop) = (&ring, &stop);
+                scope.spawn(move || {
+                    let mut i = t * 1_000_000_000;
+                    while !stop.load(Ordering::Relaxed) {
+                        ring.record(rec(i));
+                        i += 1;
+                    }
+                });
+            }
+            let deadline = Instant::now() + Duration::from_secs(1);
+            let mut bad = None;
+            while bad.is_none() && Instant::now() < deadline {
+                if ring.total() < 2 {
+                    continue;
+                }
+                let got = ring.recent(2);
+                let exact = got.len() == 2
+                    && got[1].0 == got[0].0 + 1
+                    && got.iter().all(|(_, r)| *r == rec(r.generation));
+                if !exact {
+                    bad = Some(got);
+                }
+            }
+            stop.store(true, Ordering::Relaxed);
+            bad
+        });
+        assert_eq!(bad, None, "a drain came back short or torn");
+        assert!(ring.total() >= 2);
     }
 }

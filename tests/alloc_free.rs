@@ -293,10 +293,13 @@ fn a_first_load_peaks_at_its_sort_keys() {
 /// A server over an analyzed Charminar table named `t`, and one client
 /// connection to it.
 fn wire() -> (ServerHandle, TcpStream) {
+    wire_with(TableOptions::default())
+}
+
+/// [`wire`] over a table created with `options`.
+fn wire_with(options: TableOptions) -> (ServerHandle, TcpStream) {
     let catalog = Arc::new(SpatialCatalog::new());
-    let entry = catalog
-        .create("t", TableOptions::default())
-        .expect("a fresh catalog");
+    let entry = catalog.create("t", options).expect("a fresh catalog");
     {
         let mut table = entry.table();
         table.insert_many(charminar_with(5_000, 3).rects().iter().copied());
@@ -330,6 +333,16 @@ fn request_lines(verb: &str, queries: &[Rect], per_line: usize) -> Vec<Vec<u8>> 
 /// Sends each request and reads its one-line reply, into `buf`; panics
 /// on a reply that is not `OK`. Allocates nothing.
 fn round_trips(client: &mut TcpStream, requests: &[Vec<u8>], buf: &mut [u8]) {
+    round_trips_replying(client, requests, buf, b"OK ");
+}
+
+/// [`round_trips`], where every reply must start with `reply`.
+fn round_trips_replying(
+    client: &mut TcpStream,
+    requests: &[Vec<u8>],
+    buf: &mut [u8],
+    reply: &[u8],
+) {
     for request in requests {
         client.write_all(request).expect("the server reads");
         let mut len = 0;
@@ -341,7 +354,7 @@ fn round_trips(client: &mut TcpStream, requests: &[Vec<u8>], buf: &mut [u8]) {
                 break;
             }
         }
-        assert!(buf.starts_with(b"OK "), "a reply that is not OK");
+        assert!(buf.starts_with(reply), "a reply that is not OK");
     }
 }
 
@@ -386,6 +399,62 @@ fn an_idle_server_allocates_nothing() {
     round_trips(&mut client, &[b"PING\n".to_vec()], &mut buf);
     let allocations = process_allocations_in(|| std::thread::sleep(Duration::from_millis(500)));
     assert_eq!(allocations, 0);
+    drop(client);
+    server.shutdown();
+}
+
+/// Wire `ESTIMATE`s on a table that samples and records every call, so
+/// each one enters the flight recorder: untagged requests allocate nothing,
+/// and a `TID=` prefix costs the record's one copy of the id, which the
+/// ring truncates in place to its 16 bytes.
+#[test]
+fn recorded_wire_estimates_allocate_only_their_trace_ids() {
+    let _serial = serial();
+    let (server, mut client) = wire_with(TableOptions {
+        metrics_sampling: 1,
+        flight_sample: 1,
+        ..TableOptions::default()
+    });
+    let untagged = request_lines("ESTIMATE", &queries()[..1024], 1);
+    let tagged: Vec<Vec<u8>> = untagged
+        .iter()
+        .map(|line| [b"TID=req-0123456789abcdef ".as_slice(), line].concat())
+        .collect();
+    let mut buf = vec![0u8; 1 << 16];
+    // Warm-up: the connection's buffers grow and the ring fills, so every
+    // counted record evicts one.
+    round_trips(&mut client, &untagged, &mut buf);
+    round_trips_replying(
+        &mut client,
+        &tagged,
+        &mut buf,
+        b"TID=req-0123456789abcdef OK ",
+    );
+    let allocations = process_allocations_in(|| round_trips(&mut client, &untagged, &mut buf));
+    assert_eq!(allocations, 0, "untagged");
+    let allocations = process_allocations_in(|| {
+        round_trips_replying(
+            &mut client,
+            &tagged,
+            &mut buf,
+            b"TID=req-0123456789abcdef OK ",
+        );
+    });
+    assert_eq!(allocations, tagged.len() as u64, "one per tagged request");
+    // The newest record is the last tagged request, its id cut to 16 bytes.
+    client.write_all(b"FLIGHT t 1\n").expect("the server reads");
+    let mut drained = Vec::new();
+    while drained.iter().filter(|&&b| b == b'\n').count() < 2 {
+        let n = client.read(&mut buf).expect("the server replies");
+        assert!(n > 0, "the server closed the connection");
+        drained.extend_from_slice(&buf[..n]);
+    }
+    let drained = String::from_utf8(drained).expect("UTF-8");
+    assert!(drained.starts_with("OK 1\n"), "{drained:?}");
+    assert!(
+        drained.contains("\"tid\":\"req-0123456789ab\""),
+        "{drained:?}"
+    );
     drop(client);
     server.shutdown();
 }

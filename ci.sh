@@ -37,7 +37,10 @@
 #      plane bit-identical to the AoS reference fold, and its AVX2 scan
 #      (compiled on every x86_64 build) to its portable scalar body:
 #      exhaustive matrix on, single test thread so
-#      runtime dispatch is exercised deterministically,
+#      runtime dispatch is exercised deterministically; then the kernel
+#      module's unit tests in release mode (the plane's bit pins: patched
+#      equals rebuilt, `locate` equals the linear scan, the pruning
+#      counters equal a brute-force count), single test thread,
 #  12. the online-refine differential suite (clamping/partition/codec/
 #      Off-inertness invariants, exhaustive dataset × budget × feedback
 #      matrix on, single test thread),
@@ -145,6 +148,7 @@ RUST_TEST_THREADS=1 cargo test -q --test serve_protocol
 
 echo "==> kernel differential suite (exhaustive, single test thread)"
 RUST_TEST_THREADS=1 cargo test -q --test kernel_differential --features exhaustive
+RUST_TEST_THREADS=1 cargo test -q --release -p minskew-core kernel::
 
 echo "==> online-refine differential suite (exhaustive, single test thread)"
 RUST_TEST_THREADS=1 cargo test -q --test refine_differential --features exhaustive

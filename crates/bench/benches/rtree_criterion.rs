@@ -1,5 +1,5 @@
 //! Micro-benchmarks for the R\*-tree substrate itself: insertion, bulk
-//! loading, range counting, kNN, and deletion. These are the index's own
+//! loading, range counting, and deletion. These are the index's own
 //! performance envelope, separate from its role as a partitioning source.
 //!
 //! Formerly a criterion harness; the workspace now builds with no external
@@ -100,13 +100,6 @@ fn main() {
         let mut acc = 0usize;
         for q in &queries {
             acc += tree.count_intersecting(q);
-        }
-        acc
-    });
-    bench("knn10_256_points", || {
-        let mut acc = 0usize;
-        for q in &queries {
-            acc += tree.nearest_neighbors(q.center(), 10).len();
         }
         acc
     });

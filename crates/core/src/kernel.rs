@@ -142,64 +142,169 @@ pub struct BucketPlane {
     n: usize,
     /// Morton mirror: bucket id at each mirror position (a permutation of
     /// `0..n` in Z-order of bucket centres, padded to a whole quad with
-    /// the sentinel id `n`), and the seven fold inputs gathered in that
-    /// order. `mex`/`mey` are `rule.amounts(avg_width, avg_height)` — the
-    /// same values [`crate::SpatialHistogram`] caches in its extension
+    /// the sentinel id `n`), and the fold inputs gathered in that order.
+    /// The members' `ex`/`ey` are `rule.amounts(avg_width, avg_height)` —
+    /// the same values [`crate::SpatialHistogram`] caches in its extension
     /// table, so using them is bit-identical to re-deriving them.
     morder: Vec<u32>,
-    mx1: Vec<f64>,
-    my1: Vec<f64>,
-    mx2: Vec<f64>,
-    my2: Vec<f64>,
-    mcount: Vec<f64>,
-    mex: Vec<f64>,
-    mey: Vec<f64>,
-    /// Block summary columns, `ceil(len / BLOCK)` real summaries padded to
-    /// a coarse vector of four with never-intersecting sentinels: union MBR of the
-    /// block's members and the per-block maxima of `ex`/`ey` (NaN amounts
-    /// are dropped by `f64::max`, matching how the members themselves
-    /// collapse a NaN extension to zero).
-    bx1: Vec<f64>,
-    by1: Vec<f64>,
-    bx2: Vec<f64>,
-    by2: Vec<f64>,
-    bex: Vec<f64>,
-    bey: Vec<f64>,
-    /// Quad summary columns, `ceil(len / QUAD)` real summaries padded to
-    /// a whole block window (`nblocks * 4`): the same union
-    /// MBR / extension maxima at per-4-member granularity, so a surviving
-    /// block can discard three quarters of its members with one more
-    /// rectangle test (one vector compare covers a whole block's quads).
-    qx1: Vec<f64>,
-    qy1: Vec<f64>,
-    qx2: Vec<f64>,
-    qy2: Vec<f64>,
-    qex: Vec<f64>,
-    qey: Vec<f64>,
+    count: Vec<f64>,
+    members: Summaries,
+    /// `ceil(len / QUAD)` summaries padded to a whole block window
+    /// (`nblocks * 4`): the union MBR and extension maxima per 4 members,
+    /// so a surviving block can discard three quarters of its members
+    /// with one more rectangle test (one vector compare covers a whole
+    /// block's quads).
+    quads: Summaries,
+    /// `ceil(len / BLOCK)` summaries padded to a coarse vector of four:
+    /// the same unions per 16 members.
+    blocks: Summaries,
+}
+
+/// One level of the plane: per entry a rectangle `x1, y1, x2, y2` and the
+/// amounts `ex, ey` a query is extended by before it is tested against
+/// the rectangle. A member is one bucket; a quad or block summary is the
+/// union MBR of its members and the maxima of their amounts (NaN amounts
+/// are dropped by `f64::max`, matching how the members themselves collapse
+/// a NaN extension to zero). Every level is padded with the empty
+/// rectangle, which no query reaches and no point lies in, so vector loads
+/// never need a scalar tail.
+#[derive(Debug, Clone, Default)]
+struct Summaries {
+    x1: Vec<f64>,
+    y1: Vec<f64>,
+    x2: Vec<f64>,
+    y2: Vec<f64>,
+    ex: Vec<f64>,
+    ey: Vec<f64>,
+}
+
+impl Summaries {
+    fn with_capacity(len: usize) -> Summaries {
+        Summaries {
+            x1: Vec::with_capacity(len),
+            y1: Vec::with_capacity(len),
+            x2: Vec::with_capacity(len),
+            y2: Vec::with_capacity(len),
+            ex: Vec::with_capacity(len),
+            ey: Vec::with_capacity(len),
+        }
+    }
+
+    /// One summary per `width` consecutive entries of `self`'s first `n`,
+    /// padded to `len`: the level above `self`.
+    fn coarsen(&self, n: usize, width: usize, len: usize) -> Summaries {
+        let mut level = Summaries::with_capacity(len);
+        for i in 0..n.div_ceil(width) {
+            level.push(self.summarize(i * width..((i + 1) * width).min(n)));
+        }
+        level.pad_to(len);
+        level
+    }
+
+    fn push(&mut self, [x1, y1, x2, y2, ex, ey]: [f64; 6]) {
+        self.x1.push(x1);
+        self.y1.push(y1);
+        self.x2.push(x2);
+        self.y2.push(y2);
+        self.ex.push(ex);
+        self.ey.push(ey);
+    }
+
+    /// Pads the level to `len` entries with the empty rectangle and zero
+    /// amounts.
+    fn pad_to(&mut self, len: usize) {
+        for _ in self.x1.len()..len {
+            self.push([
+                f64::INFINITY,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                f64::NEG_INFINITY,
+                0.0,
+                0.0,
+            ]);
+        }
+    }
+
+    /// The union MBR and extension maxima of entries `range`,
+    /// `[x1, y1, x2, y2, ex, ey]`: the one fold behind every block and quad
+    /// summary, at build time and after a patch. The unions use
+    /// `f64::min`/`max`, which drop a NaN operand — consistent with the
+    /// member-level arithmetic, where a NaN coordinate can never satisfy an
+    /// intersection test and a NaN extension collapses to a zero
+    /// half-extent.
+    fn summarize(&self, range: Range<usize>) -> [f64; 6] {
+        let mut s = [
+            f64::INFINITY,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NEG_INFINITY,
+            f64::NEG_INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        for j in range {
+            s[0] = s[0].min(self.x1[j]);
+            s[1] = s[1].min(self.y1[j]);
+            s[2] = s[2].max(self.x2[j]);
+            s[3] = s[3].max(self.y2[j]);
+            s[4] = s[4].max(self.ex[j]);
+            s[5] = s[5].max(self.ey[j]);
+        }
+        s
+    }
+
+    /// `true` when the query extended by entry `i`'s amounts misses its
+    /// rectangle (`!query.expanded(ex, ey).intersects(rect)`, element-wise
+    /// and non-short-circuiting, so it compiles branch-free). By IEEE-754
+    /// monotonicity of add/sub/max, a member's extended query is contained
+    /// in its quad's and block's, so a summary that misses proves every
+    /// member's term is exactly `+0.0`.
+    #[inline(always)]
+    fn misses(&self, i: usize, p: &QueryPrep) -> bool {
+        let hw = (p.hw + self.ex[i]).max(0.0);
+        let hh = (p.hh + self.ey[i]).max(0.0);
+        !((p.cx - hw <= self.x2[i])
+            & (self.x1[i] <= p.cx + hw)
+            & (p.cy - hh <= self.y2[i])
+            & (self.y1[i] <= p.cy + hh))
+    }
+
+    /// `true` when entry `i`'s rectangle contains `p` (`Rect::contains_point`).
+    #[inline(always)]
+    fn holds(&self, i: usize, p: Point) -> bool {
+        self.x1[i] <= p.x && p.x <= self.x2[i] && self.y1[i] <= p.y && p.y <= self.y2[i]
+    }
+
+    /// Heap `f64`s held by the six columns (capacity, not length).
+    fn capacity(&self) -> usize {
+        [&self.x1, &self.y1, &self.x2, &self.y2, &self.ex, &self.ey]
+            .iter()
+            .map(|c| c.capacity())
+            .sum()
+    }
 }
 
 /// Classification of one bucket's term in the skip-zero fold: the exact
-/// value when non-zero, otherwise the sign of the zero (module docs,
-/// steps 2–3).
+/// value when non-zero (with the clipped fraction `fx * fy` it scaled the
+/// count by), otherwise the sign of the zero (module docs, steps 2–3).
 #[derive(Debug, Clone, Copy)]
 enum Term {
-    Live(f64),
+    Live { term: f64, fraction: f64 },
     PosZero,
     NegZero,
 }
 
-/// The single source of truth for one bucket's term: the reference
-/// arithmetic of [`Bucket::estimate_with_extension`], operation for
-/// operation, classified for the skip-zero fold. Every scan body derives
-/// its terms from this arithmetic — the scalar scan by calling it, the
-/// AVX2 term vectors by repeating its operations in its order per lane —
-/// so their terms are bit-identical by construction.
+/// The single source of truth for the term of member `j` with count `c`:
+/// the reference arithmetic of [`Bucket::estimate_with_extension`],
+/// operation for operation, classified for the skip-zero fold. Every scan
+/// body derives its terms from this arithmetic — the scalar walk by
+/// calling it, the AVX2 term vectors by repeating its operations in its
+/// order per lane — so their terms are bit-identical by construction.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn classify(x1: f64, y1: f64, x2: f64, y2: f64, c: f64, ex: f64, ey: f64, p: &QueryPrep) -> Term {
+fn classify(m: &Summaries, j: usize, c: f64, p: &QueryPrep) -> Term {
+    let (x1, y1, x2, y2) = (m.x1[j], m.y1[j], m.x2[j], m.y2[j]);
     // `Rect::expanded(ex, ey)` for this bucket, element-wise.
-    let hw = (p.hw + ex).max(0.0);
-    let hh = (p.hh + ey).max(0.0);
+    let hw = (p.hw + m.ex[j]).max(0.0);
+    let hh = (p.hh + m.ey[j]).max(0.0);
     let elx = p.cx - hw;
     let ehx = p.cx + hw;
     let ely = p.cy - hh;
@@ -230,7 +335,10 @@ fn classify(x1: f64, y1: f64, x2: f64, y2: f64, c: f64, ex: f64, ey: f64, p: &Qu
         };
         let t = c * fx * fy;
         if t != 0.0 {
-            Term::Live(t)
+            Term::Live {
+                term: t,
+                fraction: fx * fy,
+            }
         } else if t.to_bits() == 0 {
             // The product underflowed (or clamped) to a zero the filter
             // could not prove; its bit pattern decides.
@@ -331,8 +439,8 @@ pub struct ExplainTerm {
     /// See [`ExplainTerm::ex`].
     pub ey: f64,
     /// Diagnostic clipped fraction `fx * fy` — the share of the bucket's
-    /// MBR the extended query covers. Recomputed with the kernel's exact
-    /// arithmetic for reporting; the headline estimate never reads it.
+    /// MBR the extended query covers, from the same `classify` call as
+    /// [`ExplainTerm::term`]; the headline estimate never reads it.
     pub fraction: f64,
     /// The term value from `classify`, bit for bit. The headline estimate
     /// is the ordered fold of exactly these values (plus the zero-sign
@@ -397,144 +505,45 @@ impl BucketPlane {
     /// Builds the plane for `buckets` under `rule`.
     pub fn build(buckets: &[Bucket], rule: ExtensionRule) -> BucketPlane {
         let n = buckets.len();
-        // Padded column lengths: the mirror is padded to a whole quad, the
-        // quad columns to a whole block's worth of quads, and the block
-        // columns to a whole coarse vector, so the vector scan never needs
-        // a scalar tail. Pads are sentinels (empty MBR, zero count) that
-        // can never intersect a query; the scan masks them out of the
-        // zero-sign flag with validity masks.
-        let n4 = if n == 0 { 0 } else { n.next_multiple_of(QUAD) };
+        // Padded level lengths: the mirror is padded to a whole quad, the
+        // quads to a whole block's worth of quads, and the blocks to a
+        // whole coarse vector, so the vector scan never needs a scalar
+        // tail. Pads can never intersect a query; the scan masks them out
+        // of the zero-sign flag with validity masks.
+        let n4 = n.next_multiple_of(QUAD);
         let nb = n.div_ceil(BLOCK);
-        let nbp = if nb == 0 { 0 } else { nb.next_multiple_of(4) };
-        let nqp = nb * (BLOCK / QUAD);
-        let mut plane = BucketPlane {
-            n,
-            morder: Vec::with_capacity(n4),
-            mx1: Vec::with_capacity(n4),
-            my1: Vec::with_capacity(n4),
-            mx2: Vec::with_capacity(n4),
-            my2: Vec::with_capacity(n4),
-            mcount: Vec::with_capacity(n4),
-            mex: Vec::with_capacity(n4),
-            mey: Vec::with_capacity(n4),
-            bx1: Vec::with_capacity(nbp),
-            by1: Vec::with_capacity(nbp),
-            bx2: Vec::with_capacity(nbp),
-            by2: Vec::with_capacity(nbp),
-            bex: Vec::with_capacity(nbp),
-            bey: Vec::with_capacity(nbp),
-            qx1: Vec::with_capacity(nqp),
-            qy1: Vec::with_capacity(nqp),
-            qx2: Vec::with_capacity(nqp),
-            qy2: Vec::with_capacity(nqp),
-            qex: Vec::with_capacity(nqp),
-            qey: Vec::with_capacity(nqp),
-        };
 
         // Morton mirror: gather the fold inputs in Z-order of the bucket
         // centres. The schedule over the MBRs keys on exactly those
         // centres; ties keep id order, so the mirror is deterministic.
         let mbrs: Vec<Rect> = buckets.iter().map(|b| b.mbr).collect();
-        plane.morder.extend(crate::morton_schedule(&mbrs));
-        for &id in &plane.morder {
+        let mut morder = Vec::with_capacity(n4);
+        morder.extend(crate::morton_schedule(&mbrs));
+        let mut count = Vec::with_capacity(n4);
+        let mut members = Summaries::with_capacity(n4);
+        for &id in &morder {
             let b = &buckets[id as usize];
             let (ex, ey) = rule.amounts(b.avg_width, b.avg_height);
-            plane.mx1.push(b.mbr.lo.x);
-            plane.my1.push(b.mbr.lo.y);
-            plane.mx2.push(b.mbr.hi.x);
-            plane.my2.push(b.mbr.hi.y);
-            plane.mcount.push(b.count);
-            plane.mex.push(ex);
-            plane.mey.push(ey);
+            members.push([b.mbr.lo.x, b.mbr.lo.y, b.mbr.hi.x, b.mbr.hi.y, ex, ey]);
+            count.push(b.count);
         }
-        // Mirror pads: the empty rectangle with a zero count. Their
-        // intersection test is false against any (finite) query, so they
-        // classify as dead lanes. Pad `morder` entries map to the term
-        // buffer's spare slot `n`, which the fold never reads — the
-        // branchless scatter can then store every lane unconditionally.
-        for _ in n..n4 {
-            plane.morder.push(n as u32);
-            plane.mx1.push(f64::INFINITY);
-            plane.my1.push(f64::INFINITY);
-            plane.mx2.push(f64::NEG_INFINITY);
-            plane.my2.push(f64::NEG_INFINITY);
-            plane.mcount.push(0.0);
-            plane.mex.push(0.0);
-            plane.mey.push(0.0);
+        // Mirror pads have a zero count and classify as dead lanes. Their
+        // `morder` entries map to the term buffer's spare slot `n`, which
+        // the fold never reads — the branchless scatter can then store
+        // every lane unconditionally.
+        morder.resize(n4, n as u32);
+        count.resize(n4, 0.0);
+        members.pad_to(n4);
+        // The containment argument is level-agnostic — a quad's union
+        // contains its members exactly as a block's contains its quads.
+        BucketPlane {
+            n,
+            morder,
+            count,
+            quads: members.coarsen(n, QUAD, nb * (BLOCK / QUAD)),
+            blocks: members.coarsen(n, BLOCK, nb.next_multiple_of(4)),
+            members,
         }
-
-        // Block summaries over the mirror: union MBR plus extension maxima
-        // per BLOCK members. The unions use `f64::min`/`max`, which drop a
-        // NaN operand — consistent with the member-level arithmetic, where
-        // a NaN coordinate can never satisfy an intersection test and a
-        // NaN extension collapses to a zero half-extent.
-        for b in 0..nb {
-            let [x1, y1, x2, y2, ex, ey] = plane.summarize(b * BLOCK..((b + 1) * BLOCK).min(n));
-            plane.bx1.push(x1);
-            plane.by1.push(y1);
-            plane.bx2.push(x2);
-            plane.by2.push(y2);
-            plane.bex.push(ex);
-            plane.bey.push(ey);
-        }
-        // Block pads: empty-rectangle sentinels, masked out of the coarse
-        // vector loop's results by its validity mask.
-        for _ in nb..nbp {
-            plane.bx1.push(f64::INFINITY);
-            plane.by1.push(f64::INFINITY);
-            plane.bx2.push(f64::NEG_INFINITY);
-            plane.by2.push(f64::NEG_INFINITY);
-            plane.bex.push(0.0);
-            plane.bey.push(0.0);
-        }
-
-        // Quad summaries: the same unions at per-QUAD granularity. The
-        // containment argument is level-agnostic — a quad's union contains
-        // its members exactly as a block's contains its quads.
-        let nq = n.div_ceil(QUAD);
-        for q in 0..nq {
-            let [x1, y1, x2, y2, ex, ey] = plane.summarize(q * QUAD..((q + 1) * QUAD).min(n));
-            plane.qx1.push(x1);
-            plane.qy1.push(y1);
-            plane.qx2.push(x2);
-            plane.qy2.push(y2);
-            plane.qex.push(ex);
-            plane.qey.push(ey);
-        }
-        // Quad pads out to a whole block's window of quads, so the quad
-        // gate of the last (ragged) block can load a full vector.
-        for _ in nq..nqp {
-            plane.qx1.push(f64::INFINITY);
-            plane.qy1.push(f64::INFINITY);
-            plane.qx2.push(f64::NEG_INFINITY);
-            plane.qy2.push(f64::NEG_INFINITY);
-            plane.qex.push(0.0);
-            plane.qey.push(0.0);
-        }
-        plane
-    }
-
-    /// The union MBR and extension maxima of mirror positions `range`,
-    /// `[x1, y1, x2, y2, ex, ey]`: the one fold behind every block and quad
-    /// summary, at build time and after a patch.
-    fn summarize(&self, range: Range<usize>) -> [f64; 6] {
-        let mut s = [
-            f64::INFINITY,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            f64::NEG_INFINITY,
-            f64::NEG_INFINITY,
-            f64::NEG_INFINITY,
-        ];
-        for j in range {
-            s[0] = s[0].min(self.mx1[j]);
-            s[1] = s[1].min(self.my1[j]);
-            s[2] = s[2].max(self.mx2[j]);
-            s[3] = s[3].max(self.my2[j]);
-            s[4] = s[4].max(self.mex[j]);
-            s[5] = s[5].max(self.mey[j]);
-        }
-        s
     }
 
     /// The lowest-id bucket whose MBR contains `p`, with its Morton-mirror
@@ -549,23 +558,19 @@ impl BucketPlane {
     /// tested and the lowest id wins, as the linear scan's first match
     /// does where MBRs share an edge.
     pub(crate) fn locate(&self, p: Point) -> Option<(usize, usize)> {
-        let holds =
-            |x1: f64, y1: f64, x2: f64, y2: f64| x1 <= p.x && p.x <= x2 && y1 <= p.y && p.y <= y2;
         let mut found: Option<(usize, usize)> = None;
         for b in 0..self.n.div_ceil(BLOCK) {
-            if !holds(self.bx1[b], self.by1[b], self.bx2[b], self.by2[b]) {
+            if !self.blocks.holds(b, p) {
                 continue;
             }
             // Quad pads are never-holding sentinels, like the block pads.
             for q in b * (BLOCK / QUAD)..(b + 1) * (BLOCK / QUAD) {
-                if !holds(self.qx1[q], self.qy1[q], self.qx2[q], self.qy2[q]) {
+                if !self.quads.holds(q, p) {
                     continue;
                 }
                 for j in q * QUAD..((q + 1) * QUAD).min(self.n) {
                     let id = self.morder[j] as usize;
-                    if holds(self.mx1[j], self.my1[j], self.mx2[j], self.my2[j])
-                        && found.is_none_or(|(best, _)| id < best)
-                    {
+                    if self.members.holds(j, p) && found.is_none_or(|(best, _)| id < best) {
                         found = Some((id, j));
                     }
                 }
@@ -580,9 +585,9 @@ impl BucketPlane {
     /// the one block and one quad holding it. The result equals
     /// [`BucketPlane::build`] of the updated buckets, column for column and
     /// bit for bit: the geometry, and with it the Z-order, is untouched,
-    /// and the summaries are refolded by the same
-    /// [`BucketPlane::summarize`]. O(1): the caller found the slot with the
-    /// bucket, so the plane keeps no inverse permutation.
+    /// and the summaries are refolded by the same `Summaries::summarize`.
+    /// O(1): the caller found the slot with the bucket, so the plane keeps
+    /// no inverse permutation.
     ///
     /// # Panics
     ///
@@ -590,16 +595,14 @@ impl BucketPlane {
     pub(crate) fn patch(&mut self, slot: usize, bucket: &Bucket, rule: ExtensionRule) {
         let n = self.n;
         assert!(slot < n, "mirror slot {slot} out of {n} buckets");
-        let (ex, ey) = rule.amounts(bucket.avg_width, bucket.avg_height);
-        self.mcount[slot] = bucket.count;
-        self.mex[slot] = ex;
-        self.mey[slot] = ey;
-        let b = slot / BLOCK;
-        let s = self.summarize(b * BLOCK..((b + 1) * BLOCK).min(n));
-        (self.bex[b], self.bey[b]) = (s[4], s[5]);
-        let q = slot / QUAD;
-        let s = self.summarize(q * QUAD..((q + 1) * QUAD).min(n));
-        (self.qex[q], self.qey[q]) = (s[4], s[5]);
+        self.count[slot] = bucket.count;
+        (self.members.ex[slot], self.members.ey[slot]) =
+            rule.amounts(bucket.avg_width, bucket.avg_height);
+        for (level, width) in [(&mut self.blocks, BLOCK), (&mut self.quads, QUAD)] {
+            let i = slot / width;
+            let s = self.members.summarize(i * width..((i + 1) * width).min(n));
+            (level.ex[i], level.ey[i]) = (s[4], s[5]);
+        }
     }
 
     /// Number of buckets in the plane.
@@ -620,95 +623,19 @@ impl BucketPlane {
     /// included.
     pub fn size_bytes(&self) -> usize {
         std::mem::size_of::<f64>()
-            * (self.mx1.capacity()
-                + self.my1.capacity()
-                + self.mx2.capacity()
-                + self.my2.capacity()
-                + self.mcount.capacity()
-                + self.mex.capacity()
-                + self.mey.capacity()
-                + self.bx1.capacity()
-                + self.by1.capacity()
-                + self.bx2.capacity()
-                + self.by2.capacity()
-                + self.bex.capacity()
-                + self.bey.capacity()
-                + self.qx1.capacity()
-                + self.qy1.capacity()
-                + self.qx2.capacity()
-                + self.qy2.capacity()
-                + self.qex.capacity()
-                + self.qey.capacity())
+            * (self.count.capacity()
+                + self.members.capacity()
+                + self.quads.capacity()
+                + self.blocks.capacity())
             + std::mem::size_of::<u32>() * self.morder.capacity()
-    }
-
-    /// Fold tail shared by every accumulation: the `-0.0`-identity
-    /// correction for skipped `+0.0` terms.
-    #[inline(always)]
-    fn finish(acc: f64, saw_pos_zero: bool) -> f64 {
-        if saw_pos_zero {
-            acc + 0.0
-        } else {
-            acc
-        }
-    }
-
-    /// `true` when the coarse block test proves every member of block `b`
-    /// of the Morton mirror misses the query: the query extended by the
-    /// block's extension maxima does not intersect the block's union MBR.
-    /// By IEEE-754 monotonicity of add/sub/max, a member's extended query
-    /// is contained in the block's, so a pruned block's members all have
-    /// `inter == false` — their terms are all exactly `+0.0`.
-    #[inline(always)]
-    fn block_pruned(&self, b: usize, p: &QueryPrep) -> bool {
-        let hw = (p.hw + self.bex[b]).max(0.0);
-        let hh = (p.hh + self.bey[b]).max(0.0);
-        !((p.cx - hw <= self.bx2[b])
-            & (self.bx1[b] <= p.cx + hw)
-            & (p.cy - hh <= self.by2[b])
-            & (self.by1[b] <= p.cy + hh))
-    }
-
-    /// The same coarse test as [`BucketPlane::block_pruned`] one level
-    /// down, over quad `q`'s union MBR and extension maxima.
-    #[inline(always)]
-    fn quad_pruned(&self, q: usize, p: &QueryPrep) -> bool {
-        let hw = (p.hw + self.qex[q]).max(0.0);
-        let hh = (p.hh + self.qey[q]).max(0.0);
-        !((p.cx - hw <= self.qx2[q])
-            & (self.qx1[q] <= p.cx + hw)
-            & (p.cy - hh <= self.qy2[q])
-            & (self.qy1[q] <= p.cy + hh))
-    }
-
-    /// One Morton-mirror member's step of the pruned scan: a non-zero term
-    /// is scattered into its bucket's slot of the term buffer (the fold
-    /// later replays the slots in ascending id order straight off the
-    /// bitmask), zero terms only touch the flag.
-    #[inline(always)]
-    fn scan_one(&self, j: usize, p: &QueryPrep, buf: &mut TermBuf, saw: &mut bool) {
-        let term = classify(
-            self.mx1[j],
-            self.my1[j],
-            self.mx2[j],
-            self.my2[j],
-            self.mcount[j],
-            self.mex[j],
-            self.mey[j],
-            p,
-        );
-        match term {
-            Term::Live(t) => buf.set(self.morder[j] as usize, t),
-            Term::PosZero => *saw = true,
-            Term::NegZero => {}
-        }
     }
 
     /// Fold tail of the pruned scan: replays the collected non-zero terms
     /// in ascending bucket-id order — the order the strict reference fold
     /// adds them in — by walking the term buffer's bitmask words in
-    /// ascending order and extracting set bits low-to-high. The mask *is*
-    /// the order, so no sort happens on any path; cost is
+    /// ascending order and extracting set bits low-to-high, then applies
+    /// the `-0.0`-identity correction for skipped `+0.0` terms. The mask
+    /// *is* the order, so no sort happens on any path; cost is
     /// `ceil(buckets / 64)` word loads plus one add per surviving term.
     fn fold_masked(&self, buf: &TermBuf, saw_pos_zero: bool) -> f64 {
         let words = self.len().div_ceil(64);
@@ -721,7 +648,11 @@ impl BucketPlane {
                 acc += buf.vals[(w << 6) | bit];
             }
         }
-        Self::finish(acc, saw_pos_zero)
+        if saw_pos_zero {
+            acc + 0.0
+        } else {
+            acc
+        }
     }
 
     /// Block-pruned estimate over **all** buckets via the Morton mirror:
@@ -754,19 +685,57 @@ impl BucketPlane {
         self.accumulate_pruned_scalar(p, buf)
     }
 
-    /// The portable block-pruned scan: a block test, a quad test per
-    /// member quad, then `classify` per surviving member, all scalar. It
-    /// serves every host without AVX2 and is the bit reference the AVX2
-    /// body of [`BucketPlane::accumulate_pruned`] is pinned to.
+    /// The portable block-pruned scan: the scalar walk with nothing
+    /// recorded. It serves every host without AVX2 and is the bit
+    /// reference the AVX2 body of [`BucketPlane::accumulate_pruned`] is
+    /// pinned to.
     pub fn accumulate_pruned_scalar(&self, p: &QueryPrep, buf: &mut TermBuf) -> f64 {
+        let saw_pos_zero = self.walk(p, buf, &mut ());
+        self.fold_masked(buf, saw_pos_zero)
+    }
+
+    /// The block-pruned estimate with its evidence: the same scalar walk
+    /// as [`BucketPlane::accumulate_pruned_scalar`],
+    /// recording what each level discards and every live term. The
+    /// headline estimate is therefore bit-identical to the serving path by
+    /// construction, not by re-derivation.
+    pub fn accumulate_pruned_explained(&self, p: &QueryPrep, buf: &mut TermBuf) -> KernelExplain {
+        let mut ev = Evidence {
+            plane: self,
+            prune: PruneStats {
+                blocks: self.n.div_ceil(BLOCK),
+                ..PruneStats::default()
+            },
+            terms: Vec::new(),
+        };
+        let saw_pos_zero = self.walk(p, buf, &mut ev);
+        // The walk visits mirror order; report fold order.
+        ev.terms.sort_unstable_by_key(|t| t.bucket);
+        KernelExplain {
+            estimate: self.fold_masked(buf, saw_pos_zero),
+            terms: ev.terms,
+            saw_pos_zero,
+            prune: ev.prune,
+        }
+    }
+
+    /// The scalar block → quad → member walk: a block test, a quad test
+    /// per member quad of a surviving block, then `classify` per member of
+    /// a surviving quad, each outcome offered to `rec`. A non-zero term is
+    /// scattered into its bucket's slot of `buf` (the fold later replays
+    /// the slots in ascending id order straight off the bitmask). Returns
+    /// whether a `+0.0` term was skipped: blocks and quads are never
+    /// empty, so a pruned one skipped at least one.
+    #[inline(always)]
+    fn walk<R: Recorder>(&self, p: &QueryPrep, buf: &mut TermBuf, rec: &mut R) -> bool {
         buf.reset(self.len());
         let n = self.len();
         let nq = n.div_ceil(QUAD);
         let mut saw_pos_zero = false;
         for b in 0..n.div_ceil(BLOCK) {
-            if self.block_pruned(b, p) {
-                // Every member's term is a proven `+0.0` (blocks are never
-                // empty, so at least one `+0.0` was skipped).
+            let pruned = self.blocks.misses(b, p);
+            rec.block(pruned);
+            if pruned {
                 saw_pos_zero = true;
                 continue;
             }
@@ -774,116 +743,67 @@ impl BucketPlane {
             // classify, so a block clipped by the query edge only pays for
             // the quads the query reaches.
             for q in b * (BLOCK / QUAD)..((b + 1) * (BLOCK / QUAD)).min(nq) {
-                if self.quad_pruned(q, p) {
-                    // A pruned quad skips only proven `+0.0` terms (quads
-                    // are never empty).
+                let pruned = self.quads.misses(q, p);
+                rec.quad(pruned);
+                if pruned {
                     saw_pos_zero = true;
                     continue;
                 }
                 for j in q * QUAD..((q + 1) * QUAD).min(n) {
-                    self.scan_one(j, p, buf, &mut saw_pos_zero);
-                }
-            }
-        }
-        self.fold_masked(buf, saw_pos_zero)
-    }
-
-    /// Diagnostic clipped fraction `fx * fy` for mirror member `j`: the
-    /// kernel's exact per-axis arithmetic, re-run purely for reporting.
-    /// Never feeds the estimate — the term value always comes from
-    /// `classify`.
-    fn clip_fraction(&self, j: usize, p: &QueryPrep) -> f64 {
-        let (x1, y1, x2, y2) = (self.mx1[j], self.my1[j], self.mx2[j], self.my2[j]);
-        let hw = (p.hw + self.mex[j]).max(0.0);
-        let hh = (p.hh + self.mey[j]).max(0.0);
-        let ox = ((p.cx + hw).min(x2) - (p.cx - hw).max(x1)).max(0.0);
-        let oy = ((p.cy + hh).min(y2) - (p.cy - hh).max(y1)).max(0.0);
-        let w = x2 - x1;
-        let h = y2 - y1;
-        let fx = if w > 0.0 {
-            (ox / w).clamp(0.0, 1.0)
-        } else {
-            1.0
-        };
-        let fy = if h > 0.0 {
-            (oy / h).clamp(0.0, 1.0)
-        } else {
-            1.0
-        };
-        fx * fy
-    }
-
-    /// The explained twin of [`BucketPlane::accumulate_pruned`]: the same
-    /// block-pruned scan — every term from `classify`, scattered through
-    /// the same term buffer, folded by the same ascending-id mask walk —
-    /// with the evidence recorded on the side. The headline estimate is
-    /// therefore bit-identical to the serving path by construction, not by
-    /// re-derivation.
-    ///
-    /// Always scalar: it walks the same levels as
-    /// [`BucketPlane::accumulate_pruned_scalar`], the bit reference of the
-    /// SIMD bodies, and counts what each level discards.
-    pub fn accumulate_pruned_explained(&self, p: &QueryPrep, buf: &mut TermBuf) -> KernelExplain {
-        buf.reset(self.len());
-        let n = self.len();
-        let nq = n.div_ceil(QUAD);
-        let mut saw_pos_zero = false;
-        let mut prune = PruneStats {
-            blocks: n.div_ceil(BLOCK),
-            ..PruneStats::default()
-        };
-        let mut terms = Vec::new();
-        for b in 0..n.div_ceil(BLOCK) {
-            if self.block_pruned(b, p) {
-                saw_pos_zero = true;
-                prune.blocks_pruned += 1;
-                continue;
-            }
-            for q in b * (BLOCK / QUAD)..((b + 1) * (BLOCK / QUAD)).min(nq) {
-                prune.quads_tested += 1;
-                if self.quad_pruned(q, p) {
-                    saw_pos_zero = true;
-                    prune.quads_pruned += 1;
-                    continue;
-                }
-                for j in q * QUAD..((q + 1) * QUAD).min(n) {
-                    prune.buckets_classified += 1;
-                    let term = classify(
-                        self.mx1[j],
-                        self.my1[j],
-                        self.mx2[j],
-                        self.my2[j],
-                        self.mcount[j],
-                        self.mex[j],
-                        self.mey[j],
-                        p,
-                    );
+                    let term = classify(&self.members, j, self.count[j], p);
+                    rec.classified(j, term);
                     match term {
-                        Term::Live(t) => {
-                            buf.set(self.morder[j] as usize, t);
-                            terms.push(ExplainTerm {
-                                bucket: self.morder[j],
-                                count: self.mcount[j],
-                                ex: self.mex[j],
-                                ey: self.mey[j],
-                                fraction: self.clip_fraction(j, p),
-                                term: t,
-                            });
-                        }
+                        Term::Live { term, .. } => buf.set(self.morder[j] as usize, term),
                         Term::PosZero => saw_pos_zero = true,
                         Term::NegZero => {}
                     }
                 }
             }
         }
-        // The scan visits mirror order; report fold order.
-        terms.sort_unstable_by_key(|t| t.bucket);
-        let estimate = self.fold_masked(buf, saw_pos_zero);
-        KernelExplain {
-            estimate,
-            terms,
-            saw_pos_zero,
-            prune,
+        saw_pos_zero
+    }
+}
+
+/// What [`BucketPlane::walk`] reports as it goes: nothing when serving
+/// (`()`, whose calls compile away), the pruning counters and live terms
+/// for EXPLAIN ([`Evidence`]).
+trait Recorder {
+    fn block(&mut self, _pruned: bool) {}
+    fn quad(&mut self, _pruned: bool) {}
+    fn classified(&mut self, _j: usize, _term: Term) {}
+}
+
+impl Recorder for () {}
+
+/// The evidence of one explained walk.
+struct Evidence<'a> {
+    plane: &'a BucketPlane,
+    prune: PruneStats,
+    terms: Vec<ExplainTerm>,
+}
+
+impl Recorder for Evidence<'_> {
+    fn block(&mut self, pruned: bool) {
+        self.prune.blocks_pruned += usize::from(pruned);
+    }
+
+    fn quad(&mut self, pruned: bool) {
+        self.prune.quads_tested += 1;
+        self.prune.quads_pruned += usize::from(pruned);
+    }
+
+    fn classified(&mut self, j: usize, term: Term) {
+        self.prune.buckets_classified += 1;
+        if let Term::Live { term, fraction } = term {
+            let plane = self.plane;
+            self.terms.push(ExplainTerm {
+                bucket: plane.morder[j],
+                count: plane.count[j],
+                ex: plane.members.ex[j],
+                ey: plane.members.ey[j],
+                fraction,
+                term,
+            });
         }
     }
 }
@@ -913,7 +833,7 @@ pub fn simd_level() -> &'static str {
 mod simd {
     use core::arch::x86_64::*;
 
-    use super::{BucketPlane, QueryPrep, TermBuf};
+    use super::{BucketPlane, QueryPrep, Summaries, TermBuf};
 
     /// Per-query vector broadcasts shared by every AVX2 scan level, built
     /// once per [`accumulate_pruned_avx2`] call.
@@ -933,27 +853,17 @@ mod simd {
     /// # Safety
     ///
     /// The caller must ensure the running CPU supports AVX2 and that
-    /// `i + 4` is within all six parallel summary columns.
+    /// `i + 4` is within the level's length.
     #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn inter4_avx2(
-        x1c: &[f64],
-        y1c: &[f64],
-        x2c: &[f64],
-        y2c: &[f64],
-        exc: &[f64],
-        eyc: &[f64],
-        i: usize,
-        bc: &QBcast,
-    ) -> i32 {
+    unsafe fn inter4_avx2(level: &Summaries, i: usize, bc: &QBcast) -> i32 {
         // SAFETY: bounds guaranteed by the caller.
         unsafe {
-            let ex = _mm256_loadu_pd(exc.as_ptr().add(i));
-            let ey = _mm256_loadu_pd(eyc.as_ptr().add(i));
-            let x1 = _mm256_loadu_pd(x1c.as_ptr().add(i));
-            let x2 = _mm256_loadu_pd(x2c.as_ptr().add(i));
-            let y1 = _mm256_loadu_pd(y1c.as_ptr().add(i));
-            let y2 = _mm256_loadu_pd(y2c.as_ptr().add(i));
+            let ex = _mm256_loadu_pd(level.ex.as_ptr().add(i));
+            let ey = _mm256_loadu_pd(level.ey.as_ptr().add(i));
+            let x1 = _mm256_loadu_pd(level.x1.as_ptr().add(i));
+            let x2 = _mm256_loadu_pd(level.x2.as_ptr().add(i));
+            let y1 = _mm256_loadu_pd(level.y1.as_ptr().add(i));
+            let y2 = _mm256_loadu_pd(level.y2.as_ptr().add(i));
             let hw = _mm256_max_pd(_mm256_add_pd(bc.hw, ex), bc.zero);
             let hh = _mm256_max_pd(_mm256_add_pd(bc.hh, ey), bc.zero);
             let inter = _mm256_and_pd(
@@ -1015,11 +925,7 @@ mod simd {
         };
         // SAFETY: quad columns are padded to a whole block window
         // (`nblocks * 4` summaries), so `q0 + 4` is in bounds.
-        let qb = unsafe {
-            inter4_avx2(
-                &plane.qx1, &plane.qy1, &plane.qx2, &plane.qy2, &plane.qex, &plane.qey, q0, bc,
-            )
-        } & qvm;
+        let qb = unsafe { inter4_avx2(&plane.quads, q0, bc) } & qvm;
         // A pruned quad skips only proven `+0.0` terms (quads are never
         // empty).
         *saw_pos_zero |= qb != qvm;
@@ -1040,13 +946,14 @@ mod simd {
             // SAFETY: mirror columns are padded to a multiple of QUAD, so
             // `j + 4` is within them even on the ragged tail.
             let (live_bits, neg_bits, push_bits, posz_bits) = unsafe {
-                let ex = _mm256_loadu_pd(plane.mex.as_ptr().add(j));
-                let ey = _mm256_loadu_pd(plane.mey.as_ptr().add(j));
-                let x1 = _mm256_loadu_pd(plane.mx1.as_ptr().add(j));
-                let x2 = _mm256_loadu_pd(plane.mx2.as_ptr().add(j));
-                let y1 = _mm256_loadu_pd(plane.my1.as_ptr().add(j));
-                let y2 = _mm256_loadu_pd(plane.my2.as_ptr().add(j));
-                let c = _mm256_loadu_pd(plane.mcount.as_ptr().add(j));
+                let m = &plane.members;
+                let ex = _mm256_loadu_pd(m.ex.as_ptr().add(j));
+                let ey = _mm256_loadu_pd(m.ey.as_ptr().add(j));
+                let x1 = _mm256_loadu_pd(m.x1.as_ptr().add(j));
+                let x2 = _mm256_loadu_pd(m.x2.as_ptr().add(j));
+                let y1 = _mm256_loadu_pd(m.y1.as_ptr().add(j));
+                let y2 = _mm256_loadu_pd(m.y2.as_ptr().add(j));
+                let c = _mm256_loadu_pd(plane.count.as_ptr().add(j));
                 let hw = _mm256_max_pd(_mm256_add_pd(bc.hw, ex), bc.zero);
                 let hh = _mm256_max_pd(_mm256_add_pd(bc.hh, ey), bc.zero);
                 let elx = _mm256_sub_pd(bc.cx, hw);
@@ -1180,11 +1087,7 @@ mod simd {
             };
             // SAFETY: block columns are padded to a multiple of four
             // summaries, so `b + 4` is in bounds even on the ragged tail.
-            let bbits = unsafe {
-                inter4_avx2(
-                    &plane.bx1, &plane.by1, &plane.bx2, &plane.by2, &plane.bex, &plane.bey, b, &bc,
-                )
-            } & vm;
+            let bbits = unsafe { inter4_avx2(&plane.blocks, b, &bc) } & vm;
             // A pruned block skips only proven `+0.0` terms, and blocks
             // are never empty; pad blocks are masked out.
             saw_pos_zero |= bbits != vm;
@@ -1395,22 +1298,24 @@ mod tests {
         // a whole coarse vector.
         assert_eq!(plane.morder.len(), n.next_multiple_of(4));
         assert!(plane.morder[n..].iter().all(|&id| id as usize == n));
-        assert_eq!(plane.bx1.len(), n.div_ceil(16));
+        let (blocks, members) = (&plane.blocks, &plane.members);
+        assert_eq!(blocks.x1.len(), n.div_ceil(16));
         for (j, &id) in plane.morder[..n].iter().enumerate() {
             let b = j / 16;
             let m = &buckets[id as usize].mbr;
-            assert!(plane.bx1[b] <= m.lo.x && m.hi.x <= plane.bx2[b]);
-            assert!(plane.by1[b] <= m.lo.y && m.hi.y <= plane.by2[b]);
-            assert!(plane.bex[b] >= plane.mex[j] && plane.bey[b] >= plane.mey[j]);
+            assert!(blocks.x1[b] <= m.lo.x && m.hi.x <= blocks.x2[b]);
+            assert!(blocks.y1[b] <= m.lo.y && m.hi.y <= blocks.y2[b]);
+            assert!(blocks.ex[b] >= members.ex[j] && blocks.ey[b] >= members.ey[j]);
         }
     }
 
     /// Every column of the plane, in declaration order.
-    fn columns(p: &BucketPlane) -> [&[f64]; 19] {
-        [
-            &p.mx1, &p.my1, &p.mx2, &p.my2, &p.mcount, &p.mex, &p.mey, &p.bx1, &p.by1, &p.bx2,
-            &p.by2, &p.bex, &p.bey, &p.qx1, &p.qy1, &p.qx2, &p.qy2, &p.qex, &p.qey,
-        ]
+    fn columns(p: &BucketPlane) -> Vec<&[f64]> {
+        let mut out: Vec<&[f64]> = vec![&p.count];
+        for l in [&p.members, &p.quads, &p.blocks] {
+            out.extend([&l.x1[..], &l.y1, &l.x2, &l.y2, &l.ex, &l.ey]);
+        }
+        out
     }
 
     fn assert_planes_bit_equal(got: &BucketPlane, want: &BucketPlane, ctx: &str) {
@@ -1544,6 +1449,85 @@ mod tests {
         let hist = crate::MinSkewBuilder::new(1_000).build(&road);
         assert!(hist.num_buckets() > 900, "{} buckets", hist.num_buckets());
         assert_locate_matches_linear_scan(hist.buckets(), "road");
+    }
+
+    /// `PruneStats` recounted from the buckets in `morder` order: the union
+    /// MBR and extension maxima per `BLOCK` and per `QUAD` members, and the
+    /// reference's extended-query test against them.
+    fn brute_prune_stats(
+        buckets: &[Bucket],
+        rule: ExtensionRule,
+        plane: &BucketPlane,
+        q: &Rect,
+    ) -> PruneStats {
+        let n = buckets.len();
+        let misses = |range: Range<usize>| {
+            let (inf, ninf) = (f64::INFINITY, f64::NEG_INFINITY);
+            let mut mbr = Rect {
+                lo: Point::new(inf, inf),
+                hi: Point::new(ninf, ninf),
+            };
+            let (mut ex, mut ey) = (ninf, ninf);
+            for &id in &plane.morder[range] {
+                let b = &buckets[id as usize];
+                let (bex, bey) = rule.amounts(b.avg_width, b.avg_height);
+                mbr = mbr.union(&b.mbr);
+                (ex, ey) = (ex.max(bex), ey.max(bey));
+            }
+            !q.expanded(ex, ey).intersects(&mbr)
+        };
+        let mut want = PruneStats {
+            blocks: n.div_ceil(BLOCK),
+            ..PruneStats::default()
+        };
+        for b in 0..want.blocks {
+            if misses(b * BLOCK..((b + 1) * BLOCK).min(n)) {
+                want.blocks_pruned += 1;
+                continue;
+            }
+            for q in b * (BLOCK / QUAD)..((b + 1) * (BLOCK / QUAD)).min(n.div_ceil(QUAD)) {
+                want.quads_tested += 1;
+                let members = q * QUAD..((q + 1) * QUAD).min(n);
+                if misses(members.clone()) {
+                    want.quads_pruned += 1;
+                } else {
+                    want.buckets_classified += members.len();
+                }
+            }
+        }
+        want
+    }
+
+    #[test]
+    fn prune_stats_equal_a_brute_force_count() {
+        let mut cases: Vec<(Vec<Bucket>, Vec<Rect>)> = [1usize, 2, 3, 5, 6, 8, 16, 33]
+            .iter()
+            .map(|&side| (grid(side), queries()))
+            .collect();
+        cases.push((adversarial_buckets(), adversarial_queries().to_vec()));
+        let mut buf = TermBuf::new();
+        let mut total = PruneStats::default();
+        for (buckets, qs) in &cases {
+            for rule in [
+                ExtensionRule::Minkowski,
+                ExtensionRule::PaperLiteral,
+                ExtensionRule::None,
+            ] {
+                let plane = BucketPlane::build(buckets, rule);
+                for q in qs {
+                    let got = plane
+                        .accumulate_pruned_explained(&QueryPrep::new(q), &mut buf)
+                        .prune;
+                    let want = brute_prune_stats(buckets, rule, &plane, q);
+                    assert_eq!(got, want, "n={} rule={rule:?} q={q}", buckets.len());
+                    total.blocks_pruned += got.blocks_pruned;
+                    total.quads_pruned += got.quads_pruned;
+                    total.buckets_classified += got.buckets_classified;
+                }
+            }
+        }
+        // Every level both prunes and passes somewhere in the matrix.
+        assert!(total.blocks_pruned > 0 && total.quads_pruned > 0 && total.buckets_classified > 0);
     }
 
     #[test]

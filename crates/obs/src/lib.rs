@@ -24,9 +24,9 @@
 //!   it by name ([`RegistrySnapshot::counter`], …), and it exports to JSON
 //!   ([`RegistrySnapshot::to_json`], schema-pinned by a golden test) or
 //!   human-readable text ([`RegistrySnapshot::to_text`]).
-//! * [`FlightRecorder`] — a fixed-capacity lock-free ring of structured
-//!   [`QueryRecord`]s (slow / wrong / sampled queries), drained as pinned
-//!   `minskew-obs/flight-v1` JSONL.
+//! * [`FlightRecorder`] — a fixed-capacity ring of structured
+//!   [`QueryRecord`]s (slow / wrong / sampled queries) behind one `Mutex`,
+//!   drained as pinned `minskew-obs/flight-v1` JSONL.
 //!
 //! # Example
 //!

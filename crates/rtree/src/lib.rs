@@ -41,7 +41,6 @@
 
 mod bulk;
 mod hilbert;
-mod knn;
 mod node;
 mod partition;
 mod split;

@@ -3,7 +3,7 @@
 
 #![cfg(feature = "proptest")]
 
-use minskew_geom::{Point, Rect};
+use minskew_geom::Rect;
 use minskew_rtree::{RStarTree, RTreeConfig};
 use proptest::prelude::*;
 
@@ -13,7 +13,6 @@ enum Op {
     /// Remove the live item at this (modular) position.
     RemoveAt(usize),
     Query(Rect),
-    Knn(Point, usize),
 }
 
 fn arb_rect() -> impl Strategy<Value = Rect> {
@@ -26,15 +25,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
         4 => arb_rect().prop_map(Op::Insert),
         2 => any::<usize>().prop_map(Op::RemoveAt),
         2 => arb_rect().prop_map(Op::Query),
-        1 => ((0.0..500.0f64, 0.0..500.0f64), 1usize..8)
-            .prop_map(|((x, y), k)| Op::Knn(Point::new(x, y), k)),
     ]
-}
-
-fn min_dist2(p: Point, r: &Rect) -> f64 {
-    let dx = (r.lo.x - p.x).max(0.0).max(p.x - r.hi.x);
-    let dy = (r.lo.y - p.y).max(0.0).max(p.y - r.hi.y);
-    dx * dx + dy * dy
 }
 
 proptest! {
@@ -74,18 +65,6 @@ proptest! {
                         .collect();
                     want.sort_unstable();
                     prop_assert_eq!(got, want);
-                }
-                Op::Knn(p, k) => {
-                    let got = tree.nearest_neighbors(p, k);
-                    prop_assert_eq!(got.len(), k.min(shadow.len()));
-                    // Distances must match the k smallest shadow distances.
-                    let mut dists: Vec<f64> =
-                        shadow.iter().map(|(r, _)| min_dist2(p, r)).collect();
-                    dists.sort_by(|a, b| a.partial_cmp(b).unwrap());
-                    for (i, item) in got.iter().enumerate() {
-                        let d = min_dist2(p, &item.rect);
-                        prop_assert!((d - dists[i]).abs() < 1e-9);
-                    }
                 }
             }
             prop_assert_eq!(tree.len(), shadow.len());

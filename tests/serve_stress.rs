@@ -2,11 +2,11 @@
 //! hammer `estimate` while a writer loops statistics installs, and every
 //! observed estimate must be **exactly** the value computed under one of
 //! the published statistics — the old install or the new one, never a
-//! torn mixture and never a stale cache hit.
+//! torn mixture and never a value from before the last install.
 //!
 //! This is the teeth behind the publication protocol in
-//! `minskew_engine::publish`: snapshots are immutable and installed via an
-//! epoch-flip cell, so a reader's estimate is always computed against one
+//! `minskew_engine::publish`: snapshots are immutable and installed via a
+//! publication cell, so a reader's estimate is always computed against one
 //! coherent snapshot. The suite runs ≥1000 install cycles under 4
 //! concurrent readers (CI pins `RUST_TEST_THREADS=1` so the stress owns
 //! its thread budget).
@@ -24,7 +24,7 @@ use minskew_datagen::charminar_with;
 const INSTALL_CYCLES: usize = 1_200;
 const READER_THREADS: usize = 4;
 
-/// Builds the shared table (cache on) plus two distinct valid
+/// Builds the shared table plus two distinct valid
 /// statistics payloads and the exact per-query bits each one serves.
 struct Fixture {
     table: SpatialTable,
@@ -171,38 +171,38 @@ fn concurrent_readers_never_observe_torn_or_stale_estimates() {
 
 #[test]
 fn cache_hits_never_serve_pre_install_estimates() {
-    // The satellite fix under test: cache flush is atomic with snapshot
-    // publication, so an estimate cached under generation g can never be
-    // served after a publication bumped the generation.
+    // Every estimate is computed against the snapshot current when it
+    // runs, so an estimate made under generation g can never be served
+    // again after a publication bumped the generation.
     let fx = fixture();
     let mut table = fx.table;
     let q = &fx.queries[0];
 
-    // Warm both the table's serving cache and a lock-free reader's cache
+    // Estimate twice through the table and through a lock-free reader
     // under stats B (installed last by the fixture).
     let mut reader = table.reader();
     assert_eq!(table.estimate(q).to_bits(), fx.bits_b[0]);
-    assert_eq!(table.estimate(q).to_bits(), fx.bits_b[0], "cached");
+    assert_eq!(table.estimate(q).to_bits(), fx.bits_b[0], "repeated");
     assert_eq!(reader.estimate(q).to_bits(), fx.bits_b[0]);
-    assert_eq!(reader.estimate(q).to_bits(), fx.bits_b[0], "cached");
+    assert_eq!(reader.estimate(q).to_bits(), fx.bits_b[0], "repeated");
 
     // Install stats A: the very next estimate must be A's value on both
-    // paths — a hit on the pre-install cache entry would return B's.
+    // paths — a value kept from before the install would be B's.
     table.load_stats(&fx.stats_a);
     assert_eq!(
         table.estimate(q).to_bits(),
         fx.bits_a[0],
-        "table served a pre-install cached estimate"
+        "table served a pre-install estimate"
     );
     assert_eq!(
         reader.estimate(q).to_bits(),
         fx.bits_a[0],
-        "reader served a pre-install cached estimate"
+        "reader served a pre-install estimate"
     );
 
     // Same contract through row churn (publication without a new stats
-    // era): inserts republish, so caches flush and the estimate may only
-    // change to the freshly computed value, never a stale one.
+    // era): inserts republish, and the estimate may only change to the
+    // freshly computed value, never a stale one.
     let before = table.estimate(&fx.queries[1]);
     let id = table.insert(Rect::new(0.0, 0.0, 1.0, 1.0));
     let after_table = table.estimate(&fx.queries[1]);
